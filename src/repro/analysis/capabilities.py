@@ -26,11 +26,11 @@ allowed to act on:
     :func:`~repro.analysis.races.block_taints` proves non-escaping:
     no value derived from the replica's state leaves the block, so the
     backend may defer per-mutation journal bookkeeping across a whole
-    delivery batch.
+    run.
 
 ``COALESCIBLE_DISPATCH``
-    The program-wide licence to coalesce consecutive same-channel
-    envelopes into batched deliveries. Batching preserves per-channel
+    The program-wide licence for one scheduling step to serve a run
+    of consecutive same-channel envelopes. A run preserves per-channel
     FIFO order but changes the *cross-channel interleaving* at every
     instance, so it is granted only when the interleaving provably
     cannot reach state: every SE is written either exclusively through
@@ -95,7 +95,7 @@ _COMMUTATIVE_BINOPS = (ast.Add, ast.Mult, ast.BitOr, ast.BitAnd, ast.BitXor)
 #: its multiset of elements, never of their order.
 _MULTISET_CALLS = frozenset({"len", "max", "min", "sum"})
 
-#: Dispatch semantics whose edges may carry batched deliveries. The
+#: Dispatch semantics whose edges may be served in runs. The
 #: barrier semantics stay per-item: ``ONE_TO_ALL`` needs one request id
 #: per item and ``ALL_TO_ONE`` responses are request-tagged.
 _COALESCIBLE_DISPATCH = (Dispatch.KEY_PARTITIONED, Dispatch.ONE_TO_ANY)
@@ -134,9 +134,9 @@ class ProgramCapabilities:
     foldable_merges: tuple[str, ...] = ()
     #: TEs whose partial-state RMW is non-escaping (``BATCHABLE_RMW``).
     batchable_rmw: tuple[str, ...] = ()
-    #: Entry TEs whose injected input may be delivered in batches.
+    #: Entry TEs whose injected input may be served in runs.
     coalescible_entries: frozenset = frozenset()
-    #: ``(src, dst)`` dataflow edges that may carry batched deliveries.
+    #: ``(src, dst)`` dataflow edges that may be served in runs.
     coalescible_edges: frozenset = frozenset()
     #: TEs whose SE mutations may share one journal-batched window.
     batch_state_tes: frozenset = frozenset()

@@ -30,7 +30,7 @@ substrate-unsafe code is perfectly valid in-process. They run through
 ``analyze(..., substrate_safety=True)``, ``repro lint
 --substrate-safety``, the capability certifier (``SUBSTRATE_SAFE``)
 and the multiprocess deploy gate
-(:attr:`~repro.runtime.engine.RuntimeConfig.substrate_check`).
+(:attr:`~repro.runtime.config.RuntimeConfig.substrate_check`).
 Helper- and free-function-laundered hazards surface through the
 interprocedural summaries with their call chain.
 """

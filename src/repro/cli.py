@@ -272,7 +272,8 @@ def _plain_run(args) -> int:
     import time
 
     from repro.durability.manifest import state_fingerprint
-    from repro.runtime.engine import Runtime, RuntimeConfig
+    from repro.runtime.config import RuntimeConfig
+    from repro.runtime.engine import Runtime
 
     if args.app == "kvstore":
         from repro.testing import build_kv_sdg
@@ -306,8 +307,8 @@ def _plain_run(args) -> int:
             runtime.inject(entry, payload)
         runtime.run_until_idle()
         wall = time.perf_counter() - start
-        # Logical items, not envelope pops: a coalesced batch serves
-        # many items in one step, so the step count under-reports.
+        # Logical items, not steps: a step on a certified channel
+        # serves a run of items, so the step count under-reports.
         processed = int(
             runtime.merged_metrics().total("engine_items_processed_total")
         )

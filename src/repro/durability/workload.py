@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass
 from repro.apps.wordcount import build_wordcount_sdg
 from repro.errors import DurabilityError
 from repro.recovery.policy import CheckpointPolicy
-from repro.runtime.engine import Runtime, RuntimeConfig
+from repro.runtime.config import RuntimeConfig
+from repro.runtime.engine import Runtime
 from repro.testing import build_kv_sdg
 from repro.workloads import KVWorkload
 

@@ -26,7 +26,8 @@ from repro.recovery.manager import RecoveryManager
 from repro.recovery.scheduler import CheckpointScheduler
 from repro.recovery.supervisor import RecoverySupervisor
 from repro.runtime.detector import FailureDetector
-from repro.runtime.engine import Runtime, RuntimeConfig
+from repro.runtime.config import RuntimeConfig
+from repro.runtime.engine import Runtime
 
 #: Deterministic corpus the wordcount workload cycles through.
 _CORPUS = (
@@ -104,9 +105,8 @@ def run_workload(app: str = "wordcount", items: int = 120, *,
     Injects ``items`` workload items in two halves; with ``chaos`` a
     :class:`KillNode` fault lands between them and the run keeps
     pumping until the supervisor has restored the victim. With
-    ``optimize`` the runtime deploys capability-driven dispatch (note
-    the tracer keeps transport coalescing off, so pair ``optimize``
-    with ``trace=False`` to see batched deliveries in the digest).
+    ``optimize`` the runtime deploys capability-driven dispatch; it
+    composes with tracing (one hop per item either way).
     """
     if items < 2:
         raise SDGError(f"obs run needs at least 2 items, got {items}")

@@ -24,7 +24,8 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from repro.runtime.engine import Runtime, RuntimeConfig
+from repro.runtime.config import RuntimeConfig
+from repro.runtime.engine import Runtime
 
 __all__ = ["build_workload", "render_dashboard", "run_top"]
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.graph import SDG
-from repro.runtime.engine import Runtime, RuntimeConfig
+from repro.runtime.config import RuntimeConfig
+from repro.runtime.engine import Runtime
 from repro.translate.builder import TranslationResult, translate
 
 

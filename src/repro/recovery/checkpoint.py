@@ -169,8 +169,7 @@ class CheckpointManager:
 
     def begin(self, node_id: int) -> PendingCheckpoint:
         """Step 1: flag SEs dirty and freeze TE bookkeeping."""
-        with profile_span(getattr(self.runtime, "profiler", None),
-                          "checkpoint"):
+        with profile_span(self.runtime.profiler, "checkpoint"):
             return self._begin(node_id)
 
     def _begin(self, node_id: int) -> PendingCheckpoint:
@@ -222,8 +221,7 @@ class CheckpointManager:
         Returns ``None`` (and discards the checkpoint) if the node died
         while the checkpoint was in progress.
         """
-        with profile_span(getattr(self.runtime, "profiler", None),
-                          "checkpoint"):
+        with profile_span(self.runtime.profiler, "checkpoint"):
             return self._complete(pending)
 
     def _complete(self, pending: PendingCheckpoint) \

@@ -88,8 +88,7 @@ class RecoveryManager:
         under a stale partitioning epoch — instances restart empty and
         the entire input history is replayed (pure log-based recovery).
         """
-        with profile_span(getattr(self.runtime, "profiler", None),
-                          "recovery"):
+        with profile_span(self.runtime.profiler, "recovery"):
             return self._recover_node(node_id, n_new, use_checkpoint,
                                       use_deltas)
 

@@ -27,10 +27,11 @@ with upstream output buffers (retained for replay-based recovery), and
 ``@Global`` access is implemented with broadcast + gather barriers.
 """
 
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.deployment import Topology, WorkerPlacement
 from repro.runtime.detector import DetectionEvent, FailureDetector
 from repro.runtime.dispatcher import Dispatcher
-from repro.runtime.engine import Runtime, RuntimeConfig
+from repro.runtime.engine import Runtime
 from repro.runtime.envelope import Envelope, NO_RESPONSE
 from repro.runtime.monitor import RuntimeMonitor, Sample
 from repro.runtime.scaling import BottleneckDetector

@@ -31,7 +31,7 @@ from repro.state import HashPartitioner
 from repro.state.base import StateElement
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.engine import RuntimeConfig
+    from repro.runtime.config import RuntimeConfig
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,6 @@ class Topology:
         #: Stateless fallback partitioners for keyed dispatch into TEs
         #: without a partitioned SE, cached per fan-out.
         self._fallbacks: dict[int, HashPartitioner] = {}
-        #: Certified ProgramCapabilities, attached by the runtime when
-        #: deploying with ``optimize=True`` (``None`` otherwise). Lives
-        #: on the topology so forked substrate workers inherit it.
-        self.capabilities = None
 
     # ------------------------------------------------------------------
     # Materialisation
@@ -377,7 +373,6 @@ class Topology:
             for te_inst in self.te_instances(te.name):
                 while te_inst.inbox:
                     pending.append(te_inst.inbox.popleft())
-                te_inst.queued_items = 0
 
         for index in range(n_new):
             part = merged.extract_partition(partitioner, index)

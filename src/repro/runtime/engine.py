@@ -28,7 +28,6 @@ the same contract by processing instances in a fixed rotor order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.core.elements import AccessMode, StateKind, TaskContext
@@ -39,15 +38,14 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import ProfileRegistry
 from repro.obs.trace import Tracer
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.deployment import Topology
 from repro.runtime.dispatcher import Dispatcher
 from repro.runtime.envelope import (
     INPUT_EDGE,
     NO_RESPONSE,
-    Batch,
     ChannelId,
     Envelope,
-    envelope_weight,
 )
 from repro.runtime.instances import (
     GatherState,
@@ -66,275 +64,8 @@ from repro.runtime.substrate import (
 from repro.runtime.transport import Transport
 from repro.state import HashPartitioner
 
-
-@dataclass
-class RuntimeConfig:
-    """Deployment-time knobs of the runtime."""
-
-    #: Initial instance count per SE (partition or replica count).
-    se_instances: dict[str, int] = field(default_factory=dict)
-    #: Custom routing partitioner per partitioned SE (e.g. a
-    #: RangePartitioner); defaults to hash partitioning. The
-    #: partitioner's fan-out fixes the SE's instance count.
-    partitioners: dict[str, Any] = field(default_factory=dict)
-    #: Initial instance count per *stateless* TE.
-    te_instances: dict[str, int] = field(default_factory=dict)
-    #: Enable the reactive bottleneck detector (§3.3).
-    auto_scale: bool = False
-    #: Inbox backlog per instance that flags a TE as a bottleneck.
-    scale_threshold: int = 64
-    #: Upper bound on instances created by auto-scaling.
-    max_instances: int = 8
-    #: Steps between bottleneck checks when auto-scaling.
-    scale_check_every: int = 256
-    #: Deep-copy payloads at send time. On a real cluster every hop
-    #: serialises (§4.1 location independence), so a producer can never
-    #: observe a consumer's mutations; in-process, shared references
-    #: could. Enable to get wire-faithful isolation at a CPU cost.
-    copy_payloads: bool = False
-    #: Instance-selection policy: a name from
-    #: :data:`repro.runtime.scheduler.SCHEDULERS` (``"round_robin"``,
-    #: ``"longest_queue"``) or a custom
-    #: :class:`~repro.runtime.scheduler.Scheduler` object. The default
-    #: preserves the seed engine's deterministic replay order.
-    scheduler: str | Scheduler = "round_robin"
-    #: Per-channel inbox bound for backpressure *reporting* (None =
-    #: unbounded). Delivery never blocks or drops — recovery relies on
-    #: reliable channels — but channels over this depth show up in
-    #: :meth:`Runtime.blocked_channels` and feed the bottleneck
-    #: detector as a second scaling signal.
-    channel_capacity: int | None = None
-    #: Full/delta checkpoint cadence: a
-    #: :class:`repro.recovery.policy.CheckpointPolicy` (or anything
-    #: with an int ``full_every >= 0``) picked up by every
-    #: CheckpointManager built against this runtime. ``None`` keeps the
-    #: default (a full checkpoint every cycle). Typed loosely because
-    #: ``repro.recovery`` imports runtime modules, not the reverse.
-    checkpoint_policy: Any = None
-    #: Metrics sink: anything registry-shaped (``counter``/``gauge``/
-    #: ``histogram`` factories — see :mod:`repro.obs.metrics`). ``None``
-    #: gives each runtime a fresh private
-    #: :class:`~repro.obs.metrics.MetricsRegistry`; pass
-    #: :data:`~repro.obs.metrics.NULL_REGISTRY` to disable collection
-    #: entirely, or ``repro.obs.metrics.default_registry()`` to share
-    #: one process-wide sink.
-    metrics: Any = None
-    #: Enable per-envelope causal tracing (:mod:`repro.obs.trace`).
-    #: Every injected item gets a trace id that survives dispatch
-    #: fan-out, repartition and replay; hop/queue-wait spans are
-    #: recorded on ``runtime.tracer``. Off by default — the disabled
-    #: hot path is a single ``is None`` check. Works on every
-    #: substrate: multiprocess workers record hops locally and the
-    #: coordinator merges their shards into one causal view.
-    trace: bool = False
-    #: Enable wall-clock phase profiling (:mod:`repro.obs.profile`):
-    #: process/dispatch/serialize/wire-wait/checkpoint/recovery timers
-    #: on ``runtime.profiler``, merged across workers via
-    #: :meth:`Runtime.merged_profile`. Off by default — the disabled
-    #: hot path is a single ``is None`` check (the same bar as
-    #: tracing; see ``benchmarks/test_obs_profile.py``).
-    profile: bool = False
-    #: Flight-recorder ring capacity (:mod:`repro.obs.flight`): keep
-    #: the digests of the last N served envelopes per process for
-    #: post-mortems (crash frames, durable-run dumps, ``repro top``).
-    #: ``0`` (the default) disables recording entirely.
-    flight_recorder: int = 0
-    #: Fleet-restart budget for the multiprocess substrate: how many
-    #: worker crashes are absorbed by re-forking the fleet from the
-    #: last barrier (replaying the inputs delivered since) before one
-    #: propagates as an error. ``0`` (the default) propagates the
-    #: first crash. Requires ``substrate="multiprocess"``.
-    worker_restarts: int = 0
-    #: Execution substrate: ``"inprocess"`` (the deterministic
-    #: single-threaded logical-time loop — the default and the
-    #: testing/repro baseline), ``"multiprocess"`` (shared-nothing
-    #: worker processes connected by OS pipes), or a custom
-    #: :class:`~repro.runtime.substrate.ExecutionSubstrate` object.
-    substrate: str | ExecutionSubstrate = "inprocess"
-    #: Worker process count for the multiprocess substrate (``None``
-    #: defaults to 2). Only meaningful with
-    #: ``substrate="multiprocess"``; setting it for the in-process
-    #: substrate is a deploy-time error.
-    workers: int | None = None
-    #: Deploy-time substrate-safety gate for payload-isolating
-    #: substrates (multiprocess): run the SDG4xx static passes and
-    #: ``"warn"`` about findings, ``"enforce"`` (refuse to deploy on
-    #: any error-severity finding, with the offending call chain in
-    #: the error), or ``"off"``. Ignored on the in-process substrate.
-    substrate_check: str = "warn"
-    #: Capability-driven optimization (the sdglint-as-optimizer seam).
-    #: When on, the runtime consults a
-    #: :class:`~repro.analysis.capabilities.ProgramCapabilities`
-    #: certificate and arms three relaxed paths *only* where the
-    #: analyzer produced a positive proof: transport-level envelope
-    #: coalescing on ``COALESCIBLE_DISPATCH`` channels, eager gather
-    #: folds for ``COMMUTATIVE_MERGE`` TEs, and journal-batched RMWs
-    #: on ``BATCHABLE_RMW`` state. Uncertified programs take the exact
-    #: baseline path even with this flag set.
-    optimize: bool = False
-    #: Pre-certified capabilities to deploy with (e.g. attached by
-    #: ``SDGProgram.launch``). ``None`` with ``optimize=True`` makes
-    #: the runtime certify its SDG itself at deploy time.
-    capabilities: Any = None
-    #: Upper bound on payloads coalesced into one batched delivery.
-    optimize_batch_max: int = 64
-
-    def validate(self, sdg: "SDG") -> None:
-        """Reject malformed deployment knobs before they misbehave.
-
-        Called by :meth:`Runtime.deploy`; raising here turns a typo'd SE
-        name or a zero scaling interval into a clear deploy-time error
-        instead of a silently ignored setting.
-        """
-        for knob in ("scale_threshold", "max_instances",
-                     "scale_check_every"):
-            value = getattr(self, knob)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
-                raise RuntimeExecutionError(
-                    f"RuntimeConfig.{knob} must be an integer >= 1, "
-                    f"got {value!r}"
-                )
-        capacity = self.channel_capacity
-        if capacity is not None:
-            if not isinstance(capacity, int) or isinstance(capacity, bool) \
-                    or capacity < 1:
-                raise RuntimeExecutionError(
-                    f"RuntimeConfig.channel_capacity must be None or an "
-                    f"integer >= 1, got {capacity!r}"
-                )
-        # Raises on unknown policy names / non-scheduler objects.
-        resolve_scheduler(self.scheduler)
-        if not isinstance(self.trace, bool):
-            raise RuntimeExecutionError(
-                f"RuntimeConfig.trace must be a bool, got {self.trace!r}"
-            )
-        if not isinstance(self.profile, bool):
-            raise RuntimeExecutionError(
-                f"RuntimeConfig.profile must be a bool, "
-                f"got {self.profile!r}"
-            )
-        capacity_knob = self.flight_recorder
-        if not isinstance(capacity_knob, int) \
-                or isinstance(capacity_knob, bool) or capacity_knob < 0:
-            raise RuntimeExecutionError(
-                f"RuntimeConfig.flight_recorder must be an integer >= 0 "
-                f"(ring capacity, 0 = off), got {capacity_knob!r}"
-            )
-        restarts = self.worker_restarts
-        if not isinstance(restarts, int) or isinstance(restarts, bool) \
-                or restarts < 0:
-            raise RuntimeExecutionError(
-                f"RuntimeConfig.worker_restarts must be an integer >= 0, "
-                f"got {restarts!r}"
-            )
-        if restarts and self.substrate != "multiprocess":
-            raise RuntimeExecutionError(
-                "RuntimeConfig.worker_restarts requires "
-                "substrate='multiprocess'; the in-process substrate has "
-                "no worker fleet to restart"
-            )
-        workers = self.workers
-        if workers is not None:
-            if not isinstance(workers, int) or isinstance(workers, bool) \
-                    or workers < 1:
-                raise RuntimeExecutionError(
-                    f"RuntimeConfig.workers must be None or an integer "
-                    f">= 1, got {workers!r}"
-                )
-            if self.substrate == "inprocess":
-                raise RuntimeExecutionError(
-                    "RuntimeConfig.workers requires "
-                    "substrate='multiprocess'; the in-process substrate "
-                    "is single-process by definition"
-                )
-        if self.substrate == "multiprocess":
-            # Structural mutations (scale-out, repartition) are not yet
-            # wired through the control plane; fail at deploy instead
-            # of mid-run. (Tracing, metrics, profiling and the flight
-            # recorder all work cross-process — workers ship shards the
-            # coordinator merges.)
-            if self.auto_scale:
-                raise RuntimeExecutionError(
-                    "auto_scale requires the in-process substrate: "
-                    "reactive scale-out is not yet a multiprocess "
-                    "control-plane action"
-                )
-        if not isinstance(self.optimize, bool):
-            raise RuntimeExecutionError(
-                f"RuntimeConfig.optimize must be a bool, "
-                f"got {self.optimize!r}"
-            )
-        if self.optimize:
-            if self.auto_scale:
-                # Repartitioning re-keys queued payloads one by one;
-                # reactive scale-out racing the coalescer is not a
-                # combination worth the complexity — refuse it.
-                raise RuntimeExecutionError(
-                    "optimize=True is incompatible with auto_scale: "
-                    "disable one of the two"
-                )
-            batch_max = self.optimize_batch_max
-            if not isinstance(batch_max, int) or isinstance(batch_max, bool) \
-                    or batch_max < 2:
-                raise RuntimeExecutionError(
-                    f"RuntimeConfig.optimize_batch_max must be an integer "
-                    f">= 2, got {batch_max!r}"
-                )
-        if self.substrate_check not in ("warn", "enforce", "off"):
-            raise RuntimeExecutionError(
-                f"RuntimeConfig.substrate_check must be 'warn', "
-                f"'enforce' or 'off', got {self.substrate_check!r}"
-            )
-        # Raises on unknown substrate names / non-substrate objects.
-        resolve_substrate(self.substrate, self)
-        if self.metrics is not None:
-            for factory in ("counter", "gauge", "histogram"):
-                if not callable(getattr(self.metrics, factory, None)):
-                    raise RuntimeExecutionError(
-                        f"RuntimeConfig.metrics must be registry-shaped "
-                        f"(callable counter/gauge/histogram), got "
-                        f"{self.metrics!r}"
-                    )
-        policy = self.checkpoint_policy
-        if policy is not None:
-            cadence = getattr(policy, "full_every", None)
-            if not isinstance(cadence, int) or isinstance(cadence, bool) \
-                    or cadence < 0:
-                raise RuntimeExecutionError(
-                    f"RuntimeConfig.checkpoint_policy must expose an "
-                    f"integer full_every >= 0 (e.g. a CheckpointPolicy), "
-                    f"got {policy!r}"
-                )
-        known_ses = set(sdg.states)
-        unknown_ses = sorted(set(self.se_instances) - known_ses)
-        if unknown_ses:
-            raise RuntimeExecutionError(
-                f"se_instances names unknown SEs {unknown_ses}; this "
-                f"SDG declares {sorted(known_ses)}"
-            )
-        unknown_parts = sorted(set(self.partitioners) - known_ses)
-        if unknown_parts:
-            raise RuntimeExecutionError(
-                f"partitioners names unknown SEs {unknown_parts}; this "
-                f"SDG declares {sorted(known_ses)}"
-            )
-        known_tes = set(sdg.tasks)
-        unknown_tes = sorted(set(self.te_instances) - known_tes)
-        if unknown_tes:
-            raise RuntimeExecutionError(
-                f"te_instances names unknown TEs {unknown_tes}; this "
-                f"SDG declares {sorted(known_tes)}"
-            )
-        for mapping, what in ((self.se_instances, "se_instances"),
-                              (self.te_instances, "te_instances")):
-            for name, count in mapping.items():
-                if not isinstance(count, int) or isinstance(count, bool) \
-                        or count < 1:
-                    raise RuntimeExecutionError(
-                        f"{what}[{name!r}] must be an integer >= 1, "
-                        f"got {count!r}"
-                    )
+#: Most envelopes one scheduling step serves on a certified channel.
+RUN_MAX = 64
 
 
 class Runtime:
@@ -404,6 +135,9 @@ class Runtime:
         self._merge_folds: dict[str, Any] = {}
         #: TEs licensed to journal-batch their state writes.
         self._batch_state_tes: frozenset[str] = frozenset()
+        #: ``(edge_index, dst_te)`` of every channel certified
+        #: ``COALESCIBLE_DISPATCH``; empty keeps every run at length 1.
+        self._run_channels: frozenset[tuple[int, str]] = frozenset()
 
     # ------------------------------------------------------------------
     # Deployment
@@ -518,24 +252,14 @@ class Runtime:
             from repro.analysis.capabilities import certify
             caps = certify(self.sdg)
         self.capabilities = caps
-        self.topology.capabilities = caps
-        self._merge_folds = dict(getattr(caps, "merge_folds", None) or {})
-        self._batch_state_tes = frozenset(
-            getattr(caps, "batch_state_tes", None) or ())
-        entries = frozenset(
-            getattr(caps, "coalescible_entries", None) or ())
-        edge_pairs = set(getattr(caps, "coalescible_edges", None) or ())
-        edge_indexes = frozenset(
-            i for i, edge in enumerate(self.sdg.dataflows)
-            if (edge.src, edge.dst) in edge_pairs
+        self._merge_folds = dict(caps.merge_folds)
+        self._batch_state_tes = frozenset(caps.batch_state_tes)
+        self._run_channels = frozenset(
+            [(INPUT_EDGE, entry) for entry in caps.coalescible_entries]
+            + [(index, edge.dst)
+               for index, edge in enumerate(self.sdg.dataflows)
+               if (edge.src, edge.dst) in caps.coalescible_edges]
         )
-        # The tracer records one hop span per envelope; a batch would
-        # fold N logical hops into one span, so tracing keeps transport
-        # coalescing off (folds and RMW batching are unaffected).
-        if self.tracer is None and (edge_indexes or entries):
-            self.transport.enable_coalescing(
-                edge_indexes, entries, self.config.optimize_batch_max
-            )
 
     def _bind_metrics(self) -> None:
         """Pre-bind metric children so hot-path updates skip label lookup."""
@@ -564,6 +288,10 @@ class Runtime:
             "state_rmw_batches_total",
             "journal write batches applied under a BATCHABLE_RMW licence"
         ).labels()
+        self._c_coalesced = m.counter(
+            "dispatch_coalesced_total",
+            "envelopes served in the scheduling step of the one ahead "
+            "of them on a certified channel").labels()
         injected = m.counter(
             "engine_items_injected_total",
             "external items injected, by entry TE")
@@ -591,11 +319,6 @@ class Runtime:
     def nodes(self) -> dict[int, PhysicalNode]:
         """All nodes ever created, dead ones included."""
         return self.topology.nodes
-
-    @property
-    def _partitioners(self) -> dict[str, HashPartitioner]:
-        # Backwards-compatible peek used by tests and diagnostics.
-        return self.topology._partitioners
 
     def te_instances(self, te: str) -> list[TEInstance]:
         """Live instances of TE ``te`` (failed slots omitted)."""
@@ -700,13 +423,20 @@ class Runtime:
         return self.substrate.blocked_channels()
 
     def step(self) -> bool:
-        """Process one envelope on one TE instance; False when idle.
+        """Serve one run of envelopes on one TE instance; False when idle.
 
         Instance selection is the scheduler's call; straggler-credit
         throttling (nodes with ``speed < 1``) lives there too. When
         every pending item sits on a throttled node the step still
         counts (a *stall tick*): logical time passes and hooks run,
         which is what lets the failure detector observe a stalled node.
+
+        A *run* is the head envelope plus, when its channel is
+        certified ``COALESCIBLE_DISPATCH`` and it carries no request
+        id, the envelopes queued directly behind it on the same
+        channel (untagged, at most :data:`RUN_MAX` in all). Every
+        envelope of a run takes the same :meth:`_serve` path; a run of
+        one is the uncertified case.
         """
         self._require_deployed()
         nodes = self.topology.nodes
@@ -724,38 +454,73 @@ class Runtime:
                 return True
             return False
         self._c_picks.inc()
-        envelope = instance.inbox.popleft()
-        weight = envelope_weight(envelope)
-        instance.queued_items -= weight
-        self.transport.inbox_gauge(instance.name).dec()
-        if self.flight is not None:
-            self.flight.record_envelope(self.total_steps, instance,
-                                        envelope)
-        t0 = (time.perf_counter()
-              if self._p_process is not None else 0.0)
+        inbox = instance.inbox
+        envelope = inbox.popleft()
+        channel = envelope.channel
+        limit = RUN_MAX if (
+            self._run_channels
+            and envelope.request_id is None
+            and (channel.edge_index, channel.dst_te) in self._run_channels
+        ) else 1
+        element = None
+        if (
+            limit > 1
+            and inbox
+            and instance.name in self._batch_state_tes
+            and instance.se_instance is not None
+        ):
+            # One journal-bookkeeping window for the whole run. A task
+            # crash mid-run still closes it, flushing the served
+            # prefix: those items' ``last_seen`` marks already
+            # advanced, so their state must be checkpointable.
+            element = instance.se_instance.element
+            element.begin_rmw_batch()
+        run = 0
         try:
-            self.substrate.process(instance, envelope)
-        except RuntimeExecutionError as exc:
-            if not self._crash_handlers:
-                raise
-            # Supervised mode: a task crash kills its host node (the
-            # envelope survives upstream and is replayed during
-            # recovery) and the handlers are told, instead of the
-            # whole pipeline aborting.
-            if nodes[instance.node_id].alive:
-                self.fail_node(instance.node_id)
-            for handler in list(self._crash_handlers):
-                handler(self, instance, envelope, exc)
+            while True:
+                run += 1
+                if self.flight is not None:
+                    self.flight.record_envelope(self.total_steps, instance,
+                                                envelope)
+                t0 = (time.perf_counter()
+                      if self._p_process is not None else 0.0)
+                try:
+                    self.substrate.process(instance, envelope)
+                except RuntimeExecutionError as exc:
+                    if not self._crash_handlers:
+                        raise
+                    # Supervised mode: a task crash kills its host node
+                    # (this envelope and the rest of the inbox survive
+                    # upstream and are replayed during recovery) and
+                    # the handlers are told, instead of the whole
+                    # pipeline aborting.
+                    if nodes[instance.node_id].alive:
+                        self.fail_node(instance.node_id)
+                    for handler in list(self._crash_handlers):
+                        handler(self, instance, envelope, exc)
+                    break
+                finally:
+                    if self._p_process is not None:
+                        self._p_process.add(time.perf_counter() - t0)
+                if run == limit or not inbox:
+                    break
+                head = inbox[0]
+                if head.channel != channel or head.request_id is not None:
+                    break
+                envelope = inbox.popleft()
         finally:
-            if self._p_process is not None:
-                self._p_process.add(time.perf_counter() - t0)
-        if weight > 1:
-            # A coalesced batch served N items in a step the scheduler
-            # admitted one item for; charge the straggler credit so
-            # batching cannot smuggle work past a throttled node.
+            self.transport.inbox_gauge(instance.name).dec(run)
+            if element is not None:
+                element.end_rmw_batch()
+                self._c_rmw_batches.inc()
+        if run > 1:
+            self._c_coalesced.inc(run - 1)
+            # The scheduler admitted one item; charge the straggler
+            # credit for the rest so a run cannot smuggle work past a
+            # throttled node.
             charge = getattr(self.scheduler, "charge", None)
             if charge is not None:
-                charge(nodes[instance.node_id], weight - 1)
+                charge(nodes[instance.node_id], run - 1)
         self._tick()
         return True
 
@@ -858,84 +623,46 @@ class Runtime:
         if poll is not None:
             poll(timeout)
 
-    def _process(self, instance: TEInstance, envelope: Envelope) -> None:
+    def _serve(self, instance: TEInstance, envelope: Envelope) -> None:
+        """The one per-envelope path (every substrate, every run length).
+
+        Replay dedup, trace hop, gather-or-invoke, ``last_seen`` mark,
+        dispatch, count — in that order, for a lone envelope and for
+        each envelope of a run alike.
+        """
         if instance.is_duplicate(envelope):
             return
         # Tracing off costs exactly this `is None` check per item.
+        hop = None
         if self.tracer is not None:
             hop = self.tracer.begin_hop(envelope, instance.name,
                                         str(instance.index),
                                         self.total_steps)
-            try:
-                self._process_item(instance, envelope)
-            finally:
-                if hop is not None:
-                    # Serving one envelope consumes one logical step.
-                    self.tracer.end_hop(hop, self.total_steps + 1)
-            return
-        self._process_item(instance, envelope)
-
-    def _process_item(self, instance: TEInstance, envelope: Envelope) -> None:
-        spec = instance.spec
-        if type(envelope.payload) is Batch:
-            self._process_batch(instance, envelope)
-            return
-        if spec.is_merge and envelope.request_id is not None:
-            self._process_gather(instance, envelope)
-            return
-        outputs = self._invoke(instance, envelope.payload)
-        instance.mark_processed(envelope)
-        self._dispatch(instance, outputs, envelope)
-        self.nodes[instance.node_id].items_processed += 1
-        instance.processed_count += 1
-        self._c_processed[instance.name].inc()
-
-    def _process_batch(self, instance: TEInstance,
-                       envelope: Envelope) -> None:
-        """Serve every payload of a coalesced batch in one step.
-
-        The whole-batch dedup check in :meth:`_process` uses the
-        *newest* item's timestamp and is therefore conservative; each
-        item re-checks ``last_seen`` individually here, so a crash
-        replay that re-delivers an already-processed prefix drops
-        exactly that prefix. When the TE holds a ``BATCHABLE_RMW``
-        licence its state journal defers per-item ops to one batch
-        flush; a mid-batch task crash still flushes the processed
-        prefix (those items' ``last_seen`` marks already advanced, so
-        their state must be checkpointable).
-        """
-        key = stream_key(envelope.channel)
-        element = None
-        if (
-            instance.name in self._batch_state_tes
-            and instance.se_instance is not None
-        ):
-            element = instance.se_instance.element
-            element.begin_rmw_batch()
-        processed = 0
         try:
-            for ts, payload in envelope.payload.items:
-                if ts <= instance.last_seen.get(key, 0):
-                    continue
-                item = Envelope(payload=payload, ts=ts,
-                                channel=envelope.channel,
-                                trace_id=envelope.trace_id)
-                outputs = self._invoke(instance, payload)
-                instance.mark_processed(item)
-                self._dispatch(instance, outputs, item)
-                processed += 1
+            if instance.spec.is_merge and envelope.request_id is not None:
+                gathered = self._gather(instance, envelope)
+                if gathered is None:
+                    return
+                outputs = self._invoke(instance, gathered)
+            else:
+                outputs = self._invoke(instance, envelope.payload)
+                instance.mark_processed(envelope)
+            self._dispatch(instance, outputs, envelope)
+            self.nodes[instance.node_id].items_processed += 1
+            instance.processed_count += 1
+            self._c_processed[instance.name].inc()
         finally:
-            if element is not None:
-                element.end_rmw_batch()
-                self._c_rmw_batches.inc()
-        if processed:
-            self.nodes[instance.node_id].items_processed += processed
-            instance.processed_count += processed
-            self._c_processed[instance.name].inc(processed)
+            if hop is not None:
+                # Serving one envelope consumes one logical step.
+                self.tracer.end_hop(hop, self.total_steps + 1)
 
-    def _process_gather(self, instance: TEInstance,
-                        envelope: Envelope) -> None:
-        """Accumulate responses behind the merge barrier (§3.2/§4.2)."""
+    def _gather(self, instance: TEInstance,
+                envelope: Envelope) -> list[Any] | None:
+        """Accumulate one response behind the merge barrier (§3.2/§4.2).
+
+        Returns the merge TE's input once the barrier is complete, and
+        ``None`` while responses are still outstanding.
+        """
         request_id = envelope.request_id
         expected = envelope.expected_responses or 1
         gather = instance.pending_gathers.setdefault(
@@ -958,19 +685,12 @@ class Runtime:
         gather.received += 1
         instance.mark_processed(envelope)
         if not gather.complete:
-            return
+            return None
         del instance.pending_gathers[request_id]
-        if fold is not None:
-            self._c_merge_early.inc()
-            outputs = self._invoke(
-                instance, [gather.accumulator] if gather.folded else []
-            )
-        else:
-            outputs = self._invoke(instance, gather.payloads)
-        self._dispatch(instance, outputs, envelope)
-        self.nodes[instance.node_id].items_processed += 1
-        instance.processed_count += 1
-        self._c_processed[instance.name].inc()
+        if fold is None:
+            return gather.payloads
+        self._c_merge_early.inc()
+        return [gather.accumulator] if gather.folded else []
 
     def _invoke(self, instance: TEInstance, payload: Any) -> list[Any]:
         element = (
@@ -1132,24 +852,7 @@ class Runtime:
         Fig. 4). Envelopes whose recomputed destination is not in
         ``recovered`` are skipped (their instance never failed).
         """
-        spec = self.sdg.task(dst_te)
         count = 0
-
-        def route(envelope: Envelope) -> int:
-            channel = envelope.channel
-            if channel.edge_index == INPUT_EDGE:
-                if spec.entry_key_fn is not None:
-                    return self._keyed_index(
-                        spec, spec.entry_key_fn(envelope.payload)
-                    )
-                return min(channel.dst_instance,
-                           self.te_slot_count(dst_te) - 1)
-            edge = self.sdg.dataflows[channel.edge_index]
-            if edge.key_fn is not None:
-                return self._keyed_index(spec, edge.key_fn(envelope.payload))
-            return min(channel.dst_instance,
-                       self.te_slot_count(dst_te) - 1)
-
         streams: list[Envelope] = []
         for channel, buffered in self._input_buffers.items():
             if channel.dst_te == dst_te:
@@ -1170,7 +873,7 @@ class Runtime:
                                     e.channel.src_te,
                                     e.channel.src_instance, e.ts))
         for envelope in streams:
-            index = route(envelope)
+            index = self._current_index(envelope)
             if index not in recovered:
                 continue
             rerouted = envelope.with_channel(
@@ -1283,55 +986,41 @@ class Runtime:
         duplicate. The stale copy is removed from the producer-side
         replay buffer to keep recovery consistent.
         """
-        if type(envelope.payload) is Batch:
-            # A coalesced batch never lives in a replay buffer (buffers
-            # keep the original per-item envelopes), so unbundle and
-            # re-route each payload on its own; the recursive calls
-            # find and drop the per-item stale copies.
-            for ts, payload in envelope.payload.items:
-                self._resend_after_reroute(
-                    Envelope(payload=payload, ts=ts,
-                             channel=envelope.channel,
-                             trace_id=envelope.trace_id)
-                )
-            return
         channel = envelope.channel
-        spec = self.sdg.task(channel.dst_te)
+        index = self._current_index(envelope)
         if channel.edge_index == INPUT_EDGE:
             buffered = self._input_buffers.get(channel)
             if buffered is not None and envelope in buffered:
                 buffered.remove(envelope)
-            if spec.entry_key_fn is not None:
-                index = self._keyed_index(
-                    spec, spec.entry_key_fn(envelope.payload)
-                )
-            else:
-                index = channel.dst_instance
             self._inject_to(channel.dst_te, index, envelope.payload,
                             envelope.request_id,
                             envelope.expected_responses,
                             envelope.trace_id)
             return
-        edge = self.sdg.dataflows[channel.edge_index]
         producer = self.te_instance(channel.src_te, channel.src_instance)
-        if producer is not None:
-            buffer = producer.output_buffers.get(channel)
-            if buffer is not None and envelope in buffer:
-                buffer.remove(envelope)
-        if edge.key_fn is not None:
-            index = self._keyed_index(spec, edge.key_fn(envelope.payload))
-        else:
-            index = min(channel.dst_instance,
-                        self.te_slot_count(channel.dst_te) - 1)
-        if producer is not None:
-            self.transport.send(producer, channel.edge_index,
-                                channel.dst_te, index, envelope.payload,
-                                envelope.request_id,
-                                envelope.expected_responses,
-                                trace_id=envelope.trace_id)
-        else:
+        if producer is None:
             # Producer lost to a failure: deliver with the old stamp so
             # downstream dedup against a future replay still works.
             self.transport.deliver(
                 envelope.with_channel(channel.reroute(index), envelope.ts)
             )
+            return
+        buffer = producer.output_buffers.get(channel)
+        if buffer is not None and envelope in buffer:
+            buffer.remove(envelope)
+        self.transport.send(producer, channel.edge_index,
+                            channel.dst_te, index, envelope.payload,
+                            envelope.request_id,
+                            envelope.expected_responses,
+                            trace_id=envelope.trace_id)
+
+    def _current_index(self, envelope: Envelope) -> int:
+        """Where ``envelope`` belongs under the *current* partitioner."""
+        channel = envelope.channel
+        spec = self.sdg.task(channel.dst_te)
+        key_fn = (spec.entry_key_fn if channel.edge_index == INPUT_EDGE
+                  else self.sdg.dataflows[channel.edge_index].key_fn)
+        if key_fn is not None:
+            return self._keyed_index(spec, key_fn(envelope.payload))
+        return min(channel.dst_instance,
+                   self.te_slot_count(channel.dst_te) - 1)

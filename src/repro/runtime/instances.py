@@ -89,12 +89,6 @@ class TEInstance:
         self.se_instance = se_instance
         self.node_id: int | None = None
         self.inbox: deque[Envelope] = deque()
-        #: Logical items queued, counting each payload inside a
-        #: coalesced :class:`~repro.runtime.envelope.Batch`. Equals
-        #: ``len(inbox)`` whenever coalescing is off; the queue-depth
-        #: scheduler and backpressure read this so a 50-item batch
-        #: weighs 50, not 1.
-        self.queued_items = 0
         #: Highest timestamp *processed* per input stream (not delivered:
         #: advancing on delivery would let a crash lose acknowledged items).
         self.last_seen: dict[StreamKey, int] = {}

@@ -289,7 +289,7 @@ class MultiprocessSubstrate:
             wid: outbox.labels(worker=str(wid))
             for wid in range(self.workers)
         }
-        profiler = getattr(self.runtime, "profiler", None)
+        profiler = self.runtime.profiler
         self._p_serialize = (profiler.phase("serialize")
                              if profiler is not None else None)
         self._p_wire_wait = (profiler.phase("wire_wait")
@@ -733,8 +733,8 @@ def _worker_main(runtime: "Runtime", worker_id: int, placement,
         pass
     except BaseException:
         extra: dict = {"worker": worker_id,
-                       "steps": getattr(runtime, "total_steps", 0)}
-        flight = getattr(runtime, "flight", None)
+                       "steps": runtime.total_steps}
+        flight = runtime.flight
         if flight is not None:
             extra["flight"] = flight.dump()
         try:
@@ -777,14 +777,14 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         # replay detection work after a restart) but switch to worker
         # mode: new hops are stamped and queued for shard shipping.
         tracer.record_shards(worker_id)
-    profiler = getattr(runtime, "profiler", None)
+    profiler = runtime.profiler
     if profiler is not None:
         profiler.reset()
     p_wire_wait = (profiler.phase("wire_wait")
                    if profiler is not None else None)
     p_serialize = (profiler.phase("serialize")
                    if profiler is not None else None)
-    flight = getattr(runtime, "flight", None)
+    flight = runtime.flight
     if flight is not None:
         flight.reset()
         flight.worker = worker_id
@@ -950,10 +950,10 @@ def _snapshot(runtime: "Runtime", worker_id: int, placement,
     tracer = runtime.tracer
     if tracer is not None:
         reply["trace"] = tracer.drain_shard()
-    profiler = getattr(runtime, "profiler", None)
+    profiler = runtime.profiler
     if profiler is not None:
         reply["profile"] = profiler.snapshot()
-    flight = getattr(runtime, "flight", None)
+    flight = runtime.flight
     if flight is not None:
         reply["flight"] = flight.dump()
     return reply

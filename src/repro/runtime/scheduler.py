@@ -73,12 +73,12 @@ class _CreditedScheduler:
     def charge(node: "PhysicalNode", extra_items: int) -> None:
         """Debit credit for items served beyond the admitted one.
 
-        A coalesced batch serves N items in the step the scheduler
-        admitted a single item for; charging the extra ``N - 1`` keeps
-        a throttled node's effective throughput at ``speed`` items per
-        visit instead of letting batching smuggle work past the
-        straggler model. Full-speed nodes carry no credit account, so
-        this is a no-op for them.
+        A run on a certified channel serves N items in the step the
+        scheduler admitted a single item for; charging the extra
+        ``N - 1`` keeps a throttled node's effective throughput at
+        ``speed`` items per visit instead of letting runs smuggle work
+        past the straggler model. Full-speed nodes carry no credit
+        account, so this is a no-op for them.
         """
         if node.speed >= 1.0 or extra_items <= 0:
             return
@@ -128,10 +128,7 @@ class LongestQueueScheduler(_CreditedScheduler):
 
     def select(self, instances, nodes):
         ready = [inst for inst in instances if inst.inbox]
-        # Depth in logical items (queued_items counts every payload
-        # inside a coalesced batch) — identical to len(inbox) whenever
-        # coalescing is off, so seed determinism is untouched.
-        ready.sort(key=lambda inst: (-inst.queued_items, inst.key))
+        ready.sort(key=lambda inst: (-len(inst.inbox), inst.key))
         throttled = False
         for instance in ready:
             if not self._admit(nodes[instance.node_id]):

@@ -121,7 +121,7 @@ class InProcessSubstrate:
 
     def process(self, instance: "TEInstance",
                 envelope: "Envelope") -> None:
-        self.runtime._process(instance, envelope)
+        self.runtime._serve(instance, envelope)
 
     def run_until_idle(self, max_steps: int) -> int:
         """The seed drain loop: auto-scale checks between steps."""
@@ -175,7 +175,7 @@ def resolve_substrate(spec, config) -> "ExecutionSubstrate":
             workers = config.workers if config.workers is not None else 2
             return MultiprocessSubstrate(
                 workers=workers, capacity=config.channel_capacity,
-                restarts=getattr(config, "worker_restarts", 0),
+                restarts=config.worker_restarts,
             )
         raise RuntimeExecutionError(
             f"unknown substrate {spec!r}; available substrates: "

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.metrics import NULL_REGISTRY
-from repro.runtime.envelope import (
-    INPUT_EDGE,
-    NO_RESPONSE,
-    Batch,
-    ChannelId,
-    Envelope,
-)
+from repro.runtime.envelope import NO_RESPONSE, ChannelId, Envelope
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import Tracer
@@ -88,14 +82,6 @@ class Transport:
         #: current logical step (the engine passes its own counter).
         self.tracer = tracer
         self._clock = clock if clock is not None else (lambda: 0)
-        #: Capability-driven coalescing (``RuntimeConfig(optimize=True)``
-        #: on a program certified ``COALESCIBLE_DISPATCH``): dataflow
-        #: edge indexes and entry TEs whose consecutive same-channel
-        #: envelopes are merged into :class:`Batch` deliveries. ``None``
-        #: keeps the exact per-envelope path.
-        self._coalesce_edges: frozenset | None = None
-        self._coalesce_entries: frozenset = frozenset()
-        self._coalesce_max = 64
         registry = metrics if metrics is not None else NULL_REGISTRY
         self._c_delivered = registry.counter(
             "transport_delivered_total",
@@ -110,10 +96,6 @@ class Transport:
             "transport_wire_forwards_total",
             "envelopes forwarded to another worker over the wire"
         ).labels()
-        self._c_coalesced = registry.counter(
-            "dispatch_coalesced_total",
-            "envelopes merged into a batched delivery on a certified "
-            "channel").labels()
         self._g_blocked = registry.gauge(
             "transport_blocked_channels",
             "channels over capacity at last blocked_channels() scan").labels()
@@ -177,66 +159,6 @@ class Transport:
         self.payload_isolated = False
 
     # ------------------------------------------------------------------
-    # Capability-driven coalescing
-    # ------------------------------------------------------------------
-
-    def enable_coalescing(self, edge_indexes, entry_tes,
-                          max_items: int) -> None:
-        """Turn on batched delivery for the certified channels.
-
-        ``edge_indexes`` are positions in ``sdg.dataflows`` certified
-        ``COALESCIBLE_DISPATCH``; ``entry_tes`` names entry TEs whose
-        external-input channel may batch too. Only consecutive
-        envelopes of the *same* channel merge (per-channel FIFO order
-        is untouched) and request-tagged envelopes never do — barrier
-        bookkeeping stays strictly per item.
-        """
-        self._coalesce_edges = frozenset(edge_indexes)
-        self._coalesce_entries = frozenset(entry_tes)
-        self._coalesce_max = max_items
-
-    def _coalesce_eligible(self, channel_id: ChannelId) -> bool:
-        if channel_id.edge_index == INPUT_EDGE:
-            return channel_id.dst_te in self._coalesce_entries
-        return channel_id.edge_index in self._coalesce_edges
-
-    def _try_coalesce(self, instance: "TEInstance",
-                      envelope: Envelope) -> bool:
-        """Merge ``envelope`` into the inbox tail when certified.
-
-        The tail is rebuilt (envelopes are frozen) with the batch as
-        payload and the *newest* item's timestamp, so a whole-batch
-        duplicate check stays conservative — the engine still dedups
-        each batched item individually against ``last_seen``.
-        """
-        if (
-            self._coalesce_edges is None
-            or envelope.request_id is not None
-            or not instance.inbox
-            or not self._coalesce_eligible(envelope.channel)
-        ):
-            return False
-        tail = instance.inbox[-1]
-        if (
-            tail.channel != envelope.channel
-            or tail.request_id is not None
-        ):
-            return False
-        payload = tail.payload
-        if type(payload) is Batch:
-            if len(payload.items) >= self._coalesce_max:
-                return False
-            payload.items.append((envelope.ts, envelope.payload))
-        else:
-            payload = Batch([(tail.ts, tail.payload),
-                             (envelope.ts, envelope.payload)])
-        instance.inbox[-1] = Envelope(
-            payload=payload, ts=envelope.ts, channel=envelope.channel,
-            trace_id=tail.trace_id,
-        )
-        return True
-
-    # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
 
@@ -281,14 +203,7 @@ class Transport:
             channel.refused += 1
             self._c_refused.inc()
             return False
-        if self._try_coalesce(instance, envelope):
-            instance.queued_items += 1
-            channel.delivered += 1
-            self._c_delivered.inc()
-            self._c_coalesced.inc()
-            return True
         instance.inbox.append(envelope)
-        instance.queued_items += 1
         channel.delivered += 1
         self._c_delivered.inc()
         self.inbox_gauge(envelope.channel.dst_te).inc()
@@ -321,15 +236,10 @@ class Transport:
     # ------------------------------------------------------------------
 
     def is_saturated(self, instance: "TEInstance") -> bool:
-        """Whether an instance's inbox exceeds the channel capacity.
-
-        Measured in *logical items* (``queued_items``), so a coalesced
-        batch weighs its full item count — identical to the envelope
-        count whenever coalescing is off.
-        """
+        """Whether an instance's inbox exceeds the channel capacity."""
         return (
             self.capacity is not None
-            and instance.queued_items > self.capacity
+            and len(instance.inbox) > self.capacity
         )
 
     def blocked_channels(self) -> list[ChannelId]:

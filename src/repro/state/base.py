@@ -331,7 +331,7 @@ class StateElement(abc.ABC):
     def begin_rmw_batch(self) -> None:
         """Open a journal write batch (``BATCHABLE_RMW`` fast path).
 
-        The engine brackets a coalesced run of certified non-escaping
+        The engine brackets a run of certified non-escaping
         read-modify-writes with ``begin_rmw_batch``/``end_rmw_batch``:
         storage writes stay immediate (reads see every update), while
         per-key journal bookkeeping is deferred to one bulk fold at

@@ -85,7 +85,7 @@ class TestWordCount:
         for item in LINES:
             runtime.inject("split", item)
         runtime.run_until_idle()
-        partitioner = runtime._partitioners["counts"]
+        partitioner = runtime.topology.partitioner("counts")
         for inst in runtime.se_instances("counts"):
             for key in inst.element.keys():
                 assert partitioner.partition(key[1]) == inst.index

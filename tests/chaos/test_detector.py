@@ -107,7 +107,7 @@ class TestStallDetection:
         idle = app.runtime.nodes[app.runtime.se_instance("table", 1).node_id]
         idle.speed = 0.0
         # Only feed keys owned by partition 0 so partition 1 stays empty.
-        part = app.runtime._partitioners["table"]
+        part = app.runtime.topology.partitioner("table")
         keys = [k for k in range(400) if part.partition(k) == 0]
         for k in keys:
             app.put(k, k)

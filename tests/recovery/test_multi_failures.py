@@ -154,7 +154,7 @@ class TestServiceContinuity:
         dead = runtime.se_instance("table", 0).node_id
         runtime.fail_node(dead)
         # Reads for keys on surviving partitions still succeed.
-        partitioner = runtime._partitioners["table"]
+        partitioner = runtime.topology.partitioner("table")
         answered_before = len(runtime.results["serve"])
         survivors = [i for i in range(30)
                      if partitioner.partition(i) != 0]

@@ -169,7 +169,7 @@ class TestOneToNRecovery:
         runtime.fail_node(node)
         rec.recover_node(node, n_new=3)
         runtime.run_until_idle()
-        partitioner = runtime._partitioners["table"]
+        partitioner = runtime.topology.partitioner("table")
         for inst in runtime.se_instances("table"):
             for key in inst.element.keys():
                 assert partitioner.partition(key) == inst.index

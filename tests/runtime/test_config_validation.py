@@ -5,10 +5,13 @@ with a clear message, not be silently ignored (or divide by zero deep
 inside the engine).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import RuntimeExecutionError
 from repro.runtime import Runtime, RuntimeConfig
+from repro.runtime.config import SCALAR_KNOBS
 from repro.state import HashPartitioner
 from repro.testing import build_kv_sdg
 
@@ -66,3 +69,47 @@ class TestInstanceMaps:
         config = RuntimeConfig(te_instances={"serve": bad})
         with pytest.raises(RuntimeExecutionError, match="te_instances"):
             deploy(config)
+
+
+class TestConfigStaysClosed:
+    """Every field is either a scalar knob validated from the table or
+    on this list with the check that owns it; a new field must pick."""
+
+    FREE_FORM = {
+        "se_instances": "names and counts checked against the SDG",
+        "partitioners": "names checked against the SDG",
+        "te_instances": "names and counts checked against the SDG",
+        "scheduler": "resolve_scheduler",
+        "checkpoint_policy": "full_every checked",
+        "metrics": "registry shape checked",
+        "substrate": "resolve_substrate",
+        "substrate_check": "one of three names",
+        "capabilities": "a ProgramCapabilities certificate",
+    }
+
+    #: Values no row may accept, per kind (``None`` only where the kind
+    #: is not optional).
+    ILLEGAL = {
+        "bool": [0, 1, "yes", None],
+        "int": [2.5, "16", True, None],
+        "optional_int": [2.5, "16", True],
+    }
+
+    def test_every_field_is_accounted_for(self):
+        fields = {f.name for f in dataclasses.fields(RuntimeConfig)}
+        tabled = {knob for knob, _kind, _minimum in SCALAR_KNOBS}
+        assert len(fields) == 21
+        assert not tabled & set(self.FREE_FORM)
+        assert fields == tabled | set(self.FREE_FORM)
+
+    @pytest.mark.parametrize("knob, kind, minimum", SCALAR_KNOBS)
+    def test_illegal_values_fail_in_validate(self, knob, kind, minimum):
+        illegal = list(self.ILLEGAL[kind])
+        if minimum is not None:
+            illegal += [minimum - 1, minimum - 4]
+        for bad in illegal:
+            # multiprocess, so `workers` reaches its own range check.
+            config = RuntimeConfig(substrate="multiprocess",
+                                   **{knob: bad})
+            with pytest.raises(RuntimeExecutionError, match=knob):
+                config.validate(build_kv_sdg())

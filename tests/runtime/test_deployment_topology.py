@@ -30,7 +30,7 @@ class TestMaterialisation:
         assert runtime.topology.te_instances("serve") == \
             runtime.te_instances("serve")
         assert runtime.nodes is runtime.topology.nodes
-        assert runtime._partitioners is runtime.topology._partitioners
+        assert runtime.topology.partitioner("table").n_partitions == 2
 
     def test_stateful_te_colocated_with_its_partition(self):
         topology = make_topology()

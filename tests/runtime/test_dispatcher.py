@@ -65,7 +65,7 @@ class TestKeyPartitioned:
         for i in range(30):
             runtime.inject("src", i)
         runtime.run_until_idle()
-        partitioner = runtime._partitioners["s"]
+        partitioner = runtime.topology.partitioner("s")
         total = 0
         for se_inst in runtime.se_instances("s"):
             keys = list(se_inst.element.keys())
@@ -110,14 +110,14 @@ class TestOneToAll:
             RuntimeConfig(te_instances={"dst": 2}),
         ).deploy()
         seen = []
-        original = runtime._process
+        original = runtime._serve
 
         def record(instance, envelope):
             if instance.name == "dst":
                 seen.append(envelope.request_id)
             original(instance, envelope)
 
-        runtime._process = record
+        runtime._serve = record
         runtime.inject("src", "a")
         runtime.inject("src", "b")
         runtime.run_until_idle()

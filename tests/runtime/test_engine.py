@@ -57,7 +57,7 @@ class TestKVStore:
         for i in range(40):
             runtime.inject("serve", ("put", f"key{i}", i))
         runtime.run_until_idle()
-        partitioner = runtime._partitioners["table"]
+        partitioner = runtime.topology.partitioner("table")
         for se_inst in runtime.se_instances("table"):
             for key in se_inst.element.keys():
                 assert partitioner.partition(key) == se_inst.index

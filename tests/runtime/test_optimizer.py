@@ -4,24 +4,35 @@ The optimizer's contract has two halves, and the suite pins both:
 
 *Soundness* — every relaxed path is gated on a certificate. Uncertified
 programs deployed with ``optimize=True`` take the exact baseline path:
-coalescing never switches on, no fold is installed, no journal batch
+every step serves one envelope, no fold is installed, no journal batch
 opens, and the differentials below prove ``state_fingerprint``
-equality between optimized and baseline runs on both substrates.
+equality between optimized and baseline runs on both substrates —
+alone and combined with tracing, auto-scaling and chaos.
 
-*Liveness* — certified programs actually take the relaxed paths: the
-transport forms :class:`Batch` payloads and counts them, the gather
-barrier folds replica values as they arrive, and the backend batches
-RMW journal bookkeeping, each observable through its counter.
+*Liveness* — certified programs actually take the relaxed paths: one
+scheduling step serves a run of same-channel envelopes and counts
+them, the gather barrier folds replica values as they arrive, and the
+backend batches RMW journal bookkeeping, each observable through its
+counter.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.apps import CollaborativeFiltering, KeyValueStore
 from repro.apps.wordcount import build_wordcount_sdg
+from repro.chaos import FaultInjector
+from repro.chaos.plan import DuplicateEnvelope, FaultPlan
 from repro.durability.manifest import state_fingerprint
-from repro.errors import RuntimeExecutionError
-from repro.runtime import Runtime, RuntimeConfig
-from repro.runtime.envelope import Batch, envelope_weight
+from repro.recovery import (
+    BackupStore,
+    CheckpointManager,
+    RecoveryManager,
+    RecoverySupervisor,
+)
+from repro.runtime import FailureDetector, Runtime, RuntimeConfig
+from repro.runtime.engine import RUN_MAX
 from repro.testing import build_iterative_sdg, build_kv_sdg
 
 CORPUS = (
@@ -53,15 +64,124 @@ BUILDERS = {
 }
 
 
-def run_once(app, substrate, optimize, items=120):
+def serve_log(runtime):
+    """Record ``(step, instance key, envelope)`` for every serve.
+
+    Installed on the ``substrate.process`` seam, which the engine calls
+    once per envelope — inside a run too.
+    """
+    log = []
+    original = runtime.substrate.process
+
+    def watch(instance, envelope):
+        log.append((runtime.total_steps, instance.key, envelope))
+        original(instance, envelope)
+
+    runtime.substrate.process = watch
+    return log
+
+
+def longest_run(log):
+    """The most envelopes any one step served."""
+    per_step = {}
+    for step, _key, _envelope in log:
+        per_step[step] = per_step.get(step, 0) + 1
+    return max(per_step.values())
+
+
+# -- scenarios: how a differential row drives its deployed runtime ----------
+#
+# Each takes ``(runtime, app, items)``, feeds and drains, and returns
+# whatever beyond the state fingerprint must match the baseline run.
+
+
+def drive_plain(runtime, app, items):
+    feed(runtime, app, items)
+    runtime.run_until_idle()
+
+
+def drive_traced(runtime, app, items):
+    """Per-trace ``(te, instance)`` hop multisets: one hop per item."""
+    drive_plain(runtime, app, items)
+    return {
+        trace.trace_id: sorted((hop.te, hop.instance) for hop in trace.hops)
+        for trace in runtime.tracer.traces()
+    }
+
+
+def drive_backlog_repartition(runtime, app, items):
+    """The backlog trips the bottleneck detector mid-drain."""
+    drive_plain(runtime, app, items)
+    assert runtime.se_epoch("table") >= 1
+    return runtime.te_slot_count("serve")
+
+
+def drive_duplicate_mid_run(runtime, app, items):
+    """A redelivered envelope ends up between two fresh ones."""
+    log = serve_log(runtime)
+    injector = FaultInjector(
+        runtime,
+        FaultPlan([DuplicateEnvelope(at_step=1, te="count", index=1)]),
+    ).install()
+    drive_plain(runtime, app, items)
+    assert [r.outcome for r in injector.injected] == ["fired"]
+    served = [(key, envelope.channel, envelope.ts)
+              for _step, key, envelope in log]
+    (again,) = [i for i, entry in enumerate(served)
+                if entry in served[:i]]
+    if runtime.config.optimize:
+        step, key, _envelope = log[again]
+        assert log[again - 1][:2] == (step, key) == log[again + 1][:2]
+
+
+def drive_crash_third_of_run(runtime, app, items):
+    """The task dies on the 3rd envelope one ``count`` instance serves;
+    the supervisor restores the node and replay fills the gap."""
+    store = BackupStore(m_targets=2)
+    CheckpointManager(runtime, store, trim_input_log=False)
+    detector = FailureDetector(runtime, heartbeat_timeout=20,
+                               check_every=5).install()
+    supervisor = RecoverySupervisor(
+        detector, RecoveryManager(runtime, store)).install()
+    victim = runtime.te_instance("count", 0)
+    served = []
+    original = runtime.substrate.process
+
+    def crash_on_third(instance, envelope):
+        if instance is victim:
+            served.append(runtime.total_steps)
+            if len(served) == 3:
+                instance.crash_next = True
+                if runtime.config.optimize:
+                    # Mid-run: two served this step, more still queued.
+                    assert served[0] == served[1] == served[2]
+                    assert instance.inbox
+        original(instance, envelope)
+
+    runtime.substrate.process = crash_on_third
+    drive_plain(runtime, app, items)
+    assert detector.detected("crashed")
+    assert supervisor.settled
+    assert [outcome.kind for _d, outcome in supervisor.cycles()] == [
+        "recovered"]
+    # No word lost, none counted twice.
+    counted = {}
+    for instance in runtime.se_instances("counts"):
+        counted.update(instance.element.items())
+    assert counted == Counter(
+        (i // 8, word) for i in range(items)
+        for word in CORPUS[i % len(CORPUS)].split())
+
+
+def run_once(app, substrate, optimize, items=120, drive=drive_plain,
+             **knobs):
     builder, se_instances = BUILDERS[app]
     config = RuntimeConfig(se_instances=se_instances, substrate=substrate,
                            workers=2 if substrate == "multiprocess" else None,
-                           optimize=optimize)
+                           optimize=optimize, **knobs)
     runtime = Runtime(builder(), config).deploy()
     try:
-        feed(runtime, app, items)
-        runtime.run_until_idle()
+        extra = drive(runtime, app, items)
         fingerprint = state_fingerprint(runtime)
         metrics = runtime.merged_metrics()
         counters = {
@@ -73,7 +193,7 @@ def run_once(app, substrate, optimize, items=120):
         }
     finally:
         runtime.close()
-    return fingerprint, counters
+    return fingerprint, counters, extra
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +205,34 @@ class TestDifferentials:
     @pytest.mark.parametrize("substrate", ["inprocess", "multiprocess"])
     @pytest.mark.parametrize("app", sorted(BUILDERS))
     def test_optimized_state_matches_baseline(self, app, substrate):
-        base_fp, base_counters = run_once(app, substrate, optimize=False)
-        opt_fp, opt_counters = run_once(app, substrate, optimize=True)
+        self.check(app, substrate)
+
+    @pytest.mark.parametrize("app, scenario", [
+        pytest.param("kvstore", dict(drive=drive_traced, trace=True),
+                     id="trace"),
+        pytest.param("kvstore",
+                     dict(drive=drive_backlog_repartition, items=600,
+                          auto_scale=True, scale_threshold=16,
+                          scale_check_every=1, max_instances=3),
+                     id="auto_scale"),
+        pytest.param("wordcount",
+                     dict(drive=drive_duplicate_mid_run, items=150),
+                     id="chaos-duplicate"),
+        pytest.param("wordcount", dict(drive=drive_crash_third_of_run),
+                     id="chaos-crash"),
+    ])
+    def test_optimize_composes(self, app, scenario):
+        self.check(app, "inprocess", **scenario)
+
+    @staticmethod
+    def check(app, substrate, **scenario):
+        base_fp, base_counters, base_extra = run_once(
+            app, substrate, optimize=False, **scenario)
+        opt_fp, opt_counters, opt_extra = run_once(
+            app, substrate, optimize=True, **scenario)
         assert opt_fp == base_fp
-        # Same logical work, independent of how deliveries were framed.
+        assert opt_extra == base_extra
+        # Same logical work, independent of how steps grouped it.
         assert (opt_counters["engine_items_processed_total"]
                 == base_counters["engine_items_processed_total"])
         # Baseline never coalesces; the optimized certified runs do.
@@ -96,7 +240,7 @@ class TestDifferentials:
         assert opt_counters["dispatch_coalesced_total"] > 0
 
     def test_wordcount_batches_rmw_journals(self):
-        _, counters = run_once("wordcount", "inprocess", optimize=True)
+        _, counters, _ = run_once("wordcount", "inprocess", optimize=True)
         assert counters["state_rmw_batches_total"] > 0
 
 
@@ -111,18 +255,10 @@ class TestUncertifiedNeverRelaxed:
         runtime = app.runtime
         # The certificate granted nothing the dispatch layer may use.
         assert "COALESCIBLE_DISPATCH" not in runtime.capabilities.flags
-        assert runtime.transport._coalesce_edges is None
+        assert not runtime._run_channels
         assert not runtime._merge_folds
 
-        seen_batches = []
-        original = runtime.substrate.process
-
-        def watch(instance, envelope):
-            if type(envelope.payload) is Batch:
-                seen_batches.append(envelope)
-            original(instance, envelope)
-
-        runtime.substrate.process = watch
+        log = serve_log(runtime)
         for i in range(60):
             app.put(i % 9, i)
             app.bump(i % 9, 1)
@@ -130,7 +266,8 @@ class TestUncertifiedNeverRelaxed:
         for i in range(9):
             app.get(i)
         app.run()
-        assert seen_batches == []
+        # Exactly one envelope per step.
+        assert longest_run(log) == 1
         metrics = runtime.merged_metrics()
         assert metrics.total("dispatch_coalesced_total") == 0
         assert metrics.total("merge_early_completions_total") == 0
@@ -160,36 +297,31 @@ class TestUncertifiedNeverRelaxed:
 
 
 class TestCertifiedPathsEngage:
-    def test_coalescing_forms_batches_on_certified_edges(self):
+    def test_a_step_serves_a_run_on_certified_channels(self):
         config = RuntimeConfig(se_instances={"table": 2}, optimize=True)
         runtime = Runtime(build_kv_sdg(), config).deploy()
+        log = serve_log(runtime)
         for i in range(50):
             runtime.inject("serve", ("put", i % 3, i))
-        # Before draining, the entry inboxes hold coalesced batches
-        # whose logical depth the queued_items counter tracks.
-        batches = 0
-        for instance in runtime.te_instances("serve"):
-            weights = [envelope_weight(env) for env in instance.inbox]
-            batches += sum(1 for env in instance.inbox
-                           if type(env.payload) is Batch)
-            assert instance.queued_items == sum(weights)
-        assert batches > 0
-        runtime.run_until_idle()
+        # Inboxes hold plain envelopes, one per item.
+        assert sum(len(instance.inbox)
+                   for instance in runtime.te_instances("serve")) == 50
+        steps = runtime.run_until_idle()
+        assert steps < 50
+        assert longest_run(log) > 1
         metrics = runtime.merged_metrics()
-        assert metrics.total("dispatch_coalesced_total") > 0
+        assert metrics.total("dispatch_coalesced_total") == 50 - steps
         assert metrics.total("engine_items_processed_total") == 50
 
-    def test_batch_respects_the_configured_ceiling(self):
-        config = RuntimeConfig(se_instances={"table": 1}, optimize=True,
-                               optimize_batch_max=4)
+    def test_no_step_serves_more_than_the_ceiling(self):
+        config = RuntimeConfig(se_instances={"table": 1}, optimize=True)
         runtime = Runtime(build_kv_sdg(), config).deploy()
-        for i in range(40):
+        log = serve_log(runtime)
+        for i in range(3 * RUN_MAX + 5):
             runtime.inject("serve", ("put", 0, i))
-        for instance in runtime.te_instances("serve"):
-            for env in instance.inbox:
-                assert envelope_weight(env) <= 4
-        runtime.run_until_idle()
-        assert state_fingerprint(runtime) is not None
+        assert runtime.run_until_idle() == 4
+        assert RUN_MAX == 64
+        assert longest_run(log) == RUN_MAX
 
     def test_gather_folds_eagerly_and_counts_completions(self):
         def run(optimize):
@@ -213,7 +345,7 @@ class TestCertifiedPathsEngage:
 
 
 # ---------------------------------------------------------------------------
-# Gates: configuration and tracer interactions
+# Gates: configuration
 # ---------------------------------------------------------------------------
 
 
@@ -221,33 +353,7 @@ class TestGates:
     def test_optimize_defaults_off(self):
         runtime = Runtime(build_kv_sdg()).deploy()
         assert runtime.capabilities is None
-        assert runtime.transport._coalesce_edges is None
-
-    def test_optimize_rejects_auto_scale(self):
-        config = RuntimeConfig(optimize=True, auto_scale=True)
-        with pytest.raises(RuntimeExecutionError, match="auto_scale"):
-            Runtime(build_kv_sdg(), config).deploy()
-
-    @pytest.mark.parametrize("bad", [1, True, 0, -3])
-    def test_batch_max_must_be_a_real_ceiling(self, bad):
-        with pytest.raises(RuntimeExecutionError):
-            Runtime(build_kv_sdg(),
-                    RuntimeConfig(optimize=True,
-                                  optimize_batch_max=bad)).deploy()
-
-    def test_tracer_keeps_transport_coalescing_off(self):
-        config = RuntimeConfig(se_instances={"table": 2}, optimize=True,
-                               trace=True)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        # The certificate is still computed and attached...
-        assert "COALESCIBLE_DISPATCH" in runtime.capabilities.flags
-        # ...but per-envelope tracing wins over batched delivery.
-        assert runtime.transport._coalesce_edges is None
-        for i in range(30):
-            runtime.inject("serve", ("put", i % 3, i))
-        runtime.run_until_idle()
-        assert runtime.merged_metrics().total(
-            "dispatch_coalesced_total") == 0
+        assert not runtime._run_channels
 
     def test_explicit_capabilities_are_honoured_verbatim(self):
         from repro.analysis.capabilities import ProgramCapabilities
@@ -257,4 +363,4 @@ class TestGates:
                                capabilities=caps)
         runtime = Runtime(build_kv_sdg(), config).deploy()
         assert runtime.capabilities is caps
-        assert runtime.transport._coalesce_edges is None
+        assert not runtime._run_channels

@@ -56,7 +56,7 @@ class TestPartitionedScaleUp:
         # the partition that owns them under the new partitioner.
         runtime.scale_up("serve")
         runtime.run_until_idle()
-        partitioner = runtime._partitioners["table"]
+        partitioner = runtime.topology.partitioner("table")
         for inst in runtime.se_instances("table"):
             for key in inst.element.keys():
                 assert partitioner.partition(key) == inst.index

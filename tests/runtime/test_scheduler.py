@@ -37,10 +37,7 @@ def make_instances(n, items_per_instance):
         inst = TEInstance(spec, i)
         node.host_te(inst)
         for item in range(items_per_instance[i]):
-            # Mirror the transport's delivery accounting: queued_items
-            # is the logical depth the queue-depth policy sorts on.
             inst.inbox.append(("item", i, item))
-            inst.queued_items += 1
         instances.append(inst)
     return instances, nodes
 
@@ -55,7 +52,6 @@ def drain_order(scheduler, instances, nodes, limit=100):
                 return order
             continue
         instance.inbox.popleft()
-        instance.queued_items -= 1
         order.append(instance.index)
     raise AssertionError("scheduler did not drain")
 

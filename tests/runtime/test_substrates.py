@@ -373,9 +373,11 @@ class TestResolutionAndGates:
             config.validate(build_kv_sdg())
 
 
-class TestParallelSpeedupSmoke:
-    """A scaled-down twin of the fig7 parallel benchmark: overlapping
-    per-item service latency across workers must beat one worker."""
+class TestParallelOverlapSmoke:
+    """A scaled-down twin of the fig7 parallel benchmark: workers that
+    overlap per-item service latency must agree with one worker. The
+    wall-clock claim (4 workers beat 1) is the benchmark's to make —
+    ``benchmarks/test_parallel_scaleout.py`` holds it to 1.5x."""
 
     @staticmethod
     def build_slow_kv(delay):
@@ -399,19 +401,12 @@ class TestParallelSpeedupSmoke:
                                workers=workers)
         runtime = Runtime(self.build_slow_kv(delay), config).deploy()
         try:
-            start = time.perf_counter()
             for i in range(items):
                 runtime.inject("serve", ("put", f"k{i}", i))
             runtime.run_until_idle()
-            wall = time.perf_counter() - start
-            fingerprint = state_fingerprint(runtime)
+            return state_fingerprint(runtime)
         finally:
             runtime.close()
-        return wall, fingerprint
 
     def test_four_workers_overlap_service_latency(self):
-        wall_1, fp_1 = self.run(1)
-        wall_4, fp_4 = self.run(4)
-        assert fp_1 == fp_4
-        # Loose bound for CI noise; the benchmark asserts the real 1.5x.
-        assert wall_4 < wall_1
+        assert self.run(1) == self.run(4)

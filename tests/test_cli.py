@@ -1,6 +1,7 @@
 """Tests for the py2sdg command-line tool."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -154,8 +155,10 @@ class TestOptimizeFlags:
         assert "plain runs only" in capsys.readouterr().err
 
     def test_obs_optimize_reports_the_optimizer_section(self, capsys):
+        # Tracing stays on (the default): runs form with it, and every
+        # item still gets its own hop.
         assert main(["obs", "--app", "kvstore", "--items", "40",
-                     "--no-trace", "--no-chaos", "--optimize"]) == 0
+                     "--no-chaos", "--optimize"]) == 0
         out = capsys.readouterr().out
         assert "-- optimizer --" in out
         assert "capabilities: COALESCIBLE_DISPATCH" in out
@@ -163,6 +166,9 @@ class TestOptimizeFlags:
             line.split(":")[1] for line in out.splitlines()
             if line.strip().startswith("dispatch_coalesced_total:")))
         assert coalesced > 0
+        traces, hops = re.search(r"traces: (\d+)  hops: (\d+)",
+                                 out).groups()
+        assert traces == hops != "0"
 
     def test_obs_without_optimize_reports_it_off(self, capsys):
         assert main(["obs", "--app", "kvstore", "--items", "20",

@@ -45,7 +45,7 @@ class TestTranslatedCFScaling:
         assert app.runtime.scale_up(update_te)
         assert len(app.runtime.se_instances("user_item")) == 2
         # Rows are split by user: each partition holds whole users.
-        partitioner = app.runtime._partitioners["user_item"]
+        partitioner = app.runtime.topology.partitioner("user_item")
         for inst in app.runtime.se_instances("user_item"):
             for (row, _col), _value in inst.element._store_items():
                 assert partitioner.partition(row) == inst.index
