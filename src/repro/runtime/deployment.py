@@ -25,7 +25,7 @@ from repro.core.elements import StateKind
 from repro.core.graph import SDG
 from repro.errors import RuntimeExecutionError
 from repro.runtime.envelope import Envelope
-from repro.runtime.instances import SEInstance, TEInstance
+from repro.runtime.instances import Candidates, SEInstance, TEInstance
 from repro.runtime.node import PhysicalNode
 from repro.state import HashPartitioner
 from repro.state.base import StateElement
@@ -62,11 +62,6 @@ class WorkerPlacement:
     def worker_of_node(self, node_id: int) -> int:
         return self.node_worker[node_id]
 
-    def instances_of(self, worker: int) -> list[tuple[str, int]]:
-        """The instance keys owned by ``worker``, in deployment order."""
-        return [key for key, w in self.instance_worker.items()
-                if w == worker]
-
 
 class Topology:
     """Owns the materialised instances, nodes, partitioners and epochs."""
@@ -88,6 +83,10 @@ class Topology:
         #: Stateless fallback partitioners for keyed dispatch into TEs
         #: without a partitioned SE, cached per fan-out.
         self._fallbacks: dict[int, HashPartitioner] = {}
+        #: Bumped by every method that assigns into ``_te_instances`` or
+        #: kills a node; :meth:`candidates` rebuilds when it has moved.
+        self.version = 0
+        self._candidates: Candidates | None = None
 
     # ------------------------------------------------------------------
     # Materialisation
@@ -95,6 +94,7 @@ class Topology:
 
     def materialise(self) -> None:
         """Allocate and instantiate every element of the SDG."""
+        self.version += 1
         base = allocate(self.sdg)
 
         for se in self.sdg.states.values():
@@ -201,14 +201,22 @@ class Topology:
     def alive_nodes(self) -> list[PhysicalNode]:
         return [n for n in self.nodes.values() if n.alive]
 
+    def candidates(self) -> Candidates:
+        """The live instances in deployment order, with their ready set.
+
+        Cached: rebuilt only after :attr:`version` moved, so serving an
+        item costs the same at 4 partitions and at 256.
+        """
+        cached = self._candidates
+        if cached is None or cached.version != self.version:
+            cached = self._candidates = Candidates(
+                (inst for inst in self.all_te_instances()
+                 if self.nodes[inst.node_id].alive), self.version)
+        return cached
+
     def is_idle(self) -> bool:
         """Whether no envelope is waiting in any live inbox."""
-        return all(
-            not inst.inbox
-            for insts in self._te_instances.values()
-            for inst in insts
-            if inst is not None and self.nodes[inst.node_id].alive
-        )
+        return not self.candidates().ready
 
     # ------------------------------------------------------------------
     # Worker placement (multiprocess substrate)
@@ -276,6 +284,7 @@ class Topology:
 
     def fail_node(self, node_id: int) -> None:
         """Kill a node: inboxes, SE contents and output buffers are lost."""
+        self.version += 1
         node = self.nodes[node_id]
         node.fail()
         for key in list(node.te_instances):
@@ -295,6 +304,7 @@ class Topology:
         Slot lists grow on demand so that m-to-n recovery can restore a
         single failed instance as several new partitioned instances.
         """
+        self.version += 1
         node = self.fresh_node()
         for se_inst in se_replacements:
             slots = self._se_instances[se_inst.name]
@@ -321,6 +331,7 @@ class Topology:
 
     def add_stateless_instance(self, te_name: str) -> TEInstance:
         """Append one instance to a stateless TE on a fresh node."""
+        self.version += 1
         spec = self.sdg.task(te_name)
         instance = TEInstance(spec, self.te_slot_count(te_name))
         self._te_instances[te_name].append(instance)
@@ -329,6 +340,7 @@ class Topology:
 
     def add_partial_instance(self, se_name: str) -> None:
         """Create one more partial replica and bind new TE instances."""
+        self.version += 1
         spec = self.sdg.state(se_name)
         index = len(self._se_instances[se_name])
         se_inst = SEInstance(spec, index)
@@ -367,6 +379,7 @@ class Topology:
         partitioner = self._partitioners[se_name].rescaled(n_new)
         self.set_partitioner(se_name, partitioner)
 
+        self.version += 1
         pending: list[Envelope] = []
         accessing = self.sdg.tasks_accessing(se_name)
         for te in accessing:

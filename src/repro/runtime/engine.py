@@ -172,6 +172,9 @@ class Runtime:
         self.dispatcher = Dispatcher(self.sdg, self.topology, self.transport,
                                      metrics=self.metrics)
         self.scheduler = resolve_scheduler(self.config.scheduler)
+        # An optional policy hook, resolved once. ``select`` is looked
+        # up per step: tools rebind it on the deployed scheduler.
+        self._charge = getattr(self.scheduler, "charge", None)
         self._bind_metrics()
         # One detector for the runtime's lifetime, built from the
         # validated config (not per scale check).
@@ -439,14 +442,11 @@ class Runtime:
         one is the uncertified case.
         """
         self._require_deployed()
-        nodes = self.topology.nodes
-        instances = self.substrate.runnable([
-            inst for inst in self.topology.all_te_instances()
-            if nodes[inst.node_id].alive
-        ])
-        if not instances:
+        candidates = self.topology.candidates()
+        if not candidates.ready:
             return False
-        instance, throttled = self.scheduler.select(instances, nodes)
+        nodes = self.topology.nodes
+        instance, throttled = self.scheduler.select(candidates, nodes)
         if instance is None:
             if throttled:
                 self._c_stalls.inc()
@@ -510,6 +510,11 @@ class Runtime:
                 envelope = inbox.popleft()
         finally:
             self.transport.inbox_gauge(instance.name).dec(run)
+            if not inbox:
+                # The other half of ready-set upkeep (appends are the
+                # transport's). After a mid-run crash ``candidates`` is
+                # already stale and this edits a list nobody reads.
+                candidates.discard(instance)
             if element is not None:
                 element.end_rmw_batch()
                 self._c_rmw_batches.inc()
@@ -518,9 +523,8 @@ class Runtime:
             # The scheduler admitted one item; charge the straggler
             # credit for the rest so a run cannot smuggle work past a
             # throttled node.
-            charge = getattr(self.scheduler, "charge", None)
-            if charge is not None:
-                charge(nodes[instance.node_id], run - 1)
+            if self._charge is not None:
+                self._charge(nodes[instance.node_id], run - 1)
         self._tick()
         return True
 

@@ -10,6 +10,7 @@ buffers for replay (§5).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
@@ -162,3 +163,38 @@ class TEInstance:
             f"TEInstance({self.spec.name}[{self.index}] @node{self.node_id}"
             f" inbox={len(self.inbox)})"
         )
+
+
+class Candidates(list):
+    """The live TE instances in deployment order, and which have input.
+
+    This is what a scheduling policy selects from: a list a policy may
+    scan like the seed loop did, plus ``ready`` — the sorted positions
+    in that list whose inbox is non-empty. ``ready`` is kept exact at
+    the two places an inbox changes between structural events (the
+    transport's empty -> non-empty append, the engine's pop loop). A
+    structural change never patches it: it bumps ``Topology.version``,
+    and the next reader rebuilds, re-deriving ``ready`` from the
+    inboxes.
+    """
+
+    def __init__(self, instances, version: int = 0) -> None:
+        super().__init__(instances)
+        #: The ``Topology.version`` this order was built under.
+        self.version = version
+        self._position = {inst: at for at, inst in enumerate(self)}
+        self.ready = [at for at, inst in enumerate(self) if inst.inbox]
+
+    def add(self, instance: TEInstance) -> None:
+        """``instance``'s inbox holds input (idempotent)."""
+        position = self._position[instance]
+        at = bisect_left(self.ready, position)
+        if at == len(self.ready) or self.ready[at] != position:
+            self.ready.insert(at, position)
+
+    def discard(self, instance: TEInstance) -> None:
+        """``instance``'s inbox is empty (idempotent)."""
+        position = self._position[instance]
+        at = bisect_left(self.ready, position)
+        if at < len(self.ready) and self.ready[at] == position:
+            del self.ready[at]

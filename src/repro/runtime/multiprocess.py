@@ -364,11 +364,6 @@ class MultiprocessSubstrate:
         self._send(self._links[owner], (MSG_DELIVER, envelope))
         return True
 
-    def runnable(self, instances: "list[TEInstance]") \
-            -> "list[TEInstance]":
-        # The coordinator process owns no instances: it routes.
-        return []
-
     def process(self, instance: "TEInstance",
                 envelope: "Envelope") -> None:  # pragma: no cover
         raise RuntimeExecutionError(
@@ -697,24 +692,17 @@ class MultiprocessSubstrate:
 
 
 class _WorkerSubstrate(InProcessSubstrate):
-    """The in-process loop, restricted to the instances a worker owns.
+    """The in-process loop, as run inside a worker.
 
     Workers reuse the engine's step loop verbatim — same scheduler
     rotor, same per-item semantics — which is what keeps the two
-    substrates behaviourally aligned; only the candidate set shrinks
-    to the local partition.
+    substrates behaviourally aligned. Only owned instances ever become
+    ready: the transport forwards an envelope for a foreign instance
+    over the wire instead of appending it to the local inbox.
     """
 
     name = "multiprocess-worker"
     isolates_payloads = False
-
-    def __init__(self, owned: set) -> None:
-        super().__init__()
-        self._owned = owned
-
-    def runnable(self, instances: "list[TEInstance]") \
-            -> "list[TEInstance]":
-        return [inst for inst in instances if inst.key in self._owned]
 
 
 def _worker_main(runtime: "Runtime", worker_id: int, placement,
@@ -758,10 +746,11 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         inherited._links = []
     counters = {"consumed": 0, "emitted": 0, "processed": 0}
 
-    owned = set(placement.instances_of(worker_id))
-    substrate = _WorkerSubstrate(owned)
+    substrate = _WorkerSubstrate()
     substrate.bind(runtime)
     runtime.substrate = substrate
+    # Drop any candidate cache inherited through the fork.
+    runtime.topology.version += 1
     # The inherited registry holds the coordinator's deploy-time
     # values; zero it so this worker's shard is purely its own work
     # and the barrier merge never double-counts.

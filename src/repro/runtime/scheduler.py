@@ -22,12 +22,13 @@ passes, hooks run, and the failure detector can observe the stall.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import RuntimeExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.instances import TEInstance
+    from repro.runtime.instances import Candidates, TEInstance
     from repro.runtime.node import PhysicalNode
 
 
@@ -40,17 +41,18 @@ class Scheduler(Protocol):
 
     def select(
         self,
-        instances: "list[TEInstance]",
+        instances: "Candidates",
         nodes: "dict[int, PhysicalNode]",
     ) -> "tuple[TEInstance | None, bool]":
         """Pick the instance that serves the next item.
 
-        ``instances`` are the live TE instances in deployment order;
-        ``nodes`` maps node ids to their (live) nodes. Returns
-        ``(instance, throttled)``: ``instance`` is ``None`` when
-        nothing can be served, and ``throttled`` is True when at least
-        one pending item was held back by straggler credit — the
-        engine's stall-tick signal.
+        ``instances`` is the list of live TE instances in deployment
+        order; its ``ready`` attribute holds the sorted positions with
+        input (never empty when the engine calls). A policy that ignores
+        ``ready`` and scans the list is correct, only O(instances).
+        Returns ``(instance, throttled)``: ``instance`` is ``None`` when
+        nothing can be served; ``throttled`` is True when a pending item
+        was held back by straggler credit — the stall-tick signal.
         """
         ...  # pragma: no cover - protocol
 
@@ -91,7 +93,11 @@ class RoundRobinScheduler(_CreditedScheduler):
     Instances are visited in deployment order starting one past the
     previously served instance, so every instance with pending input is
     served within one full rotation — the fairness property the replay
-    determinism contract (§4.1) is built on.
+    determinism contract (§4.1) is built on. The rotor is the seed
+    loop's raw index into the same order; only the walk is shorter — a
+    bisect to the first ready position at or after it, then the ready
+    positions cyclically — so the cost is O(log instances), not
+    O(instances).
     """
 
     name = "round_robin"
@@ -100,16 +106,22 @@ class RoundRobinScheduler(_CreditedScheduler):
         self._rotor = 0
 
     def select(self, instances, nodes):
+        ready = instances.ready
+        if not ready:
+            return None, False
         n = len(instances)
+        at = bisect_left(ready, self._rotor % n)
         throttled = False
-        for offset in range(n):
-            instance = instances[(self._rotor + offset) % n]
-            if not instance.inbox:
-                continue
+        for _ in range(len(ready)):
+            if at == len(ready):
+                at = 0
+            position = ready[at]
+            at += 1
+            instance = instances[position]
             if not self._admit(nodes[instance.node_id]):
                 throttled = True
                 continue
-            self._rotor = (self._rotor + offset + 1) % n
+            self._rotor = (position + 1) % n
             return instance, throttled
         return None, throttled
 
@@ -127,7 +139,7 @@ class LongestQueueScheduler(_CreditedScheduler):
     name = "longest_queue"
 
     def select(self, instances, nodes):
-        ready = [inst for inst in instances if inst.inbox]
+        ready = [instances[position] for position in instances.ready]
         ready.sort(key=lambda inst: (-len(inst.inbox), inst.key))
         throttled = False
         for instance in ready:

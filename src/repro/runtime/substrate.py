@@ -44,10 +44,10 @@ class ExecutionSubstrate(Protocol):
 
     The engine calls, in order: :meth:`bind` at deploy, then
     :meth:`deliver` for every injected envelope, :meth:`run_until_idle`
-    to drain, and :meth:`shutdown` when the runtime is closed. The
-    remaining hooks let a substrate restrict (:meth:`runnable`) and
-    observe/intercept (:meth:`process`) the in-process step loop, which
-    worker processes of a distributed substrate reuse verbatim.
+    to drain, and :meth:`shutdown` when the runtime is closed.
+    :meth:`process` lets a substrate observe/intercept the in-process
+    step loop, which worker processes of a distributed substrate reuse
+    verbatim.
     """
 
     #: Registry name (``RuntimeConfig(substrate=name)``).
@@ -66,11 +66,6 @@ class ExecutionSubstrate(Protocol):
 
     def deliver(self, envelope: "Envelope") -> bool:
         """Hand one injected envelope to the execution layer."""
-        ...  # pragma: no cover - protocol
-
-    def runnable(self, instances: "list[TEInstance]") \
-            -> "list[TEInstance]":
-        """Filter the step loop's candidate instances to the local set."""
         ...  # pragma: no cover - protocol
 
     def process(self, instance: "TEInstance",
@@ -114,10 +109,6 @@ class InProcessSubstrate:
 
     def deliver(self, envelope: "Envelope") -> bool:
         return self.runtime.transport.deliver(envelope)
-
-    def runnable(self, instances: "list[TEInstance]") \
-            -> "list[TEInstance]":
-        return instances
 
     def process(self, instance: "TEInstance",
                 envelope: "Envelope") -> None:
@@ -181,8 +172,8 @@ def resolve_substrate(spec, config) -> "ExecutionSubstrate":
             f"unknown substrate {spec!r}; available substrates: "
             f"{sorted(SUBSTRATES)}"
         )
-    required = ("bind", "deliver", "run_until_idle", "runnable",
-                "process", "shutdown")
+    required = ("bind", "deliver", "run_until_idle", "process",
+                "shutdown")
     if all(callable(getattr(spec, hook, None)) for hook in required):
         return spec
     raise RuntimeExecutionError(

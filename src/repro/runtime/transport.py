@@ -177,7 +177,10 @@ class Transport:
         """Append to the destination inbox; refuse if the node is dead.
 
         Refused envelopes are not lost: they stay in the producer-side
-        output buffer and are replayed during recovery.
+        output buffer and are replayed during recovery. An inbox that
+        goes empty -> non-empty joins the scheduler's ready set here, so
+        every caller (and anything wrapped around this method) keeps it
+        exact.
         """
         channel = self.channel(envelope.channel)
         if (
@@ -203,7 +206,10 @@ class Transport:
             channel.refused += 1
             self._c_refused.inc()
             return False
-        instance.inbox.append(envelope)
+        inbox = instance.inbox
+        inbox.append(envelope)
+        if len(inbox) == 1:
+            self._topology.candidates().add(instance)
         channel.delivered += 1
         self._c_delivered.inc()
         self.inbox_gauge(envelope.channel.dst_te).inc()

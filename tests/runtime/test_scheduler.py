@@ -9,8 +9,11 @@ order is unchanged by the layered refactor.
 
 import pytest
 
-from repro.core import SDG
+from repro.chaos import FaultInjector
+from repro.chaos.plan import DuplicateEnvelope, FaultPlan
+from repro.core import SDG, AccessMode, Dispatch, StateKind
 from repro.errors import RuntimeExecutionError
+from repro.recovery import BackupStore, CheckpointManager, RecoveryManager
 from repro.runtime import (
     InProcessSubstrate,
     LongestQueueScheduler,
@@ -19,14 +22,19 @@ from repro.runtime import (
     RuntimeConfig,
     SCHEDULERS,
 )
-from repro.runtime.instances import TEInstance
+from repro.runtime.instances import Candidates, TEInstance
 from repro.runtime.node import PhysicalNode
 from repro.runtime.scheduler import resolve_scheduler
+from repro.state import KeyValueMap
 from repro.testing import build_kv_sdg, noop
 
 
 def make_instances(n, items_per_instance):
-    """``n`` instances of one stateless TE, each hosted on its own node."""
+    """``n`` instances of one stateless TE, each hosted on its own node.
+
+    Returned as the :class:`Candidates` sequence the engine hands a
+    policy: the instances plus the positions that have input.
+    """
     sdg = SDG("sched")
     spec = sdg.add_task("work", noop, is_entry=True)
     nodes = {}
@@ -39,7 +47,7 @@ def make_instances(n, items_per_instance):
         for item in range(items_per_instance[i]):
             inst.inbox.append(("item", i, item))
         instances.append(inst)
-    return instances, nodes
+    return Candidates(instances), nodes
 
 
 def drain_order(scheduler, instances, nodes, limit=100):
@@ -52,6 +60,8 @@ def drain_order(scheduler, instances, nodes, limit=100):
                 return order
             continue
         instance.inbox.popleft()
+        if not instance.inbox:
+            instances.discard(instance)
         order.append(instance.index)
     raise AssertionError("scheduler did not drain")
 
@@ -184,28 +194,35 @@ class SeedLoopScheduler:
         return None, throttled
 
 
-def traced_run(scheduler, straggle=False):
-    """Run a fixed KV workload; return the processing trace + results.
+def record_processing(runtime):
+    """The list every served ``(te, index, source index, ts)`` lands in.
 
-    The trace is recorded at the *substrate* surface — the layer the
-    engine actually drives — and the run asserts it executes on
+    Recorded at the *substrate* surface — the layer the engine actually
+    drives — after asserting the run executes on
     :class:`InProcessSubstrate`: the rotor-determinism reference is a
     property of that substrate (the seed loop, byte-for-byte), not of
     engine internals.
     """
-    runtime = Runtime(
-        build_kv_sdg(),
-        RuntimeConfig(se_instances={"table": 3}, scheduler=scheduler),
-    ).deploy()
     assert isinstance(runtime.substrate, InProcessSubstrate)
     trace = []
     original = runtime.substrate.process
 
     def record(instance, envelope):
-        trace.append((instance.name, instance.index, envelope.ts))
+        trace.append((instance.name, instance.index,
+                      envelope.channel.src_instance, envelope.ts))
         original(instance, envelope)
 
     runtime.substrate.process = record
+    return trace
+
+
+def traced_run(scheduler, straggle=False):
+    """Run a fixed KV workload; return the processing trace + results."""
+    runtime = Runtime(
+        build_kv_sdg(),
+        RuntimeConfig(se_instances={"table": 3}, scheduler=scheduler),
+    ).deploy()
+    trace = record_processing(runtime)
     if straggle:
         slow = runtime.te_instances("serve")[1]
         runtime.nodes[slow.node_id].speed = 0.4
@@ -216,7 +233,131 @@ def traced_run(scheduler, straggle=False):
     return trace, runtime.results["serve"]
 
 
+class FullScanLongestQueue:
+    """``LongestQueueScheduler`` as it was before the ready set.
+
+    Transcribed verbatim (credit accounting inlined): it filters every
+    live instance per step, which is what the shipped policy must stay
+    indistinguishable from.
+    """
+
+    name = "full_scan_reference"
+
+    def select(self, instances, nodes):
+        ready = [inst for inst in instances if inst.inbox]
+        ready.sort(key=lambda inst: (-len(inst.inbox), inst.key))
+        throttled = False
+        for instance in ready:
+            node = nodes[instance.node_id]
+            if node.speed < 1.0:
+                node.credit += max(node.speed, 0.0)
+                if node.credit < 1.0:
+                    throttled = True
+                    continue
+                node.credit -= 1.0
+            return instance, throttled
+        return None, throttled
+
+
+def build_pipeline_sdg():
+    """``route`` (stateless entry) -> ``serve`` (partitioned KV).
+
+    Two TEs, so growing the first one shifts the position of every
+    instance of the second in the scheduler's deployment order.
+    """
+    sdg = SDG("pipeline")
+    sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED,
+                  partition_by="key")
+
+    def serve(ctx, request):
+        op, key, value = request
+        if op == "put":
+            ctx.state.put(key, value)
+            return None
+        return (key, ctx.state.get(key))
+
+    sdg.add_task("route", noop, is_entry=True)
+    sdg.add_task("serve", serve, state="table",
+                 access=AccessMode.PARTITIONED)
+    sdg.connect("route", "serve", Dispatch.KEY_PARTITIONED,
+                key_fn=lambda request: request[1], key_name="key")
+    return sdg
+
+
+def structural_run(scheduler):
+    """One stream with every structural change landing mid-backlog.
+
+    In order: ``scale_up`` of the TE that is *first* in deployment
+    order (every later rotor index shifts), a chaos duplicate, a
+    straggler node, ``scale_up`` of the partitioned TE (repartition and
+    re-route), then ``fail_node`` -> recovery -> ``install_replacement``
+    with replay. Returns the processing trace, the results and the
+    merged table.
+    """
+    runtime = Runtime(
+        build_pipeline_sdg(),
+        RuntimeConfig(te_instances={"route": 2}, se_instances={"table": 3},
+                      scheduler=scheduler),
+    ).deploy()
+    trace = record_processing(runtime)
+    store = BackupStore(m_targets=2)
+    checkpoints = CheckpointManager(runtime, store)
+    recovery = RecoveryManager(runtime, store)
+    injector = FaultInjector(runtime, FaultPlan([
+        DuplicateEnvelope(at_step=30, te="serve", index=1),
+    ])).install()
+
+    def feed(start, count):
+        for i in range(start, start + count):
+            runtime.inject("route", ("put", f"k{i % 23}", i))
+            runtime.inject("route", ("get", f"k{i % 23}", None))
+
+    def steps(count):
+        for _ in range(count):
+            assert runtime.step()
+
+    feed(0, 30)
+    steps(17)
+    assert runtime.scale_up("route")
+    feed(30, 20)
+    steps(25)
+    assert len(injector.fired()) == 1
+    slow = runtime.te_instances("serve")[1]
+    runtime.nodes[slow.node_id].speed = 0.4
+    steps(20)
+    assert runtime.scale_up("serve")
+    feed(50, 20)
+    steps(15)
+    checkpoints.checkpoint_all()
+    feed(70, 20)
+    steps(15)
+    victim = runtime.se_instance("table", 0).node_id
+    runtime.fail_node(victim)
+    recovery.recover_node(victim)
+    feed(90, 10)
+    runtime.run_until_idle()
+    assert runtime.is_idle()
+    table = {}
+    for inst in runtime.se_instances("table"):
+        table.update(dict(inst.element.items()))
+    return trace, runtime.results["serve"], table
+
+
 class TestSeedDeterminism:
+    def test_round_robin_matches_seed_loop_across_structural_changes(self):
+        seed = structural_run(SeedLoopScheduler())
+        new = structural_run(RoundRobinScheduler())
+        assert new[0] == seed[0]
+        assert new[1:] == seed[1:]
+        # The workload did what it was built to do.
+        assert {te for te, *_ in new[0]} == {"route", "serve"}
+        assert set(new[2]) == {f"k{i}" for i in range(23)}
+
+    def test_longest_queue_matches_full_scan_across_structural_changes(self):
+        reference = structural_run(FullScanLongestQueue())
+        new = structural_run(LongestQueueScheduler())
+        assert new == reference
+
     def test_round_robin_matches_seed_loop_order(self):
         seed_trace, seed_results = traced_run(SeedLoopScheduler())
         new_trace, new_results = traced_run(RoundRobinScheduler())
