@@ -180,6 +180,7 @@ class CheckpointManager:
             raise RecoveryError(
                 f"node {node_id} already has a checkpoint in progress"
             )
+        self.runtime.pull_state()
         for se_inst in node.se_instances.values():
             se_inst.element.begin_checkpoint()
         te_meta: dict[tuple[str, int], TEMeta] = {}

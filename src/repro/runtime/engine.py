@@ -334,10 +334,21 @@ class Runtime:
         return self.topology.te_slot_count(te)
 
     def se_instances(self, se: str) -> list[SEInstance]:
+        self.pull_state()
         return self.topology.se_instances(se)
 
     def se_instance(self, se: str, index: int) -> SEInstance | None:
+        self.pull_state()
         return self.topology.se_instance(se, index)
+
+    def pull_state(self) -> None:
+        """Make this process's SE elements current before a read: a
+        substrate that keeps state in its workers fetches it here (its
+        optional ``pull_state`` hook). The step path never comes here.
+        """
+        pull = getattr(self.substrate, "pull_state", None)
+        if pull is not None:
+            pull()
 
     def alive_nodes(self) -> list[PhysicalNode]:
         return self.topology.alive_nodes()
@@ -565,8 +576,8 @@ class Runtime:
         Substrate-dispatched: in-process this is the deterministic
         step loop (auto-scale checks between steps); on the
         multiprocess substrate it pumps the coordinator's event loop
-        until every worker reports quiescence, then merges worker
-        state/results/metrics shards back (a barrier point).
+        until every worker reports quiescence (the barrier), then
+        appends the results the workers reported; state stays there.
         """
         self._require_deployed()
         return self.substrate.run_until_idle(max_steps)

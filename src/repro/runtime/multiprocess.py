@@ -25,16 +25,24 @@ Deadlock freedom by construction:
 * a worker only blocks on its control pipe when it is locally idle
   *after* reporting so (``MSG_IDLE``).
 
-Quiescence: each ``MSG_IDLE`` carries cumulative (consumed, emitted,
-processed) counters. Pipes are FIFO, so every ``MSG_OUT`` a worker
-emitted precedes the idle frame that counts it; the system is quiet
-exactly when every worker has consumed everything the coordinator
-sent, the coordinator has read everything every worker emitted, and
-no outbound bytes are queued. ``run_until_idle`` then runs the barrier
-sync (``MSG_SNAPSHOT``): workers ship SE elements, terminal results
-and their metrics shard back, and the coordinator installs them — so
-after the call, coordinator-side state inspection (fingerprints,
-checkpoints, reports) is substrate-agnostic.
+Quiescence *is* the barrier: each ``MSG_IDLE`` carries cumulative
+(consumed, emitted, processed) counters plus the terminal results
+produced since the previous report (shipped once; the worker then
+empties its lists). Pipes are FIFO, so every ``MSG_OUT`` and result a
+counter accounts for arrives no later than the counter; the system is
+quiet exactly when every worker has consumed everything the
+coordinator sent, the coordinator has read everything every worker
+emitted, and no outbound bytes are queued. ``run_until_idle`` then
+appends the buffered results to ``runtime.results`` in worker order
+and returns: no further frame, and with nothing injected no pipe is
+touched.
+
+State stays in the workers: a barrier that processed items marks the
+coordinator's SE elements stale, and a **state pull**
+(``MSG_SNAPSHOT``/``MSG_STATE``) refreshes them only when someone
+reads them — ``Runtime.se_instances()``/``se_instance()``
+(fingerprints, ``Program.state_of``, reports), ``CheckpointManager``
+and ``close()`` — so state inspection stays substrate-agnostic.
 
 Observability rides the same pipes (no side channels):
 
@@ -43,8 +51,8 @@ Observability rides the same pipes (no side channels):
   *between* barriers (drive the wire with :meth:`poll` /
   :meth:`Runtime.poll_telemetry` while a drain is in flight);
 * **causal tracing** — workers record hops with their forked tracer
-  and ship shards (``MSG_TRACE`` + the barrier reply) the coordinator
-  merges into one fleet-wide causal view;
+  and ship shards (``MSG_TRACE``, ahead of each idle report) the
+  coordinator merges into one fleet-wide causal view;
 * **profiling** — each worker's wall-clock phase shard travels beside
   the metrics shard when ``RuntimeConfig(profile=True)``;
 * **flight recorder** — a crashing worker ships its ring-buffer dump
@@ -54,9 +62,11 @@ Observability rides the same pipes (no side channels):
 Fleet restart (``RuntimeConfig(worker_restarts=N)``): a worker crash
 normally aborts the run. With restarts budgeted, the coordinator
 instead retires the dead fleet's barrier-fenced telemetry, tears every
-worker down, re-forks a fresh fleet from its own (barrier-consistent)
-state, and replays the input envelopes delivered since the last
-barrier — deterministic tasks then reproduce exactly the lost work.
+worker down, re-forks a fresh fleet from its own state, and replays
+the input envelopes delivered since the last barrier — deterministic
+tasks then reproduce exactly the lost work. The fork source must be
+barrier-consistent, so while restart budget remains the state pull
+runs at every barrier that processed items.
 Metric shards fenced at the last barrier are retired so the merged
 totals never double-count a crashed worker's replayed items; post-
 barrier live shards are discarded (the replay re-counts that work
@@ -139,8 +149,8 @@ class _Link:
     __slots__ = (
         "worker_id", "process", "send_fd", "recv_fd", "buffer", "outbox",
         "sent", "consumed", "emitted", "received_out", "processed",
-        "state_reply", "live_shard", "fenced_shard", "fenced_processed",
-        "profile_shard",
+        "results", "state_reply", "live_shard", "fenced_shard",
+        "fenced_processed", "profile_shard",
     )
 
     def __init__(self, worker_id: int, process, send_fd: int,
@@ -161,9 +171,13 @@ class _Link:
         self.processed = 0
         #: MSG_OUT frames read *from* this worker.
         self.received_out = 0
+        #: Terminal results reported since the last barrier, by TE;
+        #: the barrier appends them to ``runtime.results``.
+        self.results: dict[str, list] = {}
+        #: SE elements of a state pull in flight, by ``(se, index)``.
         self.state_reply: dict | None = None
-        #: Freshest cumulative metrics snapshot (idle piggyback or
-        #: barrier reply) — what ``merged_metrics()`` reads live.
+        #: Freshest cumulative metrics snapshot (idle piggyback) —
+        #: what ``merged_metrics()`` reads live.
         self.live_shard: dict | None = None
         #: Snapshot as of the last *barrier* — what survives into
         #: ``_retired_shards`` if this worker's fleet is restarted.
@@ -225,6 +239,11 @@ class MultiprocessSubstrate:
         self.runtime: "Runtime | None" = None
         self.placement: "WorkerPlacement | None" = None
         self._links: list[_Link] = []
+        #: ``recv_fd -> link`` of the live fleet (the select read set).
+        self._readers: dict[int, _Link] = {}
+        #: Whether the workers' SE elements are ahead of the coordinator's
+        #: (a barrier processed items since the last state pull).
+        self._stale = False
         self._routed = 0
         self._processed_base = 0
         self._finalizer = None
@@ -232,9 +251,6 @@ class MultiprocessSubstrate:
         #: Barrier-fenced metric shards of fleets that were restarted.
         self._retired_shards: list[dict] = []
         self._retired_processed = 0
-        #: Terminal results as of the barrier preceding the last
-        #: restart (the re-forked fleet re-collects only newer work).
-        self._retired_results: dict[str, list] = {}
         #: Input envelopes delivered since the last barrier — the
         #: replay source for a fleet restart. Only kept when restarts
         #: are budgeted.
@@ -299,8 +315,8 @@ class MultiprocessSubstrate:
         """Fork one worker per placement group and open its pipes.
 
         Called at bind time and again on every fleet restart — the
-        children always inherit the coordinator's *current* (barrier-
-        consistent) state.
+        children inherit the coordinator's SE mirror, which a restart
+        finds as of the last barrier (see :meth:`_sync`).
         """
         runtime = self.runtime
         try:
@@ -328,7 +344,9 @@ class MultiprocessSubstrate:
                 name=f"repro-worker-{wid}",
             )
             process.start()
-            self._links.append(_Link(wid, process, c2w_w, w2c_r))
+            link = _Link(wid, process, c2w_w, w2c_r)
+            self._links.append(link)
+            self._readers[w2c_r] = link
         for c2w_r, c2w_w, w2c_r, w2c_w in pipes:
             os.close(c2w_r)
             os.close(w2c_w)
@@ -372,7 +390,7 @@ class MultiprocessSubstrate:
         )
 
     def run_until_idle(self, max_steps: int) -> int:
-        """Pump the star until quiescent, then barrier-sync state back."""
+        """Pump the star until quiescent; that point is the barrier."""
         routed_start = self._routed
         while True:
             try:
@@ -421,11 +439,39 @@ class MultiprocessSubstrate:
             if link.sent - link.consumed > self.capacity
         ]
 
+    def pull_state(self) -> None:
+        """Bring the coordinator's SE elements up to the workers'.
+
+        The hook behind ``Runtime.se_instances()``: a no-op unless a
+        barrier processed items since the last pull. A read between
+        ``inject`` and the drain sees each worker's state as of the
+        moment the pull reached it.
+        """
+        if self._stale:
+            try:
+                self._pull()
+            except _WorkerFailure as failure:
+                self._handle_failure(failure)
+
     def shutdown(self) -> None:
-        """Stop workers and close pipes (idempotent)."""
+        """Stop workers and close pipes (idempotent).
+
+        A quiet fleet's state is pulled first, so what is read after
+        ``close()`` is what the last barrier left.
+        """
         if not self._links:
             return
-        links, self._links = self._links, []
+        if self._stale and self._quiet():
+            try:
+                self._pull()
+            except _WorkerFailure:
+                pass  # its state died with it; keep the last pull's
+        self._drop_fleet()
+
+    def _drop_fleet(self) -> None:
+        """Release the fleet; nothing is ahead of the mirror any more."""
+        links, self._links, self._readers = self._links, [], {}
+        self._stale = False
         if self._finalizer is not None:
             self._finalizer.detach()
             self._finalizer = None
@@ -489,19 +535,13 @@ class MultiprocessSubstrate:
 
     def _pump(self, timeout: float) -> None:
         """One select round: drain worker frames, flush pending writes."""
-        rlist = {link.recv_fd: link for link in self._links}
+        rlist = self._readers
         wlist = {link.send_fd: link
                  for link in self._links if link.outbox}
+        t0 = time.perf_counter()
+        readable, writable, _ = select.select(rlist, wlist, [], timeout)
         if self._p_wire_wait is not None:
-            t0 = time.perf_counter()
-            readable, writable, _ = select.select(
-                list(rlist), list(wlist), [], timeout
-            )
             self._p_wire_wait.add(time.perf_counter() - t0)
-        else:
-            readable, writable, _ = select.select(
-                list(rlist), list(wlist), [], timeout
-            )
         for fd in writable:
             self._flush(wlist[fd])
         for fd in readable:
@@ -522,26 +562,15 @@ class MultiprocessSubstrate:
         if tag == MSG_OUT:
             link.received_out += 1
             self.deliver(message[1])
-        elif tag == MSG_IDLE:
-            _, link.consumed, link.emitted, link.processed, obs = message
-            if obs:
-                self._absorb_obs(link, obs)
+        elif tag == MSG_IDLE or tag == MSG_STATE:
+            link.consumed, link.emitted, link.processed = message[1:4]
+            self._absorb_obs(link, message[4])
+            if tag == MSG_STATE:
+                link.state_reply = message[5]
         elif tag == MSG_TRACE:
             tracer = self.runtime.tracer
             if tracer is not None:
                 tracer.merge_shard(message[1])
-        elif tag == MSG_STATE:
-            reply = message[1]
-            link.consumed = reply["consumed"]
-            link.emitted = reply["emitted"]
-            link.processed = reply["processed"]
-            link.live_shard = reply["metrics"]
-            if reply.get("profile") is not None:
-                link.profile_shard = reply["profile"]
-            trace_shard = reply.get("trace")
-            if trace_shard and self.runtime.tracer is not None:
-                self.runtime.tracer.merge_shard(trace_shard)
-            link.state_reply = reply
         elif tag == MSG_CRASH:
             extra = message[2] if len(message) > 2 else {}
             raise _WorkerFailure(
@@ -556,13 +585,16 @@ class MultiprocessSubstrate:
             )
 
     def _absorb_obs(self, link: _Link, obs: dict) -> None:
-        """Install a piggybacked telemetry report (cumulative shards)."""
+        """Install a piggybacked report: cumulative telemetry shards,
+        and the results produced since the previous one."""
         metrics = obs.get("metrics")
         if metrics is not None:
             link.live_shard = metrics
         profile = obs.get("profile")
         if profile is not None:
             link.profile_shard = profile
+        for te, items in obs.get("results", {}).items():
+            link.results.setdefault(te, []).extend(items)
 
     def _quiet(self) -> bool:
         """Nothing queued, nothing unconsumed, nothing unread."""
@@ -592,7 +624,8 @@ class MultiprocessSubstrate:
         the error. With budget: retire the fleet's barrier-fenced
         telemetry, tear every worker down, re-fork from the
         coordinator's barrier-consistent state, and replay the input
-        envelopes delivered since that barrier.
+        envelopes delivered since that barrier (results reported
+        after it were never appended; the replay re-reports them).
         """
         runtime = self.runtime
         flight_dump = failure.extra.get("flight")
@@ -613,8 +646,6 @@ class MultiprocessSubstrate:
             if link.fenced_shard is not None:
                 self._retired_shards.append(link.fenced_shard)
             self._retired_processed += link.fenced_processed
-        self._retired_results = {te: list(items)
-                                 for te, items in runtime.results.items()}
         runtime.events.publish(
             "substrate", KIND.WORKER_RESTART, runtime.total_steps,
             worker=failure.link.worker_id,
@@ -627,63 +658,64 @@ class MultiprocessSubstrate:
                 worker=failure.link.worker_id,
                 detail=failure.detail.splitlines()[0],
             )
-        links, self._links = self._links, []
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        _release(links)
+        self._drop_fleet()
         self._fork_fleet()
         log, self._replay_log = self._replay_log, []
         for envelope in log:
             self.deliver(envelope)
 
     # ------------------------------------------------------------------
-    # Barrier sync
+    # Barrier and state pull
     # ------------------------------------------------------------------
 
     def _sync(self) -> int:
-        """Ship worker state back and install it on the coordinator.
+        """Commit the quiescent point the fleet just reached.
 
-        After this barrier the coordinator's topology holds every SE
-        element, ``runtime.results`` holds the merged terminal outputs
-        (retired fleets' results first, then the live fleet in worker
-        order — deterministic for a fixed placement), and
-        ``metric_shards`` holds each worker's registry snapshot.
-        Returns the items processed since the previous barrier.
+        Appends the results reported since the previous barrier to
+        ``runtime.results`` (worker order: deterministic for a fixed
+        placement and sequence of driver calls; the dict and its lists
+        keep their identity) and fences each worker's telemetry for a
+        later restart. Sends nothing — unless restart budget remains:
+        a re-fork starts from the coordinator's SE elements, so they
+        must follow every barrier. Returns the items processed since
+        the previous barrier.
         """
-        runtime = self.runtime
+        results = self.runtime.results
+        processed_total = self._retired_processed + sum(
+            link.processed for link in self._links)
+        delta = processed_total - self._processed_base
+        if delta:
+            self._stale = True
+            if self._restarts_left:
+                # Before anything is committed: a crash in here must
+                # restart from the previous barrier, log intact.
+                self._pull()
+        for link in self._links:
+            for te, items in link.results.items():
+                results.setdefault(te, []).extend(items)
+            link.results = {}
+            link.fenced_shard = link.live_shard
+            link.fenced_processed = link.processed
+        self._replay_log.clear()
+        self._processed_base = processed_total
+        return delta
+
+    def _pull(self) -> None:
+        """One state pull: every worker ships the SE elements it owns."""
         for link in self._links:
             link.state_reply = None
             self._send(link, (MSG_SNAPSHOT,))
         while any(link.state_reply is None for link in self._links):
             self._pump(0.1)
-        results: dict[str, list] = {te: [] for te in runtime.results}
-        for te, items in self._retired_results.items():
-            results.setdefault(te, []).extend(items)
-        processed_total = self._retired_processed
+        # Installed only once every worker answered, so a death midway
+        # leaves the previous pull's elements whole.
+        topology = self.runtime.topology
         for link in self._links:
-            reply = link.state_reply
-            for (se_name, index), element in reply["se"].items():
-                inst = runtime.topology.se_instance(se_name, index)
+            for (se_name, index), element in link.state_reply.items():
+                inst = topology.se_instance(se_name, index)
                 if inst is not None:
                     inst.element = element
-            for te, items in reply["results"].items():
-                results.setdefault(te, []).extend(items)
-            link.live_shard = reply["metrics"]
-            link.fenced_shard = reply["metrics"]
-            link.fenced_processed = reply["processed"]
-            if reply.get("profile") is not None:
-                link.profile_shard = reply["profile"]
-            trace_shard = reply.get("trace")
-            if trace_shard and runtime.tracer is not None:
-                runtime.tracer.merge_shard(trace_shard)
-            processed_total += reply["processed"]
-        runtime.results.clear()
-        runtime.results.update(results)
-        self._replay_log.clear()
-        delta = processed_total - self._processed_base
-        self._processed_base = processed_total
-        return delta
+        self._stale = False
 
 
 # ----------------------------------------------------------------------
@@ -755,11 +787,12 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
     # values; zero it so this worker's shard is purely its own work
     # and the barrier merge never double-counts.
     runtime.metrics.reset()
-    # The inherited results hold whatever the coordinator merged at its
-    # last barrier (non-empty after a fleet restart); zero them so this
-    # worker ships only work it performed itself.
-    for te in list(runtime.results):
-        runtime.results[te] = []
+    # The inherited results hold whatever the coordinator collected up
+    # to its last barrier (non-empty after a fleet restart); zero them
+    # so this worker ships only work it performed itself.
+    results = runtime.results
+    for te in results:
+        results[te] = []
     tracer = runtime.tracer
     if tracer is not None:
         # Keep the inherited trace books (the served-set makes local
@@ -843,6 +876,29 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
             else:
                 select.select([recv_fd], [], [])
 
+    def report(tag: str, *extra: Any) -> tuple:
+        """Ship the counters with everything new since the last report."""
+        progress = (counters["consumed"], counters["emitted"],
+                    counters["processed"])
+        # Trace hops first (FIFO pipe: the coordinator merges them
+        # before it can observe this progress report), then the
+        # counters with telemetry shards and fresh results piggybacked.
+        if tracer is not None:
+            shard = tracer.drain_shard()
+            if shard:
+                ship((MSG_TRACE, shard))
+        obs: dict = {"metrics": runtime.metrics.snapshot()}
+        if profiler is not None:
+            obs["profile"] = profiler.snapshot()
+        fresh = {te: items for te, items in results.items() if items}
+        if fresh:
+            obs["results"] = fresh
+        ship((tag,) + progress + (obs,) + extra)
+        # Shipped once: the coordinator owns them from here.
+        for items in fresh.values():
+            items.clear()
+        return progress
+
     reported = None
     drained = 0
     while True:
@@ -858,22 +914,9 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
                     )
                 continue
             drained = 0
-            report = (counters["consumed"], counters["emitted"],
-                      counters["processed"])
-            if report != reported:
-                # Trace hops first (FIFO pipe: the coordinator merges
-                # them before it can observe this progress report),
-                # then the counters with the telemetry shards
-                # piggybacked.
-                if tracer is not None:
-                    shard = tracer.drain_shard()
-                    if shard:
-                        ship((MSG_TRACE, shard))
-                obs: dict = {"metrics": runtime.metrics.snapshot()}
-                if profiler is not None:
-                    obs["profile"] = profiler.snapshot()
-                ship((MSG_IDLE,) + report + (obs,))
-                reported = report
+            if reported != (counters["consumed"], counters["emitted"],
+                            counters["processed"]):
+                reported = report(MSG_IDLE)
             poll(block=True)
             continue
         message = pending.popleft()
@@ -882,8 +925,10 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         if tag == MSG_DELIVER:
             runtime.transport.deliver(message[1])
         elif tag == MSG_SNAPSHOT:
-            ship((MSG_STATE, _snapshot(
-                runtime, worker_id, placement, counters)))
+            # A state pull: a full report with the elements attached,
+            # so consuming this frame triggers no idle report after it.
+            reported = report(MSG_STATE, _owned_elements(
+                runtime, worker_id, placement))
         elif tag == MSG_HELLO:
             _check_hello(runtime, message, worker_id, placement)
         elif tag == MSG_SHUTDOWN:
@@ -917,32 +962,12 @@ def _check_hello(runtime: "Runtime", message: tuple, worker_id: int,
         )
 
 
-def _snapshot(runtime: "Runtime", worker_id: int, placement,
-              counters: dict) -> dict:  # pragma: no cover - subprocess
-    """This worker's barrier payload: SE elements, results, telemetry."""
-    elements = {}
-    for se_name in runtime.sdg.states:
-        for inst in runtime.topology.se_instances(se_name):
-            if placement.worker_of_node(inst.node_id) == worker_id:
-                elements[inst.key] = inst.element
-    reply = {
-        "worker": worker_id,
-        "consumed": counters["consumed"],
-        "emitted": counters["emitted"],
-        "processed": counters["processed"],
-        "se": elements,
-        "results": {te: list(items)
-                    for te, items in runtime.results.items() if items},
-        "metrics": runtime.metrics.snapshot(),
-        "steps": runtime.total_steps,
+def _owned_elements(runtime: "Runtime", worker_id: int,
+                    placement) -> dict:  # pragma: no cover - subprocess
+    """The SE elements this worker owns, by ``(se, index)``."""
+    return {
+        inst.key: inst.element
+        for se_name in runtime.sdg.states
+        for inst in runtime.topology.se_instances(se_name)
+        if placement.worker_of_node(inst.node_id) == worker_id
     }
-    tracer = runtime.tracer
-    if tracer is not None:
-        reply["trace"] = tracer.drain_shard()
-    profiler = runtime.profiler
-    if profiler is not None:
-        reply["profile"] = profiler.snapshot()
-    flight = runtime.flight
-    if flight is not None:
-        reply["flight"] = flight.dump()
-    return reply

@@ -47,7 +47,9 @@ class ExecutionSubstrate(Protocol):
     to drain, and :meth:`shutdown` when the runtime is closed.
     :meth:`process` lets a substrate observe/intercept the in-process
     step loop, which worker processes of a distributed substrate reuse
-    verbatim.
+    verbatim. Optional, looked up by name: ``poll(timeout)`` (service
+    telemetry between barriers) and ``pull_state()`` (fetch SE state
+    held by workers before the engine hands it to a reader).
     """
 
     #: Registry name (``RuntimeConfig(substrate=name)``).

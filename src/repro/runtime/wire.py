@@ -166,8 +166,10 @@ def write_frame(fd: int, message: Any) -> None:
 # and the tags reserve the vocabulary for the follow-ups.
 #
 # Telemetry rides the same pipes: idle reports piggyback metric and
-# profile shards, MSG_TRACE ships causal-trace hops, and crash frames
-# carry the worker's flight-recorder dump — no side channels.
+# profile shards and the terminal results produced since the previous
+# report, MSG_TRACE ships causal-trace hops, and crash frames carry the
+# worker's flight-recorder dump — no side channels. SE state crosses
+# only when the coordinator pulls it (MSG_SNAPSHOT / MSG_STATE).
 
 #: coordinator -> worker: bootstrap (worker id, placement, successor
 #: index digest, capability flags); the worker verifies it against its
@@ -175,7 +177,7 @@ def write_frame(fd: int, message: Any) -> None:
 MSG_HELLO = "hello"
 #: coordinator -> worker: one envelope to enqueue locally.
 MSG_DELIVER = "deliver"
-#: coordinator -> worker: ship back SE state, results, metrics shard.
+#: coordinator -> worker: state pull — ship back the SE elements you own.
 MSG_SNAPSHOT = "snapshot"
 #: coordinator -> worker: exit the worker loop.
 MSG_SHUTDOWN = "shutdown"
@@ -184,18 +186,17 @@ MSG_SHUTDOWN = "shutdown"
 MSG_OUT = "out"
 #: worker -> coordinator: progress report — ``(tag, consumed, emitted,
 #: processed, obs)`` where the cumulative counters double as the
-#: quiescence signal and ``obs`` is either ``None`` or a dict of
-#: telemetry shards (``{"metrics": snapshot, "profile": snapshot}``)
-#: piggybacked so the coordinator's merged view stays fresh between
-#: barriers. Workers only attach ``obs`` when it changed since the
-#: last report.
+#: quiescence signal and ``obs`` is a dict of cumulative telemetry
+#: shards (``"metrics"``, ``"profile"``) plus ``"results"``: the
+#: terminal outputs produced since the previous report, by TE, each
+#: shipped exactly once.
 MSG_IDLE = "idle"
 #: worker -> coordinator: ``(tag, [(trace_id, Hop), ...])`` — causal
 #: trace hops recorded since the last drain. Pure telemetry: never
 #: counted in the consumed/emitted quiescence arithmetic.
 MSG_TRACE = "trace"
-#: worker -> coordinator: snapshot reply (SE elements, results, metrics
-#: shard; plus drained trace hops and the profile shard when enabled).
+#: worker -> coordinator: state-pull reply — an idle report with one
+#: more field, the worker's SE elements by ``(se, index)``.
 MSG_STATE = "state"
 #: worker -> coordinator: the worker loop died — ``(tag, traceback,
 #: extra)`` where ``extra`` carries the worker id, step count and the

@@ -159,7 +159,8 @@ class TestLiveMetricStreaming:
 def build_crash_once_kv(flag_path):
     """A KV app whose ``boom`` key crashes the owning worker exactly
     once: the flag file survives the re-fork, the second service
-    succeeds. (Process memory resets on restart; disk does not.)"""
+    succeeds. (Process memory resets on restart; disk does not.)
+    ``get`` requests answer ``(key, value)`` as terminal results."""
     sdg = SDG("crashonce")
     sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED,
                   partition_by="key")
@@ -170,6 +171,8 @@ def build_crash_once_kv(flag_path):
             with open(flag_path, "w") as fh:
                 fh.write("crashed")
             os._exit(13)  # hard death: no MSG_CRASH, no cleanup
+        if op == "get":
+            return (key, ctx.state.get(key))
         ctx.state.put(key, value)
 
     sdg.add_task("serve", serve, state="table",
@@ -181,16 +184,22 @@ def build_crash_once_kv(flag_path):
 class TestCrashRestartAccounting:
     """Satellite: restart telemetry neither loses nor double-counts."""
 
-    def run_workload(self, sdg, substrate, workers=None, restarts=0):
+    #: One drain: 24 puts, then the key that crashes its worker once.
+    ONE_ROUND = ([("put", f"k{i}", i) for i in range(24)]
+                 + [("put", "boom", 99)],)
+
+    def run_workload(self, sdg, substrate, workers=None, restarts=0,
+                     rounds=ONE_ROUND):
+        """Inject each round's requests, draining after every round."""
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate=substrate, workers=workers,
                                worker_restarts=restarts)
         runtime = Runtime(sdg, config).deploy()
         try:
-            for i in range(24):
-                runtime.inject("serve", ("put", f"k{i}", i))
-            runtime.inject("serve", ("put", "boom", 99))
-            runtime.run_until_idle()
+            for requests in rounds:
+                for request in requests:
+                    runtime.inject("serve", request)
+                runtime.run_until_idle()
             metrics = runtime.merged_metrics().snapshot()
             series = metrics["engine_items_processed_total"]["children"]
             results = {te: sorted(map(repr, items))
@@ -216,6 +225,33 @@ class TestCrashRestartAccounting:
         assert os.path.exists(flag), "the crash never happened"
         assert len(crashed[3]) == 1, "expected one worker-restart event"
         assert clean[3] == []
+
+    def test_restart_after_several_barriers_keeps_state(self, tmp_path):
+        # The crash lands in the *third* drain: the re-forked fleet
+        # must start from the state, results and counters the first
+        # two barriers left, not from what the coordinator held at
+        # deploy (a restart that forks from a stale mirror loses k0-k23
+        # and answers the gets below with None).
+        keys = [f"k{i}" for i in range(24)]
+        rounds = (
+            [("put", key, i) for i, key in enumerate(keys[:12])],
+            [("put", key, i) for i, key in enumerate(keys[12:], 12)]
+            + [("get", key, None) for key in keys[:12]],
+            [("put", "boom", 99)]
+            + [("get", key, None) for key in keys],
+        )
+        flag = str(tmp_path / "crashed.flag")
+        crashed = self.run_workload(build_crash_once_kv(flag),
+                                    "multiprocess", workers=2,
+                                    restarts=1, rounds=rounds)
+        oracle_flag = str(tmp_path / "preset.flag")
+        open(oracle_flag, "w").close()
+        clean = self.run_workload(build_crash_once_kv(oracle_flag),
+                                  "inprocess", rounds=rounds)
+        assert crashed[:3] == clean[:3]
+        assert len(clean[1]["serve"]) == 36
+        assert os.path.exists(flag), "the crash never happened"
+        assert len(crashed[3]) == 1, "expected one worker-restart event"
 
     def test_restart_budget_exhaustion_still_fails(self, tmp_path):
         # Two crash sites, one restart: the second death propagates.

@@ -6,8 +6,9 @@ injected inputs, every substrate must produce the same final SE state
 layer's partition-independent ``state_fingerprint``) and the same
 terminal results. On top of that, this file covers the multiprocess
 specifics: wire backpressure under a bounded in-flight window, crash
-propagation, barrier metrics merging, the payload-isolation capability
-flag, and the deploy-time configuration gates.
+propagation, barrier metrics merging, state that stays in the workers
+until it is read, the payload-isolation capability flag, and the
+deploy-time configuration gates.
 """
 
 import time
@@ -19,6 +20,7 @@ from repro.core import SDG
 from repro.core.elements import AccessMode, StateKind
 from repro.durability.manifest import state_fingerprint
 from repro.errors import RuntimeExecutionError
+from repro.recovery import BackupStore, CheckpointManager
 from repro.runtime import (
     InProcessSubstrate,
     Runtime,
@@ -236,6 +238,135 @@ class TestMultiprocessLifecycle:
         _, _, _ = run_kv("multiprocess", workers=2, puts=30, gets=0)
         processed, _, _ = run_kv("inprocess", puts=30, gets=0)
         assert processed == 30
+
+
+def wire_totals(runtime):
+    """(frames, bytes) crossing the star so far, both roles and ways."""
+    metrics = runtime.merged_metrics()
+    return (metrics.total("wire_frames_total"),
+            metrics.total("wire_bytes_total"))
+
+
+class TestStateStaysInWorkers:
+    """Quiescence is the barrier; SE state crosses only when read.
+
+    Everything here is a count the program makes itself — frames,
+    bytes, object identity — never a wall clock.
+    """
+
+    @staticmethod
+    def deploy(substrate="multiprocess"):
+        config = RuntimeConfig(
+            se_instances={"table": 4}, substrate=substrate,
+            workers=2 if substrate == "multiprocess" else None)
+        return Runtime(build_kv_sdg(), config).deploy()
+
+    def test_empty_drain_touches_no_pipe(self):
+        runtime = self.deploy()
+        try:
+            for i in range(20):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            assert runtime.run_until_idle() == 20
+            for read_state_first in (False, True):
+                if read_state_first:
+                    # A state pull leaves no frame behind either.
+                    state_fingerprint(runtime)
+                before = wire_totals(runtime)
+                assert runtime.run_until_idle() == 0
+                assert wire_totals(runtime) == before
+        finally:
+            runtime.close()
+
+    def test_request_bytes_do_not_grow_with_state(self):
+        def get_round_bytes(distinct_keys):
+            runtime = self.deploy()
+            try:
+                # Same operations, same values, same counters on both
+                # sides: only the number of entries held differs.
+                for i in range(5000):
+                    runtime.inject(
+                        "serve", ("put", f"k{i % distinct_keys}", "v"))
+                runtime.run_until_idle()
+                deltas = []
+                for _ in range(2):
+                    before = wire_totals(runtime)
+                    runtime.inject("serve", ("get", "k7", None))
+                    runtime.run_until_idle()
+                    after = wire_totals(runtime)
+                    deltas.append((after[0] - before[0],
+                                   after[1] - before[1]))
+                assert runtime.results["serve"] == [("k7", "v")] * 2
+                return deltas
+            finally:
+                runtime.close()
+
+        assert get_round_bytes(100) == get_round_bytes(5000)
+
+    def test_results_arrive_as_deltas_into_the_same_lists(self):
+        def rounds(runtime):
+            seen = []
+            for n in range(6):
+                for i in range(8):
+                    runtime.inject("serve", ("put", f"k{i}", (n, i)))
+                    runtime.inject("serve", ("get", f"k{i}", None))
+                runtime.run_until_idle()
+                seen.append(len(runtime.results["serve"]))
+            return seen
+
+        def per_key(replies):
+            grouped = {}
+            for key, value in replies:
+                grouped.setdefault(key, []).append(value)
+            return grouped
+
+        oracle = self.deploy("inprocess")
+        oracle_seen = rounds(oracle)
+        runtime = self.deploy()
+        try:
+            results, bucket = runtime.results, runtime.results["serve"]
+            assert rounds(runtime) == oracle_seen
+            # The driver may hold a reference across requests.
+            assert runtime.results is results
+            assert runtime.results["serve"] is bucket
+        finally:
+            runtime.close()
+        # Each key lives in one partition, so its replies keep their
+        # order; across keys only the worker-order merge is fixed.
+        assert per_key(bucket) == per_key(oracle.results["serve"])
+        assert runtime.results["serve"] is bucket
+
+    def test_checkpoint_pulls_before_it_freezes(self):
+        # CheckpointManager walks node.se_instances itself, past the
+        # Runtime accessors: begin() is a pull point of its own.
+        runtime = self.deploy()
+        try:
+            for i in range(40):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            runtime.run_until_idle()
+            manager = CheckpointManager(runtime, BackupStore(m_targets=2))
+            checkpoints = manager.checkpoint_all()
+        finally:
+            runtime.close()
+        assert sum(c.state_entries() for c in checkpoints) == 40
+
+    def test_state_read_after_close_is_the_last_barrier(self):
+        def drained(substrate):
+            runtime = self.deploy(substrate)
+            for i in range(60):
+                runtime.inject("serve", ("put", f"k{i % 23}", i))
+            runtime.run_until_idle()
+            return runtime
+
+        expected = state_fingerprint(drained("inprocess"))
+        read_first = drained("multiprocess")
+        try:
+            before = state_fingerprint(read_first)
+        finally:
+            read_first.close()
+        assert before == state_fingerprint(read_first) == expected
+        never_read = drained("multiprocess")
+        never_read.close()
+        assert state_fingerprint(never_read) == expected
 
 
 class TestPayloadIsolation:
