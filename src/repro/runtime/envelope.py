@@ -92,30 +92,3 @@ class Envelope:
                         request_id=self.request_id,
                         expected_responses=self.expected_responses,
                         trace_id=self.trace_id)
-
-    # -- wire serialisation ----------------------------------------------
-    #
-    # The multiprocess substrate pickles envelopes across process
-    # boundaries. ``to_wire``/``from_wire`` pin the field order as an
-    # explicit tuple so the contract survives dataclass refactors
-    # (added fields, __slots__, reordering) — the wire tests assert
-    # both this path and plain pickling stay equivalent.
-
-    WIRE_FIELDS = ("payload", "ts", "channel", "request_id",
-                   "expected_responses", "trace_id")
-
-    def to_wire(self) -> tuple:
-        """The envelope as a positional tuple (channel flattened)."""
-        return (self.payload, self.ts,
-                (self.channel.edge_index, self.channel.src_te,
-                 self.channel.src_instance, self.channel.dst_te,
-                 self.channel.dst_instance),
-                self.request_id, self.expected_responses, self.trace_id)
-
-    @classmethod
-    def from_wire(cls, wired: tuple) -> "Envelope":
-        """Rebuild an envelope from :meth:`to_wire` output."""
-        payload, ts, channel, request_id, expected, trace_id = wired
-        return cls(payload=payload, ts=ts, channel=ChannelId(*channel),
-                   request_id=request_id, expected_responses=expected,
-                   trace_id=trace_id)

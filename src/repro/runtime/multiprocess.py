@@ -17,21 +17,35 @@ functions are closures and generated code that pickle cannot ship, but
 a forked child inherits the fully deployed runtime for free — only
 envelopes and control messages ever cross the wire.
 
+Envelopes cross in **runs**: ``deliver()`` appends to a per-worker
+pending list that becomes one ``MSG_DELIVER`` frame at ``WIRE_RUN``
+envelopes, at the top of every pump round (so ``run_until_idle``,
+``poll`` and a state pull all flush) and ahead of any control frame to
+that worker, which keeps each link FIFO. A relayed ``MSG_OUT`` list is
+re-delivered envelope by envelope and so re-grouped per destination.
+Injecting less than one run and never pumping leaves those envelopes in
+the coordinator until the next drain, poll or state read. A worker
+empties its pipe into the inboxes, then takes up to ``WIRE_RUN`` local
+steps before it looks at the pipe again.
+
 Deadlock freedom by construction:
 
 * the coordinator never blocks on a write — outbound frames queue in
   per-worker byte queues and drain through a ``select`` loop that
   always also reads;
 * a worker only blocks on its control pipe when it is locally idle
-  *after* reporting so (``MSG_IDLE``).
+  *after* reporting so (``MSG_IDLE``), and a report first flushes the
+  worker's outgoing list — nothing is buffered while a worker waits.
 
 Quiescence *is* the barrier: each ``MSG_IDLE`` carries cumulative
 (consumed, emitted, processed) counters plus the terminal results
 produced since the previous report (shipped once; the worker then
-empties its lists). Pipes are FIFO, so every ``MSG_OUT`` and result a
+empties its lists). The counters are in **envelopes** (one per control
+frame), and ``sent`` includes envelopes still pending in the
+coordinator. Pipes are FIFO, so every ``MSG_OUT`` and result a
 counter accounts for arrives no later than the counter; the system is
 quiet exactly when every worker has consumed everything the
-coordinator sent, the coordinator has read everything every worker
+coordinator routed, the coordinator has read everything every worker
 emitted, and no outbound bytes are queued. ``run_until_idle`` then
 appends the buffered results to ``runtime.results`` in worker order
 and returns: no further frame, and with nothing injected no pipe is
@@ -126,6 +140,12 @@ WORKER_DRAIN_LIMIT = 10_000_000
 #: Read size for both sides of the pipe.
 _READ_CHUNK = 1 << 16
 
+#: Envelopes per data frame: a pending list becomes one ``MSG_DELIVER``
+#: / ``MSG_OUT`` frame when it reaches this length (or earlier, at the
+#: flush points), and a worker takes at most this many local steps
+#: between two looks at its pipe. Same order as ``engine.RUN_MAX``.
+WIRE_RUN = 64
+
 #: Flight-recorder tail length appended to a fatal crash error.
 _CRASH_TAIL = 20
 
@@ -148,7 +168,7 @@ class _Link:
 
     __slots__ = (
         "worker_id", "process", "send_fd", "recv_fd", "buffer", "outbox",
-        "sent", "consumed", "emitted", "received_out", "processed",
+        "pending", "sent", "consumed", "emitted", "received_out", "processed",
         "results", "state_reply", "live_shard", "fenced_shard",
         "fenced_processed", "profile_shard",
     )
@@ -162,14 +182,17 @@ class _Link:
         self.buffer = FrameBuffer()
         #: Encoded frames waiting for pipe capacity (never block a write).
         self.outbox: deque = deque()
-        #: Frames enqueued towards this worker (every kind).
+        #: Envelopes routed to this worker and not yet framed.
+        self.pending: list[Envelope] = []
+        #: Routed towards this worker: envelopes (framed or still
+        #: pending) plus one per control frame.
         self.sent = 0
         #: Worker's cumulative consumed/emitted/processed, as of its
         #: latest MSG_IDLE / MSG_STATE report.
         self.consumed = 0
         self.emitted = 0
         self.processed = 0
-        #: MSG_OUT frames read *from* this worker.
+        #: Envelopes read *from* this worker (in MSG_OUT frames).
         self.received_out = 0
         #: Terminal results reported since the last barrier, by TE;
         #: the barrier appends them to ``runtime.results``.
@@ -365,21 +388,25 @@ class MultiprocessSubstrate:
 
     def deliver(self, envelope: "Envelope") -> bool:
         """Route one envelope to the worker owning its destination."""
-        owner = self.placement.owner_of(
+        link = self._links[self.placement.owner_of(
             envelope.channel.dst_te, envelope.channel.dst_instance
-        )
+        )]
         self._routed += 1
-        if self.restarts and envelope.channel.edge_index == INPUT_EDGE:
-            # Log first: if the send trips over a dead worker, the
+        logged = self.restarts and envelope.channel.edge_index == INPUT_EDGE
+        if logged:
+            # Log first: if the flush trips over a dead worker, the
             # restart's replay re-delivers this envelope too, so the
             # handler below must not retry it itself.
             self._replay_log.append(envelope)
+        link.pending.append(envelope)
+        link.sent += 1
+        if len(link.pending) >= WIRE_RUN:
             try:
-                self._send(self._links[owner], (MSG_DELIVER, envelope))
+                self._flush_run(link)
             except _WorkerFailure as failure:
+                if not logged:
+                    raise
                 self._handle_failure(failure)
-            return True
-        self._send(self._links[owner], (MSG_DELIVER, envelope))
         return True
 
     def process(self, instance: "TEInstance",
@@ -423,12 +450,13 @@ class MultiprocessSubstrate:
             self._handle_failure(failure)
 
     def blocked_channels(self) -> "list[ChannelId]":
-        """Wire edges whose in-flight frame count exceeds capacity.
+        """Wire edges whose in-flight envelope count exceeds capacity.
 
         The coordinator->worker stream is modelled as one channel per
-        worker (``edge_index == WIRE_EDGE``): frames enqueued but not
-        yet acknowledged by the worker's cumulative consumed counter
-        are in flight — the multiprocess analogue of inbox depth.
+        worker (``edge_index == WIRE_EDGE``): envelopes routed (pending
+        or framed) but not yet acknowledged by the worker's cumulative
+        consumed counter are in flight — the multiprocess analogue of
+        inbox depth.
         """
         if self.capacity is None:
             return []
@@ -503,6 +531,18 @@ class MultiprocessSubstrate:
     # ------------------------------------------------------------------
 
     def _send(self, link: _Link, message: Any) -> None:
+        """Queue one control frame, behind the envelopes routed so far."""
+        self._flush_run(link)
+        link.sent += 1
+        self._frame(link, message)
+
+    def _flush_run(self, link: _Link) -> None:
+        """Turn the link's pending envelopes into one ``MSG_DELIVER``."""
+        if link.pending:
+            run, link.pending = link.pending, []
+            self._frame(link, (MSG_DELIVER, run))
+
+    def _frame(self, link: _Link, message: Any) -> None:
         t0 = time.perf_counter()
         data = encode_frame(message)
         elapsed = time.perf_counter() - t0
@@ -512,7 +552,6 @@ class MultiprocessSubstrate:
         self._m_frames_send.inc()
         self._m_bytes_send.inc(len(data))
         link.outbox.append(data)
-        link.sent += 1
         self._flush(link)
 
     def _flush(self, link: _Link) -> None:
@@ -534,7 +573,10 @@ class MultiprocessSubstrate:
             self._g_outbox[link.worker_id].set(len(link.outbox))
 
     def _pump(self, timeout: float) -> None:
-        """One select round: drain worker frames, flush pending writes."""
+        """One select round: frame pending runs, drain worker frames,
+        flush queued writes."""
+        for link in self._links:
+            self._flush_run(link)
         rlist = self._readers
         wlist = {link.send_fd: link
                  for link in self._links if link.outbox}
@@ -560,8 +602,9 @@ class MultiprocessSubstrate:
     def _handle(self, link: _Link, message: tuple) -> None:
         tag = message[0]
         if tag == MSG_OUT:
-            link.received_out += 1
-            self.deliver(message[1])
+            link.received_out += len(message[1])
+            for envelope in message[1]:
+                self.deliver(envelope)
         elif tag == MSG_IDLE or tag == MSG_STATE:
             link.consumed, link.emitted, link.processed = message[1:4]
             self._absorb_obs(link, message[4])
@@ -572,11 +615,10 @@ class MultiprocessSubstrate:
             if tracer is not None:
                 tracer.merge_shard(message[1])
         elif tag == MSG_CRASH:
-            extra = message[2] if len(message) > 2 else {}
             raise _WorkerFailure(
                 link,
                 f"worker {link.worker_id} crashed:\n{message[1]}",
-                extra,
+                message[2],
             )
         else:  # pragma: no cover - protocol violation
             raise RuntimeExecutionError(
@@ -837,9 +879,18 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         w_frames_send.inc()
         w_bytes_send.inc(len(data))
 
+    outgoing: list = []
+
+    def flush_out() -> None:
+        if outgoing:
+            ship((MSG_OUT, outgoing))
+            outgoing.clear()
+
     def remote_send(envelope: "Envelope") -> None:
-        ship((MSG_OUT, envelope))
+        outgoing.append(envelope)
         counters["emitted"] += 1
+        if len(outgoing) >= WIRE_RUN:
+            flush_out()
 
     runtime.transport.enable_worker_routing(placement, worker_id,
                                             remote_send)
@@ -880,9 +931,11 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         """Ship the counters with everything new since the last report."""
         progress = (counters["consumed"], counters["emitted"],
                     counters["processed"])
-        # Trace hops first (FIFO pipe: the coordinator merges them
-        # before it can observe this progress report), then the
-        # counters with telemetry shards and fresh results piggybacked.
+        # Emitted envelopes first, then trace hops (FIFO pipe: the
+        # coordinator has read and merged both before it can observe
+        # this progress report), then the counters with telemetry
+        # shards and fresh results piggybacked.
+        flush_out()
         if tracer is not None:
             shard = tracer.drain_shard()
             if shard:
@@ -899,44 +952,55 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
             items.clear()
         return progress
 
+    deliver = runtime.transport.deliver
+    step = runtime.step
     reported = None
     drained = 0
     while True:
+        # Everything the pipe holds goes into the inboxes first, then
+        # up to one run of local steps before the pipe is looked at
+        # again.
         poll(block=False)
-        if not pending:
-            if runtime.step():
-                counters["processed"] += 1
-                drained += 1
-                if drained > WORKER_DRAIN_LIMIT:
-                    raise RuntimeExecutionError(
-                        f"worker {worker_id} did not become idle "
-                        f"within {WORKER_DRAIN_LIMIT} local steps"
-                    )
+        while pending:
+            message = pending.popleft()
+            tag = message[0]
+            if tag == MSG_DELIVER:
+                counters["consumed"] += len(message[1])
+                for envelope in message[1]:
+                    deliver(envelope)
                 continue
-            drained = 0
-            if reported != (counters["consumed"], counters["emitted"],
-                            counters["processed"]):
-                reported = report(MSG_IDLE)
-            poll(block=True)
+            counters["consumed"] += 1
+            if tag == MSG_SNAPSHOT:
+                # A state pull: a full report with the elements
+                # attached, so consuming this frame triggers no idle
+                # report after it.
+                reported = report(MSG_STATE, _owned_elements(
+                    runtime, worker_id, placement))
+            elif tag == MSG_HELLO:
+                _check_hello(runtime, message, worker_id, placement)
+            elif tag == MSG_SHUTDOWN:
+                return
+            else:
+                raise RuntimeExecutionError(
+                    f"worker {worker_id}: unexpected frame tag {tag!r}"
+                )
+        steps = 0
+        while steps < WIRE_RUN and step():
+            steps += 1
+        counters["processed"] += steps
+        if steps == WIRE_RUN:
+            drained += steps
+            if drained > WORKER_DRAIN_LIMIT:
+                raise RuntimeExecutionError(
+                    f"worker {worker_id} did not become idle "
+                    f"within {WORKER_DRAIN_LIMIT} local steps"
+                )
             continue
-        message = pending.popleft()
-        counters["consumed"] += 1
-        tag = message[0]
-        if tag == MSG_DELIVER:
-            runtime.transport.deliver(message[1])
-        elif tag == MSG_SNAPSHOT:
-            # A state pull: a full report with the elements attached,
-            # so consuming this frame triggers no idle report after it.
-            reported = report(MSG_STATE, _owned_elements(
-                runtime, worker_id, placement))
-        elif tag == MSG_HELLO:
-            _check_hello(runtime, message, worker_id, placement)
-        elif tag == MSG_SHUTDOWN:
-            return
-        else:
-            raise RuntimeExecutionError(
-                f"worker {worker_id}: unexpected frame tag {tag!r}"
-            )
+        drained = 0
+        if reported != (counters["consumed"], counters["emitted"],
+                        counters["processed"]):
+            reported = report(MSG_IDLE)
+        poll(block=True)
 
 
 def _check_hello(runtime: "Runtime", message: tuple, worker_id: int,

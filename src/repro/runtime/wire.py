@@ -16,14 +16,18 @@ sentinel, :class:`~repro.state.base.DeltaChunk`, chaos fault dicts —
 so a future ``__slots__`` or dataclass refactor cannot silently break
 the multiprocess path.
 
-Framing supports two consumption styles:
+Both roles read the same way: a :class:`FrameBuffer` is fed whatever
+bytes a non-blocking ``os.read`` returned and yields each completed
+frame, so a ``select``-driven loop never blocks on a half-read message.
+Workers write blocking (:func:`write_bytes` / :func:`write_frame`); the
+coordinator queues encoded frames and writes them as the pipe takes
+them.
 
-* **blocking** (worker side): :func:`read_frame` / :func:`write_frame`
-  over a raw file descriptor, reading exactly one frame;
-* **non-blocking** (coordinator side): a :class:`FrameBuffer` is fed
-  whatever bytes ``os.read`` returned and yields each completed frame,
-  so a ``selectors``-driven event loop never blocks on a half-read
-  message.
+Data frames carry **runs**: ``MSG_DELIVER`` and ``MSG_OUT`` hold a list
+of envelopes, so one pickle, one header and one ``os.write`` are shared
+by up to ``multiprocess.WIRE_RUN`` envelopes (and pickle memoises the
+class and field names once per frame). The receiver still serves every
+envelope one at a time.
 """
 
 from __future__ import annotations
@@ -98,44 +102,6 @@ class FrameBuffer:
         return len(self._buffer)
 
 
-def _read_exact(fd: int, n: int) -> bytes:
-    """Read exactly ``n`` bytes from a blocking fd; raise on EOF."""
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = os.read(fd, remaining)
-        if not chunk:
-            raise EOFError(
-                f"pipe closed mid-frame ({n - remaining}/{n} bytes read)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(fd: int) -> Any:
-    """Blockingly read one complete frame from ``fd``.
-
-    Raises :class:`EOFError` when the peer closed the pipe at a frame
-    boundary (clean shutdown) or mid-frame (crash).
-    """
-    header = b""
-    while len(header) < FRAME_HEADER.size:
-        chunk = os.read(fd, FRAME_HEADER.size - len(header))
-        if not chunk:
-            if header:
-                raise EOFError("pipe closed mid-header")
-            raise EOFError("pipe closed")
-        header += chunk
-    (length,) = FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise WireError(
-            f"frame header announces {length} bytes, over the "
-            f"{MAX_FRAME_BYTES}-byte bound (corrupt stream?)"
-        )
-    return decode_frame(_read_exact(fd, length))
-
-
 def write_bytes(fd: int, data: bytes) -> None:
     """Blockingly write pre-encoded frame bytes (handles short writes).
 
@@ -175,14 +141,16 @@ def write_frame(fd: int, message: Any) -> None:
 #: index digest, capability flags); the worker verifies it against its
 #: own forked view before serving traffic.
 MSG_HELLO = "hello"
-#: coordinator -> worker: one envelope to enqueue locally.
+#: coordinator -> worker: ``(tag, [envelope, ...])`` — a run of
+#: envelopes to enqueue locally, in order.
 MSG_DELIVER = "deliver"
 #: coordinator -> worker: state pull — ship back the SE elements you own.
 MSG_SNAPSHOT = "snapshot"
 #: coordinator -> worker: exit the worker loop.
 MSG_SHUTDOWN = "shutdown"
 
-#: worker -> coordinator: an envelope whose destination lives elsewhere.
+#: worker -> coordinator: ``(tag, [envelope, ...])`` — envelopes whose
+#: destinations live elsewhere, in emission order.
 MSG_OUT = "out"
 #: worker -> coordinator: progress report — ``(tag, consumed, emitted,
 #: processed, obs)`` where the cumulative counters double as the
@@ -193,13 +161,13 @@ MSG_OUT = "out"
 MSG_IDLE = "idle"
 #: worker -> coordinator: ``(tag, [(trace_id, Hop), ...])`` — causal
 #: trace hops recorded since the last drain. Pure telemetry: never
-#: counted in the consumed/emitted quiescence arithmetic.
+#: counted in the consumed/emitted quiescence arithmetic (which counts
+#: envelopes for the two data frames and one per control frame).
 MSG_TRACE = "trace"
 #: worker -> coordinator: state-pull reply — an idle report with one
 #: more field, the worker's SE elements by ``(se, index)``.
 MSG_STATE = "state"
 #: worker -> coordinator: the worker loop died — ``(tag, traceback,
 #: extra)`` where ``extra`` carries the worker id, step count and the
-#: flight-recorder dump. Older two-element frames (no ``extra``) are
-#: still accepted.
+#: flight-recorder dump.
 MSG_CRASH = "crash"

@@ -7,19 +7,25 @@ layer's partition-independent ``state_fingerprint``) and the same
 terminal results. On top of that, this file covers the multiprocess
 specifics: wire backpressure under a bounded in-flight window, crash
 propagation, barrier metrics merging, state that stays in the workers
-until it is read, the payload-isolation capability flag, and the
-deploy-time configuration gates.
+until it is read, envelope runs on the wire (one frame per flush per
+link), the payload-isolation capability flag, and the deploy-time
+configuration gates.
 """
 
+import math
+import multiprocessing
+import os
 import time
 
 import pytest
 
+from repro.apps import CollaborativeFiltering
 from repro.apps.wordcount import build_wordcount_sdg
 from repro.core import SDG
 from repro.core.elements import AccessMode, StateKind
 from repro.durability.manifest import state_fingerprint
 from repro.errors import RuntimeExecutionError
+from repro.obs.events import KIND
 from repro.recovery import BackupStore, CheckpointManager
 from repro.runtime import (
     InProcessSubstrate,
@@ -29,9 +35,10 @@ from repro.runtime import (
     resolve_substrate,
 )
 from repro.runtime.envelope import WIRE_EDGE
-from repro.runtime.multiprocess import MultiprocessSubstrate
+from repro.runtime.multiprocess import WIRE_RUN, MultiprocessSubstrate
 from repro.state import KeyValueMap
 from repro.testing import build_iterative_sdg, build_kv_sdg
+from tests.runtime.test_multiprocess_obs import build_crash_once_kv
 
 
 def run_kv(substrate, workers=None, puts=120, gets=13, partitions=4,
@@ -164,6 +171,36 @@ class TestWireBackpressure:
         finally:
             runtime.close()
 
+    def test_pending_envelope_is_in_flight(self):
+        # Less than one run injected, nothing pumped: the envelopes sit
+        # in the coordinator's pending lists, and the counters already
+        # say so — not quiet, and in flight for backpressure.
+        config = RuntimeConfig(se_instances={"table": 2},
+                               substrate="multiprocess", workers=2,
+                               channel_capacity=8)
+        runtime = Runtime(build_kv_sdg(), config).deploy()
+        try:
+            substrate = runtime.substrate
+            runtime.run_until_idle()  # consume the hello handshake
+            assert substrate._quiet()
+            frames = wire_totals(runtime)[0]
+            for i in range(40):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            pending = [len(link.pending) for link in substrate._links]
+            assert sum(pending) == 40 and max(pending) < WIRE_RUN
+            assert wire_totals(runtime)[0] == frames
+            assert not substrate._quiet()
+            blocked = runtime.blocked_channels()
+            assert {c.dst_instance for c in blocked} == {
+                link.worker_id for link in substrate._links
+                if len(link.pending) > 8}
+            assert blocked
+            assert runtime.run_until_idle() == 40
+            assert substrate._quiet()
+            assert runtime.blocked_channels() == []
+        finally:
+            runtime.close()
+
     def test_unbounded_wire_never_reports(self):
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2)
@@ -217,6 +254,21 @@ class TestMultiprocessLifecycle:
         for link in links:
             assert not link.process.is_alive()
 
+    def test_close_with_undrained_input_is_prompt_and_leaks_no_fd(self):
+        fds_before = len(os.listdir("/proc/self/fd"))
+        others = set(multiprocessing.active_children())
+        config = RuntimeConfig(se_instances={"table": 2},
+                               substrate="multiprocess", workers=2)
+        runtime = Runtime(build_kv_sdg(), config).deploy()
+        assert len(set(multiprocessing.active_children()) - others) == 2
+        for i in range(100):
+            runtime.inject("serve", ("put", f"k{i}", i))
+        started = time.monotonic()
+        runtime.close()
+        assert time.monotonic() - started < 5.0
+        assert set(multiprocessing.active_children()) <= others
+        assert len(os.listdir("/proc/self/fd")) == fds_before
+
     def test_merged_metrics_match_inprocess_totals(self):
         def processed_series(substrate, workers=None):
             config = RuntimeConfig(se_instances={"table": 2},
@@ -240,6 +292,22 @@ class TestMultiprocessLifecycle:
         assert processed == 30
 
 
+def deploy_kv(substrate="multiprocess", sdg=None, **knobs):
+    """Four KV partitions; on two workers when multiprocess."""
+    config = RuntimeConfig(
+        se_instances={"table": 4}, substrate=substrate,
+        workers=2 if substrate == "multiprocess" else None, **knobs)
+    return Runtime(sdg or build_kv_sdg(), config).deploy()
+
+
+def per_key(replies):
+    """``(key, value)`` replies grouped by key, order kept."""
+    grouped = {}
+    for key, value in replies:
+        grouped.setdefault(key, []).append(value)
+    return grouped
+
+
 def wire_totals(runtime):
     """(frames, bytes) crossing the star so far, both roles and ways."""
     metrics = runtime.merged_metrics()
@@ -254,12 +322,7 @@ class TestStateStaysInWorkers:
     bytes, object identity — never a wall clock.
     """
 
-    @staticmethod
-    def deploy(substrate="multiprocess"):
-        config = RuntimeConfig(
-            se_instances={"table": 4}, substrate=substrate,
-            workers=2 if substrate == "multiprocess" else None)
-        return Runtime(build_kv_sdg(), config).deploy()
+    deploy = staticmethod(deploy_kv)
 
     def test_empty_drain_touches_no_pipe(self):
         runtime = self.deploy()
@@ -313,12 +376,6 @@ class TestStateStaysInWorkers:
                 seen.append(len(runtime.results["serve"]))
             return seen
 
-        def per_key(replies):
-            grouped = {}
-            for key, value in replies:
-                grouped.setdefault(key, []).append(value)
-            return grouped
-
         oracle = self.deploy("inprocess")
         oracle_seen = rounds(oracle)
         runtime = self.deploy()
@@ -367,6 +424,147 @@ class TestStateStaysInWorkers:
         never_read = drained("multiprocess")
         never_read.close()
         assert state_fingerprint(never_read) == expected
+
+
+def send_frames(runtime, role):
+    return runtime.merged_metrics().value(
+        "wire_frames_total", direction="send", role=role)
+
+
+class TestEnvelopeRuns:
+    """Envelopes cross the wire in lists: one frame per flush per link.
+
+    Counts the program makes itself and cross-substrate equality only;
+    no wall clock.
+    """
+
+    def test_kv_ingest_frames_are_per_run_not_per_envelope(self):
+        runtime = deploy_kv()
+        try:
+            runtime.run_until_idle()
+            before = send_frames(runtime, "coordinator")
+            n = 5000
+            for i in range(n):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            assert runtime.run_until_idle() == n
+            sent = send_frames(runtime, "coordinator") - before
+            assert 0 < sent <= math.ceil(n / WIRE_RUN) + 2
+        finally:
+            runtime.close()
+
+    def test_wordcount_relay_frames_are_a_tenth_of_forwards(self):
+        config = RuntimeConfig(se_instances={"counts": 4},
+                               substrate="multiprocess", workers=2)
+        runtime = Runtime(build_wordcount_sdg(), config).deploy()
+        try:
+            text = ["the quick brown fox", "jumps over the lazy dog",
+                    "the fox", "dog days of state"]
+            for i in range(3000):
+                runtime.inject("split", (i, text[i % len(text)]))
+            runtime.run_until_idle()
+            forwards = runtime.merged_metrics().total(
+                "transport_wire_forwards_total")
+            assert forwards > 1000
+            assert send_frames(runtime, "worker") * 10 <= forwards
+        finally:
+            runtime.close()
+
+    @pytest.mark.parametrize("items", [63, 64, 65, 128, 129])
+    def test_order_survives_list_boundaries(self, items):
+        # Few keys, so every key's puts and gets straddle the frames;
+        # a key lives in one partition and its replies keep their order.
+        def run(substrate):
+            runtime = deploy_kv(substrate)
+            try:
+                for i in range(items):
+                    key = f"k{i % 3}"
+                    runtime.inject("serve", ("put", key, i))
+                    runtime.inject("serve", ("get", key, None))
+                assert runtime.run_until_idle() == 2 * items
+                return (per_key(runtime.results["serve"]),
+                        state_fingerprint(runtime))
+            finally:
+                runtime.close()
+
+        assert run("multiprocess") == run("inprocess")
+
+    def test_round_trips_do_not_wait_for_a_list_to_fill(self):
+        # Every hop of the loop, and the broadcast and replies of a CF
+        # read, cross workers through the coordinator — in total fewer
+        # envelopes than one run, so a flush that waited for a full
+        # list would never let these drains return.
+        def forwards(runtime):
+            return runtime.merged_metrics().total(
+                "transport_wire_forwards_total")
+
+        config = RuntimeConfig(se_instances={"modelA": 2, "modelB": 2},
+                               substrate="multiprocess", workers=2)
+        runtime = Runtime(build_iterative_sdg(), config).deploy()
+        try:
+            for n in (5, 8, 3):
+                runtime.inject("stepA", n)
+            assert runtime.run_until_idle() > 3
+            assert 0 < forwards(runtime) < WIRE_RUN
+        finally:
+            runtime.close()
+
+        def recommend(substrate, workers=None):
+            app = CollaborativeFiltering.launch(
+                RuntimeConfig(substrate=substrate, workers=workers),
+                user_item=2, co_occ=2)
+            try:
+                for user in range(3):
+                    for item in range(3):
+                        app.add_rating(user, (user + item) % 4, 1 + item)
+                app.run()
+                before = forwards(app.runtime)
+                app.get_rec(1)
+                app.run()
+                return (app.results("get_rec")[0].to_list(),
+                        forwards(app.runtime) - before)
+            finally:
+                app.runtime.close()
+
+        rec, relayed = recommend("multiprocess", workers=2)
+        assert 0 < relayed < WIRE_RUN
+        assert (rec, 0) == recommend("inprocess")
+
+    def test_restart_replays_flushed_and_pending_lists(self, tmp_path):
+        def run(flag, substrate, restarts=0):
+            runtime = deploy_kv(substrate, build_crash_once_kv(flag),
+                                     worker_restarts=restarts)
+            try:
+                if substrate == "multiprocess":
+                    runtime.run_until_idle()  # hello consumed
+                # All on the crashing worker's link: 69 puts, the key
+                # that kills its worker once, 30 more puts. No pump in
+                # between, so the link holds one flushed list (64) and
+                # one pending (36) when the drain starts.
+                spec = runtime.sdg.task("serve")
+                index = runtime.topology.keyed_index
+                keys = [f"k{i}" for i in range(400)
+                        if index(spec, f"k{i}") == index(spec, "boom")]
+                keys = keys[:69] + ["boom"] + keys[69:99]
+                assert len(keys) == 100
+                for i, key in enumerate(keys):
+                    runtime.inject("serve", ("put", key, i))
+                if substrate == "multiprocess":
+                    assert sorted(len(link.pending) for link
+                                  in runtime.substrate._links) == [0, 36]
+                assert runtime.run_until_idle() == 100
+                series = runtime.merged_metrics().snapshot()[
+                    "engine_items_processed_total"]["children"]
+                restarts = runtime.events.events(kind=KIND.WORKER_RESTART)
+                return series, state_fingerprint(runtime), len(restarts)
+            finally:
+                runtime.close()
+
+        flag = str(tmp_path / "crashed.flag")
+        crashed = run(flag, "multiprocess", restarts=1)
+        assert os.path.exists(flag), "the crash never happened"
+        preset = str(tmp_path / "preset.flag")
+        open(preset, "w").close()
+        assert crashed == run(preset, "inprocess")[:2] + (1,)
 
 
 class TestPayloadIsolation:

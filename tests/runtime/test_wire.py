@@ -12,6 +12,7 @@ multiprocess path.
 
 import os
 import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -31,7 +32,6 @@ from repro.runtime.wire import (
     WireError,
     decode_frame,
     encode_frame,
-    read_frame,
     write_frame,
 )
 from repro.state.base import DeltaChunk, StateChunk
@@ -43,6 +43,15 @@ def make_envelope(payload="x", ts=7, request_id=None, expected=None,
     return Envelope(payload=payload, ts=ts, channel=channel,
                     request_id=request_id, expected_responses=expected,
                     trace_id=trace_id)
+
+
+def read_frames(fd, buffer):
+    """The live read path of both roles: one ``os.read`` fed to a
+    :class:`FrameBuffer`. Returns ``None`` at end of file."""
+    data = os.read(fd, 1 << 16)
+    if not data:
+        return None
+    return list(buffer.feed(data))
 
 
 class TestFrameCodec:
@@ -64,21 +73,28 @@ class TestFrameCodec:
         r, w = os.pipe()
         try:
             write_frame(w, ("idle", 3, 4, 5))
-            write_frame(w, ("out", make_envelope()))
-            assert read_frame(r) == ("idle", 3, 4, 5)
-            tag, envelope = read_frame(r)
+            write_frame(w, ("out", [make_envelope()]))
+            idle, (tag, envelopes) = read_frames(r, FrameBuffer())
+            assert idle == ("idle", 3, 4, 5)
             assert tag == "out"
-            assert envelope == make_envelope()
+            assert envelopes == [make_envelope()]
         finally:
             os.close(r)
             os.close(w)
 
     def test_read_frame_eof_on_closed_pipe(self):
+        # A peer that dies mid-frame: the bytes it managed to write stay
+        # buffered, no message is made up, and the next read is empty —
+        # the end-of-file signal both roles act on.
         r, w = os.pipe()
+        frame = encode_frame(("idle", 3, 4, 5))
+        os.write(w, frame[:-2])
         os.close(w)
         try:
-            with pytest.raises(EOFError):
-                read_frame(r)
+            buffer = FrameBuffer()
+            assert read_frames(r, buffer) == []
+            assert buffer.pending_bytes() == len(frame) - 2
+            assert read_frames(r, buffer) is None
         finally:
             os.close(r)
 
@@ -87,10 +103,31 @@ class TestFrameCodec:
         try:
             os.write(w, FRAME_HEADER.pack(MAX_FRAME_BYTES + 1))
             with pytest.raises(WireError, match="corrupt"):
-                read_frame(r)
+                read_frames(r, FrameBuffer())
         finally:
             os.close(r)
             os.close(w)
+
+    def test_envelope_run_round_trip(self):
+        # What MSG_DELIVER / MSG_OUT carry: a list of envelopes. Every
+        # field survives inside the list, and the identity-compared
+        # gather sentinel is still the singleton.
+        run = [
+            make_envelope(payload=("put", "k1", {"v": 2}), ts=1),
+            make_envelope(payload=("get", "k1", None), ts=2,
+                          request_id=5, expected=3, trace_id=11),
+            make_envelope(payload=NO_RESPONSE, ts=3, request_id=5,
+                          expected=3, trace_id=11),
+        ]
+        (message,) = FrameBuffer().feed(encode_frame(("deliver", run)))
+        tag, clones = message
+        assert tag == "deliver"
+        assert clones == run
+        assert clones[2].payload is NO_RESPONSE
+        for clone, envelope in zip(clones, run):
+            for field in fields(Envelope):
+                assert getattr(clone, field.name) \
+                    == getattr(envelope, field.name)
 
 
 class TestFrameBuffer:
@@ -105,6 +142,25 @@ class TestFrameBuffer:
                     buffer.feed(stream[start:start + chunk_size])
                 )
             assert received == messages
+            assert buffer.pending_bytes() == 0
+
+    def test_stream_split_at_every_byte(self):
+        # Three frames of different kinds, cut in two at every offset
+        # (header, payload and frame boundaries included): the same
+        # three messages come out, in order, nothing left over.
+        messages = [
+            ("deliver", [make_envelope(ts=i) for i in range(3)]),
+            ("idle", 3, 4, 5, {"results": {"serve": [("k", 1)]}}),
+            ("out", [make_envelope(payload=NO_RESPONSE, request_id=9,
+                                   expected=2)]),
+        ]
+        stream = b"".join(encode_frame(m) for m in messages)
+        for cut in range(len(stream) + 1):
+            buffer = FrameBuffer()
+            received = list(buffer.feed(stream[:cut]))
+            received.extend(buffer.feed(stream[cut:]))
+            assert received == messages, cut
+            assert received[2][1][0].payload is NO_RESPONSE
             assert buffer.pending_bytes() == 0
 
     def test_partial_frame_stays_buffered(self):
@@ -125,24 +181,10 @@ class TestEnvelopeSerialisation:
         envelope = make_envelope(payload=("put", "k1", {"v": 2}), ts=19,
                                  request_id=5, expected=3, trace_id=11)
         clone = pickle.loads(pickle.dumps(envelope))
-        for field in Envelope.WIRE_FIELDS:
-            assert getattr(clone, field) == getattr(envelope, field)
+        for field in fields(Envelope):
+            assert getattr(clone, field.name) \
+                == getattr(envelope, field.name)
         assert clone == envelope
-
-    def test_to_wire_from_wire_round_trip(self):
-        envelope = make_envelope(payload=[1, "two"], ts=3,
-                                 request_id=8, expected=2, trace_id=4)
-        wired = envelope.to_wire()
-        assert len(wired) == len(Envelope.WIRE_FIELDS)
-        assert Envelope.from_wire(wired) == envelope
-
-    def test_wire_fields_cover_the_dataclass(self):
-        # A new Envelope field must be added to WIRE_FIELDS (and
-        # to_wire/from_wire) deliberately, not forgotten.
-        from dataclasses import fields
-
-        assert tuple(f.name for f in fields(Envelope)) \
-            == Envelope.WIRE_FIELDS
 
     def test_no_response_survives_pickle_as_the_singleton(self):
         envelope = make_envelope(payload=NO_RESPONSE, request_id=1,
