@@ -3,7 +3,7 @@
 When a runtime is deployed with ``RuntimeConfig(trace=True)`` every
 injected envelope is stamped with a ``trace_id`` that survives dispatch
 fan-out, repartition re-routing and crash replay (the id rides the
-frozen :class:`~repro.runtime.envelope.Envelope`).  The :class:`Tracer`
+immutable :class:`~repro.runtime.envelope.Envelope`).  The :class:`Tracer`
 reconstructs, per trace, the ordered list of :class:`Hop` records:
 which TE instance served the item, how long it waited in the inbox
 (queue-wait steps), how long the invocation took (service steps), and

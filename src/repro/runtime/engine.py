@@ -121,7 +121,13 @@ class Runtime:
         #: Per-entry global injection counter (see TEInstance.out_seq for
         #: why timestamps are per-stream, not per-channel).
         self._input_seq: dict[str, int] = {}
-        self._input_buffers: dict[ChannelId, list[Envelope]] = {}
+        #: The client-side input log: ``(entry, index)`` -> the interned
+        #: input ``ChannelId`` and the envelopes injected on it that no
+        #: checkpoint has trimmed yet.
+        self._input_routes: dict[tuple[str, int],
+                                 tuple[ChannelId, list[Envelope]]] = {}
+        #: TEs without outgoing dataflows; their outputs are results.
+        self._terminal_tes: frozenset[str] = frozenset()
         self._terminal_seen: set = set()
         self._step_hooks: list = []
         self._crash_handlers: list = []
@@ -182,9 +188,11 @@ class Runtime:
             threshold=self.config.scale_threshold,
             max_instances=self.config.max_instances,
         )
-        for te_name in self.sdg.tasks:
-            if not self.dispatcher.successors(te_name):
-                self.results.setdefault(te_name, [])
+        self._terminal_tes = frozenset(
+            te_name for te_name in self.sdg.tasks
+            if not self.dispatcher.successors(te_name))
+        for te_name in self._terminal_tes:
+            self.results.setdefault(te_name, [])
         if self.config.optimize:
             self._enable_optimizations()
         self._deployed = True
@@ -308,6 +316,8 @@ class Runtime:
                              for te in self.sdg.tasks}
         self._g_instances = {te: instances_g.labels(te=te)
                              for te in self.sdg.tasks}
+        self._g_inbox = {te: self.transport.inbox_gauge(te)
+                         for te in self.sdg.tasks}
 
     def _refresh_instance_gauges(self) -> None:
         """Re-read live instance counts after a structural change."""
@@ -405,14 +415,15 @@ class Runtime:
                    request_id: int | None, expected: int | None,
                    trace_id: int | None = None) -> None:
         payload = self.transport.prepare_payload(payload)
-        channel = ChannelId(INPUT_EDGE, "__input__", 0, entry, index)
+        route = self._input_routes.get((entry, index))
+        if route is None:
+            channel = ChannelId(INPUT_EDGE, "__input__", 0, entry, index)
+            route = self._input_routes[entry, index] = (channel, [])
         seq = self._input_seq.get(entry, 0) + 1
         self._input_seq[entry] = seq
-        envelope = Envelope(payload=payload, ts=seq, channel=channel,
-                            request_id=request_id,
-                            expected_responses=expected,
-                            trace_id=trace_id)
-        self._input_buffers.setdefault(channel, []).append(envelope)
+        envelope = Envelope(payload, seq, route[0], request_id, expected,
+                            trace_id)
+        route[1].append(envelope)
         self.substrate.deliver(envelope)
 
     def _keyed_index(self, spec, key: Any) -> int:
@@ -520,7 +531,7 @@ class Runtime:
                     break
                 envelope = inbox.popleft()
         finally:
-            self.transport.inbox_gauge(instance.name).dec(run)
+            self._g_inbox[instance.name].dec(run)
             if not inbox:
                 # The other half of ready-set upkeep (appends are the
                 # transport's). After a mid-run crash ``candidates`` is
@@ -543,8 +554,9 @@ class Runtime:
         """Advance logical time by one step and run the step hooks."""
         self.total_steps += 1
         self._c_steps.inc()
-        for hook in list(self._step_hooks):
-            hook(self)
+        if self._step_hooks:
+            for hook in list(self._step_hooks):
+                hook(self)
 
     def add_step_hook(self, hook) -> None:
         """Register ``hook(runtime)`` to run after every processed item.
@@ -713,9 +725,9 @@ class Runtime:
             if instance.se_instance is not None
             else None
         )
-        slots = self.te_slot_count(instance.name)
-        ctx = TaskContext(state=element, instance_id=instance.index,
-                          n_instances=slots)
+        ctx = TaskContext(
+            state=element, instance_id=instance.index,
+            n_instances=self.topology.te_slot_count(instance.name))
         if instance.crash_next:
             instance.crash_next = False
             raise RuntimeExecutionError(
@@ -745,7 +757,7 @@ class Runtime:
         t0 = (time.perf_counter()
               if self._p_dispatch is not None else 0.0)
         try:
-            if not self.dispatcher.successors(instance.name):
+            if instance.name in self._terminal_tes:
                 self._collect_result(instance, outputs, cause)
                 return
             self.dispatcher.dispatch(instance, outputs, cause)
@@ -839,11 +851,11 @@ class Runtime:
         Returns the number of envelopes re-delivered.
         """
         count = 0
-        for channel, buffered in self._input_buffers.items():
-            if channel.dst_te == dst_te and channel.dst_instance == dst_index:
-                for envelope in buffered:
-                    if self.transport.deliver(envelope):
-                        count += 1
+        _, buffered = self._input_routes.get((dst_te, dst_index),
+                                             (None, ()))
+        for envelope in buffered:
+            if self.transport.deliver(envelope):
+                count += 1
         for producer in self.all_te_instances():
             if not self.nodes[producer.node_id].alive:
                 continue
@@ -869,7 +881,7 @@ class Runtime:
         """
         count = 0
         streams: list[Envelope] = []
-        for channel, buffered in self._input_buffers.items():
+        for channel, buffered in self._input_routes.values():
             if channel.dst_te == dst_te:
                 streams.extend(buffered)
         for producer in self.all_te_instances():
@@ -911,22 +923,24 @@ class Runtime:
                     up_to_ts: int) -> int:
         """Trim a producer's output buffer after a downstream checkpoint."""
         edge_index, src_te, src_index = stream
-        channel = ChannelId(edge_index, src_te, src_index, dst_te, dst_index)
         if edge_index == INPUT_EDGE:
-            buffered = self._input_buffers.get(channel)
-            if buffered is None:
+            route = self._input_routes.get((dst_te, dst_index))
+            if route is None:
                 return 0
+            # In place: the inject path holds this very list.
+            buffered = route[1]
             keep = [e for e in buffered if e.ts > up_to_ts]
             dropped = len(buffered) - len(keep)
-            self._input_buffers[channel] = keep
+            buffered[:] = keep
             return dropped
+        channel = ChannelId(edge_index, src_te, src_index, dst_te, dst_index)
         producer = self.te_instance(src_te, src_index)
         if producer is None:
             return 0
         return producer.trim_output_buffer(channel, up_to_ts)
 
     def input_buffers_snapshot(self) -> dict[ChannelId, list[Envelope]]:
-        return {c: list(b) for c, b in self._input_buffers.items()}
+        return {c: list(b) for c, b in self._input_routes.values()}
 
     # ------------------------------------------------------------------
     # Runtime parallelism (§3.3)
@@ -1004,8 +1018,9 @@ class Runtime:
         channel = envelope.channel
         index = self._current_index(envelope)
         if channel.edge_index == INPUT_EDGE:
-            buffered = self._input_buffers.get(channel)
-            if buffered is not None and envelope in buffered:
+            _, buffered = self._input_routes.get(
+                (channel.dst_te, channel.dst_instance), (None, ()))
+            if envelope in buffered:
                 buffered.remove(envelope)
             self._inject_to(channel.dst_te, index, envelope.payload,
                             envelope.request_id,

@@ -9,8 +9,7 @@ request id plus the expected response count for the gather barrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class _NoResponse:
@@ -39,12 +38,17 @@ def _restore_no_response() -> "_NoResponse":
 NO_RESPONSE = _NoResponse()
 
 
-@dataclass(frozen=True)
-class ChannelId:
+class ChannelId(NamedTuple):
     """Identifies one point-to-point stream between two TE instances.
 
     ``edge_index`` is the edge's position in ``sdg.dataflows`` — or the
     sentinel ``-1`` for the external-input channel into an entry TE.
+
+    A tuple, like :class:`Envelope`: one of each is built, hashed and
+    compared per item, so both get C-level construction, ``__hash__``
+    and ``__eq__`` (and pickle as tuples on the wire). Either compares
+    equal to a plain tuple of its fields; nothing may tell an envelope
+    from a payload with ``isinstance(x, tuple)``.
     """
 
     edge_index: int
@@ -68,8 +72,7 @@ INPUT_EDGE = -1
 WIRE_EDGE = -2
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """One data item in flight on a specific channel."""
 
     payload: Any
@@ -88,7 +91,5 @@ class Envelope:
 
     def with_channel(self, channel: ChannelId, ts: int) -> "Envelope":
         """Rewrap the same logical item for delivery on another channel."""
-        return Envelope(payload=self.payload, ts=ts, channel=channel,
-                        request_id=self.request_id,
-                        expected_responses=self.expected_responses,
-                        trace_id=self.trace_id)
+        return Envelope(self.payload, ts, channel, self.request_id,
+                        self.expected_responses, self.trace_id)

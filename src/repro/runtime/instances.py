@@ -25,7 +25,7 @@ StreamKey = tuple[int, str, int]  # (edge_index, src_te, src_instance)
 
 
 def stream_key(channel: ChannelId) -> StreamKey:
-    return (channel.edge_index, channel.src_te, channel.src_instance)
+    return channel[:3]
 
 
 @dataclass
@@ -86,6 +86,8 @@ class TEInstance:
     def __init__(self, spec: TaskElementSpec, index: int,
                  se_instance: SEInstance | None = None) -> None:
         self.spec = spec
+        #: The TE's name; a plain attribute, read several times per item.
+        self.name = spec.name
         self.index = index
         self.se_instance = se_instance
         self.node_id: int | None = None
@@ -111,10 +113,6 @@ class TEInstance:
         self.crash_next = False
 
     @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
     def key(self) -> tuple[str, int]:
         return (self.spec.name, self.index)
 
@@ -122,10 +120,11 @@ class TEInstance:
 
     def is_duplicate(self, envelope: Envelope) -> bool:
         """Whether this envelope was already processed (replay dedup)."""
-        return envelope.ts <= self.last_seen.get(stream_key(envelope.channel), 0)
+        # ``stream_key``, written out: this and the mark run per item.
+        return envelope.ts <= self.last_seen.get(envelope.channel[:3], 0)
 
     def mark_processed(self, envelope: Envelope) -> None:
-        key = stream_key(envelope.channel)
+        key = envelope.channel[:3]
         if envelope.ts > self.last_seen.get(key, 0):
             self.last_seen[key] = envelope.ts
 

@@ -42,6 +42,13 @@ class Channel:
     #: Envelopes refused because the destination instance was dead or
     #: missing (they survive in the producer-side replay buffer).
     refused: int = 0
+    #: The route, resolved once per structural change instead of once
+    #: per envelope: the destination instance (``None`` for an empty
+    #: slot) as of ``Topology.version == version``, and the destination
+    #: TE's inbox-depth gauge child. A stale stamp means "resolve again".
+    instance: "TEInstance | None" = None
+    version: int = -1
+    inbox_depth: Any = None
 
 
 class Transport:
@@ -166,7 +173,8 @@ class Transport:
         """The :class:`Channel` for ``channel_id`` (created on first use)."""
         channel = self._channels.get(channel_id)
         if channel is None:
-            channel = self._channels[channel_id] = Channel(channel_id)
+            channel = self._channels[channel_id] = Channel(
+                channel_id, inbox_depth=self.inbox_gauge(channel_id.dst_te))
         return channel
 
     def channels(self) -> list[Channel]:
@@ -182,11 +190,14 @@ class Transport:
         every caller (and anything wrapped around this method) keeps it
         exact.
         """
-        channel = self.channel(envelope.channel)
+        channel_id = envelope.channel
+        channel = self._channels.get(channel_id)
+        if channel is None:
+            channel = self.channel(channel_id)
         if (
             self._placement is not None
             and self._placement.owner_of(
-                envelope.channel.dst_te, envelope.channel.dst_instance
+                channel_id.dst_te, channel_id.dst_instance
             ) != self._local_worker
         ):
             # Not ours: ship it to the owning worker via the wire. The
@@ -196,23 +207,23 @@ class Transport:
             channel.delivered += 1
             self._remote_send(envelope)
             return True
-        instance = self._topology.te_instance(
-            envelope.channel.dst_te, envelope.channel.dst_instance
-        )
-        if (
-            instance is None
-            or not self._topology.nodes[instance.node_id].alive
-        ):
+        topology = self._topology
+        if channel.version != topology.version:
+            channel.instance = topology.te_instance(
+                channel_id.dst_te, channel_id.dst_instance)
+            channel.version = topology.version
+        instance = channel.instance
+        if instance is None or not topology.nodes[instance.node_id].alive:
             channel.refused += 1
             self._c_refused.inc()
             return False
         inbox = instance.inbox
         inbox.append(envelope)
         if len(inbox) == 1:
-            self._topology.candidates().add(instance)
+            topology.candidates().add(instance)
         channel.delivered += 1
         self._c_delivered.inc()
-        self.inbox_gauge(envelope.channel.dst_te).inc()
+        channel.inbox_depth.inc()
         if self.tracer is not None:
             self.tracer.on_deliver(envelope, self._clock())
         return True
@@ -229,11 +240,8 @@ class Transport:
         payload = self.prepare_payload(payload)
         channel = ChannelId(edge_index, src.name, src.index,
                             dst_te, dst_index)
-        ts = src.next_seq(channel)
-        envelope = Envelope(payload=payload, ts=ts, channel=channel,
-                            request_id=request_id,
-                            expected_responses=expected,
-                            trace_id=trace_id)
+        envelope = Envelope(payload, src.next_seq(channel), channel,
+                            request_id, expected, trace_id)
         src.record_output(envelope)
         return self.deliver(envelope)
 

@@ -7,16 +7,24 @@ step, scale-up, failure, recovery and chaos duplicate/drop can make
 that set disagree with the inboxes (or with ``runtime_inbox_depth`` and
 ``is_idle()``), and a complexity guard — counted, no wall clock — that
 the order is rebuilt per structural change, not per step.
+
+The transport's per-channel route cache (the destination instance kept
+on each ``Channel`` record, stamped with ``Topology.version``) is held
+to the same two standards: the same interleavings can never leave a
+current stamp on a stale destination, and destinations and input
+channel ids are resolved per structural change, not per item.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.runtime.engine as engine_module
 from repro.chaos import FaultInjector
 from repro.chaos.plan import DropEnvelope, DuplicateEnvelope, FaultPlan
 from repro.errors import RuntimeExecutionError
 from repro.recovery import BackupStore, RecoveryManager
 from repro.runtime import Runtime, RuntimeConfig
+from repro.runtime.envelope import ChannelId
 from repro.testing import build_kv_sdg
 
 from tests.runtime.test_scheduler import build_pipeline_sdg
@@ -37,6 +45,16 @@ def assert_ready_set_exact(runtime):
     depth = sum(len(inst.inbox) for inst in live)
     assert runtime.metrics.total("runtime_inbox_depth") == depth
     assert runtime.is_idle() == (depth == 0)
+
+
+def assert_routes_current(runtime):
+    """A route stamped with the current version is the current route."""
+    topology = runtime.topology
+    for channel in runtime.transport.channels():
+        if channel.version == topology.version:
+            channel_id = channel.channel_id
+            assert channel.instance is topology.te_instance(
+                channel_id.dst_te, channel_id.dst_instance)
 
 
 OPS = st.one_of(
@@ -73,6 +91,7 @@ class TestReadySetProperty:
             injector.uninstall()
 
         assert_ready_set_exact(runtime)
+        assert_routes_current(runtime)
         for op, arg in ops:
             if op == "inject":
                 runtime.inject("route", ("put", f"k{arg}", arg))
@@ -99,6 +118,18 @@ class TestReadySetProperty:
                 chaos(DropEnvelope(at_step=runtime.total_steps + 1,
                                    te="serve", index=arg))
             assert_ready_set_exact(runtime)
+            assert_routes_current(runtime)
+
+
+def drive(runtime):
+    """2,000 injects and a drain, then 200 closed-loop requests."""
+    for i in range(2000):
+        runtime.inject("serve", ("put", i, i))
+    steps = runtime.run_until_idle()
+    for i in range(200):
+        runtime.inject("serve", ("get", i, None))
+        steps += runtime.run_until_idle()
+    return steps
 
 
 class TestStepCostIsFlatInWidth:
@@ -119,18 +150,55 @@ class TestStepCostIsFlatInWidth:
         topology.all_te_instances = counting
         deployed = topology.version
 
-        def drive():
-            for i in range(2000):
-                runtime.inject("serve", ("put", i, i))
-            steps = runtime.run_until_idle()
-            for i in range(200):
-                runtime.inject("serve", ("get", i, None))
-                steps += runtime.run_until_idle()
-            return steps
-
-        assert drive() == 2200
+        assert drive(runtime) == 2200
         assert listings <= 1
         assert runtime.scale_up("serve")
-        assert drive() == 2200
+        assert drive(runtime) == 2200
         assert listings <= (topology.version - deployed) + 1
         assert topology.version - deployed == 1
+
+
+class TestRoutesAreResolvedPerStructuralChange:
+    def test_destinations_and_input_channels_are_not_built_per_item(
+            self, monkeypatch):
+        # Counted, like the guard above. At 2,200 items per drive, a
+        # per-item ``te_instance`` lookup or ``ChannelId`` construction
+        # overshoots either bound by two orders of magnitude.
+        built = []
+
+        def counting_channel_id(*fields):
+            built.append(fields)
+            return ChannelId(*fields)
+
+        monkeypatch.setattr(engine_module, "ChannelId", counting_channel_id)
+        runtime = Runtime(
+            build_kv_sdg(),
+            RuntimeConfig(se_instances={"table": 4}, max_instances=8),
+        ).deploy()
+        topology = runtime.topology
+        lookups = 0
+        original = topology.te_instance
+
+        def counting(te, index):
+            nonlocal lookups
+            lookups += 1
+            return original(te, index)
+
+        topology.te_instance = counting
+        deployed = topology.version
+
+        def bound():
+            changes = topology.version - deployed
+            return len(runtime.transport.channels()) * (changes + 1)
+
+        assert drive(runtime) == 2200
+        assert len(runtime.transport.channels()) == 4
+        assert lookups <= bound()
+        assert runtime.scale_up("serve")
+        assert drive(runtime) == 2200
+        assert len(runtime.transport.channels()) == 5
+        assert lookups <= bound()
+        # One id per distinct (entry, index), however many items.
+        assert len(built) == len(set(built)) == 5
+        assert {fields[3:] for fields in built} == {
+            ("serve", index) for index in range(5)}

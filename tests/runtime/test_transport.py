@@ -1,8 +1,9 @@
 """Unit tests for the transport layer.
 
 Channel bookkeeping, payload isolation (the hoisted ``copy`` import),
-delivery to dead destinations, and bounded-channel backpressure —
-including the end-to-end path where a blocked channel feeds the
+delivery to dead destinations, the per-channel route cache across
+failure, replacement and repartition, and bounded-channel backpressure
+— including the end-to-end path where a blocked channel feeds the
 bottleneck detector's scale decision.
 """
 
@@ -12,14 +13,23 @@ import pytest
 
 import repro.runtime.transport as transport_module
 from repro.errors import RuntimeExecutionError
+from repro.recovery import BackupStore, CheckpointManager
 from repro.runtime import BottleneckDetector, Runtime, RuntimeConfig
 from repro.runtime.envelope import INPUT_EDGE, NO_RESPONSE, ChannelId
+from repro.runtime.instances import SEInstance, TEInstance
 from repro.testing import build_kv_sdg
 
 
 def deploy_kv(**config):
     config.setdefault("se_instances", {"table": 1})
     return Runtime(build_kv_sdg(), RuntimeConfig(**config)).deploy()
+
+
+def merged_table(runtime):
+    merged = {}
+    for inst in runtime.se_instances("table"):
+        merged.update(dict(inst.element.items()))
+    return merged
 
 
 class TestPayloadIsolation:
@@ -72,6 +82,115 @@ class TestDelivery:
         assert channel.refused == 1
         # The refused envelope survives in the client-side input log.
         assert len(runtime.input_buffers_snapshot()[channel_id]) == 2
+
+
+def input_channel(index):
+    return ChannelId(INPUT_EDGE, "__input__", 0, "serve", index)
+
+
+def keys_of_partition(runtime, index, count, start=0):
+    """The first ``count`` integer keys >= ``start`` routed to ``index``."""
+    spec = runtime.sdg.task("serve")
+    keys = []
+    key = start
+    while len(keys) < count:
+        if runtime.topology.keyed_index(spec, key) == index:
+            keys.append(key)
+        key += 1
+    return keys
+
+
+def install_empty_replacement(runtime, index, last_seen=None):
+    """A fresh ``serve[index]`` + ``table[index]`` on a new node."""
+    instance = TEInstance(runtime.sdg.task("serve"), index)
+    instance.last_seen = dict(last_seen or {})
+    runtime.install_replacement(
+        [instance], [SEInstance(runtime.sdg.state("table"), index)])
+    return instance
+
+
+class TestRouteCache:
+    """A ``Channel`` keeps its resolved destination between structural
+    changes; each kind of change must invalidate it."""
+
+    def test_deliver_to_a_just_failed_node_is_refused_and_counted(self):
+        runtime = deploy_kv(se_instances={"table": 2})
+        (key,) = keys_of_partition(runtime, 1, 1)
+        runtime.inject("serve", ("put", key, 0))
+        channel = runtime.transport.channel(input_channel(1))
+        victim = channel.instance
+        assert victim is runtime.te_instance("serve", 1)
+        runtime.fail_node(victim.node_id)
+        runtime.inject("serve", ("put", key, 1))
+        assert (channel.delivered, channel.refused) == (1, 1)
+        assert runtime.metrics.total("transport_refused_total") == 1
+        assert len(victim.inbox) == 1  # the refused one did not land
+        assert channel.instance is None
+
+    def test_same_channel_lands_in_the_replacement_after_install(self):
+        runtime = deploy_kv(se_instances={"table": 2})
+        (key,) = keys_of_partition(runtime, 1, 1)
+        runtime.inject("serve", ("put", key, 0))
+        runtime.run_until_idle()
+        channel = runtime.transport.channel(input_channel(1))
+        old = channel.instance
+        runtime.fail_node(old.node_id)
+        replacement = install_empty_replacement(runtime, 1)
+        runtime.inject("serve", ("put", key, 1))
+        assert channel.instance is replacement
+        assert [e.payload for e in replacement.inbox] == [("put", key, 1)]
+        assert not old.inbox
+        assert runtime.transport.channel(input_channel(1)) is channel
+
+    def test_rerouted_envelopes_land_where_keyed_index_says(self):
+        runtime = deploy_kv(se_instances={"table": 2}, max_instances=4)
+        for key in range(40):
+            runtime.inject("serve", ("put", key, key))
+        assert runtime.scale_up("serve")  # repartitions 2 -> 3, re-routes
+        spec = runtime.sdg.task("serve")
+        queued = 0
+        for instance in runtime.te_instances("serve"):
+            for envelope in instance.inbox:
+                queued += 1
+                assert envelope.channel.dst_instance == instance.index
+                assert runtime.topology.keyed_index(
+                    spec, envelope.payload[1]) == instance.index
+        assert queued == 40
+        assert len(runtime.te_instance("serve", 2).inbox) > 0
+        runtime.run_until_idle()
+        assert merged_table(runtime) == {key: key for key in range(40)}
+
+
+class TestInputLogTrim:
+    def test_items_injected_after_a_trim_are_replayed_exactly_once(self):
+        # The input log's lists are held by reference on the inject
+        # path: a trim that rebound the dict entry instead of trimming
+        # in place would leave later injects appending to an orphan.
+        runtime = deploy_kv(se_instances={"table": 2})
+        manager = CheckpointManager(runtime, BackupStore(m_targets=2))
+        before = keys_of_partition(runtime, 1, 5)
+        for key in before:
+            runtime.inject("serve", ("put", key, "old"))
+        runtime.run_until_idle()
+        victim = runtime.te_instance("serve", 1)
+        manager.checkpoint(victim.node_id)  # trims the input log
+        assert runtime.input_buffers_snapshot()[input_channel(1)] == []
+        after = keys_of_partition(runtime, 1, 7, start=before[-1] + 1)
+        for key in after:
+            runtime.inject("serve", ("put", key, "new"))
+        runtime.run_until_idle()
+        last_seen = dict(victim.last_seen)
+        assert list(last_seen.values()) == [len(before) + len(after)]
+
+        runtime.fail_node(victim.node_id)
+        # As restored from the checkpoint: marks stop at the trim point.
+        replacement = install_empty_replacement(
+            runtime, 1, {stream: len(before) for stream in last_seen})
+        assert runtime.replay_into("serve", 1) == len(after)
+        assert runtime.run_until_idle() == len(after)
+        assert replacement.processed_count == len(after)
+        assert dict(replacement.se_instance.element.items()) == {
+            key: "new" for key in after}
 
 
 class TestBackpressure:
@@ -133,10 +252,7 @@ class TestBackpressure:
         runtime.run_until_idle()
         assert len(runtime.te_instances("serve")) > 1
         assert runtime.scale_events
-        merged = {}
-        for inst in runtime.se_instances("table"):
-            merged.update(dict(inst.element.items()))
-        assert merged == {i: i for i in range(200)}
+        assert merged_table(runtime) == {i: i for i in range(200)}
 
 
 class TestConfigValidation:
