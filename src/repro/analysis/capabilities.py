@@ -21,13 +21,6 @@ allowed to act on:
     barrier can fold each value as it arrives instead of buffering
     the whole collection.
 
-``BATCHABLE_RMW``
-    A local-access read-modify-write on partial state that
-    :func:`~repro.analysis.races.block_taints` proves non-escaping:
-    no value derived from the replica's state leaves the block, so the
-    backend may defer per-mutation journal bookkeeping across a whole
-    run.
-
 ``COALESCIBLE_DISPATCH``
     The program-wide licence for one scheduling step to serve a run
     of consecutive same-channel envelopes. A run preserves per-channel
@@ -75,9 +68,8 @@ from repro.analysis.model import (
     field_method_calls,
     stmt_reads_field,
 )
-from repro.analysis.races import block_taints
 from repro.core.dispatch import Dispatch
-from repro.core.elements import AccessMode, StateKind
+from repro.core.elements import AccessMode
 from repro.core.graph import SDG
 
 #: SE mutators that commute with each other on distinct calls: the
@@ -123,8 +115,8 @@ class ProgramCapabilities:
 
     Names are merge *method* names for translated programs and TE
     names for hand-built SDGs, except the runtime-facing fields
-    (``merge_folds``, ``batchable_rmw``, ``batch_state_tes``,
-    ``coalescible_*``) which always speak TE/edge names.
+    (``merge_folds``, ``coalescible_*``) which always speak TE/edge
+    names.
     """
 
     target: str
@@ -132,14 +124,10 @@ class ProgramCapabilities:
     commutative_merges: tuple[str, ...] = ()
     #: The subset matching the canonical fold shape.
     foldable_merges: tuple[str, ...] = ()
-    #: TEs whose partial-state RMW is non-escaping (``BATCHABLE_RMW``).
-    batchable_rmw: tuple[str, ...] = ()
     #: Entry TEs whose injected input may be served in runs.
     coalescible_entries: frozenset = frozenset()
     #: ``(src, dst)`` dataflow edges that may be served in runs.
     coalescible_edges: frozenset = frozenset()
-    #: TEs whose SE mutations may share one journal-batched window.
-    batch_state_tes: frozenset = frozenset()
     #: Merge TE name → synthesised incremental fold. Not serialised.
     merge_folds: dict = field(default_factory=dict)
     #: Human-readable reasons for every refused certificate.
@@ -156,8 +144,6 @@ class ProgramCapabilities:
         flags = []
         if self.commutative_merges:
             flags.append("COMMUTATIVE_MERGE")
-        if self.batchable_rmw:
-            flags.append("BATCHABLE_RMW")
         if self.coalescible_edges or self.coalescible_entries:
             flags.append("COALESCIBLE_DISPATCH")
         if self.substrate_safe:
@@ -171,12 +157,10 @@ class ProgramCapabilities:
             "flags": self.flags,
             "commutative_merges": sorted(self.commutative_merges),
             "foldable_merges": sorted(self.foldable_merges),
-            "batchable_rmw": sorted(self.batchable_rmw),
             "coalescible_entries": sorted(self.coalescible_entries),
             "coalescible_edges": sorted(
                 list(edge) for edge in self.coalescible_edges
             ),
-            "batch_state_tes": sorted(self.batch_state_tes),
             "refusals": list(self.refusals),
             "substrate_safe": self.substrate_safe,
             "substrate_findings": [
@@ -557,17 +541,6 @@ def _coalescing(
     return entries, edges, []
 
 
-def _batch_state_tes(facts: dict[str, _TEFacts],
-                     batchable_rmw: tuple[str, ...]) -> frozenset:
-    """TEs allowed to run a delivery batch under one journal window:
-    certified non-escaping RMWs plus pure commutative writers."""
-    commutative_writers = {
-        te for te, fact in facts.items()
-        if fact is not None and fact.writes and fact.commutative_only
-    }
-    return frozenset(commutative_writers | set(batchable_rmw))
-
-
 # ----------------------------------------------------------------------
 # Program path (translated SDGProgram subclasses)
 # ----------------------------------------------------------------------
@@ -631,7 +604,6 @@ def _certify_program(cls: type, name: str) -> ProgramCapabilities:
             folds_by_method[method] = fold
 
     merge_folds: dict[str, MergeFold] = {}
-    batchable: list[str] = []
     facts: dict[str, _TEFacts] = {}
     all_fields = set(result.fields)
     for ir in model.entries.values():
@@ -642,31 +614,9 @@ def _certify_program(cls: type, name: str) -> ProgramCapabilities:
                 merge_folds[te_name] = folds_by_method[
                     block.merge.method
                 ]
-            if (
-                block.access is not None
-                and not block.is_merge
-                and block.access.mode is AccessMode.LOCAL
-                and block.access.field in model.partial_fields
-            ):
-                writes, _reads, tainted, _sites = block_taints(
-                    block, block.access.field, model.partial_fields
-                )
-                if not writes:
-                    continue
-                live_out = (set(ir.lives[index + 1])
-                            if index + 1 < len(ir.blocks) else set())
-                if tainted & live_out:
-                    refusals.append(
-                        f"TE {te_name!r}: replica-derived value "
-                        f"escapes the RMW block "
-                        f"({', '.join(sorted(tainted & live_out))})"
-                    )
-                else:
-                    batchable.append(te_name)
 
     entries, edges, coalesce_refusals = _coalescing(result.sdg, facts)
     refusals.extend(coalesce_refusals)
-    batchable_tuple = tuple(sorted(batchable))
     substrate_safe, substrate_findings = _substrate_certificate(
         model=model, cls=cls
     )
@@ -674,10 +624,8 @@ def _certify_program(cls: type, name: str) -> ProgramCapabilities:
         target=name,
         commutative_merges=tuple(commutative),
         foldable_merges=tuple(foldable),
-        batchable_rmw=batchable_tuple,
         coalescible_entries=entries,
         coalescible_edges=edges,
-        batch_state_tes=_batch_state_tes(facts, batchable_tuple),
         merge_folds=merge_folds,
         refusals=tuple(refusals),
         substrate_safe=substrate_safe,
@@ -771,38 +719,15 @@ def _ctx_state_facts(fn_ast: ast.FunctionDef,
                     commutative_only=commutative)
 
 
-def _sdg_rmw_nonescaping(fn_ast: ast.FunctionDef) -> bool:
-    """Nothing leaves the task: no ``ctx.emit`` and no returned value.
-
-    With no outputs at all, a replica-derived value trivially cannot
-    escape onto a dataflow edge — the SDG-path analogue of the
-    block-taint liveness proof.
-    """
-    for node in ast.walk(fn_ast):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "emit"
-        ):
-            return False
-        if isinstance(node, ast.Return) and node.value is not None:
-            if not (isinstance(node.value, ast.Constant)
-                    and node.value.value is None):
-                return False
-    return True
-
-
 def _certify_sdg(sdg: SDG, name: str) -> ProgramCapabilities:
     refusals: list[str] = []
     facts: dict[str, _TEFacts | None] = {}
-    fn_asts: dict[str, ast.FunctionDef | None] = {}
     commutative: list[str] = []
     foldable: list[str] = []
     merge_folds: dict[str, MergeFold] = {}
 
     for te_name, spec in sorted(sdg.tasks.items()):
         fn_ast = _task_source(spec.fn)
-        fn_asts[te_name] = fn_ast
         if spec.is_merge:
             facts[te_name] = _NO_STATE
             if fn_ast is None or len(fn_ast.args.args) < 2:
@@ -832,44 +757,15 @@ def _certify_sdg(sdg: SDG, name: str) -> ProgramCapabilities:
             continue
         facts[te_name] = _ctx_state_facts(fn_ast, spec.state)
 
-    batchable: list[str] = []
-    for te_name, spec in sorted(sdg.tasks.items()):
-        if spec.access is not AccessMode.LOCAL:
-            continue
-        se_spec = sdg.se_of(te_name)
-        if se_spec is None or se_spec.kind is not StateKind.PARTIAL:
-            continue
-        fact = facts[te_name]
-        fn_ast = fn_asts[te_name]
-        if fact is None or fn_ast is None:
-            refusals.append(
-                f"TE {te_name!r}: source unavailable; cannot certify "
-                f"its partial-state RMW"
-            )
-            continue
-        if not fact.writes:
-            continue
-        if _sdg_rmw_nonescaping(fn_ast):
-            batchable.append(te_name)
-        else:
-            refusals.append(
-                f"TE {te_name!r}: emits or returns values from its "
-                f"partial-state RMW; a replica-derived value could "
-                f"escape"
-            )
-
     entries, edges, coalesce_refusals = _coalescing(sdg, facts)
     refusals.extend(coalesce_refusals)
-    batchable_tuple = tuple(sorted(batchable))
     substrate_safe, substrate_findings = _substrate_certificate(sdg=sdg)
     return ProgramCapabilities(
         target=name,
         commutative_merges=tuple(commutative),
         foldable_merges=tuple(foldable),
-        batchable_rmw=batchable_tuple,
         coalescible_entries=entries,
         coalescible_edges=edges,
-        batch_state_tes=_batch_state_tes(facts, batchable_tuple),
         merge_folds=merge_folds,
         refusals=tuple(refusals),
         substrate_safe=substrate_safe,

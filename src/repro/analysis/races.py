@@ -64,10 +64,8 @@ def block_taints(
     Returns ``(writes, reads, tainted, taint_site)``: whether the block
     writes / reads the field, the set of variables derived (directly or
     transitively) from a read of it, and the statement that first
-    tainted each. Shared between the SDG301 warning pass (which reports
-    tainted names that are live out) and the capability certifier
-    (which certifies a read-modify-write block as ``BATCHABLE_RMW``
-    exactly when *no* tainted name escapes).
+    tainted each. The SDG301 warning pass reports the tainted names
+    that are live out of the block.
 
     With ``interproc`` (a :class:`~repro.analysis.summaries.
     ProgramSummaries`) and ``caller`` (the entry method name), taint
@@ -75,8 +73,7 @@ def block_taints(
     parameters: in a statement that touches tainted data,
     ``self._stash(out, seen)`` taints ``out`` when the summary of
     ``_stash`` proves it mutates its first parameter. The extension is
-    strictly additive — more taint, never less — so it can only
-    *remove* a ``BATCHABLE_RMW`` certificate, never forge one.
+    strictly additive — more taint, never less.
     """
     writes = False
     reads = False

@@ -120,11 +120,9 @@ def _render_capabilities(cert: dict) -> str:
     rows = [
         ("commutative merges", cert["commutative_merges"]),
         ("foldable merges", cert["foldable_merges"]),
-        ("batchable RMW", cert["batchable_rmw"]),
         ("coalescible entries", cert["coalescible_entries"]),
         ("coalescible edges",
          [f"{src} -> {dst}" for src, dst in cert["coalescible_edges"]]),
-        ("batch-state TEs", cert["batch_state_tes"]),
     ]
     for label, values in rows:
         if values:

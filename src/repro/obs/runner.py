@@ -182,8 +182,7 @@ def render_report(run: ObsRun, *, trace_limit: int = 8) -> str:
                  f"{', '.join(caps.flags) if caps and caps.flags else '(none)'}"
                  f"{'' if caps is not None else ' [optimize off]'}")
     for counter in ("dispatch_coalesced_total",
-                    "merge_early_completions_total",
-                    "state_rmw_batches_total"):
+                    "merge_early_completions_total"):
         lines.append(f"  {counter}: {metrics.total(counter):.0f}")
     lines.extend([
         "",

@@ -245,10 +245,7 @@ class CheckpointManager:
             if se_inst is None:
                 continue
             element = se_inst.element
-            if element.delta_capable:
-                journal = element.journal()
-                self._c_journal.inc(
-                    len(journal.written) + len(journal.deleted))
+            self._c_journal.inc(element.backend.journal_size)
             if delta:
                 se_chunks[se_key] = element.to_delta_chunks(
                     self.n_chunks, version=pending.version,
@@ -304,9 +301,9 @@ class CheckpointManager:
 
         Requires, beyond the policy cadence: a contiguous predecessor
         still in the store, an unchanged SE instance set, unchanged
-        partitioning epochs, and every SE journal-backed. Any mismatch
-        re-anchors with a full checkpoint — a delta whose lineage or
-        coverage is doubtful is never emitted.
+        partitioning epochs, and every SE still on the node. Any
+        mismatch re-anchors with a full checkpoint — a delta whose
+        lineage or coverage is doubtful is never emitted.
         """
         if self.policy.wants_full(self._cycles.get(pending.node_id, 0)):
             return False
@@ -317,11 +314,8 @@ class CheckpointManager:
             return False
         if previous.se_epochs != pending.se_epochs:
             return False
-        for se_key in pending.se_keys:
-            se_inst = node.se_instances.get(se_key)
-            if se_inst is None or not se_inst.element.delta_capable:
-                return False
-        return True
+        return all(se_key in node.se_instances
+                   for se_key in pending.se_keys)
 
     def abort(self, pending: PendingCheckpoint) -> None:
         """Abandon an in-progress checkpoint, consolidating dirty state."""

@@ -31,10 +31,8 @@ class CheckpointPolicy:
 
     A delta is only *attempted* when it is sound: the previous
     checkpoint must still be in the store with a contiguous version,
-    the node's SE set and partitioning epochs must be unchanged, and
-    every SE must journal its mutations
-    (:attr:`~repro.state.base.StateElement.delta_capable`); otherwise
-    the manager silently re-anchors with a full base.
+    and the node's SE set and partitioning epochs must be unchanged;
+    otherwise the manager silently re-anchors with a full base.
     """
 
     full_every: int = 1

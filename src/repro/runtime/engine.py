@@ -139,8 +139,6 @@ class Runtime:
         self.capabilities: Any = None
         #: Merge TE name -> MergeFold for certified-foldable merges.
         self._merge_folds: dict[str, Any] = {}
-        #: TEs licensed to journal-batch their state writes.
-        self._batch_state_tes: frozenset[str] = frozenset()
         #: ``(edge_index, dst_te)`` of every channel certified
         #: ``COALESCIBLE_DISPATCH``; empty keeps every run at length 1.
         self._run_channels: frozenset[tuple[int, str]] = frozenset()
@@ -264,7 +262,6 @@ class Runtime:
             caps = certify(self.sdg)
         self.capabilities = caps
         self._merge_folds = dict(caps.merge_folds)
-        self._batch_state_tes = frozenset(caps.batch_state_tes)
         self._run_channels = frozenset(
             [(INPUT_EDGE, entry) for entry in caps.coalescible_entries]
             + [(index, edge.dst)
@@ -294,10 +291,6 @@ class Runtime:
         self._c_merge_early = m.counter(
             "merge_early_completions_total",
             "gather barriers completed via a certified eager fold"
-        ).labels()
-        self._c_rmw_batches = m.counter(
-            "state_rmw_batches_total",
-            "journal write batches applied under a BATCHABLE_RMW licence"
         ).labels()
         self._c_coalesced = m.counter(
             "dispatch_coalesced_total",
@@ -484,19 +477,6 @@ class Runtime:
             and envelope.request_id is None
             and (channel.edge_index, channel.dst_te) in self._run_channels
         ) else 1
-        element = None
-        if (
-            limit > 1
-            and inbox
-            and instance.name in self._batch_state_tes
-            and instance.se_instance is not None
-        ):
-            # One journal-bookkeeping window for the whole run. A task
-            # crash mid-run still closes it, flushing the served
-            # prefix: those items' ``last_seen`` marks already
-            # advanced, so their state must be checkpointable.
-            element = instance.se_instance.element
-            element.begin_rmw_batch()
         run = 0
         try:
             while True:
@@ -537,9 +517,6 @@ class Runtime:
                 # transport's). After a mid-run crash ``candidates`` is
                 # already stale and this edits a list nobody reads.
                 candidates.discard(instance)
-            if element is not None:
-                element.end_rmw_batch()
-                self._c_rmw_batches.inc()
         if run > 1:
             self._c_coalesced.inc(run - 1)
             # The scheduler admitted one item; charge the straggler

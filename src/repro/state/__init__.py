@@ -29,7 +29,7 @@ from repro.state.backend import (
     StateBackend,
 )
 from repro.state.base import DeltaChunk, StateChunk, StateElement
-from repro.state.dirty import DirtyOverlay, TOMBSTONE
+from repro.state.dirty import TOMBSTONE
 from repro.state.keyvalue import KeyValueMap
 from repro.state.matrix import DenseMatrix, Matrix
 from repro.state.partitioner import (
@@ -44,7 +44,6 @@ __all__ = [
     "DenseGridBackend",
     "DenseMatrix",
     "DictBackend",
-    "DirtyOverlay",
     "HashPartitioner",
     "KeyValueMap",
     "ListBackend",

@@ -9,15 +9,16 @@ turns the storage layer into a seam: swapping the backend changes the
 physical layout without touching the SE's semantics, its dirty-state
 checkpoint protocol, or its partitioning support.
 
-Every backend additionally keeps a **mutation journal** — the set of
-keys written and deleted since the last :meth:`StateBackend.mark_clean`
-— which is what makes *incremental* (delta) checkpointing possible:
-instead of re-serialising the full state each cycle, a delta checkpoint
-emits only the journalled keys (changed values plus tombstones), so the
-per-cycle backup cost is O(|mutations|) rather than O(|state|).
+Every backend additionally keeps a **mutation journal** — one map from
+each key mutated since the last :meth:`StateBackend.mark_clean` to
+whether it was last written (``True``) or deleted (``False``) — which
+is what makes *incremental* (delta) checkpointing possible: instead of
+re-serialising the full state each cycle, a delta checkpoint emits only
+the journalled keys (changed values plus tombstones), so the per-cycle
+backup cost is O(|mutations|) rather than O(|state|).
 
-Journal invariants (maintained by the concrete ``set``/``delete``
-implementations here, so every backend gets them for free):
+Journal invariants (one map entry per key, assigned by the concrete
+``set``/``delete`` here, so every backend gets them by construction):
 
 * a key is in at most one of ``written`` / ``deleted``;
 * write-then-delete journals as *deleted* only (a tombstone);
@@ -57,12 +58,9 @@ class StateBackend(abc.ABC):
     """
 
     def __init__(self) -> None:
-        self._written: set[Hashable] = set()
-        self._deleted: set[Hashable] = set()
-        #: Deferred journal ops ``(is_write, key)`` while a write batch
-        #: is open (``None`` = batching off, the default). Storage
-        #: writes are never deferred — only the journal bookkeeping.
-        self._batch_ops: list[tuple[bool, Hashable]] | None = None
+        #: Key -> ``True`` (written) / ``False`` (deleted) since the
+        #: last ``mark_clean``.
+        self._journal: dict[Hashable, bool] = {}
 
     # -- storage hooks (subclass responsibility) -----------------------
 
@@ -73,6 +71,16 @@ class StateBackend(abc.ABC):
     @abc.abstractmethod
     def _do_set(self, key: Hashable, value: Any) -> None:
         """Write ``value`` for ``key``."""
+
+    def _normalise(self, key: Hashable,
+                   value: Any) -> tuple[Hashable, Any]:
+        """The ``(key, value)`` that :meth:`set` would store.
+
+        Raises what ``set`` would raise for a key or value this store
+        rejects. The SE's mid-checkpoint overlay holds writes in this
+        form, so they are checked when made and read back as stored.
+        """
+        return key, value
 
     @abc.abstractmethod
     def _do_delete(self, key: Hashable) -> None:
@@ -98,95 +106,34 @@ class StateBackend(abc.ABC):
 
     def set(self, key: Hashable, value: Any) -> None:
         self._do_set(key, value)
-        if self._batch_ops is not None:
-            self._batch_ops.append((True, key))
-            return
-        self._written.add(key)
-        self._deleted.discard(key)
+        self._journal[key] = True
 
     def delete(self, key: Hashable) -> None:
         self._do_delete(key)
-        if self._batch_ops is not None:
-            self._batch_ops.append((False, key))
-            return
-        self._deleted.add(key)
-        self._written.discard(key)
+        self._journal[key] = False
 
     def clear(self) -> None:
-        self._flush_batch()
-        for key, _value in list(self.items()):
-            self._deleted.add(key)
-            self._written.discard(key)
+        for key, _value in self.items():
+            self._journal[key] = False
         self._do_clear()
-
-    # -- batched journal bookkeeping -----------------------------------
-
-    def begin_batch(self) -> None:
-        """Defer journal bookkeeping until :meth:`end_batch`.
-
-        Inside a batch, :meth:`set`/:meth:`delete` apply to storage
-        immediately — reads always see the latest value — but their
-        per-key journal set mutations are queued and folded in at
-        batch end (one pass, set-bulk operations for the common
-        write-only case). The fold replays ops in order, so the
-        journal invariants (write-then-delete = tombstone only,
-        delete-then-rewrite = write only) hold exactly as if each op
-        had journalled eagerly. Idempotent; journal reads and
-        ``clear`` flush the pending ops first, so batching is never
-        observable in a :class:`MutationJournal`.
-        """
-        if self._batch_ops is None:
-            self._batch_ops = []
-
-    def end_batch(self) -> None:
-        """Fold the deferred ops into the journal and close the batch."""
-        ops = self._batch_ops
-        self._batch_ops = None
-        if ops:
-            self._apply_batch_ops(ops)
-
-    def _flush_batch(self) -> None:
-        """Fold pending ops without closing an open batch."""
-        ops = self._batch_ops
-        if ops:
-            self._batch_ops = []
-            self._apply_batch_ops(ops)
-
-    def _apply_batch_ops(self, ops: list[tuple[bool, Hashable]]) -> None:
-        if all(is_write for is_write, _key in ops):
-            # The certified-RMW case: writes only, fold as bulk set ops.
-            keys = {key for _is_write, key in ops}
-            self._written.update(keys)
-            self._deleted.difference_update(keys)
-            return
-        for is_write, key in ops:
-            if is_write:
-                self._written.add(key)
-                self._deleted.discard(key)
-            else:
-                self._deleted.add(key)
-                self._written.discard(key)
 
     # -- journal -------------------------------------------------------
 
     def journal(self) -> MutationJournal:
         """Snapshot of the keys mutated since the last ``mark_clean``."""
-        self._flush_batch()
-        return MutationJournal(written=frozenset(self._written),
-                               deleted=frozenset(self._deleted))
+        entries = self._journal.items()
+        return MutationJournal(
+            written=frozenset([key for key, live in entries if live]),
+            deleted=frozenset([key for key, live in entries if not live]),
+        )
 
     def mark_clean(self) -> None:
         """Reset the journal — called once a checkpoint has persisted."""
-        if self._batch_ops:
-            # Pending ops predate the clean point: drop them with it.
-            self._batch_ops = []
-        self._written.clear()
-        self._deleted.clear()
+        self._journal.clear()
 
     @property
     def journal_size(self) -> int:
-        self._flush_batch()
-        return len(self._written) + len(self._deleted)
+        return len(self._journal)
 
 
 class DictBackend(StateBackend):
@@ -245,16 +192,18 @@ class ListBackend(StateBackend):
             raise KeyError(index)
         return self._data[index]
 
+    def _normalise(self, key: Hashable, value: Any) -> tuple[int, float]:
+        return self._check_index(key), float(value)
+
     def _do_set(self, key: Hashable, value: Any) -> None:
-        index = self._check_index(key)
+        index, value = self._normalise(key, value)
         if index >= len(self._data):
             # Implicit zero-fill: journal the new slots so a delta
             # checkpoint reproduces the growth exactly.
             for gap in range(len(self._data), index):
-                self._written.add(gap)
-                self._deleted.discard(gap)
+                self._journal[gap] = True
             self._data.extend([0.0] * (index + 1 - len(self._data)))
-        self._data[index] = float(value)
+        self._data[index] = value
 
     def delete(self, key: Hashable) -> None:
         index = self._check_index(key)
@@ -315,9 +264,13 @@ class DenseGridBackend(StateBackend):
         row, col = self._check_key(key)
         return self._data[row][col]
 
+    def _normalise(self, key: Hashable,
+                   value: Any) -> tuple[tuple[int, int], float]:
+        return self._check_key(key), float(value)
+
     def _do_set(self, key: Hashable, value: Any) -> None:
-        row, col = self._check_key(key)
-        self._data[row][col] = float(value)
+        (row, col), value = self._normalise(key, value)
+        self._data[row][col] = value
 
     def delete(self, key: Hashable) -> None:
         # A dense cell cannot disappear: deletion journals a zero write.
@@ -346,12 +299,9 @@ class DenseGridBackend(StateBackend):
     def clear(self) -> None:
         # Dense clear = zero every cell; the cells still exist, so they
         # journal as writes, not deletions.
-        self._flush_batch()
         self._do_clear()
-        for row in range(self.n_rows):
-            for col in range(self.n_cols):
-                self._written.add((row, col))
-                self._deleted.discard((row, col))
+        for key, _zero in self.items():
+            self._journal[key] = True
 
 
 class SparseMatrixBackend(DictBackend):
@@ -383,9 +333,13 @@ class SparseMatrixBackend(DictBackend):
     def get(self, key: Hashable) -> float:
         return self._map[self._check_key(key)]
 
+    def _normalise(self, key: Hashable,
+                   value: Any) -> tuple[tuple[int, int], float]:
+        return self._check_key(key), float(value)
+
     def _do_set(self, key: Hashable, value: Any) -> None:
-        row, col = self._check_key(key)
-        self._map[(row, col)] = float(value)
+        (row, col), value = self._normalise(key, value)
+        self._map[(row, col)] = value
         self._row_cols.setdefault(row, set()).add(col)
 
     def _do_delete(self, key: Hashable) -> None:

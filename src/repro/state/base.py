@@ -5,9 +5,10 @@ A state element encapsulates the mutable state of an SDG computation
 key/value core provided here, which gives all of them, uniformly:
 
 * the **dirty-state checkpoint protocol** of §5 — ``begin_checkpoint``
-  freezes the main structure, subsequent writes land in a
-  :class:`~repro.state.dirty.DirtyOverlay`, a consistent snapshot is read
-  with :meth:`snapshot_items`, and ``consolidate`` folds the overlay back;
+  freezes the main structure, subsequent writes land in a plain-dict
+  overlay (deletions as :data:`~repro.state.dirty.TOMBSTONE`), a
+  consistent snapshot is read with :meth:`snapshot_items`, and
+  ``consolidate`` folds the overlay back;
 * **dynamic partitioning** — ``extract_partition`` / ``merge_partitions``
   split and re-join SE instances for partitioned state and for restoring a
   failed instance onto *n* new nodes;
@@ -19,13 +20,12 @@ key/value core provided here, which gives all of them, uniformly:
 * **size accounting** — a byte estimate used by the allocation logic and
   by the cluster simulator's checkpoint cost model.
 
-Since the storage-subsystem refactor the *physical* representation lives
-in a pluggable :class:`~repro.state.backend.StateBackend`; the SE class
-itself is a pure domain API. Subclasses normally pick their store by
-overriding :meth:`StateElement._make_backend` and never touch the
-``_store_*`` hooks; overriding the hooks directly remains supported for
-legacy custom SEs, at the cost of delta-checkpoint support (see
-:attr:`StateElement.delta_capable`).
+The *physical* representation lives in a pluggable
+:class:`~repro.state.backend.StateBackend`; the SE class itself is a
+pure domain API. Subclasses pick their store by overriding
+:meth:`StateElement._make_backend`, and every state operation reaches
+that backend — and with it the mutation journal — in one call from the
+``_get``/``_set``/``_delete`` helpers.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from repro.errors import StateError
 from repro.state.backend import DictBackend, MutationJournal, StateBackend
-from repro.state.dirty import DirtyOverlay, TOMBSTONE
+from repro.state.dirty import TOMBSTONE
 
 #: Sentinel distinguishing "no default supplied" from ``default=None``.
 _MISSING = object()
@@ -107,7 +107,9 @@ class StateElement(abc.ABC):
     def __init__(self, backend: StateBackend | None = None) -> None:
         self._backend = backend if backend is not None \
             else self._make_backend()
-        self._dirty: DirtyOverlay | None = None
+        #: Mid-checkpoint write overlay: key -> value or ``TOMBSTONE``
+        #: (``None`` = no checkpoint in progress).
+        self._dirty: dict[Hashable, Any] | None = None
         self._update_count = 0
 
     # ------------------------------------------------------------------
@@ -123,37 +125,6 @@ class StateElement(abc.ABC):
     def backend(self) -> StateBackend:
         """The physical store behind this SE instance."""
         return self._backend
-
-    # The ``_store_*`` hooks delegate to the backend. Legacy custom SEs
-    # may still override them wholesale; doing so bypasses the mutation
-    # journal, which :attr:`delta_capable` detects.
-
-    def _store_get(self, key: Hashable) -> Any:
-        """Return the value for ``key`` from the main structure.
-
-        Raises :class:`KeyError` when absent.
-        """
-        return self._backend.get(key)
-
-    def _store_set(self, key: Hashable, value: Any) -> None:
-        """Write ``value`` for ``key`` into the main structure."""
-        self._backend.set(key, value)
-
-    def _store_delete(self, key: Hashable) -> None:
-        """Remove ``key`` from the main structure (KeyError if absent)."""
-        self._backend.delete(key)
-
-    def _store_contains(self, key: Hashable) -> bool:
-        """Membership against the main structure only."""
-        return self._backend.contains(key)
-
-    def _store_items(self) -> Iterator[tuple[Hashable, Any]]:
-        """Iterate over all ``(key, value)`` pairs of the main structure."""
-        return self._backend.items()
-
-    def _store_clear(self) -> None:
-        """Empty the main structure."""
-        self._backend.clear()
 
     @abc.abstractmethod
     def spawn_empty(self) -> "StateElement":
@@ -185,55 +156,60 @@ class StateElement(abc.ABC):
     def _get(self, key: Hashable, default: Any = _MISSING) -> Any:
         """Read ``key``, consulting the dirty overlay first (§5 step 2)."""
         if self._dirty is not None and key in self._dirty:
-            value = self._dirty.get(key)
+            value = self._dirty[key]
             if value is TOMBSTONE:
                 if default is _MISSING:
                     raise KeyError(key)
                 return default
             return value
         try:
-            return self._store_get(key)
+            return self._backend.get(key)
         except KeyError:
             if default is _MISSING:
                 raise
             return default
 
     def _set(self, key: Hashable, value: Any) -> None:
-        """Write ``key``; redirected to the dirty overlay mid-checkpoint."""
+        """Write ``key``; redirected to the dirty overlay mid-checkpoint.
+
+        The backend checks and coerces ``(key, value)`` either way: a
+        bad write fails here, never later inside :meth:`consolidate`.
+        """
         self._update_count += 1
-        if self._dirty is not None:
-            self._dirty.set(key, value)
+        if self._dirty is None:
+            self._backend.set(key, value)
         else:
-            self._store_set(key, value)
+            key, value = self._backend._normalise(key, value)
+            self._dirty[key] = value
 
     def _delete(self, key: Hashable) -> None:
         """Delete ``key``; recorded as a tombstone mid-checkpoint."""
         self._update_count += 1
-        if self._dirty is not None:
-            if key not in self._dirty and not self._store_contains(key):
-                raise KeyError(key)
-            if key in self._dirty and self._dirty.get(key) is TOMBSTONE:
-                raise KeyError(key)
-            self._dirty.delete(key)
-        else:
-            self._store_delete(key)
+        if self._dirty is None:
+            self._backend.delete(key)
+            return
+        stored = self._backend.contains(key)  # also rejects a bad key
+        overlaid = self._dirty.get(key, _MISSING)
+        if overlaid is TOMBSTONE or (overlaid is _MISSING and not stored):
+            raise KeyError(key)
+        self._dirty[key] = TOMBSTONE
 
     def _contains(self, key: Hashable) -> bool:
         if self._dirty is not None and key in self._dirty:
-            return self._dirty.get(key) is not TOMBSTONE
-        return self._store_contains(key)
+            return self._dirty[key] is not TOMBSTONE
+        return self._backend.contains(key)
 
     def _iter_items(self) -> Iterator[tuple[Hashable, Any]]:
         """Iterate the *logical* contents: main structure + overlay."""
         if self._dirty is None:
-            yield from self._store_items()
+            yield from self._backend.items()
             return
         dirty = self._dirty
         seen = set()
-        for key, value in self._store_items():
+        for key, value in self._backend.items():
             seen.add(key)
             if key in dirty:
-                overlaid = dirty.get(key)
+                overlaid = dirty[key]
                 if overlaid is not TOMBSTONE:
                     yield key, overlaid
             else:
@@ -254,7 +230,7 @@ class StateElement(abc.ABC):
         """
         if self._dirty is not None:
             raise StateError("checkpoint already in progress for this SE")
-        self._dirty = DirtyOverlay()
+        self._dirty = {}
 
     def snapshot_items(self) -> list[tuple[Hashable, Any]]:
         """Materialise the consistent (pre-checkpoint) contents (step 3).
@@ -262,7 +238,7 @@ class StateElement(abc.ABC):
         Only meaningful while a checkpoint is active; calling it otherwise
         returns the current contents, which is still a consistent view.
         """
-        return list(self._store_items())
+        return list(self._backend.items())
 
     def consolidate(self) -> int:
         """Fold the dirty overlay back into the main structure (step 5).
@@ -272,25 +248,24 @@ class StateElement(abc.ABC):
         the checkpoint, not to the state size. Returns the number of
         overlay entries applied.
 
-        Consolidation routes through the journalled ``_store_*`` hooks,
+        Consolidation writes through the journalled backend mutators,
         so every overlay entry lands in the mutation journal — i.e. it
         belongs to the *next* checkpoint's delta, exactly as the paper's
         protocol requires.
         """
         if self._dirty is None:
             raise StateError("no checkpoint in progress to consolidate")
-        applied = 0
-        for key, value in self._dirty.items():
+        dirty, backend = self._dirty, self._backend
+        for key, value in dirty.items():
             if value is TOMBSTONE:
                 try:
-                    self._store_delete(key)
+                    backend.delete(key)
                 except KeyError:
                     pass
             else:
-                self._store_set(key, value)
-            applied += 1
+                backend.set(key, value)
         self._dirty = None
-        return applied
+        return len(dirty)
 
     def abort_checkpoint(self) -> None:
         """Consolidate-and-discard used when a checkpoint fails midway."""
@@ -302,24 +277,6 @@ class StateElement(abc.ABC):
     # Mutation journal (incremental checkpoint support)
     # ------------------------------------------------------------------
 
-    @property
-    def delta_capable(self) -> bool:
-        """Whether this SE's mutations are journalled by its backend.
-
-        True for every SE whose ``_store_set``/``_store_delete``/
-        ``_store_clear`` hooks are the backend-delegating base versions.
-        A legacy custom SE that overrides the hooks against its own
-        structure bypasses the journal; the checkpoint manager then
-        falls back to full checkpoints for nodes hosting it rather than
-        emit silently empty deltas.
-        """
-        cls = type(self)
-        return (
-            cls._store_set is StateElement._store_set
-            and cls._store_delete is StateElement._store_delete
-            and cls._store_clear is StateElement._store_clear
-        )
-
     def journal(self) -> MutationJournal:
         """The keys mutated since the last :meth:`mark_clean`."""
         return self._backend.journal()
@@ -327,23 +284,6 @@ class StateElement(abc.ABC):
     def mark_clean(self) -> None:
         """Reset the mutation journal (a checkpoint has persisted)."""
         self._backend.mark_clean()
-
-    def begin_rmw_batch(self) -> None:
-        """Open a journal write batch (``BATCHABLE_RMW`` fast path).
-
-        The engine brackets a run of certified non-escaping
-        read-modify-writes with ``begin_rmw_batch``/``end_rmw_batch``:
-        storage writes stay immediate (reads see every update), while
-        per-key journal bookkeeping is deferred to one bulk fold at
-        batch end. Safe only because the certificate proves the batch
-        cannot observe its own journal mid-run — and the backend
-        flushes pending ops on any journal read regardless.
-        """
-        self._backend.begin_batch()
-
-    def end_rmw_batch(self) -> None:
-        """Close the write batch, folding deferred ops into the journal."""
-        self._backend.end_batch()
 
     # ------------------------------------------------------------------
     # Partitioning and merging (§3.2)
@@ -367,9 +307,9 @@ class StateElement(abc.ABC):
         if self.checkpoint_active:
             raise StateError("cannot repartition while a checkpoint is active")
         part = self.spawn_empty()
-        for key, value in self._store_items():
+        for key, value in self._backend.items():
             if partitioner.partition(self.partition_key(key)) == index:
-                part._store_set(key, value)
+                part._backend.set(key, value)
         return part
 
     @classmethod
@@ -389,7 +329,7 @@ class StateElement(abc.ABC):
         merged = parts[0].spawn_empty()
         seen: set[Hashable] = set()
         for part_index, part in enumerate(parts):
-            for key, value in part._store_items():
+            for key, value in part._backend.items():
                 if key in seen:
                     raise StateError(
                         f"merge_partitions: key {key!r} appears in "
@@ -397,7 +337,7 @@ class StateElement(abc.ABC):
                         f"{part_index}); partitions must be disjoint"
                     )
                 seen.add(key)
-                merged._store_set(key, value)
+                merged._backend.set(key, value)
         return merged
 
     # ------------------------------------------------------------------
@@ -445,18 +385,12 @@ class StateElement(abc.ABC):
         """
         if m < 1:
             raise StateError(f"chunk count must be >= 1, got {m}")
-        if not self.delta_capable:
-            raise StateError(
-                f"{type(self).__name__} overrides the _store_* hooks and "
-                f"bypasses the mutation journal; delta checkpoints would "
-                f"be silently empty — take a full checkpoint instead"
-            )
         journal = self._backend.journal()
         item_buckets: list[list[tuple[Hashable, Any]]] = \
             [[] for _ in range(m)]
         for key in journal.written:
             item_buckets[stable_hash(key) % m].append(
-                (key, self._store_get(key))
+                (key, self._backend.get(key))
             )
         deleted_buckets: list[list[Hashable]] = [[] for _ in range(m)]
         for key in journal.deleted:
@@ -476,7 +410,7 @@ class StateElement(abc.ABC):
         """Load one chunk's items into this (recovering) instance (R2)."""
         self.apply_chunk_meta(chunk.meta)
         for key, value in chunk.items:
-            self._store_set(key, value)
+            self._backend.set(key, value)
 
     def load_delta_chunk(self, chunk: DeltaChunk) -> None:
         """Fold one delta chunk on top of previously restored state.
@@ -489,11 +423,11 @@ class StateElement(abc.ABC):
         self.apply_chunk_meta(chunk.meta)
         for key in chunk.deleted:
             try:
-                self._store_delete(key)
+                self._backend.delete(key)
             except KeyError:
                 pass  # deleted key never made it into the base: fine
         for key, value in chunk.items:
-            self._store_set(key, value)
+            self._backend.set(key, value)
 
     @classmethod
     def from_chunks(
@@ -511,6 +445,8 @@ class StateElement(abc.ABC):
 
     def entry_count(self) -> int:
         """Number of logical entries currently stored (incl. overlay)."""
+        if self._dirty is None:
+            return len(self._backend)
         return sum(1 for _ in self._iter_items())
 
     def estimated_size_bytes(self) -> int:

@@ -1,19 +1,17 @@
-"""Dirty-state overlay used during asynchronous checkpointing (§5).
+"""Dirty-state tombstone used during asynchronous checkpointing (§5).
 
 While a checkpoint of a state element is in progress, the main data
 structure must stay immutable so that a consistent snapshot can be
 serialised concurrently with processing. Updates arriving in that window
-are recorded in a :class:`DirtyOverlay`; reads are first served by the
-overlay and, only on a miss, by the main structure. When the checkpoint
-has been persisted, the overlay is *consolidated* back into the main
-structure (the only step that requires exclusive access, which is why the
-paper reports the locking overhead to be proportional to the update rate
-rather than the state size).
+are recorded in a plain ``dict`` overlay on the SE, keyed like the main
+structure — a deletion as :data:`TOMBSTONE` — and reads are served by
+the overlay first. When the checkpoint has been persisted, the overlay is
+*consolidated* back into the main structure (the only step that requires
+exclusive access, which is why the paper reports the locking overhead to
+be proportional to the update rate rather than the state size).
 """
 
 from __future__ import annotations
-
-from typing import Any, Hashable, Iterator
 
 
 class _Tombstone:
@@ -25,53 +23,5 @@ class _Tombstone:
         return "<TOMBSTONE>"
 
 
-#: Sentinel stored in a :class:`DirtyOverlay` for deleted keys.
+#: Sentinel overlaid on keys deleted while a checkpoint is in progress.
 TOMBSTONE = _Tombstone()
-
-
-class DirtyOverlay:
-    """A key-indexed write buffer layered over a frozen main structure.
-
-    The overlay is deliberately generic: every predefined SE maps its
-    mutations onto ``(key, value)`` pairs (a vector uses the index, a
-    matrix the ``(row, col)`` pair, a map the key itself), so one overlay
-    implementation serves all of them.
-    """
-
-    __slots__ = ("_writes",)
-
-    def __init__(self) -> None:
-        self._writes: dict[Hashable, Any] = {}
-
-    def __len__(self) -> int:
-        return len(self._writes)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._writes
-
-    def set(self, key: Hashable, value: Any) -> None:
-        """Record a write to ``key``."""
-        self._writes[key] = value
-
-    def get(self, key: Hashable) -> Any:
-        """Return the overlaid value for ``key``.
-
-        Raises :class:`KeyError` if the key was not written while the
-        overlay was active. Callers must treat a :data:`TOMBSTONE` result
-        as "deleted".
-        """
-        return self._writes[key]
-
-    def delete(self, key: Hashable) -> None:
-        """Record a deletion of ``key`` (stored as a tombstone)."""
-        self._writes[key] = TOMBSTONE
-
-    def items(self) -> Iterator[tuple[Hashable, Any]]:
-        """Iterate over ``(key, value-or-TOMBSTONE)`` pairs."""
-        return iter(self._writes.items())
-
-    def keys(self) -> Iterator[Hashable]:
-        return iter(self._writes.keys())
-
-    def clear(self) -> None:
-        self._writes.clear()

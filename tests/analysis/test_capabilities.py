@@ -44,23 +44,22 @@ def certify_bundled(key):
 # The certification matrix
 # ---------------------------------------------------------------------------
 
-#: key -> (flags, commutative, foldable, batchable_rmw, entries, edges,
-#:         batch_state_tes) for every bundled target.
+#: key -> (flags, commutative, foldable, entries, edges) for every
+#: bundled target.
 BUNDLED_MATRIX = {
-    "cf": (["COMMUTATIVE_MERGE", "BATCHABLE_RMW", "SUBSTRATE_SAFE"],
-           ("merge",), ("merge",), ("add_rating_1_co_occ",),
-           [], [], ["add_rating_1_co_occ"]),
-    "kvstore": (["SUBSTRATE_SAFE"], (), (), (), [], [], ["bump"]),
+    "cf": (["COMMUTATIVE_MERGE", "SUBSTRATE_SAFE"],
+           ("merge",), ("merge",), [], []),
+    "kvstore": (["SUBSTRATE_SAFE"], (), (), [], []),
     "lr": (["COMMUTATIVE_MERGE", "COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"],
-           ("average",), (), (), ["train"], [], []),
+           ("average",), (), ["train"], []),
     "kmeans": (["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"],
-               (), (), (), ["observe"], [], []),
+               (), (), ["observe"], []),
     "multiclass": (["COMMUTATIVE_MERGE", "COALESCIBLE_DISPATCH",
                     "SUBSTRATE_SAFE"],
-                   ("average",), (), (), ["train"], [], []),
-    "wordcount": (["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"], (), (), (),
-                  ["query", "split"], [("split", "count")], ["count"]),
-    "pagerank": (["SUBSTRATE_SAFE"], (), (), (), [], [], []),
+                   ("average",), (), ["train"], []),
+    "wordcount": (["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"], (), (),
+                  ["query", "split"], [("split", "count")]),
+    "pagerank": (["SUBSTRATE_SAFE"], (), (), [], []),
 }
 
 
@@ -70,9 +69,8 @@ class TestBundledMatrix:
         expected = BUNDLED_MATRIX[key]
         caps = certify_bundled(key)
         got = (caps.flags, caps.commutative_merges, caps.foldable_merges,
-               caps.batchable_rmw, sorted(caps.coalescible_entries),
-               sorted(caps.coalescible_edges),
-               sorted(caps.batch_state_tes))
+               sorted(caps.coalescible_entries),
+               sorted(caps.coalescible_edges))
         assert got == expected, f"{key}: {got}"
 
     def test_refused_certificates_carry_readable_reasons(self):
@@ -84,10 +82,7 @@ class TestBundledMatrix:
 
     def test_hand_built_cf_sdg(self):
         caps = certify(build_cf_sdg)
-        assert caps.flags == [
-            "BATCHABLE_RMW", "COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE",
-        ]
-        assert caps.batchable_rmw == ("updateCoOcc",)
+        assert caps.flags == ["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"]
         assert ("updateUserItem", "updateCoOcc") in caps.coalescible_edges
         # The order-sensitive merge TE is refused, with the line.
         assert any("mergeRec" in r for r in caps.refusals)
@@ -96,7 +91,6 @@ class TestBundledMatrix:
         caps = certify(build_kv_sdg)
         assert caps.flags == ["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"]
         assert sorted(caps.coalescible_entries) == ["serve"]
-        assert not caps.batch_state_tes
 
     def test_hand_built_iterative_sdg_coalesces_both_directions(self):
         caps = certify(build_iterative_sdg)
@@ -143,8 +137,7 @@ class TestUncertifiedRefused:
     def test_clean_fixture_earns_every_flag(self):
         caps = certify(clean.CleanCounters)
         assert caps.flags == [
-            "COMMUTATIVE_MERGE", "BATCHABLE_RMW", "COALESCIBLE_DISPATCH",
-            "SUBSTRATE_SAFE",
+            "COMMUTATIVE_MERGE", "COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE",
         ]
 
 
@@ -209,7 +202,7 @@ class TestSerialization:
         round_tripped = json.loads(json.dumps(payload))
         assert round_tripped == payload
         assert payload["flags"] == [
-            "COMMUTATIVE_MERGE", "BATCHABLE_RMW", "SUBSTRATE_SAFE",
+            "COMMUTATIVE_MERGE", "SUBSTRATE_SAFE",
         ]
         assert payload["foldable_merges"] == ["merge"]
 

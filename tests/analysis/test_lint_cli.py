@@ -103,8 +103,7 @@ class TestCapabilities:
         assert main(["lint", "cf", "--capabilities"]) == 0
         out = capsys.readouterr().out
         assert "capabilities for cf:" in out
-        assert ("flags: COMMUTATIVE_MERGE, BATCHABLE_RMW, SUBSTRATE_SAFE"
-                in out)
+        assert "flags: COMMUTATIVE_MERGE, SUBSTRATE_SAFE" in out
         assert "foldable merges: merge" in out
         assert "refused (baseline path):" in out
 
@@ -134,7 +133,7 @@ class TestCapabilities:
         assert cert["target"] == "wordcount"
         assert cert["flags"] == ["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"]
         assert cert["coalescible_edges"] == [["split", "count"]]
-        assert cert["batch_state_tes"] == ["count"]
+        assert cert["coalescible_entries"] == ["query", "split"]
 
     def test_json_payload_omits_certificates_by_default(self, capsys):
         assert main(["lint", "wordcount", "--format", "json"]) == 0

@@ -13,7 +13,7 @@ from repro.errors import RecoveryError, RuntimeExecutionError
 from repro.recovery import BackupStore, CheckpointManager, CheckpointPolicy
 from repro.recovery.checkpoint import NodeCheckpoint
 from repro.runtime import Runtime, RuntimeConfig
-from repro.state import DeltaChunk, StateElement
+from repro.state import DeltaChunk
 
 from tests.helpers import build_kv_sdg
 
@@ -143,46 +143,6 @@ class TestDeltaEmission:
         checkpoint = manager.checkpoint(node)
         assert checkpoint.kind == "full"
         assert store.latest(node).version == checkpoint.version
-
-    def test_legacy_hook_se_forces_full_checkpoints(self):
-        """A custom SE that overrides the ``_store_*`` hooks bypasses the
-        backend journal, so the manager must never trust its deltas."""
-
-        class LegacyKV(StateElement):
-            def __init__(self):
-                super().__init__()
-                self._own = {}
-
-            def _store_set(self, key, value):
-                self._own[key] = value
-
-            def _store_get(self, key):
-                return self._own[key]
-
-            def _store_delete(self, key):
-                del self._own[key]
-
-            def _store_contains(self, key):
-                return key in self._own
-
-            def _store_items(self):
-                return iter(self._own.items())
-
-            def _store_clear(self):
-                self._own.clear()
-
-            def spawn_empty(self):
-                return LegacyKV()
-
-            def put(self, key, value):
-                self._set(key, value)
-
-        runtime, _store, manager = deploy(CheckpointPolicy(full_every=0))
-        node = table_node(runtime)
-        instance = runtime.se_instance("table", 0)
-        instance.element = LegacyKV()
-        manager.checkpoint(node)
-        assert manager.checkpoint(node).kind == "full"
 
 
 class TestStoreChain:

@@ -111,14 +111,14 @@ class TestFailureMidGather:
             runtime.inject("updateUserItem", rating)
         runtime.run_until_idle()
         replica1 = runtime.se_instances("coOcc")[1]
-        before = sorted(replica1.element._store_items())
+        before = sorted(replica1.element.backend.items())
         assert before  # it did receive some co-occurrence updates
         node = replica1.node_id
         runtime.fail_node(node)
         rec.recover_node(node)
         runtime.run_until_idle()
         after = sorted(
-            runtime.se_instances("coOcc")[1].element._store_items()
+            runtime.se_instances("coOcc")[1].element.backend.items()
         )
         assert after == before  # deterministic replay rebuilt it exactly
 

@@ -1,18 +1,16 @@
 """Unit tests for the pluggable state backends and their journals."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StateError
 from repro.state import (
     DenseGridBackend,
-    DenseMatrix,
     DictBackend,
     KeyValueMap,
     ListBackend,
-    Matrix,
     SparseMatrixBackend,
-    StateElement,
-    Vector,
 )
 
 
@@ -149,42 +147,6 @@ class TestSparseMatrixBackend:
 
 
 class TestDeltaCapability:
-    def test_predefined_ses_are_delta_capable(self):
-        for se in (KeyValueMap(), Vector(), Matrix(), DenseMatrix(2, 2)):
-            assert se.delta_capable, type(se).__name__
-
-    def test_legacy_hook_override_is_not_delta_capable(self):
-        class Legacy(StateElement):
-            def __init__(self):
-                super().__init__()
-                self._own = {}
-
-            def _store_set(self, key, value):
-                self._own[key] = value
-
-            def _store_get(self, key):
-                return self._own[key]
-
-            def _store_delete(self, key):
-                del self._own[key]
-
-            def _store_contains(self, key):
-                return key in self._own
-
-            def _store_items(self):
-                return iter(self._own.items())
-
-            def _store_clear(self):
-                self._own.clear()
-
-            def spawn_empty(self):
-                return Legacy()
-
-        legacy = Legacy()
-        assert not legacy.delta_capable
-        with pytest.raises(StateError, match="delta"):
-            legacy.to_delta_chunks(2, version=2, base_version=1)
-
     def test_se_mutations_reach_the_journal(self):
         kv = KeyValueMap()
         kv.put("a", 1)
@@ -206,3 +168,70 @@ class TestDeltaCapability:
         assert kv.journal().empty  # still in the overlay
         kv.consolidate()
         assert kv.journal().written == {"b"}
+
+
+#: kind -> (factory, key from two small ints).
+BACKENDS = {
+    "dict": (DictBackend, lambda a, b: a),
+    "list": (ListBackend, lambda a, b: 2 * a + b),
+    "grid": (lambda: DenseGridBackend(2, 2), lambda a, b: (a % 2, b % 2)),
+    "sparse": (SparseMatrixBackend, lambda a, b: (a, b)),
+}
+
+
+@given(kind=st.sampled_from(sorted(BACKENDS)),
+       ops=st.lists(
+           st.tuples(st.sampled_from(["set", "del", "clear", "clean"]),
+                     st.integers(0, 3), st.integers(0, 3)),
+           max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_any_sequence_is_journal_equivalent(kind, ops):
+    """The one-map journal equals a two-set reference (add + discard).
+
+    The reference is told which keys each mutation touches from the
+    store's contents just before it: ``ListBackend`` zero-fills the gap
+    below a write past its end, both dense stores keep a deleted slot
+    and the grid a cleared one, so those journal as writes.
+    """
+    factory, key_of = BACKENDS[kind]
+    backend = factory()
+    delete_keeps_slot = kind in ("list", "grid")
+    clear_keeps_slots = kind == "grid"
+    written, deleted = set(), set()
+
+    def journal_write(keys):
+        written.update(keys)
+        deleted.difference_update(keys)
+
+    def journal_delete(keys):
+        deleted.update(keys)
+        written.difference_update(keys)
+
+    for op, a, b in ops:
+        key = key_of(a, b)
+        if op == "set":
+            gap = (set(range(len(backend), key)) if kind == "list"
+                   else set())
+            backend.set(key, 1.5)
+            journal_write(gap | {key})
+        elif op == "del":
+            if not backend.contains(key):
+                with pytest.raises(KeyError):
+                    backend.delete(key)
+                continue
+            backend.delete(key)
+            (journal_write if delete_keeps_slot else journal_delete)({key})
+        elif op == "clear":
+            stored = {k for k, _value in backend.items()}
+            backend.clear()
+            (journal_write if clear_keeps_slots
+             else journal_delete)(stored)
+        else:
+            backend.mark_clean()
+            written.clear()
+            deleted.clear()
+        journal = backend.journal()
+        assert journal.written == written
+        assert journal.deleted == deleted
+        assert backend.journal_size == len(journal) \
+            == len(written) + len(deleted)

@@ -40,15 +40,15 @@ def test_matrix_partition_cover(triples, n, axis):
     # Disjoint cover, with every cell in the partition owning its axis.
     total = 0
     for index, part in enumerate(parts):
-        for (row, col), value in part._store_items():
+        for (row, col), value in part.backend.items():
             key = row if axis == "row" else col
             assert partitioner.partition(key) == index
             assert model[(row, col)] == value
             total += 1
     assert total == len(model)
     merged = Matrix.merge_partitions(parts)
-    assert sorted(merged._store_items()) == sorted(
-        matrix._store_items()
+    assert sorted(merged.backend.items()) == sorted(
+        matrix.backend.items()
     )
 
 
@@ -64,11 +64,11 @@ def test_matrix_checkpoint_transparency(triples):
     fill(plain, triples[half:])
     fill(checkpointed, triples[half:])
     assert sorted(checkpointed._iter_items()) == sorted(
-        plain._store_items()
+        plain.backend.items()
     )
     checkpointed.consolidate()
-    assert sorted(checkpointed._store_items()) == sorted(
-        plain._store_items()
+    assert sorted(checkpointed.backend.items()) == sorted(
+        plain.backend.items()
     )
     # Row index must be consistent after consolidation.
     for row in range(21):

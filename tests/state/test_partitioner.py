@@ -93,7 +93,7 @@ class TestStatePartitioning:
         p = HashPartitioner(2)
         parts = [m.extract_partition(p, i) for i in range(2)]
         for i, part in enumerate(parts):
-            for (row, _col), _val in part._store_items():
+            for (row, _col), _val in part.backend.items():
                 assert p.partition(row) == i
 
     def test_matrix_col_partitioning_groups_cols(self):
@@ -103,7 +103,7 @@ class TestStatePartitioning:
         p = HashPartitioner(3)
         parts = [m.extract_partition(p, i) for i in range(3)]
         for i, part in enumerate(parts):
-            for (_row, col), _val in part._store_items():
+            for (_row, col), _val in part.backend.items():
                 assert p.partition(col) == i
 
     def test_merge_partitions_restores_original(self):

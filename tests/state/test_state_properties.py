@@ -7,10 +7,18 @@ must be a lossless partition of the snapshot, and partitioning must be a
 disjoint cover of the key space.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.state import HashPartitioner, KeyValueMap, Matrix, Vector
+from repro.errors import StateError
+from repro.state import (
+    DenseMatrix,
+    HashPartitioner,
+    KeyValueMap,
+    Matrix,
+    Vector,
+)
 
 keys = st.one_of(st.integers(0, 200), st.text(max_size=8))
 values = st.integers(-1000, 1000)
@@ -134,3 +142,61 @@ def test_vector_checkpoint_transparency(ops_list):
     assert checkpointed.to_list() == plain.to_list()
     checkpointed.consolidate()
     assert checkpointed.to_list() == plain.to_list()
+
+
+cell_keys = st.tuples(st.integers(-2, 3), st.integers(-2, 3))
+written_values = st.one_of(st.integers(-5, 5), st.floats(-5, 5),
+                           st.just("x"))
+
+#: SE kind -> (factory, keys good and bad, write, logical contents).
+CHECKED_WRITES = {
+    "Vector": (
+        lambda: Vector(size=2),
+        st.one_of(st.integers(-3, 6), st.booleans(), st.just("k")),
+        lambda se, key, value: se.set(key, value),
+        lambda se: se.to_list(),
+    ),
+    "Matrix": (
+        Matrix, cell_keys,
+        lambda se, key, value: se.set_element(*key, value),
+        lambda se: se.to_rows(),
+    ),
+    "DenseMatrix": (
+        lambda: DenseMatrix(2, 2), cell_keys,
+        lambda se, key, value: se.set_element(*key, value),
+        lambda se: se.to_rows(),
+    ),
+}
+
+
+def outcome(action, *args):
+    try:
+        action(*args)
+    except (StateError, KeyError, ValueError) as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKED_WRITES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mid_checkpoint_writes_are_checked_like_idle_ones(kind, data):
+    """A write is refused, and its value coerced, by the same rule with
+    or without a checkpoint in progress — so a bad write fails in the
+    task that made it and ``consolidate`` cannot."""
+    factory, keys, write, contents = CHECKED_WRITES[kind]
+    writes = data.draw(
+        st.lists(st.tuples(keys, written_values), max_size=20))
+    idle, frozen = factory(), factory()
+    frozen.begin_checkpoint()
+    for key, value in writes:
+        refused = outcome(write, idle, key, value)
+        assert outcome(write, frozen, key, value) is refused, (key, value)
+        if refused is StateError:  # a malformed key: deletes refuse it too
+            for se in (idle, frozen):
+                assert outcome(se._delete, key) is StateError, key
+    # repr tells 3 from 3.0: the overlay reads back what the store would.
+    assert repr(contents(frozen)) == repr(contents(idle))
+    frozen.consolidate()
+    assert not frozen.checkpoint_active
+    assert repr(contents(frozen)) == repr(contents(idle))

@@ -47,7 +47,7 @@ class TestTranslatedCFScaling:
         # Rows are split by user: each partition holds whole users.
         partitioner = app.runtime.topology.partitioner("user_item")
         for inst in app.runtime.se_instances("user_item"):
-            for (row, _col), _value in inst.element._store_items():
+            for (row, _col), _value in inst.element.backend.items():
                 assert partitioner.partition(row) == inst.index
         # More ratings + a read after scaling still match sequential.
         extra = [(0, 4, 2), (7, 0, 3)]
