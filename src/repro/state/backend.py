@@ -305,30 +305,33 @@ class DenseGridBackend(StateBackend):
 
 
 class SparseMatrixBackend(DictBackend):
-    """Dict-of-cells store with a per-row column index.
+    """Dict-of-cells store with a row index and a column index.
 
     Backs :class:`~repro.state.matrix.Matrix`: keys are validated
-    ``(row, col)`` int pairs and a ``row -> {cols}`` index is maintained
-    on every mutation so ``get_row`` stays proportional to the row's
-    population rather than the matrix size.
+    ``(row, col)`` int pairs, and ``row -> {cols}`` / ``col -> {rows}``
+    indexes are updated whenever a cell appears or disappears (an
+    overwrite touches neither), so ``get_row`` costs the row's
+    population and ``multiply`` that of the columns its operand
+    selects, not the matrix size. The indexes are derived from the
+    cells and never serialised.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self._row_cols: dict[int, set[int]] = {}
+        self._col_rows: dict[int, set[int]] = {}
 
     @staticmethod
     def _check_key(key: Hashable) -> tuple[int, int]:
-        if (
-            not isinstance(key, tuple)
-            or len(key) != 2
-            or not all(isinstance(k, int) and k >= 0 for k in key)
-        ):
-            raise StateError(
-                f"matrix key must be a (row, col) pair of non-negative "
-                f"ints: {key!r}"
-            )
-        return key  # type: ignore[return-value]
+        if isinstance(key, tuple) and len(key) == 2:
+            row, col = key
+            if (isinstance(row, int) and isinstance(col, int)
+                    and row >= 0 and col >= 0):
+                return key
+        raise StateError(
+            f"matrix key must be a (row, col) pair of non-negative "
+            f"ints: {key!r}"
+        )
 
     def get(self, key: Hashable) -> float:
         return self._map[self._check_key(key)]
@@ -338,18 +341,21 @@ class SparseMatrixBackend(DictBackend):
         return self._check_key(key), float(value)
 
     def _do_set(self, key: Hashable, value: Any) -> None:
-        (row, col), value = self._normalise(key, value)
-        self._map[(row, col)] = value
-        self._row_cols.setdefault(row, set()).add(col)
+        key, value = self._normalise(key, value)
+        if key not in self._map:
+            row, col = key
+            self._row_cols.setdefault(row, set()).add(col)
+            self._col_rows.setdefault(col, set()).add(row)
+        self._map[key] = value
 
     def _do_delete(self, key: Hashable) -> None:
         row, col = self._check_key(key)
         del self._map[(row, col)]
-        cols = self._row_cols.get(row)
-        if cols is not None:
-            cols.discard(col)
-            if not cols:
-                del self._row_cols[row]
+        for index, line, cross in ((self._row_cols, row, col),
+                                   (self._col_rows, col, row)):
+            index[line].discard(cross)
+            if not index[line]:
+                del index[line]
 
     def contains(self, key: Hashable) -> bool:
         return self._check_key(key) in self._map
@@ -357,7 +363,13 @@ class SparseMatrixBackend(DictBackend):
     def _do_clear(self) -> None:
         self._map.clear()
         self._row_cols.clear()
+        self._col_rows.clear()
 
     def row_cols(self, row: int) -> set[int]:
         """The populated column indexes of ``row`` (a copy)."""
         return set(self._row_cols.get(row, ()))
+
+    def col_cells(self, col: int) -> dict[int, float]:
+        """The populated cells of column ``col`` as ``{row: value}``."""
+        cells = self._map
+        return {row: cells[row, col] for row in self._col_rows.get(col, ())}

@@ -28,9 +28,10 @@ class Matrix(StateElement):
     """A sparse 2-D matrix SE keyed by ``(row, col)`` integer pairs.
 
     Unwritten cells read as 0.0. Physical storage is a
-    :class:`~repro.state.backend.SparseMatrixBackend`, whose per-row
-    column index keeps :meth:`get_row` proportional to the row's
-    population rather than the matrix size.
+    :class:`~repro.state.backend.SparseMatrixBackend`, whose row and
+    column indexes make :meth:`get_row`, :meth:`multiply` and the
+    dimensions cost the cells they touch, not the matrix size. The
+    vectors those return are built in one write: their journal is empty.
     """
 
     BYTES_PER_ENTRY = 24
@@ -69,29 +70,31 @@ class Matrix(StateElement):
         self.set_element(row, col, value)
         return value
 
-    def _logical_row_cols(self, row: int) -> set[int]:
+    def _line(self, axis: int, line: int) -> set[int]:
+        """Logical populated columns of row ``line`` (``axis`` 0), or
+        rows of column ``line`` (``axis`` 1): index plus overlay."""
         backend: SparseMatrixBackend = self._backend  # type: ignore
-        cols = backend.row_cols(row)
-        if self._dirty is not None:
-            for key, value in self._dirty.items():
-                r, c = key  # type: ignore[misc]
-                if r == row:
-                    if value is TOMBSTONE:
-                        cols.discard(c)
-                    else:
-                        cols.add(c)
-        return cols
+        index = backend._col_rows if axis else backend._row_cols
+        cross = set(index.get(line, ()))
+        for key, value in (self._dirty or {}).items():
+            if key[axis] == line:  # type: ignore[index]
+                update = cross.discard if value is TOMBSTONE else cross.add
+                update(key[1 - axis])  # type: ignore[index]
+        return cross
 
     def get_row(self, row: int) -> Vector:
         """Return row ``row`` as a :class:`Vector` (a copy, not a view)."""
-        vector = Vector()
-        for col in self._logical_row_cols(row):
-            vector.set(col, self._get((row, col), 0.0))
-        return vector
+        self._backend._check_key((row, 0))  # type: ignore[attr-defined]
+        cols = self._line(0, row)
+        values = [0.0] * (max(cols) + 1 if cols else 0)
+        for col in cols:
+            values[col] = self._get((row, col), 0.0)
+        return Vector(values=values)
 
     def set_row(self, row: int, vector: Vector) -> None:
         """Replace row ``row`` with the non-zero entries of ``vector``."""
-        for col in self._logical_row_cols(row):
+        self._backend._check_key((row, 0))  # type: ignore[attr-defined]
+        for col in self._line(0, row):
             self._delete((row, col))
         for col, value in enumerate(vector.to_list()):
             if value:
@@ -102,14 +105,27 @@ class Matrix(StateElement):
 
         This is the operation ``@Global coOcc.multiply(userRow)`` from
         Alg. 1 line 16; applied to a partial instance it yields a partial
-        result to be merged across instances.
+        result to be merged across instances. Only the columns where
+        ``vector`` is non-zero are read (column index plus overlay), and
+        each row is summed in ascending column order, so the result
+        depends on the contents alone, not on the write history.
         """
-        values = vector.to_list()
-        result = Vector()
-        for (row, col), cell in self._iter_items():
-            if col < len(values) and values[col]:
-                result.add(row, cell * values[col])
-        return result
+        backend: SparseMatrixBackend = self._backend  # type: ignore
+        overlay: dict[int, dict[int, Any]] = {}
+        for (row, col), value in (self._dirty or {}).items():
+            overlay.setdefault(col, {})[row] = value
+        totals: dict[int, float] = {}
+        for col, weight in enumerate(vector.to_list()):
+            if weight:
+                cells = backend.col_cells(col)
+                cells.update(overlay.get(col, ()))
+                for row, cell in cells.items():
+                    if cell is not TOMBSTONE:
+                        totals[row] = totals.get(row, 0.0) + cell * weight
+        values = [0.0] * (max(totals) + 1 if totals else 0)
+        for row, total in totals.items():
+            values[row] = total
+        return Vector(values=values)
 
     def to_rows(self) -> list[list[float]]:
         """Materialise the matrix as a ragged list of row lists.
@@ -119,15 +135,23 @@ class Matrix(StateElement):
         """
         return [self.get_row(r).to_list() for r in range(self.num_rows())]
 
+    def _extent(self, axis: int) -> int:
+        """1 + the highest row (``axis`` 0) / column (1) with a cell."""
+        backend: SparseMatrixBackend = self._backend  # type: ignore
+        index = backend._col_rows if axis else backend._row_cols
+        lines = set(index).union(key[axis] for key in self._dirty or ())
+        for line in sorted(lines, reverse=True):
+            if self._line(axis, line):
+                return line + 1
+        return 0
+
     def num_rows(self) -> int:
         """1 + the highest populated row index (0 when empty)."""
-        rows = [key[0] for key, _ in self._iter_items()]
-        return max(rows) + 1 if rows else 0
+        return self._extent(0)
 
     def num_cols(self) -> int:
         """1 + the highest populated column index (0 when empty)."""
-        cols = [key[1] for key, _ in self._iter_items()]
-        return max(cols) + 1 if cols else 0
+        return self._extent(1)
 
     def nnz(self) -> int:
         """Number of explicitly stored (non-zero) cells."""
@@ -200,13 +224,13 @@ class DenseMatrix(StateElement):
                 for row in range(self.n_rows)]
 
     def multiply(self, vector: Vector) -> Vector:
-        values = vector.to_list()
+        weights = [(col, weight) for col, weight
+                   in enumerate(vector.to_list()[:self.n_cols]) if weight]
         result = Vector(size=self.n_rows)
         for row in range(self.n_rows):
             total = 0.0
-            for col in range(min(self.n_cols, len(values))):
-                if values[col]:
-                    total += self.get_element(row, col) * values[col]
+            for col, weight in weights:
+                total += self.get_element(row, col) * weight
             result.set(row, total)
         return result
 

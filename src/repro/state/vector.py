@@ -83,9 +83,11 @@ class Vector(StateElement):
     def add_vector(self, other: "Vector | Sequence[float]") -> None:
         """In-place elementwise sum (the CF ``merge`` building block)."""
         theirs = other.to_list() if isinstance(other, Vector) else list(other)
+        mine = self.to_list()
+        mine.extend([0.0] * (len(theirs) - len(mine)))
         for index, value in enumerate(theirs):
             if value:
-                self.add(index, value)
+                self._set(index, mine[index] + value)
 
     def scale(self, factor: float) -> None:
         """In-place multiplication of every element by ``factor``."""

@@ -36,8 +36,9 @@ from repro.runtime import (
 )
 from repro.runtime.envelope import WIRE_EDGE
 from repro.runtime.multiprocess import WIRE_RUN, MultiprocessSubstrate
-from repro.state import KeyValueMap
+from repro.state import KeyValueMap, Matrix, Vector
 from repro.testing import build_iterative_sdg, build_kv_sdg
+from repro.workloads import RatingsWorkload
 from tests.runtime.test_multiprocess_obs import build_crash_once_kv
 
 
@@ -111,6 +112,48 @@ class TestCrossSubstrateDifferential:
             return processed, fingerprint
 
         assert run("multiprocess", workers=2) == run("inprocess")
+
+    def test_cf_replies_match_full_scan_multiply(self, monkeypatch):
+        def full_scan_multiply(self, vector):
+            """``Matrix.multiply`` as it was before the column index."""
+            values = vector.to_list()
+            result = Vector()
+            for (row, col), cell in self._iter_items():
+                if col < len(values) and values[col]:
+                    result.add(row, cell * values[col])
+            return result
+
+        ops = list(RatingsWorkload(n_users=12, n_items=15, skew=0.8,
+                                   read_fraction=0.2, seed=5).ops(300))
+
+        def run(substrate, workers=None):
+            app = CollaborativeFiltering.launch(
+                RuntimeConfig(substrate=substrate, workers=workers),
+                user_item=2, co_occ=2)
+            try:
+                for op in ops:
+                    if op.kind == "add_rating":
+                        app.add_rating(op.user, op.item, op.rating)
+                    else:
+                        # A read waits for the writes before it, or its
+                        # reply would depend on how the workers raced.
+                        app.run()
+                        app.get_rec(op.user)
+                        app.run()
+                app.run()
+                replies = [rec.to_list() for rec in app.results("get_rec")]
+                return replies, state_fingerprint(app.runtime)
+            finally:
+                app.runtime.close()
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Matrix, "multiply", full_scan_multiply)
+            reference = run("inprocess")
+        assert len(reference[0]) == sum(
+            op.kind == "get_rec" for op in ops)
+        assert any(any(reply) for reply in reference[0])
+        assert run("inprocess") == reference
+        assert run("multiprocess", workers=2) == reference
 
     def test_more_workers_than_nodes(self):
         # Extra workers simply own nothing; correctness is unchanged.

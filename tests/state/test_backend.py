@@ -138,12 +138,38 @@ class TestSparseMatrixBackend:
         backend.delete((1, 7))
         assert backend.row_cols(1) == set()
 
+    def test_column_index_maintained(self):
+        backend = SparseMatrixBackend()
+        backend.set((1, 2), 5.0)
+        backend.set((4, 2), 6.0)
+        backend.set((4, 2), 7.0)  # overwrite: no index change
+        assert backend.col_cells(2) == {1: 5.0, 4: 7.0}
+        backend.col_cells(2).clear()  # a copy
+        backend.delete((1, 2))
+        assert backend.col_cells(2) == {4: 7.0}
+        with pytest.raises(KeyError):
+            backend.delete((1, 2))
+        assert backend.col_cells(2) == {4: 7.0}
+        backend.clear()
+        assert backend.col_cells(2) == {} and backend.row_cols(4) == set()
+
     def test_key_validation(self):
         backend = SparseMatrixBackend()
         with pytest.raises(StateError):
             backend.set("bad", 1.0)
         with pytest.raises(StateError):
             backend.set((1, -2), 1.0)
+
+    @pytest.mark.parametrize("key", [
+        (-1, 2), (1,), (1, 2, 3), [1, 2], (1.0, 2), (1, "2"), (None, 0), 7,
+    ])
+    def test_every_operation_rejects_a_bad_key(self, key):
+        backend = SparseMatrixBackend()
+        for op in (backend.get, backend.contains, backend.delete,
+                   lambda k: backend.set(k, 1.0)):
+            with pytest.raises(StateError):
+                op(key)
+        assert len(backend) == 0 and backend.journal().empty
 
 
 class TestDeltaCapability:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import StateError
 from repro.state import DenseMatrix, Matrix, Vector
+from repro.state.backend import SparseMatrixBackend
 
 
 class TestSparseMatrix:
@@ -43,8 +44,26 @@ class TestSparseMatrix:
         row = m.get_row(1)
         assert row.get(0) == 3.0
         assert row.get(2) == 4.0
+        assert row.journal().empty  # built in one write, not slot by slot
         row.set(0, 99.0)
         assert m.get_element(1, 0) == 3.0  # copy, not a view
+
+    @pytest.mark.parametrize("row", [-1, "a", 1.0, None])
+    def test_row_access_validates_the_row_like_cell_access(self, row):
+        m = Matrix()
+        m.set_element(1, 0, 3.0)
+        with pytest.raises(StateError):
+            m.get_element(row, 0)
+        with pytest.raises(StateError):
+            m.get_row(row)
+        with pytest.raises(StateError):
+            m.set_row(row, Vector(values=[1.0]))
+        m.begin_checkpoint()
+        with pytest.raises(StateError):
+            m.get_row(row)
+        with pytest.raises(StateError):
+            m.set_row(row, Vector(values=[1.0]))
+        assert m.dirty_size == 0 and m.nnz() == 1
 
     def test_set_row_replaces_contents(self):
         m = Matrix()
@@ -62,6 +81,7 @@ class TestSparseMatrix:
         result = m.multiply(Vector(values=[10.0, 100.0]))
         assert result.get(0) == 210.0
         assert result.get(1) == 300.0
+        assert result.journal().empty
 
     def test_multiply_skips_out_of_range_columns(self):
         m = Matrix()
@@ -112,6 +132,71 @@ class TestSparseMatrixCheckpointing:
         assert row.to_list() == [1.0, 2.0]
 
 
+class TestMultiplyCostsWhatItTouches:
+    """Counted, no wall clock: ``multiply`` reads the columns its
+    operand selects — never the whole store, checkpoint or not."""
+
+    SIDE = 200
+    OPERAND = {3: 2.0, 77: 1.0, 150: 3.0}
+
+    @pytest.fixture
+    def populated(self):
+        m = Matrix()
+        for row in range(self.SIDE):
+            for col in range(self.SIDE):
+                m.set_element(row, col, float((row + col) % 5))
+        return m
+
+    def expected(self, cells):
+        return [sum(cells(row, col) * weight
+                    for col, weight in sorted(self.OPERAND.items()))
+                for row in range(self.SIDE)]
+
+    def counted_multiply(self, m, monkeypatch):
+        def no_scan(self):
+            raise AssertionError("multiply walked the whole store")
+
+        read = []
+        col_cells = SparseMatrixBackend.col_cells
+
+        def counting(self, col):
+            cells = col_cells(self, col)
+            read.append(len(cells))
+            return cells
+
+        monkeypatch.setattr(SparseMatrixBackend, "items", no_scan)
+        monkeypatch.setattr(SparseMatrixBackend, "col_cells", counting)
+        operand = [0.0] * self.SIDE
+        for col, weight in self.OPERAND.items():
+            operand[col] = weight
+        result = m.multiply(Vector(values=operand)).to_list()
+        assert sum(read) <= len(self.OPERAND) * self.SIDE
+        return result
+
+    def test_idle(self, populated, monkeypatch):
+        result = self.counted_multiply(populated, monkeypatch)
+        assert result == self.expected(lambda r, c: float((r + c) % 5))
+
+    def test_checkpoint_in_progress(self, populated, monkeypatch):
+        populated.begin_checkpoint()
+        populated.set_element(10, 77, 100.0)   # overwrite, in operand
+        populated.set_element(10, 78, 100.0)   # overwrite, outside it
+        populated.set_row(11, Vector(values=[1.0]))   # tombstones
+        populated.set_element(self.SIDE - 1, 3, 9.0)
+
+        def cells(row, col):
+            if row == 11:
+                return 1.0 if col == 0 else 0.0
+            if (row, col) == (10, 77):
+                return 100.0
+            if (row, col) == (self.SIDE - 1, 3):
+                return 9.0
+            return float((row + col) % 5)
+
+        result = self.counted_multiply(populated, monkeypatch)
+        assert result == self.expected(cells)
+
+
 class TestDenseMatrix:
     def test_shape_is_fixed(self):
         m = DenseMatrix(2, 3)
@@ -136,6 +221,14 @@ class TestDenseMatrix:
         m.set_element(1, 0, 3.0)
         result = m.multiply(Vector(values=[1.0, 1.0]))
         assert result.to_list() == [3.0, 3.0]
+
+    def test_multiply_ignores_operand_beyond_the_shape(self):
+        m = DenseMatrix(2, 2)
+        m.set_element(1, 1, 4.0)
+        m.begin_checkpoint()
+        m.set_element(0, 0, 2.0)
+        result = m.multiply(Vector(values=[3.0, 0.5, 7.0]))
+        assert result.to_list() == [6.0, 2.0]
 
     def test_get_row(self):
         m = DenseMatrix(1, 3)

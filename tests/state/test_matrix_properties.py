@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.state import DenseMatrix, HashPartitioner, Matrix
+from repro.state import DenseMatrix, HashPartitioner, Matrix, Vector
 
 cells = st.lists(
     st.tuples(st.integers(0, 20), st.integers(0, 20),
@@ -93,3 +93,89 @@ def test_dense_matrix_chunk_roundtrip(n_rows, n_cols, writes, m):
     for row in range(n_rows):
         assert (restored.get_row(row).to_list()
                 == matrix.get_row(row).to_list())
+
+
+# -- the row/column indexes and what is read off them ------------------
+
+small = st.integers(0, 6)
+whole = st.integers(-3, 3).map(float)
+row_values = st.lists(whole, max_size=7)
+matrix_ops = st.lists(st.one_of(
+    st.tuples(st.just("set"), small, small, whole),
+    st.tuples(st.just("add"), small, small, whole),
+    st.tuples(st.just("set_row"), small, row_values),
+    st.tuples(st.just("delete_row"), small),
+    st.tuples(st.just("begin_checkpoint")),
+    st.tuples(st.just("consolidate")),
+    st.tuples(st.just("extract_partition"), st.integers(1, 3)),
+    st.tuples(st.just("chunk_roundtrip"), st.integers(1, 4)),
+), max_size=30)
+
+
+def assert_indexes_match_cells(matrix):
+    rows, cols = {}, {}
+    for (row, col), _value in matrix.backend.items():
+        rows.setdefault(row, set()).add(col)
+        cols.setdefault(col, set()).add(row)
+    assert matrix.backend._row_cols == rows
+    assert matrix.backend._col_rows == cols
+
+
+def assert_reads_match_model(matrix, model, operand):
+    """Full scans over the plain-dict model are the reference."""
+    n_rows = max((row for row, _ in model), default=-1) + 1
+    n_cols = max((col for _, col in model), default=-1) + 1
+    assert (matrix.num_rows(), matrix.num_cols()) == (n_rows, n_cols)
+    assert matrix.nnz() == len(model)
+    for row in range(8):
+        width = max((c for r, c in model if r == row), default=-1) + 1
+        assert matrix.get_row(row).to_list() == [
+            model.get((row, col), 0.0) for col in range(width)]
+    hit = [row for (row, col) in model
+           if col < len(operand) and operand[col]]
+    product = [0.0] * (max(hit, default=-1) + 1)
+    for (row, col), value in sorted(model.items()):
+        if row in hit and col < len(operand):
+            product[row] += value * operand[col]
+    assert matrix.multiply(Vector(values=operand)).to_list() == product
+
+
+@given(ops=matrix_ops, operand=row_values,
+       axis=st.sampled_from(["row", "col"]))
+@settings(max_examples=150, deadline=None)
+def test_matrix_indexes_and_reads_match_dict_model(ops, operand, axis):
+    matrix, model = Matrix(partition_axis=axis), {}
+    for op in ops:
+        kind = op[0]
+        if kind == "set":
+            matrix.set_element(*op[1:])
+            model[op[1:3]] = op[3]
+        elif kind == "add":
+            value = model.get(op[1:3], 0.0) + op[3]
+            assert matrix.add_element(*op[1:]) == value
+            model[op[1:3]] = value
+        elif kind in ("set_row", "delete_row"):
+            values = op[2] if kind == "set_row" else []
+            matrix.set_row(op[1], Vector(values=values))
+            for key in [key for key in model if key[0] == op[1]]:
+                del model[key]
+            model.update({(op[1], col): value
+                          for col, value in enumerate(values) if value})
+        elif kind == "begin_checkpoint":
+            if not matrix.checkpoint_active:
+                matrix.begin_checkpoint()
+        elif kind == "consolidate":
+            if matrix.checkpoint_active:
+                matrix.consolidate()
+        elif not matrix.checkpoint_active:
+            if kind == "extract_partition":
+                partitioner = HashPartitioner(op[1])
+                parts = [matrix.extract_partition(partitioner, index)
+                         for index in range(op[1])]
+                for part in parts:
+                    assert_indexes_match_cells(part)
+                matrix = Matrix.merge_partitions(parts)
+            else:
+                matrix = Matrix.from_chunks(matrix, matrix.to_chunks(op[1]))
+        assert_indexes_match_cells(matrix)
+        assert_reads_match_model(matrix, model, operand)

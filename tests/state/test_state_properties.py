@@ -121,10 +121,13 @@ def test_matrix_multiply_matches_reference(cells, vec):
     result = m.multiply(Vector(values=vec))
     expected = {}
     for (row, col), value in model.items():
-        if col < len(vec):
+        if col < len(vec) and vec[col]:
             expected[row] = expected.get(row, 0.0) + value * vec[col]
-    for row, total in expected.items():
-        assert abs(result.get(row) - total) < 1e-9
+    # One slot per row up to the highest row a selected column holds a
+    # cell in, and nothing but zeros in the rows none of them reaches.
+    assert result.size() == max(expected, default=-1) + 1
+    for row in range(result.size()):
+        assert abs(result.get(row) - expected.get(row, 0.0)) < 1e-9
 
 
 @given(ops_list=st.lists(st.tuples(st.integers(0, 30), values), max_size=50))

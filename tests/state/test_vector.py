@@ -72,6 +72,31 @@ class TestVectorMath:
         a.add_vector(Vector(values=[10, 20, 30]))
         assert a.to_list() == [11.0, 22.0, 30.0]
 
+    @pytest.mark.parametrize("checkpointing", [False, True])
+    def test_add_vector_writes_what_slot_by_slot_add_writes(
+            self, checkpointing):
+        other = [0.0, 5.0, 0.0, -2.0, 0.0, 7.0]
+        bulk, stepwise = Vector(values=[1, 2, 3]), Vector(values=[1, 2, 3])
+        for v in (bulk, stepwise):
+            v.mark_clean()
+            if checkpointing:
+                v.begin_checkpoint()
+                v.set(4, 9.0)
+        bulk.add_vector(Vector(values=other))
+        for index, value in enumerate(other):
+            if value:
+                stepwise.add(index, value)
+        assert bulk.to_list() == stepwise.to_list() == [
+            1.0, 7.0, 3.0, -2.0, 9.0 if checkpointing else 0.0, 7.0]
+        assert bulk.update_count == stepwise.update_count
+        if checkpointing:
+            assert bulk.dirty_size == stepwise.dirty_size == 4
+            bulk.consolidate()
+            stepwise.consolidate()
+        # Slot 4 is the zero-fill under slot 5 (or the overlay write).
+        assert bulk.journal() == stepwise.journal()
+        assert bulk.journal().written == {1, 3, 4, 5}
+
     def test_scale(self):
         v = Vector(values=[1, -2, 0])
         v.scale(2.0)
