@@ -19,8 +19,6 @@ checkpoint in the backup store:
 
 from __future__ import annotations
 
-import copy
-from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.core.elements import StateKind
@@ -229,13 +227,7 @@ class RecoveryManager:
         if meta is None:
             return
         instance.last_seen = dict(meta.last_seen)
-        instance.out_seq = dict(meta.out_seq)
-        instance.output_buffers = {
-            channel: deque(buffer)
-            for channel, buffer in meta.output_buffers.items()
-        }
-        instance.pending_gathers = copy.deepcopy(meta.pending_gathers)
-        instance.processed_count = meta.processed_count
+        instance.restore_producer_state(meta)
 
     def _recover_one_to_one(
         self, failed: PhysicalNode, checkpoint: NodeCheckpoint | None
@@ -322,16 +314,7 @@ class RecoveryManager:
                     # inherits the producer-side buffers and counters.
                     instance.last_seen = dict(meta.last_seen)
                     if part_index == 0:
-                        instance.out_seq = dict(meta.out_seq)
-                        instance.output_buffers = {
-                            channel: deque(buffer)
-                            for channel, buffer in
-                            meta.output_buffers.items()
-                        }
-                        instance.pending_gathers = copy.deepcopy(
-                            meta.pending_gathers
-                        )
-                        instance.processed_count = meta.processed_count
+                        instance.restore_producer_state(meta)
                 te_replacements.append(instance)
             if part_index == 0:
                 for (te_name, index) in stateless_keys:

@@ -130,40 +130,52 @@ class Dispatcher:
         ``cause`` threads the causal trace id through the fan-out; the
         broadcast itself still mints a fresh request id per item.
         """
-        slots = self.topology.te_slot_count(edge.dst)
+        dst_te = edge.dst
+        slots = self.topology.te_slot_count(dst_te)
+        expected = len(self.topology.te_instances(dst_te))
+        send = self.transport.send
+        trace_id = cause.trace_id
         for item in outputs:
             request_id = self.next_request_id()
-            expected = len(self.topology.te_instances(edge.dst))
             for dst in range(slots):
-                self._c_broadcast.inc()
-                self.transport.send(instance, edge_index, edge.dst, dst,
-                                    item, request_id, expected,
-                                    trace_id=cause.trace_id)
+                send(instance, edge_index, dst_te, dst, item, request_id,
+                     expected, trace_id)
+        self._c_broadcast.inc(slots * len(outputs))
 
     def key_partitioned(self, instance: "TEInstance", edge_index: int,
                         edge, outputs: list[Any], cause: Envelope) -> None:
         """``KEY_PARTITIONED``: route each item to its key's partition."""
-        spec = self.sdg.task(edge.dst)
+        dst_te = edge.dst
+        spec = self.sdg.task(dst_te)
+        keyed_index = self.topology.keyed_index
+        key_fn = edge.key_fn
+        send = self.transport.send
+        request_id = cause.request_id
+        expected = cause.expected_responses
+        trace_id = cause.trace_id
         for item in outputs:
-            dst = self.topology.keyed_index(spec, edge.key_fn(item))
-            self._c_keyed.inc()
-            self.transport.send(instance, edge_index, edge.dst, dst, item,
-                                cause.request_id, cause.expected_responses,
-                                trace_id=cause.trace_id)
+            send(instance, edge_index, dst_te,
+                 keyed_index(spec, key_fn(item)), item, request_id,
+                 expected, trace_id)
+        self._c_keyed.inc(len(outputs))
 
     def one_to_any(self, instance: "TEInstance", edge_index: int, edge,
                    outputs: list[Any], cause: Envelope) -> None:
         """``ONE_TO_ANY``: deterministic producer-local round-robin."""
+        dst_te = edge.dst
+        slots = self.topology.te_slot_count(dst_te)
+        out_seq = instance.out_seq
+        send = self.transport.send
+        request_id = cause.request_id
+        expected = cause.expected_responses
+        trace_id = cause.trace_id
         for item in outputs:
-            slots = self.topology.te_slot_count(edge.dst)
-            # The destination is derived from the producer's own
-            # per-edge send counter — producer-local state that
-            # is checkpointed and restored — so deterministic
-            # re-execution after recovery reproduces the exact
-            # original routing and duplicates are recognised.
-            sent = instance.out_seq.get(edge_index, 0)
-            self._c_any.inc()
-            self.transport.send(instance, edge_index, edge.dst,
-                                sent % slots, item, cause.request_id,
-                                cause.expected_responses,
-                                trace_id=cause.trace_id)
+            # The destination is derived from the producer's own per-edge
+            # send counter (read per item: every send bumps it) —
+            # producer-local state that is checkpointed and restored — so
+            # deterministic re-execution after recovery reproduces the
+            # exact original routing and duplicates are recognised.
+            send(instance, edge_index, dst_te,
+                 out_seq.get(edge_index, 0) % slots, item, request_id,
+                 expected, trace_id)
+        self._c_any.inc(len(outputs))

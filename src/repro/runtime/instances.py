@@ -10,14 +10,18 @@ buffers for replay (§5).
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.core.elements import StateElementSpec, TaskElementSpec
+from repro.core.elements import StateElementSpec, TaskContext, TaskElementSpec
 from repro.runtime.envelope import ChannelId, Envelope
 from repro.state.base import StateElement
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.recovery.checkpoint import TEMeta
 
 #: Consumer-side stream key: where an item came from, ignoring our own
 #: instance index (which may change across recoveries).
@@ -104,6 +108,13 @@ class TEInstance:
         #: Producer-side retained envelopes per outgoing channel, replayed
         #: after a downstream failure and trimmed by downstream checkpoints.
         self.output_buffers: dict[ChannelId, deque[Envelope]] = {}
+        #: ``(edge_index, dst_index)`` -> the interned ``ChannelId`` and
+        #: *the* deque ``output_buffers`` holds for it: all a send needs,
+        #: resolved by the transport once. Replace the buffers, drop these.
+        self.emit_routes: dict[tuple[int, int],
+                               tuple[ChannelId, deque[Envelope]]] = {}
+        #: Handed to every invocation; the engine refreshes it per item.
+        self.context = TaskContext(instance_id=index)
         #: Merge-TE barrier state per in-flight request id.
         self.pending_gathers: dict[int, GatherState] = {}
         self.processed_count = 0
@@ -118,11 +129,6 @@ class TEInstance:
 
     # -- consumer side ---------------------------------------------------
 
-    def is_duplicate(self, envelope: Envelope) -> bool:
-        """Whether this envelope was already processed (replay dedup)."""
-        # ``stream_key``, written out: this and the mark run per item.
-        return envelope.ts <= self.last_seen.get(envelope.channel[:3], 0)
-
     def mark_processed(self, envelope: Envelope) -> None:
         key = envelope.channel[:3]
         if envelope.ts > self.last_seen.get(key, 0):
@@ -130,15 +136,17 @@ class TEInstance:
 
     # -- producer side ---------------------------------------------------
 
-    def next_seq(self, channel: ChannelId) -> int:
-        seq = self.out_seq.get(channel.edge_index, 0) + 1
-        self.out_seq[channel.edge_index] = seq
-        return seq
-
-    def record_output(self, envelope: Envelope) -> None:
-        self.output_buffers.setdefault(envelope.channel, deque()).append(
-            envelope
-        )
+    def restore_producer_state(self, meta: "TEMeta") -> None:
+        """Install checkpointed producer-side state (§5 upstream backup)
+        and drop the emit routes into the deques it replaces."""
+        self.out_seq = dict(meta.out_seq)
+        self.output_buffers = {
+            channel: deque(buffer)
+            for channel, buffer in meta.output_buffers.items()
+        }
+        self.pending_gathers = copy.deepcopy(meta.pending_gathers)
+        self.processed_count = meta.processed_count
+        self.emit_routes.clear()
 
     def trim_output_buffer(self, channel: ChannelId, up_to_ts: int) -> int:
         """Drop buffered envelopes with ``ts <= up_to_ts`` (§5 trimming).

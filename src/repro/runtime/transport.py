@@ -20,6 +20,7 @@ runtime takes when a TE limits throughput (§3.3).
 from __future__ import annotations
 
 import copy
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -44,9 +45,11 @@ class Channel:
     refused: int = 0
     #: The route, resolved once per structural change instead of once
     #: per envelope: the destination instance (``None`` for an empty
-    #: slot) as of ``Topology.version == version``, and the destination
+    #: slot) as of ``Topology.version == version``, whether another
+    #: worker owns it (only ever True inside a worker), and the destination
     #: TE's inbox-depth gauge child. A stale stamp means "resolve again".
     instance: "TEInstance | None" = None
+    remote: bool = False
     version: int = -1
     inbox_depth: Any = None
 
@@ -164,6 +167,9 @@ class Transport:
         # Within a worker the process boundary is gone: local hops
         # share references, so honour copy_payloads again.
         self.payload_isolated = False
+        # Routes resolved before this call predate this placement.
+        for channel in self._channels.values():
+            channel.version = -1
 
     # ------------------------------------------------------------------
     # Delivery
@@ -194,12 +200,16 @@ class Transport:
         channel = self._channels.get(channel_id)
         if channel is None:
             channel = self.channel(channel_id)
-        if (
-            self._placement is not None
-            and self._placement.owner_of(
+        topology = self._topology
+        if channel.version != topology.version:
+            channel.instance = topology.te_instance(
+                channel_id.dst_te, channel_id.dst_instance)
+            placement = self._placement
+            channel.remote = placement is not None and placement.owner_of(
                 channel_id.dst_te, channel_id.dst_instance
             ) != self._local_worker
-        ):
+            channel.version = topology.version
+        if channel.remote:
             # Not ours: ship it to the owning worker via the wire. The
             # frame counts as delivered on this channel — the owning
             # worker performs the actual inbox append on its side.
@@ -207,11 +217,6 @@ class Transport:
             channel.delivered += 1
             self._remote_send(envelope)
             return True
-        topology = self._topology
-        if channel.version != topology.version:
-            channel.instance = topology.te_instance(
-                channel_id.dst_te, channel_id.dst_instance)
-            channel.version = topology.version
         instance = channel.instance
         if instance is None or not topology.nodes[instance.node_id].alive:
             channel.refused += 1
@@ -235,14 +240,23 @@ class Transport:
 
         The producer-side sequence number and output buffer live on the
         source instance (they are checkpointed with it); the transport
-        applies payload isolation and performs the hand-off.
+        applies payload isolation and performs the hand-off. Channel id
+        and buffer are resolved on the first send per ``(src, edge,
+        destination)`` and kept on ``src`` until a restore drops them.
         """
-        payload = self.prepare_payload(payload)
-        channel = ChannelId(edge_index, src.name, src.index,
-                            dst_te, dst_index)
-        envelope = Envelope(payload, src.next_seq(channel), channel,
-                            request_id, expected, trace_id)
-        src.record_output(envelope)
+        if self.copy_payloads:
+            payload = self.prepare_payload(payload)
+        route = src.emit_routes.get((edge_index, dst_index))
+        if route is None:
+            channel = ChannelId(edge_index, src.name, src.index,
+                                dst_te, dst_index)
+            route = src.emit_routes[edge_index, dst_index] = (
+                channel, src.output_buffers.setdefault(channel, deque()))
+        seq = src.out_seq.get(edge_index, 0) + 1
+        src.out_seq[edge_index] = seq
+        envelope = Envelope(payload, seq, route[0], request_id, expected,
+                            trace_id)
+        route[1].append(envelope)
         return self.deliver(envelope)
 
     # ------------------------------------------------------------------

@@ -472,6 +472,8 @@ def stable_hash(key: Hashable) -> int:
     Integers hash to themselves; other keys hash via CRC-32 of their
     ``repr``.
     """
+    if type(key) is str:  # the common key type, ahead of the ladder
+        return zlib.crc32(repr(key).encode("utf-8"))
     if isinstance(key, bool):
         return int(key)
     if isinstance(key, int):

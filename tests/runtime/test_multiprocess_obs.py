@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.apps.wordcount import build_wordcount_sdg
-from repro.core import SDG
+from repro.core import SDG, Dispatch
 from repro.core.elements import AccessMode, StateKind
 from repro.durability.manifest import state_fingerprint
 from repro.errors import RuntimeExecutionError
@@ -181,6 +181,32 @@ def build_crash_once_kv(flag_path):
     return sdg
 
 
+def build_crash_once_wordcount(flag_path):
+    """Wordcount (``split`` -> keyed ``count``) whose ``count`` dies
+    hard, once, on the word ``boom`` — the same flag-file trick."""
+    sdg = SDG("crashonce-wc")
+    sdg.add_state("counts", KeyValueMap, kind=StateKind.PARTITIONED,
+                  partition_by="word")
+
+    def split(ctx, line):
+        for word in line.split():
+            ctx.emit(word)
+
+    def count(ctx, word):
+        if word == "boom" and not os.path.exists(flag_path):
+            with open(flag_path, "w") as fh:
+                fh.write("crashed")
+            os._exit(13)
+        ctx.state.increment(word)
+
+    sdg.add_task("split", split, is_entry=True)
+    sdg.add_task("count", count, state="counts",
+                 access=AccessMode.PARTITIONED)
+    sdg.connect("split", "count", Dispatch.KEY_PARTITIONED,
+                key_fn=lambda word: word, key_name="word")
+    return sdg
+
+
 class TestCrashRestartAccounting:
     """Satellite: restart telemetry neither loses nor double-counts."""
 
@@ -250,6 +276,46 @@ class TestCrashRestartAccounting:
                                   "inprocess", rounds=rounds)
         assert crashed[:3] == clean[:3]
         assert len(clean[1]["serve"]) == 36
+        assert os.path.exists(flag), "the crash never happened"
+        assert len(crashed[3]) == 1, "expected one worker-restart event"
+
+    def test_reforked_workers_re_resolve_local_or_remote(self, tmp_path):
+        # Worker-to-worker traffic across a restart: whether a channel's
+        # destination is local or foreign is kept on the route stamp, and
+        # the re-forked fleet inherits the coordinator's channel records.
+        # A flag that survived the fork would drop or misdeliver words.
+        lines = [" ".join(f"w{(i * 7 + j) % 23}" for j in range(6))
+                 for i in range(90)]
+        lines[47] += " boom"  # mid-ingest, in the second drain
+
+        def run(flag, substrate, **config):
+            runtime = Runtime(
+                build_crash_once_wordcount(flag),
+                RuntimeConfig(te_instances={"split": 2},
+                              se_instances={"counts": 4},
+                              substrate=substrate, **config)).deploy()
+            try:
+                for start in range(0, 90, 30):
+                    for line in lines[start:start + 30]:
+                        runtime.inject("split", line)
+                    runtime.run_until_idle()
+                counts = {}
+                for instance in runtime.se_instances("counts"):
+                    counts.update(instance.element.items())
+                metrics = runtime.merged_metrics().snapshot()
+                return (counts, state_fingerprint(runtime),
+                        metrics["engine_items_processed_total"]["children"],
+                        runtime.events.events(kind=KIND.WORKER_RESTART))
+            finally:
+                runtime.close()
+
+        flag = str(tmp_path / "crashed.flag")
+        crashed = run(flag, "multiprocess", workers=2, worker_restarts=1)
+        oracle_flag = str(tmp_path / "preset.flag")
+        open(oracle_flag, "w").close()
+        clean = run(oracle_flag, "inprocess")
+        assert crashed[:3] == clean[:3]
+        assert sum(clean[0].values()) == 90 * 6 + 1
         assert os.path.exists(flag), "the crash never happened"
         assert len(crashed[3]) == 1, "expected one worker-restart event"
 

@@ -8,12 +8,14 @@ bottleneck detector's scale decision.
 """
 
 import copy as stdlib_copy
+from collections import Counter
 
 import pytest
 
 import repro.runtime.transport as transport_module
+from repro.apps.wordcount import build_wordcount_sdg
 from repro.errors import RuntimeExecutionError
-from repro.recovery import BackupStore, CheckpointManager
+from repro.recovery import BackupStore, CheckpointManager, RecoveryManager
 from repro.runtime import BottleneckDetector, Runtime, RuntimeConfig
 from repro.runtime.envelope import INPUT_EDGE, NO_RESPONSE, ChannelId
 from repro.runtime.instances import SEInstance, TEInstance
@@ -25,9 +27,9 @@ def deploy_kv(**config):
     return Runtime(build_kv_sdg(), RuntimeConfig(**config)).deploy()
 
 
-def merged_table(runtime):
+def merged_table(runtime, se="table"):
     merged = {}
-    for inst in runtime.se_instances("table"):
+    for inst in runtime.se_instances(se):
         merged.update(dict(inst.element.items()))
     return merged
 
@@ -191,6 +193,66 @@ class TestInputLogTrim:
         assert replacement.processed_count == len(after)
         assert dict(replacement.se_instance.element.items()) == {
             key: "new" for key in after}
+
+
+class TestEmitRoutesAcrossRecovery:
+    def test_a_restored_producer_sends_into_its_restored_buffers(self):
+        # An emit route holds *the* deque of its channel. A producer
+        # restored from a checkpoint gets new deques; a send that still
+        # appended to a pre-restore one would be invisible to replay
+        # (``output_buffers`` is what recovery reads) and to trimming.
+        runtime = Runtime(
+            build_wordcount_sdg(),
+            RuntimeConfig(te_instances={"split": 2},
+                          se_instances={"counts": 3}),
+        ).deploy()
+        store = BackupStore(m_targets=2)
+        checkpoints = CheckpointManager(runtime, store)
+        recovery = RecoveryManager(runtime, store)
+        oracle = Counter()
+
+        def feed(start):
+            for ts in range(start, start + 50):
+                line = f"w{ts % 7} w{ts % 5} w{ts % 3} the"
+                runtime.inject("split", (ts, line))
+                oracle.update((0, word) for word in line.split())
+
+        feed(0)
+        runtime.run_until_idle()
+        checkpoints.checkpoint_all()
+        feed(50)
+        for _ in range(80):  # mid-ingest: some lines split, some queued
+            runtime.step()
+        victim = runtime.te_instance("split", 0)
+        assert victim.inbox and victim.buffered_output_count() > 0
+        runtime.fail_node(victim.node_id)
+        recovery.recover_node(victim.node_id)
+        restored = runtime.te_instance("split", 0)
+        assert restored is not victim
+
+        sent = []
+        deliver = runtime.transport.deliver
+
+        def recording(envelope):
+            if envelope.channel[:3] == (0, "split", 0):
+                sent.append(envelope)
+            return deliver(envelope)
+
+        runtime.transport.deliver = recording
+        runtime.run_until_idle()
+        feed(100)
+        runtime.run_until_idle()
+        del runtime.transport.deliver
+
+        assert len(sent) >= 25 * 4  # its half of the last 50 lines
+        for envelope in sent:
+            assert envelope in restored.output_buffers[envelope.channel]
+        for channel, buffer in restored.emit_routes.values():
+            assert buffer is restored.output_buffers[channel]
+        assert merged_table(runtime, "counts") == dict(oracle)
+        checkpoints.checkpoint_all()  # the consumers' trim their producers
+        assert restored.buffered_output_count() == 0
+        assert sum(len(b) for _c, b in restored.emit_routes.values()) == 0
 
 
 class TestBackpressure:
