@@ -21,10 +21,9 @@ Order-insensitive reductions (sums, maxes, elementwise means divided
 *after* the loop) pass untouched, as every bundled application's
 merge does.
 
-The same scan powers positive certification: the capability layer
-(:mod:`repro.analysis.capabilities`) calls
-:func:`order_sensitive_sites` and only considers a merge for the
-``COMMUTATIVE_MERGE`` flag when the scan finds nothing.
+The finding is advice to the programmer and nothing more: the gather
+barrier always hands the merge the list of replica values, so nothing
+at run time depends on the scan finding nothing.
 """
 
 from __future__ import annotations
@@ -76,9 +75,7 @@ def order_sensitive_sites(
     ``"laundered_index"`` (indexing a call over the collection, e.g.
     ``sorted(gathered)[0]``) or ``"accumulation"`` (non-commutative
     accumulation inside a loop over the collection; ``op`` is the
-    operator). An empty list is the *positive* signal the capability
-    certifier builds on — shared here so the warning pass and the
-    certifier can never disagree about what is order-sensitive.
+    operator).
     """
     sites: list[tuple[str, ast.AST, ast.operator | None]] = []
 

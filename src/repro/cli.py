@@ -118,8 +118,6 @@ def _render_capabilities(cert: dict) -> str:
     flags = ", ".join(cert["flags"]) if cert["flags"] else "(none)"
     lines.append(f"  flags: {flags}")
     rows = [
-        ("commutative merges", cert["commutative_merges"]),
-        ("foldable merges", cert["foldable_merges"]),
         ("coalescible entries", cert["coalescible_entries"]),
         ("coalescible edges",
          [f"{src} -> {dst}" for src, dst in cert["coalescible_edges"]]),
@@ -372,9 +370,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="lint every bundled application")
     p_lint.add_argument("--capabilities", action="store_true",
                         help="also run the capability certifier and "
-                             "report the optimizer certificates "
-                             "(commutative/foldable merges, batchable "
-                             "RMWs, coalescible dispatch) per target")
+                             "report the certificates (coalescible "
+                             "dispatch, substrate safety) per target")
     p_lint.add_argument("--substrate-safety", action="store_true",
                         dest="substrate_safety",
                         help="also run the SDG4xx fork-hazard passes "

@@ -181,9 +181,8 @@ def render_report(run: ObsRun, *, trace_limit: int = 8) -> str:
     lines.append(f"  capabilities: "
                  f"{', '.join(caps.flags) if caps and caps.flags else '(none)'}"
                  f"{'' if caps is not None else ' [optimize off]'}")
-    for counter in ("dispatch_coalesced_total",
-                    "merge_early_completions_total"):
-        lines.append(f"  {counter}: {metrics.total(counter):.0f}")
+    lines.append(f"  dispatch_coalesced_total: "
+                 f"{metrics.total('dispatch_coalesced_total'):.0f}")
     lines.extend([
         "",
         f"-- events ({len(runtime.events)} published) --",

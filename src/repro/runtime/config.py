@@ -140,12 +140,11 @@ class RuntimeConfig:
     #: Capability-driven optimization (the sdglint-as-optimizer seam).
     #: When on, the runtime consults a
     #: :class:`~repro.analysis.capabilities.ProgramCapabilities`
-    #: certificate and arms two relaxed paths *only* where the
+    #: certificate and arms one relaxed path *only* where the
     #: analyzer produced a positive proof: one scheduling step serves a
     #: run of consecutive envelopes on ``COALESCIBLE_DISPATCH``
-    #: channels, and eager gather folds for ``COMMUTATIVE_MERGE`` TEs.
-    #: Uncertified programs take the exact baseline path even with
-    #: this flag set.
+    #: channels. Uncertified programs take the exact baseline path
+    #: even with this flag set.
     optimize: bool = False
     #: Pre-certified capabilities to deploy with (e.g. attached by
     #: ``SDGProgram.launch``). ``None`` with ``optimize=True`` makes

@@ -135,10 +135,8 @@ class Runtime:
         self._scale_events: list[tuple[int, str, int]] = []
         self._detector: BottleneckDetector | None = None
         #: Resolved ProgramCapabilities when ``config.optimize`` is on
-        #: (``None`` otherwise — and every relaxed path stays off).
+        #: (``None`` otherwise — and the relaxed path stays off).
         self.capabilities: Any = None
-        #: Merge TE name -> MergeFold for certified-foldable merges.
-        self._merge_folds: dict[str, Any] = {}
         #: ``(edge_index, dst_te)`` of every channel certified
         #: ``COALESCIBLE_DISPATCH``; empty keeps every run at length 1.
         self._run_channels: frozenset[tuple[int, str]] = frozenset()
@@ -196,9 +194,8 @@ class Runtime:
         self._deployed = True
         self._refresh_instance_gauges()
         # Bind last: a distributed substrate forks its workers here and
-        # they must inherit the fully deployed topology (including the
-        # resolved capabilities — synthesised fold closures are not
-        # picklable, so workers must get them through the fork).
+        # they must inherit the fully deployed topology, the resolved
+        # capabilities included.
         self.substrate.bind(self)
         return self
 
@@ -249,11 +246,11 @@ class Runtime:
         )
 
     def _enable_optimizations(self) -> None:
-        """Resolve the capability certificate and arm the relaxed paths.
+        """Resolve the capability certificate and arm coalesced runs.
 
-        Certification is positive-only: a capability the analyzer could
-        not prove simply is not in the certificate, and the matching
-        relaxed path stays disarmed — an uncertified program runs the
+        Certification is positive-only: a channel the analyzer could
+        not prove coalescible simply is not in the certificate and keeps
+        serving one envelope per step — an uncertified program runs the
         exact baseline even with ``optimize=True``.
         """
         caps = self.config.capabilities
@@ -261,7 +258,6 @@ class Runtime:
             from repro.analysis.capabilities import certify
             caps = certify(self.sdg)
         self.capabilities = caps
-        self._merge_folds = dict(caps.merge_folds)
         self._run_channels = frozenset(
             [(INPUT_EDGE, entry) for entry in caps.coalescible_entries]
             + [(index, edge.dst)
@@ -287,10 +283,6 @@ class Runtime:
         ).labels()
         self._c_scale_outs = m.counter(
             "engine_scale_outs_total", "reactive/explicit scale-up actions"
-        ).labels()
-        self._c_merge_early = m.counter(
-            "merge_early_completions_total",
-            "gather barriers completed via a certified eager fold"
         ).labels()
         self._c_coalesced = m.counter(
             "dispatch_coalesced_total",
@@ -682,29 +674,14 @@ class Runtime:
         gather = instance.pending_gathers.setdefault(
             request_id, GatherState(expected=expected)
         )
-        fold = self._merge_folds.get(instance.name)
         if envelope.payload is not NO_RESPONSE:
-            if fold is not None:
-                # Certified-foldable merge: fold each replica value in
-                # as it arrives instead of buffering it behind the
-                # barrier — the merge body then sees a single
-                # pre-reduced value, in whatever order replicas landed.
-                if not gather.folded:
-                    gather.accumulator = fold.init()
-                    gather.folded = True
-                gather.accumulator = fold.step(gather.accumulator,
-                                               envelope.payload)
-            else:
-                gather.payloads.append(envelope.payload)
+            gather.payloads.append(envelope.payload)
         gather.received += 1
         instance.mark_processed(envelope)
         if not gather.complete:
             return None
         del instance.pending_gathers[request_id]
-        if fold is None:
-            return gather.payloads
-        self._c_merge_early.inc()
-        return [gather.accumulator] if gather.folded else []
+        return gather.payloads
 
     def _invoke(self, instance: TEInstance, payload: Any) -> list[Any]:
         se_instance = instance.se_instance
@@ -828,41 +805,18 @@ class Runtime:
         """The SE's current partitioning epoch (0 until repartitioned)."""
         return self.topology.se_epoch(se_name)
 
-    def replay_into(self, dst_te: str, dst_index: int) -> int:
-        """Re-deliver every buffered envelope targeting one instance.
-
-        Covers both upstream TE output buffers and the client-side input
-        log. The receiving instance discards duplicates via ``last_seen``.
-        Returns the number of envelopes re-delivered.
-        """
-        count = 0
-        _, buffered = self._input_routes.get((dst_te, dst_index),
-                                             (None, ()))
-        for envelope in buffered:
-            if self.transport.deliver(envelope):
-                count += 1
-        for producer in self.all_te_instances():
-            if not self.nodes[producer.node_id].alive:
-                continue
-            for channel, buffered in producer.output_buffers.items():
-                if (
-                    channel.dst_te == dst_te
-                    and channel.dst_instance == dst_index
-                ):
-                    for envelope in buffered:
-                        if self.transport.deliver(envelope):
-                            count += 1
-        return count
-
     def replay_rerouted(self, dst_te: str,
                         recovered: set[int]) -> int:
         """Replay all buffered envelopes towards recovered instances.
 
-        Like :meth:`replay_into`, but recomputes keyed destinations under
-        the *current* partitioner — required when a failed SE was
-        restored onto a different number of instances (m-to-n recovery,
-        Fig. 4). Envelopes whose recomputed destination is not in
-        ``recovered`` are skipped (their instance never failed).
+        Covers both upstream TE output buffers and the client-side input
+        log; the receiving instance discards duplicates via
+        ``last_seen``. Keyed destinations are recomputed under the
+        *current* partitioner — required when a failed SE was restored
+        onto a different number of instances (m-to-n recovery, Fig. 4).
+        Envelopes whose recomputed destination is not in ``recovered``
+        are skipped (their instance never failed). Returns the number of
+        envelopes re-delivered.
         """
         count = 0
         streams: list[Envelope] = []

@@ -36,20 +36,14 @@ def stream_key(channel: ChannelId) -> StreamKey:
 class GatherState:
     """Accumulates responses for one global-access request (§3.2).
 
-    With a certified-foldable merge (``RuntimeConfig(optimize=True)``)
-    the barrier folds each replica value into ``accumulator`` as it
-    arrives instead of buffering it in ``payloads`` — the merge then
-    completes out-of-order with respect to replica delivery, touching
-    each value exactly once.
+    ``payloads`` is the merge TE's input: the replica values in arrival
+    order, released once ``received`` reaches ``expected`` (a replica
+    that answered ``NO_RESPONSE`` counts but contributes no value).
     """
 
     expected: int
     payloads: list[Any] = field(default_factory=list)
     received: int = 0
-    #: Eager-fold accumulator (only used when the merge is foldable).
-    accumulator: Any = None
-    #: Whether at least one replica value was folded into it.
-    folded: bool = False
 
     @property
     def complete(self) -> bool:

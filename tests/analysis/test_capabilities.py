@@ -1,38 +1,33 @@
 """Tests for the capability-certification layer.
 
-Three concerns, in order: the *matrix* — every bundled application and
+Two concerns, in order: the *matrix* — every bundled application and
 hand-built SDG receives exactly the certificates the static proofs
-support, with readable refusals for the rest; the *fold synthesis* —
-the incremental form of a foldable merge computes what the original
-loop computes; and the *soundness boundary* — programs whose merges
-the lint pass flags are never granted ``COMMUTATIVE_MERGE``, so the
-runtime's relaxed paths stay unreachable for them by construction.
+support, as plain data, with readable refusals for the rest; and the
+*merge property* — every bundled merge the SDG302 scan passes clean
+really is insensitive to the order of the gathered list.
 """
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.capabilities import (
-    MergeFold,
-    ProgramCapabilities,
-    certify,
-)
+from repro.analysis.capabilities import ProgramCapabilities, certify
 from repro.analysis.engine import bundled_objects
+from repro.analysis.merges import order_sensitive_sites
+from repro.analysis.model import ProgramModel
 from repro.apps import CollaborativeFiltering
+from repro.apps.kmeans import KMeans
 from repro.apps.logistic_regression import LogisticRegression
 from repro.apps.multiclass import N_CLASSES, N_FEATURES, MulticlassRegression
 from repro.state import Vector
 from repro.testing import build_cf_sdg, build_iterative_sdg, build_kv_sdg
+from repro.translate.builder import translate
 
-from tests.analysis.fixtures import (
-    clean,
-    laundered_index_merge,
-    operand_swap_merge,
-    order_sensitive_merge,
-)
+from tests.analysis.fixtures import clean
 
 
 def certify_bundled(key):
@@ -44,22 +39,17 @@ def certify_bundled(key):
 # The certification matrix
 # ---------------------------------------------------------------------------
 
-#: key -> (flags, commutative, foldable, entries, edges) for every
-#: bundled target.
+#: key -> (flags, entries, edges) for every bundled target.
 BUNDLED_MATRIX = {
-    "cf": (["COMMUTATIVE_MERGE", "SUBSTRATE_SAFE"],
-           ("merge",), ("merge",), [], []),
-    "kvstore": (["SUBSTRATE_SAFE"], (), (), [], []),
-    "lr": (["COMMUTATIVE_MERGE", "COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"],
-           ("average",), (), ["train"], []),
-    "kmeans": (["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"],
-               (), (), ["observe"], []),
-    "multiclass": (["COMMUTATIVE_MERGE", "COALESCIBLE_DISPATCH",
-                    "SUBSTRATE_SAFE"],
-                   ("average",), (), ["train"], []),
-    "wordcount": (["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"], (), (),
+    "cf": (["SUBSTRATE_SAFE"], [], []),
+    "kvstore": (["SUBSTRATE_SAFE"], [], []),
+    "lr": (["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"], ["train"], []),
+    "kmeans": (["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"], ["observe"], []),
+    "multiclass": (["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"],
+                   ["train"], []),
+    "wordcount": (["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"],
                   ["query", "split"], [("split", "count")]),
-    "pagerank": (["SUBSTRATE_SAFE"], (), (), [], []),
+    "pagerank": (["SUBSTRATE_SAFE"], [], []),
 }
 
 
@@ -68,24 +58,27 @@ class TestBundledMatrix:
     def test_bundled_target_certificates(self, key):
         expected = BUNDLED_MATRIX[key]
         caps = certify_bundled(key)
-        got = (caps.flags, caps.commutative_merges, caps.foldable_merges,
-               sorted(caps.coalescible_entries),
+        got = (caps.flags, sorted(caps.coalescible_entries),
                sorted(caps.coalescible_edges))
         assert got == expected, f"{key}: {got}"
+        # The certificate is plain data.
+        assert pickle.loads(pickle.dumps(caps)) == caps
+        fields = {f.name for f in dataclasses.fields(caps)}
+        assert set(caps.to_dict()) == fields | {"flags"}
 
     def test_refused_certificates_carry_readable_reasons(self):
         kv = certify_bundled("kvstore")
         assert any("non-commutative writes" in r for r in kv.refusals)
         assert any("bump" in r for r in kv.refusals)
-        kmeans = certify_bundled("kmeans")
-        assert any("merge_centroids" in r for r in kmeans.refusals)
 
     def test_hand_built_cf_sdg(self):
         caps = certify(build_cf_sdg)
         assert caps.flags == ["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"]
         assert ("updateUserItem", "updateCoOcc") in caps.coalescible_edges
-        # The order-sensitive merge TE is refused, with the line.
-        assert any("mergeRec" in r for r in caps.refusals)
+
+    def test_clean_fixture_earns_every_flag(self):
+        caps = certify(clean.CleanCounters)
+        assert caps.flags == ["COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE"]
 
     def test_hand_built_kv_sdg(self):
         caps = certify(build_kv_sdg)
@@ -116,81 +109,6 @@ class TestCertifyDispatch:
 
 
 # ---------------------------------------------------------------------------
-# The soundness boundary: flagged merges are never certified
-# ---------------------------------------------------------------------------
-
-
-class TestUncertifiedRefused:
-    @pytest.mark.parametrize("module, cls_name, merge_name", [
-        (order_sensitive_merge, "OrderSensitiveMerge", "newest_wins"),
-        (operand_swap_merge, "OperandSwapMerge", "alternating"),
-        (laundered_index_merge, "LaunderedIndexMerge", "top_pick"),
-    ], ids=["index", "operand-swap", "laundered-index"])
-    def test_flagged_merge_refused_by_name(self, module, cls_name,
-                                           merge_name):
-        caps = certify(getattr(module, cls_name))
-        assert "COMMUTATIVE_MERGE" not in caps.flags
-        assert not caps.commutative_merges
-        assert not caps.merge_folds
-        assert any(merge_name in r for r in caps.refusals)
-
-    def test_clean_fixture_earns_every_flag(self):
-        caps = certify(clean.CleanCounters)
-        assert caps.flags == [
-            "COMMUTATIVE_MERGE", "COALESCIBLE_DISPATCH", "SUBSTRATE_SAFE",
-        ]
-
-
-# ---------------------------------------------------------------------------
-# Fold synthesis
-# ---------------------------------------------------------------------------
-
-
-def vectors(rows):
-    out = []
-    for values in rows:
-        v = Vector()
-        v.add_vector(values)
-        out.append(v)
-    return out
-
-
-class TestFoldSynthesis:
-    def test_cf_fold_is_keyed_by_te_name(self):
-        caps = certify(CollaborativeFiltering)
-        assert list(caps.merge_folds) == ["get_rec_2_merge_merge"]
-        assert isinstance(caps.merge_folds["get_rec_2_merge_merge"],
-                          MergeFold)
-
-    def test_fold_matches_the_buffered_merge(self):
-        fold = certify(CollaborativeFiltering).merge_folds[
-            "get_rec_2_merge_merge"]
-        items = vectors([[1, 2, 3], [4, 0, 6], [7, 8, 0]])
-        acc = fold.init()
-        for item in items:
-            acc = fold.step(acc, item)
-        merged = CollaborativeFiltering.merge(None, items)
-        assert acc.to_list() == merged.to_list()
-        # The engine invokes the merge over [accumulator]: the init
-        # value is the additive identity, so re-merging is a no-op.
-        assert CollaborativeFiltering.merge(
-            None, [acc]).to_list() == merged.to_list()
-
-    def test_fold_init_is_fresh_per_call(self):
-        fold = certify(CollaborativeFiltering).merge_folds[
-            "get_rec_2_merge_merge"]
-        first = fold.step(fold.init(), vectors([[5]])[0])
-        second = fold.init()
-        assert second.to_list() != first.to_list()
-
-    def test_non_foldable_commutative_merge_has_no_fold(self):
-        caps = certify(LogisticRegression)
-        assert caps.commutative_merges == ("average",)
-        assert not caps.foldable_merges
-        assert not caps.merge_folds
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
@@ -198,13 +116,10 @@ class TestFoldSynthesis:
 class TestSerialization:
     def test_to_dict_is_json_clean_and_fold_free(self):
         payload = certify(CollaborativeFiltering).to_dict()
-        assert "merge_folds" not in payload
-        round_tripped = json.loads(json.dumps(payload))
-        assert round_tripped == payload
-        assert payload["flags"] == [
-            "COMMUTATIVE_MERGE", "SUBSTRATE_SAFE",
-        ]
-        assert payload["foldable_merges"] == ["merge"]
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["flags"] == ["SUBSTRATE_SAFE"]
+        # The merge gets no licence: the gather always hands it a list.
+        assert not [key for key in payload if "merge" in key]
 
     def test_edges_serialise_as_pairs(self):
         payload = certify_bundled("wordcount").to_dict()
@@ -217,15 +132,22 @@ class TestSerialization:
 
 
 # ---------------------------------------------------------------------------
-# Property: certified-commutative merges really are order-insensitive
+# Property: lint-clean merges really are order-insensitive
 # ---------------------------------------------------------------------------
 
-# One integer-valued item strategy per certified merge. Integer inputs
-# make commutativity *exact* (float addition is only logically
-# commutative), matching the optimizer differentials' contract.
+# The gather barrier hands a merge the replica values in arrival order,
+# which is undefined; the SDG302 scan is what certifies a merge against
+# depending on it. One integer-valued item strategy per bundled merge:
+# integer inputs make commutativity *exact* (float addition is only
+# logically commutative), matching the optimizer differentials' contract.
 _ITEM_STRATEGIES = {
     (CollaborativeFiltering, "merge"):
         st.lists(st.integers(-50, 50), min_size=1, max_size=6),
+    (KMeans, "merge_centroids"):
+        st.lists(st.one_of(st.just([]),
+                           st.lists(st.integers(0, 20), min_size=3,
+                                    max_size=3)),
+                 max_size=3),
     (LogisticRegression, "average"):
         st.lists(st.integers(-50, 50), min_size=1, max_size=6),
     (MulticlassRegression, "average"):
@@ -233,6 +155,15 @@ _ITEM_STRATEGIES = {
                           max_size=N_FEATURES),
                  min_size=N_CLASSES, max_size=N_CLASSES),
 }
+
+
+def vectors(rows):
+    out = []
+    for values in rows:
+        v = Vector()
+        v.add_vector(values)
+        out.append(v)
+    return out
 
 
 def _as_merge_input(cls, raw_items):
@@ -246,14 +177,17 @@ def _canonical(cls, result):
 
 
 def test_every_certified_commutative_merge_is_property_tested():
-    """The strategy table must cover the whole certified surface."""
+    """The strategy table must cover every bundled merge the SDG302
+    scan certifies clean (all of them: the bundled apps lint clean)."""
     certified = set()
     for key in BUNDLED_MATRIX:
-        target, label = bundled_objects()[key]()
+        target, _label = bundled_objects()[key]()
         if not isinstance(target, type):
-            continue  # hand-built SDG merges carry no fold/method pair
-        for merge in certify(target).commutative_merges:
-            certified.add((target, merge))
+            continue  # hand-built SDGs have merge TEs, not methods
+        model = ProgramModel.build(target, translate(target))
+        for merge, (fn_ast, coll) in model.merge_methods().items():
+            if not order_sensitive_sites(fn_ast, coll):
+                certified.add((target, merge))
     assert certified == set(_ITEM_STRATEGIES)
 
 

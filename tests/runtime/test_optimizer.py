@@ -2,19 +2,20 @@
 
 The optimizer's contract has two halves, and the suite pins both:
 
-*Soundness* — every relaxed path is gated on a certificate. Uncertified
+*Soundness* — the relaxed path is gated on a certificate. Uncertified
 programs deployed with ``optimize=True`` take the exact baseline path:
-every step serves one envelope, no fold is installed, and the
-differentials below prove ``state_fingerprint`` equality between
-optimized and baseline runs on both substrates — alone and combined
-with tracing, auto-scaling and chaos.
+every step serves one envelope, and the differentials below prove
+``state_fingerprint`` equality between optimized and baseline runs on
+both substrates — alone and combined with tracing, auto-scaling and
+chaos.
 
-*Liveness* — certified programs actually take the relaxed paths: one
+*Liveness* — certified programs actually take the relaxed path: one
 scheduling step serves a run of same-channel envelopes and counts
-them, and the gather barrier folds replica values as they arrive,
-each observable through its counter.
+them. The gather barrier is not a relaxed path: with the flag on or
+off, on either substrate, a merge receives the list of replica values.
 """
 
+import json
 from collections import Counter
 
 import pytest
@@ -196,7 +197,6 @@ def run_once(app, substrate, optimize, items=120, drive=drive_plain,
         counters = {
             name: metrics.total(name)
             for name in ("dispatch_coalesced_total",
-                         "merge_early_completions_total",
                          "engine_items_processed_total")
         }
     finally:
@@ -265,7 +265,6 @@ class TestUncertifiedNeverRelaxed:
         # The certificate granted nothing the dispatch layer may use.
         assert "COALESCIBLE_DISPATCH" not in runtime.capabilities.flags
         assert not runtime._run_channels
-        assert not runtime._merge_folds
 
         log = serve_log(runtime)
         for i in range(60):
@@ -279,7 +278,6 @@ class TestUncertifiedNeverRelaxed:
         assert longest_run(log) == 1
         metrics = runtime.merged_metrics()
         assert metrics.total("dispatch_coalesced_total") == 0
-        assert metrics.total("merge_early_completions_total") == 0
         sequential = KeyValueStore()
         for i in range(60):
             sequential.put(i % 9, i)
@@ -332,25 +330,107 @@ class TestCertifiedPathsEngage:
         assert RUN_MAX == 64
         assert longest_run(log) == RUN_MAX
 
-    def test_gather_folds_eagerly_and_counts_completions(self):
-        def run(optimize):
-            app = CollaborativeFiltering.launch(
-                RuntimeConfig(optimize=optimize), user_item=2, co_occ=3)
-            for user, item, rating in [(0, 1, 5), (0, 2, 3), (1, 1, 4),
-                                       (1, 3, 2), (2, 2, 1)]:
-                app.add_rating(user, item, rating)
-            app.run()
-            app.get_rec(0)
-            app.run()
-            folds = app.runtime.merged_metrics().total(
-                "merge_early_completions_total")
-            return app.results("get_rec")[0].to_list(), folds
 
-        base_rec, base_folds = run(False)
-        opt_rec, opt_folds = run(True)
-        assert base_folds == 0
-        assert opt_folds > 0
-        assert opt_rec == base_rec
+# ---------------------------------------------------------------------------
+# One gather path: a merge receives the list of replica values
+# ---------------------------------------------------------------------------
+
+CF_MERGE_TE = "get_rec_2_merge_merge"
+CF_RATINGS = [(0, 1, 5), (0, 2, 3), (1, 1, 4), (1, 3, 2), (2, 2, 1)]
+CF_REPLICAS = 3
+
+
+def launch_cf(optimize, substrate="inprocess"):
+    app = CollaborativeFiltering.launch(
+        RuntimeConfig(substrate=substrate, optimize=optimize,
+                      workers=2 if substrate == "multiprocess" else None),
+        user_item=2, co_occ=CF_REPLICAS)
+    for rating in CF_RATINGS:
+        app.add_rating(*rating)
+    app.run()
+    return app
+
+
+class TestOneGatherPath:
+    @pytest.mark.parametrize("substrate", ["inprocess", "multiprocess"])
+    def test_merge_receives_every_replica_value(self, substrate, tmp_path,
+                                                monkeypatch):
+        # Patched on the class before launch, so forked workers inherit
+        # it; a file, because there the merge TE runs in another process.
+        spy_file = tmp_path / "gathered.jsonl"
+        invoke = Runtime._invoke
+
+        def spy(runtime, instance, payload):
+            if instance.name == CF_MERGE_TE:
+                assert type(payload) is list
+                with open(spy_file, "a") as out:
+                    out.write(json.dumps([v.to_list() for v in payload])
+                              + "\n")
+            return invoke(runtime, instance, payload)
+
+        monkeypatch.setattr(Runtime, "_invoke", spy)
+
+        def run(optimize):
+            spy_file.write_text("")
+            app = launch_cf(optimize, substrate)
+            try:
+                app.get_rec(0)
+                app.run()
+                user_row = max(
+                    (element.get_row(0)
+                     for element in app.state_of("user_item")),
+                    key=lambda row: row.to_list())
+                partials = [element.multiply(user_row).to_list()
+                            for element in app.state_of("co_occ")]
+                (reply,) = app.results("get_rec")
+            finally:
+                app.runtime.close()
+            (gathered,) = map(json.loads,
+                              spy_file.read_text().splitlines())
+            # One raw partial vector per live replica, not a pre-reduced
+            # value.
+            assert len(gathered) == CF_REPLICAS
+            assert sorted(gathered) == sorted(partials)
+            return gathered, reply.to_list()
+
+        base_gathered, base_reply = run(False)
+        opt_gathered, opt_reply = run(True)
+        assert opt_reply == base_reply
+        if substrate == "inprocess":
+            assert opt_gathered == base_gathered  # same arrival order
+        else:
+            assert sorted(opt_gathered) == sorted(base_gathered)
+
+    def test_half_full_gather_survives_merge_node_recovery(self):
+        baseline = launch_cf(optimize=False)
+        baseline.get_rec(0)
+        baseline.run()
+
+        app = launch_cf(optimize=True)
+        runtime = app.runtime
+        store = BackupStore(m_targets=2)
+        checkpoints = CheckpointManager(runtime, store)
+        app.get_rec(0)
+        (merge,) = runtime.te_instances(CF_MERGE_TE)
+        while not any(0 < gather.received < gather.expected
+                      for gather in merge.pending_gathers.values()):
+            runtime.step()
+        node = merge.node_id
+        checkpoints.checkpoint(node)
+        runtime.fail_node(node)
+        runtime.run_until_idle()
+        assert app.results("get_rec") == []
+        RecoveryManager(runtime, store).recover_node(node)
+        (merge,) = runtime.te_instances(CF_MERGE_TE)
+        # The restored barrier is the plain list it was saved as.
+        (gather,) = merge.pending_gathers.values()
+        assert 0 < len(gather.payloads) == gather.received < gather.expected
+        runtime.run_until_idle()
+        assert not merge.pending_gathers
+        assert ([v.to_list() for v in app.results("get_rec")]
+                == [v.to_list() for v in baseline.results("get_rec")])
+        assert state_fingerprint(runtime) == state_fingerprint(
+            baseline.runtime)
 
 
 # ---------------------------------------------------------------------------

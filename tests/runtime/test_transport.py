@@ -188,7 +188,7 @@ class TestInputLogTrim:
         # As restored from the checkpoint: marks stop at the trim point.
         replacement = install_empty_replacement(
             runtime, 1, {stream: len(before) for stream in last_seen})
-        assert runtime.replay_into("serve", 1) == len(after)
+        assert runtime.replay_rerouted("serve", {1}) == len(after)
         assert runtime.run_until_idle() == len(after)
         assert replacement.processed_count == len(after)
         assert dict(replacement.se_instance.element.items()) == {
