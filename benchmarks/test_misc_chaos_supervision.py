@@ -69,27 +69,28 @@ def test_misc_chaos_supervision(benchmark):
 
     kill_steps = {}
     for record in injector.fired():
-        if isinstance(record.fault, KillNode):
-            node_id = int(record.detail.rsplit(" ", 1)[1])
+        if isinstance(record.attrs["fault"], KillNode):
+            node_id = int(record.attrs["detail"].rsplit(" ", 1)[1])
             kill_steps[node_id] = record.step
 
     rows = []
     kill_latencies = []
     for detection, outcome in supervisor.cycles():
-        fault_step = kill_steps.get(detection.node_id)
+        node_id = detection.attrs["node_id"]
+        fault_step = kill_steps.get(node_id)
         if fault_step is not None:
             latency = detection.step - fault_step
             kill_latencies.append(latency)
         else:
             latency = 0  # crashes are reported in the faulting step
         rows.append((
-            detection.node_id,
-            detection.detail,
+            node_id,
+            detection.attrs["detail"],
             fault_step if fault_step is not None else "-",
             detection.step,
             latency,
             outcome.kind,
-            outcome.detail,
+            outcome.attrs["detail"],
             outcome.step - detection.step,
         ))
     print_figure(

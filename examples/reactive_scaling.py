@@ -2,9 +2,9 @@
 
 A single-partition KV store is flooded with requests; the bottleneck
 detector notices the backlog and the engine scales the TE (and its
-partitioned state) while traffic keeps flowing. A monitor samples the
-instance count and backlog so the timeline is visible — the in-process
-sibling of the paper's Fig. 10.
+partitioned state) while traffic keeps flowing. The scale-out events on
+the runtime's event bus give the timeline, and a small step hook samples
+the backlog — the in-process sibling of the paper's Fig. 10.
 
 Run with:
 
@@ -12,7 +12,7 @@ Run with:
 """
 
 from repro.apps import KeyValueStore
-from repro.runtime import RuntimeConfig, RuntimeMonitor
+from repro.runtime import RuntimeConfig
 from repro.workloads import KVWorkload
 
 
@@ -24,14 +24,22 @@ def main():
         max_instances=4,
         scale_check_every=100,
     ))
-    monitor = RuntimeMonitor(sample_every=200).install(app.runtime)
+    put_te = app.translation.entry_info("put").entry_te
+    backlog = []  # (engine step, queued items), every 200 steps
+
+    def sample(runtime):
+        if runtime.total_steps % 200 == 0:
+            queued = sum(len(inst.inbox)
+                         for inst in runtime.te_instances(put_te))
+            backlog.append((runtime.total_steps, queued))
+
+    app.runtime.add_step_hook(sample)
 
     workload = KVWorkload(n_keys=500, read_fraction=0.0, seed=31)
     for op in workload.ops(1_500):
         app.put(op.key, op.value)
     app.run()
 
-    put_te = app.translation.entry_info("put").entry_te
     print("scaling timeline (step, TE, instances after):")
     for step, te_name, count in app.runtime.scale_events:
         print(f"  step {step:5d}: {te_name} -> {count} instances")
@@ -43,9 +51,9 @@ def main():
           f"(total {sum(sizes)})")
 
     print("\nbacklog samples (engine step -> queued items):")
-    for step, backlog in monitor.backlog_series(put_te)[:8]:
-        bar = "#" * min(60, backlog // 10)
-        print(f"  step {step:5d}: {backlog:5d} {bar}")
+    for step, queued in backlog[:8]:
+        bar = "#" * min(60, queued // 10)
+        print(f"  step {step:5d}: {queued:5d} {bar}")
 
     # Everything still correct after all that movement.
     workload_check = KVWorkload(n_keys=500, read_fraction=0.0, seed=31)

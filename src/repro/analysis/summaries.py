@@ -34,7 +34,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.callgraph import CallGraph, CallSite
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.model import WRITE_METHODS
 from repro.translate.restrictions import restriction_sites
 
@@ -280,9 +280,6 @@ class ProgramSummaries:
     def get(self, name: str) -> MethodSummary:
         """The summary of ``name``; unknown names are opaque."""
         return self.summaries.get(name, OPAQUE_SUMMARY)
-
-    def for_callee(self, site: CallSite) -> MethodSummary:
-        return self.get(site.callee)
 
     # -- construction ----------------------------------------------------
 

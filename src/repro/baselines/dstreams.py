@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.simulation.batching import microbatch_throughput, sustainable
+from repro.simulation.batching import sustainable
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,3 @@ class StreamingSparkModel:
                            self.scheduling_overhead_s):
             return 0.0
         return rate
-
-    def peak_throughput(self, window_s: float = 10.0) -> float:
-        """Throughput with a comfortably large window."""
-        batch = self.batch_size_for_window(
-            window_s, self.service_rate
-        )
-        return microbatch_throughput(self.service_rate, batch,
-                                     self.scheduling_overhead_s)

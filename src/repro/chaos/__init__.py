@@ -9,7 +9,7 @@ Pair with a :class:`~repro.runtime.detector.FailureDetector` and a
 full detect-and-repair loop.
 """
 
-from repro.chaos.injector import FaultInjector, InjectionRecord
+from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import (
     CorruptChunk,
     CorruptDeltaChunk,
@@ -38,7 +38,6 @@ __all__ = [
     "Fault",
     "FaultInjector",
     "FaultPlan",
-    "InjectionRecord",
     "KillNode",
     "ScaleUp",
     "SlowNode",

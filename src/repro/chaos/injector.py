@@ -10,14 +10,12 @@ partition 2 of ``table``", and the injector looks up whichever node
 that is *now* — including replacement nodes installed by recovery.
 Every action (or deliberate skip) is published to the runtime's event
 bus (``runtime.events``, source ``"injector"``, kind
-``"fault-injected"``); :attr:`injected` remains as a backward-
-compatible view reconstructing :class:`InjectionRecord` entries from
-the bus.
+``"fault-injected"``, with ``fault`` / ``outcome`` / ``detail`` attrs),
+the injector's only log; :meth:`FaultInjector.fired` is a query over it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.chaos.plan import (
@@ -34,8 +32,10 @@ from repro.chaos.plan import (
     TargetOffline,
 )
 from repro.errors import ChaosError, RuntimeExecutionError
+from repro.obs.events import KIND
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.events import Event
     from repro.recovery.backup import BackupStore
     from repro.runtime.engine import Runtime
     from repro.runtime.instances import TEInstance
@@ -45,16 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: often, before the injector gives up on it.
 _SCALE_RETRY_AFTER = 5
 _SCALE_MAX_RETRIES = 100
-
-
-@dataclass(frozen=True)
-class InjectionRecord:
-    """One executed (or skipped) fault, as it actually landed."""
-
-    step: int
-    fault: object
-    outcome: str  # fired | skipped | refused | rescheduled
-    detail: str = ""
 
 
 class FaultInjector:
@@ -84,24 +74,6 @@ class FaultInjector:
         self._c_fired = runtime.metrics.counter(
             "chaos_faults_fired_total",
             "faults that actually landed, by fault type")
-
-    @property
-    def injected(self) -> list[InjectionRecord]:
-        """Everything the injector did, reconstructed from the event bus.
-
-        Deprecated as a *private* log: actions are now published to
-        ``runtime.events`` with source ``"injector"`` (one injector per
-        runtime is the supported pattern); this property remains as a
-        compatible read view.
-        """
-        return [
-            InjectionRecord(
-                step=e.step, fault=e.attrs.get("fault"),
-                outcome=e.attrs.get("outcome", ""),
-                detail=e.attrs.get("detail", ""),
-            )
-            for e in self.runtime.events.events(source="injector")
-        ]
 
     # ------------------------------------------------------------------
 
@@ -134,8 +106,12 @@ class FaultInjector:
         return [fault for _step, fault in
                 sorted(self._pending, key=lambda pair: pair[0])]
 
-    def fired(self, outcome: str = "fired") -> list[InjectionRecord]:
-        return [r for r in self.injected if r.outcome == outcome]
+    def fired(self, outcome: str = "fired") -> list["Event"]:
+        """The injector's bus events with one outcome (fired | skipped
+        | refused | rescheduled)."""
+        return [e for e in self.runtime.events.events(
+                    source="injector", kind=KIND.FAULT_INJECTED)
+                if e.attrs["outcome"] == outcome]
 
     # ------------------------------------------------------------------
 
@@ -152,7 +128,7 @@ class FaultInjector:
         if outcome == "fired":
             self._c_fired.labels(type=type(fault).__name__).inc()
         self.runtime.events.publish(
-            "injector", "fault-injected", self.runtime.total_steps,
+            "injector", KIND.FAULT_INJECTED, self.runtime.total_steps,
             fault=fault, outcome=outcome, detail=detail,
         )
 

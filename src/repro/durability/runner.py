@@ -59,6 +59,7 @@ from repro.obs import JsonlExporter
 from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
 from repro.recovery import (
     CheckpointManager,
+    CheckpointPolicy,
     DiskBackupStore,
     RecoveryManager,
     RecoverySupervisor,
@@ -159,8 +160,9 @@ class DurableRunner:
             os.path.join(self.run_dir, BACKUPS_DIR), m_targets=_M_TARGETS)
         # The input log is never trimmed: pure log replay must stay
         # sound as the last recovery rung within an epoch.
-        self.manager = CheckpointManager(self.runtime, self.store,
-                                         trim_input_log=False)
+        self.manager = CheckpointManager(
+            self.runtime, self.store, trim_input_log=False,
+            policy=CheckpointPolicy(full_every=self.spec.full_every))
         self.recovery = RecoveryManager(self.runtime, self.store)
         self.detector = self.supervisor = self.injector = None
         if self.plan is not None:
@@ -364,8 +366,8 @@ class DurableRunner:
             if rounds > _MAX_PUMP_ROUNDS:
                 raise DurabilityError(
                     f"epoch {epoch} failed to settle after "
-                    f"{_MAX_PUMP_ROUNDS} probe rounds; supervisor events: "
-                    f"{self.supervisor.events}"
+                    f"{_MAX_PUMP_ROUNDS} probe rounds; recovery cycles: "
+                    f"{self.supervisor.cycles()}"
                 )
             salt = epoch * 100_003 + rounds * 17
             for entry, payload in self.workload.probes(salt, 3):

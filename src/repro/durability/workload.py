@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass
 
 from repro.apps.wordcount import build_wordcount_sdg
 from repro.errors import DurabilityError
-from repro.recovery.policy import CheckpointPolicy
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.engine import Runtime
 from repro.testing import build_kv_sdg
@@ -112,8 +111,6 @@ class DurableWorkload:
         # even for programmatic callers.
         config = RuntimeConfig(
             se_instances={self.se_name: self.spec.se_instances},
-            checkpoint_policy=CheckpointPolicy(
-                full_every=self.spec.full_every),
             substrate="inprocess",
         )
         return Runtime(self.build_sdg(), config)

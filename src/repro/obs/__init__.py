@@ -5,9 +5,11 @@ existing step-hook/facade seams:
 
 * :mod:`repro.obs.metrics` — ``Counter`` / ``Gauge`` / ``Histogram``
   primitives in an injectable :class:`MetricsRegistry` with a
-  Prometheus text exporter.  Histogram buckets are *logical steps*;
-  nothing in the registry touches the wall clock, so the deterministic
-  core (§4.1) stays deterministic. On the multiprocess substrate each
+  Prometheus text exporter — the one ledger of what the runtime
+  counted. Histogram buckets are *logical steps*; only the
+  ``*_seconds_total`` series hold wall-clock time, and nothing reads
+  them back, so the deterministic core (§4.1) stays deterministic. On
+  the multiprocess substrate each
   worker's registry shard streams back to the coordinator piggybacked
   on idle frames, so ``runtime.merged_metrics()`` is fresh *between*
   barriers, not only at them.
@@ -19,15 +21,17 @@ existing step-hook/facade seams:
   ship shards the coordinator merges into one causal view.
 * :mod:`repro.obs.profile` — opt-in wall-clock phase timers
   (``RuntimeConfig(profile=True)``): process, dispatch, serialize,
-  wire wait, checkpoint, recovery. Layered *beside* the logical-time
+  wire wait, checkpoint, recovery — a view over the
+  ``profile_seconds_total`` / ``profile_calls_total`` series of the
   registry; never feeds back into execution.
 * :mod:`repro.obs.flight` — a bounded per-process ring buffer of
   recent envelope digests, shipped in crash frames and persisted next
   to durable-run manifests for SIGKILL post-mortems.
 * :mod:`repro.obs.events` — a typed, structured :class:`EventBus` that
   the engine, checkpoint manager, recovery supervisor, failure
-  detector and chaos injector publish to instead of private logs,
-  with JSON-lines export.
+  detector and chaos injector publish to — the one log of what the
+  runtime observed; their query methods read it back. JSON-lines
+  export.
 
 ``repro obs`` (see :mod:`repro.obs.runner`) runs a workload with the
 full stack enabled and renders metrics + traces + events; ``repro

@@ -96,7 +96,10 @@ class EventBus:
         return listener
 
     def unsubscribe(self, listener: Callable[[Event], None]) -> None:
-        self._listeners = [(cb, kinds) for cb, kinds in self._listeners if cb is not listener]
+        # ``!=``, not ``is not``: each ``obj.method`` access is a fresh
+        # bound-method object, equal to (but not identical with) the one
+        # that subscribed.
+        self._listeners = [(cb, kinds) for cb, kinds in self._listeners if cb != listener]
 
     def events(self, source: str | None = None, kind: str | None = None) -> list[Event]:
         return [

@@ -2,7 +2,8 @@
 
 Design constraints, in order:
 
-* **Deterministic** — nothing here reads the wall clock.  Histogram
+* **Deterministic** — only the ``*_seconds_total`` series read the
+  wall clock, and nothing reads them back into execution.  Histogram
   buckets are denominated in whatever the caller observes, which in
   this codebase is always *logical steps* or entry/byte counts.
 * **Cheap when hot** — callers on the per-item path pre-bind label

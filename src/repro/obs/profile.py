@@ -1,24 +1,25 @@
-"""Wall-clock phase profiling beside the logical-time registry.
+"""Wall-clock phase profiling, stored in the metrics registry.
 
-The metrics registry (:mod:`repro.obs.metrics`) is deliberately
-deterministic: everything it counts is denominated in logical steps or
-entry counts, never seconds. That keeps the replayable core honest but
+Most of the metrics registry (:mod:`repro.obs.metrics`) is counted in
+logical steps and entries, which keeps the replayable core honest but
 leaves a visibility gap the paper's operational story (§5–§6) needs
 closed: *where does the wall clock actually go* — task code, dispatch,
 frame serialisation, waiting on a pipe, checkpointing, recovery?
 
-:class:`ProfileRegistry` answers that as a separate, opt-in layer
-(``RuntimeConfig(profile=True)``) of named phase timers. It never
-feeds back into scheduling or dispatch decisions, so determinism is
-untouched; it is also shard-mergeable the same way the metrics
-registry is, so the multiprocess substrate can ship each worker's
-phase breakdown back to the coordinator piggybacked on idle frames.
+:class:`ProfileRegistry` answers that with named phase timers, opt-in
+(``RuntimeConfig(profile=True)``). It is a view, not a second store:
+each phase is a pair of label children of the runtime's registry,
+``profile_seconds_total{phase}`` and ``profile_calls_total{phase}``, so
+phases travel inside the metrics shards a multiprocess worker already
+ships, are zeroed by the same ``reset`` at fork, and are retired with
+the metric shards of a restarted fleet. The profiler never feeds back
+into scheduling or dispatch decisions, so determinism is untouched.
 
 Cost discipline mirrors tracing: with profiling off the engine's hot
 path pays one ``is None`` check per item and nothing else
 (``benchmarks/test_obs_profile.py`` enforces the same <3% bar as the
 metrics layer); with profiling on, each instrumented phase pays two
-``perf_counter()`` calls.
+``perf_counter()`` calls and two attribute updates.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from typing import Iterator
+
+from repro.obs.metrics import MetricsRegistry, _CounterChild
 
 __all__ = ["PHASES", "ProfileRegistry", "profile_span"]
 
@@ -43,108 +46,116 @@ PHASES = ("process", "dispatch", "serialize", "wire_wait",
 
 
 class _PhaseTimer:
-    """Accumulated wall-clock seconds and sample count for one phase.
+    """One phase's seconds and call count: two registry children.
 
     Pre-bind the instance (``registry.phase("process")``) outside any
     hot loop; :meth:`add` is two attribute updates.
     """
 
-    __slots__ = ("seconds", "count")
+    __slots__ = ("_seconds", "_calls")
 
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        self.count = 0
+    def __init__(self, seconds: _CounterChild, calls: _CounterChild) -> None:
+        self._seconds = seconds
+        self._calls = calls
 
     def add(self, seconds: float) -> None:
-        self.seconds += seconds
-        self.count += 1
+        self._seconds.value += seconds
+        self._calls.value += 1
+
+    @property
+    def seconds(self) -> float:
+        return self._seconds.value
+
+    @property
+    def count(self) -> int:
+        return int(self._calls.value)
 
     @property
     def mean(self) -> float:
-        return self.seconds / self.count if self.count else 0.0
+        calls = self._calls.value
+        return self._seconds.value / calls if calls else 0.0
+
+
+class _NullTimer:
+    """The timer of a registry that records nothing."""
+
+    __slots__ = ()
+    seconds = 0.0
+    count = 0
+    mean = 0.0
+
+    def add(self, seconds: float) -> None:
+        pass
+
+
+_NULL_TIMER = _NullTimer()
 
 
 class ProfileRegistry:
-    """Named wall-clock phase timers with snapshot/merge sharding."""
+    """Named wall-clock phase timers over a metrics registry."""
 
-    def __init__(self) -> None:
-        self._phases: dict[str, _PhaseTimer] = {}
+    def __init__(self, metrics=None) -> None:
+        metrics = MetricsRegistry() if metrics is None else metrics
+        self._seconds = metrics.counter(
+            "profile_seconds_total",
+            "wall-clock seconds spent in each profiled phase")
+        self._calls = metrics.counter(
+            "profile_calls_total", "timed calls of each profiled phase")
+        self._phases: dict[str, _PhaseTimer | _NullTimer] = {}
 
-    def phase(self, name: str) -> _PhaseTimer:
+    def phase(self, name: str) -> _PhaseTimer | _NullTimer:
         """Get-or-create the timer for ``name`` (pre-bindable)."""
         timer = self._phases.get(name)
         if timer is None:
-            timer = self._phases[name] = _PhaseTimer()
+            seconds = self._seconds.labels(phase=name)
+            calls = self._calls.labels(phase=name)
+            timer = self._phases[name] = (
+                _PhaseTimer(seconds, calls)
+                if isinstance(seconds, _CounterChild) else _NULL_TIMER)
         return timer
 
     def add(self, name: str, seconds: float) -> None:
         self.phase(name).add(seconds)
 
     def seconds(self, name: str) -> float:
-        timer = self._phases.get(name)
-        return 0.0 if timer is None else timer.seconds
+        return self._seconds.value(phase=name)
 
     def count(self, name: str) -> int:
-        timer = self._phases.get(name)
-        return 0 if timer is None else timer.count
+        return int(self._calls.value(phase=name))
 
     def names(self) -> list[str]:
-        return sorted(self._phases)
-
-    # -- sharding (multiprocess substrate) -----------------------------
-
-    def reset(self) -> None:
-        """Zero every timer in place; pre-bound timers stay valid."""
-        for timer in self._phases.values():
-            timer.seconds = 0.0
-            timer.count = 0
-
-    def snapshot(self) -> dict[str, tuple[float, int]]:
-        """Picklable shard: ``{phase: (seconds, count)}``."""
-        return {name: (timer.seconds, timer.count)
-                for name, timer in self._phases.items()}
-
-    def merge_snapshot(self, snap: dict[str, tuple[float, int]]) -> None:
-        for name, (seconds, count) in snap.items():
-            timer = self.phase(name)
-            timer.seconds += seconds
-            timer.count += count
-
-    def merged_with(self, shards: list[dict]) -> "ProfileRegistry":
-        """Fresh registry = this one + all shards (non-destructive,
-        so repeated calls with cumulative shards never double-count)."""
-        merged = ProfileRegistry()
-        merged.merge_snapshot(self.snapshot())
-        for shard in shards:
-            merged.merge_snapshot(shard)
-        return merged
+        return sorted(labels["phase"] for labels, _ in self._calls.samples())
 
     # -- read side -----------------------------------------------------
+
+    def _rows(self) -> list[tuple[str, float, int, float]]:
+        """``(phase, seconds, calls, mean seconds)``, by phase name."""
+        rows = []
+        for name in self.names():
+            seconds, calls = self.seconds(name), self.count(name)
+            rows.append((name, seconds, calls,
+                         seconds / calls if calls else 0.0))
+        return rows
 
     def breakdown(self) -> dict[str, dict[str, float]]:
         """JSON-friendly ``{phase: {seconds, count, mean_ms}}``."""
         return {
-            name: {
-                "seconds": timer.seconds,
-                "count": timer.count,
-                "mean_ms": timer.mean * 1e3,
-            }
-            for name, timer in sorted(self._phases.items())
+            name: {"seconds": seconds, "count": calls,
+                   "mean_ms": mean * 1e3}
+            for name, seconds, calls, mean in self._rows()
         }
 
     def render(self) -> str:
         """A fixed-width phase table for CLI output."""
-        rows = [(name, timer) for name, timer in
-                sorted(self._phases.items(),
-                       key=lambda kv: -kv[1].seconds)]
+        rows = sorted(self._rows(), key=lambda row: -row[1])
         if not rows:
             return "(no phases recorded)"
         lines = [f"{'phase':<12} {'seconds':>10} {'calls':>9} "
                  f"{'mean':>10}"]
-        for name, timer in rows:
+        for name, seconds, calls, mean in rows:
             lines.append(
-                f"{name:<12} {timer.seconds:>10.4f} {timer.count:>9d} "
-                f"{timer.mean * 1e3:>8.3f}ms"
+                f"{name:<12} {seconds:>10.4f} {calls:>9d} "
+                f"{mean * 1e3:>8.3f}ms"
             )
         return "\n".join(lines)
 

@@ -194,10 +194,11 @@ def render_report(run: ObsRun, *, trace_limit: int = 8) -> str:
         lines.append("  recovery cycles:")
         for detection, outcome in cycles:
             resolution = (f"{outcome.kind} at step {outcome.step} "
-                          f"({outcome.detail})"
+                          f"({outcome.attrs['detail']})"
                           if outcome is not None else "in flight")
             lines.append(
-                f"    node {detection.node_id} {detection.detail} "
+                f"    node {detection.attrs['node_id']} "
+                f"{detection.attrs['detail']} "
                 f"at step {detection.step} -> {resolution}"
             )
     lines.append("")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runtime imports obs)
     from repro.runtime.envelope import Envelope
@@ -288,11 +288,3 @@ class Tracer:
         slowest = sorted(traces, key=lambda t: (-t.latency, t.trace_id))[:limit]
         lines.extend(f"  {t.describe()}" for t in slowest)
         return "\n".join(lines)
-
-
-def merge_traces(tracers: Iterable[Tracer]) -> list[Trace]:
-    """Flatten traces from several tracers, ordered by trace id."""
-    merged: list[Trace] = []
-    for tracer in tracers:
-        merged.extend(tracer.traces())
-    return sorted(merged, key=lambda t: t.trace_id)

@@ -34,7 +34,7 @@ from repro.recovery.checkpoint import (
 from repro.recovery.policy import CheckpointPolicy
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.scheduler import CheckpointScheduler
-from repro.recovery.supervisor import RecoveryEvent, RecoverySupervisor
+from repro.recovery.supervisor import RecoverySupervisor
 
 __all__ = [
     "BackupStore",
@@ -44,7 +44,6 @@ __all__ = [
     "DiskBackupStore",
     "NodeCheckpoint",
     "PendingCheckpoint",
-    "RecoveryEvent",
     "RecoveryManager",
     "RecoverySupervisor",
     "TEMeta",

@@ -132,11 +132,8 @@ class CheckpointManager:
         #: its state from scratch even when every checkpoint of it is
         #: corrupt or stale — the RecoverySupervisor's last-resort path.
         self.trim_input_log = trim_input_log
-        #: Full/delta cadence: an explicit argument wins, then the
-        #: runtime config's ``checkpoint_policy``, then the default
-        #: (full every cycle — the seed behaviour).
-        if policy is None:
-            policy = getattr(runtime.config, "checkpoint_policy", None)
+        #: Full/delta cadence; the default is a full checkpoint every
+        #: cycle (the seed behaviour).
         self.policy = policy if policy is not None else CheckpointPolicy()
         self._versions: dict[int, int] = {}
         self._pending: dict[int, PendingCheckpoint] = {}

@@ -1,8 +1,9 @@
 """Supervised automatic recovery.
 
 The missing link between detection and repair: the
-:class:`RecoverySupervisor` subscribes to a
-:class:`~repro.runtime.detector.FailureDetector` and drives the
+:class:`RecoverySupervisor` subscribes to the ``failure-detected``
+events a :class:`~repro.runtime.detector.FailureDetector` publishes on
+the runtime's event bus and drives the
 :class:`~repro.recovery.manager.RecoveryManager` without any manual
 ``recover_node`` calls, the way the paper's runtime restores failed
 workers on its own (§5).
@@ -38,9 +39,9 @@ Every decision is published to the runtime's structured event bus
 (``runtime.events``, source ``"supervisor"``) that tests, benchmarks
 and the ``repro obs`` CLI assert against: each failure produces a
 ``detected`` event followed by a ``recovered`` (or ``quarantined``)
-event, with any fallbacks and failed attempts in between.
-:attr:`RecoverySupervisor.events` remains as a backward-compatible
-view reconstructing :class:`RecoveryEvent` records from the bus.
+event, with any fallbacks and failed attempts in between. The bus is
+the supervisor's only log; :meth:`RecoverySupervisor.cycles` is a query
+over it.
 """
 
 from __future__ import annotations
@@ -53,24 +54,13 @@ from repro.errors import (
     RecoveryError,
     StaleCheckpointError,
 )
+from repro.obs.events import KIND
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.events import Event
     from repro.recovery.manager import RecoveryManager
-    from repro.runtime.detector import DetectionEvent, FailureDetector
+    from repro.runtime.detector import FailureDetector
     from repro.runtime.engine import Runtime
-
-
-@dataclass(frozen=True)
-class RecoveryEvent:
-    """One entry of the supervisor's structured event log."""
-
-    step: int
-    kind: str  # detected | recovery-started | fallback | recovered |
-    #            recovery-failed | quarantined
-    node_id: int
-    attempt: int = 0
-    detail: str = ""
-    new_nodes: tuple[int, ...] = ()
 
 
 @dataclass
@@ -118,39 +108,21 @@ class RecoverySupervisor:
             "recovery_quarantined_total",
             "nodes quarantined after exhausting retries").labels()
 
-    @property
-    def events(self) -> list[RecoveryEvent]:
-        """The supervisor's decisions, reconstructed from the event bus.
-
-        Deprecated as a *private* log: decisions are now published to
-        ``runtime.events`` with source ``"supervisor"`` (one supervisor
-        per runtime is the supported pattern); this property remains as
-        a compatible read view.
-        """
-        return [
-            RecoveryEvent(
-                step=e.step, kind=e.kind,
-                node_id=e.attrs.get("node_id", -1),
-                attempt=e.attrs.get("attempt", 0),
-                detail=e.attrs.get("detail", ""),
-                new_nodes=tuple(e.attrs.get("new_nodes", ())),
-            )
-            for e in self.runtime.events.events(source="supervisor")
-        ]
-
     # ------------------------------------------------------------------
 
     def install(self) -> "RecoverySupervisor":
-        """Subscribe to the detector and attach to the runtime."""
+        """Subscribe to detection verdicts and attach to the runtime."""
         if self._installed:
             return self
-        self.detector.subscribe(self._on_detection)
+        self.runtime.events.subscribe(self._on_detection,
+                                      kinds=[KIND.FAILURE_DETECTED])
         self.runtime.add_step_hook(self._on_step)
         self._installed = True
         return self
 
     def uninstall(self) -> None:
         if self._installed:
+            self.runtime.events.unsubscribe(self._on_detection)
             self.runtime.remove_step_hook(self._on_step)
             self._installed = False
 
@@ -159,19 +131,21 @@ class RecoverySupervisor:
         """No recovery in flight (quarantined nodes stay down)."""
         return not self._pending
 
-    def cycles(self) -> list[tuple[RecoveryEvent, RecoveryEvent | None]]:
+    def cycles(self) -> list[tuple["Event", "Event | None"]]:
         """(detection, resolution) pairs, one per supervised failure.
 
-        The resolution is the node's ``recovered`` or ``quarantined``
-        event, or ``None`` while recovery is still in flight.
+        Both are ``"supervisor"`` bus events; the resolution is the
+        node's ``recovered`` or ``quarantined`` event, or ``None`` while
+        recovery is still in flight.
         """
-        outcomes: dict[int, RecoveryEvent] = {}
-        for event in self.events:
+        log = self.runtime.events.events(source="supervisor")
+        outcomes: dict[int, "Event"] = {}
+        for event in log:
             if event.kind in ("recovered", "quarantined"):
-                outcomes.setdefault(event.node_id, event)
+                outcomes.setdefault(event.attrs["node_id"], event)
         return [
-            (event, outcomes.get(event.node_id))
-            for event in self.events if event.kind == "detected"
+            (event, outcomes.get(event.attrs["node_id"]))
+            for event in log if event.kind == "detected"
         ]
 
     # ------------------------------------------------------------------
@@ -184,12 +158,13 @@ class RecoverySupervisor:
             new_nodes=tuple(new_nodes),
         )
 
-    def _on_detection(self, event: "DetectionEvent") -> None:
-        node_id = event.node_id
+    def _on_detection(self, event: "Event") -> None:
+        node_id = event.attrs["node_id"]
         if node_id in self._pending or node_id in self.quarantined:
             return
-        self._log("detected", node_id, detail=event.kind)
-        if event.kind == "stalled":
+        verdict = event.attrs["verdict"]
+        self._log("detected", node_id, detail=verdict)
+        if verdict == "stalled":
             if not self.restart_stalled:
                 return
             # Supervised restart: retire the wedged node, then recover

@@ -29,11 +29,10 @@ with upstream output buffers (retained for replay-based recovery), and
 
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.deployment import Topology, WorkerPlacement
-from repro.runtime.detector import DetectionEvent, FailureDetector
+from repro.runtime.detector import FailureDetector
 from repro.runtime.dispatcher import Dispatcher
 from repro.runtime.engine import Runtime
 from repro.runtime.envelope import Envelope, NO_RESPONSE
-from repro.runtime.monitor import RuntimeMonitor, Sample
 from repro.runtime.scaling import BottleneckDetector
 from repro.runtime.scheduler import (
     LongestQueueScheduler,
@@ -52,7 +51,6 @@ from repro.runtime.transport import Channel, Transport
 __all__ = [
     "BottleneckDetector",
     "Channel",
-    "DetectionEvent",
     "Dispatcher",
     "Envelope",
     "ExecutionSubstrate",
@@ -63,10 +61,8 @@ __all__ = [
     "RoundRobinScheduler",
     "Runtime",
     "RuntimeConfig",
-    "RuntimeMonitor",
     "SCHEDULERS",
     "SUBSTRATES",
-    "Sample",
     "Scheduler",
     "Topology",
     "Transport",

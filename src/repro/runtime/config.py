@@ -79,13 +79,6 @@ class RuntimeConfig:
     #: :meth:`Runtime.blocked_channels` and feed the bottleneck
     #: detector as a second scaling signal.
     channel_capacity: int | None = None
-    #: Full/delta checkpoint cadence: a
-    #: :class:`repro.recovery.policy.CheckpointPolicy` (or anything
-    #: with an int ``full_every >= 0``) picked up by every
-    #: CheckpointManager built against this runtime. ``None`` keeps the
-    #: default (a full checkpoint every cycle). Typed loosely because
-    #: ``repro.recovery`` imports runtime modules, not the reverse.
-    checkpoint_policy: Any = None
     #: Metrics sink: anything registry-shaped (``counter``/``gauge``/
     #: ``histogram`` factories — see :mod:`repro.obs.metrics`). ``None``
     #: gives each runtime a fresh private
@@ -211,14 +204,6 @@ class RuntimeConfig:
                         f"(callable counter/gauge/histogram), got "
                         f"{self.metrics!r}"
                     )
-        policy = self.checkpoint_policy
-        if policy is not None and not _int_at_least(
-                getattr(policy, "full_every", None), 0):
-            raise RuntimeExecutionError(
-                f"RuntimeConfig.checkpoint_policy must expose an "
-                f"integer full_every >= 0 (e.g. a CheckpointPolicy), "
-                f"got {policy!r}"
-            )
         for mapping, what, elements, known in (
             (self.se_instances, "se_instances", "SEs", sdg.states),
             (self.partitioners, "partitioners", "SEs", sdg.states),

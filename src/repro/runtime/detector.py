@@ -16,31 +16,26 @@ heartbeats in logical time:
   crash-handler channel (the loud-failure path — a worker process dying
   with a stack trace rather than going silent).
 
-The detector only *marks* nodes; acting on a detection (restore, retry,
-quarantine) is the :class:`~repro.recovery.supervisor.RecoverySupervisor`'s
-job, subscribed via :meth:`FailureDetector.subscribe`.
+The detector only *marks* nodes: each verdict is one ``failure-detected``
+event on ``runtime.events`` (source ``"detector"``, the verdict in
+``attrs["verdict"]``), and the bus is the only record of it. Acting on a
+detection (restore, retry, quarantine) is the
+:class:`~repro.recovery.supervisor.RecoverySupervisor`'s job, subscribed
+to those events on the bus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import RuntimeExecutionError
+from repro.obs.events import KIND
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.events import Event
     from repro.runtime.engine import Runtime
     from repro.runtime.instances import TEInstance
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    """One failure-detection verdict."""
-
-    step: int
-    node_id: int
-    kind: str  # "dead" | "stalled" | "crashed"
-    detail: str = ""
 
 
 @dataclass
@@ -67,11 +62,8 @@ class FailureDetector:
         self.heartbeat_timeout = heartbeat_timeout
         self.stall_timeout = stall_timeout
         self.check_every = check_every
-        #: Every verdict ever reached, in detection order.
-        self.events: list[DetectionEvent] = []
         self._status: dict[int, _NodeStatus] = {}
         self._reported: set[int] = set()
-        self._listeners: list[Callable[[DetectionEvent], None]] = []
         self._installed = False
 
     # ------------------------------------------------------------------
@@ -103,10 +95,6 @@ class FailureDetector:
             self.runtime.remove_step_hook(self._on_step)
             self.runtime.remove_crash_handler(self._on_crash)
             self._installed = False
-
-    def subscribe(self, listener: Callable[[DetectionEvent], None]) -> None:
-        """Register a callback invoked synchronously on each verdict."""
-        self._listeners.append(listener)
 
     # ------------------------------------------------------------------
 
@@ -159,27 +147,24 @@ class FailureDetector:
     def _report(self, node_id: int, kind: str, step: int,
                 detail: str) -> None:
         self._reported.add(node_id)
-        event = DetectionEvent(step=step, node_id=node_id, kind=kind,
-                               detail=detail)
-        self.events.append(event)
-        self.runtime.events.publish(
-            "detector", "failure-detected", step,
-            node_id=node_id, verdict=kind, detail=detail,
-        )
         self.runtime.metrics.counter(
             "detector_verdicts_total",
             "failure-detection verdicts, by kind",
         ).labels(kind=kind).inc()
-        for listener in list(self._listeners):
-            listener(event)
+        # Last: bus subscribers (the supervisor) act on the verdict
+        # synchronously, inside this call.
+        self.runtime.events.publish(
+            "detector", KIND.FAILURE_DETECTED, step,
+            node_id=node_id, verdict=kind, detail=detail,
+        )
 
     # ------------------------------------------------------------------
 
-    def detected(self, kind: str | None = None) -> list[DetectionEvent]:
-        """Events so far, optionally filtered by kind."""
-        if kind is None:
-            return list(self.events)
-        return [e for e in self.events if e.kind == kind]
+    def detected(self, kind: str | None = None) -> list["Event"]:
+        """Verdicts so far (bus events), optionally of one kind."""
+        return [e for e in self.runtime.events.events(
+                    source="detector", kind=KIND.FAILURE_DETECTED)
+                if kind is None or e.attrs["verdict"] == kind]
 
     def unreported_dead_nodes(self) -> list[int]:
         """Dead nodes the detector has seen but not yet timed out on."""

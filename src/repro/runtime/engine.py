@@ -95,10 +95,10 @@ class Runtime:
         self.events = EventBus()
         #: Causal tracer, or None when ``config.trace`` is off.
         self.tracer: Tracer | None = Tracer() if self.config.trace else None
-        #: Wall-clock phase profiler, or None when ``config.profile``
-        #: is off (:meth:`merged_profile` folds worker shards in).
+        #: Wall-clock phase profiler over ``self.metrics``, or None
+        #: when ``config.profile`` is off.
         self.profiler: ProfileRegistry | None = (
-            ProfileRegistry() if self.config.profile else None
+            ProfileRegistry(self.metrics) if self.config.profile else None
         )
         #: Flight recorder, or None when ``config.flight_recorder`` is
         #: 0. Not pre-bound on the hot path (checked directly) so the
@@ -132,7 +132,6 @@ class Runtime:
         self._step_hooks: list = []
         self._crash_handlers: list = []
         self._deployed = False
-        self._scale_events: list[tuple[int, str, int]] = []
         self._detector: BottleneckDetector | None = None
         #: Resolved ProgramCapabilities when ``config.optimize`` is on
         #: (``None`` otherwise — and the relaxed path stays off).
@@ -539,7 +538,7 @@ class Runtime:
         """Register ``hook(runtime)`` to run after every processed item.
 
         Hooks drive cross-cutting machinery that must observe logical
-        time: periodic checkpoint scheduling, monitors, fault injectors.
+        time: periodic checkpoint scheduling, detectors, fault injectors.
         """
         self._step_hooks.append(hook)
 
@@ -597,26 +596,22 @@ class Runtime:
         return self.metrics.merged_with(list(shards))
 
     def merged_profile(self) -> ProfileRegistry | None:
-        """The wall-clock phase profile with worker shards folded in.
+        """The wall-clock phase profile over :meth:`merged_metrics`.
 
-        ``None`` when profiling is off. On the multiprocess substrate
-        each worker ships its phase shard beside the metrics shard;
-        this merges the coordinator's (serialize / wire-wait /
-        checkpoint) spans with every worker's (process / dispatch /
-        ...) spans into one fresh registry.
+        ``None`` when profiling is off. Phases are metric series, so on
+        the multiprocess substrate this view sums the coordinator's
+        (serialize / wire-wait / checkpoint) spans with every worker's
+        (process / dispatch / ...) spans, retired fleets included.
         """
         if self.profiler is None:
             return None
-        shards = getattr(self.substrate, "profile_shards", None)
-        if not shards:
-            return self.profiler
-        return self.profiler.merged_with(list(shards))
+        return ProfileRegistry(self.merged_metrics())
 
     def poll_telemetry(self, timeout: float = 0.0) -> None:
         """Service substrate telemetry without waiting for a barrier.
 
         On the multiprocess substrate this pumps the coordinator's
-        wire once, absorbing piggybacked metric/profile shards and
+        wire once, absorbing piggybacked metric shards and
         trace shards from idle reports — which is what keeps
         :meth:`merged_metrics` fresh while work is still in flight
         (``repro top --watch`` calls this in its loop). A no-op on
@@ -887,8 +882,9 @@ class Runtime:
 
     @property
     def scale_events(self) -> list[tuple[int, str, int]]:
-        """(step, te_name, new_instance_count) for each scale action."""
-        return list(self._scale_events)
+        """(step, te_name, new_instance_count) of each ``scale-out`` event."""
+        return [(e.step, e.attrs["te"], e.attrs["instances"])
+                for e in self.events.events(kind=KIND.SCALE_OUT)]
 
     def _maybe_scale(self) -> None:
         for te_name in self._detector.bottlenecks(self):
@@ -905,7 +901,16 @@ class Runtime:
         Partitioned SEs are re-split across the grown instance set;
         partial SEs gain a fresh replica. Stateless TEs simply gain an
         instance. Returns False when the TE cannot be scaled further.
+        Refused on a substrate whose workers hold the SE state (one
+        with ``pull_state``): scale-out is not yet a control-plane
+        action there.
         """
+        if getattr(self.substrate, "pull_state", None) is not None:
+            raise RuntimeExecutionError(
+                f"scale_up({te_name!r}) is not supported on the "
+                f"{self.substrate.name} substrate: its workers hold the "
+                f"SE state, and scale-out is not a control-plane action"
+            )
         spec = self.sdg.task(te_name)
         if spec.is_merge:
             return False
@@ -933,9 +938,6 @@ class Runtime:
                     epoch=self.topology.se_epoch(spec.state),
                     drained=len(pending),
                 )
-        self._scale_events.append(
-            (self.total_steps, te_name, self.te_slot_count(te_name))
-        )
         self._c_scale_outs.inc()
         self._refresh_instance_gauges()
         self.events.publish(

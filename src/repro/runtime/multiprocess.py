@@ -67,8 +67,8 @@ Observability rides the same pipes (no side channels):
 * **causal tracing** — workers record hops with their forked tracer
   and ship shards (``MSG_TRACE``, ahead of each idle report) the
   coordinator merges into one fleet-wide causal view;
-* **profiling** — each worker's wall-clock phase shard travels beside
-  the metrics shard when ``RuntimeConfig(profile=True)``;
+* **profiling** — wall-clock phases (``RuntimeConfig(profile=True)``)
+  are metric series, so they travel inside the metrics shard;
 * **flight recorder** — a crashing worker ships its ring-buffer dump
   inside ``MSG_CRASH``, and the coordinator appends the rendered tail
   to the raised error.
@@ -84,8 +84,7 @@ runs at every barrier that processed items.
 Metric shards fenced at the last barrier are retired so the merged
 totals never double-count a crashed worker's replayed items; post-
 barrier live shards are discarded (the replay re-counts that work
-exactly once). Wall-clock profile shards of the dead fleet are
-dropped, not retired — an accepted loss for a non-correctness signal.
+exactly once).
 """
 
 from __future__ import annotations
@@ -170,7 +169,7 @@ class _Link:
         "worker_id", "process", "send_fd", "recv_fd", "buffer", "outbox",
         "pending", "sent", "consumed", "emitted", "received_out", "processed",
         "results", "state_reply", "live_shard", "fenced_shard",
-        "fenced_processed", "profile_shard",
+        "fenced_processed",
     )
 
     def __init__(self, worker_id: int, process, send_fd: int,
@@ -206,8 +205,6 @@ class _Link:
         #: ``_retired_shards`` if this worker's fleet is restarted.
         self.fenced_shard: dict | None = None
         self.fenced_processed = 0
-        #: Freshest wall-clock profile shard (``profile=True`` only).
-        self.profile_shard: dict | None = None
 
 
 def _release(links: list) -> None:
@@ -436,7 +433,7 @@ class MultiprocessSubstrate:
         """Service the wire once without waiting for quiescence.
 
         Drains whatever worker frames are ready — idle reports carrying
-        live metric/profile shards, trace shards, relayed envelopes —
+        live metric shards, trace shards, relayed envelopes —
         and flushes pending writes. This is what keeps
         :meth:`Runtime.merged_metrics` fresh *between* barriers
         (``repro top --watch`` drives it); the coordinator otherwise
@@ -519,12 +516,6 @@ class MultiprocessSubstrate:
         shards.extend(link.live_shard for link in self._links
                       if link.live_shard is not None)
         return shards
-
-    @property
-    def profile_shards(self) -> list[dict]:
-        """Per-worker wall-clock phase shards (``profile=True`` only)."""
-        return [link.profile_shard for link in self._links
-                if link.profile_shard is not None]
 
     # ------------------------------------------------------------------
     # Coordinator event loop
@@ -627,14 +618,11 @@ class MultiprocessSubstrate:
             )
 
     def _absorb_obs(self, link: _Link, obs: dict) -> None:
-        """Install a piggybacked report: cumulative telemetry shards,
+        """Install a piggybacked report: the cumulative metrics shard,
         and the results produced since the previous one."""
         metrics = obs.get("metrics")
         if metrics is not None:
             link.live_shard = metrics
-        profile = obs.get("profile")
-        if profile is not None:
-            link.profile_shard = profile
         for te, items in obs.get("results", {}).items():
             link.results.setdefault(te, []).extend(items)
 
@@ -826,8 +814,8 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
     # Drop any candidate cache inherited through the fork.
     runtime.topology.version += 1
     # The inherited registry holds the coordinator's deploy-time
-    # values; zero it so this worker's shard is purely its own work
-    # and the barrier merge never double-counts.
+    # values (profile phases included); zero it so this worker's shard
+    # is purely its own work and the barrier merge never double-counts.
     runtime.metrics.reset()
     # The inherited results hold whatever the coordinator collected up
     # to its last barrier (non-empty after a fleet restart); zero them
@@ -842,8 +830,6 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         # mode: new hops are stamped and queued for shard shipping.
         tracer.record_shards(worker_id)
     profiler = runtime.profiler
-    if profiler is not None:
-        profiler.reset()
     p_wire_wait = (profiler.phase("wire_wait")
                    if profiler is not None else None)
     p_serialize = (profiler.phase("serialize")
@@ -941,8 +927,6 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
             if shard:
                 ship((MSG_TRACE, shard))
         obs: dict = {"metrics": runtime.metrics.snapshot()}
-        if profiler is not None:
-            obs["profile"] = profiler.snapshot()
         fresh = {te: items for te, items in results.items() if items}
         if fresh:
             obs["results"] = fresh

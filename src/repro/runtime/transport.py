@@ -294,7 +294,3 @@ class Transport:
                                     c.edge_index, c.src_te, c.src_instance))
         self._g_blocked.set(len(blocked))
         return blocked
-
-    def blocked_destinations(self) -> set[str]:
-        """TE names on the receiving end of at least one blocked channel."""
-        return {channel.dst_te for channel in self.blocked_channels()}

@@ -131,9 +131,9 @@ def write_frame(fd: int, message: Any) -> None:
 # control-plane messages by design: MSG_SNAPSHOT is the first of them,
 # and the tags reserve the vocabulary for the follow-ups.
 #
-# Telemetry rides the same pipes: idle reports piggyback metric and
-# profile shards and the terminal results produced since the previous
-# report, MSG_TRACE ships causal-trace hops, and crash frames carry the
+# Telemetry rides the same pipes: idle reports piggyback the metrics
+# shard (profile phases included) and the terminal results produced
+# since the previous report, MSG_TRACE ships causal-trace hops, and crash frames carry the
 # worker's flight-recorder dump — no side channels. SE state crosses
 # only when the coordinator pulls it (MSG_SNAPSHOT / MSG_STATE).
 
@@ -154,8 +154,8 @@ MSG_SHUTDOWN = "shutdown"
 MSG_OUT = "out"
 #: worker -> coordinator: progress report — ``(tag, consumed, emitted,
 #: processed, obs)`` where the cumulative counters double as the
-#: quiescence signal and ``obs`` is a dict of cumulative telemetry
-#: shards (``"metrics"``, ``"profile"``) plus ``"results"``: the
+#: quiescence signal and ``obs`` is a dict of the cumulative metrics
+#: shard (``"metrics"``) plus ``"results"``: the
 #: terminal outputs produced since the previous report, by TE, each
 #: shipped exactly once.
 MSG_IDLE = "idle"

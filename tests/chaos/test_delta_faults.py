@@ -29,6 +29,11 @@ from repro.runtime import FailureDetector
 from repro.workloads import KVWorkload
 
 
+def supervisor_log(app):
+    """The supervisor's decisions: its events on the runtime's bus."""
+    return app.runtime.events.events(source="supervisor")
+
+
 def merged_state(app):
     merged = {}
     for element in app.state_of("table"):
@@ -82,11 +87,11 @@ class TestCorruptDeltaRecovery:
         run_workload(app, oracle, ops[300:])
 
         assert supervisor.settled
-        fallbacks = [e for e in supervisor.events if e.kind == "fallback"]
-        assert fallbacks and "base-only" in fallbacks[0].detail
-        (recovered,) = [e for e in supervisor.events
+        fallbacks = [e for e in supervisor_log(app) if e.kind == "fallback"]
+        assert fallbacks and "base-only" in fallbacks[0].attrs["detail"]
+        (recovered,) = [e for e in supervisor_log(app)
                         if e.kind == "recovered"]
-        assert recovered.detail == "base-only"
+        assert recovered.attrs["detail"] == "base-only"
         scheduler.flush()
         assert merged_state(app) == dict(oracle.table.items())
 
@@ -109,9 +114,9 @@ class TestCorruptDeltaRecovery:
         run_workload(app, oracle, ops[300:])
 
         assert supervisor.settled
-        (recovered,) = [e for e in supervisor.events
+        (recovered,) = [e for e in supervisor_log(app)
                         if e.kind == "recovered"]
-        assert recovered.detail == "base-only"
+        assert recovered.attrs["detail"] == "base-only"
         scheduler.flush()
         assert merged_state(app) == dict(oracle.table.items())
 
@@ -135,9 +140,9 @@ class TestCorruptDeltaRecovery:
         run_workload(app, oracle, ops[300:])
 
         assert supervisor.settled
-        (recovered,) = [e for e in supervisor.events
+        (recovered,) = [e for e in supervisor_log(app)
                         if e.kind == "recovered"]
-        assert recovered.detail == "log-replay"
+        assert recovered.attrs["detail"] == "log-replay"
         scheduler.flush()
         assert merged_state(app) == dict(oracle.table.items())
 
@@ -166,9 +171,9 @@ class TestPlannedDeltaFaults:
 
         assert injector.done and injector.fired()
         assert supervisor.settled
-        (recovered,) = [e for e in supervisor.events
+        (recovered,) = [e for e in supervisor_log(app)
                         if e.kind == "recovered"]
-        assert recovered.detail in ("base-only", "log-replay")
+        assert recovered.attrs["detail"] in ("base-only", "log-replay")
         scheduler.flush()
         assert merged_state(app) == dict(oracle.table.items())
 

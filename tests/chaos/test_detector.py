@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps import KeyValueStore
 from repro.errors import RuntimeExecutionError
+from repro.obs.events import KIND
 from repro.runtime import FailureDetector
 
 
@@ -31,8 +32,8 @@ class TestDeadDetection:
         app.run()
 
         dead = detector.detected("dead")
-        assert [e.node_id for e in dead] == [victim]
-        assert "no heartbeat" in dead[0].detail
+        assert [e.attrs["node_id"] for e in dead] == [victim]
+        assert "no heartbeat" in dead[0].attrs["detail"]
 
     def test_each_failure_reported_exactly_once(self):
         app = KeyValueStore.launch(table=2)
@@ -65,13 +66,15 @@ class TestDeadDetection:
             app.runtime, heartbeat_timeout=10, check_every=2
         ).install()
         seen = []
-        detector.subscribe(seen.append)
+        app.runtime.events.subscribe(seen.append,
+                                     kinds=[KIND.FAILURE_DETECTED])
         victim = app.runtime.se_instance("table", 0).node_id
         app.runtime.fail_node(victim)
         for i in range(200):
             app.put(i, i)
         app.run()
-        assert [e.node_id for e in seen] == [victim]
+        assert [e.attrs["node_id"] for e in seen] == [victim]
+        assert seen == detector.detected()
 
 
 class TestStallDetection:
@@ -95,7 +98,7 @@ class TestStallDetection:
             assert app.runtime.step()
 
         stalled = detector.detected("stalled")
-        assert [e.node_id for e in stalled] == [node.node_id]
+        assert [e.attrs["node_id"] for e in stalled] == [node.node_id]
         assert detector.detected("dead") == []
 
     def test_idle_slow_node_is_not_stalled(self):
@@ -128,8 +131,8 @@ class TestCrashDetection:
         app.run()
 
         crashed = detector.detected("crashed")
-        assert [e.node_id for e in crashed] == [victim]
-        assert "injected fault" in crashed[0].detail
+        assert [e.attrs["node_id"] for e in crashed] == [victim]
+        assert "injected fault" in crashed[0].attrs["detail"]
         assert not app.runtime.nodes[victim].alive
 
     def test_crash_propagates_without_handlers(self):

@@ -25,6 +25,11 @@ def put_te_of(app):
     return app.translation.entry_info("put").entry_te
 
 
+def injector_log(app):
+    """Everything the injector did: its events on the runtime's bus."""
+    return app.runtime.events.events(source="injector")
+
+
 def merged_state(app):
     merged = {}
     for element in app.state_of("table"):
@@ -82,7 +87,7 @@ class TestFiring:
         assert not app.runtime.nodes[expected].alive
         (record,) = injector.fired()
         assert record.step >= 25
-        assert f"killed node {expected}" in record.detail
+        assert f"killed node {expected}" in record.attrs["detail"]
         assert injector.done
 
     def test_selector_resolves_against_live_topology(self):
@@ -112,7 +117,7 @@ class TestFiring:
             app.put(i, i)
         app.run()
         (record,) = injector.fired()
-        assert f"killed node {replacement}" in record.detail
+        assert f"killed node {replacement}" in record.attrs["detail"]
 
     def test_slow_node_sets_speed_without_changing_results(self):
         app = KeyValueStore.launch(table=2)
@@ -157,7 +162,7 @@ class TestFiring:
             app.put(i, i)
         app.run()
         (record,) = injector.fired()
-        assert "dropped ts=" in record.detail
+        assert "dropped ts=" in record.attrs["detail"]
         dead = [n for n in app.runtime.nodes.values() if not n.alive]
         assert len(dead) == 1
 
@@ -174,7 +179,7 @@ class TestFiring:
             app.put(i, i)
         app.run()
         (record,) = injector.fired()
-        assert "armed crash" in record.detail
+        assert "armed crash" in record.attrs["detail"]
         assert len([n for n in app.runtime.nodes.values()
                     if not n.alive]) == 1
 
@@ -195,8 +200,8 @@ class TestFiring:
         for i in range(120):
             app.put(i, i)
         app.run()
-        outcomes = {type(r.fault).__name__: r.outcome
-                    for r in injector.injected}
+        outcomes = {type(e.attrs["fault"]).__name__: e.attrs["outcome"]
+                    for e in injector_log(app)}
         assert outcomes == {"TargetOffline": "fired",
                             "CorruptChunk": "fired"}
         assert store.offline_targets() == [1]
@@ -212,7 +217,7 @@ class TestFiring:
         for i in range(100):
             app.put(i, i)
         app.run()
-        outcomes = [r.outcome for r in injector.injected]
+        outcomes = [e.attrs["outcome"] for e in injector_log(app)]
         assert outcomes == ["fired", "skipped"]
         assert injector.done
 
@@ -229,7 +234,7 @@ class TestScaleUpFault:
         app.run()
         assert app.runtime.te_slot_count(put_te) == 3
         (record,) = injector.fired()
-        assert "scaled" in record.detail
+        assert "scaled" in record.attrs["detail"]
 
     def test_refused_scale_up_is_rescheduled_until_it_lands(self):
         app = KeyValueStore.launch(table=2)
@@ -244,14 +249,14 @@ class TestScaleUpFault:
         for i in range(40):
             app.put(i, i)
         app.run()
-        assert any(r.outcome == "rescheduled" for r in injector.injected)
+        assert injector.fired("rescheduled")
         assert app.runtime.te_slot_count(put_te) == 2
 
         manager.complete(pending)
         for i in range(60):
             app.put(i, i)
         app.run()
-        assert any(r.outcome == "fired" for r in injector.injected)
+        assert injector.fired()
         assert app.runtime.te_slot_count(put_te) == 3
         assert injector.done
 
@@ -265,7 +270,6 @@ class TestScaleUpFault:
         for i in range(40):
             app.put(i, i)
         app.run()
-        (record,) = [r for r in injector.injected
-                     if r.outcome == "refused"]
-        assert "cannot scale further" in record.detail
+        (record,) = injector.fired("refused")
+        assert "cannot scale further" in record.attrs["detail"]
         assert injector.done

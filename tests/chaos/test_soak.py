@@ -93,8 +93,8 @@ def test_randomized_fault_storm_converges_to_oracle(seed):
         if applied >= 1400 and settled(injector, detector, supervisor):
             break
         assert applied < len(ops), (
-            f"seed {seed}: chaos run failed to settle; injector log: "
-            f"{injector.injected}, supervisor log: {supervisor.events}"
+            f"seed {seed}: chaos run failed to settle; event log: "
+            f"{app.runtime.events.to_jsonl()}"
         )
     scheduler.flush()
     app.run()
@@ -106,9 +106,10 @@ def test_randomized_fault_storm_converges_to_oracle(seed):
     # The plan actually happened: >= 3 kills, a mid-item crash and one
     # scale-up, with scheduled checkpoints interleaved throughout.
     fired = injector.fired()
-    assert len([r for r in fired if isinstance(r.fault, KillNode)]) >= 3
-    assert len([r for r in fired if isinstance(r.fault, CrashTask)]) == 1
-    assert len([r for r in fired if isinstance(r.fault, ScaleUp)]) == 1
+    faults = [e.attrs["fault"] for e in fired]
+    assert len([f for f in faults if isinstance(f, KillNode)]) >= 3
+    assert len([f for f in faults if isinstance(f, CrashTask)]) == 1
+    assert len([f for f in faults if isinstance(f, ScaleUp)]) == 1
     assert scheduler.completed_count > 0
 
     # Every failure shows a complete detection -> recovery cycle; no
@@ -167,19 +168,21 @@ def test_soak_with_backup_target_outage_and_corruption():
         if settled(injector, detector, supervisor):
             break
         assert applied < len(ops), (
-            f"chaos run failed to settle; supervisor: {supervisor.events}"
+            f"chaos run failed to settle; cycles: {supervisor.cycles()}"
         )
     scheduler.flush()
     app.run()
 
     assert merged_state(app) == dict(oracle.table.items())
-    assert [r.outcome for r in injector.injected] == ["fired"] * 3
+    assert len(app.runtime.events.events(source="injector")) == 3
+    assert len(injector.fired()) == 3
     # The broken backup pushed recovery down the ladder to log replay.
-    fallbacks = [e for e in supervisor.events if e.kind == "fallback"]
-    assert any("log-replay" in e.detail for e in fallbacks)
+    fallbacks = app.runtime.events.events(source="supervisor",
+                                          kind="fallback")
+    assert any("log-replay" in e.attrs["detail"] for e in fallbacks)
     ((detection, outcome),) = [
-        c for c in supervisor.cycles() if c[0].node_id == victim
+        c for c in supervisor.cycles() if c[0].attrs["node_id"] == victim
     ]
-    assert detection.detail == "dead"
+    assert detection.attrs["detail"] == "dead"
     assert outcome.kind == "recovered"
-    assert outcome.detail == "log-replay"
+    assert outcome.attrs["detail"] == "log-replay"

@@ -26,6 +26,11 @@ def merged_state(app):
     return merged
 
 
+def supervisor_log(app):
+    """The supervisor's decisions: its events on the runtime's bus."""
+    return app.runtime.events.events(source="supervisor")
+
+
 def supervised_kv(table=2, *, n_new=1, every_items=25, **sup_kwargs):
     """A KV deployment with the full detect-and-repair loop installed."""
     app = KeyValueStore.launch(table=table)
@@ -61,13 +66,13 @@ class TestAutomaticRecovery:
         app.run()
 
         assert supervisor.settled
-        assert [e.kind for e in supervisor.events] == [
+        assert [e.kind for e in supervisor_log(app)] == [
             "detected", "recovery-started", "recovered"
         ]
         ((detection, outcome),) = supervisor.cycles()
-        assert detection.node_id == victim
+        assert detection.attrs["node_id"] == victim
         assert outcome.kind == "recovered"
-        assert outcome.new_nodes
+        assert outcome.attrs["new_nodes"]
         scheduler.flush()
         assert merged_state(app) == dict(oracle.table.items())
 
@@ -92,7 +97,7 @@ class TestAutomaticRecovery:
         assert detector.detected("crashed")
         assert supervisor.settled
         ((detection, outcome),) = supervisor.cycles()
-        assert detection.detail == "crashed"
+        assert detection.attrs["detail"] == "crashed"
         assert outcome.kind == "recovered"
         scheduler.flush()
         assert merged_state(app) == dict(oracle.table.items())
@@ -120,9 +125,9 @@ class TestAutomaticRecovery:
         app.run()
 
         assert supervisor.settled
-        detection = [e for e in supervisor.events if e.kind == "detected"]
-        assert detection and detection[0].detail == "stalled"
-        assert [e.kind for e in supervisor.events if e.kind == "recovered"]
+        detection = [e for e in supervisor_log(app) if e.kind == "detected"]
+        assert detection and detection[0].attrs["detail"] == "stalled"
+        assert [e.kind for e in supervisor_log(app) if e.kind == "recovered"]
         scheduler.flush()
         assert merged_state(app) == dict(oracle.table.items())
 
@@ -149,11 +154,11 @@ class TestStrategyLadder:
         app.run()
 
         assert supervisor.settled
-        fallbacks = [e for e in supervisor.events if e.kind == "fallback"]
-        assert fallbacks and "one-to-one" in fallbacks[0].detail
-        (recovered,) = [e for e in supervisor.events
+        fallbacks = [e for e in supervisor_log(app) if e.kind == "fallback"]
+        assert fallbacks and "one-to-one" in fallbacks[0].attrs["detail"]
+        (recovered,) = [e for e in supervisor_log(app)
                         if e.kind == "recovered"]
-        assert recovered.detail == "one-to-one"
+        assert recovered.attrs["detail"] == "one-to-one"
         scheduler.flush()
         assert merged_state(app) == dict(oracle.table.items())
 
@@ -184,11 +189,11 @@ class TestStrategyLadder:
         app.run()
 
         assert supervisor.settled
-        fallbacks = [e for e in supervisor.events if e.kind == "fallback"]
-        assert fallbacks and "log-replay" in fallbacks[0].detail
-        (recovered,) = [e for e in supervisor.events
+        fallbacks = [e for e in supervisor_log(app) if e.kind == "fallback"]
+        assert fallbacks and "log-replay" in fallbacks[0].attrs["detail"]
+        (recovered,) = [e for e in supervisor_log(app)
                         if e.kind == "recovered"]
-        assert recovered.detail == "log-replay"
+        assert recovered.attrs["detail"] == "log-replay"
         scheduler.flush()
         assert merged_state(app) == dict(oracle.table.items())
 
@@ -222,8 +227,8 @@ class TestStrategyLadder:
         app.run()
 
         assert supervisor.settled
-        fallbacks = [e for e in supervisor.events if e.kind == "fallback"]
-        assert fallbacks and "log-replay" in fallbacks[0].detail
+        fallbacks = [e for e in supervisor_log(app) if e.kind == "fallback"]
+        assert fallbacks and "log-replay" in fallbacks[0].attrs["detail"]
         assert merged_state(app) == dict(oracle.table.items())
 
 
@@ -255,12 +260,12 @@ class TestRetryAndQuarantine:
         assert manager.calls == 2
         assert victim in supervisor.quarantined
         assert supervisor.settled
-        kinds = [e.kind for e in supervisor.events]
+        kinds = [e.kind for e in supervisor_log(app)]
         assert kinds == ["detected", "recovery-started", "recovery-failed",
                          "recovery-started", "quarantined"]
-        failed = [e for e in supervisor.events
+        failed = [e for e in supervisor_log(app)
                   if e.kind == "recovery-failed"]
-        assert "retrying in 5 steps" in failed[0].detail
+        assert "retrying in 5 steps" in failed[0].attrs["detail"]
         # A quarantined node is left alone even if re-detected somehow.
         ((_detection, outcome),) = supervisor.cycles()
         assert outcome.kind == "quarantined"
@@ -275,3 +280,22 @@ class TestRetryAndQuarantine:
             RecoverySupervisor(detector, manager, max_retries=0)
         with pytest.raises(RecoveryError):
             RecoverySupervisor(detector, manager, backoff_steps=-1)
+
+
+class TestUninstall:
+    def test_uninstalled_supervisor_ignores_detections(self):
+        app = KeyValueStore.launch(table=2)
+        detector = FailureDetector(app.runtime, heartbeat_timeout=5,
+                                   check_every=1).install()
+        supervisor = RecoverySupervisor(
+            detector, RecoveryManager(app.runtime, BackupStore())).install()
+        supervisor.uninstall()
+        victim = app.runtime.se_instance("table", 0).node_id
+        app.runtime.fail_node(victim)
+        for i in range(100):
+            app.put(i, i)
+        app.run()
+
+        assert [e.attrs["node_id"] for e in detector.detected()] == [victim]
+        assert supervisor_log(app) == []
+        assert supervisor.settled

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.obs import PHASES, ProfileRegistry, profile_span
+from repro.obs import (
+    NULL_REGISTRY,
+    PHASES,
+    MetricsRegistry,
+    ProfileRegistry,
+    profile_span,
+)
 from repro.runtime import Runtime, RuntimeConfig
 from repro.testing import build_kv_sdg
 
@@ -27,40 +33,57 @@ class TestProfileRegistry:
         assert PHASES == ("process", "dispatch", "serialize",
                           "wire_wait", "checkpoint", "recovery")
 
+    def test_phases_are_metric_series(self):
+        metrics = MetricsRegistry()
+        ProfileRegistry(metrics).add("process", 0.5)
+        assert metrics.value("profile_seconds_total", phase="process") == 0.5
+        assert metrics.value("profile_calls_total", phase="process") == 1
+
+    def test_null_registry_records_nothing(self):
+        reg = ProfileRegistry(NULL_REGISTRY)
+        reg.phase("process").add(0.5)
+        with profile_span(reg, "checkpoint"):
+            pass
+        assert reg.names() == [] and reg.count("process") == 0
+        assert reg.render() == "(no phases recorded)"
+
     def test_reset_zeroes_in_place(self):
-        reg = ProfileRegistry()
+        metrics = MetricsRegistry()
+        reg = ProfileRegistry(metrics)
         timer = reg.phase("dispatch")
         timer.add(1.0)
-        reg.reset()
-        # The pre-bound timer object survives the reset (workers re-use
-        # inherited bindings after a fork).
+        metrics.reset()
+        # The pre-bound timer object survives the registry reset
+        # (workers re-use inherited bindings after a fork).
         assert timer.seconds == 0.0 and timer.count == 0
         timer.add(0.5)
         assert reg.seconds("dispatch") == 0.5
 
     def test_snapshot_merge_roundtrip(self):
-        a = ProfileRegistry()
-        a.add("process", 1.0)
-        a.add("process", 1.0)
-        b = ProfileRegistry()
-        b.add("process", 0.5)
-        b.add("serialize", 0.25)
-        merged = a.merged_with([b.snapshot()])
+        # Phases ride the metrics shard: the merged registry's view
+        # sums every shard's phases.
+        a, b = MetricsRegistry(), MetricsRegistry()
+        ProfileRegistry(a).add("process", 1.0)
+        ProfileRegistry(a).add("process", 1.0)
+        ProfileRegistry(b).add("process", 0.5)
+        ProfileRegistry(b).add("serialize", 0.25)
+        merged = ProfileRegistry(a.merged_with([b.snapshot()]))
         assert merged.seconds("process") == 2.5
         assert merged.count("process") == 3
         assert merged.seconds("serialize") == 0.25
         # Non-destructive: the sources are untouched.
-        assert a.seconds("process") == 2.0
-        assert b.seconds("process") == 0.5
+        assert ProfileRegistry(a).seconds("process") == 2.0
+        assert ProfileRegistry(b).seconds("process") == 0.5
 
     def test_repeated_merges_never_double_count(self):
         # Shards are cumulative snapshots; merged_with builds a fresh
         # registry each call, so polling twice must not double.
-        base = ProfileRegistry()
-        base.add("checkpoint", 1.0)
-        shard = {"process": (2.0, 4)}
-        first = base.merged_with([shard])
-        second = base.merged_with([shard])
+        base, worker = MetricsRegistry(), MetricsRegistry()
+        ProfileRegistry(base).add("checkpoint", 1.0)
+        ProfileRegistry(worker).add("process", 2.0)
+        shard = worker.snapshot()
+        first = ProfileRegistry(base.merged_with([shard]))
+        second = ProfileRegistry(base.merged_with([shard]))
         assert first.seconds("process") == second.seconds("process") == 2.0
 
     def test_breakdown_and_render(self):

@@ -9,7 +9,7 @@ delta would be unsafe.
 
 import pytest
 
-from repro.errors import RecoveryError, RuntimeExecutionError
+from repro.errors import RecoveryError
 from repro.recovery import BackupStore, CheckpointManager, CheckpointPolicy
 from repro.recovery.checkpoint import NodeCheckpoint
 from repro.runtime import Runtime, RuntimeConfig
@@ -18,9 +18,8 @@ from repro.state import DeltaChunk
 from tests.helpers import build_kv_sdg
 
 
-def deploy(policy=None, n_partitions=1, config_policy=None):
-    config = RuntimeConfig(se_instances={"table": n_partitions},
-                           checkpoint_policy=config_policy)
+def deploy(policy=None, n_partitions=1):
+    config = RuntimeConfig(se_instances={"table": n_partitions})
     runtime = Runtime(build_kv_sdg(), config)
     runtime.deploy()
     store = BackupStore(m_targets=2)
@@ -65,25 +64,6 @@ class TestPolicy:
         for bad in (-1, 1.5, "2", True):
             with pytest.raises(RecoveryError):
                 CheckpointPolicy(full_every=bad)
-
-    def test_runtime_config_validates_duck_typed_policy(self):
-        class Bogus:
-            full_every = "often"
-
-        config = RuntimeConfig(checkpoint_policy=Bogus())
-        with pytest.raises(RuntimeExecutionError):
-            config.validate(build_kv_sdg())
-
-    def test_manager_picks_up_policy_from_runtime_config(self):
-        runtime, _store, manager = deploy(
-            config_policy=CheckpointPolicy(full_every=4))
-        assert manager.policy.full_every == 4
-
-    def test_explicit_policy_overrides_config(self):
-        runtime, _store, manager = deploy(
-            policy=CheckpointPolicy(full_every=2),
-            config_policy=CheckpointPolicy(full_every=7))
-        assert manager.policy.full_every == 2
 
 
 class TestDeltaEmission:

@@ -405,6 +405,34 @@ class TestMergedProfile:
         finally:
             runtime.close()
 
+    def test_restart_retires_phases_with_the_metric_shards(self, tmp_path):
+        # Phases are metric series: a restarted fleet's barrier-fenced
+        # phases are retired with its shards, not dropped, so the
+        # fleet-wide count never goes down across the restart.
+        config = RuntimeConfig(se_instances={"table": 2},
+                               substrate="multiprocess", workers=2,
+                               worker_restarts=1, profile=True)
+        runtime = Runtime(build_crash_once_kv(str(tmp_path / "flag")),
+                          config).deploy()
+        rounds = ([("put", f"k{i}", i) for i in range(24)],
+                  [("put", f"j{i}", i) for i in range(12)]
+                  + [("put", "boom", 99)])
+        counts = []
+        try:
+            for requests in rounds:
+                for request in requests:
+                    runtime.inject("serve", request)
+                runtime.run_until_idle()
+                counts.append(runtime.merged_profile().count("process"))
+            processed = runtime.merged_metrics().total(
+                "engine_items_processed_total")
+            restarts = runtime.events.events(kind=KIND.WORKER_RESTART)
+        finally:
+            runtime.close()
+        assert len(restarts) == 1
+        assert counts == [24, 37]
+        assert processed == 37
+
     def test_profile_off_means_none(self):
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2)

@@ -134,7 +134,8 @@ def drive_duplicate_mid_run(runtime, app, items):
         FaultPlan([DuplicateEnvelope(at_step=1, te="count", index=1)]),
     ).install()
     drive_plain(runtime, app, items)
-    assert [r.outcome for r in injector.injected] == ["fired"]
+    assert [e.attrs["outcome"] for e in
+            runtime.events.events(source="injector")] == ["fired"]
     served = [(key, envelope.channel, envelope.ts)
               for _step, key, envelope in log]
     (again,) = [i for i, entry in enumerate(served)

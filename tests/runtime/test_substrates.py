@@ -719,6 +719,37 @@ class TestResolutionAndGates:
         with pytest.raises(RuntimeExecutionError, match="auto_scale"):
             config.validate(build_kv_sdg())
 
+    def test_scale_up_refused_on_multiprocess(self):
+        # The workers hold the SE state; scaling the coordinator's stale
+        # copy would break the next drain. Refused before any mutation.
+        def drive(runtime, start):
+            for i in range(start, start + 30):
+                runtime.inject("serve", ("put", f"k{i % 17}", i))
+            runtime.run_until_idle()
+
+        def shape(runtime):
+            return (runtime.topology.version, runtime.se_epoch("table"),
+                    runtime.te_slot_count("serve"))
+
+        twin = Runtime(build_kv_sdg(),
+                       RuntimeConfig(se_instances={"table": 2})).deploy()
+        config = RuntimeConfig(se_instances={"table": 2},
+                               substrate="multiprocess", workers=2)
+        runtime = Runtime(build_kv_sdg(), config).deploy()
+        try:
+            drive(runtime, 0)
+            drive(twin, 0)
+            before = shape(runtime)
+            with pytest.raises(RuntimeExecutionError,
+                               match="multiprocess substrate"):
+                runtime.scale_up("serve")
+            assert shape(runtime) == before
+            drive(runtime, 30)
+            drive(twin, 30)
+            assert state_fingerprint(runtime) == state_fingerprint(twin)
+        finally:
+            runtime.close()
+
     def test_trace_deploys_on_multiprocess(self):
         # The trace gate is gone: workers record hops locally and the
         # coordinator merges their shards (see test_multiprocess_obs).
