@@ -1,29 +1,22 @@
-"""Overhead guard and breakdown report for the wall-clock profiler.
+"""Overhead guard for the wall-clock profiler.
 
 Two enforced properties, mirroring ``test_obs_overhead.py``:
 
 * **Profiling off is free.** A runtime with the profiler *and* flight
   recorder disabled (the default) must process items within 3% of the
   :data:`~repro.obs.NULL_REGISTRY` baseline — i.e. the new hooks add
-  nothing beyond the already-enforced metrics bar. Off-path cost is a
-  single ``is None`` check per item in ``step`` and ``_dispatch``.
+  nothing beyond the already-enforced metrics bar. Off-path cost is the
+  shared no-op probe (:data:`repro.obs.probe.NULL_PROBE`): at most three
+  empty calls per item.
 * **Profiling on accounts the run.** With ``profile=True`` every item
-  lands in the ``process`` and ``dispatch`` phases, and on the
-  multiprocess substrate the worker shards merge with the
-  coordinator's wire phases.
-
-The second half profiles the multiprocess substrate at 1/2/4 workers
-and writes ``BENCH_obs_profile.json`` — the per-phase wall-clock
-breakdown the paper's operational story reads (where the time goes as
-the fleet widens: task code shrinks per worker, serialize/wire_wait
-move to the coordinator).
+  lands in the ``process`` and ``dispatch`` phases. The multiprocess
+  merge of worker and coordinator phases is checked by
+  ``tests/runtime/test_multiprocess_obs.py::TestMergedProfile``.
 """
 
-import json
-import os
 import time
 
-from repro.obs import NULL_REGISTRY, PHASES
+from repro.obs import NULL_REGISTRY
 from repro.runtime import Runtime, RuntimeConfig
 from repro.testing import build_kv_sdg
 
@@ -32,16 +25,9 @@ _TRIALS = 5
 _ATTEMPTS = 3
 _MAX_RATIO = 1.03
 
-#: Items per fleet width in the breakdown report.
-_REPORT_ITEMS = 1_500
-_REPORT_PATH = os.path.join(os.path.dirname(__file__),
-                            "BENCH_obs_profile.json")
 
-
-def _deploy(metrics=None, profile=False, substrate="inprocess",
-            workers=None):
-    config = RuntimeConfig(se_instances={"table": 2}, profile=profile,
-                           substrate=substrate, workers=workers)
+def _deploy(metrics=None, profile=False):
+    config = RuntimeConfig(se_instances={"table": 2}, profile=profile)
     if metrics is not None:
         config.metrics = metrics
     return Runtime(build_kv_sdg(), config).deploy()
@@ -96,40 +82,3 @@ def test_profile_on_accounts_every_item():
     # Dispatch nests inside the process span, so it can never exceed it.
     assert profile.seconds("dispatch") <= profile.seconds("process")
 
-
-def test_breakdown_report_across_fleet_widths():
-    """Profile 1/2/4-worker fleets and write BENCH_obs_profile.json."""
-    report = {
-        "items": _REPORT_ITEMS,
-        "phases": list(PHASES),
-        "runs": [],
-    }
-    for workers in (1, 2, 4):
-        runtime = _deploy(profile=True, substrate="multiprocess",
-                          workers=workers)
-        try:
-            t0 = time.perf_counter()
-            _run_batch(runtime, 0, items=_REPORT_ITEMS)
-            wall = time.perf_counter() - t0
-            profile = runtime.merged_profile()
-            breakdown = profile.breakdown()
-            # Every item was served exactly once, fleet-wide.
-            assert breakdown["process"]["count"] == _REPORT_ITEMS
-            assert breakdown["dispatch"]["count"] == _REPORT_ITEMS
-            # The coordinator contributed its wire phases.
-            assert breakdown["serialize"]["count"] > 0
-            report["runs"].append({
-                "substrate": "multiprocess",
-                "workers": workers,
-                "wall_seconds": wall,
-                "throughput_items_per_s": _REPORT_ITEMS / wall,
-                "breakdown": breakdown,
-            })
-            print(f"\nworkers={workers} wall={wall:.3f}s")
-            print(profile.render())
-        finally:
-            runtime.close()
-    with open(_REPORT_PATH, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"\nwrote {_REPORT_PATH}")

@@ -189,7 +189,7 @@ class DurableRunner:
         # served, at most ``_FLIGHT_FLUSH_STEPS`` steps stale. An
         # explicitly configured recorder (flight_recorder=N) is kept.
         if self.runtime.flight is None:
-            self.runtime.flight = FlightRecorder(DEFAULT_CAPACITY)
+            self.runtime.attach_flight(FlightRecorder(DEFAULT_CAPACITY))
         self._flight_flushed_at = self.runtime.total_steps
         self.runtime.add_step_hook(self._flight_hook)
 
@@ -200,14 +200,12 @@ class DurableRunner:
 
     def _write_flight(self) -> None:
         """Atomically persist the flight ring next to the manifest."""
-        flight = self.runtime.flight
-        if flight is None:
-            return
         path = os.path.join(self.run_dir, FLIGHT_NAME)
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
             json.dump({"total_steps": self.runtime.total_steps,
-                       "entries": flight.dump()}, fh, indent=2)
+                       "entries": self.runtime.flight.dump()}, fh,
+                      indent=2)
         os.replace(tmp, path)
         self._flight_flushed_at = self.runtime.total_steps
 

@@ -27,6 +27,8 @@ existing step-hook/facade seams:
 * :mod:`repro.obs.flight` — a bounded per-process ring buffer of
   recent envelope digests, shipped in crash frames and persisted next
   to durable-run manifests for SIGKILL post-mortems.
+* :mod:`repro.obs.probe` — the serve path's one view of the three
+  recorders above (the shared no-op ``NULL_PROBE`` when all are off).
 * :mod:`repro.obs.events` — a typed, structured :class:`EventBus` that
   the engine, checkpoint manager, recovery supervisor, failure
   detector and chaos injector publish to — the one log of what the
@@ -48,7 +50,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
 )
-from repro.obs.profile import PHASES, ProfileRegistry, profile_span
+from repro.obs.probe import NULL_PROBE, Probe
+from repro.obs.profile import PHASES, ProfileRegistry
 from repro.obs.trace import DEFAULT_SERVED_LIMIT, Hop, Trace, Tracer
 
 __all__ = [
@@ -63,12 +66,13 @@ __all__ = [
     "Hop",
     "JsonlExporter",
     "MetricsRegistry",
+    "NULL_PROBE",
     "NULL_REGISTRY",
     "NullRegistry",
     "PHASES",
+    "Probe",
     "ProfileRegistry",
     "Trace",
     "Tracer",
-    "profile_span",
     "render_dump",
 ]

@@ -3,9 +3,9 @@
 Post-mortem debugging of a crashed worker (or a SIGKILLed durable run)
 needs the *last few things the process did*, not the full history. The
 :class:`FlightRecorder` keeps a ``deque(maxlen=capacity)`` of compact
-event records — one per envelope served, plus structural notes (node
-failures, restarts) — so memory stays O(capacity) no matter how long
-the run.
+event records — one per envelope served (taken after replay dedup, so
+a dropped duplicate leaves none), plus structural notes (node failures,
+restarts) — so memory stays O(capacity) no matter how long the run.
 
 Where the dump surfaces:
 
@@ -22,9 +22,7 @@ has ``step`` (logical step when recorded) and ``kind``; envelope
 records (``kind="serve"``) add ``te``, ``instance``, ``edge`` (the
 dataflow edge index, ``-1`` for external input), ``src``
 (``"te/instance"`` of the producer), ``ts`` (per-stream sequence
-number), ``request_id`` and a truncated ``payload`` repr. The
-recording process's worker id (``None`` for the coordinator /
-in-process runtime) is stamped on the recorder, not per record.
+number), ``request_id`` and a truncated ``payload`` repr.
 """
 
 from __future__ import annotations
@@ -65,8 +63,6 @@ class FlightRecorder:
                 f"flight recorder capacity must be >= 1, got {capacity}"
             )
         self.capacity = capacity
-        #: Worker id of the recording process (None = coordinator).
-        self.worker: int | None = None
         self._ring: deque[dict] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
@@ -112,37 +108,34 @@ class FlightRecorder:
 
     def render(self, limit: int | None = None) -> str:
         """Human-readable tail, one line per record."""
-        entries = self.dump()
-        if limit is not None:
-            entries = entries[-limit:]
-        if not entries:
-            return "(flight recorder empty)"
-        lines = []
-        for entry in entries:
-            if entry["kind"] == "serve":
-                req = (f" req={entry['request_id']}"
-                       if entry.get("request_id") is not None else "")
-                lines.append(
-                    f"step {entry['step']:>6}  serve "
-                    f"{entry['te']}[{entry['instance']}] "
-                    f"<- {entry['src']} ts={entry['ts']}{req} "
-                    f"{entry['payload']}"
-                )
-            else:
-                extra = " ".join(
-                    f"{k}={v}" for k, v in entry.items()
-                    if k not in ("step", "kind")
-                )
-                lines.append(
-                    f"step {entry['step']:>6}  {entry['kind']}"
-                    f"{'  ' + extra if extra else ''}"
-                )
-        return "\n".join(lines)
+        return render_dump(list(self._ring), limit)
 
 
 def render_dump(entries: list[dict], limit: int | None = None) -> str:
-    """Render a shipped :meth:`FlightRecorder.dump` (e.g. from a
-    ``MSG_CRASH`` payload) without reconstructing a recorder."""
-    recorder = FlightRecorder(capacity=max(1, len(entries) or 1))
-    recorder._ring.extend(entries)
-    return recorder.render(limit)
+    """Render the last ``limit`` flight entries of a ring or of a shipped
+    :meth:`FlightRecorder.dump` (``MSG_CRASH``), one line per record."""
+    if limit is not None:
+        entries = entries[-limit:]
+    if not entries:
+        return "(flight recorder empty)"
+    lines = []
+    for entry in entries:
+        if entry["kind"] == "serve":
+            req = (f" req={entry['request_id']}"
+                   if entry.get("request_id") is not None else "")
+            lines.append(
+                f"step {entry['step']:>6}  serve "
+                f"{entry['te']}[{entry['instance']}] "
+                f"<- {entry['src']} ts={entry['ts']}{req} "
+                f"{entry['payload']}"
+            )
+        else:
+            extra = " ".join(
+                f"{k}={v}" for k, v in entry.items()
+                if k not in ("step", "kind")
+            )
+            lines.append(
+                f"step {entry['step']:>6}  {entry['kind']}"
+                f"{'  ' + extra if extra else ''}"
+            )
+    return "\n".join(lines)

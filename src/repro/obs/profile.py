@@ -15,22 +15,17 @@ ships, are zeroed by the same ``reset`` at fork, and are retired with
 the metric shards of a restarted fleet. The profiler never feeds back
 into scheduling or dispatch decisions, so determinism is untouched.
 
-Cost discipline mirrors tracing: with profiling off the engine's hot
-path pays one ``is None`` check per item and nothing else
-(``benchmarks/test_obs_profile.py`` enforces the same <3% bar as the
-metrics layer); with profiling on, each instrumented phase pays two
+The engine times phases through its :class:`~repro.obs.probe.Probe`
+(``benchmarks/test_obs_profile.py`` holds the disabled path to the
+metrics layer's <3% bar); with profiling on, each phase pays two
 ``perf_counter()`` calls and two attribute updates.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Iterator
-
 from repro.obs.metrics import MetricsRegistry, _CounterChild
 
-__all__ = ["PHASES", "ProfileRegistry", "profile_span"]
+__all__ = ["PHASES", "ProfileRegistry"]
 
 #: The canonical phase vocabulary. ``phase()`` accepts any name — these
 #: are the ones the runtime itself populates:
@@ -158,21 +153,3 @@ class ProfileRegistry:
                 f"{mean * 1e3:>8.3f}ms"
             )
         return "\n".join(lines)
-
-
-@contextmanager
-def profile_span(profiler: ProfileRegistry | None,
-                 phase: str) -> Iterator[None]:
-    """Time a cold-path block into ``phase``; no-op when profiler is None.
-
-    For hot paths, pre-bind ``registry.phase(name)`` and call ``add``
-    directly instead — a context manager per item is not free.
-    """
-    if profiler is None:
-        yield
-        return
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        profiler.add(phase, time.perf_counter() - t0)

@@ -10,9 +10,7 @@ which TE instance served the item, how long it waited in the inbox
 whether the hop was a *replay* of work already executed before a crash.
 
 Everything is denominated in logical steps; the tracer never reads the
-wall clock.  With tracing off the engine's hot path does a single
-``is None`` check and nothing else — see
-``benchmarks/test_obs_overhead.py`` for the enforced bound.
+wall clock. The serve path reaches it through :mod:`repro.obs.probe`.
 
 Across the **multiprocess substrate** each worker records hops with
 its own local :class:`Tracer` (forked from the coordinator's), stamps
@@ -54,7 +52,7 @@ class Hop:
     instance: str
     enqueue_step: int
     entry_step: int
-    exit_step: int = -1
+    exit_step: int
     replayed: bool = False
     #: Worker that served the hop (None = coordinator / in-process).
     worker: int | None = None
@@ -69,8 +67,8 @@ class Hop:
 
     @property
     def service_steps(self) -> int:
-        """Steps spent inside the invocation (0 while still in flight)."""
-        return max(0, self.exit_step - self.entry_step) if self.exit_step >= 0 else 0
+        """Steps spent inside the invocation."""
+        return max(0, self.exit_step - self.entry_step)
 
     def describe(self) -> str:
         mark = " [replayed]" if self.replayed else ""
@@ -90,7 +88,7 @@ class Trace:
 
     @property
     def end_step(self) -> int:
-        return max((h.exit_step for h in self.hops if h.exit_step >= 0), default=self.start_step)
+        return max((h.exit_step for h in self.hops), default=self.start_step)
 
     @property
     def latency(self) -> int:
@@ -123,12 +121,13 @@ def _stream_key(channel) -> tuple[int, str | None, int]:
 class Tracer:
     """Collects hop records for traced envelopes.
 
-    The engine drives three callbacks:
+    The engine drives two callbacks:
 
     * :meth:`on_deliver` when the transport appends a traced envelope to
       an inbox (records the enqueue step, so queue wait is observable);
-    * :meth:`begin_hop` when an instance pops the envelope for service;
-    * :meth:`end_hop` when the invocation (and dispatch) completes.
+    * :meth:`begin_hop` when an instance serves the envelope. A serve
+      consumes exactly one logical step, so the hop is complete when
+      it is begun: it exits at ``step + 1``.
 
     Replay detection: a hop is ``replayed`` when the same logical item
     — identified by ``(trace_id, destination TE, producer stream key,
@@ -152,20 +151,10 @@ class Tracer:
         # (trace_id, dst_te, stream_key, ts) seen served at least once;
         # an OrderedDict-as-set so the oldest key can be evicted.
         self._served: OrderedDict[tuple, None] = OrderedDict()
-        #: Worker id stamped on recorded hops (multiprocess workers).
+        #: Set in a multiprocess worker: stamped on every new hop, which
+        #: is also queued for :meth:`drain_shard` (never when ``None``).
         self.worker: int | None = None
-        #: When shard recording is on, every begun hop is also queued
-        #: for :meth:`drain_shard` (workers ship these to the
-        #: coordinator). Off by default so the in-process tracer never
-        #: accumulates an undrained pending list.
-        self._record_shard = False
         self._pending_shard: list[tuple[int, Hop]] = []
-
-    def record_shards(self, worker: int) -> None:
-        """Switch this tracer into worker mode: stamp ``worker`` on new
-        hops and queue them for :meth:`drain_shard`."""
-        self.worker = worker
-        self._record_shard = True
 
     def _remember_served(self, item_key: tuple) -> None:
         served = self._served
@@ -206,17 +195,15 @@ class Tracer:
             instance=instance_name,
             enqueue_step=enqueue,
             entry_step=step,
+            exit_step=step + 1,
             replayed=replayed,
             worker=self.worker,
             key=item_key,
         )
         trace.hops.append(hop)
-        if self._record_shard:
+        if self.worker is not None:
             self._pending_shard.append((trace_id, hop))
         return hop
-
-    def end_hop(self, hop: Hop, step: int) -> None:
-        hop.exit_step = step
 
     # -- cross-process sharding (multiprocess substrate) -----------------
 
@@ -224,8 +211,7 @@ class Tracer:
         """Hops recorded since the last drain, as picklable
         ``(trace_id, Hop)`` pairs; clears the pending queue.
 
-        Only populated after :meth:`record_shards`. A hop still in
-        flight when the shard ships keeps ``exit_step == -1``.
+        Only populated once :attr:`worker` is set.
         """
         shard, self._pending_shard = self._pending_shard, []
         return shard

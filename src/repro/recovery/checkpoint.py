@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import RecoveryError
 from repro.obs.events import KIND
-from repro.obs.profile import profile_span
 from repro.recovery.policy import CheckpointPolicy
 from repro.runtime.envelope import INPUT_EDGE, ChannelId, Envelope
 from repro.runtime.instances import GatherState, StreamKey
@@ -166,7 +165,7 @@ class CheckpointManager:
 
     def begin(self, node_id: int) -> PendingCheckpoint:
         """Step 1: flag SEs dirty and freeze TE bookkeeping."""
-        with profile_span(self.runtime.profiler, "checkpoint"):
+        with self.runtime.probe.span("checkpoint"):
             return self._begin(node_id)
 
     def _begin(self, node_id: int) -> PendingCheckpoint:
@@ -219,7 +218,7 @@ class CheckpointManager:
         Returns ``None`` (and discards the checkpoint) if the node died
         while the checkpoint was in progress.
         """
-        with profile_span(self.runtime.profiler, "checkpoint"):
+        with self.runtime.probe.span("checkpoint"):
             return self._complete(pending)
 
     def _complete(self, pending: PendingCheckpoint) \

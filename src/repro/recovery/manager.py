@@ -28,7 +28,6 @@ from repro.errors import (
     StaleCheckpointError,
 )
 from repro.obs.events import KIND
-from repro.obs.profile import profile_span
 from repro.recovery.checkpoint import NodeCheckpoint, TEMeta
 from repro.runtime.instances import SEInstance, TEInstance
 from repro.runtime.node import PhysicalNode
@@ -86,7 +85,7 @@ class RecoveryManager:
         under a stale partitioning epoch — instances restart empty and
         the entire input history is replayed (pure log-based recovery).
         """
-        with profile_span(self.runtime.profiler, "recovery"):
+        with self.runtime.probe.span("recovery"):
             return self._recover_node(node_id, n_new, use_checkpoint,
                                       use_deltas)
 

@@ -90,17 +90,14 @@ class RuntimeConfig:
     #: Enable per-envelope causal tracing (:mod:`repro.obs.trace`).
     #: Every injected item gets a trace id that survives dispatch
     #: fan-out, repartition and replay; hop/queue-wait spans are
-    #: recorded on ``runtime.tracer``. Off by default — the disabled
-    #: hot path is a single ``is None`` check. Works on every
+    #: recorded on ``runtime.tracer``. Off by default. Works on every
     #: substrate: multiprocess workers record hops locally and the
     #: coordinator merges their shards into one causal view.
     trace: bool = False
     #: Enable wall-clock phase profiling (:mod:`repro.obs.profile`):
     #: process/dispatch/serialize/wire-wait/checkpoint/recovery timers
     #: on ``runtime.profiler``, merged across workers via
-    #: :meth:`Runtime.merged_profile`. Off by default — the disabled
-    #: hot path is a single ``is None`` check (the same bar as
-    #: tracing; see ``benchmarks/test_obs_profile.py``).
+    #: :meth:`Runtime.merged_profile`. Off by default.
     profile: bool = False
     #: Flight-recorder ring capacity (:mod:`repro.obs.flight`): keep
     #: the digests of the last N served envelopes per process for

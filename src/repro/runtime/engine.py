@@ -27,7 +27,6 @@ the same contract by processing instances in a fixed rotor order.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Iterator
 
 from repro.core.elements import AccessMode, StateKind
@@ -36,6 +35,7 @@ from repro.errors import RuntimeExecutionError
 from repro.obs.events import KIND, EventBus
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import NULL_PROBE, Probe
 from repro.obs.profile import ProfileRegistry
 from repro.obs.trace import Tracer
 from repro.runtime.config import RuntimeConfig
@@ -93,27 +93,14 @@ class Runtime:
         #: Structured event bus all layers publish to (always on; an
         #: event is only created when something structural happens).
         self.events = EventBus()
-        #: Causal tracer, or None when ``config.trace`` is off.
-        self.tracer: Tracer | None = Tracer() if self.config.trace else None
-        #: Wall-clock phase profiler over ``self.metrics``, or None
-        #: when ``config.profile`` is off.
-        self.profiler: ProfileRegistry | None = (
-            ProfileRegistry(self.metrics) if self.config.profile else None
-        )
-        #: Flight recorder, or None when ``config.flight_recorder`` is
-        #: 0. Not pre-bound on the hot path (checked directly) so the
-        #: durable runner can attach one to an already-built runtime.
-        self.flight: FlightRecorder | None = (
-            FlightRecorder(self.config.flight_recorder)
-            if self.config.flight_recorder else None
-        )
-        #: Pre-bound phase timers (None when profiling is off): the
-        #: per-item cost of disabled profiling is these `is None`
-        #: checks, nothing more.
-        self._p_process = (self.profiler.phase("process")
-                           if self.profiler is not None else None)
-        self._p_dispatch = (self.profiler.phase("dispatch")
-                            if self.profiler is not None else None)
+        #: The causal tracer, the wall-clock phase profiler over
+        #: ``self.metrics`` and the flight recorder, each None when its
+        #: config field is off; and the serve path's one view of them.
+        self.tracer = Tracer() if self.config.trace else None
+        self.profiler = (ProfileRegistry(self.metrics)
+                         if self.config.profile else None)
+        self.attach_flight(FlightRecorder(self.config.flight_recorder)
+                           if self.config.flight_recorder else None)
         #: Collected payloads of TEs without outgoing dataflows.
         self.results: dict[str, list[Any]] = {}
         self.total_steps = 0
@@ -471,15 +458,11 @@ class Runtime:
             and envelope.request_id is None
             and (channel.edge_index, channel.dst_te) in self._run_channels
         ) else 1
+        probe = self.probe
         run = 0
         try:
             while True:
                 run += 1
-                if self.flight is not None:
-                    self.flight.record_envelope(self.total_steps, instance,
-                                                envelope)
-                t0 = (time.perf_counter()
-                      if self._p_process is not None else 0.0)
                 try:
                     self.substrate.process(instance, envelope)
                 except RuntimeExecutionError as exc:
@@ -496,8 +479,7 @@ class Runtime:
                         handler(self, instance, envelope, exc)
                     break
                 finally:
-                    if self._p_process is not None:
-                        self._p_process.add(time.perf_counter() - t0)
+                    probe.served()
                 if run == limit or not inbox:
                     break
                 head = inbox[0]
@@ -607,6 +589,14 @@ class Runtime:
             return None
         return ProfileRegistry(self.merged_metrics())
 
+    def attach_flight(self, flight: FlightRecorder | None) -> None:
+        """Record into ``flight`` from the next serve on and rebuild
+        :attr:`probe` (forked workers keep the probe of their deploy)."""
+        self.flight = flight
+        recorders = (self.tracer, self.profiler, flight)
+        self.probe = (NULL_PROBE if all(r is None for r in recorders)
+                      else Probe(*recorders))
+
     def poll_telemetry(self, timeout: float = 0.0) -> None:
         """Service substrate telemetry without waiting for a barrier.
 
@@ -625,37 +615,30 @@ class Runtime:
     def _serve(self, instance: TEInstance, envelope: Envelope) -> None:
         """The one per-envelope path (every substrate, every run length).
 
-        Replay dedup, trace hop, gather-or-invoke, ``last_seen`` mark,
+        Replay dedup, probe, gather-or-invoke, ``last_seen`` mark,
         dispatch, count — in that order, for a lone envelope and for
-        each envelope of a run alike.
+        each envelope of a run alike. :meth:`step` closes the probe's
+        spans once this returns or raises.
         """
         # ``stream_key``, sliced once for the replay dedup and the mark.
         stream = envelope.channel[:3]
         if envelope.ts <= instance.last_seen.get(stream, 0):
             return
-        # Tracing off costs exactly this `is None` check per item.
-        hop = None
-        if self.tracer is not None:
-            hop = self.tracer.begin_hop(envelope, instance.name,
-                                        str(instance.index),
-                                        self.total_steps)
-        try:
-            if instance.spec.is_merge and envelope.request_id is not None:
-                gathered = self._gather(instance, envelope)
-                if gathered is None:
-                    return
-                outputs = self._invoke(instance, gathered)
-            else:
-                outputs = self._invoke(instance, envelope.payload)
-                instance.last_seen[stream] = envelope.ts
-            self._dispatch(instance, outputs, envelope)
-            self.nodes[instance.node_id].items_processed += 1
-            instance.processed_count += 1
-            self._c_processed[instance.name].inc()
-        finally:
-            if hop is not None:
-                # Serving one envelope consumes one logical step.
-                self.tracer.end_hop(hop, self.total_steps + 1)
+        probe = self.probe
+        probe.serve(self.total_steps, instance, envelope)
+        if instance.spec.is_merge and envelope.request_id is not None:
+            gathered = self._gather(instance, envelope)
+            if gathered is None:
+                return
+            outputs = self._invoke(instance, gathered)
+        else:
+            outputs = self._invoke(instance, envelope.payload)
+            instance.last_seen[stream] = envelope.ts
+        probe.dispatch()
+        self._dispatch(instance, outputs, envelope)
+        self.nodes[instance.node_id].items_processed += 1
+        instance.processed_count += 1
+        self._c_processed[instance.name].inc()
 
     def _gather(self, instance: TEInstance,
                 envelope: Envelope) -> list[Any] | None:
@@ -709,18 +692,10 @@ class Runtime:
 
     def _dispatch(self, instance: TEInstance, outputs: list[Any],
                   cause: Envelope) -> None:
-        # The dispatch span nests inside the process span: "process"
-        # is the whole per-item service, "dispatch" the routing slice.
-        t0 = (time.perf_counter()
-              if self._p_dispatch is not None else 0.0)
-        try:
-            if instance.name in self._terminal_tes:
-                self._collect_result(instance, outputs, cause)
-                return
-            self.dispatcher.dispatch(instance, outputs, cause)
-        finally:
-            if self._p_dispatch is not None:
-                self._p_dispatch.add(time.perf_counter() - t0)
+        if instance.name in self._terminal_tes:
+            self._collect_result(instance, outputs, cause)
+            return
+        self.dispatcher.dispatch(instance, outputs, cause)
 
     def _collect_result(self, instance: TEInstance, outputs: list[Any],
                         cause: Envelope) -> None:
@@ -764,9 +739,8 @@ class Runtime:
                 "engine", KIND.NODE_FAILED, self.total_steps,
                 node_id=node_id, lost_envelopes=lost,
             )
-            if self.flight is not None:
-                self.flight.record(self.total_steps, "node_failed",
-                                   node=node_id, lost=lost)
+            self.probe.note(self.total_steps, "node_failed",
+                            node=node_id, lost=lost)
 
     def install_replacement(
         self,

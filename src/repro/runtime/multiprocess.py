@@ -149,6 +149,25 @@ WIRE_RUN = 64
 _CRASH_TAIL = 20
 
 
+def _wire_meters(metrics, role: str) -> tuple:
+    """The wire series children of one role: frames sent / received,
+    bytes sent / received, and serialize seconds."""
+    frames = metrics.counter(
+        "wire_frames_total",
+        "frames crossing the pipe star, by direction and role")
+    nbytes = metrics.counter(
+        "wire_bytes_total",
+        "bytes crossing the pipe star, by direction and role")
+    return (frames.labels(direction="send", role=role),
+            frames.labels(direction="recv", role=role),
+            nbytes.labels(direction="send", role=role),
+            nbytes.labels(direction="recv", role=role),
+            metrics.counter(
+                "wire_serialize_seconds_total",
+                "wall-clock seconds spent pickling outbound frames",
+            ).labels(role=role))
+
+
 class _WorkerFailure(Exception):
     """Internal control-flow: one worker died; the pump loop must stop
     touching its (now stale) descriptors before anyone decides whether
@@ -298,26 +317,15 @@ class MultiprocessSubstrate:
         self._fork_fleet()
 
     def _bind_obs(self) -> None:
-        """Pre-bind the coordinator's wire metrics and profile phases."""
+        """Pre-bind the coordinator's wire metrics and wire phases (null
+        timers when profiling is off)."""
         m = self.runtime.metrics
-        frames = m.counter(
-            "wire_frames_total",
-            "frames crossing the pipe star, by direction and role")
-        nbytes = m.counter(
-            "wire_bytes_total",
-            "bytes crossing the pipe star, by direction and role")
-        self._m_frames_send = frames.labels(direction="send",
-                                            role="coordinator")
-        self._m_frames_recv = frames.labels(direction="recv",
-                                            role="coordinator")
-        self._m_bytes_send = nbytes.labels(direction="send",
-                                           role="coordinator")
-        self._m_bytes_recv = nbytes.labels(direction="recv",
-                                           role="coordinator")
-        self._m_serialize = m.counter(
-            "wire_serialize_seconds_total",
-            "wall-clock seconds spent pickling outbound frames",
-        ).labels(role="coordinator")
+        phase = self.runtime.probe.phase
+        self._p_serialize = phase("serialize")
+        self._p_wire_wait = phase("wire_wait")
+        (self._m_frames_send, self._m_frames_recv, self._m_bytes_send,
+         self._m_bytes_recv, self._m_serialize) = _wire_meters(
+            m, "coordinator")
         outbox = m.gauge(
             "wire_outbox_depth",
             "frames queued towards each worker, awaiting pipe capacity")
@@ -325,11 +333,6 @@ class MultiprocessSubstrate:
             wid: outbox.labels(worker=str(wid))
             for wid in range(self.workers)
         }
-        profiler = self.runtime.profiler
-        self._p_serialize = (profiler.phase("serialize")
-                             if profiler is not None else None)
-        self._p_wire_wait = (profiler.phase("wire_wait")
-                             if profiler is not None else None)
 
     def _fork_fleet(self) -> None:
         """Fork one worker per placement group and open its pipes.
@@ -538,8 +541,7 @@ class MultiprocessSubstrate:
         data = encode_frame(message)
         elapsed = time.perf_counter() - t0
         self._m_serialize.inc(elapsed)
-        if self._p_serialize is not None:
-            self._p_serialize.add(elapsed)
+        self._p_serialize.add(elapsed)
         self._m_frames_send.inc()
         self._m_bytes_send.inc(len(data))
         link.outbox.append(data)
@@ -573,8 +575,7 @@ class MultiprocessSubstrate:
                  for link in self._links if link.outbox}
         t0 = time.perf_counter()
         readable, writable, _ = select.select(rlist, wlist, [], timeout)
-        if self._p_wire_wait is not None:
-            self._p_wire_wait.add(time.perf_counter() - t0)
+        self._p_wire_wait.add(time.perf_counter() - t0)
         for fd in writable:
             self._flush(wlist[fd])
         for fd in readable:
@@ -602,9 +603,8 @@ class MultiprocessSubstrate:
             if tag == MSG_STATE:
                 link.state_reply = message[5]
         elif tag == MSG_TRACE:
-            tracer = self.runtime.tracer
-            if tracer is not None:
-                tracer.merge_shard(message[1])
+            # Only a tracing fleet ships shards.
+            self.runtime.tracer.merge_shard(message[1])
         elif tag == MSG_CRASH:
             raise _WorkerFailure(
                 link,
@@ -682,12 +682,11 @@ class MultiprocessSubstrate:
             restarts_left=self._restarts_left,
             replayed=len(self._replay_log),
         )
-        if runtime.flight is not None:
-            runtime.flight.record(
-                runtime.total_steps, "worker_restart",
-                worker=failure.link.worker_id,
-                detail=failure.detail.splitlines()[0],
-            )
+        runtime.probe.note(
+            runtime.total_steps, "worker_restart",
+            worker=failure.link.worker_id,
+            detail=failure.detail.splitlines()[0],
+        )
         self._drop_fleet()
         self._fork_fleet()
         log, self._replay_log = self._replay_log, []
@@ -782,11 +781,8 @@ def _worker_main(runtime: "Runtime", worker_id: int, placement,
         # Coordinator went away: nothing left to serve.
         pass
     except BaseException:
-        extra: dict = {"worker": worker_id,
-                       "steps": runtime.total_steps}
-        flight = runtime.flight
-        if flight is not None:
-            extra["flight"] = flight.dump()
+        extra = {"worker": worker_id, "steps": runtime.total_steps,
+                 "flight": runtime.probe.flight_dump()}
         try:
             write_frame(send_fd, (MSG_CRASH, traceback.format_exc(),
                                   extra))
@@ -823,44 +819,21 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
     results = runtime.results
     for te in results:
         results[te] = []
-    tracer = runtime.tracer
-    if tracer is not None:
-        # Keep the inherited trace books (the served-set makes local
-        # replay detection work after a restart) but switch to worker
-        # mode: new hops are stamped and queued for shard shipping.
-        tracer.record_shards(worker_id)
-    profiler = runtime.profiler
-    p_wire_wait = (profiler.phase("wire_wait")
-                   if profiler is not None else None)
-    p_serialize = (profiler.phase("serialize")
-                   if profiler is not None else None)
-    flight = runtime.flight
-    if flight is not None:
-        flight.reset()
-        flight.worker = worker_id
-    m = runtime.metrics
-    frames = m.counter(
-        "wire_frames_total",
-        "frames crossing the pipe star, by direction and role")
-    nbytes = m.counter(
-        "wire_bytes_total",
-        "bytes crossing the pipe star, by direction and role")
-    w_frames_send = frames.labels(direction="send", role="worker")
-    w_frames_recv = frames.labels(direction="recv", role="worker")
-    w_bytes_send = nbytes.labels(direction="send", role="worker")
-    w_bytes_recv = nbytes.labels(direction="recv", role="worker")
-    w_serialize = m.counter(
-        "wire_serialize_seconds_total",
-        "wall-clock seconds spent pickling outbound frames",
-    ).labels(role="worker")
+    # The tracer keeps its inherited books (the served-set makes local
+    # replay detection work after a restart) but from here stamps new
+    # hops with this worker and queues them for shard shipping.
+    probe = runtime.probe
+    probe.start_worker(worker_id)
+    p_serialize, p_wire_wait = map(probe.phase, ("serialize", "wire_wait"))
+    (w_frames_send, w_frames_recv, w_bytes_send, w_bytes_recv,
+     w_serialize) = _wire_meters(runtime.metrics, "worker")
 
     def ship(message: Any) -> None:
         t0 = time.perf_counter()
         data = encode_frame(message)
         elapsed = time.perf_counter() - t0
         w_serialize.inc(elapsed)
-        if p_serialize is not None:
-            p_serialize.add(elapsed)
+        p_serialize.add(elapsed)
         write_bytes(send_fd, data)
         w_frames_send.inc()
         w_bytes_send.inc(len(data))
@@ -906,12 +879,9 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
                 continue
             if pending or not block:
                 return
-            if p_wire_wait is not None:
-                t0 = time.perf_counter()
-                select.select([recv_fd], [], [])
-                p_wire_wait.add(time.perf_counter() - t0)
-            else:
-                select.select([recv_fd], [], [])
+            t0 = time.perf_counter()
+            select.select([recv_fd], [], [])
+            p_wire_wait.add(time.perf_counter() - t0)
 
     def report(tag: str, *extra: Any) -> tuple:
         """Ship the counters with everything new since the last report."""
@@ -922,10 +892,9 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         # this progress report), then the counters with telemetry
         # shards and fresh results piggybacked.
         flush_out()
-        if tracer is not None:
-            shard = tracer.drain_shard()
-            if shard:
-                ship((MSG_TRACE, shard))
+        shard = probe.drain_shard()
+        if shard:
+            ship((MSG_TRACE, shard))
         obs: dict = {"metrics": runtime.metrics.snapshot()}
         fresh = {te: items for te, items in results.items() if items}
         if fresh:

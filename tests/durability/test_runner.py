@@ -1,5 +1,6 @@
 """End-to-end tests for the durable epoch runner and its resume rungs."""
 
+import json
 import os
 
 import pytest
@@ -64,6 +65,19 @@ class TestEpochLoop:
                   for node in runner.manifest.latest.checkpoints]
         kinds = {c.kind for chain in chains for c in chain}
         assert kinds == {"full", "delta"}
+
+    def test_flight_dump_without_a_configured_recorder(self, tmp_path):
+        # The runtime is deployed with flight_recorder=0; the runner
+        # attaches its own recorder, and the serve path records into it.
+        run_dir = str(tmp_path / "run")
+        runner = DurableRunner.start(run_dir, SPEC)
+        assert runner.runtime.config.flight_recorder == 0
+        runner.run_epoch()
+        with open(os.path.join(run_dir, runner_mod.FLIGHT_NAME)) as fh:
+            dump = json.load(fh)
+        serves = [e for e in dump["entries"] if e["kind"] == "serve"]
+        assert serves
+        assert serves[-1]["step"] < dump["total_steps"]
 
 
 class TestResume:

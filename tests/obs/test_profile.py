@@ -3,11 +3,12 @@
 import pytest
 
 from repro.obs import (
+    NULL_PROBE,
     NULL_REGISTRY,
     PHASES,
     MetricsRegistry,
+    Probe,
     ProfileRegistry,
-    profile_span,
 )
 from repro.runtime import Runtime, RuntimeConfig
 from repro.testing import build_kv_sdg
@@ -42,7 +43,7 @@ class TestProfileRegistry:
     def test_null_registry_records_nothing(self):
         reg = ProfileRegistry(NULL_REGISTRY)
         reg.phase("process").add(0.5)
-        with profile_span(reg, "checkpoint"):
+        with Probe(profiler=reg).span("checkpoint"):
             pass
         assert reg.names() == [] and reg.count("process") == 0
         assert reg.render() == "(no phases recorded)"
@@ -101,16 +102,16 @@ class TestProfileRegistry:
 class TestProfileSpan:
     def test_span_records_and_none_is_noop(self):
         reg = ProfileRegistry()
-        with profile_span(reg, "recovery"):
+        with Probe(profiler=reg).span("recovery"):
             pass
         assert reg.count("recovery") == 1
-        with profile_span(None, "recovery"):
+        with NULL_PROBE.span("recovery"):
             pass  # must not raise
 
     def test_span_records_on_exception(self):
         reg = ProfileRegistry()
         with pytest.raises(ValueError):
-            with profile_span(reg, "checkpoint"):
+            with Probe(profiler=reg).span("checkpoint"):
                 raise ValueError("boom")
         assert reg.count("checkpoint") == 1
 

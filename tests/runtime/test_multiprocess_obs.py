@@ -399,9 +399,13 @@ class TestMergedProfile:
             names = set(profile.names())
             # Worker-side phases...
             assert {"process", "dispatch"} <= names
-            # ...and coordinator wire phases, in one registry.
-            assert "serialize" in names
+            # ...and wire phases, timed on both ends, in one registry.
+            assert profile.count("serialize") > 0
+            assert profile.count("wire_wait") > 0
+            # Every item was served and dispatched exactly once,
+            # fleet-wide.
             assert profile.count("process") == 30
+            assert profile.count("dispatch") == 30
         finally:
             runtime.close()
 
