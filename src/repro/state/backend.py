@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable, Iterator, Sequence
 
 from repro.errors import StateError
 
@@ -232,6 +232,21 @@ class ListBackend(StateBackend):
         if size > len(self._data):
             self.set(size - 1, 0.0)
 
+    def add_values(self, values: Sequence[float]) -> int:
+        """Add floats elementwise in one pass, storing and journalling what
+        ``set(i, get(i) + v)`` would per non-zero ``v``; returns the count."""
+        data, journal = self._data, self._journal
+        written = 0
+        for index, value in enumerate(values):
+            if value:
+                if index < len(data):
+                    data[index] += value
+                else:  # past the end: zero-fill as ``set`` does
+                    self._do_set(index, value)
+                journal[index] = True
+                written += 1
+        return written
+
 
 class DenseGridBackend(StateBackend):
     """Fixed-shape dense 2-D float storage keyed by ``(row, col)``.
@@ -253,10 +268,11 @@ class DenseGridBackend(StateBackend):
                 f"dense matrix key must be (row, col): {key!r}"
             )
         row, col = key
-        if not (0 <= row < self.n_rows and 0 <= col < self.n_cols):
+        if not (isinstance(row, int) and isinstance(col, int)
+                and 0 <= row < self.n_rows and 0 <= col < self.n_cols):
             raise StateError(
-                f"index ({row}, {col}) out of bounds for "
-                f"{self.n_rows}x{self.n_cols} matrix"
+                f"index ({row!r}, {col!r}) is not an int pair within "
+                f"{self.n_rows}x{self.n_cols}"
             )
         return row, col
 
@@ -340,13 +356,21 @@ class SparseMatrixBackend(DictBackend):
                    value: Any) -> tuple[tuple[int, int], float]:
         return self._check_key(key), float(value)
 
-    def _do_set(self, key: Hashable, value: Any) -> None:
-        key, value = self._normalise(key, value)
+    def set(self, key: Hashable, value: Any) -> None:
+        self.put(*self._normalise(key, value))
+
+    def put(self, key: tuple[int, int], value: float) -> None:
+        """Store a checked cell, its indexes and its journal entry: the
+        one cell write, shared by :meth:`set` and idle ``Matrix`` ops."""
         if key not in self._map:
             row, col = key
             self._row_cols.setdefault(row, set()).add(col)
             self._col_rows.setdefault(col, set()).add(row)
         self._map[key] = value
+        self._journal[key] = True
+
+    def _do_set(self, key: Hashable, value: Any) -> None:  # pragma: no cover
+        raise AssertionError("SparseMatrixBackend.set never reaches _do_set")
 
     def _do_delete(self, key: Hashable) -> None:
         row, col = self._check_key(key)
@@ -364,12 +388,3 @@ class SparseMatrixBackend(DictBackend):
         self._map.clear()
         self._row_cols.clear()
         self._col_rows.clear()
-
-    def row_cols(self, row: int) -> set[int]:
-        """The populated column indexes of ``row`` (a copy)."""
-        return set(self._row_cols.get(row, ()))
-
-    def col_cells(self, col: int) -> dict[int, float]:
-        """The populated cells of column ``col`` as ``{row: value}``."""
-        cells = self._map
-        return {row: cells[row, col] for row in self._col_rows.get(col, ())}

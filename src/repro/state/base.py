@@ -24,8 +24,8 @@ The *physical* representation lives in a pluggable
 :class:`~repro.state.backend.StateBackend`; the SE class itself is a
 pure domain API. Subclasses pick their store by overriding
 :meth:`StateElement._make_backend`, and every state operation reaches
-that backend — and with it the mutation journal — in one call from the
-``_get``/``_set``/``_delete`` helpers.
+that backend and its journal through the ``_get``/``_set``/``_delete``
+helpers, or (hot predefined ops, no checkpoint open) a backend method.
 """
 
 from __future__ import annotations

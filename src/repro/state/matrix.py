@@ -56,13 +56,25 @@ class Matrix(StateElement):
 
     # -- domain API ----------------------------------------------------
 
+    # With no checkpoint open, a cell that passes ``_check_key``'s rule
+    # (inlined: a call costs as much as the op) is one dict read or one
+    # ``put``; any other key, or an open checkpoint, takes ``_get``/``_set``.
+
     def get_element(self, row: int, col: int) -> float:
         """Return the cell value (0.0 when never written)."""
+        if (self._dirty is None and isinstance(row, int)
+                and isinstance(col, int) and row >= 0 and col >= 0):
+            return self._backend._map.get((row, col), 0.0)  # type: ignore
         return self._get((row, col), 0.0)
 
     def set_element(self, row: int, col: int, value: float) -> None:
         """Write one cell — the fine-grained update the paper motivates."""
-        self._set((row, col), value)
+        if (self._dirty is None and isinstance(row, int)
+                and isinstance(col, int) and row >= 0 and col >= 0):
+            self._update_count += 1
+            self._backend.put((row, col), float(value))  # type: ignore
+        else:
+            self._set((row, col), value)
 
     def add_element(self, row: int, col: int, delta: float) -> float:
         """Increment one cell; returns the new value."""
@@ -86,9 +98,10 @@ class Matrix(StateElement):
         """Return row ``row`` as a :class:`Vector` (a copy, not a view)."""
         self._backend._check_key((row, 0))  # type: ignore[attr-defined]
         cols = self._line(0, row)
+        read = self._get if self._dirty is not None else self._backend._map.get
         values = [0.0] * (max(cols) + 1 if cols else 0)
         for col in cols:
-            values[col] = self._get((row, col), 0.0)
+            values[col] = read((row, col), 0.0)
         return Vector(values=values)
 
     def set_row(self, row: int, vector: Vector) -> None:
@@ -111,17 +124,26 @@ class Matrix(StateElement):
         depends on the contents alone, not on the write history.
         """
         backend: SparseMatrixBackend = self._backend  # type: ignore
+        cells, col_rows = backend._map, backend._col_rows
+        weights = [(col, weight) for col, weight
+                   in enumerate(vector.to_list()) if weight]
+        if self._dirty is None:  # sum straight off the index and cells
+            hit = [(c, w, col_rows[c]) for c, w in weights if c in col_rows]
+            values = [0.0] * (max([max(r) for *_, r in hit], default=-1) + 1)
+            for col, weight, rows in hit:
+                for row in rows:
+                    values[row] += cells[row, col] * weight
+            return Vector(values=values)
         overlay: dict[int, dict[int, Any]] = {}
-        for (row, col), value in (self._dirty or {}).items():
+        for (row, col), value in self._dirty.items():
             overlay.setdefault(col, {})[row] = value
         totals: dict[int, float] = {}
-        for col, weight in enumerate(vector.to_list()):
-            if weight:
-                cells = backend.col_cells(col)
-                cells.update(overlay.get(col, ()))
-                for row, cell in cells.items():
-                    if cell is not TOMBSTONE:
-                        totals[row] = totals.get(row, 0.0) + cell * weight
+        for col, weight in weights:
+            column = {row: cells[row, col] for row in col_rows.get(col, ())}
+            column.update(overlay.get(col, ()))
+            for row, cell in column.items():
+                if cell is not TOMBSTONE:
+                    totals[row] = totals.get(row, 0.0) + cell * weight
         values = [0.0] * (max(totals) + 1 if totals else 0)
         for row, total in totals.items():
             values[row] = total

@@ -69,6 +69,8 @@ class Vector(StateElement):
 
     def to_list(self) -> list[float]:
         """Materialise the logical contents as a plain list."""
+        if self._dirty is None:
+            return list(self._backend._data)  # type: ignore[attr-defined]
         out = [0.0] * self.size()
         for index, value in self._iter_items():
             out[index] = value
@@ -83,11 +85,12 @@ class Vector(StateElement):
     def add_vector(self, other: "Vector | Sequence[float]") -> None:
         """In-place elementwise sum (the CF ``merge`` building block)."""
         theirs = other.to_list() if isinstance(other, Vector) else list(other)
-        mine = self.to_list()
-        mine.extend([0.0] * (len(theirs) - len(mine)))
+        if self._dirty is None and isinstance(other, Vector):  # all floats
+            self._update_count += self._backend.add_values(theirs)  # type: ignore
+            return
         for index, value in enumerate(theirs):
             if value:
-                self._set(index, mine[index] + value)
+                self.add(index, value)
 
     def scale(self, factor: float) -> None:
         """In-place multiplication of every element by ``factor``."""

@@ -127,6 +127,24 @@ class TestDenseGridBackend:
         backend = DenseGridBackend(1, 1)
         assert backend.contains((0, 0))
 
+    @pytest.mark.parametrize("key", [
+        (-1, 0), (2, 0), (0, 2), (1,), (0, 0, 0), [0, 0], (0.5, 0),
+        (0, 1.0), (0, "1"), (None, 0), 7,
+    ])
+    def test_every_operation_rejects_a_bad_key(self, key):
+        backend = DenseGridBackend(2, 2)
+        for op in (backend.get, backend.contains, backend.delete,
+                   lambda k: backend.set(k, 1.0)):
+            with pytest.raises(StateError):
+                op(key)
+        assert backend.journal().empty
+        assert [value for _key, value in backend.items()] == [0.0] * 4
+
+    def test_bool_coordinates_are_ints(self):
+        backend = DenseGridBackend(2, 2)
+        backend.set((True, 0), 3.0)
+        assert backend.get((1, 0)) == 3.0
+
 
 class TestSparseMatrixBackend:
     def test_row_index_maintained(self):
@@ -134,24 +152,24 @@ class TestSparseMatrixBackend:
         backend.set((1, 2), 5.0)
         backend.set((1, 7), 6.0)
         backend.delete((1, 2))
-        assert backend.row_cols(1) == {7}
+        assert backend._row_cols == {1: {7}}
         backend.delete((1, 7))
-        assert backend.row_cols(1) == set()
+        assert backend._row_cols == {}
 
     def test_column_index_maintained(self):
         backend = SparseMatrixBackend()
         backend.set((1, 2), 5.0)
         backend.set((4, 2), 6.0)
-        backend.set((4, 2), 7.0)  # overwrite: no index change
-        assert backend.col_cells(2) == {1: 5.0, 4: 7.0}
-        backend.col_cells(2).clear()  # a copy
+        backend.put((4, 2), 7.0)  # overwrite: no index change
+        assert backend._col_rows == {2: {1, 4}}
+        assert backend.get((4, 2)) == 7.0
         backend.delete((1, 2))
-        assert backend.col_cells(2) == {4: 7.0}
+        assert backend._col_rows == {2: {4}}
         with pytest.raises(KeyError):
             backend.delete((1, 2))
-        assert backend.col_cells(2) == {4: 7.0}
+        assert backend._col_rows == {2: {4}}
         backend.clear()
-        assert backend.col_cells(2) == {} and backend.row_cols(4) == set()
+        assert backend._col_rows == {} and backend._row_cols == {}
 
     def test_key_validation(self):
         backend = SparseMatrixBackend()

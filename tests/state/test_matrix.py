@@ -4,7 +4,27 @@ import pytest
 
 from repro.errors import StateError
 from repro.state import DenseMatrix, Matrix, Vector
-from repro.state.backend import SparseMatrixBackend
+
+
+class Recording(dict):
+    """A dict that logs each key looked up and cannot be iterated."""
+
+    def __init__(self, contents, read):
+        super().__init__(contents)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.append(key)
+        return super().get(key, default)
+
+    def __iter__(self):
+        raise AssertionError("multiply walked the whole store")
+
+    items = keys = values = __iter__
 
 
 class TestSparseMatrix:
@@ -152,32 +172,27 @@ class TestMultiplyCostsWhatItTouches:
                     for col, weight in sorted(self.OPERAND.items()))
                 for row in range(self.SIDE)]
 
-    def counted_multiply(self, m, monkeypatch):
-        def no_scan(self):
-            raise AssertionError("multiply walked the whole store")
-
-        read = []
-        col_cells = SparseMatrixBackend.col_cells
-
-        def counting(self, col):
-            cells = col_cells(self, col)
-            read.append(len(cells))
-            return cells
-
-        monkeypatch.setattr(SparseMatrixBackend, "items", no_scan)
-        monkeypatch.setattr(SparseMatrixBackend, "col_cells", counting)
+    def counted_multiply(self, m):
+        """Multiply with the cells and the column index swapped for
+        copies that record every key read and refuse to be walked."""
+        cells, columns = [], []
+        backend = m.backend
+        backend._map = Recording(backend._map, cells)
+        backend._col_rows = Recording(backend._col_rows, columns)
         operand = [0.0] * self.SIDE
         for col, weight in self.OPERAND.items():
             operand[col] = weight
         result = m.multiply(Vector(values=operand)).to_list()
-        assert sum(read) <= len(self.OPERAND) * self.SIDE
+        assert set(columns) <= set(self.OPERAND)
+        assert {col for _row, col in cells} <= set(self.OPERAND)
+        assert len(cells) <= len(self.OPERAND) * self.SIDE
         return result
 
-    def test_idle(self, populated, monkeypatch):
-        result = self.counted_multiply(populated, monkeypatch)
+    def test_idle(self, populated):
+        result = self.counted_multiply(populated)
         assert result == self.expected(lambda r, c: float((r + c) % 5))
 
-    def test_checkpoint_in_progress(self, populated, monkeypatch):
+    def test_checkpoint_in_progress(self, populated):
         populated.begin_checkpoint()
         populated.set_element(10, 77, 100.0)   # overwrite, in operand
         populated.set_element(10, 78, 100.0)   # overwrite, outside it
@@ -193,7 +208,7 @@ class TestMultiplyCostsWhatItTouches:
                 return 9.0
             return float((row + col) % 5)
 
-        result = self.counted_multiply(populated, monkeypatch)
+        result = self.counted_multiply(populated)
         assert result == self.expected(cells)
 
 

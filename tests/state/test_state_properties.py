@@ -147,7 +147,9 @@ def test_vector_checkpoint_transparency(ops_list):
     assert checkpointed.to_list() == plain.to_list()
 
 
-cell_keys = st.tuples(st.integers(-2, 3), st.integers(-2, 3))
+coordinates = st.one_of(st.integers(-2, 3),
+                        st.sampled_from([0.0, 0.5, 1.0, -1.5]))
+cell_keys = st.tuples(coordinates, coordinates)
 written_values = st.one_of(st.integers(-5, 5), st.floats(-5, 5),
                            st.just("x"))
 
