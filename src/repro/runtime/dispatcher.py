@@ -128,18 +128,20 @@ class Dispatcher:
         """``ONE_TO_ALL``: fan each item out under a fresh request id.
 
         ``cause`` threads the causal trace id through the fan-out; the
-        broadcast itself still mints a fresh request id per item.
+        broadcast itself still mints a fresh request id per item. The
+        barrier waits for every slot, as for an injected broadcast: a
+        replica on a dead node answers from its replayed buffer once
+        it is recovered.
         """
         dst_te = edge.dst
         slots = self.topology.te_slot_count(dst_te)
-        expected = len(self.topology.te_instances(dst_te))
         send = self.transport.send
         trace_id = cause.trace_id
         for item in outputs:
             request_id = self.next_request_id()
             for dst in range(slots):
                 send(instance, edge_index, dst_te, dst, item, request_id,
-                     expected, trace_id)
+                     slots, trace_id)
         self._c_broadcast.inc(slots * len(outputs))
 
     def key_partitioned(self, instance: "TEInstance", edge_index: int,

@@ -21,12 +21,16 @@ Envelopes cross in **runs**: ``deliver()`` appends to a per-worker
 pending list that becomes one ``MSG_DELIVER`` frame at ``WIRE_RUN``
 envelopes, at the top of every pump round (so ``run_until_idle``,
 ``poll`` and a state pull all flush) and ahead of any control frame to
-that worker, which keeps each link FIFO. A relayed ``MSG_OUT`` list is
-re-delivered envelope by envelope and so re-grouped per destination.
-Injecting less than one run and never pumping leaves those envelopes in
-the coordinator until the next drain, poll or state read. A worker
-empties its pipe into the inboxes, then takes up to ``WIRE_RUN`` local
-steps before it looks at the pipe again.
+that worker, which keeps each link FIFO. A worker groups what it sends
+other workers by destination (the transport resolves the owning worker
+once per route) and ships each group as ``MSG_OUT`` wrapping the
+destination's ready-made ``MSG_DELIVER`` frame; the coordinator counts
+it, flushes that destination's pending run and queues the bytes behind
+it, without decoding a single envelope. Injecting less than one run and
+never pumping leaves those envelopes in the coordinator until the next
+drain, poll or state read. A worker empties its pipe into the inboxes,
+then takes up to ``WIRE_RUN`` local steps before it looks at the pipe
+again.
 
 Deadlock freedom by construction:
 
@@ -120,7 +124,9 @@ from repro.runtime.wire import (
     MSG_STATE,
     MSG_TRACE,
     FrameBuffer,
+    decode_run,
     encode_frame,
+    encode_run,
     write_bytes,
     write_frame,
 )
@@ -534,7 +540,7 @@ class MultiprocessSubstrate:
         """Turn the link's pending envelopes into one ``MSG_DELIVER``."""
         if link.pending:
             run, link.pending = link.pending, []
-            self._frame(link, (MSG_DELIVER, run))
+            self._frame(link, (MSG_DELIVER, encode_run(run)))
 
     def _frame(self, link: _Link, message: Any) -> None:
         t0 = time.perf_counter()
@@ -542,6 +548,10 @@ class MultiprocessSubstrate:
         elapsed = time.perf_counter() - t0
         self._m_serialize.inc(elapsed)
         self._p_serialize.add(elapsed)
+        self._queue(link, data)
+
+    def _queue(self, link: _Link, data: bytes) -> None:
+        """Count one outbound frame and write what the pipe takes."""
         self._m_frames_send.inc()
         self._m_bytes_send.inc(len(data))
         link.outbox.append(data)
@@ -594,9 +604,15 @@ class MultiprocessSubstrate:
     def _handle(self, link: _Link, message: tuple) -> None:
         tag = message[0]
         if tag == MSG_OUT:
-            link.received_out += len(message[1])
-            for envelope in message[1]:
-                self.deliver(envelope)
+            # Relayed as bytes: routed to the destination in full, and
+            # queued behind the envelopes already routed there.
+            _, dst, count, frame = message
+            link.received_out += count
+            target = self._links[dst]
+            target.sent += count
+            self._routed += count
+            self._flush_run(target)
+            self._queue(target, frame)
         elif tag == MSG_IDLE or tag == MSG_STATE:
             link.consumed, link.emitted, link.processed = message[1:4]
             self._absorb_obs(link, message[4])
@@ -828,28 +844,40 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
     (w_frames_send, w_frames_recv, w_bytes_send, w_bytes_recv,
      w_serialize) = _wire_meters(runtime.metrics, "worker")
 
-    def ship(message: Any) -> None:
+    def encode(message: Any) -> bytes:
         t0 = time.perf_counter()
         data = encode_frame(message)
         elapsed = time.perf_counter() - t0
         w_serialize.inc(elapsed)
         p_serialize.add(elapsed)
+        return data
+
+    def ship(message: Any) -> None:
+        data = encode(message)
         write_bytes(send_fd, data)
         w_frames_send.inc()
         w_bytes_send.inc(len(data))
 
-    outgoing: list = []
+    # Envelopes for each other worker, by its id, not yet framed.
+    outgoing: list[list] = [[] for _ in range(placement.n_workers)]
+
+    def flush_to(dst: int) -> None:
+        run = outgoing[dst]
+        ship((MSG_OUT, dst, len(run),
+              encode((MSG_DELIVER, encode_run(run)))))
+        run.clear()
 
     def flush_out() -> None:
-        if outgoing:
-            ship((MSG_OUT, outgoing))
-            outgoing.clear()
+        for dst, run in enumerate(outgoing):
+            if run:
+                flush_to(dst)
 
-    def remote_send(envelope: "Envelope") -> None:
-        outgoing.append(envelope)
+    def remote_send(envelope: "Envelope", dst: int) -> None:
+        run = outgoing[dst]
+        run.append(envelope)
         counters["emitted"] += 1
-        if len(outgoing) >= WIRE_RUN:
-            flush_out()
+        if len(run) >= WIRE_RUN:
+            flush_to(dst)
 
     runtime.transport.enable_worker_routing(placement, worker_id,
                                             remote_send)
@@ -918,8 +946,9 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
             message = pending.popleft()
             tag = message[0]
             if tag == MSG_DELIVER:
-                counters["consumed"] += len(message[1])
-                for envelope in message[1]:
+                run = decode_run(message[1])
+                counters["consumed"] += len(run)
+                for envelope in run:
                     deliver(envelope)
                 continue
             counters["consumed"] += 1

@@ -45,11 +45,12 @@ class Channel:
     refused: int = 0
     #: The route, resolved once per structural change instead of once
     #: per envelope: the destination instance (``None`` for an empty
-    #: slot) as of ``Topology.version == version``, whether another
-    #: worker owns it (only ever True inside a worker), and the destination
-    #: TE's inbox-depth gauge child. A stale stamp means "resolve again".
+    #: slot) as of ``Topology.version == version``, the id of the worker
+    #: that owns it when that is another worker (only ever set inside a
+    #: worker; ``None`` means local), and the destination TE's
+    #: inbox-depth gauge child. A stale stamp means "resolve again".
     instance: "TEInstance | None" = None
-    remote: bool = False
+    remote: int | None = None
     version: int = -1
     inbox_depth: Any = None
 
@@ -155,9 +156,9 @@ class Transport:
         """Route envelopes for non-local instances through the wire.
 
         Called once inside each worker process after the fork:
-        ``placement`` maps instance keys to workers, ``remote_send``
-        writes one envelope frame towards the coordinator, which
-        forwards it to the owning worker. Local hops keep the exact
+        ``placement`` maps instance keys to workers, and
+        ``remote_send(envelope, worker)`` queues one envelope for the
+        owning worker (through the coordinator). Local hops keep the exact
         in-process delivery path (and the configured ``copy_payloads``
         semantics — within a worker, references are shared again).
         """
@@ -205,17 +206,17 @@ class Transport:
             channel.instance = topology.te_instance(
                 channel_id.dst_te, channel_id.dst_instance)
             placement = self._placement
-            channel.remote = placement is not None and placement.owner_of(
-                channel_id.dst_te, channel_id.dst_instance
-            ) != self._local_worker
+            owner = None if placement is None else placement.owner_of(
+                channel_id.dst_te, channel_id.dst_instance)
+            channel.remote = None if owner == self._local_worker else owner
             channel.version = topology.version
-        if channel.remote:
+        if channel.remote is not None:
             # Not ours: ship it to the owning worker via the wire. The
             # frame counts as delivered on this channel — the owning
             # worker performs the actual inbox append on its side.
             self._c_wire.inc()
             channel.delivered += 1
-            self._remote_send(envelope)
+            self._remote_send(envelope, channel.remote)
             return True
         instance = channel.instance
         if instance is None or not topology.nodes[instance.node_id].alive:

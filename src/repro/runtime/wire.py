@@ -23,11 +23,16 @@ Workers write blocking (:func:`write_bytes` / :func:`write_frame`); the
 coordinator queues encoded frames and writes them as the pipe takes
 them.
 
-Data frames carry **runs**: ``MSG_DELIVER`` and ``MSG_OUT`` hold a list
-of envelopes, so one pickle, one header and one ``os.write`` are shared
-by up to ``multiprocess.WIRE_RUN`` envelopes (and pickle memoises the
-class and field names once per frame). The receiver still serves every
-envelope one at a time.
+Data frames carry **runs**: a ``MSG_DELIVER`` holds a list of up to
+``multiprocess.WIRE_RUN`` envelopes, so one pickle, one header and one
+``os.write`` are shared by the run. Every run crosses through one codec
+pair, :func:`encode_run` / :func:`decode_run`: on the wire an envelope
+is a plain 6-tuple (an ``Envelope`` would cost pickle one Python-level
+``__getnewargs__`` call each), and a route's interned ``ChannelId`` is
+written once per frame by pickle's memo. A worker's ``MSG_OUT`` wraps
+the destination's ready-made ``MSG_DELIVER`` frame, which the
+coordinator forwards as bytes. The receiver still serves every envelope
+one at a time.
 """
 
 from __future__ import annotations
@@ -35,9 +40,11 @@ from __future__ import annotations
 import os
 import pickle
 import struct
+from functools import partial
 from typing import Any, Iterator
 
 from repro.errors import RuntimeExecutionError
+from repro.runtime.envelope import Envelope
 
 #: Frame header: payload length as a 4-byte big-endian unsigned int.
 FRAME_HEADER = struct.Struct(">I")
@@ -65,6 +72,20 @@ def encode_frame(message: Any) -> bytes:
 def decode_frame(payload: bytes) -> Any:
     """Deserialise the payload bytes of one frame (prefix stripped)."""
     return pickle.loads(payload)
+
+
+def encode_run(run: list[Envelope]) -> list[tuple]:
+    """A run of envelopes as the plain tuples a data frame carries."""
+    return list(map(tuple, run))
+
+
+#: ``tuple.__new__(Envelope, row)``: a C-level call per envelope.
+_envelope = partial(tuple.__new__, Envelope)
+
+
+def decode_run(rows: list[tuple]) -> list[Envelope]:
+    """The envelopes of a decoded data frame's rows, typed again."""
+    return list(map(_envelope, rows))
 
 
 class FrameBuffer:
@@ -141,16 +162,19 @@ def write_frame(fd: int, message: Any) -> None:
 #: index digest, capability flags); the worker verifies it against its
 #: own forked view before serving traffic.
 MSG_HELLO = "hello"
-#: coordinator -> worker: ``(tag, [envelope, ...])`` — a run of
-#: envelopes to enqueue locally, in order.
+#: coordinator -> worker: ``(tag, encode_run(run))`` — a run of
+#: envelopes to enqueue locally, in order. Built by the coordinator for
+#: what it routes, and by a worker for what it sends another worker.
 MSG_DELIVER = "deliver"
 #: coordinator -> worker: state pull — ship back the SE elements you own.
 MSG_SNAPSHOT = "snapshot"
 #: coordinator -> worker: exit the worker loop.
 MSG_SHUTDOWN = "shutdown"
 
-#: worker -> coordinator: ``(tag, [envelope, ...])`` — envelopes whose
-#: destinations live elsewhere, in emission order.
+#: worker -> coordinator: ``(tag, dst_worker, count, frame)`` — ``count``
+#: envelopes for worker ``dst_worker``, in emission order, as ``frame``:
+#: that worker's complete ``MSG_DELIVER`` frame (header included). The
+#: coordinator appends the bytes to the destination's outbox undecoded.
 MSG_OUT = "out"
 #: worker -> coordinator: progress report — ``(tag, consumed, emitted,
 #: processed, obs)`` where the cumulative counters double as the

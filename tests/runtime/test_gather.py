@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.apps import CollaborativeFiltering
 from repro.core import SDG, AccessMode, Dispatch, StateKind
 from repro.errors import RuntimeExecutionError
+from repro.recovery import BackupStore, CheckpointManager, RecoveryManager
 from repro.runtime import Runtime, RuntimeConfig
 from repro.state import KeyValueMap
 
@@ -108,6 +110,39 @@ class TestEntryGlobalAccess:
         runtime.inject("reader", "q")
         runtime.run_until_idle()
         assert runtime.results["merge"] == [[0, 1, 2]]
+
+
+class TestBroadcastAcrossFailure:
+    """A broadcast waits for every replica slot, dead ones included."""
+
+    @staticmethod
+    def rated():
+        app = CollaborativeFiltering.launch(user_item=2, co_occ=2)
+        for user in range(6):
+            for item in range(5):
+                app.add_rating(user, item, 1 + (user + item) % 5)
+        app.run()
+        return app
+
+    def test_reply_waits_for_the_recovered_replica(self):
+        clean = self.rated()
+        clean.get_rec(1)
+        clean.run()
+        (expected,) = [rec.to_list() for rec in clean.results("get_rec")]
+
+        app = self.rated()
+        store = BackupStore(m_targets=2)
+        CheckpointManager(app.runtime, store).checkpoint_all()
+        victim = app.runtime.se_instance("co_occ", 1).node_id
+        app.runtime.fail_node(victim)
+        app.get_rec(1)
+        app.run()
+        # One replica's partial vector is not an answer.
+        assert app.results("get_rec") == []
+        RecoveryManager(app.runtime, store).recover_node(victim)
+        app.run()
+        assert [rec.to_list() for rec in app.results("get_rec")] == [
+            expected]
 
 
 class TestLocalAccessLoadBalancing:

@@ -27,6 +27,7 @@ from repro.durability.manifest import state_fingerprint
 from repro.errors import RuntimeExecutionError
 from repro.obs.events import KIND
 from repro.runtime import Runtime, RuntimeConfig
+from repro.runtime.wire import MSG_DELIVER, MSG_OUT, FrameBuffer, decode_run
 from repro.state import KeyValueMap
 from repro.testing import build_kv_sdg
 
@@ -43,6 +44,29 @@ def hop_view(runtime):
                                for hop in trace.hops)
         for trace in runtime.tracer.traces()
     }
+
+
+def spy_relays(runtime):
+    """Record each ``MSG_OUT`` the coordinator relays as ``(src_worker,
+    dst_worker)``. The frame is decoded here, by the test, and must be a
+    run from another worker for the worker owning every envelope in it."""
+    substrate = runtime.substrate
+    handle, relays = substrate._handle, []
+
+    def spy(link, message):
+        if message[0] == MSG_OUT:
+            _, dst, count, frame = message
+            ((tag, rows),) = FrameBuffer().feed(frame)
+            assert tag == MSG_DELIVER and len(rows) == count
+            owner = substrate.placement.owner_of
+            assert dst != link.worker_id
+            assert {owner(e.channel.dst_te, e.channel.dst_instance)
+                    for e in decode_run(rows)} == {dst}
+            relays.append((link.worker_id, dst))
+        return handle(link, message)
+
+    substrate._handle = spy
+    return relays
 
 
 def traced_kv(substrate, workers=None):
@@ -294,8 +318,11 @@ class TestCrashRestartAccounting:
                 RuntimeConfig(te_instances={"split": 2},
                               se_instances={"counts": 4},
                               substrate=substrate, **config)).deploy()
+            relays = (spy_relays(runtime) if substrate == "multiprocess"
+                      else [])
             try:
                 for start in range(0, 90, 30):
+                    relayed = len(relays)
                     for line in lines[start:start + 30]:
                         runtime.inject("split", line)
                     runtime.run_until_idle()
@@ -305,7 +332,8 @@ class TestCrashRestartAccounting:
                 metrics = runtime.merged_metrics().snapshot()
                 return (counts, state_fingerprint(runtime),
                         metrics["engine_items_processed_total"]["children"],
-                        runtime.events.events(kind=KIND.WORKER_RESTART))
+                        runtime.events.events(kind=KIND.WORKER_RESTART),
+                        len(relays) - relayed)
             finally:
                 runtime.close()
 
@@ -315,6 +343,9 @@ class TestCrashRestartAccounting:
         open(oracle_flag, "w").close()
         clean = run(oracle_flag, "inprocess")
         assert crashed[:3] == clean[:3]
+        # The re-forked fleet relayed the whole last drain, each run to
+        # the worker owning its envelopes (spy_relays checks that).
+        assert crashed[4] > 0
         assert sum(clean[0].values()) == 90 * 6 + 1
         assert os.path.exists(flag), "the crash never happened"
         assert len(crashed[3]) == 1, "expected one worker-restart event"

@@ -394,7 +394,9 @@ class TestSendsAndServesBuildNothingPerItem:
                                       ("put", i, i), None, None)
 
         def split():
-            return ([e.channel.dst_instance for e in shipped],
+            # Shipped to the owning worker, named per route.
+            assert {worker for _, worker in shipped} <= {1}
+            return ([e.channel.dst_instance for e, _ in shipped],
                     [len(runtime.te_instance("serve", index).inbox)
                      for index in range(4)])
 
@@ -402,7 +404,9 @@ class TestSendsAndServesBuildNothingPerItem:
         send_a_thousand()
         assert split() == ([], [250] * 4)
         assert runtime.run_until_idle() == 1000
-        transport.enable_worker_routing(placement, 0, shipped.append)
+        transport.enable_worker_routing(
+            placement, 0,
+            lambda envelope, worker: shipped.append((envelope, worker)))
         send_a_thousand()
         assert 0 < placement.asked <= 4
         assert split() == ([1, 3] * 250, [250, 0, 250, 0])

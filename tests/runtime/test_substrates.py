@@ -39,7 +39,10 @@ from repro.runtime.multiprocess import WIRE_RUN, MultiprocessSubstrate
 from repro.state import KeyValueMap, Matrix, Vector
 from repro.testing import build_iterative_sdg, build_kv_sdg
 from repro.workloads import RatingsWorkload
-from tests.runtime.test_multiprocess_obs import build_crash_once_kv
+from tests.runtime.test_multiprocess_obs import build_crash_once_kv, spy_relays
+
+WORDCOUNT_TEXT = ["the quick brown fox", "jumps over the lazy dog",
+                  "the fox", "dog days of state"]
 
 
 def run_kv(substrate, workers=None, puts=120, gets=13, partitions=4,
@@ -67,10 +70,8 @@ def run_wordcount(substrate, workers=None, lines=80, partitions=4):
                            substrate=substrate, workers=workers)
     runtime = Runtime(build_wordcount_sdg(), config).deploy()
     try:
-        text = ["the quick brown fox", "jumps over the lazy dog",
-                "the fox", "dog days of state"]
         for i in range(lines):
-            runtime.inject("split", (i, text[i % len(text)]))
+            runtime.inject("split", (i, WORDCOUNT_TEXT[i % 4]))
         processed = runtime.run_until_idle()
         fingerprint = state_fingerprint(runtime)
         results = {te: sorted(map(repr, items))
@@ -500,10 +501,8 @@ class TestEnvelopeRuns:
                                substrate="multiprocess", workers=2)
         runtime = Runtime(build_wordcount_sdg(), config).deploy()
         try:
-            text = ["the quick brown fox", "jumps over the lazy dog",
-                    "the fox", "dog days of state"]
             for i in range(3000):
-                runtime.inject("split", (i, text[i % len(text)]))
+                runtime.inject("split", (i, WORDCOUNT_TEXT[i % 4]))
             runtime.run_until_idle()
             forwards = runtime.merged_metrics().total(
                 "transport_wire_forwards_total")
@@ -511,6 +510,57 @@ class TestEnvelopeRuns:
             assert send_frames(runtime, "worker") * 10 <= forwards
         finally:
             runtime.close()
+
+    def test_the_coordinator_never_decodes_a_forward(self):
+        # Forwards travel as the destination's ready-made frame: the
+        # coordinator routes what was injected and nothing else.
+        config = RuntimeConfig(se_instances={"counts": 4},
+                               substrate="multiprocess", workers=2)
+        runtime = Runtime(build_wordcount_sdg(), config).deploy()
+        deliver, routed = runtime.substrate.deliver, []
+
+        def spy(envelope):
+            routed.append(envelope)
+            return deliver(envelope)
+
+        runtime.substrate.deliver = spy
+        try:
+            for i in range(3000):
+                runtime.inject("split", (i, WORDCOUNT_TEXT[i % 4]))
+            runtime.run_until_idle()
+            metrics = runtime.merged_metrics()
+            assert metrics.total("transport_wire_forwards_total") > 1000
+            assert len(routed) == metrics.total(
+                "engine_items_injected_total") == 3000
+        finally:
+            runtime.close()
+
+    def test_three_workers_relay_to_both_peers(self):
+        def run(substrate, workers=None):
+            runtime = Runtime(
+                build_wordcount_sdg(),
+                RuntimeConfig(te_instances={"split": 3},
+                              se_instances={"counts": 6},
+                              substrate=substrate, workers=workers),
+            ).deploy()
+            relays = (spy_relays(runtime) if substrate == "multiprocess"
+                      else [])
+            try:
+                for i in range(300):
+                    runtime.inject("split", (i, WORDCOUNT_TEXT[i % 4]))
+                runtime.run_until_idle()
+                peers = {}
+                for src, dst in relays:
+                    peers.setdefault(src, set()).add(dst)
+                results = {te: sorted(map(repr, items))
+                           for te, items in runtime.results.items()}
+                return peers, results, state_fingerprint(runtime)
+            finally:
+                runtime.close()
+
+        peers, *outcome = run("multiprocess", workers=3)
+        assert peers == {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
+        assert outcome == list(run("inprocess")[1:])
 
     @pytest.mark.parametrize("items", [63, 64, 65, 128, 129])
     def test_order_survives_list_boundaries(self, items):

@@ -14,6 +14,8 @@ import os
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import fault_from_dict, fault_to_dict
 from repro.chaos.plan import CrashTask, KillNode, ScaleUp
@@ -27,13 +29,29 @@ from repro.runtime.envelope import (
 from repro.runtime.wire import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
+    MSG_DELIVER,
+    MSG_OUT,
     FrameBuffer,
     WireError,
     decode_frame,
+    decode_run,
     encode_frame,
+    encode_run,
     write_frame,
 )
 from repro.state.base import DeltaChunk, StateChunk
+
+#: Payloads a data frame carries: nested tuples and dicts over None,
+#: ints (big ones too), strings and the gather sentinel.
+PAYLOADS = st.recursive(
+    st.none() | st.integers() | st.integers(2**64, 2**200)
+    | st.text(max_size=6) | st.just(NO_RESPONSE),
+    lambda inner: (st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=8,
+)
+OPTIONAL_IDS = st.none() | st.integers(0, 2**40)
 
 
 def make_envelope(payload="x", ts=7, request_id=None, expected=None,
@@ -42,6 +60,16 @@ def make_envelope(payload="x", ts=7, request_id=None, expected=None,
     return Envelope(payload=payload, ts=ts, channel=channel,
                     request_id=request_id, expected_responses=expected,
                     trace_id=trace_id)
+
+
+def assert_same_envelopes(clones, run):
+    """Field by field, and typed: an Envelope equals a plain tuple."""
+    assert len(clones) == len(run)
+    for clone, envelope in zip(clones, run):
+        assert type(clone) is Envelope
+        assert type(clone.channel) is ChannelId
+        for name in Envelope._fields:
+            assert getattr(clone, name) == getattr(envelope, name)
 
 
 def read_frames(fd, buffer):
@@ -72,11 +100,14 @@ class TestFrameCodec:
         r, w = os.pipe()
         try:
             write_frame(w, ("idle", 3, 4, 5))
-            write_frame(w, ("out", [make_envelope()]))
-            idle, (tag, envelopes) = read_frames(r, FrameBuffer())
+            inner = encode_frame((MSG_DELIVER, encode_run([make_envelope()])))
+            write_frame(w, (MSG_OUT, 1, 1, inner))
+            idle, (tag, dst, count, frame) = read_frames(r, FrameBuffer())
             assert idle == ("idle", 3, 4, 5)
-            assert tag == "out"
-            assert envelopes == [make_envelope()]
+            assert (tag, dst, count, frame) == (MSG_OUT, 1, 1, inner)
+            # The relayed bytes are a whole frame for the destination.
+            ((_, rows),) = FrameBuffer().feed(frame)
+            assert decode_run(rows) == [make_envelope()]
         finally:
             os.close(r)
             os.close(w)
@@ -108,7 +139,7 @@ class TestFrameCodec:
             os.close(w)
 
     def test_envelope_run_round_trip(self):
-        # What MSG_DELIVER / MSG_OUT carry: a list of envelopes. Every
+        # What a MSG_DELIVER carries: a run through the run codec. Every
         # field survives inside the list, and the identity-compared
         # gather sentinel is still the singleton.
         run = [
@@ -118,17 +149,42 @@ class TestFrameCodec:
             make_envelope(payload=NO_RESPONSE, ts=3, request_id=5,
                           expected=3, trace_id=11),
         ]
-        (message,) = FrameBuffer().feed(encode_frame(("deliver", run)))
-        tag, clones = message
-        assert tag == "deliver"
+        (message,) = FrameBuffer().feed(
+            encode_frame((MSG_DELIVER, encode_run(run))))
+        tag, rows = message
+        assert tag == MSG_DELIVER
+        assert [type(row) for row in rows] == [tuple] * 3
+        clones = decode_run(rows)
         assert clones == run
         assert clones[2].payload is NO_RESPONSE
+        assert_same_envelopes(clones, run)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(PAYLOADS, st.integers(0, 2**40),
+                                   st.integers(0, 2), OPTIONAL_IDS,
+                                   OPTIONAL_IDS, OPTIONAL_IDS),
+                         max_size=70))
+    def test_run_codec_round_trip_property(self, rows):
+        # Three interned routes, as a producer's emit routes hold them.
+        routes = [ChannelId(edge, "split", edge, "count", 3 - edge)
+                  for edge in range(3)]
+        run = [Envelope(payload, ts, routes[route], request_id, expected,
+                        trace_id)
+               for payload, ts, route, request_id, expected, trace_id
+               in rows]
+        (message,) = FrameBuffer().feed(
+            encode_frame((MSG_DELIVER, encode_run(run))))
+        clones = decode_run(message[1])
+        assert_same_envelopes(clones, run)
         for clone, envelope in zip(clones, run):
-            # Equal to a plain tuple too, so pin the type as well.
-            assert type(clone) is Envelope
-            assert type(clone.channel) is ChannelId
-            for name in Envelope._fields:
-                assert getattr(clone, name) == getattr(envelope, name)
+            assert ((clone.payload is NO_RESPONSE)
+                    == (envelope.payload is NO_RESPONSE))
+        # One route, one channel: pickle's memo writes it once a frame.
+        for route in routes:
+            shared = [clone.channel for clone, envelope in zip(clones, run)
+                      if envelope.channel is route]
+            assert all(channel == route for channel in shared)
+            assert len({id(channel) for channel in shared}) <= 1
 
 
 class TestFrameBuffer:
