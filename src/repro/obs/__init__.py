@@ -9,10 +9,12 @@ existing step-hook/facade seams:
   counted. Histogram buckets are *logical steps*; only the
   ``*_seconds_total`` series hold wall-clock time, and nothing reads
   them back, so the deterministic core (§4.1) stays deterministic. On
-  the multiprocess substrate each
-  worker's registry shard streams back to the coordinator piggybacked
-  on idle frames, so ``runtime.merged_metrics()`` is fresh *between*
-  barriers, not only at them.
+  the multiprocess substrate each worker's cell values stream back to
+  the coordinator as one flat tuple piggybacked on idle frames, against
+  a schema sent only when the worker's registry changed shape
+  (``MetricsRegistry.shard`` / ``expand``), so
+  ``runtime.merged_metrics()`` is fresh *between* barriers, not only at
+  them.
 * :mod:`repro.obs.trace` — optional per-envelope causal tracing
   (``RuntimeConfig(trace=True)``): each envelope carries a trace id and
   the :class:`Tracer` reconstructs its hop list (TE, instance,

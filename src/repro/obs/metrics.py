@@ -34,6 +34,7 @@ __all__ = [
     "MetricError",
     "NullRegistry",
     "NULL_REGISTRY",
+    "ShardCache",
     "default_registry",
     "DEFAULT_STEP_BUCKETS",
 ]
@@ -192,6 +193,20 @@ class Histogram(_Metric):
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
+class ShardCache:
+    """What one shard stream remembers between two
+    :meth:`MetricsRegistry.shard` calls: the shape it last described
+    (a count of metrics and cells), each metric's children table, and
+    the cells in registry order, histograms flagged."""
+
+    __slots__ = ("stamp", "tables", "cells")
+
+    def __init__(self) -> None:
+        self.stamp = -1
+        self.tables: list[dict] = []
+        self.cells: list[tuple[object, bool]] = []
+
+
 class MetricsRegistry:
     """Get-or-create home for metrics, with Prometheus text export."""
 
@@ -266,9 +281,11 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """The registry's full state as plain picklable data.
 
-        Worker processes ship these shards to the coordinator at
-        barrier points; :meth:`merge_snapshot` folds them back into one
-        registry so observability output is substrate-agnostic.
+        :meth:`merge_snapshot` folds such shards back into one registry
+        so observability output is substrate-agnostic. Worker processes
+        ship the compact :meth:`shard` form instead, and the
+        coordinator turns it back into this dict with :meth:`expand`
+        when it is read.
         """
         out: dict = {}
         for name, metric in self._metrics.items():
@@ -284,6 +301,54 @@ class MetricsRegistry:
             if metric.kind == "histogram":
                 entry["buckets"] = metric.buckets
             out[name] = entry
+        return out
+
+    def shard(self, cache: ShardCache) -> tuple:
+        """The registry's state as ``(schema | None, values)``: the
+        compact :meth:`snapshot` a worker ships in every report.
+
+        ``values`` has one entry per cell, in registry order: the value
+        of a counter or gauge cell, ``(counts, sum, count)`` of a
+        histogram cell. ``schema`` describes those cells, one ``(name,
+        kind, help, buckets, label keys)`` per metric, and is ``None``
+        when ``cache`` saw the same shape on the previous call. Metrics
+        and cells are only ever added (:meth:`reset` zeroes in place),
+        so their count is the shape. :meth:`expand` turns a pair back
+        into the snapshot.
+        """
+        metrics = self._metrics
+        schema = None
+        if len(metrics) + sum(map(len, cache.tables)) != cache.stamp:
+            schema = tuple(
+                (name, metric.kind, metric.help,
+                 getattr(metric, "buckets", None), tuple(metric._children))
+                for name, metric in metrics.items())
+            cache.tables = [metric._children for metric in metrics.values()]
+            cache.cells = [(child, metric.kind == "histogram")
+                           for metric in metrics.values()
+                           for child in metric._children.values()]
+            cache.stamp = len(metrics) + len(cache.cells)
+        return schema, tuple([
+            (tuple(cell.counts), cell.sum, cell.count) if histogram
+            else cell.value
+            for cell, histogram in cache.cells])
+
+    @staticmethod
+    def expand(schema: tuple, values: tuple) -> dict:
+        """The :meth:`snapshot` a :meth:`shard` pair describes."""
+        cells = iter(values)
+        out: dict = {}
+        for name, kind, help, buckets, keys in schema:
+            if kind == "histogram":
+                out[name] = {
+                    "kind": kind, "help": help,
+                    "children": {key: (list(counts), total, n)
+                                 for key, (counts, total, n)
+                                 in zip(keys, cells)},
+                    "buckets": buckets}
+            else:
+                out[name] = {"kind": kind, "help": help,
+                             "children": dict(zip(keys, cells))}
         return out
 
     def merge_snapshot(self, snap: dict) -> None:

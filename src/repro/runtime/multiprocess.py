@@ -64,10 +64,13 @@ and ``close()`` — so state inspection stays substrate-agnostic.
 
 Observability rides the same pipes (no side channels):
 
-* **live metrics** — idle reports piggyback the worker's cumulative
-  registry snapshot, so :meth:`Runtime.merged_metrics` is fresh
-  *between* barriers (drive the wire with :meth:`poll` /
-  :meth:`Runtime.poll_telemetry` while a drain is in flight);
+* **live metrics** — every report piggybacks the worker's cumulative
+  metric cells as one flat tuple, with the schema that names them only
+  when the registry's shape changed since the previous report (the
+  first report of a fork, a new metric or label child), so
+  :meth:`Runtime.merged_metrics` is fresh *between* barriers (drive the
+  wire with :meth:`poll` / :meth:`Runtime.poll_telemetry` while a drain
+  is in flight) and a pair is expanded into a snapshot only when read;
 * **causal tracing** — workers record hops with their forked tracer
   and ship shards (``MSG_TRACE``, ahead of each idle report) the
   coordinator merges into one fleet-wide causal view;
@@ -106,6 +109,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import RuntimeExecutionError
 from repro.obs.events import KIND
 from repro.obs.flight import render_dump
+from repro.obs.metrics import MetricsRegistry, ShardCache
 from repro.runtime.envelope import (
     INPUT_EDGE,
     WIRE_EDGE,
@@ -193,7 +197,7 @@ class _Link:
     __slots__ = (
         "worker_id", "process", "send_fd", "recv_fd", "buffer", "outbox",
         "pending", "sent", "consumed", "emitted", "received_out", "processed",
-        "results", "state_reply", "live_shard", "fenced_shard",
+        "results", "state_reply", "schema", "shard", "fenced_shard",
         "fenced_processed",
     )
 
@@ -223,12 +227,17 @@ class _Link:
         self.results: dict[str, list] = {}
         #: SE elements of a state pull in flight, by ``(se, index)``.
         self.state_reply: dict | None = None
-        #: Freshest cumulative metrics snapshot (idle piggyback) —
-        #: what ``merged_metrics()`` reads live.
-        self.live_shard: dict | None = None
-        #: Snapshot as of the last *barrier* — what survives into
-        #: ``_retired_shards`` if this worker's fleet is restarted.
-        self.fenced_shard: dict | None = None
+        #: The worker's metric schema, as its latest report that
+        #: carried one described it (reports ship it on shape change).
+        self.schema: tuple | None = None
+        #: Freshest cumulative ``(schema, values)`` metrics shard (every
+        #: report carries the values) — what ``merged_metrics()``
+        #: expands live.
+        self.shard: tuple | None = None
+        #: The shard as of the last *barrier* (the same immutable pair,
+        #: not a copy) — what survives into ``_retired_shards`` if this
+        #: worker's fleet is restarted.
+        self.fenced_shard: tuple | None = None
         self.fenced_processed = 0
 
 
@@ -293,8 +302,9 @@ class MultiprocessSubstrate:
         self._processed_base = 0
         self._finalizer = None
         self._restarts_left = self.restarts
-        #: Barrier-fenced metric shards of fleets that were restarted.
-        self._retired_shards: list[dict] = []
+        #: Barrier-fenced ``(schema, values)`` metric shards of fleets
+        #: that were restarted.
+        self._retired_shards: list[tuple] = []
         self._retired_processed = 0
         #: Input envelopes delivered since the last barrier — the
         #: replay source for a fleet restart. Only kept when restarts
@@ -398,8 +408,7 @@ class MultiprocessSubstrate:
             envelope.channel.dst_te, envelope.channel.dst_instance
         )]
         self._routed += 1
-        logged = self.restarts and envelope.channel.edge_index == INPUT_EDGE
-        if logged:
+        if self.restarts and envelope.channel.edge_index == INPUT_EDGE:
             # Log first: if the flush trips over a dead worker, the
             # restart's replay re-delivers this envelope too, so the
             # handler below must not retry it itself.
@@ -410,8 +419,7 @@ class MultiprocessSubstrate:
             try:
                 self._flush_run(link)
             except _WorkerFailure as failure:
-                if not logged:
-                    raise
+                # Restart and replay, or raise the public error.
                 self._handle_failure(failure)
         return True
 
@@ -518,13 +526,13 @@ class MultiprocessSubstrate:
     @property
     def metric_shards(self) -> list[dict]:
         """Per-worker registry snapshots: retired fleets' barrier-fenced
-        shards plus the live fleet's freshest reports. Consumed by
+        shards plus the live fleet's freshest reports, expanded from
+        their compact pairs here, when read. Consumed by
         :meth:`Runtime.merged_metrics`; updated live as idle frames
         arrive, not only at barriers."""
-        shards = list(self._retired_shards)
-        shards.extend(link.live_shard for link in self._links
-                      if link.live_shard is not None)
-        return shards
+        pairs = self._retired_shards + [
+            link.shard for link in self._links if link.shard is not None]
+        return [MetricsRegistry.expand(*pair) for pair in pairs]
 
     # ------------------------------------------------------------------
     # Coordinator event loop
@@ -636,9 +644,10 @@ class MultiprocessSubstrate:
     def _absorb_obs(self, link: _Link, obs: dict) -> None:
         """Install a piggybacked report: the cumulative metrics shard,
         and the results produced since the previous one."""
-        metrics = obs.get("metrics")
-        if metrics is not None:
-            link.live_shard = metrics
+        schema, values = obs["metrics"]
+        if schema is not None:
+            link.schema = schema
+        link.shard = (link.schema, values)
         for te, items in obs.get("results", {}).items():
             link.results.setdefault(te, []).extend(items)
 
@@ -739,7 +748,7 @@ class MultiprocessSubstrate:
             for te, items in link.results.items():
                 results.setdefault(te, []).extend(items)
             link.results = {}
-            link.fenced_shard = link.live_shard
+            link.fenced_shard = link.shard
             link.fenced_processed = link.processed
         self._replay_log.clear()
         self._processed_base = processed_total
@@ -829,6 +838,8 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
     # values (profile phases included); zero it so this worker's shard
     # is purely its own work and the barrier merge never double-counts.
     runtime.metrics.reset()
+    # A fresh cache: the first report describes the registry in full.
+    shard_cache = ShardCache()
     # The inherited results hold whatever the coordinator collected up
     # to its last barrier (non-empty after a fleet restart); zero them
     # so this worker ships only work it performed itself.
@@ -923,7 +934,7 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         shard = probe.drain_shard()
         if shard:
             ship((MSG_TRACE, shard))
-        obs: dict = {"metrics": runtime.metrics.snapshot()}
+        obs: dict = {"metrics": runtime.metrics.shard(shard_cache)}
         fresh = {te: items for te, items in results.items() if items}
         if fresh:
             obs["results"] = fresh
@@ -935,7 +946,10 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
 
     deliver = runtime.transport.deliver
     step = runtime.step
-    reported = None
+    # The first report answers the hello: a report of no progress could
+    # never make the fleet quiet, and whether it went out would depend
+    # on whether the hello beat this loop's first look at the pipe.
+    reported = (0, 0, 0)
     drained = 0
     while True:
         # Everything the pipe holds goes into the inboxes first, then

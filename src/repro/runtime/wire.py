@@ -153,10 +153,11 @@ def write_frame(fd: int, message: Any) -> None:
 # and the tags reserve the vocabulary for the follow-ups.
 #
 # Telemetry rides the same pipes: idle reports piggyback the metrics
-# shard (profile phases included) and the terminal results produced
-# since the previous report, MSG_TRACE ships causal-trace hops, and crash frames carry the
-# worker's flight-recorder dump — no side channels. SE state crosses
-# only when the coordinator pulls it (MSG_SNAPSHOT / MSG_STATE).
+# shard (profile phases included) as a flat tuple of cell values, plus
+# the terminal results produced since the previous report; MSG_TRACE
+# ships causal-trace hops, and crash frames carry the worker's
+# flight-recorder dump — no side channels. SE state crosses only when
+# the coordinator pulls it (MSG_SNAPSHOT / MSG_STATE).
 
 #: coordinator -> worker: bootstrap (worker id, placement, successor
 #: index digest, capability flags); the worker verifies it against its
@@ -179,17 +180,20 @@ MSG_OUT = "out"
 #: worker -> coordinator: progress report — ``(tag, consumed, emitted,
 #: processed, obs)`` where the cumulative counters double as the
 #: quiescence signal and ``obs`` is a dict of the cumulative metrics
-#: shard (``"metrics"``) plus ``"results"``: the
-#: terminal outputs produced since the previous report, by TE, each
-#: shipped exactly once.
+#: shard (``"metrics"``: ``MetricsRegistry.shard``'s ``(schema | None,
+#: values)``, the schema only when the registry's shape changed since
+#: the worker's previous report) plus ``"results"``: the terminal
+#: outputs produced since the previous report, by TE, each shipped
+#: exactly once.
 MSG_IDLE = "idle"
 #: worker -> coordinator: ``(tag, [(trace_id, Hop), ...])`` — causal
 #: trace hops recorded since the last drain. Pure telemetry: never
 #: counted in the consumed/emitted quiescence arithmetic (which counts
 #: envelopes for the two data frames and one per control frame).
 MSG_TRACE = "trace"
-#: worker -> coordinator: state-pull reply — an idle report with one
-#: more field, the worker's SE elements by ``(se, index)``.
+#: worker -> coordinator: state-pull reply — an idle report (the same
+#: compact metrics shard included) with one more field, the worker's SE
+#: elements by ``(se, index)``.
 MSG_STATE = "state"
 #: worker -> coordinator: the worker loop died — ``(tag, traceback,
 #: extra)`` where ``extra`` carries the worker id, step count and the

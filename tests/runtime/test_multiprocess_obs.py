@@ -16,7 +16,9 @@ oracle:
 """
 
 import os
+import signal
 import time
+from collections import Counter
 
 import pytest
 
@@ -26,8 +28,17 @@ from repro.core.elements import AccessMode, StateKind
 from repro.durability.manifest import state_fingerprint
 from repro.errors import RuntimeExecutionError
 from repro.obs.events import KIND
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime import Runtime, RuntimeConfig
-from repro.runtime.wire import MSG_DELIVER, MSG_OUT, FrameBuffer, decode_run
+from repro.runtime.wire import (
+    MSG_DELIVER,
+    MSG_IDLE,
+    MSG_OUT,
+    MSG_STATE,
+    FrameBuffer,
+    decode_run,
+    encode_frame,
+)
 from repro.state import KeyValueMap
 from repro.testing import build_kv_sdg
 
@@ -99,6 +110,34 @@ def traced_wordcount(substrate, workers=None):
         runtime.close()
 
 
+def closed_loop_kv(n, spy=None):
+    """``n`` closed-loop KV requests on 2 workers (puts and gets; one
+    inject, one drain each); the merged snapshot after the last barrier.
+    ``spy(link, message)`` sees every frame the coordinator handles."""
+    config = RuntimeConfig(se_instances={"table": 2},
+                           substrate="multiprocess", workers=2)
+    runtime = Runtime(build_kv_sdg(), config).deploy()
+    if spy is not None:
+        handle = runtime.substrate._handle
+
+        def spying(link, message):
+            spy(link, message)
+            return handle(link, message)
+
+        runtime.substrate._handle = spying
+    try:
+        # Each worker's report on its hello lands here, so the frame
+        # counts below do not depend on how fast the fork came up.
+        runtime.run_until_idle()
+        for i in range(n):
+            op = "get" if i % 4 == 3 else "put"
+            runtime.inject("serve", (op, f"k{i % 37}", i))
+            runtime.run_until_idle()
+        return runtime.merged_metrics().snapshot()
+    finally:
+        runtime.close()
+
+
 class TestDistributedTracing:
     """Tentpole: merged cross-process traces == in-process traces."""
 
@@ -141,7 +180,7 @@ class TestLiveMetricStreaming:
             for i in range(n):
                 runtime.inject("serve", ("put", f"k{i}", i))
             # No run_until_idle yet: workers drain autonomously and
-            # piggyback registry snapshots on their idle reports. Pump
+            # piggyback metric shards on their idle reports. Pump
             # the coordinator wire until those shards land.
             deadline = time.perf_counter() + 10.0
             live = 0.0
@@ -178,6 +217,106 @@ class TestLiveMetricStreaming:
             assert metrics.total("wire_serialize_seconds_total") > 0
         finally:
             runtime.close()
+
+    def test_reports_ship_the_schema_once_and_stay_small(self):
+        reports = []
+
+        def spy(link, message):
+            if message[0] in (MSG_IDLE, MSG_STATE):
+                reports.append((link.worker_id, message))
+
+        closed_loop_kv(200, spy)
+        schemas = Counter(worker for worker, message in reports
+                          if message[4]["metrics"][0] is not None)
+        assert schemas == {0: 1, 1: 1}
+        # Counters, not a registry: an idle frame with no fresh results
+        # is the progress counters plus one flat tuple of cell values.
+        sizes = [len(encode_frame(message)) for _worker, message in reports
+                 if message[0] == MSG_IDLE and "results" not in message[4]
+                 and message[4]["metrics"][0] is None]
+        assert len(sizes) > 50
+        assert max(sizes) < 400
+
+    def test_merged_series_match_full_snapshot_reports(self, monkeypatch):
+        # Differential against the snapshot encoding: every report
+        # carrying the worker's whole snapshot() (installed in the
+        # forked workers through the class) must merge into the same
+        # series, bar the byte counts and wall-clock seconds.
+        def comparable(snapshot):
+            return {name: entry for name, entry in snapshot.items()
+                    if name != "wire_bytes_total"
+                    and not name.endswith("_seconds_total")}
+
+        compact = closed_loop_kv(200)
+        monkeypatch.setattr(MetricsRegistry, "shard",
+                            lambda self, cache: (self.snapshot(), ()))
+        monkeypatch.setattr(MetricsRegistry, "expand",
+                            staticmethod(lambda schema, values: schema))
+        full = closed_loop_kv(200)
+        assert comparable(compact) == comparable(full)
+        assert compact["engine_items_processed_total"]["children"] == {
+            (("te", "serve"),): 200.0}
+
+
+def kill_worker(runtime, worker_id):
+    process = runtime.substrate._links[worker_id].process
+    os.kill(process.pid, signal.SIGKILL)
+    process.join(timeout=10)
+    assert not process.is_alive()
+
+
+class TestInjectAfterWorkerDeath:
+    """A dead worker found by ``inject``'s run flush is a public error
+    without restart budget, and a restart with it."""
+
+    def run_workload(self, substrate, workers=None, restarts=0,
+                     kill=False):
+        config = RuntimeConfig(se_instances={"table": 2},
+                               substrate=substrate, workers=workers,
+                               worker_restarts=restarts)
+        runtime = Runtime(build_kv_sdg(), config).deploy()
+        try:
+            for i in range(20):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            runtime.run_until_idle()
+            if kill:
+                kill_worker(runtime, 0)
+            # Each worker owns about half of 500 keys: several full runs
+            # are flushed inside inject, towards the dead worker too.
+            for i in range(500):
+                runtime.inject("serve", ("put", f"j{i}", i))
+            for i in range(0, 500, 25):
+                runtime.inject("serve", ("get", f"j{i}", None))
+            runtime.run_until_idle()
+            results = {te: sorted(map(repr, items))
+                       for te, items in runtime.results.items()}
+            processed = runtime.merged_metrics().snapshot()[
+                "engine_items_processed_total"]["children"]
+            return results, processed, state_fingerprint(runtime)
+        finally:
+            runtime.close()
+
+    def test_without_budget_inject_raises_runtime_execution_error(self):
+        config = RuntimeConfig(se_instances={"table": 2},
+                               substrate="multiprocess", workers=2,
+                               worker_restarts=0)
+        runtime = Runtime(build_kv_sdg(), config).deploy()
+        try:
+            runtime.inject("serve", ("put", "k", 1))
+            runtime.run_until_idle()
+            kill_worker(runtime, 0)
+            with pytest.raises(RuntimeExecutionError, match="worker 0"):
+                for i in range(500):
+                    runtime.inject("serve", ("put", f"j{i}", i))
+        finally:
+            runtime.close()
+
+    def test_with_budget_the_same_sequence_matches_in_process(self):
+        crashed = self.run_workload("multiprocess", workers=2, restarts=1,
+                                    kill=True)
+        clean = self.run_workload("inprocess")
+        assert crashed == clean
+        assert len(crashed[0]["serve"]) == 20
 
 
 def build_crash_once_kv(flag_path):
