@@ -345,8 +345,9 @@ class CheckpointManager:
     # ------------------------------------------------------------------
 
     def _trim_upstream(self, checkpoint: NodeCheckpoint) -> None:
-        """Step 5b: upstream buffers drop items covered by the checkpoint."""
+        """Step 5b: upstream buffers (and results) drop covered items."""
         for (te_name, index), meta in checkpoint.te_meta.items():
+            self.runtime.trim_result_requests(te_name, index, meta.last_seen)
             for stream, ts in meta.last_seen.items():
                 if not self.trim_input_log and stream[0] == INPUT_EDGE:
                     continue

@@ -45,6 +45,8 @@ class RecoveryManager:
     def __init__(self, runtime: "Runtime", store: "BackupStore") -> None:
         self.runtime = runtime
         self.store = store
+        #: Replacement node -> the node whose checkpoint rebuilt it.
+        self._restored_from: dict[int, int] = {}
         metrics = runtime.metrics
         self._c_restores = metrics.counter(
             "recovery_restores_total",
@@ -97,10 +99,9 @@ class RecoveryManager:
             raise RecoveryError(f"node {node_id} has not failed")
         checkpoint = None
         if use_checkpoint:
-            checkpoint = (
-                self.store.latest(node_id) if use_deltas
-                else self.store.base(node_id)
-            )
+            pick = self.store.latest if use_deltas else self.store.base
+            checkpoint = (pick(node_id)
+                          or pick(self._restored_from.get(node_id, node_id)))
         if checkpoint is not None:
             self._check_epochs(checkpoint)
         if n_new < 1:
@@ -108,6 +109,8 @@ class RecoveryManager:
         if n_new == 1:
             node, replayed = self._recover_one_to_one(failed, checkpoint)
             nodes = [node]
+            if checkpoint is not None:
+                self._restored_from[node.node_id] = checkpoint.node_id
         else:
             nodes, replayed = self._recover_one_to_n(failed, checkpoint,
                                                      n_new)

@@ -81,7 +81,7 @@ class FailureDetector:
         for node in self.runtime.nodes.values():
             self._status[node.node_id] = _NodeStatus(
                 last_beat=now, last_progress=now,
-                items=node.items_processed,
+                items=node.items_processed + node.duplicates_dropped,
             )
             if not node.alive:
                 self._reported.add(node.node_id)
@@ -101,15 +101,16 @@ class FailureDetector:
     def _on_step(self, runtime: "Runtime") -> None:
         now = runtime.total_steps
         for node in list(runtime.nodes.values()):
+            consumed = node.items_processed + node.duplicates_dropped
             status = self._status.get(node.node_id)
             if status is None:
                 status = _NodeStatus(last_beat=now, last_progress=now,
-                                     items=node.items_processed)
+                                     items=consumed)
                 self._status[node.node_id] = status
             if node.alive:
                 status.last_beat = now
-                if node.items_processed > status.items:
-                    status.items = node.items_processed
+                if consumed > status.items:
+                    status.items = consumed
                     status.last_progress = now
         if now % self.check_every:
             return

@@ -51,8 +51,8 @@ from repro.runtime.instances import (
     GatherState,
     SEInstance,
     StreamKey,
+    StreamStamps,
     TEInstance,
-    stream_key,
 )
 from repro.runtime.node import PhysicalNode
 from repro.runtime.scaling import BottleneckDetector
@@ -115,7 +115,12 @@ class Runtime:
                                  tuple[ChannelId, list[Envelope]]] = {}
         #: TEs without outgoing dataflows; their outputs are results.
         self._terminal_tes: frozenset[str] = frozenset()
-        self._terminal_seen: set = set()
+        #: Result replay filter (§5), client-side like ``results``: stamps
+        #: collected per (terminal TE, stream), shared by the stream's
+        #: channels into every slot; per merge slot, request id ->
+        #: (channel, ts) of the response that completed it.
+        self._result_stamps: dict[ChannelId, StreamStamps] = {}
+        self._result_requests: dict[tuple[str, int], dict[int, tuple]] = {}
         self._step_hooks: list = []
         self._crash_handlers: list = []
         self._deployed = False
@@ -620,9 +625,10 @@ class Runtime:
         each envelope of a run alike. :meth:`step` closes the probe's
         spans once this returns or raises.
         """
-        # ``stream_key``, sliced once for the replay dedup and the mark.
+        # The ``StreamKey``, sliced once for the replay dedup and the mark.
         stream = envelope.channel[:3]
         if envelope.ts <= instance.last_seen.get(stream, 0):
+            self.nodes[instance.node_id].duplicates_dropped += 1
             return
         probe = self.probe
         probe.serve(self.total_steps, instance, envelope)
@@ -702,19 +708,37 @@ class Runtime:
         """Terminal TE: collect outputs, discarding replay duplicates.
 
         The result consumer is the most-downstream party: it too
-        discards duplicates regenerated by deterministic replay.
+        discards duplicates regenerated by deterministic replay. A stamp
+        names one item of its stream into this TE whichever slot serves
+        it, so rescaling and 1-to-n restores need no special case; a
+        gathered reply is caused by whichever response completed it, so
+        it goes by request id.
         """
-        if cause.request_id is not None:
-            seen_key = (instance.name, "req", cause.request_id,
-                        instance.index)
-        else:
-            seen_key = (instance.name, stream_key(cause.channel),
-                        cause.ts)
-        if seen_key in self._terminal_seen:
+        channel = cause.channel
+        if cause.request_id is not None and instance.spec.is_merge:
+            done = self._result_requests.setdefault(instance.key, {})
+            if cause.request_id in done:
+                return
+            done[cause.request_id] = (channel, cause.ts)
+        elif not (self._result_stamps.get(channel)
+                  or self._result_stream(channel)).add(cause.ts):
             return
-        self._terminal_seen.add(seen_key)
-        bucket = self.results.setdefault(instance.name, [])
-        bucket.extend(outputs)
+        self.results[instance.name].extend(outputs)
+
+    def _result_stream(self, channel: ChannelId) -> StreamStamps:
+        """The stamps of ``channel``'s stream into its TE, any slot."""
+        stamps = self._result_stamps.setdefault(channel.reroute(0),
+                                                StreamStamps())
+        self._result_stamps[channel] = stamps
+        return stamps
+
+    def trim_result_requests(self, te: str, index: int,
+                             last_seen: dict[StreamKey, int]) -> None:
+        """Forget the requests whose cause ``last_seen`` covers."""
+        done = self._result_requests.get((te, index))
+        for request_id, (channel, ts) in list((done or {}).items()):
+            if ts <= last_seen.get(channel[:3], 0):
+                del done[request_id]
 
     # ------------------------------------------------------------------
     # Failure injection and replay plumbing (used by repro.recovery)
@@ -928,7 +952,9 @@ class Runtime:
         timestamps are only monotonic towards a fixed destination, so an
         old stamp arriving at a new destination could be mistaken for a
         duplicate. The stale copy is removed from the producer-side
-        replay buffer to keep recovery consistent.
+        replay buffer to keep recovery consistent. A result consumer
+        will never see the old stamp again: it counts as collected, and
+        if it already was (a replayed or duplicated copy), so is the new.
         """
         channel = envelope.channel
         index = self._current_index(envelope)
@@ -941,23 +967,29 @@ class Runtime:
                             envelope.request_id,
                             envelope.expected_responses,
                             envelope.trace_id)
-            return
-        producer = self.te_instance(channel.src_te, channel.src_instance)
-        if producer is None:
-            # Producer lost to a failure: deliver with the old stamp so
-            # downstream dedup against a future replay still works.
-            self.transport.deliver(
-                envelope.with_channel(channel.reroute(index), envelope.ts)
-            )
-            return
-        buffer = producer.output_buffers.get(channel)
-        if buffer is not None and envelope in buffer:
-            buffer.remove(envelope)
-        self.transport.send(producer, channel.edge_index,
-                            channel.dst_te, index, envelope.payload,
-                            envelope.request_id,
-                            envelope.expected_responses,
-                            trace_id=envelope.trace_id)
+            ts = self._input_seq[channel.dst_te]
+        else:
+            producer = self.te_instance(channel.src_te, channel.src_instance)
+            if producer is None:
+                # Producer lost to a failure: deliver with the old stamp
+                # so downstream dedup against a future replay still works.
+                self.transport.deliver(
+                    envelope.with_channel(channel.reroute(index), envelope.ts)
+                )
+                return
+            buffer = producer.output_buffers.get(channel)
+            if buffer is not None and envelope in buffer:
+                buffer.remove(envelope)
+            self.transport.send(producer, channel.edge_index,
+                                channel.dst_te, index, envelope.payload,
+                                envelope.request_id,
+                                envelope.expected_responses,
+                                trace_id=envelope.trace_id)
+            ts = producer.out_seq[channel.edge_index]
+        if channel.dst_te in self._terminal_tes:
+            stamps = self._result_stream(channel)
+            if not stamps.add(envelope.ts):
+                stamps.add(ts)
 
     def _current_index(self, envelope: Envelope) -> int:
         """Where ``envelope`` belongs under the *current* partitioner."""

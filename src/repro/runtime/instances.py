@@ -24,12 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.recovery.checkpoint import TEMeta
 
 #: Consumer-side stream key: where an item came from, ignoring our own
-#: instance index (which may change across recoveries).
+#: instance index (which may change across recoveries): ``channel[:3]``.
 StreamKey = tuple[int, str, int]  # (edge_index, src_te, src_instance)
-
-
-def stream_key(channel: ChannelId) -> StreamKey:
-    return channel[:3]
 
 
 @dataclass
@@ -48,6 +44,33 @@ class GatherState:
     @property
     def complete(self) -> bool:
         return self.received >= self.expected
+
+
+class StreamStamps:
+    """The stamps of one stream a TE has collected, in any of its slots:
+    all up to ``low``, and ``ahead`` of a gap. Stamps are consecutive
+    and each is collected in the end, so a gap lasts only while slots
+    serve out of order with each other."""
+
+    __slots__ = ("low", "ahead")
+
+    def __init__(self) -> None:
+        self.low = 0
+        self.ahead: set[int] = set()
+
+    def add(self, ts: int) -> bool:
+        """Record ``ts``; False if it was recorded before."""
+        if ts != self.low + 1:
+            if ts <= self.low or ts in self.ahead:
+                return False
+            self.ahead.add(ts)
+            return True
+        ahead = self.ahead
+        while ts + 1 in ahead:
+            ts += 1
+            ahead.remove(ts)
+        self.low = ts
+        return True
 
 
 class SEInstance:

@@ -21,6 +21,8 @@ class PhysicalNode:
         self.te_instances: dict[tuple[str, int], TEInstance] = {}
         self.se_instances: dict[tuple[str, int], SEInstance] = {}
         self.items_processed = 0
+        #: Replay duplicates dropped here (progress, to the detector).
+        self.duplicates_dropped = 0
         #: Relative processing speed; < 1.0 models a straggler node. The
         #: scheduling layer charges slow nodes fractional credit per
         #: visit, so a node at speed ``s`` serves items at rate ``s``

@@ -1,5 +1,7 @@
 """Recovery under compound failure scenarios."""
 
+import pytest
+
 from repro.recovery import (
     BackupStore,
     CheckpointManager,
@@ -18,6 +20,12 @@ def kv_cluster(n_partitions=3, store=None):
     store = store or BackupStore(m_targets=2)
     return (runtime, CheckpointManager(runtime, store),
             RecoveryManager(runtime, store))
+
+
+def put_range(runtime, start, stop):
+    for i in range(start, stop):
+        runtime.inject("serve", ("put", i, i))
+    runtime.run_until_idle()
 
 
 def table_contents(runtime):
@@ -79,6 +87,44 @@ class TestSequentialFailures:
             rec.recover_node(node)
             runtime.run_until_idle()
         assert table_contents(runtime) == {i: i for i in range(total)}
+
+    def test_replacement_fails_before_its_own_checkpoint(self):
+        """The replacement comes back from the checkpoint that built
+        it, not empty: the input log below it is already trimmed."""
+        runtime, ckpt, rec = kv_cluster(1)
+        put_range(runtime, 0, 40)
+        ckpt.checkpoint(runtime.se_instance("table", 0).node_id)
+        put_range(runtime, 40, 80)
+        for _ in range(2):
+            node = runtime.se_instance("table", 0).node_id
+            runtime.fail_node(node)
+            rec.recover_node(node)
+            runtime.run_until_idle()
+        assert table_contents(runtime) == {i: i for i in range(80)}
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "a 1-to-n partition that fails before its own checkpoint is "
+        "log-replayed from an input route the pre-split checkpoint "
+        "trimmed: 60/80 keys, 41/80 once partition 0 has checkpointed "
+        "(its checkpoint trims the shared (serve, 0) route further)"))
+    @pytest.mark.parametrize("partition_0_checkpoints", [False, True])
+    def test_one_to_n_partition_fails_before_its_own_checkpoint(
+            self, partition_0_checkpoints):
+        runtime, ckpt, rec = kv_cluster(1)
+        put_range(runtime, 0, 40)
+        node = runtime.se_instance("table", 0).node_id
+        ckpt.checkpoint(node)
+        put_range(runtime, 40, 80)
+        runtime.fail_node(node)
+        rec.recover_node(node, n_new=2)
+        runtime.run_until_idle()
+        if partition_0_checkpoints:
+            ckpt.checkpoint(runtime.se_instance("table", 0).node_id)
+        node = runtime.se_instance("table", 1).node_id
+        runtime.fail_node(node)
+        rec.recover_node(node)
+        runtime.run_until_idle()
+        assert table_contents(runtime) == {i: i for i in range(80)}
 
     def test_failure_after_trimmed_buffers(self):
         """A checkpoint trims upstream buffers; recovery must then rely
