@@ -3,7 +3,9 @@
 Each ablation removes one mechanism the paper argues for and shows the
 claimed benefit disappears:
 
-1. the dirty-state overlay (vs locking the SE for the whole persist);
+1. the asynchronous checkpoint (vs locking the SE for the whole
+   persist; the paper buffers with a dirty overlay, the engine copies
+   a cut at begin);
 2. pipelined materialisation (vs adding per-batch scheduling overhead);
 3. m-to-n parallel restore (vs a single restore stream, and the shift
    of the bottleneck from disk to reconstruction);
@@ -27,12 +29,12 @@ from repro.testing import build_kv_sdg
 
 
 def test_ablation_dirty_state_overlay(benchmark):
-    """Without the overlay, a checkpoint blocks every update in flight.
+    """Without asynchrony, a checkpoint blocks every update in flight.
 
     We measure, on the real engine, how many requests the node serves
-    *between checkpoint begin and completion*: with the overlay they all
-    proceed; the ablation (complete immediately = lock-the-world) forces
-    them to wait for the checkpoint.
+    *between checkpoint begin and completion*: with the cut copied at
+    begin they all proceed; the ablation (complete immediately =
+    lock-the-world) forces them to wait for the checkpoint.
     """
 
     def run():
@@ -50,13 +52,13 @@ def test_ablation_dirty_state_overlay(benchmark):
             for i in range(100, 200):
                 runtime.inject("serve", ("put", i, i))
             if overlap:
-                served = runtime.run_until_idle()  # overlay active
+                served = runtime.run_until_idle()  # checkpoint open
                 manager.complete(pending)
             else:
                 manager.complete(pending)          # world stops first
                 served = 0
                 runtime.run_until_idle()
-            outcomes["with overlay" if overlap else "locked"] = served
+            outcomes["asynchronous" if overlap else "locked"] = served
         return outcomes
 
     outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -65,7 +67,7 @@ def test_ablation_dirty_state_overlay(benchmark):
         ["mode", "requests served mid-checkpoint"],
         list(outcomes.items()),
     )
-    assert outcomes["with overlay"] == 100
+    assert outcomes["asynchronous"] == 100
     assert outcomes["locked"] == 0
 
 

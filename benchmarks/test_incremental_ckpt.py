@@ -33,24 +33,17 @@ def run_cycles(se, incremental):
     sampler = ZipfSampler(STATE_ENTRIES, s=1.0, seed=7)
     moved, distinct = [], []
     # Cycle 0 is always the full base.
-    se.begin_checkpoint()
-    se.to_chunks(N_CHUNKS)
+    se.cut().chunks(N_CHUNKS)
     se.mark_clean()
-    se.consolidate()
     for cycle in range(1, CYCLES + 1):
         keys = sampler.sample_many(UPDATES_PER_CYCLE)
         for key in keys:
             se.put(key, key + cycle)
         distinct.append(len(set(keys)))
-        se.begin_checkpoint()
-        if incremental:
-            chunks = se.to_delta_chunks(N_CHUNKS, version=cycle + 1,
-                                        base_version=cycle)
-        else:
-            chunks = se.to_chunks(N_CHUNKS)
-        moved.append(sum(chunk.entry_count() for chunk in chunks))
+        chunks = se.cut(delta=incremental).chunks(
+            N_CHUNKS, version=cycle + 1, base_version=cycle)
         se.mark_clean()
-        se.consolidate()
+        moved.append(sum(chunk.entry_count() for chunk in chunks))
     return moved, distinct
 
 

@@ -2,7 +2,7 @@
 
 These measure wall-clock time of the in-process implementation itself
 (not the paper's cluster): per-operation cost of the KV store and CF
-pipelines, checkpoint capture + consolidation, chunked serialisation,
+pipelines, checkpoint cut + persist, chunked serialisation,
 and the translator. They guard against performance regressions in the
 library rather than reproducing a figure.
 """

@@ -8,10 +8,10 @@ This example implements a Space-Saving heavy-hitters sketch as a custom
 SE. By routing every mutation through the base-class ``_get``/``_set``/
 ``_delete`` helpers — which sit on the default
 :class:`~repro.state.backend.DictBackend` — the sketch inherits the
-whole machinery for free: the dirty-state overlay (so checkpoints never
-block processing), chunked serialisation (so it can be backed up
-m-to-n) *including incremental delta checkpoints* (the backend journals
-every mutation), and partitioning support. A small annotated program
+whole machinery for free: checkpoint cuts (a copy taken at begin, so
+checkpoints never block processing), chunked serialisation (so it can
+be backed up m-to-n) *including incremental delta checkpoints* (the
+backend journals every mutation), and partitioning support. A small annotated program
 then tracks trending tags over replicated sketches.
 
 Run with:

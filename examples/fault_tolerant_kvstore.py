@@ -1,8 +1,8 @@
 """Failure recovery walkthrough (§5): checkpoint, kill, restore, replay.
 
-A KV store checkpoints asynchronously (processing continues against the
-dirty overlay), a node is killed, and the state is restored — first
-1-to-1, then m-to-n onto two fresh nodes in parallel. Un-checkpointed
+A KV store checkpoints asynchronously (processing continues while the
+cut copied at begin is persisted), a node is killed, and the state is
+restored — first 1-to-1, then m-to-n onto two fresh nodes in parallel. Un-checkpointed
 updates are replayed from upstream buffers and duplicates are discarded
 by timestamp, so the recovered store is bit-identical to a failure-free
 run.
@@ -51,7 +51,7 @@ def main():
     recovery = RecoveryManager(runtime, store)
 
     # Phase 1: ingest, then take an asynchronous checkpoint while more
-    # updates keep flowing (served from the dirty overlay).
+    # updates keep flowing (the checkpoint copied its cut at begin).
     for i in range(200):
         runtime.inject("serve", ("put", i, i))
     runtime.run_until_idle()
@@ -62,7 +62,8 @@ def main():
     served_mid = runtime.run_until_idle()
     element = runtime.se_instance("table", 0).element
     print(f"served {served_mid} updates while the checkpoint was open "
-          f"(dirty entries: {element.dirty_size})")
+          f"(journalled for the next checkpoint: "
+          f"{len(element.journal())})")
     checkpoint = checkpoints.complete(pending)
     print(f"checkpoint v{checkpoint.version}: "
           f"{checkpoint.state_entries()} entries in "

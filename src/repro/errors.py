@@ -50,7 +50,7 @@ class StateError(SDGError):
     """Raised on invalid operations against a state element.
 
     Examples: partitioning a matrix by row after it was already accessed
-    by column, or consolidating dirty state when no checkpoint is active.
+    by column, or writing a key its store refuses.
     """
 
 

@@ -4,8 +4,8 @@ The mechanism combines **asynchronous local checkpoints** with
 **message replay**:
 
 * nodes checkpoint independently (no global coordination). A checkpoint
-  freezes each local SE behind a dirty-state overlay so processing
-  continues while the consistent snapshot is chunked and backed up;
+  copies a consistent cut of each local SE, so processing continues
+  against the live SE while the cut is chunked and backed up;
 * checkpoints carry, per TE instance, the vector of last-processed
   timestamps per input stream, the output buffers and the gather state,
   so that replay after recovery is exact;

@@ -2,16 +2,23 @@
 
 The five-step protocol, per node:
 
-1. *begin*: every local SE is flagged dirty (writes go to the overlay)
-   and the node's TE bookkeeping — per-stream ``last_seen`` vector
-   timestamps, output buffers, sequence counters and gather barriers —
-   is captured atomically;
-2. processing continues against the dirty overlays;
-3. the consistent snapshot is chunked (asynchronously w.r.t. processing);
+1. *begin*: a consistent cut of every local SE is copied (its whole
+   contents, or in delta mode its journalled keys; the SE's journal
+   then restarts) and the node's TE bookkeeping — per-stream ``last_seen``
+   vector timestamps, output buffers, sequence counters and gather
+   barriers — is captured atomically;
+2. processing continues against the live SEs, which the cuts do not
+   share;
+3. the cuts are chunked (asynchronously w.r.t. processing);
 4. chunks are persisted to the backup store across ``m`` targets;
-5. *complete*: each SE consolidates its overlay (the only step that
-   locks the SE), and upstream output buffers are trimmed up to the
-   checkpointed timestamps.
+5. *complete*: upstream output buffers are trimmed up to the
+   checkpointed timestamps. No SE is touched: writes made since
+   *begin* are already in its journal, i.e. in the next delta.
+
+The paper keeps the main structure frozen and buffers mid-checkpoint
+writes in a dirty overlay; a single-threaded runtime gets the same
+property more simply by copy-on-begin, and the cut it copies is the
+list chunking would build anyway.
 
 The split into :meth:`CheckpointManager.begin` and
 :meth:`CheckpointManager.complete` lets callers interleave processing
@@ -42,11 +49,12 @@ from repro.obs.events import KIND
 from repro.recovery.policy import CheckpointPolicy
 from repro.runtime.envelope import INPUT_EDGE, ChannelId, Envelope
 from repro.runtime.instances import GatherState, StreamKey
-from repro.state.base import StateChunk
+from repro.state.base import StateChunk, StateCut
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.recovery.backup import BackupStore
     from repro.runtime.engine import Runtime
+    from repro.runtime.node import PhysicalNode
 
 
 @dataclass
@@ -102,7 +110,7 @@ class NodeCheckpoint:
 
 @dataclass
 class PendingCheckpoint:
-    """An in-progress checkpoint: SEs are dirty, metadata is frozen."""
+    """An in-progress checkpoint: SE cuts and metadata are frozen."""
 
     node_id: int
     version: int
@@ -112,6 +120,10 @@ class PendingCheckpoint:
     #: Logical step at which :meth:`CheckpointManager.begin` ran; the
     #: begin→complete span is the checkpoint's duration in steps.
     begun_at_step: int = 0
+    #: Whether the cuts are deltas on top of ``version - 1``.
+    delta: bool = False
+    #: Each SE's consistent cut, taken at begin.
+    cuts: dict[tuple[str, int], StateCut] = field(default_factory=dict)
 
 
 class CheckpointManager:
@@ -164,7 +176,7 @@ class CheckpointManager:
     # ------------------------------------------------------------------
 
     def begin(self, node_id: int) -> PendingCheckpoint:
-        """Step 1: flag SEs dirty and freeze TE bookkeeping."""
+        """Step 1: cut every SE and freeze TE bookkeeping."""
         with self.runtime.probe.span("checkpoint"):
             return self._begin(node_id)
 
@@ -177,8 +189,6 @@ class CheckpointManager:
                 f"node {node_id} already has a checkpoint in progress"
             )
         self.runtime.pull_state()
-        for se_inst in node.se_instances.values():
-            se_inst.element.begin_checkpoint()
         te_meta: dict[tuple[str, int], TEMeta] = {}
         for key, te_inst in node.te_instances.items():
             te_meta[key] = TEMeta(
@@ -202,6 +212,16 @@ class CheckpointManager:
             },
             begun_at_step=self.runtime.total_steps,
         )
+        # One pending checkpoint per node: nothing the eligibility test
+        # reads can change before complete.
+        pending.delta = self._delta_eligible(pending)
+        for se_key, se_inst in node.se_instances.items():
+            element = se_inst.element
+            pending.cuts[se_key] = element.cut(pending.delta)
+            self._c_journal.inc(element.backend.journal_size)
+            # Writes from here on journal into the next cycle's delta.
+            element.mark_clean()
+            element.checkpoint_active = True
         self._pending[node_id] = pending
         self._events.publish(
             "checkpoint", KIND.CHECKPOINT_BEGIN, self.runtime.total_steps,
@@ -210,7 +230,7 @@ class CheckpointManager:
         return pending
 
     def complete(self, pending: PendingCheckpoint) -> NodeCheckpoint | None:
-        """Steps 3-5: chunk, persist, consolidate, trim upstream.
+        """Steps 3-5: chunk the cuts, persist them, trim upstream.
 
         Under an incremental policy, eligible cycles serialise only the
         mutation journal (delta mode); the cost of such a cycle is
@@ -223,8 +243,7 @@ class CheckpointManager:
 
     def _complete(self, pending: PendingCheckpoint) \
             -> NodeCheckpoint | None:
-        self._pending.pop(pending.node_id, None)
-        node = self.runtime.nodes[pending.node_id]
+        node = self._close(pending)
         if not node.alive:
             self._c_aborted.inc()
             self._events.publish(
@@ -233,24 +252,16 @@ class CheckpointManager:
                 version=pending.version, reason="node died",
             )
             return None
-        delta = self._delta_eligible(pending, node)
+        delta = pending.delta
         persisted_bytes = 0
         se_chunks: dict[tuple[str, int], list[StateChunk]] = {}
-        for se_key in pending.se_keys:
-            se_inst = node.se_instances.get(se_key)
-            if se_inst is None:
-                continue
-            element = se_inst.element
-            self._c_journal.inc(element.backend.journal_size)
-            if delta:
-                se_chunks[se_key] = element.to_delta_chunks(
-                    self.n_chunks, version=pending.version,
-                    base_version=pending.version - 1,
-                )
-            else:
-                se_chunks[se_key] = element.to_chunks(self.n_chunks)
+        for se_key, cut in pending.cuts.items():
+            se_chunks[se_key] = cut.chunks(
+                self.n_chunks, version=pending.version,
+                base_version=pending.version - 1,
+            )
             persisted_bytes += sum(
-                chunk.size_bytes(element.BYTES_PER_ENTRY)
+                chunk.size_bytes(cut.bytes_per_entry)
                 for chunk in se_chunks[se_key]
             )
         checkpoint = NodeCheckpoint(
@@ -261,15 +272,6 @@ class CheckpointManager:
             se_epochs=dict(pending.se_epochs),
         )
         self.store.save(checkpoint)
-        # Reset the journals *before* consolidating: the persisted
-        # checkpoint covers every pre-begin mutation, while the overlay
-        # entries folded back below re-journal themselves and therefore
-        # land in the *next* cycle's delta.
-        for se_key in pending.se_keys:
-            se_inst = node.se_instances.get(se_key)
-            if se_inst is not None:
-                se_inst.element.mark_clean()
-                se_inst.element.consolidate()
         self._cycles[pending.node_id] = \
             self._cycles.get(pending.node_id, 0) + 1
         entries = checkpoint.state_entries()
@@ -292,14 +294,14 @@ class CheckpointManager:
             self._trim_upstream(checkpoint)
         return checkpoint
 
-    def _delta_eligible(self, pending: PendingCheckpoint, node) -> bool:
+    def _delta_eligible(self, pending: PendingCheckpoint) -> bool:
         """Whether this cycle may be incremental (else a full base).
 
         Requires, beyond the policy cadence: a contiguous predecessor
-        still in the store, an unchanged SE instance set, unchanged
-        partitioning epochs, and every SE still on the node. Any
-        mismatch re-anchors with a full checkpoint — a delta whose
-        lineage or coverage is doubtful is never emitted.
+        still in the store, an unchanged SE instance set and unchanged
+        partitioning epochs. Any mismatch re-anchors with a full
+        checkpoint — a delta whose lineage or coverage is doubtful is
+        never emitted.
         """
         if self.policy.wants_full(self._cycles.get(pending.node_id, 0)):
             return False
@@ -308,25 +310,31 @@ class CheckpointManager:
             return False
         if set(previous.se_chunks) != set(pending.se_keys):
             return False
-        if previous.se_epochs != pending.se_epochs:
-            return False
-        return all(se_key in node.se_instances
-                   for se_key in pending.se_keys)
+        return previous.se_epochs == pending.se_epochs
 
     def abort(self, pending: PendingCheckpoint) -> None:
-        """Abandon an in-progress checkpoint, consolidating dirty state."""
-        self._pending.pop(pending.node_id, None)
-        node = self.runtime.nodes[pending.node_id]
-        for se_key in pending.se_keys:
-            se_inst = node.se_instances.get(se_key)
-            if se_inst is not None:
-                se_inst.element.abort_checkpoint()
+        """Abandon an in-progress checkpoint: its cuts are dropped.
+
+        The journal entries they consumed are gone too, but the version
+        this burns leaves a gap that makes the next cycle a full base.
+        """
+        self._close(pending)
         self._c_aborted.inc()
         self._events.publish(
             "checkpoint", KIND.CHECKPOINT_ABORT, self.runtime.total_steps,
             node_id=pending.node_id, version=pending.version,
             reason="aborted",
         )
+
+    def _close(self, pending: PendingCheckpoint) -> "PhysicalNode":
+        """Retire ``pending`` and lower its SEs' checkpoint flags."""
+        self._pending.pop(pending.node_id, None)
+        node = self.runtime.nodes[pending.node_id]
+        for se_key in pending.cuts:
+            se_inst = node.se_instances.get(se_key)
+            if se_inst is not None:
+                se_inst.element.checkpoint_active = False
+        return node
 
     def checkpoint(self, node_id: int) -> NodeCheckpoint | None:
         """Synchronous convenience: begin + complete with no gap."""

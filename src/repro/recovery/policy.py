@@ -1,7 +1,7 @@
 """Checkpoint cadence policy: full bases vs incremental deltas.
 
-The paper's dirty-state mechanism (§5) makes the *capture* of a
-checkpoint cheap; this policy makes its *persistence* cheap too, by
+Asynchronous checkpointing (§5) keeps the *capture* of a checkpoint
+off the processing path; this policy makes its *persistence* cheap too, by
 letting most cycles back up only the keys mutated since the previous
 cycle (a :class:`~repro.state.base.DeltaChunk` chain) and re-anchoring
 on a full base every ``full_every`` cycles to bound the chain length a

@@ -6,8 +6,8 @@ items), so the scheduler triggers a node's checkpoint every
 ``every_items`` items that node processes — and, to exercise the
 asynchronous protocol rather than degrade to a synchronous one, it
 holds the checkpoint open for ``complete_after_steps`` further engine
-steps before consolidating, during which the node keeps processing
-against its dirty overlays.
+steps before completing it, during which the node keeps processing
+while its cuts wait to be persisted.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ data structures that additionally support:
 * **dynamic partitioning** — splitting one SE instance into disjoint
   partitions placed on separate nodes (partitioned state), and the reverse
   merge used during recovery and re-scaling;
-* **dirty state** — a write overlay that lets processing continue while an
-  asynchronous checkpoint captures a consistent snapshot (§5), followed by
-  consolidation of the overlay into the main structure;
+* **asynchronous snapshots** — a checkpoint copies a consistent cut of
+  the SE (all of it, or the keys journalled since the previous one) and
+  processing goes on against the live SE while the cut is persisted (§5);
 * **chunked serialisation** — splitting a checkpoint into chunks that are
   backed up to *m* nodes and restored to *n* nodes in parallel (Fig. 4),
   including the *incremental* variant that serialises only the keys
@@ -28,8 +28,7 @@ from repro.state.backend import (
     SparseMatrixBackend,
     StateBackend,
 )
-from repro.state.base import DeltaChunk, StateChunk, StateElement
-from repro.state.dirty import TOMBSTONE
+from repro.state.base import DeltaChunk, StateChunk, StateCut, StateElement
 from repro.state.keyvalue import KeyValueMap
 from repro.state.matrix import DenseMatrix, Matrix
 from repro.state.partitioner import (
@@ -54,7 +53,7 @@ __all__ = [
     "SparseMatrixBackend",
     "StateBackend",
     "StateChunk",
+    "StateCut",
     "StateElement",
-    "TOMBSTONE",
     "Vector",
 ]

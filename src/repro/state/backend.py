@@ -6,8 +6,8 @@ actual data structure (a dict, a dense list, a grid) while the
 domain API (``put``/``get_row``/``multiply``...). The split mirrors the
 paper's separation of logical state from its representation (§3.2) and
 turns the storage layer into a seam: swapping the backend changes the
-physical layout without touching the SE's semantics, its dirty-state
-checkpoint protocol, or its partitioning support.
+physical layout without touching the SE's semantics, its checkpoint
+cut, or its partitioning support.
 
 Every backend additionally keeps a **mutation journal** — one map from
 each key mutated since the last :meth:`StateBackend.mark_clean` to
@@ -72,16 +72,6 @@ class StateBackend(abc.ABC):
     def _do_set(self, key: Hashable, value: Any) -> None:
         """Write ``value`` for ``key``."""
 
-    def _normalise(self, key: Hashable,
-                   value: Any) -> tuple[Hashable, Any]:
-        """The ``(key, value)`` that :meth:`set` would store.
-
-        Raises what ``set`` would raise for a key or value this store
-        rejects. The SE's mid-checkpoint overlay holds writes in this
-        form, so they are checked when made and read back as stored.
-        """
-        return key, value
-
     @abc.abstractmethod
     def _do_delete(self, key: Hashable) -> None:
         """Remove ``key``; KeyError when absent."""
@@ -128,7 +118,7 @@ class StateBackend(abc.ABC):
         )
 
     def mark_clean(self) -> None:
-        """Reset the journal — called once a checkpoint has persisted."""
+        """Reset the journal — called once a checkpoint has taken its cut."""
         self._journal.clear()
 
     @property
@@ -192,11 +182,8 @@ class ListBackend(StateBackend):
             raise KeyError(index)
         return self._data[index]
 
-    def _normalise(self, key: Hashable, value: Any) -> tuple[int, float]:
-        return self._check_index(key), float(value)
-
     def _do_set(self, key: Hashable, value: Any) -> None:
-        index, value = self._normalise(key, value)
+        index, value = self._check_index(key), float(value)
         if index >= len(self._data):
             # Implicit zero-fill: journal the new slots so a delta
             # checkpoint reproduces the growth exactly.
@@ -280,12 +267,8 @@ class DenseGridBackend(StateBackend):
         row, col = self._check_key(key)
         return self._data[row][col]
 
-    def _normalise(self, key: Hashable,
-                   value: Any) -> tuple[tuple[int, int], float]:
-        return self._check_key(key), float(value)
-
     def _do_set(self, key: Hashable, value: Any) -> None:
-        (row, col), value = self._normalise(key, value)
+        (row, col), value = self._check_key(key), float(value)
         self._data[row][col] = value
 
     def delete(self, key: Hashable) -> None:
@@ -352,12 +335,8 @@ class SparseMatrixBackend(DictBackend):
     def get(self, key: Hashable) -> float:
         return self._map[self._check_key(key)]
 
-    def _normalise(self, key: Hashable,
-                   value: Any) -> tuple[tuple[int, int], float]:
-        return self._check_key(key), float(value)
-
     def set(self, key: Hashable, value: Any) -> None:
-        self.put(*self._normalise(key, value))
+        self.put(self._check_key(key), float(value))
 
     def put(self, key: tuple[int, int], value: float) -> None:
         """Store a checked cell, its indexes and its journal entry: the

@@ -4,16 +4,15 @@ A state element encapsulates the mutable state of an SDG computation
 (§3.1). Every predefined SE routes its mutations through a small
 key/value core provided here, which gives all of them, uniformly:
 
-* the **dirty-state checkpoint protocol** of §5 — ``begin_checkpoint``
-  freezes the main structure, subsequent writes land in a plain-dict
-  overlay (deletions as :data:`~repro.state.dirty.TOMBSTONE`), a
-  consistent snapshot is read with :meth:`snapshot_items`, and
-  ``consolidate`` folds the overlay back;
+* the **consistent cut** a checkpoint persists (§5) — :meth:`cut`
+  copies the contents, or the entries journalled since the last
+  checkpoint, into a :class:`StateCut` that later writes cannot touch,
+  so processing goes on against the SE while the cut is chunked;
 * **dynamic partitioning** — ``extract_partition`` / ``merge_partitions``
   split and re-join SE instances for partitioned state and for restoring a
   failed instance onto *n* new nodes;
-* **chunked serialisation** — ``to_chunks`` / ``load_chunk`` implement the
-  m-to-n backup pattern of Fig. 4, and ``to_delta_chunks`` /
+* **chunked serialisation** — :meth:`StateCut.chunks` / ``load_chunk``
+  implement the m-to-n backup pattern of Fig. 4, and a delta cut with
   ``load_delta_chunk`` its incremental variant: only the keys mutated
   since the last checkpoint (read from the backend's journal) are
   emitted, as changed values plus deletion tombstones;
@@ -25,7 +24,7 @@ The *physical* representation lives in a pluggable
 pure domain API. Subclasses pick their store by overriding
 :meth:`StateElement._make_backend`, and every state operation reaches
 that backend and its journal through the ``_get``/``_set``/``_delete``
-helpers, or (hot predefined ops, no checkpoint open) a backend method.
+helpers, or (hot predefined ops) a backend method.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from repro.errors import StateError
 from repro.state.backend import DictBackend, MutationJournal, StateBackend
-from repro.state.dirty import TOMBSTONE
 
 #: Sentinel distinguishing "no default supplied" from ``default=None``.
 _MISSING = object()
@@ -92,13 +90,63 @@ class DeltaChunk(StateChunk):
         return len(self.items) + len(self.deleted)
 
 
+@dataclass(frozen=True)
+class StateCut:
+    """A consistent cut of one SE: a copy of what a checkpoint persists.
+
+    A full cut holds every ``(key, value)``; a delta cut (``deleted``
+    not ``None``) holds the keys journalled since the previous
+    checkpoint, the written ones with their values in ``items``. Being
+    a copy, it is untouched by writes made after it was taken, so
+    processing goes on while it is chunked and persisted (§5).
+    """
+
+    items: list[tuple[Hashable, Any]]
+    meta: dict[str, Any]
+    bytes_per_entry: int
+    deleted: list[Hashable] | None = None
+
+    def chunks(self, m: int, version: int = 0,
+               base_version: int = 0) -> list[StateChunk]:
+        """Split the cut into ``m`` chunks (step B1).
+
+        Items are hash-partitioned on the storage key so that chunk
+        sizes are balanced and chunk membership is deterministic. A
+        delta cut yields :class:`DeltaChunk` s stamped with ``(version,
+        base_version)`` lineage, each bucket sorted by that hash.
+        """
+        if m < 1:
+            raise StateError(f"chunk count must be >= 1, got {m}")
+        buckets: list[list[tuple[Hashable, Any]]] = [[] for _ in range(m)]
+        for key, value in self.items:
+            buckets[stable_hash(key) % m].append((key, value))
+        if self.deleted is None:
+            return [
+                StateChunk(index=i, total=m, items=tuple(bucket),
+                           meta=dict(self.meta))
+                for i, bucket in enumerate(buckets)
+            ]
+        deleted_buckets: list[list[Hashable]] = [[] for _ in range(m)]
+        for key in self.deleted:
+            deleted_buckets[stable_hash(key) % m].append(key)
+        return [
+            DeltaChunk(
+                index=i, total=m,
+                items=tuple(sorted(bucket, key=lambda kv: stable_hash(kv[0]))),
+                deleted=tuple(sorted(deleted_buckets[i], key=stable_hash)),
+                meta=dict(self.meta), version=version,
+                base_version=base_version,
+            )
+            for i, bucket in enumerate(buckets)
+        ]
+
+
 class StateElement(abc.ABC):
     """Abstract base class for all SE data structures.
 
     Subclasses provide a physical store via :meth:`_make_backend` and
     expose a domain API (``get_row``, ``multiply``, ``put`` ...) built
-    on the protected ``_get``/``_set``/``_delete`` helpers, which
-    transparently apply the dirty-state redirection.
+    on the protected ``_get``/``_set``/``_delete`` helpers.
     """
 
     #: Modelled cost of one stored entry; used for state-size accounting.
@@ -107,9 +155,10 @@ class StateElement(abc.ABC):
     def __init__(self, backend: StateBackend | None = None) -> None:
         self._backend = backend if backend is not None \
             else self._make_backend()
-        #: Mid-checkpoint write overlay: key -> value or ``TOMBSTONE``
-        #: (``None`` = no checkpoint in progress).
-        self._dirty: dict[Hashable, Any] | None = None
+        #: Whether a checkpoint of this SE is open (its cut taken, not
+        #: yet persisted). Only the repartition guard reads it: a data
+        #: op behaves the same either way.
+        self.checkpoint_active = False
         self._update_count = 0
 
     # ------------------------------------------------------------------
@@ -135,33 +184,16 @@ class StateElement(abc.ABC):
         """
 
     # ------------------------------------------------------------------
-    # Dirty-state aware access helpers
+    # Access helpers
     # ------------------------------------------------------------------
-
-    @property
-    def checkpoint_active(self) -> bool:
-        """Whether a checkpoint is in progress (writes go to dirty state)."""
-        return self._dirty is not None
 
     @property
     def update_count(self) -> int:
         """Total number of mutations applied to this SE instance."""
         return self._update_count
 
-    @property
-    def dirty_size(self) -> int:
-        """Number of entries currently buffered in the dirty overlay."""
-        return 0 if self._dirty is None else len(self._dirty)
-
     def _get(self, key: Hashable, default: Any = _MISSING) -> Any:
-        """Read ``key``, consulting the dirty overlay first (§5 step 2)."""
-        if self._dirty is not None and key in self._dirty:
-            value = self._dirty[key]
-            if value is TOMBSTONE:
-                if default is _MISSING:
-                    raise KeyError(key)
-                return default
-            return value
+        """Read ``key``; ``default`` (else KeyError) when absent."""
         try:
             return self._backend.get(key)
         except KeyError:
@@ -170,108 +202,43 @@ class StateElement(abc.ABC):
             return default
 
     def _set(self, key: Hashable, value: Any) -> None:
-        """Write ``key``; redirected to the dirty overlay mid-checkpoint.
-
-        The backend checks and coerces ``(key, value)`` either way: a
-        bad write fails here, never later inside :meth:`consolidate`.
-        """
+        """Write ``key``; the backend checks and coerces the pair."""
         self._update_count += 1
-        if self._dirty is None:
-            self._backend.set(key, value)
-        else:
-            key, value = self._backend._normalise(key, value)
-            self._dirty[key] = value
+        self._backend.set(key, value)
 
     def _delete(self, key: Hashable) -> None:
-        """Delete ``key``; recorded as a tombstone mid-checkpoint."""
+        """Delete ``key``; KeyError when absent."""
         self._update_count += 1
-        if self._dirty is None:
-            self._backend.delete(key)
-            return
-        stored = self._backend.contains(key)  # also rejects a bad key
-        overlaid = self._dirty.get(key, _MISSING)
-        if overlaid is TOMBSTONE or (overlaid is _MISSING and not stored):
-            raise KeyError(key)
-        self._dirty[key] = TOMBSTONE
+        self._backend.delete(key)
 
     def _contains(self, key: Hashable) -> bool:
-        if self._dirty is not None and key in self._dirty:
-            return self._dirty[key] is not TOMBSTONE
         return self._backend.contains(key)
 
     def _iter_items(self) -> Iterator[tuple[Hashable, Any]]:
-        """Iterate the *logical* contents: main structure + overlay."""
-        if self._dirty is None:
-            yield from self._backend.items()
-            return
-        dirty = self._dirty
-        seen = set()
-        for key, value in self._backend.items():
-            seen.add(key)
-            if key in dirty:
-                overlaid = dirty[key]
-                if overlaid is not TOMBSTONE:
-                    yield key, overlaid
-            else:
-                yield key, value
-        for key, value in dirty.items():
-            if key not in seen and value is not TOMBSTONE:
-                yield key, value
+        """Iterate the stored ``(key, value)`` pairs."""
+        return self._backend.items()
 
     # ------------------------------------------------------------------
-    # Checkpoint protocol (§5)
+    # Checkpoint cut (§5)
     # ------------------------------------------------------------------
 
-    def begin_checkpoint(self) -> None:
-        """Flag the SE as dirty: freeze the main structure (step 1).
+    def cut(self, delta: bool = False) -> StateCut:
+        """Copy what a checkpoint of this SE persists, as of now.
 
-        After this call, the main structure is immutable and
-        :meth:`snapshot_items` may be read concurrently with processing.
+        A full cut is the list of every stored pair; a ``delta`` cut
+        reads only the keys journalled since the last
+        :meth:`mark_clean`, so its cost is O(|mutations|), independent
+        of the state size — the paper's explicit-state claim (§5)
+        applied to backup traffic.
         """
-        if self._dirty is not None:
-            raise StateError("checkpoint already in progress for this SE")
-        self._dirty = {}
-
-    def snapshot_items(self) -> list[tuple[Hashable, Any]]:
-        """Materialise the consistent (pre-checkpoint) contents (step 3).
-
-        Only meaningful while a checkpoint is active; calling it otherwise
-        returns the current contents, which is still a consistent view.
-        """
-        return list(self._backend.items())
-
-    def consolidate(self) -> int:
-        """Fold the dirty overlay back into the main structure (step 5).
-
-        This is the only phase that requires exclusive access to the SE,
-        so its cost is proportional to the number of updates made during
-        the checkpoint, not to the state size. Returns the number of
-        overlay entries applied.
-
-        Consolidation writes through the journalled backend mutators,
-        so every overlay entry lands in the mutation journal — i.e. it
-        belongs to the *next* checkpoint's delta, exactly as the paper's
-        protocol requires.
-        """
-        if self._dirty is None:
-            raise StateError("no checkpoint in progress to consolidate")
-        dirty, backend = self._dirty, self._backend
-        for key, value in dirty.items():
-            if value is TOMBSTONE:
-                try:
-                    backend.delete(key)
-                except KeyError:
-                    pass
-            else:
-                backend.set(key, value)
-        self._dirty = None
-        return len(dirty)
-
-    def abort_checkpoint(self) -> None:
-        """Consolidate-and-discard used when a checkpoint fails midway."""
-        if self._dirty is None:
-            return
-        self.consolidate()
+        backend = self._backend
+        if not delta:
+            return StateCut(list(backend.items()), self.chunk_meta(),
+                            self.BYTES_PER_ENTRY)
+        journal = backend.journal()
+        return StateCut([(key, backend.get(key)) for key in journal.written],
+                        self.chunk_meta(), self.BYTES_PER_ENTRY,
+                        deleted=list(journal.deleted))
 
     # ------------------------------------------------------------------
     # Mutation journal (incremental checkpoint support)
@@ -282,7 +249,7 @@ class StateElement(abc.ABC):
         return self._backend.journal()
 
     def mark_clean(self) -> None:
-        """Reset the mutation journal (a checkpoint has persisted)."""
+        """Reset the mutation journal (a checkpoint has taken its cut)."""
         self._backend.mark_clean()
 
     # ------------------------------------------------------------------
@@ -304,8 +271,6 @@ class StateElement(abc.ABC):
         The receiver is left untouched; callers re-scaling a live SE
         should build all partitions and then discard the original.
         """
-        if self.checkpoint_active:
-            raise StateError("cannot repartition while a checkpoint is active")
         part = self.spawn_empty()
         for key, value in self._backend.items():
             if partitioner.partition(self.partition_key(key)) == index:
@@ -356,55 +321,8 @@ class StateElement(abc.ABC):
         """Re-apply :meth:`chunk_meta` information during restore."""
 
     def to_chunks(self, m: int) -> list[StateChunk]:
-        """Split a consistent snapshot into ``m`` chunks (step B1).
-
-        Items are hash-partitioned on the storage key so that chunk sizes
-        are balanced and chunk membership is deterministic.
-        """
-        if m < 1:
-            raise StateError(f"chunk count must be >= 1, got {m}")
-        buckets: list[list[tuple[Hashable, Any]]] = [[] for _ in range(m)]
-        for key, value in self.snapshot_items():
-            buckets[stable_hash(key) % m].append((key, value))
-        meta = self.chunk_meta()
-        return [
-            StateChunk(index=i, total=m, items=tuple(bucket), meta=dict(meta))
-            for i, bucket in enumerate(buckets)
-        ]
-
-    def to_delta_chunks(self, m: int, version: int,
-                        base_version: int) -> list[DeltaChunk]:
-        """Serialise only the mutations since the last ``mark_clean``.
-
-        The journal keys are read against the *frozen* main structure
-        (mid-checkpoint writes sit in the dirty overlay and belong to
-        the next delta), hash-bucketed with the same function as full
-        chunks, and stamped with ``(version, base_version)`` lineage.
-        The cost is O(|mutations|), independent of the state size —
-        the paper's explicit-state claim (§5) applied to backup traffic.
-        """
-        if m < 1:
-            raise StateError(f"chunk count must be >= 1, got {m}")
-        journal = self._backend.journal()
-        item_buckets: list[list[tuple[Hashable, Any]]] = \
-            [[] for _ in range(m)]
-        for key in journal.written:
-            item_buckets[stable_hash(key) % m].append(
-                (key, self._backend.get(key))
-            )
-        deleted_buckets: list[list[Hashable]] = [[] for _ in range(m)]
-        for key in journal.deleted:
-            deleted_buckets[stable_hash(key) % m].append(key)
-        meta = self.chunk_meta()
-        return [
-            DeltaChunk(
-                index=i, total=m,
-                items=tuple(sorted(bucket, key=lambda kv: stable_hash(kv[0]))),
-                deleted=tuple(sorted(deleted_buckets[i], key=stable_hash)),
-                meta=dict(meta), version=version, base_version=base_version,
-            )
-            for i, bucket in enumerate(item_buckets)
-        ]
+        """Split the current contents into ``m`` chunks (a full cut)."""
+        return self.cut().chunks(m)
 
     def load_chunk(self, chunk: StateChunk) -> None:
         """Load one chunk's items into this (recovering) instance (R2)."""
@@ -444,10 +362,8 @@ class StateElement(abc.ABC):
     # ------------------------------------------------------------------
 
     def entry_count(self) -> int:
-        """Number of logical entries currently stored (incl. overlay)."""
-        if self._dirty is None:
-            return len(self._backend)
-        return sum(1 for _ in self._iter_items())
+        """Number of entries currently stored."""
+        return len(self._backend)
 
     def estimated_size_bytes(self) -> int:
         """Modelled in-memory footprint, linear in the entry count."""

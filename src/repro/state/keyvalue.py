@@ -40,7 +40,7 @@ class KeyValueMap(StateElement):
         self._delete(key)
 
     def contains(self, key: Hashable) -> bool:
-        """Whether ``key`` is present (overlay-aware)."""
+        """Whether ``key`` is present."""
         return self._contains(key)
 
     def increment(self, key: Hashable, delta: float = 1) -> float:
@@ -53,18 +53,15 @@ class KeyValueMap(StateElement):
         return value
 
     def keys(self) -> list[Hashable]:
-        """All logical keys (overlay-aware), in unspecified order."""
+        """All keys, in unspecified order."""
         return [key for key, _ in self._iter_items()]
 
     def items(self) -> list[tuple[Hashable, Any]]:
-        """All logical ``(key, value)`` pairs (overlay-aware)."""
+        """All ``(key, value)`` pairs."""
         return list(self._iter_items())
 
     def __len__(self) -> int:
         return self.entry_count()
 
     def __repr__(self) -> str:
-        return (
-            f"KeyValueMap(len={len(self._backend)}, "
-            f"dirty={self.dirty_size})"
-        )
+        return f"KeyValueMap(len={len(self._backend)})"

@@ -18,7 +18,6 @@ from typing import Any, Hashable
 from repro.errors import StateError
 from repro.state.backend import DenseGridBackend, SparseMatrixBackend
 from repro.state.base import StateElement
-from repro.state.dirty import TOMBSTONE
 from repro.state.vector import Vector
 
 _AXES = ("row", "col")
@@ -56,21 +55,21 @@ class Matrix(StateElement):
 
     # -- domain API ----------------------------------------------------
 
-    # With no checkpoint open, a cell that passes ``_check_key``'s rule
-    # (inlined: a call costs as much as the op) is one dict read or one
-    # ``put``; any other key, or an open checkpoint, takes ``_get``/``_set``.
+    # A cell that passes ``_check_key``'s rule (inlined: a call costs as
+    # much as the op) is one dict read or one ``put``; any other key
+    # takes ``_get``/``_set``, which raise what the backend refuses.
 
     def get_element(self, row: int, col: int) -> float:
         """Return the cell value (0.0 when never written)."""
-        if (self._dirty is None and isinstance(row, int)
-                and isinstance(col, int) and row >= 0 and col >= 0):
+        if (isinstance(row, int) and isinstance(col, int)
+                and row >= 0 and col >= 0):
             return self._backend._map.get((row, col), 0.0)  # type: ignore
         return self._get((row, col), 0.0)
 
     def set_element(self, row: int, col: int, value: float) -> None:
         """Write one cell — the fine-grained update the paper motivates."""
-        if (self._dirty is None and isinstance(row, int)
-                and isinstance(col, int) and row >= 0 and col >= 0):
+        if (isinstance(row, int) and isinstance(col, int)
+                and row >= 0 and col >= 0):
             self._update_count += 1
             self._backend.put((row, col), float(value))  # type: ignore
         else:
@@ -82,32 +81,21 @@ class Matrix(StateElement):
         self.set_element(row, col, value)
         return value
 
-    def _line(self, axis: int, line: int) -> set[int]:
-        """Logical populated columns of row ``line`` (``axis`` 0), or
-        rows of column ``line`` (``axis`` 1): index plus overlay."""
-        backend: SparseMatrixBackend = self._backend  # type: ignore
-        index = backend._col_rows if axis else backend._row_cols
-        cross = set(index.get(line, ()))
-        for key, value in (self._dirty or {}).items():
-            if key[axis] == line:  # type: ignore[index]
-                update = cross.discard if value is TOMBSTONE else cross.add
-                update(key[1 - axis])  # type: ignore[index]
-        return cross
-
     def get_row(self, row: int) -> Vector:
         """Return row ``row`` as a :class:`Vector` (a copy, not a view)."""
-        self._backend._check_key((row, 0))  # type: ignore[attr-defined]
-        cols = self._line(0, row)
-        read = self._get if self._dirty is not None else self._backend._map.get
+        backend: SparseMatrixBackend = self._backend  # type: ignore
+        backend._check_key((row, 0))
+        cols = backend._row_cols.get(row, ())
         values = [0.0] * (max(cols) + 1 if cols else 0)
         for col in cols:
-            values[col] = read((row, col), 0.0)
+            values[col] = backend._map[row, col]
         return Vector(values=values)
 
     def set_row(self, row: int, vector: Vector) -> None:
         """Replace row ``row`` with the non-zero entries of ``vector``."""
-        self._backend._check_key((row, 0))  # type: ignore[attr-defined]
-        for col in self._line(0, row):
+        backend: SparseMatrixBackend = self._backend  # type: ignore
+        backend._check_key((row, 0))
+        for col in list(backend._row_cols.get(row, ())):
             self._delete((row, col))
         for col, value in enumerate(vector.to_list()):
             if value:
@@ -119,34 +107,19 @@ class Matrix(StateElement):
         This is the operation ``@Global coOcc.multiply(userRow)`` from
         Alg. 1 line 16; applied to a partial instance it yields a partial
         result to be merged across instances. Only the columns where
-        ``vector`` is non-zero are read (column index plus overlay), and
-        each row is summed in ascending column order, so the result
-        depends on the contents alone, not on the write history.
+        ``vector`` is non-zero are read, straight off the column index
+        and the cells, and each row is summed in ascending column order,
+        so the result depends on the contents alone, not on the write
+        history.
         """
         backend: SparseMatrixBackend = self._backend  # type: ignore
         cells, col_rows = backend._map, backend._col_rows
-        weights = [(col, weight) for col, weight
-                   in enumerate(vector.to_list()) if weight]
-        if self._dirty is None:  # sum straight off the index and cells
-            hit = [(c, w, col_rows[c]) for c, w in weights if c in col_rows]
-            values = [0.0] * (max([max(r) for *_, r in hit], default=-1) + 1)
-            for col, weight, rows in hit:
-                for row in rows:
-                    values[row] += cells[row, col] * weight
-            return Vector(values=values)
-        overlay: dict[int, dict[int, Any]] = {}
-        for (row, col), value in self._dirty.items():
-            overlay.setdefault(col, {})[row] = value
-        totals: dict[int, float] = {}
-        for col, weight in weights:
-            column = {row: cells[row, col] for row in col_rows.get(col, ())}
-            column.update(overlay.get(col, ()))
-            for row, cell in column.items():
-                if cell is not TOMBSTONE:
-                    totals[row] = totals.get(row, 0.0) + cell * weight
-        values = [0.0] * (max(totals) + 1 if totals else 0)
-        for row, total in totals.items():
-            values[row] = total
+        hit = [(col, weight, col_rows[col]) for col, weight
+               in enumerate(vector.to_list()) if weight and col in col_rows]
+        values = [0.0] * (max([max(r) for *_, r in hit], default=-1) + 1)
+        for col, weight, rows in hit:
+            for row in rows:
+                values[row] += cells[row, col] * weight
         return Vector(values=values)
 
     def to_rows(self) -> list[list[float]]:
@@ -157,33 +130,21 @@ class Matrix(StateElement):
         """
         return [self.get_row(r).to_list() for r in range(self.num_rows())]
 
-    def _extent(self, axis: int) -> int:
-        """1 + the highest row (``axis`` 0) / column (1) with a cell."""
-        backend: SparseMatrixBackend = self._backend  # type: ignore
-        index = backend._col_rows if axis else backend._row_cols
-        lines = set(index).union(key[axis] for key in self._dirty or ())
-        for line in sorted(lines, reverse=True):
-            if self._line(axis, line):
-                return line + 1
-        return 0
-
     def num_rows(self) -> int:
         """1 + the highest populated row index (0 when empty)."""
-        return self._extent(0)
+        return max(self._backend._row_cols, default=-1) + 1  # type: ignore
 
     def num_cols(self) -> int:
         """1 + the highest populated column index (0 when empty)."""
-        return self._extent(1)
+        return max(self._backend._col_rows, default=-1) + 1  # type: ignore
 
     def nnz(self) -> int:
         """Number of explicitly stored (non-zero) cells."""
         return self.entry_count()
 
     def __repr__(self) -> str:
-        return (
-            f"Matrix(nnz={len(self._backend)}, axis={self.partition_axis!r},"
-            f" dirty={self.dirty_size})"
-        )
+        return (f"Matrix(nnz={len(self._backend)}, "
+                f"axis={self.partition_axis!r})")
 
 
 class DenseMatrix(StateElement):

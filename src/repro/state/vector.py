@@ -59,22 +59,11 @@ class Vector(StateElement):
 
     def size(self) -> int:
         """Logical length (highest written index + 1)."""
-        if self._dirty is None:
-            return len(self._backend)
-        top = len(self._backend) - 1
-        for key, value in self._dirty.items():
-            if isinstance(key, int) and key > top:
-                top = key
-        return top + 1
+        return len(self._backend)
 
     def to_list(self) -> list[float]:
-        """Materialise the logical contents as a plain list."""
-        if self._dirty is None:
-            return list(self._backend._data)  # type: ignore[attr-defined]
-        out = [0.0] * self.size()
-        for index, value in self._iter_items():
-            out[index] = value
-        return out
+        """Materialise the contents as a plain list (a copy)."""
+        return list(self._backend._data)  # type: ignore[attr-defined]
 
     def dot(self, other: "Vector | Sequence[float]") -> float:
         """Inner product with another vector (shorter one zero-padded)."""
@@ -85,7 +74,7 @@ class Vector(StateElement):
     def add_vector(self, other: "Vector | Sequence[float]") -> None:
         """In-place elementwise sum (the CF ``merge`` building block)."""
         theirs = other.to_list() if isinstance(other, Vector) else list(other)
-        if self._dirty is None and isinstance(other, Vector):  # all floats
+        if isinstance(other, Vector):  # all floats
             self._update_count += self._backend.add_values(theirs)  # type: ignore
             return
         for index, value in enumerate(theirs):

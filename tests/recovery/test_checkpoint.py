@@ -62,7 +62,7 @@ class TestAsynchronousPath:
         runtime.run_until_idle()
         node = node_of_partition(runtime)
         pending = manager.begin(node)
-        # Writes land in the dirty overlay while the checkpoint is open.
+        # Writes go on while the checkpoint is open.
         for i in range(10):
             runtime.inject("serve", ("put", f"mid{i}", i))
         runtime.run_until_idle()
@@ -70,13 +70,14 @@ class TestAsynchronousPath:
         assert element.checkpoint_active
         assert element.get("mid3") == 3
         checkpoint = manager.complete(pending)
-        # The snapshot excludes mid-checkpoint writes...
+        # The checkpoint, cut at begin, excludes mid-checkpoint writes...
         keys = {k for c in checkpoint.se_chunks[("table", 0)]
                 for k, _ in c.items}
         assert keys == {f"pre{i}" for i in range(10)}
-        # ...but the live state retains them after consolidation.
+        # ...but the live state retains them, journalled for the next.
         assert not element.checkpoint_active
         assert element.get("mid3") == 3
+        assert element.journal().written == {f"mid{i}" for i in range(10)}
 
     def test_double_begin_rejected(self):
         runtime, _store, manager = deploy_with_manager()
@@ -152,3 +153,34 @@ class TestBufferTrimming:
         runtime.run_until_idle()
         checkpoint = manager.checkpoint(node_of_partition(runtime))
         assert len(checkpoint.se_chunks[("table", 0)]) == 6
+
+
+class TestMultiprocessMidCheckpoint:
+    def test_state_read_between_begin_and_complete(self):
+        """On worker processes a state read replaces the coordinator's
+        SE elements. A checkpoint open across such a read must still
+        complete, holding exactly its partition's pre-begin keys."""
+        config = RuntimeConfig(se_instances={"table": 2},
+                               substrate="multiprocess", workers=2)
+        runtime = Runtime(build_kv_sdg(), config).deploy()
+        try:
+            manager = CheckpointManager(runtime, BackupStore(m_targets=2))
+            for i in range(20):
+                runtime.inject("serve", ("put", f"pre{i}", i))
+            runtime.run_until_idle()
+            first = runtime.se_instances("table")[0]
+            before = set(first.element.keys())
+            assert 0 < len(before) < 20
+            pending = manager.begin(first.node_id)
+            for i in range(20):
+                runtime.inject("serve", ("put", f"mid{i}", i))
+            runtime.run_until_idle()
+            live = runtime.se_instances("table")
+            assert sum(len(inst.element) for inst in live) == 40
+            checkpoint = manager.complete(pending)
+            keys = {key for chunk in checkpoint.se_chunks[("table", 0)]
+                    for key, _value in chunk.items}
+            assert keys == before
+            assert runtime.metrics.total("recovery_checkpoints_total") == 1
+        finally:
+            runtime.close()

@@ -38,8 +38,10 @@ class TestScheduling:
         assert store.has_checkpoint(node)
 
     def test_checkpoint_window_stays_open_asynchronously(self):
-        """Between begin and complete the SE really is in dirty mode."""
-        runtime, _store, _manager, scheduler = deploy(
+        """Between begin and complete a checkpoint really is open: the
+        SE keeps taking writes (journalled for the next cycle) that the
+        checkpoint, cut at begin, does not hold."""
+        runtime, store, _manager, scheduler = deploy(
             every_items=20, complete_after=1_000_000,
         )
         for i in range(60):
@@ -47,9 +49,11 @@ class TestScheduling:
         runtime.run_until_idle()
         element = runtime.se_instance("table", 0).element
         assert element.checkpoint_active
-        assert element.dirty_size > 0
+        assert len(element.journal()) > 0
         scheduler.flush()
         assert not element.checkpoint_active
+        node = runtime.se_instance("table", 0).node_id
+        assert store.latest(node).state_entries() < len(element) == 60
 
     def test_latest_checkpoint_supports_recovery(self):
         runtime, store, _manager, scheduler = deploy(every_items=40)

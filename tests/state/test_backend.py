@@ -203,15 +203,17 @@ class TestDeltaCapability:
         assert kv.journal().empty
 
     def test_overlay_writes_journal_on_consolidate(self):
-        """Mid-checkpoint writes belong to the *next* delta."""
+        """Writes after a checkpoint's cut (which restarts the journal,
+        as ``CheckpointManager.begin`` does) belong to the *next* delta."""
         kv = KeyValueMap()
         kv.put("a", 1)
+        first = kv.cut(delta=True)
         kv.mark_clean()
-        kv.begin_checkpoint()
         kv.put("b", 2)
-        assert kv.journal().empty  # still in the overlay
-        kv.consolidate()
-        assert kv.journal().written == {"b"}
+        kv.delete("a")
+        assert (first.items, first.deleted) == ([("a", 1)], [])
+        second = kv.cut(delta=True)
+        assert (second.items, second.deleted) == ([("b", 2)], ["a"])
 
 
 #: kind -> (factory, key from two small ints).

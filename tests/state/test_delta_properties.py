@@ -3,8 +3,8 @@
 The contract: for *any* interleaving of mutations and checkpoints,
 folding the full base plus the ordered delta chain reconstructs exactly
 the state a full checkpoint would have captured — including deletions
-inside a delta window and writes that land in the dirty overlay while a
-delta checkpoint is pending.
+inside a delta window and writes made after a delta checkpoint's cut
+while it is pending.
 """
 
 from hypothesis import given, settings
@@ -30,19 +30,19 @@ def apply_ops(se, ops):
             se.put(key, value)
 
 
-def checkpoint_cycle(se, version, n_chunks=3):
-    """One async cycle: full base at v1, deltas after; returns chunks."""
-    se.begin_checkpoint()
-    if version == 1:
-        chunks = se.to_chunks(n_chunks)
-        kind = "full"
-    else:
-        chunks = se.to_delta_chunks(n_chunks, version=version,
-                                    base_version=version - 1)
-        kind = "delta"
+def take_cut(se, version):
+    """A checkpoint's begin: full base at v1, deltas after; the journal
+    restarts once the cut is taken."""
+    cut = se.cut(delta=version > 1)
     se.mark_clean()
-    se.consolidate()
-    return kind, chunks
+    return cut
+
+
+def checkpoint_cycle(se, version, n_chunks=3):
+    """One cycle with nothing in between; returns (kind, chunks)."""
+    chunks = take_cut(se, version).chunks(
+        n_chunks, version=version, base_version=version - 1)
+    return ("full" if version == 1 else "delta"), chunks
 
 
 def fold(base_chunks, delta_cycles):
@@ -78,36 +78,24 @@ def test_overlay_writes_during_pending_delta_land_in_next_delta(
     runs, pending
 ):
     """Writes made *while a delta checkpoint is pending* are not lost:
-    they consolidate into the journal and ship with the next delta."""
+    they journal straight into the next delta, and the pending one is
+    chunked from its cut as if they had not happened."""
     se = KeyValueMap()
     base = None
     deltas = []
     for version, ops in enumerate(runs, start=1):
         apply_ops(se, ops)
-        se.begin_checkpoint()
-        if version == 1:
-            chunks = se.to_chunks(3)
-        else:
-            chunks = se.to_delta_chunks(3, version=version,
-                                        base_version=version - 1)
-        # Mutations racing the pending checkpoint: dirty overlay.
+        cut = take_cut(se, version)
+        # Mutations racing the pending checkpoint, before it is chunked.
         apply_ops(se, pending)
-        se.mark_clean()
-        se.consolidate()
+        chunks = cut.chunks(3, version=version, base_version=version - 1)
         if version == 1:
             base = chunks
         else:
             deltas.append(chunks)
-    # One final cycle flushes whatever the last overlay re-journalled.
-    version = len(runs) + 1
-    se.begin_checkpoint()
-    if version == 1:
-        base = se.to_chunks(3)
-    else:
-        deltas.append(se.to_delta_chunks(3, version=version,
-                                         base_version=version - 1))
-    se.mark_clean()
-    se.consolidate()
+    # One final cycle flushes what the last pending window journalled.
+    _kind, chunks = checkpoint_cycle(se, len(runs) + 1)
+    deltas.append(chunks)
     restored = fold(base, deltas)
     assert dict(restored.items()) == dict(se.items())
 
@@ -128,9 +116,7 @@ def test_delta_chain_equals_one_full_checkpoint(runs):
             deltas.append(chunks)
     via_chain = fold(base, deltas)
 
-    se.begin_checkpoint()
     full_now = se.to_chunks(3)
-    se.consolidate()
     via_full = KeyValueMap.from_chunks(KeyValueMap(), full_now)
 
     assert dict(via_chain.items()) == dict(via_full.items())

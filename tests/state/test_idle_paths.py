@@ -1,13 +1,14 @@
 """``Matrix`` and ``Vector`` against the generic helper path.
 
-With no checkpoint open, the hot domain operations check a key once and
-touch the backend directly instead of going through ``_get`` / ``_set``.
-Here one SE is driven through its domain API and a twin only through
-``_get`` / ``_set`` (the path mid-checkpoint writes still take, and the
-one the fast paths must reproduce), over keys the store refuses as well
-as keys it accepts, with checkpoints opened and consolidated in between.
-After every operation the two must agree on what was read or raised and
-on everything the store, its indexes and its journal hold.
+The hot domain operations check a key once and touch the backend
+directly instead of going through ``_get`` / ``_set``. Here one SE is
+driven through its domain API and a twin only through ``_get`` /
+``_set`` (the path a refused key still takes, and the one the fast
+paths must reproduce), over keys the store refuses as well as keys it
+accepts, with checkpoint cuts taken and dropped in between. After every
+operation the two must agree on what was read or raised and on
+everything the store, its indexes and its journal hold, and every cut
+still held must equal the store's items at the moment it was taken.
 """
 
 from hypothesis import example, given, settings
@@ -25,8 +26,8 @@ numbers = st.lists(st.one_of(st.integers(-2, 2),
                              st.booleans()), max_size=8)
 operands = st.one_of(numbers.map(lambda v: Vector(values=v)),
                      st.lists(st.one_of(values, st.booleans()), max_size=8))
-checkpointing = st.one_of(st.tuples(st.just("begin")),
-                          st.tuples(st.just("consolidate")))
+checkpointing = st.one_of(st.tuples(st.just("cut")),
+                          st.tuples(st.just("drop")))
 
 matrix_ops = st.lists(st.one_of(
     st.tuples(st.just("set"), coordinates, coordinates, values),
@@ -54,15 +55,25 @@ def outcome(action, *args):
 
 
 def cells(se):
-    """The twin's logical ``(key, value)`` pairs, overlay included."""
+    """The twin's ``(key, value)`` pairs."""
     return list(se._iter_items())
 
 
-def checkpoint(se, op):
-    if op == "begin" and not se.checkpoint_active:
-        se.begin_checkpoint()
-    elif op == "consolidate" and se.checkpoint_active:
-        se.consolidate()
+def checkpoint(se, op, held):
+    """Take a cut as a checkpoint's begin does (the journal restarts),
+    or drop the oldest cut still held."""
+    if op == "cut":
+        cut = se.cut()
+        assert repr(cut.items) == repr(list(se.backend.items()))
+        held.append((cut, repr(cut.items)))
+        se.mark_clean()
+    elif held:
+        held.pop(0)
+
+
+def assert_cuts_unchanged(held):
+    for cut, taken in held:
+        assert repr(cut.items) == taken
 
 
 # -- Matrix ----------------------------------------------------------------
@@ -111,7 +122,6 @@ MATRIX_OPS = {
 def assert_same_store(se, twin):
     assert repr(list(se.backend.items())) == \
         repr(list(twin.backend.items()))
-    assert repr(se._dirty) == repr(twin._dirty)
     assert repr(se.journal()) == repr(twin.journal())
     assert se.update_count == twin.update_count
 
@@ -124,15 +134,17 @@ def assert_same_store(se, twin):
 @settings(max_examples=300, deadline=None)
 def test_matrix_domain_ops_match_the_helper_path(ops):
     matrix, twin = Matrix(), Matrix()
+    held, twin_held = [], []
     for op in ops:
         if op[0] in MATRIX_OPS:
             domain, reference = MATRIX_OPS[op[0]]
             assert outcome(domain, matrix, *op[1:]) == \
                 outcome(reference, twin, *op[1:]), op
         else:
-            checkpoint(matrix, op[0])
-            checkpoint(twin, op[0])
+            checkpoint(matrix, op[0], held)
+            checkpoint(twin, op[0], twin_held)
         assert_same_store(matrix, twin)
+        assert_cuts_unchanged(held + twin_held)
         for index in ("_row_cols", "_col_rows"):
             assert repr(getattr(matrix.backend, index)) == \
                 repr(getattr(twin.backend, index))
@@ -172,12 +184,14 @@ VECTOR_OPS = {
 @settings(max_examples=300, deadline=None)
 def test_vector_domain_ops_match_the_helper_path(start, ops):
     vector, twin = Vector(values=start), Vector(values=start)
+    held, twin_held = [], []
     for op in ops:
         if op[0] in VECTOR_OPS:
             domain, reference = VECTOR_OPS[op[0]]
             assert outcome(domain, vector, *op[1:]) == \
                 outcome(reference, twin, *op[1:]), op
         else:
-            checkpoint(vector, op[0])
-            checkpoint(twin, op[0])
+            checkpoint(vector, op[0], held)
+            checkpoint(twin, op[0], twin_held)
         assert_same_store(vector, twin)
+        assert_cuts_unchanged(held + twin_held)

@@ -47,50 +47,47 @@ class TestKeyValueMapBasics:
 
 
 class TestKeyValueMapCheckpointing:
+    """A checkpoint's cut is a copy: it keeps the contents it was taken
+    from, and the live map goes on serving reads and writes."""
+
     def test_reads_prefer_dirty_state(self):
         kv = KeyValueMap()
         kv.put("k", "old")
-        kv.begin_checkpoint()
+        cut = kv.cut()
         kv.put("k", "new")
         assert kv.get("k") == "new"
-        assert dict(kv.snapshot_items())["k"] == "old"
-        kv.consolidate()
-        assert kv.get("k") == "new"
+        assert dict(cut.items)["k"] == "old"
 
     def test_delete_during_checkpoint_uses_tombstone(self):
         kv = KeyValueMap()
         kv.put("k", 1)
-        kv.begin_checkpoint()
+        cut = kv.cut()
         kv.delete("k")
         assert not kv.contains("k")
         assert kv.get("k", "gone") == "gone"
-        assert "k" in dict(kv.snapshot_items())
-        kv.consolidate()
-        assert not kv.contains("k")
+        assert "k" in dict(cut.items)
 
     def test_delete_of_tombstoned_key_raises(self):
         kv = KeyValueMap()
         kv.put("k", 1)
-        kv.begin_checkpoint()
+        kv.cut()
         kv.delete("k")
         with pytest.raises(KeyError):
             kv.delete("k")
-        kv.consolidate()
 
     def test_insert_then_read_of_new_key_during_checkpoint(self):
         kv = KeyValueMap()
-        kv.begin_checkpoint()
+        cut = kv.cut()
         kv.put("fresh", 7)
         assert kv.get("fresh") == 7
         assert kv.items() == [("fresh", 7)]
-        assert kv.consolidate() == 1
+        assert cut.items == []
 
     def test_len_is_overlay_aware(self):
         kv = KeyValueMap()
         kv.put("a", 1)
-        kv.begin_checkpoint()
+        cut = kv.cut()
         kv.put("b", 2)
         kv.delete("a")
-        assert len(kv) == 1
-        kv.consolidate()
-        assert len(kv) == 1
+        assert len(kv) == 1 and kv.items() == [("b", 2)]
+        assert cut.items == [("a", 1)]

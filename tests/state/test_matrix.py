@@ -78,12 +78,7 @@ class TestSparseMatrix:
             m.get_row(row)
         with pytest.raises(StateError):
             m.set_row(row, Vector(values=[1.0]))
-        m.begin_checkpoint()
-        with pytest.raises(StateError):
-            m.get_row(row)
-        with pytest.raises(StateError):
-            m.set_row(row, Vector(values=[1.0]))
-        assert m.dirty_size == 0 and m.nnz() == 1
+        assert m.nnz() == 1 and m.journal().written == {(1, 0)}
 
     def test_set_row_replaces_contents(self):
         m = Matrix()
@@ -122,34 +117,37 @@ class TestSparseMatrix:
 
 
 class TestSparseMatrixCheckpointing:
+    """Reads after a checkpoint's cut see every later write; the cut
+    keeps the cells it copied."""
+
     def test_get_row_sees_dirty_writes(self):
         m = Matrix()
         m.set_element(0, 0, 1.0)
-        m.begin_checkpoint()
+        cut = m.cut()
         m.set_element(0, 1, 2.0)
         row = m.get_row(0)
         assert row.get(0) == 1.0
         assert row.get(1) == 2.0
-        snapshot = dict(m.snapshot_items())
-        assert (0, 1) not in snapshot
-        m.consolidate()
-        assert m.get_element(0, 1) == 2.0
+        assert cut.items == [((0, 0), 1.0)]
 
     def test_multiply_sees_dirty_writes(self):
         m = Matrix()
-        m.begin_checkpoint()
+        cut = m.cut()
         m.set_element(0, 0, 4.0)
         assert m.multiply(Vector(values=[2.0])).get(0) == 8.0
-        m.consolidate()
+        assert cut.items == []
 
     def test_row_index_consistent_after_consolidate(self):
         m = Matrix()
         m.set_element(0, 0, 1.0)
-        m.begin_checkpoint()
+        m.set_element(3, 3, 1.0)
+        m.cut()
         m.set_element(0, 1, 2.0)
-        m.consolidate()
-        row = m.get_row(0)
-        assert row.to_list() == [1.0, 2.0]
+        m.set_row(3, Vector())
+        assert m.get_row(0).to_list() == [1.0, 2.0]
+        assert m.backend._row_cols == {0: {0, 1}}
+        assert m.backend._col_rows == {0: {0}, 1: {0}}
+        assert (m.num_rows(), m.num_cols()) == (1, 2)
 
 
 class TestMultiplyCostsWhatItTouches:
@@ -193,10 +191,10 @@ class TestMultiplyCostsWhatItTouches:
         assert result == self.expected(lambda r, c: float((r + c) % 5))
 
     def test_checkpoint_in_progress(self, populated):
-        populated.begin_checkpoint()
+        cut = populated.cut()
         populated.set_element(10, 77, 100.0)   # overwrite, in operand
         populated.set_element(10, 78, 100.0)   # overwrite, outside it
-        populated.set_row(11, Vector(values=[1.0]))   # tombstones
+        populated.set_row(11, Vector(values=[1.0]))   # deletions
         populated.set_element(self.SIDE - 1, 3, 9.0)
 
         def cells(row, col):
@@ -210,6 +208,8 @@ class TestMultiplyCostsWhatItTouches:
 
         result = self.counted_multiply(populated)
         assert result == self.expected(cells)
+        assert len(cut.items) == self.SIDE * self.SIDE
+        assert dict(cut.items)[10, 77] == float((10 + 77) % 5)
 
 
 class TestDenseMatrix:
@@ -240,7 +240,7 @@ class TestDenseMatrix:
     def test_multiply_ignores_operand_beyond_the_shape(self):
         m = DenseMatrix(2, 2)
         m.set_element(1, 1, 4.0)
-        m.begin_checkpoint()
+        m.cut()
         m.set_element(0, 0, 2.0)
         result = m.multiply(Vector(values=[3.0, 0.5, 7.0]))
         assert result.to_list() == [6.0, 2.0]

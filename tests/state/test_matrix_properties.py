@@ -55,22 +55,24 @@ def test_matrix_partition_cover(triples, n, axis):
 @given(triples=cells)
 @settings(max_examples=50)
 def test_matrix_checkpoint_transparency(triples):
+    """Taking a cut midway leaves the matrix — cells, indexes, journal —
+    exactly as if no checkpoint had run, and the cut holds the first
+    half's cells only."""
     plain = Matrix()
     checkpointed = Matrix()
     half = len(triples) // 2
     fill(plain, triples[:half])
-    fill(checkpointed, triples[:half])
-    checkpointed.begin_checkpoint()
+    model = fill(checkpointed, triples[:half])
+    cut = checkpointed.cut()
     fill(plain, triples[half:])
     fill(checkpointed, triples[half:])
-    assert sorted(checkpointed._iter_items()) == sorted(
-        plain.backend.items()
-    )
-    checkpointed.consolidate()
-    assert sorted(checkpointed.backend.items()) == sorted(
-        plain.backend.items()
-    )
-    # Row index must be consistent after consolidation.
+    assert dict(cut.items) == model
+    assert repr(list(checkpointed.backend.items())) == repr(
+        list(plain.backend.items()))
+    assert checkpointed.journal() == plain.journal()
+    for index in ("_row_cols", "_col_rows"):
+        assert (getattr(checkpointed.backend, index)
+                == getattr(plain.backend, index))
     for row in range(21):
         assert (checkpointed.get_row(row).to_list()
                 == plain.get_row(row).to_list())
@@ -105,8 +107,7 @@ matrix_ops = st.lists(st.one_of(
     st.tuples(st.just("add"), small, small, whole),
     st.tuples(st.just("set_row"), small, row_values),
     st.tuples(st.just("delete_row"), small),
-    st.tuples(st.just("begin_checkpoint")),
-    st.tuples(st.just("consolidate")),
+    st.tuples(st.just("cut")),
     st.tuples(st.just("extract_partition"), st.integers(1, 3)),
     st.tuples(st.just("chunk_roundtrip"), st.integers(1, 4)),
 ), max_size=30)
@@ -161,21 +162,16 @@ def test_matrix_indexes_and_reads_match_dict_model(ops, operand, axis):
                 del model[key]
             model.update({(op[1], col): value
                           for col, value in enumerate(values) if value})
-        elif kind == "begin_checkpoint":
-            if not matrix.checkpoint_active:
-                matrix.begin_checkpoint()
-        elif kind == "consolidate":
-            if matrix.checkpoint_active:
-                matrix.consolidate()
-        elif not matrix.checkpoint_active:
-            if kind == "extract_partition":
-                partitioner = HashPartitioner(op[1])
-                parts = [matrix.extract_partition(partitioner, index)
-                         for index in range(op[1])]
-                for part in parts:
-                    assert_indexes_match_cells(part)
-                matrix = Matrix.merge_partitions(parts)
-            else:
-                matrix = Matrix.from_chunks(matrix, matrix.to_chunks(op[1]))
+        elif kind == "cut":
+            assert dict(matrix.cut().items) == model
+        elif kind == "extract_partition":
+            partitioner = HashPartitioner(op[1])
+            parts = [matrix.extract_partition(partitioner, index)
+                     for index in range(op[1])]
+            for part in parts:
+                assert_indexes_match_cells(part)
+            matrix = Matrix.merge_partitions(parts)
+        else:
+            matrix = Matrix.from_chunks(matrix, matrix.to_chunks(op[1]))
         assert_indexes_match_cells(matrix)
         assert_reads_match_model(matrix, model, operand)

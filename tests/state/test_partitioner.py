@@ -131,13 +131,6 @@ class TestStatePartitioning:
         with pytest.raises(StateError, match="disjoint"):
             KeyValueMap.merge_partitions([a, b])
 
-    def test_repartition_during_checkpoint_rejected(self):
-        kv = KeyValueMap()
-        kv.begin_checkpoint()
-        with pytest.raises(StateError):
-            kv.extract_partition(HashPartitioner(2), 0)
-        kv.consolidate()
-
 
 class TestChunking:
     def test_chunks_cover_all_items(self):
@@ -176,9 +169,8 @@ class TestChunking:
     def test_chunks_are_taken_from_consistent_snapshot(self):
         kv = KeyValueMap()
         kv.put("a", 1)
-        kv.begin_checkpoint()
+        cut = kv.cut()
         kv.put("b", 2)
-        chunks = kv.to_chunks(2)
+        chunks = cut.chunks(2)
         keys = {k for c in chunks for k, _ in c.items}
         assert keys == {"a"}
-        kv.consolidate()

@@ -1,11 +1,13 @@
 """Property-based tests for state-element invariants.
 
 The invariants checked here are the ones the paper's recovery mechanism
-relies on: the dirty-state overlay must be transparent to readers, a
-checkpoint snapshot must be exactly the pre-checkpoint contents, chunking
-must be a lossless partition of the snapshot, and partitioning must be a
-disjoint cover of the key space.
+relies on: a checkpoint must be transparent to readers and writers, its
+cut must be exactly the pre-checkpoint contents, chunking must be a
+lossless partition of the cut, and partitioning must be a disjoint
+cover of the key space.
 """
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -34,18 +36,17 @@ def apply_model(pairs):
 
 @given(before=ops, during=ops)
 def test_overlay_reads_match_plain_dict_semantics(before, during):
-    """Reads through the overlay behave exactly like an unfrozen map."""
+    """Reads after a cut behave exactly like a map never checkpointed."""
     kv = KeyValueMap()
     for key, value in before:
         kv.put(key, value)
-    kv.begin_checkpoint()
+    kv.cut()
     for key, value in during:
         kv.put(key, value)
     expected = apply_model(before + during)
     for key, value in expected.items():
         assert kv.get(key) == value
     assert sorted(map(repr, kv.keys())) == sorted(map(repr, expected))
-    kv.consolidate()
 
 
 @given(before=ops, during=ops)
@@ -53,31 +54,28 @@ def test_snapshot_is_exactly_pre_checkpoint_contents(before, during):
     kv = KeyValueMap()
     for key, value in before:
         kv.put(key, value)
-    kv.begin_checkpoint()
-    snapshot_before_writes = dict(kv.snapshot_items())
+    cut = kv.cut()
+    snapshot_before_writes = dict(cut.items)
     for key, value in during:
         kv.put(key, value)
-    assert dict(kv.snapshot_items()) == snapshot_before_writes
+    assert dict(cut.items) == snapshot_before_writes
     assert snapshot_before_writes == apply_model(before)
-    kv.consolidate()
 
 
 @given(before=ops, during=ops)
 def test_consolidate_equals_uninterrupted_execution(before, during):
-    """checkpoint+consolidate is invisible: same result as no checkpoint."""
+    """A checkpoint's cut is invisible: the SE it was taken from ends
+    bit-identical to one that never checkpointed."""
     interrupted = KeyValueMap()
     plain = KeyValueMap()
     for key, value in before:
         interrupted.put(key, value)
         plain.put(key, value)
-    interrupted.begin_checkpoint()
+    interrupted.cut()
     for key, value in during:
         interrupted.put(key, value)
         plain.put(key, value)
-    interrupted.consolidate()
-    assert sorted(map(repr, interrupted.items())) == sorted(
-        map(repr, plain.items())
-    )
+    assert pickle.dumps(interrupted) == pickle.dumps(plain)
 
 
 @given(pairs=ops, m=st.integers(1, 7))
@@ -138,13 +136,13 @@ def test_vector_checkpoint_transparency(ops_list):
     for index, value in ops_list[:mid]:
         plain.set(index, value)
         checkpointed.set(index, value)
-    checkpointed.begin_checkpoint()
+    cut, at_cut = checkpointed.cut(), checkpointed.to_list()
     for index, value in ops_list[mid:]:
         plain.set(index, value)
         checkpointed.set(index, value)
-    assert checkpointed.to_list() == plain.to_list()
-    checkpointed.consolidate()
-    assert checkpointed.to_list() == plain.to_list()
+    assert pickle.dumps(checkpointed) == pickle.dumps(plain)
+    restored = Vector.from_chunks(Vector(), cut.chunks(2))
+    assert restored.to_list() == at_cut
 
 
 coordinates = st.one_of(st.integers(-2, 3),
@@ -187,21 +185,22 @@ def outcome(action, *args):
 @settings(max_examples=60, deadline=None)
 def test_mid_checkpoint_writes_are_checked_like_idle_ones(kind, data):
     """A write is refused, and its value coerced, by the same rule with
-    or without a checkpoint in progress — so a bad write fails in the
-    task that made it and ``consolidate`` cannot."""
+    or without a checkpoint in progress: no data op reads the flag."""
     factory, keys, write, contents = CHECKED_WRITES[kind]
     writes = data.draw(
         st.lists(st.tuples(keys, written_values), max_size=20))
     idle, frozen = factory(), factory()
-    frozen.begin_checkpoint()
+    cut = frozen.cut()
+    frozen.checkpoint_active = True
     for key, value in writes:
         refused = outcome(write, idle, key, value)
         assert outcome(write, frozen, key, value) is refused, (key, value)
         if refused is StateError:  # a malformed key: deletes refuse it too
             for se in (idle, frozen):
                 assert outcome(se._delete, key) is StateError, key
-    # repr tells 3 from 3.0: the overlay reads back what the store would.
+    # repr tells 3 from 3.0: both read back what the store coerced.
     assert repr(contents(frozen)) == repr(contents(idle))
-    frozen.consolidate()
-    assert not frozen.checkpoint_active
-    assert repr(contents(frozen)) == repr(contents(idle))
+    assert repr(list(frozen.backend.items())) == \
+        repr(list(idle.backend.items()))
+    assert frozen.journal() == idle.journal()
+    assert cut.items == list(factory().backend.items())

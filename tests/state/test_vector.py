@@ -77,10 +77,11 @@ class TestVectorMath:
             self, checkpointing):
         other = [0.0, 5.0, 0.0, -2.0, 0.0, 7.0]
         bulk, stepwise = Vector(values=[1, 2, 3]), Vector(values=[1, 2, 3])
+        cuts = []
         for v in (bulk, stepwise):
             v.mark_clean()
             if checkpointing:
-                v.begin_checkpoint()
+                cuts.append(v.cut())
                 v.set(4, 9.0)
         bulk.add_vector(Vector(values=other))
         for index, value in enumerate(other):
@@ -89,11 +90,10 @@ class TestVectorMath:
         assert bulk.to_list() == stepwise.to_list() == [
             1.0, 7.0, 3.0, -2.0, 9.0 if checkpointing else 0.0, 7.0]
         assert bulk.update_count == stepwise.update_count
-        if checkpointing:
-            assert bulk.dirty_size == stepwise.dirty_size == 4
-            bulk.consolidate()
-            stepwise.consolidate()
-        # Slot 4 is the zero-fill under slot 5 (or the overlay write).
+        for cut in cuts:  # taken before the sums: it has neither
+            assert cut.items == [(0, 1.0), (1, 2.0), (2, 3.0)]
+            assert cut.meta == {"size": 3}
+        # Slot 4 is the zero-fill under slot 5 (or the write after the cut).
         assert bulk.journal() == stepwise.journal()
         assert bulk.journal().written == {1, 3, 4, 5}
 
@@ -117,21 +117,23 @@ class TestVectorMath:
 
 class TestVectorCheckpointing:
     def test_writes_during_checkpoint_go_to_dirty(self):
+        """A write after the cut is read back live; the cut keeps the
+        value it copied."""
         v = Vector(values=[1, 2])
-        v.begin_checkpoint()
+        cut = v.cut()
         v.set(0, 9.0)
-        assert v.get(0) == 9.0  # read served by dirty state
-        assert dict(v.snapshot_items())[0] == 1.0  # snapshot is consistent
-        assert v.consolidate() == 1
         assert v.get(0) == 9.0
+        assert dict(cut.items)[0] == 1.0
 
     def test_size_accounts_for_dirty_growth(self):
+        """Growth after the cut shows in the live size, not in the cut's
+        size meta, which restores the length it was taken at."""
         v = Vector(values=[1])
-        v.begin_checkpoint()
+        cut = v.cut()
         v.set(5, 1.0)
         assert v.size() == 6
-        v.consolidate()
-        assert v.size() == 6
+        restored = Vector.from_chunks(Vector(), cut.chunks(2))
+        assert restored.to_list() == [1.0]
 
     def test_spawn_empty_is_fresh(self):
         v = Vector(values=[1, 2])

@@ -13,8 +13,9 @@ from repro.errors import (
     TranslationError,
     ValidationError,
 )
+from repro.recovery import BackupStore, CheckpointManager, CheckpointPolicy
 from repro.runtime import Runtime, RuntimeConfig
-from repro.state import KeyValueMap, Matrix, Vector
+from repro.state import KeyValueMap, Matrix
 
 from tests.helpers import build_kv_sdg
 
@@ -52,11 +53,10 @@ class TestSizeAccounting:
     def test_entry_count_is_overlay_aware(self):
         kv = KeyValueMap()
         kv.put("a", 1)
-        kv.begin_checkpoint()
+        cut = kv.cut()
         kv.put("b", 2)
         kv.delete("a")
-        assert kv.entry_count() == 1
-        kv.consolidate()
+        assert kv.entry_count() == 1 and len(cut.items) == 1
 
     def test_node_state_size(self):
         runtime = Runtime(build_kv_sdg(),
@@ -75,17 +75,34 @@ class TestSizeAccounting:
 
 class TestAbortCheckpoint:
     def test_abort_preserves_dirty_writes(self):
-        vector = Vector(values=[1.0])
-        vector.begin_checkpoint()
-        vector.set(0, 9.0)
-        vector.abort_checkpoint()
-        assert not vector.checkpoint_active
-        assert vector.get(0) == 9.0
+        """An abort drops a delta cut and the journal entries it took,
+        yet loses no write: the next cycle is a full base holding the
+        writes from before and during the aborted one."""
+        runtime = Runtime(build_kv_sdg(),
+                          RuntimeConfig(se_instances={"table": 1}))
+        runtime.deploy()
+        manager = CheckpointManager(runtime, BackupStore(m_targets=2),
+                                    policy=CheckpointPolicy(full_every=0))
+        node = runtime.se_instance("table", 0).node_id
 
-    def test_abort_without_checkpoint_is_noop(self):
-        vector = Vector()
-        vector.abort_checkpoint()  # must not raise
-        assert not vector.checkpoint_active
+        def put(key, value):
+            runtime.inject("serve", ("put", key, value))
+            runtime.run_until_idle()
+
+        put("before", 1)
+        manager.checkpoint(node)
+        put("journalled", 2)
+        pending = manager.begin(node)  # its delta cut takes this entry
+        assert pending.delta and pending.cuts[("table", 0)].items
+        put("during", 3)
+        manager.abort(pending)
+        element = runtime.se_instance("table", 0).element
+        assert not element.checkpoint_active
+        checkpoint = manager.checkpoint(node)
+        assert checkpoint.kind == "full"
+        assert sorted(item for chunk in checkpoint.se_chunks[("table", 0)]
+                      for item in chunk.items) == [
+            ("before", 1), ("during", 3), ("journalled", 2)]
 
 
 class TestPackageMetadata:
