@@ -8,11 +8,16 @@ Design constraints, in order:
   this codebase is always *logical steps* or entry/byte counts.
 * **Cheap when hot** — callers on the per-item path pre-bind label
   children once (``metric.labels(te="count")`` returns a small mutable
-  cell) so a hot-path increment is one attribute add, no dict lookup.
+  cell) and add to its ``value`` in place (``cell.value += n``): one
+  attribute add, no dict lookup, no method call.  ``inc`` / ``dec`` /
+  ``set`` are for everything off that path.
 * **Injectable** — the engine takes any registry-shaped object via
-  ``RuntimeConfig(metrics=...)``.  :data:`NULL_REGISTRY` is the no-op
-  implementation used as the benchmark baseline ("no registry") and as
-  the default for layers constructed stand-alone in unit tests.
+  ``RuntimeConfig(metrics=...)``, and every such registry hands out
+  cells with a numeric ``value`` slot.  :data:`NULL_REGISTRY` is the
+  no-op implementation used as the benchmark baseline ("no registry")
+  and as the default for layers constructed stand-alone in unit tests:
+  its cells are one shared sink, and it ships an empty shard, so it
+  works on both substrates.
 
 A process-wide default registry (:func:`default_registry`) exists for
 scripts that want one shared sink, but the runtime deliberately
@@ -475,16 +480,32 @@ def _label_str(labels: dict[str, str], **extra: str) -> str:
     return "{" + inner + "}"
 
 
-class _NullMetric:
-    """A metric that swallows everything; ``labels()`` returns itself."""
+class _NullCell(_GaugeChild):
+    """The one cell every null metric hands out: a sink whose ``value``
+    takes the hot path's adds like any cell's, and that nobody reads."""
 
     __slots__ = ()
-    value_ = 0.0
     count = 0
     sum = 0.0
 
-    def labels(self, **labels: str) -> "_NullMetric":
-        return self
+    def observe(self, value: float) -> None:
+        pass
+
+    def quantile(self, q: float) -> float:
+        return 0.0
+
+
+_NULL_CELL = _NullCell()
+
+
+class _NullMetric:
+    """A metric that swallows everything; ``labels()`` hands out the
+    shared sink cell."""
+
+    __slots__ = ()
+
+    def labels(self, **labels: str) -> _NullCell:
+        return _NULL_CELL
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         pass
@@ -501,9 +522,6 @@ class _NullMetric:
     def value(self, **labels: str) -> float:
         return 0.0
 
-    def quantile(self, q: float) -> float:
-        return 0.0
-
     def samples(self) -> list:
         return []
 
@@ -511,50 +529,20 @@ class _NullMetric:
 _NULL_METRIC = _NullMetric()
 
 
-class NullRegistry:
+class NullRegistry(MetricsRegistry):
     """Registry-shaped no-op: the "no metrics at all" baseline.
 
     Used by the overhead benchmark as the reference configuration and
-    as the default sink for layers constructed stand-alone.
+    as the default sink for layers constructed stand-alone. Every
+    factory hands out the null metric and registers nothing, so every
+    read sees an empty registry, and a worker's shard is empty.
     """
 
-    def counter(self, name: str, help: str = "") -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str, help: str = "") -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(
-        self, name: str, help: str = "", buckets: tuple[float, ...] | None = None
-    ) -> _NullMetric:
-        return _NULL_METRIC
-
-    def names(self) -> list[str]:
-        return []
-
-    def collect(self) -> list:
-        return []
-
-    def value(self, name: str, **labels: str) -> float:
-        return 0.0
-
-    def total(self, name: str) -> float:
-        return 0.0
-
-    def to_dict(self) -> dict:
-        return {}
-
-    def to_prometheus_text(self) -> str:
-        return ""
-
-    def snapshot(self) -> dict:
-        return {}
+    def _get(self, name: str, kind: str, **kwargs) -> _NullMetric:
+        return _NULL_METRIC  # type: ignore[return-value]
 
     def merge_snapshot(self, snap: dict) -> None:
         pass
-
-    def merged_with(self, shards: list) -> "NullRegistry":
-        return self
 
 
 NULL_REGISTRY = NullRegistry()

@@ -194,13 +194,18 @@ class RuntimeConfig:
         # Raises on unknown substrate names / non-substrate objects.
         resolve_substrate(self.substrate, self)
         if self.metrics is not None:
-            for factory in ("counter", "gauge", "histogram"):
-                if not callable(getattr(self.metrics, factory, None)):
-                    raise RuntimeExecutionError(
-                        f"RuntimeConfig.metrics must be registry-shaped "
-                        f"(callable counter/gauge/histogram), got "
-                        f"{self.metrics!r}"
-                    )
+            needed = ("counter", "gauge", "histogram")
+            if self.substrate == "multiprocess":
+                # Workers reset and shard it, the coordinator merges.
+                needed += ("reset", "shard", "merged_with")
+            missing = [name for name in needed
+                       if not callable(getattr(self.metrics, name, None))]
+            if missing:
+                raise RuntimeExecutionError(
+                    f"RuntimeConfig.metrics must be registry-shaped "
+                    f"(callable {'/'.join(needed)}), got "
+                    f"{self.metrics!r}, which lacks {missing}"
+                )
         for mapping, what, elements, known in (
             (self.se_instances, "se_instances", "SEs", sdg.states),
             (self.partitioners, "partitioners", "SEs", sdg.states),

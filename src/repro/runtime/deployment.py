@@ -70,7 +70,9 @@ class Topology:
         self.sdg = sdg
         self.config = config
         self.nodes: dict[int, PhysicalNode] = {}
-        self._te_instances: dict[str, list[TEInstance | None]] = {}
+        #: TE name -> slot list (``None``: failed). Changed in place,
+        #: never replaced: its length is always the TE's slot count.
+        self.te_slots: dict[str, list[TEInstance | None]] = {}
         self._se_instances: dict[str, list[SEInstance | None]] = {}
         self._partitioners: dict[str, HashPartitioner] = {}
         #: Per-SE repartition counter. A checkpoint records the epoch it
@@ -83,7 +85,7 @@ class Topology:
         #: Stateless fallback partitioners for keyed dispatch into TEs
         #: without a partitioned SE, cached per fan-out.
         self._fallbacks: dict[int, HashPartitioner] = {}
-        #: Bumped by every method that assigns into ``_te_instances`` or
+        #: Bumped by every method that assigns into ``te_slots`` or
         #: kills a node; :meth:`candidates` rebuilds when it has moved.
         self.version = 0
         self._candidates: Candidates | None = None
@@ -128,7 +130,7 @@ class Topology:
                 n = len(self._se_instances[te.state])
             else:
                 n = max(1, self.config.te_instances.get(te.name, 1))
-            self._te_instances[te.name] = [
+            self.te_slots[te.name] = [
                 TEInstance(te, i, se_instance=None) for i in range(n)
             ]
 
@@ -138,7 +140,7 @@ class Topology:
             for se_inst in instances:
                 node = self.node_for(base.node_of[se_name], se_inst.index)
                 node.host_se(se_inst)
-        for te_name, instances in self._te_instances.items():
+        for te_name, instances in self.te_slots.items():
             spec = self.sdg.task(te_name)
             for te_inst in instances:
                 if spec.state is not None:
@@ -176,14 +178,14 @@ class Topology:
 
     def te_instances(self, te: str) -> list[TEInstance]:
         """Live instances of TE ``te`` (failed slots omitted)."""
-        return [i for i in self._te_instances[te] if i is not None]
+        return [i for i in self.te_slots[te] if i is not None]
 
     def te_instance(self, te: str, index: int) -> TEInstance | None:
-        instances = self._te_instances[te]
+        instances = self.te_slots[te]
         return instances[index] if index < len(instances) else None
 
     def te_slot_count(self, te: str) -> int:
-        return len(self._te_instances[te])
+        return len(self.te_slots[te])
 
     def se_instances(self, se: str) -> list[SEInstance]:
         return [i for i in self._se_instances[se] if i is not None]
@@ -193,7 +195,7 @@ class Topology:
         return instances[index] if index < len(instances) else None
 
     def all_te_instances(self) -> Iterator[TEInstance]:
-        for instances in self._te_instances.values():
+        for instances in self.te_slots.values():
             for instance in instances:
                 if instance is not None:
                     yield instance
@@ -289,7 +291,7 @@ class Topology:
         node.fail()
         for key in list(node.te_instances):
             te_name, index = key
-            self._te_instances[te_name][index] = None
+            self.te_slots[te_name][index] = None
         for key in list(node.se_instances):
             se_name, index = key
             self._se_instances[se_name][index] = None
@@ -318,7 +320,7 @@ class Topology:
                 te_inst.se_instance = self._se_instances[spec.state][
                     te_inst.index
                 ]
-            slots = self._te_instances[te_inst.name]
+            slots = self.te_slots[te_inst.name]
             while len(slots) <= te_inst.index:
                 slots.append(None)
             slots[te_inst.index] = te_inst
@@ -334,7 +336,7 @@ class Topology:
         self.version += 1
         spec = self.sdg.task(te_name)
         instance = TEInstance(spec, self.te_slot_count(te_name))
-        self._te_instances[te_name].append(instance)
+        self.te_slots[te_name].append(instance)
         self.fresh_node().host_te(instance)
         return instance
 
@@ -349,7 +351,7 @@ class Topology:
         node.host_se(se_inst)
         for te in self.sdg.tasks_accessing(se_name):
             te_inst = TEInstance(te, index, se_instance=se_inst)
-            self._te_instances[te.name].append(te_inst)
+            self.te_slots[te.name].append(te_inst)
             node.host_te(te_inst)
 
     def repartition(self, se_name: str, n_new: int) -> list[Envelope]:
@@ -399,6 +401,6 @@ class Topology:
                 node.host_se(se_inst)
                 for te in accessing:
                     te_inst = TEInstance(te, index, se_instance=se_inst)
-                    self._te_instances[te.name].append(te_inst)
+                    self.te_slots[te.name].append(te_inst)
                     node.host_te(te_inst)
         return pending

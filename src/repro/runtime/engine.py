@@ -46,6 +46,7 @@ from repro.runtime.envelope import (
     NO_RESPONSE,
     ChannelId,
     Envelope,
+    make_envelope,
 )
 from repro.runtime.instances import (
     GatherState,
@@ -108,6 +109,9 @@ class Runtime:
         #: Per-entry global injection counter (see TEInstance.out_seq for
         #: why timestamps are per-stream, not per-channel).
         self._input_seq: dict[str, int] = {}
+        #: Entry TE -> (spec, entry key function, injected-items cell);
+        #: filled by deploy, so before it every ``inject`` is refused.
+        self._entries: dict[str, tuple] = {}
         #: The client-side input log: ``(entry, index)`` -> the interned
         #: input ``ChannelId`` and the envelopes injected on it that no
         #: checkpoint has trimmed yet.
@@ -286,8 +290,10 @@ class Runtime:
             "engine_items_processed_total", "items processed, by TE")
         instances_g = m.gauge(
             "runtime_te_instances", "live instances per TE")
-        self._c_injected = {te: injected.labels(te=te)
-                            for te in self.sdg.tasks}
+        self._entries = {te: (spec, spec.entry_key_fn,
+                              injected.labels(te=te))
+                         for te, spec in self.sdg.tasks.items()
+                         if spec.is_entry}
         self._c_processed = {te: processed.labels(te=te)
                              for te in self.sdg.tasks}
         self._g_instances = {te: instances_g.labels(te=te)
@@ -363,19 +369,20 @@ class Runtime:
         failed entry TE can be replayed from "upstream" (here: the
         client-side input log).
         """
-        if not self._deployed:
+        bound = self._entries.get(entry)
+        if bound is None:
             self._require_deployed()
-        spec = self.sdg.task(entry)
-        if not spec.is_entry:
+            self.sdg.task(entry)  # KeyError: no such TE
             raise RuntimeExecutionError(f"TE {entry!r} is not an entry point")
-        self._c_injected[entry].inc()
+        spec, key_fn, injected = bound
+        injected.value += 1
         # One trace per logical injection: a GLOBAL-access broadcast is
         # one item fanned out, so every slot shares the trace id.
         trace_id = (self.tracer.new_trace(self.total_steps)
                     if self.tracer is not None else None)
-        if spec.entry_key_fn is not None:
-            index = self._keyed_index(spec, spec.entry_key_fn(payload))
-            self._inject_to(entry, index, payload, None, None, trace_id)
+        if key_fn is not None:
+            self._inject_to(entry, self.topology.keyed_index(
+                spec, key_fn(payload)), payload, None, None, trace_id)
         elif spec.access is AccessMode.GLOBAL:
             request_id = self.dispatcher.next_request_id()
             slots = self.te_slot_count(entry)
@@ -399,14 +406,10 @@ class Runtime:
             route = self._input_routes[entry, index] = (channel, [])
         seq = self._input_seq.get(entry, 0) + 1
         self._input_seq[entry] = seq
-        envelope = Envelope(payload, seq, route[0], request_id, expected,
-                            trace_id)
+        envelope = make_envelope((payload, seq, route[0], request_id,
+                                  expected, trace_id))
         route[1].append(envelope)
         self.substrate.deliver(envelope)
-
-    def _keyed_index(self, spec, key: Any) -> int:
-        """Partition index for keyed dispatch into TE ``spec``."""
-        return self.topology.keyed_index(spec, key)
 
     # ------------------------------------------------------------------
     # Processing
@@ -450,11 +453,11 @@ class Runtime:
         instance, throttled = self.scheduler.select(candidates, nodes)
         if instance is None:
             if throttled:
-                self._c_stalls.inc()
+                self._c_stalls.value += 1
                 self._tick()
                 return True
             return False
-        self._c_picks.inc()
+        self._c_picks.value += 1
         inbox = instance.inbox
         envelope = inbox.popleft()
         channel = envelope.channel
@@ -492,14 +495,14 @@ class Runtime:
                     break
                 envelope = inbox.popleft()
         finally:
-            self._g_inbox[instance.name].dec(run)
+            self._g_inbox[instance.name].value -= run
             if not inbox:
                 # The other half of ready-set upkeep (appends are the
                 # transport's). After a mid-run crash ``candidates`` is
                 # already stale and this edits a list nobody reads.
                 candidates.discard(instance)
         if run > 1:
-            self._c_coalesced.inc(run - 1)
+            self._c_coalesced.value += run - 1
             # The scheduler admitted one item; charge the straggler
             # credit for the rest so a run cannot smuggle work past a
             # throttled node.
@@ -507,7 +510,7 @@ class Runtime:
                 self._charge(nodes[instance.node_id], run - 1)
         # ``_tick()``, written out: without hooks a step pays no call.
         self.total_steps += 1
-        self._c_steps.inc()
+        self._c_steps.value += 1
         if self._step_hooks:
             for hook in list(self._step_hooks):
                 hook(self)
@@ -516,7 +519,7 @@ class Runtime:
     def _tick(self) -> None:
         """Advance logical time by one step and run the step hooks."""
         self.total_steps += 1
-        self._c_steps.inc()
+        self._c_steps.value += 1
         if self._step_hooks:
             for hook in list(self._step_hooks):
                 hook(self)
@@ -627,8 +630,9 @@ class Runtime:
         """
         # The ``StreamKey``, sliced once for the replay dedup and the mark.
         stream = envelope.channel[:3]
+        nodes = self.topology.nodes
         if envelope.ts <= instance.last_seen.get(stream, 0):
-            self.nodes[instance.node_id].duplicates_dropped += 1
+            nodes[instance.node_id].duplicates_dropped += 1
             return
         probe = self.probe
         probe.serve(self.total_steps, instance, envelope)
@@ -641,10 +645,13 @@ class Runtime:
             outputs = self._invoke(instance, envelope.payload)
             instance.last_seen[stream] = envelope.ts
         probe.dispatch()
-        self._dispatch(instance, outputs, envelope)
-        self.nodes[instance.node_id].items_processed += 1
+        if instance.name in self._terminal_tes:
+            self._collect_result(instance, outputs, envelope)
+        else:
+            self.dispatcher.dispatch(instance, outputs, envelope)
+        nodes[instance.node_id].items_processed += 1
         instance.processed_count += 1
-        self._c_processed[instance.name].inc()
+        self._c_processed[instance.name].value += 1
 
     def _gather(self, instance: TEInstance,
                 envelope: Envelope) -> list[Any] | None:
@@ -672,7 +679,7 @@ class Runtime:
         # Stored per item: a restored element or a scale-up shows at once.
         ctx = instance.context
         ctx.state = se_instance.element if se_instance is not None else None
-        ctx.n_instances = self.topology.te_slot_count(instance.name)
+        ctx.n_instances = len(self.topology.te_slots[instance.name])
         if instance.crash_next:
             instance.crash_next = False
             raise RuntimeExecutionError(
@@ -693,15 +700,8 @@ class Runtime:
         return outputs
 
     # ------------------------------------------------------------------
-    # Dispatching (delegated to the dispatch layer, §4.2 semantics)
+    # Results (a terminal TE's outputs; the rest go to the dispatcher)
     # ------------------------------------------------------------------
-
-    def _dispatch(self, instance: TEInstance, outputs: list[Any],
-                  cause: Envelope) -> None:
-        if instance.name in self._terminal_tes:
-            self._collect_result(instance, outputs, cause)
-            return
-        self.dispatcher.dispatch(instance, outputs, cause)
 
     def _collect_result(self, instance: TEInstance, outputs: list[Any],
                         cause: Envelope) -> None:
@@ -998,6 +998,6 @@ class Runtime:
         key_fn = (spec.entry_key_fn if channel.edge_index == INPUT_EDGE
                   else self.sdg.dataflows[channel.edge_index].key_fn)
         if key_fn is not None:
-            return self._keyed_index(spec, key_fn(envelope.payload))
+            return self.topology.keyed_index(spec, key_fn(envelope.payload))
         return min(channel.dst_instance,
                    self.te_slot_count(channel.dst_te) - 1)

@@ -9,6 +9,7 @@ request id plus the expected response count for the gather barrier.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, NamedTuple
 
 
@@ -93,3 +94,8 @@ class Envelope(NamedTuple):
         """Rewrap the same logical item for delivery on another channel."""
         return Envelope(self.payload, ts, channel, self.request_id,
                         self.expected_responses, self.trace_id)
+
+
+#: ``make_envelope(row)`` with all six fields in order: one C-level call
+#: where ``Envelope(...)`` runs the named tuple's Python-level ``__new__``.
+make_envelope = partial(tuple.__new__, Envelope)

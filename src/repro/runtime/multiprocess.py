@@ -178,6 +178,23 @@ def _wire_meters(metrics, role: str) -> tuple:
             ).labels(role=role))
 
 
+#: The worker-send cell of the wire series, as a snapshot label key.
+_WORKER_SEND = (("direction", "send"), ("role", "worker"))
+
+
+def _expand_report(schema: tuple, values: tuple, frame_bytes: int) -> dict:
+    """A worker report's shard as a snapshot, counting the report's own
+    frame: its totals predate it and only the next report's cover it,
+    so without this the merged wire totals are short at a barrier."""
+    snapshot = MetricsRegistry.expand(schema, values)
+    for name, amount in (("wire_frames_total", 1),
+                         ("wire_bytes_total", frame_bytes)):
+        cells = snapshot.get(name, {}).get("children", {})
+        if _WORKER_SEND in cells:
+            cells[_WORKER_SEND] += amount
+    return snapshot
+
+
 class _WorkerFailure(Exception):
     """Internal control-flow: one worker died; the pump loop must stop
     touching its (now stale) descriptors before anyone decides whether
@@ -230,11 +247,11 @@ class _Link:
         #: The worker's metric schema, as its latest report that
         #: carried one described it (reports ship it on shape change).
         self.schema: tuple | None = None
-        #: Freshest cumulative ``(schema, values)`` metrics shard (every
-        #: report carries the values) — what ``merged_metrics()``
-        #: expands live.
+        #: Freshest cumulative ``(schema, values, frame bytes)`` shard
+        #: (every report carries the values; the bytes are its frame's)
+        #: — what ``merged_metrics()`` expands live.
         self.shard: tuple | None = None
-        #: The shard as of the last *barrier* (the same immutable pair,
+        #: The shard as of the last *barrier* (the same immutable tuple,
         #: not a copy) — what survives into ``_retired_shards`` if this
         #: worker's fleet is restarted.
         self.fenced_shard: tuple | None = None
@@ -302,14 +319,17 @@ class MultiprocessSubstrate:
         self._processed_base = 0
         self._finalizer = None
         self._restarts_left = self.restarts
-        #: Barrier-fenced ``(schema, values)`` metric shards of fleets
-        #: that were restarted.
+        #: Barrier-fenced ``(schema, values, frame bytes)`` metric shards
+        #: of fleets that were restarted.
         self._retired_shards: list[tuple] = []
         self._retired_processed = 0
         #: Input envelopes delivered since the last barrier — the
         #: replay source for a fleet restart. Only kept when restarts
         #: are budgeted.
         self._replay_log: list[Envelope] = []
+        #: Input channel -> owning worker, asked once per route: the
+        #: placement outlives every fleet restart.
+        self._owners: dict[ChannelId, int] = {}
 
     # ------------------------------------------------------------------
     # Deploy: fork the fleet
@@ -404,11 +424,14 @@ class MultiprocessSubstrate:
 
     def deliver(self, envelope: "Envelope") -> bool:
         """Route one envelope to the worker owning its destination."""
-        link = self._links[self.placement.owner_of(
-            envelope.channel.dst_te, envelope.channel.dst_instance
-        )]
+        channel = envelope.channel
+        owner = self._owners.get(channel)
+        if owner is None:
+            owner = self._owners[channel] = self.placement.owner_of(
+                channel.dst_te, channel.dst_instance)
+        link = self._links[owner]
         self._routed += 1
-        if self.restarts and envelope.channel.edge_index == INPUT_EDGE:
+        if self.restarts and channel.edge_index == INPUT_EDGE:
             # Log first: if the flush trips over a dead worker, the
             # restart's replay re-delivers this envelope too, so the
             # handler below must not retry it itself.
@@ -530,9 +553,9 @@ class MultiprocessSubstrate:
         their compact pairs here, when read. Consumed by
         :meth:`Runtime.merged_metrics`; updated live as idle frames
         arrive, not only at barriers."""
-        pairs = self._retired_shards + [
+        shards = self._retired_shards + [
             link.shard for link in self._links if link.shard is not None]
-        return [MetricsRegistry.expand(*pair) for pair in pairs]
+        return [_expand_report(*shard) for shard in shards]
 
     # ------------------------------------------------------------------
     # Coordinator event loop
@@ -647,7 +670,7 @@ class MultiprocessSubstrate:
         schema, values = obs["metrics"]
         if schema is not None:
             link.schema = schema
-        link.shard = (link.schema, values)
+        link.shard = (link.schema, values, link.buffer.frame_bytes)
         for te, items in obs.get("results", {}).items():
             link.results.setdefault(te, []).extend(items)
 

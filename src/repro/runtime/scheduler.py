@@ -118,7 +118,9 @@ class RoundRobinScheduler(_CreditedScheduler):
             position = ready[at]
             at += 1
             instance = instances[position]
-            if not self._admit(nodes[instance.node_id]):
+            node = nodes[instance.node_id]
+            # A full-speed node is admitted without a call.
+            if node.speed < 1.0 and not self._admit(node):
                 throttled = True
                 continue
             self._rotor = (position + 1) % n

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.metrics import NULL_REGISTRY
-from repro.runtime.envelope import NO_RESPONSE, ChannelId, Envelope
+from repro.runtime.envelope import (NO_RESPONSE, ChannelId, Envelope,
+                                    make_envelope)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import Tracer
@@ -214,7 +215,7 @@ class Transport:
             # Not ours: ship it to the owning worker via the wire. The
             # frame counts as delivered on this channel — the owning
             # worker performs the actual inbox append on its side.
-            self._c_wire.inc()
+            self._c_wire.value += 1
             channel.delivered += 1
             self._remote_send(envelope, channel.remote)
             return True
@@ -228,8 +229,8 @@ class Transport:
         if len(inbox) == 1:
             topology.candidates().add(instance)
         channel.delivered += 1
-        self._c_delivered.inc()
-        channel.inbox_depth.inc()
+        self._c_delivered.value += 1
+        channel.inbox_depth.value += 1
         if self.tracer is not None:
             self.tracer.on_deliver(envelope, self._clock())
         return True
@@ -255,8 +256,8 @@ class Transport:
                 channel, src.output_buffers.setdefault(channel, deque()))
         seq = src.out_seq.get(edge_index, 0) + 1
         src.out_seq[edge_index] = seq
-        envelope = Envelope(payload, seq, route[0], request_id, expected,
-                            trace_id)
+        envelope = make_envelope((payload, seq, route[0], request_id,
+                                  expected, trace_id))
         route[1].append(envelope)
         return self.deliver(envelope)
 

@@ -40,11 +40,10 @@ from __future__ import annotations
 import os
 import pickle
 import struct
-from functools import partial
 from typing import Any, Iterator
 
 from repro.errors import RuntimeExecutionError
-from repro.runtime.envelope import Envelope
+from repro.runtime.envelope import Envelope, make_envelope
 
 #: Frame header: payload length as a 4-byte big-endian unsigned int.
 FRAME_HEADER = struct.Struct(">I")
@@ -79,13 +78,9 @@ def encode_run(run: list[Envelope]) -> list[tuple]:
     return list(map(tuple, run))
 
 
-#: ``tuple.__new__(Envelope, row)``: a C-level call per envelope.
-_envelope = partial(tuple.__new__, Envelope)
-
-
 def decode_run(rows: list[tuple]) -> list[Envelope]:
     """The envelopes of a decoded data frame's rows, typed again."""
-    return list(map(_envelope, rows))
+    return list(map(make_envelope, rows))
 
 
 class FrameBuffer:
@@ -98,6 +93,8 @@ class FrameBuffer:
 
     def __init__(self) -> None:
         self._buffer = bytearray()
+        #: Bytes of the frame last yielded, its header included.
+        self.frame_bytes = 0
 
     def feed(self, data: bytes) -> Iterator[Any]:
         """Absorb ``data``; yield every now-complete message."""
@@ -116,6 +113,7 @@ class FrameBuffer:
                 return
             payload = bytes(self._buffer[FRAME_HEADER.size:end])
             del self._buffer[:end]
+            self.frame_bytes = end
             yield decode_frame(payload)
 
     def pending_bytes(self) -> int:
