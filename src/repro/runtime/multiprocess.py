@@ -128,6 +128,7 @@ from repro.runtime.wire import (
     MSG_STATE,
     MSG_TRACE,
     FrameBuffer,
+    WireError,
     decode_run,
     encode_frame,
     encode_run,
@@ -628,9 +629,14 @@ class MultiprocessSubstrate:
             if not data:
                 self._worker_died(link)
             self._m_bytes_recv.inc(len(data))
-            for message in link.buffer.feed(data):
-                self._m_frames_recv.inc()
-                self._handle(link, message)
+            try:
+                for message in link.buffer.feed(data):
+                    self._m_frames_recv.inc()
+                    self._handle(link, message)
+            except WireError as exc:  # as fatal as EOF on its pipe
+                raise _WorkerFailure(
+                    link, f"worker {link.worker_id} sent a bad frame: "
+                          f"{exc!r}") from None
 
     def _handle(self, link: _Link, message: tuple) -> None:
         tag = message[0]
@@ -684,6 +690,15 @@ class MultiprocessSubstrate:
         )
 
     def _worker_died(self, link: _Link) -> None:
+        # A crashing worker writes why before it exits, and a write that
+        # found its pipe closed can be the first to notice: read it.
+        try:
+            while data := os.read(link.recv_fd, _READ_CHUNK):
+                for message in link.buffer.feed(data):
+                    if message[0] == MSG_CRASH:
+                        self._handle(link, message)
+        except (OSError, WireError):
+            pass
         raise _WorkerFailure(
             link,
             f"worker {link.worker_id} exited unexpectedly "

@@ -97,7 +97,8 @@ class FrameBuffer:
         self.frame_bytes = 0
 
     def feed(self, data: bytes) -> Iterator[Any]:
-        """Absorb ``data``; yield every now-complete message."""
+        """Absorb ``data``; yield every now-complete message (a payload
+        that does not unpickle is a :class:`WireError`, and consumed)."""
         self._buffer.extend(data)
         while True:
             if len(self._buffer) < FRAME_HEADER.size:
@@ -114,7 +115,12 @@ class FrameBuffer:
             payload = bytes(self._buffer[FRAME_HEADER.size:end])
             del self._buffer[:end]
             self.frame_bytes = end
-            yield decode_frame(payload)
+            try:
+                message = decode_frame(payload)
+            except Exception as exc:  # bad bytes raise many types
+                raise WireError(
+                    f"malformed {length}-byte frame: {exc!r}") from exc
+            yield message
 
     def pending_bytes(self) -> int:
         """Bytes buffered towards a not-yet-complete frame."""

@@ -164,9 +164,10 @@ class ListBackend(StateBackend):
     resetting it to 0.0 — matching the vector's sparse-read semantics.
     """
 
-    def __init__(self, values: list[float] | None = None) -> None:
+    def __init__(self, values: Sequence[float] | None = None) -> None:
         super().__init__()
-        self._data: list[float] = list(values) if values else []
+        self._data: list[float] = (list(map(float, values))
+                                   if values is not None else [])
 
     @staticmethod
     def _check_index(key: Hashable) -> int:
@@ -221,17 +222,21 @@ class ListBackend(StateBackend):
 
     def add_values(self, values: Sequence[float]) -> int:
         """Add floats elementwise in one pass, storing and journalling what
-        ``set(i, get(i) + v)`` would per non-zero ``v``; returns the count."""
+        ``set(i, get(i) + v)`` would per non-zero ``v`` (growing the store
+        once, to the last non-zero); returns the count."""
         data, journal = self._data, self._journal
+        size, top = len(data), len(values)
+        while top > size and not values[top - 1]:
+            top -= 1
+        data.extend([0.0] * (top - size))
         written = 0
         for index, value in enumerate(values):
             if value:
-                if index < len(data):
-                    data[index] += value
-                else:  # past the end: zero-fill as ``set`` does
-                    self._do_set(index, value)
-                journal[index] = True
+                data[index] += value
+                if index < size:
+                    journal[index] = True
                 written += 1
+        journal.update(dict.fromkeys(range(size, top), True))
         return written
 
 
@@ -303,22 +308,28 @@ class DenseGridBackend(StateBackend):
             self._journal[key] = True
 
 
-class SparseMatrixBackend(DictBackend):
-    """Dict-of-cells store with a row index and a column index.
+#: What a column without cells reads as; never written.
+_NO_CELLS: dict[int, float] = {}
+
+
+class SparseMatrixBackend(StateBackend):
+    """Column-major sparse store with a row index.
 
     Backs :class:`~repro.state.matrix.Matrix`: keys are validated
-    ``(row, col)`` int pairs, and ``row -> {cols}`` / ``col -> {rows}``
-    indexes are updated whenever a cell appears or disappears (an
-    overwrite touches neither), so ``get_row`` costs the row's
+    ``(row, col)`` int pairs, and each cell lives once, in ``_cols``
+    (``col -> {row: value}``), the way ``multiply`` reads it. A column
+    holding no cell is not in ``_cols``, and ``_row_cols`` (``row ->
+    {cols}``) changes only when a cell appears or disappears (an
+    overwrite touches no index), so ``get_row`` costs the row's
     population and ``multiply`` that of the columns its operand
-    selects, not the matrix size. The indexes are derived from the
-    cells and never serialised.
+    selects, not the matrix size. Items come out column by column; the
+    row index is derived from the cells and never serialised.
     """
 
     def __init__(self) -> None:
         super().__init__()
+        self._cols: dict[int, dict[int, float]] = {}
         self._row_cols: dict[int, set[int]] = {}
-        self._col_rows: dict[int, set[int]] = {}
 
     @staticmethod
     def _check_key(key: Hashable) -> tuple[int, int]:
@@ -333,19 +344,22 @@ class SparseMatrixBackend(DictBackend):
         )
 
     def get(self, key: Hashable) -> float:
-        return self._map[self._check_key(key)]
+        row, col = self._check_key(key)
+        return self._cols.get(col, _NO_CELLS)[row]
 
     def set(self, key: Hashable, value: Any) -> None:
         self.put(self._check_key(key), float(value))
 
     def put(self, key: tuple[int, int], value: float) -> None:
-        """Store a checked cell, its indexes and its journal entry: the
+        """Store a checked cell, its index and its journal entry: the
         one cell write, shared by :meth:`set` and idle ``Matrix`` ops."""
-        if key not in self._map:
-            row, col = key
+        row, col = key
+        column = self._cols.get(col)
+        if column is None:
+            column = self._cols[col] = {}
+        if row not in column:
             self._row_cols.setdefault(row, set()).add(col)
-            self._col_rows.setdefault(col, set()).add(row)
-        self._map[key] = value
+        column[row] = value
         self._journal[key] = True
 
     def _do_set(self, key: Hashable, value: Any) -> None:  # pragma: no cover
@@ -353,17 +367,27 @@ class SparseMatrixBackend(DictBackend):
 
     def _do_delete(self, key: Hashable) -> None:
         row, col = self._check_key(key)
-        del self._map[(row, col)]
-        for index, line, cross in ((self._row_cols, row, col),
-                                   (self._col_rows, col, row)):
-            index[line].discard(cross)
-            if not index[line]:
-                del index[line]
+        column = self._cols.get(col, _NO_CELLS)
+        del column[row]
+        if not column:
+            del self._cols[col]
+        cols = self._row_cols[row]
+        cols.discard(col)
+        if not cols:
+            del self._row_cols[row]
 
     def contains(self, key: Hashable) -> bool:
-        return self._check_key(key) in self._map
+        row, col = self._check_key(key)
+        return row in self._cols.get(col, _NO_CELLS)
+
+    def items(self) -> Iterator[tuple[tuple[int, int], float]]:
+        return (((row, col), value) for col, column in self._cols.items()
+                for row, value in column.items())
 
     def _do_clear(self) -> None:
-        self._map.clear()
+        self._cols.clear()
         self._row_cols.clear()
-        self._col_rows.clear()
+
+    def __len__(self) -> int:
+        return sum(map(len, self._cols.values()))
+

@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Any, Hashable
 
 from repro.errors import StateError
-from repro.state.backend import DenseGridBackend, SparseMatrixBackend
+from repro.state.backend import (_NO_CELLS, DenseGridBackend,
+                                 SparseMatrixBackend)
 from repro.state.base import StateElement
 from repro.state.vector import Vector
 
@@ -27,10 +28,11 @@ class Matrix(StateElement):
     """A sparse 2-D matrix SE keyed by ``(row, col)`` integer pairs.
 
     Unwritten cells read as 0.0. Physical storage is a
-    :class:`~repro.state.backend.SparseMatrixBackend`, whose row and
-    column indexes make :meth:`get_row`, :meth:`multiply` and the
-    dimensions cost the cells they touch, not the matrix size. The
-    vectors those return are built in one write: their journal is empty.
+    :class:`~repro.state.backend.SparseMatrixBackend`, which keeps the
+    cells by column and indexes the columns of each row, so
+    :meth:`get_row`, :meth:`multiply` and the dimensions cost the cells
+    they touch, not the matrix size. The vectors those return are built
+    in one write: their journal is empty.
     """
 
     BYTES_PER_ENTRY = 24
@@ -56,14 +58,15 @@ class Matrix(StateElement):
     # -- domain API ----------------------------------------------------
 
     # A cell that passes ``_check_key``'s rule (inlined: a call costs as
-    # much as the op) is one dict read or one ``put``; any other key
+    # much as the op) is two dict reads or one ``put``; any other key
     # takes ``_get``/``_set``, which raise what the backend refuses.
 
     def get_element(self, row: int, col: int) -> float:
         """Return the cell value (0.0 when never written)."""
         if (isinstance(row, int) and isinstance(col, int)
                 and row >= 0 and col >= 0):
-            return self._backend._map.get((row, col), 0.0)  # type: ignore
+            return self._backend._cols.get(  # type: ignore
+                col, _NO_CELLS).get(row, 0.0)
         return self._get((row, col), 0.0)
 
     def set_element(self, row: int, col: int, value: float) -> None:
@@ -85,10 +88,10 @@ class Matrix(StateElement):
         """Return row ``row`` as a :class:`Vector` (a copy, not a view)."""
         backend: SparseMatrixBackend = self._backend  # type: ignore
         backend._check_key((row, 0))
-        cols = backend._row_cols.get(row, ())
+        cells, cols = backend._cols, backend._row_cols.get(row, ())
         values = [0.0] * (max(cols) + 1 if cols else 0)
         for col in cols:
-            values[col] = backend._map[row, col]
+            values[col] = cells[col][row]
         return Vector(values=values)
 
     def set_row(self, row: int, vector: Vector) -> None:
@@ -106,20 +109,19 @@ class Matrix(StateElement):
 
         This is the operation ``@Global coOcc.multiply(userRow)`` from
         Alg. 1 line 16; applied to a partial instance it yields a partial
-        result to be merged across instances. Only the columns where
-        ``vector`` is non-zero are read, straight off the column index
-        and the cells, and each row is summed in ascending column order,
-        so the result depends on the contents alone, not on the write
-        history.
+        result to be merged across instances. Only the stored columns
+        where ``vector`` is non-zero are read, one pass over each, and
+        they are taken in ascending order, so every row is summed in
+        ascending column order and the result depends on the contents
+        alone, not on the write history.
         """
-        backend: SparseMatrixBackend = self._backend  # type: ignore
-        cells, col_rows = backend._map, backend._col_rows
-        hit = [(col, weight, col_rows[col]) for col, weight
-               in enumerate(vector.to_list()) if weight and col in col_rows]
-        values = [0.0] * (max([max(r) for *_, r in hit], default=-1) + 1)
-        for col, weight, rows in hit:
-            for row in rows:
-                values[row] += cells[row, col] * weight
+        columns = self._backend._cols  # type: ignore[attr-defined]
+        hit = [(columns[col], weight) for col, weight
+               in enumerate(vector.to_list()) if weight and col in columns]
+        values = [0.0] * (max([max(c) for c, _w in hit], default=-1) + 1)
+        for column, weight in hit:
+            for row, cell in column.items():
+                values[row] += cell * weight
         return Vector(values=values)
 
     def to_rows(self) -> list[list[float]]:
@@ -136,7 +138,7 @@ class Matrix(StateElement):
 
     def num_cols(self) -> int:
         """1 + the highest populated column index (0 when empty)."""
-        return max(self._backend._col_rows, default=-1) + 1  # type: ignore
+        return max(self._backend._cols, default=-1) + 1  # type: ignore
 
     def nnz(self) -> int:
         """Number of explicitly stored (non-zero) cells."""

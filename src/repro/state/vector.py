@@ -25,11 +25,8 @@ class Vector(StateElement):
     BYTES_PER_ENTRY = 8
 
     def __init__(self, size: int = 0, values: Sequence[float] | None = None):
-        if values is not None:
-            backend = ListBackend([float(v) for v in values])
-        else:
-            backend = ListBackend([0.0] * size)
-        super().__init__(backend=backend)
+        super().__init__(backend=ListBackend(
+            values if values is not None else [0.0] * size))
 
     def spawn_empty(self) -> "Vector":
         return Vector()

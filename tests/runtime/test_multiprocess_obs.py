@@ -31,6 +31,7 @@ from repro.obs.events import KIND
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.wire import (
+    FRAME_HEADER,
     MSG_DELIVER,
     MSG_IDLE,
     MSG_OUT,
@@ -265,36 +266,38 @@ def kill_worker(runtime, worker_id):
     assert not process.is_alive()
 
 
+def run_kv_with_fault(substrate, workers=None, restarts=0, fault=None):
+    """KV puts and gets on 2 partitions, with ``fault(runtime, 0)`` hit
+    at a barrier midway; returns results, processed counts, state."""
+    config = RuntimeConfig(se_instances={"table": 2},
+                           substrate=substrate, workers=workers,
+                           worker_restarts=restarts)
+    runtime = Runtime(build_kv_sdg(), config).deploy()
+    try:
+        for i in range(20):
+            runtime.inject("serve", ("put", f"k{i}", i))
+        runtime.run_until_idle()
+        if fault is not None:
+            fault(runtime, 0)
+        # Each worker owns about half of 500 keys: several full runs
+        # are flushed inside inject, towards the failed worker too.
+        for i in range(500):
+            runtime.inject("serve", ("put", f"j{i}", i))
+        for i in range(0, 500, 25):
+            runtime.inject("serve", ("get", f"j{i}", None))
+        runtime.run_until_idle()
+        results = {te: sorted(map(repr, items))
+                   for te, items in runtime.results.items()}
+        processed = runtime.merged_metrics().snapshot()[
+            "engine_items_processed_total"]["children"]
+        return results, processed, state_fingerprint(runtime)
+    finally:
+        runtime.close()
+
+
 class TestInjectAfterWorkerDeath:
     """A dead worker found by ``inject``'s run flush is a public error
     without restart budget, and a restart with it."""
-
-    def run_workload(self, substrate, workers=None, restarts=0,
-                     kill=False):
-        config = RuntimeConfig(se_instances={"table": 2},
-                               substrate=substrate, workers=workers,
-                               worker_restarts=restarts)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
-            for i in range(20):
-                runtime.inject("serve", ("put", f"k{i}", i))
-            runtime.run_until_idle()
-            if kill:
-                kill_worker(runtime, 0)
-            # Each worker owns about half of 500 keys: several full runs
-            # are flushed inside inject, towards the dead worker too.
-            for i in range(500):
-                runtime.inject("serve", ("put", f"j{i}", i))
-            for i in range(0, 500, 25):
-                runtime.inject("serve", ("get", f"j{i}", None))
-            runtime.run_until_idle()
-            results = {te: sorted(map(repr, items))
-                       for te, items in runtime.results.items()}
-            processed = runtime.merged_metrics().snapshot()[
-                "engine_items_processed_total"]["children"]
-            return results, processed, state_fingerprint(runtime)
-        finally:
-            runtime.close()
 
     def test_without_budget_inject_raises_runtime_execution_error(self):
         config = RuntimeConfig(se_instances={"table": 2},
@@ -312,11 +315,57 @@ class TestInjectAfterWorkerDeath:
             runtime.close()
 
     def test_with_budget_the_same_sequence_matches_in_process(self):
-        crashed = self.run_workload("multiprocess", workers=2, restarts=1,
-                                    kill=True)
-        clean = self.run_workload("inprocess")
+        crashed = run_kv_with_fault("multiprocess", workers=2, restarts=1,
+                                    fault=kill_worker)
+        clean = run_kv_with_fault("inprocess")
         assert crashed == clean
         assert len(crashed[0]["serve"]) == 20
+
+
+def send_empty_frame(runtime, worker_id):
+    """Write the worker a frame of 0 bytes: no pickle is empty."""
+    os.write(runtime.substrate._links[worker_id].send_fd,
+             FRAME_HEADER.pack(0))
+
+
+def garble_next_frame(runtime, worker_id):
+    """Put a garbage frame ahead of what the coordinator next reads from
+    the worker, as if the worker had written it."""
+    buffer = runtime.substrate._links[worker_id].buffer
+    assert buffer.pending_bytes() == 0
+    buffer._buffer.extend(FRAME_HEADER.pack(3) + b"\xffab")
+
+
+class TestMalformedFrame:
+    """A frame that does not unpickle is a ``WireError``, and whoever
+    reads one fails as a dead peer does: a worker reports a crash, and
+    the coordinator fails the worker that sent it."""
+
+    def test_a_worker_that_reads_one_reports_a_crash(self):
+        processes = []
+
+        def fault(runtime, worker_id):
+            processes.append(runtime.substrate._links[worker_id].process)
+            send_empty_frame(runtime, worker_id)
+
+        with pytest.raises(RuntimeExecutionError, match=(
+                "(?s)worker 0 crashed.*WireError: malformed 0-byte frame")):
+            run_kv_with_fault("multiprocess", workers=2, fault=fault)
+        (process,) = processes
+        process.join(timeout=10)
+        assert process.exitcode == 1
+
+    def test_the_coordinator_fails_the_worker_that_sent_one(self):
+        with pytest.raises(RuntimeExecutionError, match=(
+                r"worker 0 sent a bad frame: WireError\('malformed 3-byte")):
+            run_kv_with_fault("multiprocess", workers=2,
+                              fault=garble_next_frame)
+
+    @pytest.mark.parametrize("fault", [send_empty_frame, garble_next_frame])
+    def test_with_budget_the_fleet_restarts_and_replays(self, fault):
+        restarted = run_kv_with_fault("multiprocess", workers=2, restarts=1,
+                                      fault=fault)
+        assert restarted == run_kv_with_fault("inprocess")
 
 
 def build_crash_once_kv(flag_path):

@@ -30,7 +30,9 @@ from repro.runtime.wire import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     MSG_DELIVER,
+    MSG_IDLE,
     MSG_OUT,
+    MSG_STATE,
     FrameBuffer,
     WireError,
     decode_frame,
@@ -231,6 +233,77 @@ class TestFrameBuffer:
         buffer = FrameBuffer()
         with pytest.raises(WireError, match="corrupt"):
             list(buffer.feed(FRAME_HEADER.pack(MAX_FRAME_BYTES + 1)))
+
+
+def does_not_unpickle(payload):
+    try:
+        pickle.loads(payload)
+    except Exception:
+        return True
+    return False
+
+
+ROUTE = ChannelId(1, "split", 0, "count", 2)
+#: What crosses a pipe: data runs, control tuples, a delta chunk.
+MESSAGES = st.one_of(
+    st.lists(st.tuples(PAYLOADS, st.integers(0, 2**40)), max_size=5).map(
+        lambda rows: (MSG_DELIVER, encode_run(
+            [Envelope(payload, ts, ROUTE, None, None, None)
+             for payload, ts in rows]))),
+    st.tuples(st.sampled_from([MSG_IDLE, MSG_STATE]), st.integers(0, 99),
+              st.integers(0, 99), st.integers(0, 99),
+              st.fixed_dictionaries({"metrics": st.just((None, (1.0,)))})),
+    st.tuples(st.just(MSG_OUT), st.integers(0, 3), st.integers(0, 64),
+              st.binary(max_size=20)),
+    st.builds(lambda items, deleted: DeltaChunk(
+        index=0, total=1, items=tuple(items), deleted=tuple(deleted),
+        version=2, base_version=1),
+        st.lists(st.tuples(st.text(max_size=3), st.integers()), max_size=3),
+        st.lists(st.text(max_size=3), max_size=2)),
+)
+def truncated(message, keep):
+    """A strict prefix of ``message``'s pickle (maybe empty)."""
+    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    return payload[:keep % len(payload)]
+
+
+#: Frame payloads no peer could have written: empty, a well-formed
+#: pickle cut short, or bytes pickle refuses.
+BAD_PAYLOADS = st.one_of(
+    st.just(b""),
+    st.builds(truncated, MESSAGES, st.integers(0, 2**20)),
+    st.binary(min_size=1, max_size=16).filter(does_not_unpickle),
+)
+
+
+class TestTornAndGarbageFrames:
+    @settings(max_examples=200, deadline=None)
+    @given(messages=st.lists(MESSAGES, max_size=6),
+           cuts=st.lists(st.integers(0, 2**20), max_size=10))
+    def test_any_split_yields_exactly_the_messages(self, messages, cuts):
+        stream = b"".join(map(encode_frame, messages))
+        bounds = sorted({cut % (len(stream) + 1) for cut in cuts})
+        buffer, received = FrameBuffer(), []
+        for start, end in zip([0] + bounds, bounds + [len(stream)]):
+            received.extend(buffer.feed(stream[start:end]))
+        assert received == messages
+        assert buffer.pending_bytes() == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(bad=BAD_PAYLOADS, after=MESSAGES, cut=st.integers(0, 2**20))
+    def test_a_bad_frame_is_a_wire_error_and_the_next_decodes(
+            self, bad, after, cut):
+        assert does_not_unpickle(bad)
+        frame = FRAME_HEADER.pack(len(bad)) + bad
+        following = encode_frame(after)
+        cut %= len(following) + 1
+        buffer = FrameBuffer()
+        with pytest.raises(WireError,
+                           match=f"malformed {len(bad)}-byte frame"):
+            list(buffer.feed(frame + following[:cut]))
+        assert buffer.pending_bytes() == cut
+        assert list(buffer.feed(following[cut:])) == [after]
+        assert buffer.pending_bytes() == 0
 
 
 class TestEnvelopeSerialisation:

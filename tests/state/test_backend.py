@@ -160,16 +160,24 @@ class TestSparseMatrixBackend:
         backend = SparseMatrixBackend()
         backend.set((1, 2), 5.0)
         backend.set((4, 2), 6.0)
+        column = backend._cols[2]
         backend.put((4, 2), 7.0)  # overwrite: no index change
-        assert backend._col_rows == {2: {1, 4}}
+        assert backend._cols == {2: {1: 5.0, 4: 7.0}}
+        assert backend._cols[2] is column
+        assert backend._row_cols == {1: {2}, 4: {2}}
         assert backend.get((4, 2)) == 7.0
         backend.delete((1, 2))
-        assert backend._col_rows == {2: {4}}
+        assert backend._cols == {2: {4: 7.0}}
         with pytest.raises(KeyError):
             backend.delete((1, 2))
-        assert backend._col_rows == {2: {4}}
+        with pytest.raises(KeyError):
+            backend.get((1, 2))
+        assert backend._cols == {2: {4: 7.0}}
+        backend.set((0, 9), 1.0)
+        backend.delete((0, 9))  # a column's last cell: the column goes
+        assert backend._cols == {2: {4: 7.0}} and len(backend) == 1
         backend.clear()
-        assert backend._col_rows == {} and backend._row_cols == {}
+        assert backend._cols == {} and backend._row_cols == {}
 
     def test_key_validation(self):
         backend = SparseMatrixBackend()

@@ -27,6 +27,19 @@ class Recording(dict):
     items = keys = values = __iter__
 
 
+class Column(dict):
+    """A stored column that logs each cell its ``items`` hands out."""
+
+    def __init__(self, col, contents, read):
+        super().__init__(contents)
+        self.col, self.read = col, read
+
+    def items(self):
+        for row, value in super().items():
+            self.read.append((row, self.col))
+            yield row, value
+
+
 class TestSparseMatrix:
     def test_unwritten_cell_reads_zero(self):
         assert Matrix().get_element(3, 4) == 0.0
@@ -146,7 +159,7 @@ class TestSparseMatrixCheckpointing:
         m.set_row(3, Vector())
         assert m.get_row(0).to_list() == [1.0, 2.0]
         assert m.backend._row_cols == {0: {0, 1}}
-        assert m.backend._col_rows == {0: {0}, 1: {0}}
+        assert m.backend._cols == {0: {0: 1.0}, 1: {0: 2.0}}
         assert (m.num_rows(), m.num_cols()) == (1, 2)
 
 
@@ -171,12 +184,14 @@ class TestMultiplyCostsWhatItTouches:
                 for row in range(self.SIDE)]
 
     def counted_multiply(self, m):
-        """Multiply with the cells and the column index swapped for
-        copies that record every key read and refuse to be walked."""
+        """Multiply with the column store swapped for a copy that
+        records every column looked up and refuses to be walked, each
+        column recording the cells read off it."""
         cells, columns = [], []
         backend = m.backend
-        backend._map = Recording(backend._map, cells)
-        backend._col_rows = Recording(backend._col_rows, columns)
+        backend._cols = Recording(
+            {col: Column(col, column, cells)
+             for col, column in backend._cols.items()}, columns)
         operand = [0.0] * self.SIDE
         for col, weight in self.OPERAND.items():
             operand[col] = weight

@@ -1,6 +1,6 @@
 """Property-based tests for Matrix/DenseMatrix distribution support."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.state import DenseMatrix, HashPartitioner, Matrix, Vector
@@ -70,7 +70,7 @@ def test_matrix_checkpoint_transparency(triples):
     assert repr(list(checkpointed.backend.items())) == repr(
         list(plain.backend.items()))
     assert checkpointed.journal() == plain.journal()
-    for index in ("_row_cols", "_col_rows"):
+    for index in ("_cols", "_row_cols"):
         assert (getattr(checkpointed.backend, index)
                 == getattr(plain.backend, index))
     for row in range(21):
@@ -115,11 +115,11 @@ matrix_ops = st.lists(st.one_of(
 
 def assert_indexes_match_cells(matrix):
     rows, cols = {}, {}
-    for (row, col), _value in matrix.backend.items():
+    for (row, col), value in matrix.backend.items():
         rows.setdefault(row, set()).add(col)
-        cols.setdefault(col, set()).add(row)
+        cols.setdefault(col, {})[row] = value
     assert matrix.backend._row_cols == rows
-    assert matrix.backend._col_rows == cols
+    assert matrix.backend._cols == cols  # values too, no empty column
 
 
 def assert_reads_match_model(matrix, model, operand):
@@ -143,6 +143,11 @@ def assert_reads_match_model(matrix, model, operand):
 
 @given(ops=matrix_ops, operand=row_values,
        axis=st.sampled_from(["row", "col"]))
+# Column 5's last cell goes with row 0: neither multiply nor num_cols
+# may see it.
+@example(ops=[("set", 0, 5, 2.0), ("set", 1, 2, 1.0),
+              ("set_row", 0, [1.0])],
+         operand=[1.0, 0.0, 1.0, 0.0, 0.0, 3.0], axis="row")
 @settings(max_examples=150, deadline=None)
 def test_matrix_indexes_and_reads_match_dict_model(ops, operand, axis):
     matrix, model = Matrix(partition_axis=axis), {}
@@ -174,4 +179,5 @@ def test_matrix_indexes_and_reads_match_dict_model(ops, operand, axis):
         else:
             matrix = Matrix.from_chunks(matrix, matrix.to_chunks(op[1]))
         assert_indexes_match_cells(matrix)
+        assert dict(matrix.backend.items()) == model
         assert_reads_match_model(matrix, model, operand)
