@@ -82,9 +82,9 @@ class Topology:
         self._se_epochs: dict[str, int] = {}
         self._node_key_map: dict[tuple[int, int], int] = {}
         self._next_node_id = 0
-        #: Stateless fallback partitioners for keyed dispatch into TEs
-        #: without a partitioned SE, cached per fan-out.
-        self._fallbacks: dict[int, HashPartitioner] = {}
+        #: TE name -> the partitioner keyed dispatch into it routes by:
+        #: its partitioned SE's current one, else a hash over its slots.
+        self.routers: dict[str, HashPartitioner] = {}
         #: Bumped by every method that assigns into ``te_slots`` or
         #: kills a node; :meth:`candidates` rebuilds when it has moved.
         self.version = 0
@@ -152,6 +152,7 @@ class Topology:
                         base.node_of[te_name], te_inst.index
                     )
                 node.host_te(te_inst)
+        self._reroute(self.te_slots)
 
     def node_for(self, base_node: int, replica: int) -> PhysicalNode:
         """The node hosting replica ``replica`` of allocation slot
@@ -256,15 +257,12 @@ class Topology:
     def partitioner(self, se_name: str) -> HashPartitioner:
         return self._partitioners[se_name]
 
-    def keyed_index(self, spec, key) -> int:
-        """Partition index for keyed dispatch into TE ``spec``."""
-        if spec.state is not None and spec.state in self._partitioners:
-            return self._partitioners[spec.state].partition(key)
-        slots = self.te_slot_count(spec.name)
-        fallback = self._fallbacks.get(slots)
-        if fallback is None:
-            fallback = self._fallbacks[slots] = HashPartitioner(slots)
-        return fallback.partition(key)
+    def _reroute(self, te_names) -> None:
+        """Re-resolve the keyed-dispatch partitioner of ``te_names``."""
+        for name in te_names:
+            self.routers[name] = (
+                self._partitioners.get(self.sdg.task(name).state)
+                or HashPartitioner(len(self.te_slots[name])))
 
     def set_partitioner(self, se_name: str,
                         partitioner: HashPartitioner) -> None:
@@ -275,6 +273,7 @@ class Topology:
         """
         self._partitioners[se_name] = partitioner
         self._se_epochs[se_name] = self.se_epoch(se_name) + 1
+        self._reroute(te.name for te in self.sdg.tasks_accessing(se_name))
 
     def se_epoch(self, se_name: str) -> int:
         """The SE's current partitioning epoch (0 until repartitioned)."""
@@ -338,6 +337,7 @@ class Topology:
         instance = TEInstance(spec, self.te_slot_count(te_name))
         self.te_slots[te_name].append(instance)
         self.fresh_node().host_te(instance)
+        self._reroute((te_name,))
         return instance
 
     def add_partial_instance(self, se_name: str) -> None:
@@ -353,6 +353,7 @@ class Topology:
             te_inst = TEInstance(te, index, se_instance=se_inst)
             self.te_slots[te.name].append(te_inst)
             node.host_te(te_inst)
+            self._reroute((te.name,))
 
     def repartition(self, se_name: str, n_new: int) -> list[Envelope]:
         """Re-split a partitioned SE over ``n_new`` instances.

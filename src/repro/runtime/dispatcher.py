@@ -35,7 +35,6 @@ class Dispatcher:
 
     def __init__(self, sdg: SDG, topology: "Topology",
                  transport: "Transport", metrics: Any = None) -> None:
-        self.sdg = sdg
         self.topology = topology
         self.transport = transport
         #: Broadcasts and global-access injections correlate their
@@ -148,17 +147,15 @@ class Dispatcher:
                         edge, outputs: list[Any], cause: Envelope) -> None:
         """``KEY_PARTITIONED``: route each item to its key's partition."""
         dst_te = edge.dst
-        spec = self.sdg.task(dst_te)
-        keyed_index = self.topology.keyed_index
+        partition = self.topology.routers[dst_te].partition
         key_fn = edge.key_fn
         send = self.transport.send
         request_id = cause.request_id
         expected = cause.expected_responses
         trace_id = cause.trace_id
         for item in outputs:
-            send(instance, edge_index, dst_te,
-                 keyed_index(spec, key_fn(item)), item, request_id,
-                 expected, trace_id)
+            send(instance, edge_index, dst_te, partition(key_fn(item)),
+                 item, request_id, expected, trace_id)
         self._c_keyed.inc(len(outputs))
 
     def one_to_any(self, instance: "TEInstance", edge_index: int, edge,

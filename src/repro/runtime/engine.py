@@ -380,36 +380,32 @@ class Runtime:
         # one item fanned out, so every slot shares the trace id.
         trace_id = (self.tracer.new_trace(self.total_steps)
                     if self.tracer is not None else None)
+        request_id = expected = None
         if key_fn is not None:
-            self._inject_to(entry, self.topology.keyed_index(
-                spec, key_fn(payload)), payload, None, None, trace_id)
+            index = self.topology.routers[entry].partition(key_fn(payload))
         elif spec.access is AccessMode.GLOBAL:
             request_id = self.dispatcher.next_request_id()
-            slots = self.te_slot_count(entry)
-            for index in range(slots):
-                self._inject_to(entry, index, payload, request_id, slots,
-                                trace_id)
+            expected, index = self.te_slot_count(entry), 0
         else:
-            slots = self.te_slot_count(entry)
             rr = self._rr.get(("input", entry), 0)
             self._rr[("input", entry)] = rr + 1
-            self._inject_to(entry, rr % slots, payload, None, None, trace_id)
-
-    def _inject_to(self, entry: str, index: int, payload: Any,
-                   request_id: int | None, expected: int | None,
-                   trace_id: int | None = None) -> None:
-        if self.transport.copy_payloads:
-            payload = self.transport.prepare_payload(payload)
-        route = self._input_routes.get((entry, index))
-        if route is None:
-            channel = ChannelId(INPUT_EDGE, "__input__", 0, entry, index)
-            route = self._input_routes[entry, index] = (channel, [])
-        seq = self._input_seq.get(entry, 0) + 1
-        self._input_seq[entry] = seq
-        envelope = make_envelope((payload, seq, route[0], request_id,
-                                  expected, trace_id))
-        route[1].append(envelope)
-        self.substrate.deliver(envelope)
+            index = rr % self.te_slot_count(entry)
+        # Once, or once per slot of a broadcast; no iterable is allocated.
+        while True:
+            item = (self.transport.prepare_payload(payload)
+                    if self.transport.copy_payloads else payload)
+            route = self._input_routes.get((entry, index))
+            if route is None:
+                channel = ChannelId(INPUT_EDGE, "__input__", 0, entry, index)
+                route = self._input_routes[entry, index] = (channel, [])
+            seq = self._input_seq[entry] = self._input_seq.get(entry, 0) + 1
+            envelope = make_envelope((item, seq, route[0], request_id,
+                                      expected, trace_id))
+            route[1].append(envelope)
+            self.substrate.deliver(envelope)
+            index += 1
+            if expected is None or index == expected:
+                return
 
     # ------------------------------------------------------------------
     # Processing
@@ -959,15 +955,15 @@ class Runtime:
         channel = envelope.channel
         index = self._current_index(envelope)
         if channel.edge_index == INPUT_EDGE:
-            _, buffered = self._input_routes.get(
-                (channel.dst_te, channel.dst_instance), (None, ()))
+            entry, routes = channel.dst_te, self._input_routes
+            _, buffered = routes.get((entry, channel.dst_instance), (None, ()))
             if envelope in buffered:
                 buffered.remove(envelope)
-            self._inject_to(channel.dst_te, index, envelope.payload,
-                            envelope.request_id,
-                            envelope.expected_responses,
-                            envelope.trace_id)
-            ts = self._input_seq[channel.dst_te]
+            route = routes.setdefault((entry, index),
+                                      (channel.reroute(index), []))
+            ts = self._input_seq[entry] = self._input_seq[entry] + 1
+            route[1].append(envelope.with_channel(route[0], ts))
+            self.substrate.deliver(route[1][-1])
         else:
             producer = self.te_instance(channel.src_te, channel.src_instance)
             if producer is None:
@@ -998,6 +994,7 @@ class Runtime:
         key_fn = (spec.entry_key_fn if channel.edge_index == INPUT_EDGE
                   else self.sdg.dataflows[channel.edge_index].key_fn)
         if key_fn is not None:
-            return self.topology.keyed_index(spec, key_fn(envelope.payload))
+            return self.topology.routers[spec.name].partition(
+                key_fn(envelope.payload))
         return min(channel.dst_instance,
                    self.te_slot_count(channel.dst_te) - 1)

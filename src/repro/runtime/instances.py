@@ -72,6 +72,11 @@ class StreamStamps:
         self.low = ts
         return True
 
+    def settle(self) -> None:
+        """Close every gap: only where no stamp in one is still to come."""
+        self.low = max(self.ahead, default=self.low)
+        self.ahead.clear()
+
 
 class SEInstance:
     """One physical instance of a state element (a partition or replica)."""

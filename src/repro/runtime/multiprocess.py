@@ -153,8 +153,9 @@ _READ_CHUNK = 1 << 16
 #: Envelopes per data frame: a pending list becomes one ``MSG_DELIVER``
 #: / ``MSG_OUT`` frame when it reaches this length (or earlier, at the
 #: flush points), and a worker takes at most this many local steps
-#: between two looks at its pipe. Same order as ``engine.RUN_MAX``.
-WIRE_RUN = 64
+#: between two looks at its pipe. The fastest of 64..512 on both
+#: 2-worker benchmarks (KV and wordcount, 2 cores); not ``RUN_MAX``.
+WIRE_RUN = 256
 
 #: Flight-recorder tail length appended to a fatal crash error.
 _CRASH_TAIL = 20
@@ -982,6 +983,13 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
             items.clear()
         return progress
 
+    # The result filter sees only this worker's slots, and a stream
+    # reaches it in order: once idle, its gaps are other workers' stamps.
+    # It settles them after each idle report, off the reply's path.
+    g_filter = runtime.metrics.gauge(
+        "engine_result_filter_entries", "result-filter channels and "
+        "stamps past a gap a worker held when it last went idle").labels()
+
     deliver = runtime.transport.deliver
     step = runtime.step
     # The first report answers the hello: a report of no progress could
@@ -1034,6 +1042,10 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         if reported != (counters["consumed"], counters["emitted"],
                         counters["processed"]):
             reported = report(MSG_IDLE)
+            stamps = runtime._result_stamps.values()
+            for held in stamps:
+                held.settle()
+            g_filter.set(sum(1 + len(held.ahead) for held in stamps))
         poll(block=True)
 
 

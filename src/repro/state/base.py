@@ -211,9 +211,6 @@ class StateElement(abc.ABC):
         self._update_count += 1
         self._backend.delete(key)
 
-    def _contains(self, key: Hashable) -> bool:
-        return self._backend.contains(key)
-
     def _iter_items(self) -> Iterator[tuple[Hashable, Any]]:
         """Iterate the stored ``(key, value)`` pairs."""
         return self._backend.items()

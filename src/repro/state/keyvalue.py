@@ -26,30 +26,37 @@ class KeyValueMap(StateElement):
         return KeyValueMap()
 
     # -- domain API ----------------------------------------------------
+    # One dict op each, plus the journal write a mutation owes.
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert or overwrite ``key``."""
-        self._set(key, value)
+        self._update_count += 1
+        self._backend._map[key] = value  # type: ignore[attr-defined]
+        self._backend._journal[key] = True
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Return the value for ``key`` or ``default`` when absent."""
-        return self._get(key, default)
+        return self._backend._map.get(key, default)  # type: ignore
 
     def delete(self, key: Hashable) -> None:
         """Remove ``key``; raises :class:`KeyError` when absent."""
-        self._delete(key)
+        self._update_count += 1
+        del self._backend._map[key]  # type: ignore[attr-defined]
+        self._backend._journal[key] = False
 
     def contains(self, key: Hashable) -> bool:
         """Whether ``key`` is present."""
-        return self._contains(key)
+        return key in self._backend._map  # type: ignore[attr-defined]
 
     def increment(self, key: Hashable, delta: float = 1) -> float:
         """Add ``delta`` to a numeric value (0 when absent); return it.
 
         This is the fine-grained update exercised by streaming wordcount.
         """
-        value = self._get(key, 0) + delta
-        self._set(key, value)
+        self._update_count += 1
+        cells = self._backend._map  # type: ignore[attr-defined]
+        value = cells[key] = cells.get(key, 0) + delta
+        self._backend._journal[key] = True
         return value
 
     def keys(self) -> list[Hashable]:

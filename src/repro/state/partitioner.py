@@ -10,6 +10,7 @@ instance accesses its co-located SE partition locally (§3.2, §4.2).
 from __future__ import annotations
 
 import bisect
+import zlib
 from typing import Hashable, Sequence
 
 from repro.errors import StateError
@@ -55,6 +56,9 @@ class HashPartitioner(Partitioner):
     """Stable-hash partitioning (the default for keyed dispatch)."""
 
     def partition(self, key: Hashable) -> int:
+        # ``stable_hash``'s ``str`` case, inlined: one frame per key.
+        if type(key) is str:
+            return zlib.crc32(repr(key).encode("utf-8")) % self.n_partitions
         return stable_hash(key) % self.n_partitions
 
     def rescaled(self, n_partitions: int) -> "HashPartitioner":

@@ -30,6 +30,7 @@ from repro.errors import RuntimeExecutionError
 from repro.obs.events import KIND
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import Runtime, RuntimeConfig
+from repro.runtime.multiprocess import WIRE_RUN
 from repro.runtime.wire import (
     FRAME_HEADER,
     MSG_DELIVER,
@@ -308,8 +309,10 @@ class TestInjectAfterWorkerDeath:
             runtime.inject("serve", ("put", "k", 1))
             runtime.run_until_idle()
             kill_worker(runtime, 0)
+            # About half go to worker 0's link: several full lists,
+            # so a flush reaches the dead worker.
             with pytest.raises(RuntimeExecutionError, match="worker 0"):
-                for i in range(500):
+                for i in range(8 * WIRE_RUN):
                     runtime.inject("serve", ("put", f"j{i}", i))
         finally:
             runtime.close()

@@ -2,9 +2,12 @@
 
 Counted, not clocked: the stamps of a (TE, stream) shrink to a
 watermark once its slots have served every item, whatever the run
-length, and a full checkpoint empties the request-id sets of the
-gathers it covers.
+length (on a multiprocess worker, which serves only some of the slots,
+once it goes idle), and a full checkpoint empties the request-id sets
+of the gathers it covers.
 """
+
+from collections import Counter
 
 from repro.apps import CollaborativeFiltering
 from repro.recovery import BackupStore, CheckpointManager
@@ -31,6 +34,38 @@ def test_stream_stamps_shrink_to_a_watermark():
     assert shared.low == 20_000
     assert not shared.ahead
     assert not any(runtime._result_requests.values())
+
+
+def test_a_worker_filter_is_bounded_by_its_slots():
+    """A worker serves only some slots, so its stamps never close up on
+    their own: they would grow by one per item it serves. A worker's
+    gauge carries its filter's size (channels plus stamps past a gap)
+    as it settled after its previous idle report."""
+    runtime = Runtime(build_kv_sdg(), RuntimeConfig(
+        se_instances={"table": 4}, substrate="multiprocess",
+        workers=2)).deploy()
+    try:
+        oracle = {}
+        expected = []
+        for i in range(20_000):
+            op = "get" if i % 3 == 0 else "put"
+            key = i % 500
+            runtime.inject("serve", (op, key, i))
+            if op == "put":
+                oracle[key] = i
+            else:
+                expected.append((key, oracle.get(key)))
+            if i % 1000 == 999:
+                runtime.run_until_idle()
+        runtime.run_until_idle()
+        entries = runtime.merged_metrics().snapshot()[
+            "engine_result_filter_entries"]["children"]
+        # Per worker: its slots' input channels and the shared key of
+        # the stream (slot 0's); no stamp is held past a gap.
+        assert 0 < sum(entries.values()) <= 2 * 4, entries
+        assert Counter(runtime.results["serve"]) == Counter(expected)
+    finally:
+        runtime.close()
 
 
 def test_full_checkpoint_empties_the_request_sets():

@@ -629,22 +629,22 @@ class TestEnvelopeRuns:
             try:
                 if substrate == "multiprocess":
                     runtime.run_until_idle()  # hello consumed
-                # All on the crashing worker's link: 69 puts, the key
-                # that kills its worker once, 30 more puts. No pump in
-                # between, so the link holds one flushed list (64) and
-                # one pending (36) when the drain starts.
-                spec = runtime.sdg.task("serve")
-                index = runtime.topology.keyed_index
-                keys = [f"k{i}" for i in range(400)
-                        if index(spec, f"k{i}") == index(spec, "boom")]
-                keys = keys[:69] + ["boom"] + keys[69:99]
-                assert len(keys) == 100
+                # All on the crashing worker's link: WIRE_RUN + 5 puts,
+                # the key that kills its worker once, 30 more puts. No
+                # pump in between, so the link holds one flushed list
+                # (WIRE_RUN) and one pending (36) when the drain starts.
+                index = runtime.topology.routers["serve"].partition
+                keys = [f"k{i}" for i in range(8 * WIRE_RUN)
+                        if index(f"k{i}") == index("boom")]
+                first = WIRE_RUN + 5
+                keys = keys[:first] + ["boom"] + keys[first:first + 30]
+                assert len(keys) == WIRE_RUN + 36
                 for i, key in enumerate(keys):
                     runtime.inject("serve", ("put", key, i))
                 if substrate == "multiprocess":
                     assert sorted(len(link.pending) for link
                                   in runtime.substrate._links) == [0, 36]
-                assert runtime.run_until_idle() == 100
+                assert runtime.run_until_idle() == WIRE_RUN + 36
                 series = runtime.merged_metrics().snapshot()[
                     "engine_items_processed_total"]["children"]
                 restarts = runtime.events.events(kind=KIND.WORKER_RESTART)

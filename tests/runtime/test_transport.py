@@ -96,7 +96,7 @@ def keys_of_partition(runtime, index, count, start=0):
     keys = []
     key = start
     while len(keys) < count:
-        if runtime.topology.keyed_index(spec, key) == index:
+        if runtime.topology.routers[spec.name].partition(key) == index:
             keys.append(key)
         key += 1
     return keys
@@ -155,8 +155,8 @@ class TestRouteCache:
             for envelope in instance.inbox:
                 queued += 1
                 assert envelope.channel.dst_instance == instance.index
-                assert runtime.topology.keyed_index(
-                    spec, envelope.payload[1]) == instance.index
+                assert runtime.topology.routers[spec.name].partition(
+                    envelope.payload[1]) == instance.index
         assert queued == 40
         assert len(runtime.te_instance("serve", 2).inbox) > 0
         runtime.run_until_idle()

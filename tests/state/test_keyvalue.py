@@ -91,3 +91,59 @@ class TestKeyValueMapCheckpointing:
         kv.delete("a")
         assert len(kv) == 1 and kv.items() == [("b", 2)]
         assert cut.items == [("a", 1)]
+
+
+class TestOneDictOp:
+    """Each op is one dict op plus its journal write: it leaves the map,
+    the journal and the update count exactly as the ``_get`` / ``_set``
+    / ``_delete`` helpers would, in one Python frame."""
+
+    OPS = [("put", "a", 1), ("inc", "w", 2), ("put", 3, "x"),
+           ("del", "a", None), ("inc", "w", 0.5), ("del", "a", None),
+           ("put", "a", 4), ("inc", ("t", 1), 1), ("del", 3, None)]
+
+    def test_ops_leave_what_the_helpers_would(self):
+        kv, ref = KeyValueMap(), KeyValueMap()
+        for op, key, value in self.OPS:
+            if op == "put":
+                kv.put(key, value)
+                ref._set(key, value)
+            elif op == "inc":
+                assert kv.increment(key, value) == ref._get(key, 0) + value
+                ref._set(key, ref._get(key, 0) + value)
+            else:
+                outcomes = []
+                for delete in (kv.delete, ref._delete):
+                    try:
+                        delete(key)
+                        outcomes.append("deleted")
+                    except KeyError:
+                        outcomes.append("missing")
+                assert outcomes[0] == outcomes[1]
+            assert kv.get(key, "-") == ref._get(key, "-")
+            assert kv.contains(key) == ref.backend.contains(key)
+        assert sorted(kv.items(), key=repr) == sorted(ref.items(), key=repr)
+        assert kv.journal() == ref.journal()
+        assert kv.update_count == ref.update_count
+
+    def test_each_op_is_one_python_frame(self):
+        import sys
+
+        kv = KeyValueMap()
+        kv.put("a", 1)
+        frames = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                frames.append(frame.f_code.co_name)
+
+        for call in (lambda: kv.put("b", 2), lambda: kv.get("b"),
+                     lambda: kv.increment("b"), lambda: kv.contains("a"),
+                     lambda: kv.delete("a")):
+            frames.clear()
+            sys.setprofile(profile)
+            try:
+                call()
+            finally:
+                sys.setprofile(None)
+            assert len(frames) == 2, frames  # the lambda and the op
