@@ -268,28 +268,12 @@ def _plain_run(args) -> int:
     import time
 
     from repro.durability.manifest import state_fingerprint
+    from repro.obs.top import build_workload
     from repro.runtime.config import RuntimeConfig
     from repro.runtime.engine import Runtime
 
-    if args.app == "kvstore":
-        from repro.testing import build_kv_sdg
-
-        sdg = build_kv_sdg()
-        se_name, entry = "table", "serve"
-        keys = max(1, args.n_keys)
-        payloads = (("put", f"k{i % keys}", i)
-                    for i in range(args.items))
-    else:
-        from repro.apps.wordcount import build_wordcount_sdg
-
-        sdg = build_wordcount_sdg()
-        se_name, entry = "counts", "split"
-        words = ("state", "dataflow", "explicit", "imperative",
-                 "big", "data", "processing")
-        payloads = (
-            (i, " ".join(words[(i + j) % len(words)] for j in range(4)))
-            for i in range(args.items)
-        )
+    sdg, se_name, entry, payloads = build_workload(
+        args.app, args.items, n_keys=max(1, args.n_keys))
     config = RuntimeConfig(
         se_instances={se_name: args.se_instances},
         substrate=args.substrate,

@@ -13,10 +13,9 @@ single text frame, the way ``top`` renders ``/proc``. Two modes:
   in-process it single-steps the engine for the frame interval.
 
 Everything here reads through substrate-agnostic surfaces
-(:meth:`merged_metrics`, :meth:`merged_profile`, ``runtime.flight``,
-:meth:`blocked_channels`), so the same dashboard works unchanged on
-both substrates — which is itself a differential check on the
-cross-substrate telemetry plumbing.
+(:meth:`merged_metrics`, :meth:`merged_profile`, ``runtime.flight``),
+so the same dashboard works unchanged on both substrates — which is
+itself a differential check on the cross-substrate telemetry plumbing.
 """
 
 from __future__ import annotations
@@ -37,17 +36,18 @@ _FLIGHT_CAPACITY = 64
 _FLIGHT_TAIL = 8
 
 
-def build_workload(app: str, items: int):
+def build_workload(app: str, items: int, n_keys: int = 16):
     """The shared demo workloads: ``(sdg, se_name, entry, payloads)``.
 
-    Same corpora as ``repro run`` so dashboard numbers line up with
-    plain-run output for the same ``--app --items``.
+    ``repro run`` and ``repro top`` both build their corpora here, so
+    dashboard numbers line up with plain-run output for the same
+    ``--app --items``. ``n_keys`` is the kvstore's key-space size.
     """
     if app == "kvstore":
         from repro.testing import build_kv_sdg
 
         sdg = build_kv_sdg()
-        payloads = [("put", f"k{i % 16}", i) for i in range(items)]
+        payloads = [("put", f"k{i % n_keys}", i) for i in range(items)]
         return sdg, "table", "serve", payloads
     if app == "wordcount":
         from repro.apps.wordcount import build_wordcount_sdg
@@ -118,9 +118,6 @@ def render_dashboard(runtime: Runtime,
             depths = " ".join(f"w{wid}={int(depth)}" for wid, depth
                               in sorted(outbox.items()))
             lines.append(f"coordinator outbox depth: {depths}")
-
-    blocked = runtime.blocked_channels()
-    lines.append(f"blocked channels: {len(blocked)}")
 
     profile = runtime.merged_profile()
     if profile is not None and profile.names():

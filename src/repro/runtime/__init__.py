@@ -13,8 +13,7 @@ This package executes SDGs for real, as five layers behind the
   placement, partitioners and repartition epochs;
 * **scheduling** (:class:`Scheduler` policies) — which instance serves
   the next item, plus straggler-credit throttling;
-* **transport** (:class:`Transport`) — channels, inbox delivery,
-  payload isolation and backpressure reporting;
+* **transport** (:class:`Transport`) — channels and inbox delivery;
 * **dispatch** (:class:`Dispatcher`) — the paper's four routing
   semantics over a deploy-time successor index;
 * **substrate** (:class:`ExecutionSubstrate`) — where the step loop

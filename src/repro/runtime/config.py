@@ -26,8 +26,6 @@ SCALAR_KNOBS: tuple[tuple[str, str, int | None], ...] = (
     ("scale_threshold", "int", 1),
     ("max_instances", "int", 1),
     ("scale_check_every", "int", 1),
-    ("copy_payloads", "bool", None),
-    ("channel_capacity", "optional_int", 1),
     ("trace", "bool", None),
     ("profile", "bool", None),
     ("flight_recorder", "int", 0),
@@ -62,23 +60,12 @@ class RuntimeConfig:
     max_instances: int = 8
     #: Steps between bottleneck checks when auto-scaling.
     scale_check_every: int = 256
-    #: Deep-copy payloads at send time. On a real cluster every hop
-    #: serialises (§4.1 location independence), so a producer can never
-    #: observe a consumer's mutations; in-process, shared references
-    #: could. Enable to get wire-faithful isolation at a CPU cost.
-    copy_payloads: bool = False
     #: Instance-selection policy: a name from
     #: :data:`repro.runtime.scheduler.SCHEDULERS` (``"round_robin"``,
     #: ``"longest_queue"``) or a custom
     #: :class:`~repro.runtime.scheduler.Scheduler` object. The default
     #: preserves the seed engine's deterministic replay order.
     scheduler: str | Scheduler = "round_robin"
-    #: Per-channel inbox bound for backpressure *reporting* (None =
-    #: unbounded). Delivery never blocks or drops — recovery relies on
-    #: reliable channels — but channels over this depth show up in
-    #: :meth:`Runtime.blocked_channels` and feed the bottleneck
-    #: detector as a second scaling signal.
-    channel_capacity: int | None = None
     #: Metrics sink: anything registry-shaped (``counter``/``gauge``/
     #: ``histogram`` factories — see :mod:`repro.obs.metrics`). ``None``
     #: gives each runtime a fresh private

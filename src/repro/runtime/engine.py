@@ -11,8 +11,7 @@ plug in:
   .deployment.Topology` owns instances, nodes, partitioners, epochs;
 * :mod:`repro.runtime.scheduler` — pluggable instance-selection
   policies plus the straggler-credit accounting;
-* :mod:`repro.runtime.transport` — channels, inbox delivery, payload
-  isolation, and backpressure reporting;
+* :mod:`repro.runtime.transport` — channels and inbox delivery;
 * :mod:`repro.runtime.dispatcher` — the four dispatch semantics over a
   deploy-time successor index.
 
@@ -147,9 +146,6 @@ class Runtime:
         self.sdg.validate()
         self.config.validate(self.sdg)
         self.topology.materialise()
-        # The substrate is resolved before the transport so its
-        # isolation capability can switch off the defensive payload
-        # deepcopy (the wire codec serialises every hand-off anyway).
         self.substrate = resolve_substrate(self.config.substrate,
                                            self.config)
         # Static substrate-safety gate: a payload-isolating substrate
@@ -158,10 +154,6 @@ class Runtime:
         self._check_substrate_safety()
         self.transport = Transport(
             self.topology,
-            capacity=self.config.channel_capacity,
-            copy_payloads=self.config.copy_payloads,
-            payload_isolated=getattr(self.substrate,
-                                     "isolates_payloads", False),
             metrics=self.metrics,
             tracer=self.tracer,
             clock=lambda: self.total_steps,
@@ -392,14 +384,12 @@ class Runtime:
             index = rr % self.te_slot_count(entry)
         # Once, or once per slot of a broadcast; no iterable is allocated.
         while True:
-            item = (self.transport.prepare_payload(payload)
-                    if self.transport.copy_payloads else payload)
             route = self._input_routes.get((entry, index))
             if route is None:
                 channel = ChannelId(INPUT_EDGE, "__input__", 0, entry, index)
                 route = self._input_routes[entry, index] = (channel, [])
             seq = self._input_seq[entry] = self._input_seq.get(entry, 0) + 1
-            envelope = make_envelope((item, seq, route[0], request_id,
+            envelope = make_envelope((payload, seq, route[0], request_id,
                                       expected, trace_id))
             route[1].append(envelope)
             self.substrate.deliver(envelope)
@@ -410,19 +400,6 @@ class Runtime:
     # ------------------------------------------------------------------
     # Processing
     # ------------------------------------------------------------------
-
-    def blocked_channels(self) -> list[ChannelId]:
-        """Channels currently reporting backpressure.
-
-        Empty when ``channel_capacity`` is unset. In-process this is
-        the bounded transport's signal (consumed by the bottleneck
-        detector alongside inbox depth); on the multiprocess substrate
-        it additionally names congested coordinator->worker wire
-        channels (``edge_index == WIRE_EDGE``).
-        """
-        if self.substrate is None:
-            return []
-        return self.substrate.blocked_channels()
 
     def step(self) -> bool:
         """Serve one run of envelopes on one TE instance; False when idle.

@@ -66,12 +66,6 @@ class ChannelId(NamedTuple):
 #: edge_index used for external input injected into entry TEs.
 INPUT_EDGE = -1
 
-#: edge_index used for the coordinator<->worker wire channels of the
-#: multiprocess substrate; ``blocked_channels()`` reports congested wire
-#: channels under this sentinel so callers can tell transport-level
-#: backpressure (real edges) from wire-level backpressure.
-WIRE_EDGE = -2
-
 
 class Envelope(NamedTuple):
     """One data item in flight on a specific channel."""

@@ -112,7 +112,6 @@ from repro.obs.flight import render_dump
 from repro.obs.metrics import MetricsRegistry, ShardCache
 from repro.runtime.envelope import (
     INPUT_EDGE,
-    WIRE_EDGE,
     ChannelId,
     Envelope,
 )
@@ -291,9 +290,8 @@ class MultiprocessSubstrate:
     """Shared-nothing worker processes behind the substrate protocol."""
 
     name = "multiprocess"
-    #: Every cross-worker hand-off crosses the pickle wire, so the
-    #: transport's defensive payload deepcopy is redundant. The same
-    #: flag makes :meth:`Runtime.deploy` run the static SDG4xx
+    #: Every cross-worker hand-off crosses the pickle wire, so
+    #: :meth:`Runtime.deploy` runs the static SDG4xx
     #: substrate-safety gate (``RuntimeConfig.substrate_check``):
     #: programs that ship unpicklable payloads, leak process-dependent
     #: values onto edges, or mutate shared globals are refused (or
@@ -301,10 +299,8 @@ class MultiprocessSubstrate:
     #: chain in the error.
     isolates_payloads = True
 
-    def __init__(self, workers: int = 2, capacity: int | None = None,
-                 restarts: int = 0) -> None:
+    def __init__(self, workers: int = 2, restarts: int = 0) -> None:
         self.workers = int(workers)
-        self.capacity = capacity
         #: Fleet-restart budget (``RuntimeConfig(worker_restarts=N)``):
         #: how many worker crashes are absorbed by re-forking before
         #: one propagates as an error.
@@ -487,24 +483,6 @@ class MultiprocessSubstrate:
             self._pump(timeout)
         except _WorkerFailure as failure:
             self._handle_failure(failure)
-
-    def blocked_channels(self) -> "list[ChannelId]":
-        """Wire edges whose in-flight envelope count exceeds capacity.
-
-        The coordinator->worker stream is modelled as one channel per
-        worker (``edge_index == WIRE_EDGE``): envelopes routed (pending
-        or framed) but not yet acknowledged by the worker's cumulative
-        consumed counter are in flight — the multiprocess analogue of
-        inbox depth.
-        """
-        if self.capacity is None:
-            return []
-        return [
-            ChannelId(WIRE_EDGE, "__coordinator__", 0, "__worker__",
-                      link.worker_id)
-            for link in self._links
-            if link.sent - link.consumed > self.capacity
-        ]
 
     def pull_state(self) -> None:
         """Bring the coordinator's SE elements up to the workers'.
@@ -827,7 +805,6 @@ class _WorkerSubstrate(InProcessSubstrate):
     """
 
     name = "multiprocess-worker"
-    isolates_payloads = False
 
 
 def _worker_main(runtime: "Runtime", worker_id: int, placement,

@@ -6,17 +6,12 @@ from speculative execution: each TE is monitored, and when it limits
 throughput a new TE instance is created, which may in turn create new
 partitioned or partial SE instances.
 
-In the in-process runtime the observable signals are twofold: inbox
-backlog — a TE whose instances accumulate queued envelopes faster than
-they drain them is a processing bottleneck — and transport-level
-**backpressure**, reported by a bounded transport
-(``RuntimeConfig(channel_capacity=...)``) when a channel's destination
-inbox exceeds its capacity. A TE on the receiving end of a blocked
-channel is flagged even when its *mean* backlog sits below the scale
-threshold, which catches congestion concentrated on one instance. A
-node with ``speed < 1`` (a straggler) manifests as backlog too, because
-the scheduler charges it more steps per item; the detector also flags
-instances hosted on slow nodes directly.
+In the in-process runtime the observable signal is inbox backlog: a TE
+whose instances accumulate queued envelopes faster than they drain
+them is a processing bottleneck. A node with ``speed < 1`` (a
+straggler) manifests as backlog too, because the scheduler charges it
+more steps per item; the detector also flags instances hosted on slow
+nodes directly.
 """
 
 from __future__ import annotations
@@ -54,14 +49,9 @@ class BottleneckDetector:
     def bottlenecks(self, runtime: "Runtime") -> list[str]:
         """TE names that should be given an extra instance, worst first.
 
-        Combines two signals: mean inbox depth over the scale threshold,
-        and transport backpressure (a bounded channel into the TE is
-        over capacity) — the latter flags congestion even when it is
-        concentrated on a single instance and the mean stays low.
+        A TE qualifies when its mean inbox depth is over the scale
+        threshold and it has room for another instance.
         """
-        backpressured = {
-            channel.dst_te for channel in runtime.blocked_channels()
-        }
         candidates: list[tuple[float, str]] = []
         for te_name, spec in runtime.sdg.tasks.items():
             if spec.is_merge:
@@ -69,7 +59,7 @@ class BottleneckDetector:
             if runtime.te_slot_count(te_name) >= self.max_instances:
                 continue
             backlog = self.backlog(runtime, te_name)
-            if backlog > self.threshold or te_name in backpressured:
+            if backlog > self.threshold:
                 candidates.append((backlog, te_name))
         candidates.sort(reverse=True)
         return [name for _, name in candidates]

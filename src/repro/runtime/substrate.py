@@ -34,7 +34,7 @@ from repro.errors import RuntimeExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.engine import Runtime
-    from repro.runtime.envelope import ChannelId, Envelope
+    from repro.runtime.envelope import Envelope
     from repro.runtime.instances import TEInstance
 
 
@@ -56,10 +56,9 @@ class ExecutionSubstrate(Protocol):
     name: str
 
     #: Capability flag: True when every payload hand-off through this
-    #: substrate crosses a serialisation boundary, which makes the
-    #: transport's defensive ``copy_payloads`` deepcopy redundant (the
-    #: wire codec *is* the isolation). The transport consults this to
-    #: skip the hot-path copy.
+    #: substrate crosses a serialisation boundary. :meth:`Runtime.deploy`
+    #: reads it to decide whether the SDG4xx substrate-safety gate
+    #: (``RuntimeConfig.substrate_check``) runs.
     isolates_payloads: bool
 
     def bind(self, runtime: "Runtime") -> None:
@@ -77,10 +76,6 @@ class ExecutionSubstrate(Protocol):
 
     def run_until_idle(self, max_steps: int) -> int:
         """Drain all pending work; returns the items processed."""
-        ...  # pragma: no cover - protocol
-
-    def blocked_channels(self) -> "list[ChannelId]":
-        """Channels currently reporting backpressure."""
         ...  # pragma: no cover - protocol
 
     def shutdown(self) -> None:
@@ -134,13 +129,6 @@ class InProcessSubstrate:
             f"pipeline did not become idle within {max_steps} steps"
         )
 
-    # -- observation -----------------------------------------------------
-
-    def blocked_channels(self) -> "list[ChannelId]":
-        if self.runtime is None or self.runtime.transport is None:
-            return []
-        return self.runtime.transport.blocked_channels()
-
     def shutdown(self) -> None:
         pass
 
@@ -167,8 +155,7 @@ def resolve_substrate(spec, config) -> "ExecutionSubstrate":
 
             workers = config.workers if config.workers is not None else 2
             return MultiprocessSubstrate(
-                workers=workers, capacity=config.channel_capacity,
-                restarts=config.worker_restarts,
+                workers=workers, restarts=config.worker_restarts,
             )
         raise RuntimeExecutionError(
             f"unknown substrate {spec!r}; available substrates: "

@@ -97,7 +97,7 @@ class TestConfigStaysClosed:
     def test_every_field_is_accounted_for(self):
         fields = {f.name for f in dataclasses.fields(RuntimeConfig)}
         tabled = {knob for knob, _kind, _minimum in SCALAR_KNOBS}
-        assert len(fields) == 20
+        assert len(fields) == 18
         assert not tabled & set(self.FREE_FORM)
         assert fields == tabled | set(self.FREE_FORM)
 

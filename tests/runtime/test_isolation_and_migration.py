@@ -1,4 +1,4 @@
-"""Payload isolation (copy_payloads) and planned node migration."""
+"""In-process payload hand-offs and planned node migration."""
 
 import pytest
 
@@ -39,26 +39,6 @@ class TestPayloadIsolation:
         # In-process, the consumer's mutation is visible to the
         # producer's retained reference — the hazard.
         assert captured[0] == [1, "mutated-by-consumer"]
-
-    def test_copy_payloads_restores_wire_semantics(self):
-        sdg, captured = build_mutation_hazard_sdg()
-        runtime = Runtime(sdg, RuntimeConfig(copy_payloads=True)).deploy()
-        runtime.inject("producer", 1)
-        runtime.run_until_idle()
-        assert captured[0] == [1]  # producer's copy untouched
-        assert runtime.results["consumer"] == [2]
-
-    def test_kv_store_unaffected_by_copying(self):
-        runtime = Runtime(build_kv_sdg(),
-                          RuntimeConfig(se_instances={"table": 2},
-                                        copy_payloads=True)).deploy()
-        for i in range(20):
-            runtime.inject("serve", ("put", i, i))
-            runtime.inject("serve", ("get", i, None))
-        runtime.run_until_idle()
-        assert sorted(runtime.results["serve"]) == [
-            (i, i) for i in range(20)
-        ]
 
 
 class TestPlannedMigration:

@@ -568,6 +568,35 @@ class TestCrashRestartAccounting:
             runtime.close()
 
 
+class TestFleetRestartHygiene:
+    """A restarted fleet leaves nothing behind once the runtime closes."""
+
+    def test_close_after_a_restart_releases_every_fd_and_child(
+            self, tmp_path):
+        fds = len(os.listdir("/proc/self/fd"))
+        config = RuntimeConfig(se_instances={"table": 2},
+                               substrate="multiprocess", workers=2,
+                               worker_restarts=1)
+        runtime = Runtime(build_crash_once_kv(str(tmp_path / "flag")),
+                          config).deploy()
+        # Pids only: a held ``Process`` would keep its sentinel fd open.
+        pids = [link.process.pid for link in runtime.substrate._links]
+        try:
+            for i in range(24):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            runtime.inject("serve", ("put", "boom", 99))
+            assert runtime.run_until_idle() == 25
+            pids += [link.process.pid for link in runtime.substrate._links]
+            restarts = runtime.events.events(kind=KIND.WORKER_RESTART)
+        finally:
+            runtime.close()
+        assert len(restarts) == 1
+        assert len(set(pids)) == 4
+        # Reaped, not merely exited: a zombie still has a /proc entry.
+        assert [pid for pid in pids if os.path.exists(f"/proc/{pid}")] == []
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+
 class TestCrashFlightRecorder:
     """Tentpole: a dying worker ships its last-N envelope digests."""
 

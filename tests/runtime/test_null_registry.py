@@ -128,7 +128,9 @@ class TestNullCells:
                               None, None)
         assert [len(topology.te_instance("serve", i).inbox)
                 for i in (0, 1)] == [1, 1]
-        assert [c.delivered for c in transport.channels()] == [1, 1]
+        assert [topology.te_instance("serve", i).inbox[0].payload
+                for i in (0, 1)] == [("put", "a", 1), ("put", "b", 2)]
+        assert len(transport.channels()) == 2
 
 
 class TestRegistryGate:

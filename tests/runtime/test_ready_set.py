@@ -204,7 +204,6 @@ def uncached_send(self, src, edge_index, dst_te, dst_index, payload,
                   request_id, expected, trace_id=None):
     """``Transport.send`` as it was before emit routes: nothing kept
     between items, the channel id built and the buffer found per send."""
-    payload = self.prepare_payload(payload)
     channel = ChannelId(edge_index, src.name, src.index, dst_te, dst_index)
     seq = src.out_seq.get(edge_index, 0) + 1
     src.out_seq[edge_index] = seq

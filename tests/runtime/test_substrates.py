@@ -34,7 +34,6 @@ from repro.runtime import (
     SUBSTRATES,
     resolve_substrate,
 )
-from repro.runtime.envelope import WIRE_EDGE
 from repro.runtime.multiprocess import WIRE_RUN, MultiprocessSubstrate
 from repro.state import KeyValueMap, Matrix, Vector
 from repro.testing import build_iterative_sdg, build_kv_sdg
@@ -183,31 +182,23 @@ class TestCrossSubstrateDifferential:
 
 
 class TestWireBackpressure:
-    """Satellite: blocked_channels() under a bounded in-flight window."""
+    """A burst on the coordinator->worker wire: in flight, then drained."""
 
-    def test_burst_blocks_then_drains_without_loss(self):
+    def test_burst_drains_without_loss(self):
         config = RuntimeConfig(se_instances={"table": 2},
-                               substrate="multiprocess", workers=2,
-                               channel_capacity=8)
+                               substrate="multiprocess", workers=2)
         runtime = Runtime(build_kv_sdg(), config).deploy()
         try:
-            # The coordinator never pumps during injection, so its
-            # consumed counters stay at the hello handshake: a burst
-            # beyond capacity deterministically reports wire
-            # backpressure towards every loaded worker.
+            # The coordinator never pumps during injection, so the whole
+            # burst is in flight when the drain starts. Delivery never
+            # drops: the drain completes (no deadlock), every envelope is
+            # acknowledged and reaches its partition (no loss).
             n = 100
             for i in range(n):
                 runtime.inject("serve", ("put", f"k{i}", i))
-            blocked = runtime.blocked_channels()
-            assert blocked, "burst past capacity must report blocking"
-            assert {c.edge_index for c in blocked} == {WIRE_EDGE}
-            assert all(c.dst_te == "__worker__" for c in blocked)
-            # The producer observes blocking, yet delivery never drops:
-            # the drain completes (no deadlock) and every envelope
-            # reaches its partition (no loss).
             processed = runtime.run_until_idle()
             assert processed == n
-            assert runtime.blocked_channels() == []
+            assert runtime.substrate._quiet()
             merged = {}
             for inst in runtime.se_instances("table"):
                 merged.update(dict(inst.element.items()))
@@ -218,10 +209,9 @@ class TestWireBackpressure:
     def test_pending_envelope_is_in_flight(self):
         # Less than one run injected, nothing pumped: the envelopes sit
         # in the coordinator's pending lists, and the counters already
-        # say so — not quiet, and in flight for backpressure.
+        # say so — not quiet, yet no frame written.
         config = RuntimeConfig(se_instances={"table": 2},
-                               substrate="multiprocess", workers=2,
-                               channel_capacity=8)
+                               substrate="multiprocess", workers=2)
         runtime = Runtime(build_kv_sdg(), config).deploy()
         try:
             substrate = runtime.substrate
@@ -234,26 +224,8 @@ class TestWireBackpressure:
             assert sum(pending) == 40 and max(pending) < WIRE_RUN
             assert wire_totals(runtime)[0] == frames
             assert not substrate._quiet()
-            blocked = runtime.blocked_channels()
-            assert {c.dst_instance for c in blocked} == {
-                link.worker_id for link in substrate._links
-                if len(link.pending) > 8}
-            assert blocked
             assert runtime.run_until_idle() == 40
             assert substrate._quiet()
-            assert runtime.blocked_channels() == []
-        finally:
-            runtime.close()
-
-    def test_unbounded_wire_never_reports(self):
-        config = RuntimeConfig(se_instances={"table": 2},
-                               substrate="multiprocess", workers=2)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
-            for i in range(50):
-                runtime.inject("serve", ("put", f"k{i}", i))
-            assert runtime.blocked_channels() == []
-            runtime.run_until_idle()
         finally:
             runtime.close()
 
@@ -661,36 +633,11 @@ class TestEnvelopeRuns:
 
 
 class TestPayloadIsolation:
-    """Satellite: the serialisation boundary replaces the deepcopy."""
-
-    def test_inprocess_copy_payloads_still_deepcopies(self):
-        config = RuntimeConfig(se_instances={"table": 2},
-                               copy_payloads=True)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        assert runtime.transport.payload_isolated is False
-        payload = {"mutable": []}
-        assert runtime.transport.prepare_payload(payload) is not payload
-
-    def test_multiprocess_coordinator_skips_the_deepcopy(self):
-        config = RuntimeConfig(se_instances={"table": 2},
-                               copy_payloads=True,
-                               substrate="multiprocess", workers=2)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
-            assert runtime.substrate.isolates_payloads is True
-            assert runtime.transport.payload_isolated is True
-            payload = {"mutable": []}
-            # The wire codec is the isolation: no defensive copy.
-            assert runtime.transport.prepare_payload(payload) is payload
-            copies = runtime.metrics.snapshot()[
-                "transport_payload_copies_total"]["children"]
-            assert all(v == 0 for v in copies.values())
-        finally:
-            runtime.close()
+    """The serialisation boundary is the isolation."""
 
     def test_mutating_consumer_cannot_corrupt_producer_payload(self):
-        # End to end: a consumer that mutates its input must never be
-        # observable by the injector, on either isolation mechanism.
+        # End to end: a worker that mutates its input is never
+        # observable by the injector, because the wire hands it a copy.
         sdg = SDG("mutate")
         sdg.add_state("seen", KeyValueMap, kind=StateKind.PARTITIONED,
                       partition_by="key")
@@ -704,19 +651,16 @@ class TestPayloadIsolation:
                      access=AccessMode.PARTITIONED, is_entry=True,
                      entry_key_fn=lambda item: item[0],
                      entry_key_name="key")
-        for substrate, workers in (("inprocess", None),
-                                   ("multiprocess", 2)):
-            config = RuntimeConfig(se_instances={"seen": 2},
-                                   copy_payloads=True,
-                                   substrate=substrate, workers=workers)
-            runtime = Runtime(sdg, config).deploy()
-            try:
-                original = ["pristine"]
-                runtime.inject("absorb", ("k", original))
-                runtime.run_until_idle()
-                assert original == ["pristine"], substrate
-            finally:
-                runtime.close()
+        config = RuntimeConfig(se_instances={"seen": 2},
+                               substrate="multiprocess", workers=2)
+        runtime = Runtime(sdg, config).deploy()
+        try:
+            original = ["pristine"]
+            runtime.inject("absorb", ("k", original))
+            runtime.run_until_idle()
+            assert original == ["pristine"]
+        finally:
+            runtime.close()
 
 
 class TestResolutionAndGates:

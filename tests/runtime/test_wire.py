@@ -22,7 +22,6 @@ from repro.chaos.plan import CrashTask, KillNode, ScaleUp
 from repro.runtime.envelope import (
     INPUT_EDGE,
     NO_RESPONSE,
-    WIRE_EDGE,
     ChannelId,
     Envelope,
 )
@@ -334,7 +333,7 @@ class TestEnvelopeSerialisation:
         assert type(clone) is Envelope
 
     def test_channel_sentinels_round_trip(self):
-        for edge in (INPUT_EDGE, WIRE_EDGE, 0, 5):
+        for edge in (INPUT_EDGE, 0, 5):
             channel = ChannelId(edge, "src", 0, "dst", 1)
             assert pickle.loads(pickle.dumps(channel)) == channel
 

@@ -138,6 +138,20 @@ class TestDurableCommands:
         assert "error:" in capsys.readouterr().err
 
 
+class TestPlainRun:
+    # Recorded from ``repro run`` before it shared ``build_workload``
+    # with ``repro top``; the fingerprint does not depend on the hash
+    # seed.
+    STATE_HASHES = {"kvstore": "733095659398844845",
+                    "wordcount": "1878844498916831584"}
+
+    def test_run_prints_the_recorded_state_hash(self, capsys):
+        for app, expected in self.STATE_HASHES.items():
+            assert main(["run", "--app", app, "--items", "400"]) == 0
+            out = capsys.readouterr().out
+            assert out.split("state_hash=")[-1].strip() == expected, app
+
+
 class TestOptimizeFlags:
     def test_run_optimize_matches_baseline_state_hash(self, capsys):
         assert main(["run", "--app", "kvstore", "--items", "80"]) == 0
