@@ -45,7 +45,6 @@ from repro.runtime.envelope import (
     NO_RESPONSE,
     ChannelId,
     Envelope,
-    make_envelope,
 )
 from repro.runtime.instances import (
     GatherState,
@@ -113,7 +112,8 @@ class Runtime:
         self._entries: dict[str, tuple] = {}
         #: The client-side input log: ``(entry, index)`` -> the interned
         #: input ``ChannelId`` and the envelopes injected on it that no
-        #: checkpoint has trimmed yet.
+        #: checkpoint has trimmed yet; filled by the in-process substrate
+        #: (a fleet's coordinator leaves it empty).
         self._input_routes: dict[tuple[str, int],
                                  tuple[ChannelId, list[Envelope]]] = {}
         #: TEs without outgoing dataflows; their outputs are results.
@@ -357,9 +357,11 @@ class Runtime:
     def inject(self, entry: str, payload: Any) -> None:
         """Feed one external item to entry TE ``entry`` (§3.1 dataflows).
 
-        Items are buffered source-side like any other dataflow so that a
-        failed entry TE can be replayed from "upstream" (here: the
-        client-side input log).
+        The item goes to ``substrate.deliver`` as a plain row with its
+        route's client-side input log. In-process the envelope is kept in
+        that log, so a failed entry TE can be replayed from "upstream"
+        (§5); a fleet's coordinator builds no envelope and keeps the row
+        only while a restart may replay it.
         """
         bound = self._entries.get(entry)
         if bound is None:
@@ -389,10 +391,8 @@ class Runtime:
                 channel = ChannelId(INPUT_EDGE, "__input__", 0, entry, index)
                 route = self._input_routes[entry, index] = (channel, [])
             seq = self._input_seq[entry] = self._input_seq.get(entry, 0) + 1
-            envelope = make_envelope((payload, seq, route[0], request_id,
-                                      expected, trace_id))
-            route[1].append(envelope)
-            self.substrate.deliver(envelope)
+            self.substrate.deliver(route[1], (payload, seq, route[0],
+                                              request_id, expected, trace_id))
             index += 1
             if expected is None or index == expected:
                 return
@@ -718,7 +718,12 @@ class Runtime:
     # ------------------------------------------------------------------
 
     def fail_node(self, node_id: int) -> None:
-        """Kill a node: inboxes, SE contents and output buffers are lost."""
+        """Kill a node: inboxes, SE contents and output buffers are lost.
+
+        Refused, with the node left alive, where workers hold the state:
+        no process would serve or replay a replacement installed here.
+        """
+        self._refuse_on_workers(f"fail_node({node_id})")
         node = self.topology.nodes[node_id]
         was_alive = node.alive
         lost = 0
@@ -872,16 +877,10 @@ class Runtime:
         Partitioned SEs are re-split across the grown instance set;
         partial SEs gain a fresh replica. Stateless TEs simply gain an
         instance. Returns False when the TE cannot be scaled further.
-        Refused on a substrate whose workers hold the SE state (one
-        with ``pull_state``): scale-out is not yet a control-plane
-        action there.
+        Refused where workers hold the SE state: scale-out is not yet a
+        control-plane action there.
         """
-        if getattr(self.substrate, "pull_state", None) is not None:
-            raise RuntimeExecutionError(
-                f"scale_up({te_name!r}) is not supported on the "
-                f"{self.substrate.name} substrate: its workers hold the "
-                f"SE state, and scale-out is not a control-plane action"
-            )
+        self._refuse_on_workers(f"scale_up({te_name!r})")
         spec = self.sdg.task(te_name)
         if spec.is_merge:
             return False
@@ -917,6 +916,16 @@ class Runtime:
         )
         return True
 
+    def _refuse_on_workers(self, action: str) -> None:
+        """Raise before ``action`` touches a topology whose nodes live in
+        the substrate's workers (a substrate with ``pull_state``)."""
+        if getattr(self.substrate, "pull_state", None) is not None:
+            raise RuntimeExecutionError(
+                f"{action} is not supported on the {self.substrate.name} "
+                f"substrate: its workers hold the SE state, and this is "
+                f"not a control-plane action"
+            )
+
     def _resend_after_reroute(self, envelope: Envelope) -> None:
         """Re-address a queued envelope after a repartition.
 
@@ -939,8 +948,8 @@ class Runtime:
             route = routes.setdefault((entry, index),
                                       (channel.reroute(index), []))
             ts = self._input_seq[entry] = self._input_seq[entry] + 1
-            route[1].append(envelope.with_channel(route[0], ts))
-            self.substrate.deliver(route[1][-1])
+            self.substrate.deliver(route[1], (envelope.payload, ts, route[0])
+                                   + envelope[3:])
         else:
             producer = self.te_instance(channel.src_te, channel.src_instance)
             if producer is None:

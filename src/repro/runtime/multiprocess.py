@@ -17,20 +17,20 @@ functions are closures and generated code that pickle cannot ship, but
 a forked child inherits the fully deployed runtime for free — only
 envelopes and control messages ever cross the wire.
 
-Envelopes cross in **runs**: ``deliver()`` appends to a per-worker
-pending list that becomes one ``MSG_DELIVER`` frame at ``WIRE_RUN``
-envelopes, at the top of every pump round (so ``run_until_idle``,
-``poll`` and a state pull all flush) and ahead of any control frame to
-that worker, which keeps each link FIFO. A worker groups what it sends
-other workers by destination (the transport resolves the owning worker
-once per route) and ships each group as ``MSG_OUT`` wrapping the
-destination's ready-made ``MSG_DELIVER`` frame; the coordinator counts
-it, flushes that destination's pending run and queues the bytes behind
-it, without decoding a single envelope. Injecting less than one run and
-never pumping leaves those envelopes in the coordinator until the next
-drain, poll or state read. A worker empties its pipe into the inboxes,
-then takes up to ``WIRE_RUN`` local steps before it looks at the pipe
-again.
+Envelopes cross in **runs**: ``deliver()`` appends an input's wire row
+(the coordinator builds no envelope) to a per-worker pending list that
+becomes one ``MSG_DELIVER`` frame at ``WIRE_RUN`` rows, at the top of
+every pump round (so ``run_until_idle``, ``poll`` and a state pull all
+flush) and ahead of any control frame to that worker, which keeps each
+link FIFO. A worker groups what it sends other workers by destination
+(the transport resolves the owning worker once per route) and ships
+each group as ``MSG_OUT`` wrapping the destination's ready-made
+``MSG_DELIVER`` frame; the coordinator counts it, flushes that
+destination's pending run and queues the bytes behind it, without
+decoding a single envelope. Injecting less than one run and never
+pumping leaves those rows in the coordinator until the next drain,
+poll or state read. A worker empties its pipe into the inboxes, then
+takes up to ``WIRE_RUN`` local steps before it looks at the pipe again.
 
 Deadlock freedom by construction:
 
@@ -83,9 +83,11 @@ Observability rides the same pipes (no side channels):
 Fleet restart (``RuntimeConfig(worker_restarts=N)``): a worker crash
 normally aborts the run. With restarts budgeted, the coordinator
 instead retires the dead fleet's barrier-fenced telemetry, tears every
-worker down, re-forks a fresh fleet from its own state, and replays
-the input envelopes delivered since the last barrier — deterministic
-tasks then reproduce exactly the lost work. The fork source must be
+worker down, re-forks a fresh fleet from its own state, and routes again
+the input rows delivered since the last barrier — deterministic tasks
+then reproduce exactly the lost work. Those rows are the coordinator's
+only copy of its inputs (``fail_node`` is refused, so nothing replays
+the client-side input log, and it stays empty). The fork source must be
 barrier-consistent, so while restart budget remains the state pull
 runs at every barrier that processed items.
 Metric shards fenced at the last barrier are retired so the merged
@@ -110,11 +112,7 @@ from repro.errors import RuntimeExecutionError
 from repro.obs.events import KIND
 from repro.obs.flight import render_dump
 from repro.obs.metrics import MetricsRegistry, ShardCache
-from repro.runtime.envelope import (
-    INPUT_EDGE,
-    ChannelId,
-    Envelope,
-)
+from repro.runtime.envelope import ChannelId, Envelope
 from repro.runtime.substrate import InProcessSubstrate
 from repro.runtime.wire import (
     MSG_CRASH,
@@ -228,10 +226,11 @@ class _Link:
         self.buffer = FrameBuffer()
         #: Encoded frames waiting for pipe capacity (never block a write).
         self.outbox: deque = deque()
-        #: Envelopes routed to this worker and not yet framed.
-        self.pending: list[Envelope] = []
-        #: Routed towards this worker: envelopes (framed or still
-        #: pending) plus one per control frame.
+        #: Input rows routed to this worker and not yet framed: already
+        #: what a ``MSG_DELIVER`` carries.
+        self.pending: list[tuple] = []
+        #: Routed towards this worker: items (framed or still pending)
+        #: plus one per control frame.
         self.sent = 0
         #: Worker's cumulative consumed/emitted/processed, as of its
         #: latest MSG_IDLE / MSG_STATE report.
@@ -321,10 +320,10 @@ class MultiprocessSubstrate:
         #: of fleets that were restarted.
         self._retired_shards: list[tuple] = []
         self._retired_processed = 0
-        #: Input envelopes delivered since the last barrier — the
-        #: replay source for a fleet restart. Only kept when restarts
-        #: are budgeted.
-        self._replay_log: list[Envelope] = []
+        #: Input rows delivered since the last barrier — the replay
+        #: source for a fleet restart. Only kept when restarts are
+        #: budgeted; the coordinator keeps no other per-input store.
+        self._replay_log: list[tuple] = []
         #: Input channel -> owning worker, asked once per route: the
         #: placement outlives every fleet restart.
         self._owners: dict[ChannelId, int] = {}
@@ -420,21 +419,24 @@ class MultiprocessSubstrate:
     # Substrate protocol
     # ------------------------------------------------------------------
 
-    def deliver(self, envelope: "Envelope") -> bool:
-        """Route one envelope to the worker owning its destination."""
-        channel = envelope.channel
+    def deliver(self, log: list, row: tuple) -> bool:
+        """Queue one input row, as it goes on the wire, on the worker
+        owning its destination. ``log`` stays empty: a fleet restart
+        replays :attr:`_replay_log`, kept only while restarts are left.
+        """
+        channel = row[2]
         owner = self._owners.get(channel)
         if owner is None:
             owner = self._owners[channel] = self.placement.owner_of(
                 channel.dst_te, channel.dst_instance)
         link = self._links[owner]
         self._routed += 1
-        if self.restarts and channel.edge_index == INPUT_EDGE:
+        if self.restarts:
             # Log first: if the flush trips over a dead worker, the
-            # restart's replay re-delivers this envelope too, so the
+            # restart's replay re-delivers this row too, so the
             # handler below must not retry it itself.
-            self._replay_log.append(envelope)
-        link.pending.append(envelope)
+            self._replay_log.append(row)
+        link.pending.append(row)
         link.sent += 1
         if len(link.pending) >= WIRE_RUN:
             try:
@@ -548,10 +550,10 @@ class MultiprocessSubstrate:
         self._frame(link, message)
 
     def _flush_run(self, link: _Link) -> None:
-        """Turn the link's pending envelopes into one ``MSG_DELIVER``."""
+        """Turn the link's pending rows into one ``MSG_DELIVER``."""
         if link.pending:
             run, link.pending = link.pending, []
-            self._frame(link, (MSG_DELIVER, encode_run(run)))
+            self._frame(link, (MSG_DELIVER, run))
 
     def _frame(self, link: _Link, message: Any) -> None:
         t0 = time.perf_counter()
@@ -696,7 +698,7 @@ class MultiprocessSubstrate:
         the error. With budget: retire the fleet's barrier-fenced
         telemetry, tear every worker down, re-fork from the
         coordinator's barrier-consistent state, and replay the input
-        envelopes delivered since that barrier (results reported
+        rows delivered since that barrier (results reported
         after it were never appended; the replay re-reports them).
         """
         runtime = self.runtime
@@ -732,8 +734,8 @@ class MultiprocessSubstrate:
         self._drop_fleet()
         self._fork_fleet()
         log, self._replay_log = self._replay_log, []
-        for envelope in log:
-            self.deliver(envelope)
+        for row in log:
+            self.deliver(None, row)  # routed, and logged, again
 
     # ------------------------------------------------------------------
     # Barrier and state pull

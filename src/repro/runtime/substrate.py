@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import RuntimeExecutionError
+from repro.runtime.envelope import make_envelope
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.engine import Runtime
@@ -43,7 +44,7 @@ class ExecutionSubstrate(Protocol):
     """Where the step loop runs: the execution layer behind the facade.
 
     The engine calls, in order: :meth:`bind` at deploy, then
-    :meth:`deliver` for every injected envelope, :meth:`run_until_idle`
+    :meth:`deliver` for every injected row, :meth:`run_until_idle`
     to drain, and :meth:`shutdown` when the runtime is closed.
     :meth:`process` lets a substrate observe/intercept the in-process
     step loop, which worker processes of a distributed substrate reuse
@@ -65,8 +66,14 @@ class ExecutionSubstrate(Protocol):
         """Attach to a deployed runtime (spawn workers, open pipes...)."""
         ...  # pragma: no cover - protocol
 
-    def deliver(self, envelope: "Envelope") -> bool:
-        """Hand one injected envelope to the execution layer."""
+    def deliver(self, log: list, row: tuple) -> bool:
+        """Hand one injected item to the execution layer.
+
+        ``row`` is the envelope's six fields as a plain tuple, ``(payload,
+        seq, channel, request_id, expected, trace_id)``; ``log`` is its
+        route's client-side input log, which a substrate appends the
+        envelope to when node recovery may replay it from there.
+        """
         ...  # pragma: no cover - protocol
 
     def process(self, instance: "TEInstance",
@@ -104,7 +111,9 @@ class InProcessSubstrate:
 
     # -- execution -------------------------------------------------------
 
-    def deliver(self, envelope: "Envelope") -> bool:
+    def deliver(self, log: list, row: tuple) -> bool:
+        envelope = make_envelope(row)
+        log.append(envelope)
         return self.runtime.transport.deliver(envelope)
 
     def process(self, instance: "TEInstance",

@@ -25,14 +25,17 @@ them.
 
 Data frames carry **runs**: a ``MSG_DELIVER`` holds a list of up to
 ``multiprocess.WIRE_RUN`` envelopes, so one pickle, one header and one
-``os.write`` are shared by the run. Every run crosses through one codec
-pair, :func:`encode_run` / :func:`decode_run`: on the wire an envelope
-is a plain 6-tuple (an ``Envelope`` would cost pickle one Python-level
+``os.write`` are shared by the run. On the wire an envelope is a plain
+6-tuple row, ``(payload, seq, channel, request_id, expected,
+trace_id)`` (an ``Envelope`` would cost pickle one Python-level
 ``__getnewargs__`` call each), and a route's interned ``ChannelId`` is
-written once per frame by pickle's memo. A worker's ``MSG_OUT`` wraps
-the destination's ready-made ``MSG_DELIVER`` frame, which the
-coordinator forwards as bytes. The receiver still serves every envelope
-one at a time.
+written once per frame by pickle's memo. A worker turns its envelopes
+into rows with :func:`encode_run`; the coordinator never holds an
+injected envelope, it queues each input as that row already. Every
+receiver rebuilds the envelopes with :func:`decode_run`. A worker's
+``MSG_OUT`` wraps the destination's ready-made ``MSG_DELIVER`` frame,
+which the coordinator forwards as bytes. The receiver still serves
+every envelope one at a time.
 """
 
 from __future__ import annotations
@@ -167,9 +170,10 @@ def write_frame(fd: int, message: Any) -> None:
 #: index digest, capability flags); the worker verifies it against its
 #: own forked view before serving traffic.
 MSG_HELLO = "hello"
-#: coordinator -> worker: ``(tag, encode_run(run))`` — a run of
-#: envelopes to enqueue locally, in order. Built by the coordinator for
-#: what it routes, and by a worker for what it sends another worker.
+#: coordinator -> worker: ``(tag, rows)`` — a run of envelopes as rows,
+#: to enqueue locally, in order. Built by the coordinator for the inputs
+#: it routes, and by a worker (``encode_run``) for what it sends another
+#: worker.
 MSG_DELIVER = "deliver"
 #: coordinator -> worker: state pull — ship back the SE elements you own.
 MSG_SNAPSHOT = "snapshot"

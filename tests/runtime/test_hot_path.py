@@ -71,10 +71,11 @@ class TestCountedHotPath:
         drain = python_calls(runtime.run_until_idle) / len(ops)
         assert len(runtime.results["serve"]) == 500
         # Entry spec, key function and cell come from one table lookup;
-        # the envelope is built by a C-level call in inject's own frame;
-        # cells are bumped in place. What is left of inject: itself, the
-        # key function, the partition (one frame for a str key) and the
-        # two deliver seams (and, per batch, one ready-set add per
+        # inject hands a plain row to the substrate's deliver, which
+        # builds the envelope by a C-level call in its own frame; cells
+        # are bumped in place. What is left of inject: itself, the key
+        # function, the partition (one frame for a str key) and the two
+        # deliver seams (and, per batch, one ready-set add per
         # partition whose inbox was empty). Of the drain: step,
         # candidates, select, process, _serve, _invoke, the task, its
         # one KeyValueMap op, drain of its emits, _collect_result and

@@ -325,6 +325,98 @@ class TestInjectAfterWorkerDeath:
         assert len(crashed[0]["serve"]) == 20
 
 
+class TestCoordinatorInputStore:
+    """The coordinator ships inputs as plain rows and keeps them only
+    while a fleet restart may replay them: counted, never timed."""
+
+    @staticmethod
+    def deploy(restarts):
+        config = RuntimeConfig(se_instances={"table": 4},
+                               substrate="multiprocess", workers=2,
+                               worker_restarts=restarts)
+        runtime = Runtime(build_kv_sdg(), config).deploy()
+        substrate, queued = runtime.substrate, []
+        flush_run = substrate._flush_run
+
+        def spy(link):
+            queued.extend(link.pending)
+            return flush_run(link)
+
+        substrate._flush_run = spy
+        return runtime, queued
+
+    def test_without_restarts_no_input_is_kept(self):
+        runtime, queued = self.deploy(restarts=0)
+        try:
+            for i in range(2000):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            runtime.run_until_idle()
+            assert len(queued) == 2000
+            assert {type(row) for row in queued} == {tuple}
+            logs = [log for _channel, log
+                    in runtime._input_routes.values()]
+            assert len(logs) == 4
+            assert sum(map(len, logs)) == 0
+            assert runtime.substrate._replay_log == []
+            assert sum(len(inst.element.items()) for inst
+                       in runtime.se_instances("table")) == 2000
+        finally:
+            runtime.close()
+
+    def test_with_restarts_rows_are_kept_until_the_barrier(self):
+        runtime, queued = self.deploy(restarts=1)
+        try:
+            for i in range(200):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            runtime.run_until_idle()
+            replay_log = runtime.substrate._replay_log
+            assert replay_log == []
+            for i in range(200, 500):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            assert len(replay_log) == 300
+            assert {type(row) for row in replay_log} == {tuple}
+            assert [row[0][2] for row in replay_log] == list(range(200, 500))
+            assert runtime.run_until_idle() == 300
+            assert replay_log == []
+            assert {type(row) for row in queued} == {tuple}
+            assert sum(len(log) for _channel, log
+                       in runtime._input_routes.values()) == 0
+        finally:
+            runtime.close()
+
+
+class TestNodeRecoveryRefused:
+    """The workers hold the nodes: failing one on the coordinator would
+    install a replacement no process serves, and hang the next drain."""
+
+    def test_fail_node_raises_and_the_fleet_still_drains(self):
+        def run(substrate, workers=None):
+            config = RuntimeConfig(se_instances={"table": 2},
+                                   substrate=substrate, workers=workers)
+            runtime = Runtime(build_kv_sdg(), config).deploy()
+            try:
+                for i in range(30):
+                    runtime.inject("serve", ("put", f"k{i}", i))
+                runtime.run_until_idle()
+                if substrate == "multiprocess":
+                    node = runtime.se_instance("table", 0).node_id
+                    version = runtime.topology.version
+                    with pytest.raises(RuntimeExecutionError,
+                                       match=r"fail_node.*multiprocess"):
+                        runtime.fail_node(node)
+                    assert runtime.nodes[node].alive
+                    assert runtime.topology.version == version
+                for i in range(30, 60):
+                    runtime.inject("serve", ("put", f"k{i}", i))
+                assert runtime.run_until_idle() == 30
+                assert runtime.is_idle()
+                return state_fingerprint(runtime)
+            finally:
+                runtime.close()
+
+        assert run("multiprocess", workers=2) == run("inprocess")
+
+
 def send_empty_frame(runtime, worker_id):
     """Write the worker a frame of 0 bytes: no pickle is empty."""
     os.write(runtime.substrate._links[worker_id].send_fd,

@@ -491,9 +491,9 @@ class TestEnvelopeRuns:
         runtime = Runtime(build_wordcount_sdg(), config).deploy()
         deliver, routed = runtime.substrate.deliver, []
 
-        def spy(envelope):
-            routed.append(envelope)
-            return deliver(envelope)
+        def spy(log, row):
+            routed.append(row)
+            return deliver(log, row)
 
         runtime.substrate.deliver = spy
         try:
