@@ -38,8 +38,7 @@ RESULT_FILE = os.path.join(os.path.dirname(__file__),
 def build_slow_kv(delay: float) -> SDG:
     """A partitioned KV whose serve path has fixed service latency."""
     sdg = SDG("slowkv")
-    sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED,
-                  partition_by="key")
+    sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED)
 
     def serve(ctx, request):
         op, key, value = request

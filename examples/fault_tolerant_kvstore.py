@@ -20,8 +20,7 @@ from repro.state import KeyValueMap
 
 def build_store() -> SDG:
     sdg = SDG("kvstore")
-    sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED,
-                  partition_by="key")
+    sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED)
 
     def serve(ctx, request):
         op, key, value = request

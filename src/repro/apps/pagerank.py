@@ -39,8 +39,7 @@ def build_pagerank_sdg(damping: float = 0.85,
         raise ValueError(f"epsilon must be positive, got {epsilon}")
 
     sdg = SDG("pagerank")
-    sdg.add_state("vertices", KeyValueMap, kind=StateKind.PARTITIONED,
-                  partition_by="vertex")
+    sdg.add_state("vertices", KeyValueMap, kind=StateKind.PARTITIONED)
 
     def load(ctx, item):
         vertex, out_edges = item

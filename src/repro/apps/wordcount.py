@@ -17,6 +17,11 @@ from repro.core import SDG, AccessMode, Dispatch, StateKind
 from repro.state import KeyValueMap
 
 
+def word_of(key: tuple[int, str]) -> str:
+    """``counts`` is split, and every item into it routed, by word."""
+    return key[1]
+
+
 def build_wordcount_sdg(window_size: int = 1000) -> SDG:
     """A two-stage wordcount SDG: split → keyed count.
 
@@ -27,7 +32,7 @@ def build_wordcount_sdg(window_size: int = 1000) -> SDG:
         raise ValueError(f"window_size must be >= 1, got {window_size}")
     sdg = SDG("wordcount")
     sdg.add_state("counts", KeyValueMap, kind=StateKind.PARTITIONED,
-                  partition_by="word")
+                  route_key=word_of)
 
     def split(ctx, item):
         timestamp, line = item
@@ -48,7 +53,7 @@ def build_wordcount_sdg(window_size: int = 1000) -> SDG:
                  access=AccessMode.PARTITIONED)
     sdg.add_task("query", query, state="counts",
                  access=AccessMode.PARTITIONED, is_entry=True,
-                 entry_key_fn=lambda item: item[1], entry_key_name="word")
+                 entry_key_fn=word_of, entry_key_name="word")
     sdg.connect("split", "count", Dispatch.KEY_PARTITIONED,
-                key_fn=lambda item: item[1], key_name="word")
+                key_fn=word_of, key_name="word")
     return sdg

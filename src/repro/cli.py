@@ -46,6 +46,7 @@ import json
 import sys
 
 from repro.core.allocation import allocate
+from repro.core.validation import route_key_names
 from repro.errors import SDGError
 from repro.translate import translate
 
@@ -182,7 +183,8 @@ def _describe(result) -> str:
              f"{len(sdg.dataflows)} dataflows", ""]
     lines.append("state elements:")
     for se in sdg.states.values():
-        key = f" by {se.partition_by!r}" if se.partition_by else ""
+        names = route_key_names(sdg, se.name)
+        key = f" by {'/'.join(names)!r}" if names else ""
         lines.append(f"  {se.name}  ({se.kind.value}{key})")
     lines.append("")
     lines.append("task elements:")

@@ -48,13 +48,11 @@ class StateElementSpec:
     name: str
     kind: StateKind
     factory: Callable[[], StateElement]
-    #: Human-readable partitioning key (e.g. ``"user"``); documentation
-    #: and validation only — routing uses the dataflow edges' key_fn.
-    partition_by: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is StateKind.PARTITIONED and self.partition_by is None:
-            object.__setattr__(self, "partition_by", "key")
+    #: Partitioned SEs only (``None`` otherwise): storage key -> the key
+    #: its items route by. Every split of the state puts an entry in
+    #: ``partitioner.partition(route_key(key))``, so it must agree with
+    #: the ``key_fn`` of every route into the SE.
+    route_key: Callable[[Hashable], Hashable] | None = None
 
 
 class TaskContext:

@@ -41,15 +41,25 @@ class SDG:
         name: str,
         factory: Callable[[], StateElement],
         kind: StateKind = StateKind.PARTITIONED,
-        partition_by: str | None = None,
+        route_key: Callable[[Hashable], Hashable] | None = None,
     ) -> StateElementSpec:
-        """Declare a state element. Returns its spec."""
+        """Declare a state element. Returns its spec.
+
+        A partitioned SE's ``route_key`` defaults to its element class's
+        ``default_route_key``: the storage key itself, a matrix's row.
+        """
         if name in self._states:
             raise ValidationError(f"duplicate state element {name!r}")
         if name in self._tasks:
             raise ValidationError(f"{name!r} already names a task element")
+        if kind is StateKind.PARTITIONED:
+            route_key = route_key or factory().default_route_key
+        elif route_key is not None:
+            raise ValidationError(
+                f"SE {name!r} is {kind.value}; only a partitioned SE has "
+                f"a route_key")
         spec = StateElementSpec(
-            name=name, kind=kind, factory=factory, partition_by=partition_by
+            name=name, kind=kind, factory=factory, route_key=route_key
         )
         self._states[name] = spec
         return spec

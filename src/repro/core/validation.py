@@ -84,29 +84,36 @@ def _check_access_modes(sdg, sink: DiagnosticSink) -> None:
             )
 
 
+def route_key_names(sdg, se_name: str) -> list[str]:
+    """The named keys of the entries and keyed edges into the TEs that
+    access an SE, sorted (SDG213 allows one)."""
+    tes = sdg.tasks_accessing(se_name)
+    names = {te.entry_key_name for te in tes if te.is_entry}
+    names.update(edge.key_name for te in tes
+                 for edge in sdg.predecessors(te.name)
+                 if edge.dispatch is Dispatch.KEY_PARTITIONED)
+    return sorted(names - {None})
+
+
 def _check_partitioned_access(sdg, sink: DiagnosticSink) -> None:
     """All routes into one partitioned SE must agree on the key (§3.2)."""
     for se in sdg.states.values():
         if se.kind is not StateKind.PARTITIONED:
             continue
-        key_names: set[str] = set()
         for te in sdg.tasks_accessing(se.name):
-            if te.is_entry:
-                if te.entry_key_fn is None:
-                    sink.emit(
-                        "SDG211",
-                        f"entry TE {te.name!r} accesses partitioned SE "
-                        f"{se.name!r} but declares no entry_key_fn; "
-                        f"external input must be dispatched by key",
-                        origin=te.name,
-                        hint="pass entry_key_fn= (and entry_key_name=) "
-                             "when declaring the entry TE",
-                    )
-                key_names.add(te.entry_key_name or "<anonymous>")
+            if te.is_entry and te.entry_key_fn is None:
+                sink.emit(
+                    "SDG211",
+                    f"entry TE {te.name!r} accesses partitioned SE "
+                    f"{se.name!r} but declares no entry_key_fn; "
+                    f"external input must be dispatched by key",
+                    origin=te.name,
+                    hint="pass entry_key_fn= (and entry_key_name=) "
+                         "when declaring the entry TE",
+                )
             for edge in sdg.predecessors(te.name):
-                if edge.dispatch is Dispatch.KEY_PARTITIONED:
-                    key_names.add(edge.key_name or "<anonymous>")
-                elif edge.dispatch is not Dispatch.ALL_TO_ONE:
+                if edge.dispatch not in (Dispatch.KEY_PARTITIONED,
+                                         Dispatch.ALL_TO_ONE):
                     sink.emit(
                         "SDG212",
                         f"dataflow {edge.src}->{edge.dst} reaches TE "
@@ -118,12 +125,12 @@ def _check_partitioned_access(sdg, sink: DiagnosticSink) -> None:
                         hint="connect the edge with "
                              "Dispatch.KEY_PARTITIONED and a key_fn",
                     )
-        named = {k for k in key_names if k != "<anonymous>"}
+        named = route_key_names(sdg, se.name)
         if len(named) > 1:
             sink.emit(
                 "SDG213",
                 f"partitioned SE {se.name!r} is accessed with conflicting "
-                f"partitioning keys {sorted(named)}; a unique partitioning "
+                f"partitioning keys {named}; a unique partitioning "
                 f"is required",
                 origin=se.name,
                 hint="re-key every route into the SE to one partition "

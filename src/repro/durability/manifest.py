@@ -104,17 +104,19 @@ def atomic_write_json(path: str, payload: dict,
 def sdg_fingerprint(sdg) -> int:
     """A process-stable structural hash of a translated SDG.
 
-    Covers element names, kinds, access modes, entry/merge flags, key
-    names and dataflow edges — everything that determines routing and
-    state layout. Task *code* is deliberately excluded (function objects
-    have no stable serialisation); the fingerprint guards against
-    resuming a manifest with a structurally different program, which is
-    the failure mode that corrupts state silently.
+    Covers element names, kinds, route keys (by qualified name), access
+    modes, entry/merge flags, key names and dataflow edges: everything
+    that determines routing and state layout. Task *code* is excluded
+    (function objects have no stable serialisation); the fingerprint
+    guards against resuming a manifest with a structurally different
+    program, the failure mode that corrupts state silently.
     """
     parts: list = [("sdg", sdg.name)]
     for name in sorted(sdg.states):
         spec = sdg.state(name)
-        parts.append(("se", name, spec.kind.value, spec.partition_by,
+        parts.append(("se", name, spec.kind.value,
+                      getattr(spec.route_key, "__qualname__",
+                              repr(spec.route_key)),
                       getattr(spec.factory, "__name__", repr(spec.factory))))
     for name in sorted(sdg.tasks):
         spec = sdg.task(name)

@@ -26,12 +26,12 @@ from repro.errors import (
     BackupIntegrityError,
     RecoveryError,
     StaleCheckpointError,
+    StateError,
 )
 from repro.obs.events import KIND
 from repro.recovery.checkpoint import NodeCheckpoint, TEMeta
 from repro.runtime.instances import SEInstance, TEInstance
 from repro.runtime.node import PhysicalNode
-from repro.state import HashPartitioner
 from repro.state.base import StateElement
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -285,8 +285,14 @@ class RecoveryManager:
                 "whole failed SE onto n new partitions)"
             )
 
+        try:  # as scale-up does; a refusal leaves the node failed
+            partitioner = self.runtime.topology.partitioner(
+                se_name).rescaled(n_new)
+        except StateError as exc:
+            raise RecoveryError(
+                f"cannot restore SE {se_name!r} onto {n_new} partitions: "
+                f"{exc}") from exc
         merged = self._restore_element(spec, (se_name, se_index), checkpoint)
-        partitioner = HashPartitioner(n_new)
         self.runtime.set_partitioner(se_name, partitioner)
 
         accessing = [
@@ -299,7 +305,8 @@ class RecoveryManager:
 
         nodes: list[PhysicalNode] = []
         for part_index in range(n_new):
-            part = merged.extract_partition(partitioner, part_index)
+            part = merged.extract_partition(partitioner, part_index,
+                                            spec.route_key)
             se_inst = SEInstance(spec, part_index, element=part)
             te_replacements = []
             for te_name in accessing:

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.errors import RuntimeExecutionError
+from repro.core.elements import StateKind
+from repro.errors import RuntimeExecutionError, StateError
 from repro.runtime.scheduler import Scheduler, resolve_scheduler
 from repro.runtime.substrate import ExecutionSubstrate, resolve_substrate
 
@@ -212,3 +213,20 @@ class RuntimeConfig:
                         f"{what}[{name!r}] must be an integer >= 1, "
                         f"got {count!r}"
                     )
+        for name, partitioner in self.partitioners.items():
+            kind, n = sdg.state(name).kind, partitioner.n_partitions
+            if kind is not StateKind.PARTITIONED:
+                raise RuntimeExecutionError(
+                    f"SE {name!r} is {kind.value}; only partitioned SEs "
+                    f"take a custom partitioner")
+            if self.se_instances.get(name, n) != n:
+                raise RuntimeExecutionError(
+                    f"SE {name!r}: se_instances={self.se_instances[name]} "
+                    f"conflicts with the partitioner's {n} partitions")
+            try:
+                if self.auto_scale:  # it would rescale the partitioner
+                    partitioner.rescaled(n + 1)
+            except StateError as exc:  # e.g. a RangePartitioner
+                raise RuntimeExecutionError(
+                    f"auto_scale cannot rescale partitioners[{name!r}]: "
+                    f"{exc}") from exc

@@ -27,7 +27,7 @@ from repro.errors import RuntimeExecutionError
 from repro.runtime.envelope import Envelope
 from repro.runtime.instances import Candidates, SEInstance, TEInstance
 from repro.runtime.node import PhysicalNode
-from repro.state import HashPartitioner
+from repro.state import HashPartitioner, Partitioner
 from repro.state.base import StateElement
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,7 +74,7 @@ class Topology:
         #: never replaced: its length is always the TE's slot count.
         self.te_slots: dict[str, list[TEInstance | None]] = {}
         self._se_instances: dict[str, list[SEInstance | None]] = {}
-        self._partitioners: dict[str, HashPartitioner] = {}
+        self._partitioners: dict[str, Partitioner] = {}
         #: Per-SE repartition counter. A checkpoint records the epoch it
         #: was taken under; restoring it under a different partitioning
         #: would resurrect keys the instance no longer owns, so recovery
@@ -84,7 +84,7 @@ class Topology:
         self._next_node_id = 0
         #: TE name -> the partitioner keyed dispatch into it routes by:
         #: its partitioned SE's current one, else a hash over its slots.
-        self.routers: dict[str, HashPartitioner] = {}
+        self.routers: dict[str, Partitioner] = {}
         #: Bumped by every method that assigns into ``te_slots`` or
         #: kills a node; :meth:`candidates` rebuilds when it has moved.
         self.version = 0
@@ -100,30 +100,15 @@ class Topology:
         base = allocate(self.sdg)
 
         for se in self.sdg.states.values():
+            # ``RuntimeConfig.validate`` checked a custom partitioner.
             custom = self.config.partitioners.get(se.name)
-            if custom is not None:
-                if se.kind is not StateKind.PARTITIONED:
-                    raise RuntimeExecutionError(
-                        f"SE {se.name!r} is {se.kind.value}; only "
-                        f"partitioned SEs take a custom partitioner"
-                    )
-                n = custom.n_partitions
-                configured = self.config.se_instances.get(se.name)
-                if configured is not None and configured != n:
-                    raise RuntimeExecutionError(
-                        f"SE {se.name!r}: se_instances={configured} "
-                        f"conflicts with the partitioner's "
-                        f"{n} partitions"
-                    )
-            else:
-                n = max(1, self.config.se_instances.get(se.name, 1))
+            n = (custom.n_partitions if custom is not None
+                 else max(1, self.config.se_instances.get(se.name, 1)))
             self._se_instances[se.name] = [
                 SEInstance(se, i) for i in range(n)
             ]
             if se.kind is StateKind.PARTITIONED:
-                self._partitioners[se.name] = (
-                    custom if custom is not None else HashPartitioner(n)
-                )
+                self._partitioners[se.name] = custom or HashPartitioner(n)
 
         for te in self.sdg.tasks.values():
             if te.state is not None:
@@ -254,7 +239,7 @@ class Topology:
     # Routing
     # ------------------------------------------------------------------
 
-    def partitioner(self, se_name: str) -> HashPartitioner:
+    def partitioner(self, se_name: str) -> Partitioner:
         return self._partitioners[se_name]
 
     def _reroute(self, te_names) -> None:
@@ -265,12 +250,9 @@ class Topology:
                 or HashPartitioner(len(self.te_slots[name])))
 
     def set_partitioner(self, se_name: str,
-                        partitioner: HashPartitioner) -> None:
-        """Replace the routing partitioner of a partitioned SE.
-
-        Used by m-to-n recovery when a failed SE instance is restored as
-        ``n`` partitions, changing the partition count.
-        """
+                        partitioner: Partitioner) -> None:
+        """Route a partitioned SE by ``partitioner`` from a new epoch on
+        (a repartition or a 1-to-n restore changed its fan-out)."""
         self._partitioners[se_name] = partitioner
         self._se_epochs[se_name] = self.se_epoch(se_name) + 1
         self._reroute(te.name for te in self.sdg.tasks_accessing(se_name))
@@ -391,7 +373,8 @@ class Topology:
                     pending.append(te_inst.inbox.popleft())
 
         for index in range(n_new):
-            part = merged.extract_partition(partitioner, index)
+            part = merged.extract_partition(partitioner, index,
+                                          spec.route_key)
             if index < len(self._se_instances[se_name]):
                 se_inst = self._se_instances[se_name][index]
                 se_inst.element = part

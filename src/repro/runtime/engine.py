@@ -61,7 +61,7 @@ from repro.runtime.substrate import (
     resolve_substrate,
 )
 from repro.runtime.transport import Transport
-from repro.state import HashPartitioner
+from repro.state import Partitioner
 
 #: Most envelopes one scheduling step serves on a certified channel.
 RUN_MAX = 64
@@ -760,12 +760,9 @@ class Runtime:
         return node
 
     def set_partitioner(self, se_name: str,
-                        partitioner: HashPartitioner) -> None:
-        """Replace the routing partitioner of a partitioned SE.
-
-        Used by m-to-n recovery when a failed SE instance is restored as
-        ``n`` partitions, changing the partition count.
-        """
+                        partitioner: Partitioner) -> None:
+        """Route a partitioned SE by ``partitioner`` from a new epoch on
+        (a 1-to-n restore), and publish the repartition."""
         self.topology.set_partitioner(se_name, partitioner)
         self.events.publish(
             "engine", KIND.REPARTITION, self.total_steps,

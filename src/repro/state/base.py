@@ -32,10 +32,14 @@ from __future__ import annotations
 import abc
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Hashable, Iterable,
+                    Iterator, Sequence)
 
 from repro.errors import StateError
 from repro.state.backend import DictBackend, MutationJournal, StateBackend
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.state.partitioner import Partitioner
 
 #: Sentinel distinguishing "no default supplied" from ``default=None``.
 _MISSING = object()
@@ -253,24 +257,25 @@ class StateElement(abc.ABC):
     # Partitioning and merging (§3.2)
     # ------------------------------------------------------------------
 
-    def partition_key(self, key: Hashable) -> Hashable:
-        """Map a storage key to the key used for partitioning decisions.
-
-        A matrix partitioned by row maps ``(row, col)`` to ``row``; the
-        default is the identity, which suits vectors and maps.
-        """
+    @staticmethod
+    def default_route_key(key: Hashable) -> Hashable:
+        """The route key of a partitioned SE that declares none: the
+        storage key itself, which suits vectors and maps."""
         return key
 
-    def extract_partition(self, partitioner: "PartitionerProtocol",
-                          index: int) -> "StateElement":
-        """Return a new SE holding the subset owned by partition ``index``.
+    def extract_partition(self, partitioner: "Partitioner",
+                          index: int,
+                          route_key: Callable[[Hashable], Hashable]
+                          ) -> "StateElement":
+        """Return a new SE holding the entries partition ``index`` owns:
+        those whose ``partitioner.partition(route_key(key))`` is ``index``.
 
         The receiver is left untouched; callers re-scaling a live SE
         should build all partitions and then discard the original.
         """
         part = self.spawn_empty()
         for key, value in self._backend.items():
-            if partitioner.partition(self.partition_key(key)) == index:
+            if partitioner.partition(route_key(key)) == index:
                 part._backend.set(key, value)
         return part
 
@@ -365,15 +370,6 @@ class StateElement(abc.ABC):
     def estimated_size_bytes(self) -> int:
         """Modelled in-memory footprint, linear in the entry count."""
         return self.entry_count() * self.BYTES_PER_ENTRY
-
-
-class PartitionerProtocol:
-    """Structural protocol: anything with ``partition(key) -> int``."""
-
-    n_partitions: int
-
-    def partition(self, key: Hashable) -> int:  # pragma: no cover
-        raise NotImplementedError
 
 
 def stable_hash(key: Hashable) -> int:

@@ -5,15 +5,13 @@ sparsely-populated state such as the CF user-item and co-occurrence
 matrices; ``DenseMatrix`` is its dense counterpart for small, fully
 populated state such as regression weights.
 
-Both support partitioning by row or by column (§3.2). To obtain a unique
-partitioning, TEs must not access one partitioned matrix with conflicting
-strategies — that invariant is enforced by SDG validation, which reads
-the ``partition_axis`` recorded here.
+Both split by row unless the SDG declares another ``route_key`` for
+the SE (``lambda key: key[1]`` partitions by column, §3.2).
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable
+from typing import Any
 
 from repro.errors import StateError
 from repro.state.backend import (_NO_CELLS, DenseGridBackend,
@@ -21,7 +19,10 @@ from repro.state.backend import (_NO_CELLS, DenseGridBackend,
 from repro.state.base import StateElement
 from repro.state.vector import Vector
 
-_AXES = ("row", "col")
+
+def row_of(key: tuple[int, int]) -> int:
+    """A matrix's default route key: the row of a ``(row, col)`` cell."""
+    return key[0]
 
 
 class Matrix(StateElement):
@@ -36,24 +37,13 @@ class Matrix(StateElement):
     """
 
     BYTES_PER_ENTRY = 24
-
-    def __init__(self, partition_axis: str = "row") -> None:
-        if partition_axis not in _AXES:
-            raise StateError(
-                f"partition_axis must be one of {_AXES}, got {partition_axis!r}"
-            )
-        self.partition_axis = partition_axis
-        super().__init__()
+    default_route_key = staticmethod(row_of)
 
     def _make_backend(self) -> SparseMatrixBackend:
         return SparseMatrixBackend()
 
     def spawn_empty(self) -> "Matrix":
-        return Matrix(partition_axis=self.partition_axis)
-
-    def partition_key(self, key: Hashable) -> Hashable:
-        row, col = key  # type: ignore[misc]
-        return row if self.partition_axis == "row" else col
+        return Matrix()
 
     # -- domain API ----------------------------------------------------
 
@@ -145,8 +135,7 @@ class Matrix(StateElement):
         return self.entry_count()
 
     def __repr__(self) -> str:
-        return (f"Matrix(nnz={len(self._backend)}, "
-                f"axis={self.partition_axis!r})")
+        return f"Matrix(nnz={len(self._backend)})"
 
 
 class DenseMatrix(StateElement):
@@ -158,16 +147,11 @@ class DenseMatrix(StateElement):
     """
 
     BYTES_PER_ENTRY = 8
+    default_route_key = staticmethod(row_of)
 
-    def __init__(self, n_rows: int, n_cols: int,
-                 partition_axis: str = "row") -> None:
+    def __init__(self, n_rows: int, n_cols: int) -> None:
         if n_rows < 0 or n_cols < 0:
             raise StateError("matrix dimensions must be non-negative")
-        if partition_axis not in _AXES:
-            raise StateError(
-                f"partition_axis must be one of {_AXES}, got {partition_axis!r}"
-            )
-        self.partition_axis = partition_axis
         self.n_rows = n_rows
         self.n_cols = n_cols
         super().__init__()
@@ -176,12 +160,7 @@ class DenseMatrix(StateElement):
         return DenseGridBackend(self.n_rows, self.n_cols)
 
     def spawn_empty(self) -> "DenseMatrix":
-        return DenseMatrix(self.n_rows, self.n_cols,
-                           partition_axis=self.partition_axis)
-
-    def partition_key(self, key: Hashable) -> Hashable:
-        row, col = key  # type: ignore[misc]
-        return row if self.partition_axis == "row" else col
+        return DenseMatrix(self.n_rows, self.n_cols)
 
     def chunk_meta(self) -> dict[str, Any]:
         return {"n_rows": self.n_rows, "n_cols": self.n_cols}

@@ -34,8 +34,7 @@ def build_cf_sdg() -> SDG:
     from ``mergeRec``.
     """
     sdg = SDG("cf")
-    sdg.add_state("userItem", Matrix, kind=StateKind.PARTITIONED,
-                  partition_by="user")
+    sdg.add_state("userItem", Matrix, kind=StateKind.PARTITIONED)
     sdg.add_state("coOcc", Matrix, kind=StateKind.PARTIAL)
 
     def update_user_item(ctx, item):
@@ -90,8 +89,7 @@ def build_kv_sdg() -> SDG:
     ``serve``; get responses appear as ``(key, value)`` results.
     """
     sdg = SDG("kvstore")
-    sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED,
-                  partition_by="key")
+    sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED)
 
     def serve(ctx, request):
         op, key, value = request

@@ -277,8 +277,7 @@ def translate(cls: type,
     sdg = SDG(cls.__name__)
     sdg.source_program = cls
     for name, descriptor in fields.items():
-        sdg.add_state(name, descriptor.factory, kind=descriptor.kind,
-                      partition_by=descriptor.key)
+        sdg.add_state(name, descriptor.factory, kind=descriptor.kind)
 
     result = TranslationResult(sdg=sdg, entries={}, program_class=cls,
                                method_asts=method_asts, fields=fields)

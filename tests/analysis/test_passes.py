@@ -141,7 +141,7 @@ class TestAnalyzerDoesNotPerturbTranslation:
                 for te in sdg.tasks.values()
             },
             "states": {
-                (se.name, se.kind, se.partition_by)
+                (se.name, se.kind, se.route_key)
                 for se in sdg.states.values()
             },
             "dataflows": {

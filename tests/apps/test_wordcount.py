@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.apps import build_wordcount_sdg
+from repro.recovery import BackupStore, CheckpointManager, RecoveryManager
 from repro.runtime import Runtime, RuntimeConfig
 
 
@@ -30,6 +31,34 @@ def reference_counts(lines, window_size):
         for word in line.split():
             counts[(timestamp // window_size, word)] += 1
     return counts
+
+
+def assert_owned(runtime):
+    """Each stored ``(window, word)`` sits in the partition its route key
+    (the word) maps to."""
+    route_key = runtime.sdg.state("counts").route_key
+    partitioner = runtime.topology.partitioner("counts")
+    for inst in runtime.se_instances("counts"):
+        for key in inst.element.keys():
+            assert partitioner.partition(route_key(key)) == inst.index, key
+
+
+def ingest(runtime, lines):
+    for item in lines:
+        runtime.inject("split", item)
+    runtime.run_until_idle()
+
+
+def assert_counts_once(runtime, expected):
+    """Every count sits in exactly one partition and equals ``expected``."""
+    holders = Counter()
+    merged = {}
+    for inst in runtime.se_instances("counts"):
+        for key, value in inst.element.items():
+            holders[key] += 1
+            merged[key] = value
+    assert set(holders.values()) == {1}
+    assert merged == dict(expected)
 
 
 class TestWordCount:
@@ -85,7 +114,32 @@ class TestWordCount:
         for item in LINES:
             runtime.inject("split", item)
         runtime.run_until_idle()
-        partitioner = runtime.topology.partitioner("counts")
-        for inst in runtime.se_instances("counts"):
-            for key in inst.element.keys():
-                assert partitioner.partition(key[1]) == inst.index
+        assert_owned(runtime)
+
+
+class TestResplitKeepsWordsTogether:
+    """A re-split of ``counts`` places each ``(window, word)`` where the
+    word's items go, so a second pass adds to the same count."""
+
+    def test_one_to_n_restore_then_second_pass(self):
+        runtime = deploy(partitions=1)
+        store = BackupStore()
+        ingest(runtime, LINES)
+        CheckpointManager(runtime, store).checkpoint_all()
+        (count,) = runtime.te_instances("count")
+        runtime.fail_node(count.node_id)
+        RecoveryManager(runtime, store).recover_node(count.node_id, n_new=3)
+        assert_owned(runtime)
+        ingest(runtime, LINES)
+        assert_owned(runtime)
+        assert_counts_once(runtime, reference_counts(LINES + LINES, 100))
+
+    def test_scale_up_twice_then_second_pass(self):
+        runtime = deploy(partitions=1)
+        ingest(runtime, LINES)
+        assert runtime.scale_up("count") and runtime.scale_up("count")
+        assert len(runtime.se_instances("counts")) == 3
+        assert_owned(runtime)
+        ingest(runtime, LINES)
+        assert_owned(runtime)
+        assert_counts_once(runtime, reference_counts(LINES + LINES, 100))

@@ -2,16 +2,11 @@
 
 import pytest
 
-from repro.core import AccessMode, Dispatch, TaskContext
-from repro.core.elements import (
-    DataflowEdge,
-    StateElementSpec,
-    StateKind,
-    TaskElementSpec,
-)
-from repro.errors import RuntimeExecutionError
+from repro.core import SDG, AccessMode, Dispatch, TaskContext
+from repro.core.elements import DataflowEdge, StateKind, TaskElementSpec
+from repro.errors import RuntimeExecutionError, ValidationError
 from repro.runtime import Runtime
-from repro.state import KeyValueMap
+from repro.state import KeyValueMap, Matrix
 
 from tests.helpers import build_kv_sdg, noop
 
@@ -31,15 +26,22 @@ class TestTaskElementSpec:
 
 
 class TestStateElementSpec:
-    def test_partitioned_defaults_key_name(self):
-        spec = StateElementSpec(name="s", kind=StateKind.PARTITIONED,
-                                factory=KeyValueMap)
-        assert spec.partition_by == "key"
+    def test_partitioned_defaults_route_key(self):
+        sdg = SDG()
+        kv = sdg.add_state("kv", KeyValueMap)
+        matrix = sdg.add_state("m", Matrix)
+        column = sdg.add_state("c", Matrix, route_key=lambda cell: cell[1])
+        assert kv.route_key(("a", 1)) == ("a", 1)
+        assert matrix.route_key((3, 9)) == 3
+        assert column.route_key((3, 9)) == 9
 
     def test_partial_has_no_key(self):
-        spec = StateElementSpec(name="s", kind=StateKind.PARTIAL,
-                                factory=KeyValueMap)
-        assert spec.partition_by is None
+        sdg = SDG()
+        spec = sdg.add_state("s", KeyValueMap, kind=StateKind.PARTIAL)
+        assert spec.route_key is None
+        with pytest.raises(ValidationError, match="route_key"):
+            sdg.add_state("t", KeyValueMap, kind=StateKind.PARTIAL,
+                          route_key=lambda key: key)
 
 
 class TestDataflowEdge:

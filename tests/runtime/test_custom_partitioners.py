@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import RuntimeExecutionError, StateError
+from repro.errors import RecoveryError, RuntimeExecutionError, StateError
+from repro.recovery import BackupStore, CheckpointManager, RecoveryManager
 from repro.runtime import Runtime, RuntimeConfig
-from repro.state import RangePartitioner
+from repro.state import HashPartitioner, RangePartitioner
 
 from tests.helpers import build_cf_sdg, build_kv_sdg
 
@@ -71,3 +72,61 @@ class TestConfigValidation:
         ))
         with pytest.raises(RuntimeExecutionError, match="partial"):
             runtime.deploy()
+
+    def test_auto_scale_refuses_range_partitions_at_deploy(self):
+        # Auto-scaling would rescale the partitioner mid-run, which a
+        # RangePartitioner refuses: the run must not start.
+        runtime = Runtime(build_kv_sdg(), RuntimeConfig(
+            partitioners={"table": RangePartitioner([10])},
+            auto_scale=True, scale_threshold=4, scale_check_every=1,
+        ))
+        with pytest.raises(RuntimeExecutionError, match="auto_scale"):
+            runtime.deploy()
+
+    def test_auto_scale_rescales_hash_partitions(self):
+        runtime = Runtime(build_kv_sdg(), RuntimeConfig(
+            partitioners={"table": HashPartitioner(2)},
+            auto_scale=True, scale_threshold=4, scale_check_every=1,
+        )).deploy()
+        for key in range(200):
+            runtime.inject("serve", ("put", key, key))
+        runtime.run_until_idle()
+        assert len(runtime.se_instances("table")) > 2
+
+
+class TestRangePartitionedRestore:
+    """A 1-to-n restore rescales the SE's own partitioner, as scale-up
+    does; a range partitioner refuses before anything changes."""
+
+    def fail_table(self):
+        runtime = Runtime(build_kv_sdg(), RuntimeConfig(
+            partitioners={"table": RangePartitioner([])},
+        )).deploy()
+        for key in range(20):
+            runtime.inject("serve", ("put", key, key))
+        runtime.run_until_idle()
+        store = BackupStore()
+        CheckpointManager(runtime, store).checkpoint_all()
+        (serve,) = runtime.te_instances("serve")
+        runtime.fail_node(serve.node_id)
+        return runtime, RecoveryManager(runtime, store), serve.node_id
+
+    def test_one_to_n_refused_before_any_change(self):
+        runtime, manager, node_id = self.fail_table()
+        version = runtime.topology.version
+        with pytest.raises(RecoveryError, match="RangePartitioner"):
+            manager.recover_node(node_id, n_new=2)
+        assert runtime.topology.version == version
+        assert runtime.topology.partitioner("table") == RangePartitioner([])
+        assert not runtime.nodes[node_id].alive
+
+    def test_one_to_one_still_recovers(self):
+        runtime, manager, node_id = self.fail_table()
+        with pytest.raises(RecoveryError):
+            manager.recover_node(node_id, n_new=2)
+        manager.recover_node(node_id)
+        for key in range(20):
+            runtime.inject("serve", ("get", key, None))
+        runtime.run_until_idle()
+        assert sorted(runtime.results["serve"]) == [
+            (key, key) for key in range(20)]

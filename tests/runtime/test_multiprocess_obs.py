@@ -469,8 +469,7 @@ def build_crash_once_kv(flag_path):
     succeeds. (Process memory resets on restart; disk does not.)
     ``get`` requests answer ``(key, value)`` as terminal results."""
     sdg = SDG("crashonce")
-    sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED,
-                  partition_by="key")
+    sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED)
 
     def serve(ctx, request):
         op, key, value = request
@@ -492,8 +491,7 @@ def build_crash_once_wordcount(flag_path):
     """Wordcount (``split`` -> keyed ``count``) whose ``count`` dies
     hard, once, on the word ``boom`` — the same flag-file trick."""
     sdg = SDG("crashonce-wc")
-    sdg.add_state("counts", KeyValueMap, kind=StateKind.PARTITIONED,
-                  partition_by="word")
+    sdg.add_state("counts", KeyValueMap, kind=StateKind.PARTITIONED)
 
     def split(ctx, line):
         for word in line.split():
@@ -637,7 +635,7 @@ class TestCrashRestartAccounting:
         # Two crash sites, one restart: the second death propagates.
         sdg = SDG("crashtwice")
         sdg.add_state("table", KeyValueMap,
-                      kind=StateKind.PARTITIONED, partition_by="key")
+                      kind=StateKind.PARTITIONED)
 
         def serve(ctx, request):
             op, key, value = request
@@ -695,7 +693,7 @@ class TestCrashFlightRecorder:
     def test_fatal_error_carries_the_flight_tail(self):
         sdg = SDG("blackbox")
         sdg.add_state("table", KeyValueMap,
-                      kind=StateKind.PARTITIONED, partition_by="key")
+                      kind=StateKind.PARTITIONED)
 
         def serve(ctx, request):
             op, key, value = request

@@ -266,8 +266,7 @@ def build_pipeline_sdg():
     instance of the second in the scheduler's deployment order.
     """
     sdg = SDG("pipeline")
-    sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED,
-                  partition_by="key")
+    sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED)
 
     def serve(ctx, request):
         op, key, value = request

@@ -233,8 +233,7 @@ class TestWireBackpressure:
 class TestMultiprocessLifecycle:
     def test_worker_crash_propagates_with_traceback(self):
         sdg = SDG("crashy")
-        sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED,
-                      partition_by="key")
+        sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED)
 
         def serve(ctx, request):
             op, key, value = request
@@ -639,8 +638,7 @@ class TestPayloadIsolation:
         # End to end: a worker that mutates its input is never
         # observable by the injector, because the wire hands it a copy.
         sdg = SDG("mutate")
-        sdg.add_state("seen", KeyValueMap, kind=StateKind.PARTITIONED,
-                      partition_by="key")
+        sdg.add_state("seen", KeyValueMap, kind=StateKind.PARTITIONED)
 
         def absorb(ctx, item):
             key, values = item
@@ -780,7 +778,7 @@ class TestParallelOverlapSmoke:
     def build_slow_kv(delay):
         sdg = SDG("slowkv")
         sdg.add_state("table", KeyValueMap,
-                      kind=StateKind.PARTITIONED, partition_by="key")
+                      kind=StateKind.PARTITIONED)
 
         def serve(ctx, request):
             op, key, value = request

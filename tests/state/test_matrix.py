@@ -120,13 +120,9 @@ class TestSparseMatrix:
         with pytest.raises(StateError):
             Matrix().set_element(-1, 0, 1.0)
 
-    def test_invalid_axis_rejected(self):
-        with pytest.raises(StateError):
-            Matrix(partition_axis="diagonal")
-
-    def test_partition_key_follows_axis(self):
-        assert Matrix(partition_axis="row").partition_key((3, 9)) == 3
-        assert Matrix(partition_axis="col").partition_key((3, 9)) == 9
+    def test_route_key_defaults_to_the_row(self):
+        assert Matrix.default_route_key((3, 9)) == 3
+        assert DenseMatrix(4, 10).default_route_key((3, 9)) == 3
 
 
 class TestSparseMatrixCheckpointing:

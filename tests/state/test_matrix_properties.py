@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.state import DenseMatrix, HashPartitioner, Matrix, Vector
+from repro.state.matrix import row_of
 
 cells = st.lists(
     st.tuples(st.integers(0, 20), st.integers(0, 20),
@@ -31,18 +32,18 @@ def test_matrix_chunk_roundtrip(triples, m):
 
 
 @given(triples=cells, n=st.integers(1, 5),
-       axis=st.sampled_from(["row", "col"]))
-def test_matrix_partition_cover(triples, n, axis):
-    matrix = Matrix(partition_axis=axis)
+       route_key=st.sampled_from([row_of, lambda cell: cell[1]]))
+def test_matrix_partition_cover(triples, n, route_key):
+    matrix = Matrix()
     model = fill(matrix, triples)
     partitioner = HashPartitioner(n)
-    parts = [matrix.extract_partition(partitioner, i) for i in range(n)]
-    # Disjoint cover, with every cell in the partition owning its axis.
+    parts = [matrix.extract_partition(partitioner, i, route_key)
+             for i in range(n)]
+    # Disjoint cover, with every cell in the partition owning its key.
     total = 0
     for index, part in enumerate(parts):
         for (row, col), value in part.backend.items():
-            key = row if axis == "row" else col
-            assert partitioner.partition(key) == index
+            assert partitioner.partition(route_key((row, col))) == index
             assert model[(row, col)] == value
             total += 1
     assert total == len(model)
@@ -142,15 +143,15 @@ def assert_reads_match_model(matrix, model, operand):
 
 
 @given(ops=matrix_ops, operand=row_values,
-       axis=st.sampled_from(["row", "col"]))
+       route_key=st.sampled_from([row_of, lambda cell: cell[1]]))
 # Column 5's last cell goes with row 0: neither multiply nor num_cols
 # may see it.
 @example(ops=[("set", 0, 5, 2.0), ("set", 1, 2, 1.0),
               ("set_row", 0, [1.0])],
-         operand=[1.0, 0.0, 1.0, 0.0, 0.0, 3.0], axis="row")
+         operand=[1.0, 0.0, 1.0, 0.0, 0.0, 3.0], route_key=row_of)
 @settings(max_examples=150, deadline=None)
-def test_matrix_indexes_and_reads_match_dict_model(ops, operand, axis):
-    matrix, model = Matrix(partition_axis=axis), {}
+def test_matrix_indexes_and_reads_match_dict_model(ops, operand, route_key):
+    matrix, model = Matrix(), {}
     for op in ops:
         kind = op[0]
         if kind == "set":
@@ -171,7 +172,8 @@ def test_matrix_indexes_and_reads_match_dict_model(ops, operand, axis):
             assert dict(matrix.cut().items) == model
         elif kind == "extract_partition":
             partitioner = HashPartitioner(op[1])
-            parts = [matrix.extract_partition(partitioner, index)
+            parts = [matrix.extract_partition(partitioner, index,
+                                              route_key)
                      for index in range(op[1])]
             for part in parts:
                 assert_indexes_match_cells(part)

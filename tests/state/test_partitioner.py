@@ -81,27 +81,30 @@ class TestStatePartitioning:
         for i in range(50):
             kv.put(f"key{i}", i)
         p = HashPartitioner(3)
-        parts = [kv.extract_partition(p, i) for i in range(3)]
+        parts = [kv.extract_partition(p, i, kv.default_route_key)
+                 for i in range(3)]
         all_keys = [k for part in parts for k in part.keys()]
         assert sorted(all_keys) == sorted(kv.keys())
         assert len(all_keys) == len(set(all_keys))
 
     def test_matrix_row_partitioning_groups_rows(self):
-        m = Matrix(partition_axis="row")
+        m = Matrix()
         for row in range(6):
             m.set_element(row, 0, float(row))
         p = HashPartitioner(2)
-        parts = [m.extract_partition(p, i) for i in range(2)]
+        parts = [m.extract_partition(p, i, m.default_route_key)
+                 for i in range(2)]
         for i, part in enumerate(parts):
             for (row, _col), _val in part.backend.items():
                 assert p.partition(row) == i
 
     def test_matrix_col_partitioning_groups_cols(self):
-        m = Matrix(partition_axis="col")
+        m = Matrix()
         for col in range(6):
             m.set_element(0, col, float(col))
         p = HashPartitioner(3)
-        parts = [m.extract_partition(p, i) for i in range(3)]
+        parts = [m.extract_partition(p, i, lambda cell: cell[1])
+                 for i in range(3)]
         for i, part in enumerate(parts):
             for (_row, col), _val in part.backend.items():
                 assert p.partition(col) == i
@@ -111,7 +114,8 @@ class TestStatePartitioning:
         for i in range(30):
             kv.put(i, i * i)
         p = HashPartitioner(4)
-        parts = [kv.extract_partition(p, i) for i in range(4)]
+        parts = [kv.extract_partition(p, i, kv.default_route_key)
+                 for i in range(4)]
         merged = KeyValueMap.merge_partitions(parts)
         assert sorted(merged.items()) == sorted(kv.items())
 

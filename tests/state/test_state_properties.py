@@ -95,7 +95,8 @@ def test_partitions_are_a_disjoint_cover(pairs, n):
     for key, value in pairs:
         kv.put(key, value)
     partitioner = HashPartitioner(n)
-    parts = [kv.extract_partition(partitioner, i) for i in range(n)]
+    parts = [kv.extract_partition(partitioner, i, kv.default_route_key)
+             for i in range(n)]
     collected = [key for part in parts for key in part.keys()]
     assert len(collected) == len(kv.keys())
     assert sorted(map(repr, collected)) == sorted(map(repr, kv.keys()))

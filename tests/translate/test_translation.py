@@ -29,7 +29,7 @@ class TestCFStructure:
     def test_two_state_elements(self, result):
         states = result.sdg.states
         assert states["user_item"].kind is StateKind.PARTITIONED
-        assert states["user_item"].partition_by == "user"
+        assert states["user_item"].route_key((7, 3)) == 7
         assert states["co_occ"].kind is StateKind.PARTIAL
 
     def test_add_rating_splits_into_two_tes(self, result):
