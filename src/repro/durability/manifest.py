@@ -165,10 +165,9 @@ class EpochRecord:
     position: int
     #: State fingerprint at the boundary (the resume contract).
     state_hash: int
-    #: Engine injection counters, per entry TE.
+    #: Engine injection counters, per entry TE (they also place an
+    #: unkeyed entry's next item and name an injected broadcast).
     input_seq: dict[str, int] = field(default_factory=dict)
-    #: Round-robin cursors for non-keyed entry TEs.
-    input_rr: dict[str, int] = field(default_factory=dict)
     #: Logical time at the boundary.
     total_steps: int = 0
     #: node id -> checkpoint version fenced by this commit.
@@ -191,7 +190,6 @@ class EpochRecord:
             "position": self.position,
             "state_hash": self.state_hash,
             "input_seq": dict(self.input_seq),
-            "input_rr": dict(self.input_rr),
             "total_steps": self.total_steps,
             "checkpoints": {str(node): version
                             for node, version in self.checkpoints.items()},
@@ -208,7 +206,6 @@ class EpochRecord:
             position=record["position"],
             state_hash=record["state_hash"],
             input_seq=dict(record.get("input_seq", {})),
-            input_rr=dict(record.get("input_rr", {})),
             total_steps=record.get("total_steps", 0),
             checkpoints={int(node): version
                          for node, version in

@@ -254,8 +254,6 @@ class DurableRunner:
                 RecoveryManager._apply_meta(instance, te_meta)
         self.runtime.total_steps = latest.total_steps
         self.runtime._input_seq = dict(latest.input_seq)
-        self.runtime._rr = {("input", entry): cursor
-                            for entry, cursor in latest.input_rr.items()}
         restored = state_fingerprint(self.runtime)
         if restored != latest.state_hash:
             raise DurabilityError(
@@ -331,8 +329,6 @@ class DurableRunner:
             position=start + spec.items_per_epoch,
             state_hash=state_fingerprint(self.runtime),
             input_seq=dict(self.runtime._input_seq),
-            input_rr={key[1]: cursor
-                      for key, cursor in self.runtime._rr.items()},
             total_steps=self.runtime.total_steps,
             checkpoints=checkpoints,
             clean_topology=self._clean_topology(),

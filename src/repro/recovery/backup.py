@@ -246,9 +246,6 @@ class BackupStore:
 
     # -- read path ---------------------------------------------------------
 
-    def has_checkpoint(self, node_id: int) -> bool:
-        return bool(self._meta.get(node_id))
-
     def latest(self, node_id: int) -> "NodeCheckpoint | None":
         """The chain head: the most recent checkpoint of ``node_id``."""
         versions = self._meta.get(node_id)

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 from repro.errors import RecoveryError
 from repro.obs.events import KIND
 from repro.recovery.policy import CheckpointPolicy
-from repro.runtime.envelope import INPUT_EDGE, ChannelId, Envelope
+from repro.runtime.envelope import INPUT_EDGE, ChannelId, Envelope, RequestId
 from repro.runtime.instances import GatherState, StreamKey
 from repro.state.base import StateChunk, StateCut
 
@@ -66,7 +66,7 @@ class TEMeta:
     output_buffers: dict[ChannelId, list[Envelope]] = field(
         default_factory=dict
     )
-    pending_gathers: dict[int, GatherState] = field(default_factory=dict)
+    pending_gathers: dict[RequestId, GatherState] = field(default_factory=dict)
     processed_count: int = 0
 
 

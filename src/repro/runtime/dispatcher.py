@@ -2,9 +2,10 @@
 
 A TE's outputs travel its outgoing dataflow edges under one of four
 dispatch strategies (§3.1): keyed partitioning, round-robin
-``ONE_TO_ANY``, ``ONE_TO_ALL`` broadcast with a fresh request id, and
-``ALL_TO_ONE`` gather feeding a merge barrier. The :class:`Dispatcher`
-implements one method per semantic on top of the transport layer.
+``ONE_TO_ANY``, ``ONE_TO_ALL`` broadcast under a request id named by
+its first stamp, and ``ALL_TO_ONE`` gather feeding a merge barrier.
+The :class:`Dispatcher` implements one method per semantic on top of
+the transport layer.
 
 Routing is fed by a **successor index** precomputed at deploy time:
 ``sdg.dataflows`` is scanned once and every TE's outgoing
@@ -15,7 +16,6 @@ re-scanned (and re-copied) the full edge list for every processed item
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.dispatch import Dispatch
@@ -37,9 +37,6 @@ class Dispatcher:
                  transport: "Transport", metrics: Any = None) -> None:
         self.topology = topology
         self.transport = transport
-        #: Broadcasts and global-access injections correlate their
-        #: responses through runtime-unique request ids.
-        self._request_ids = itertools.count(1)
         registry = metrics if metrics is not None else NULL_REGISTRY
         counter = registry.counter(
             "dispatch_items_total", "items routed, by dispatch semantics")
@@ -73,9 +70,6 @@ class Dispatcher:
             te: [(index, edge.src, edge.dst) for index, edge in pairs]
             for te, pairs in self._successors.items()
         }
-
-    def next_request_id(self) -> int:
-        return next(self._request_ids)
 
     # ------------------------------------------------------------------
     # Entry point
@@ -124,20 +118,25 @@ class Dispatcher:
 
     def broadcast(self, instance: "TEInstance", edge_index: int, edge,
                   outputs: list[Any], cause: Envelope) -> None:
-        """``ONE_TO_ALL``: fan each item out under a fresh request id.
+        """``ONE_TO_ALL``: fan each item out under its own request id.
 
-        ``cause`` threads the causal trace id through the fan-out; the
-        broadcast itself still mints a fresh request id per item. The
-        barrier waits for every slot, as for an injected broadcast: a
-        replica on a dead node answers from its replayed buffer once
-        it is recovered.
+        The id is the fan-out's stream and first stamp, ``(edge_index,
+        src_te, src_index, seq)``: producer-local state that a restore
+        brings back, so a re-executed broadcast regenerates the id its
+        replicas already answered, and ids from different producers
+        never collide. ``cause`` threads the causal trace id through
+        the fan-out. The barrier waits for every slot, as for an
+        injected broadcast: a replica on a dead node answers from its
+        replayed buffer once it is recovered.
         """
         dst_te = edge.dst
         slots = self.topology.te_slot_count(dst_te)
+        out_seq = instance.out_seq
         send = self.transport.send
         trace_id = cause.trace_id
         for item in outputs:
-            request_id = self.next_request_id()
+            request_id = (edge_index, instance.name, instance.index,
+                          out_seq.get(edge_index, 0) + 1)
             for dst in range(slots):
                 send(instance, edge_index, dst_te, dst, item, request_id,
                      slots, trace_id)

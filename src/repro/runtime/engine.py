@@ -45,6 +45,7 @@ from repro.runtime.envelope import (
     NO_RESPONSE,
     ChannelId,
     Envelope,
+    RequestId,
 )
 from repro.runtime.instances import (
     GatherState,
@@ -103,9 +104,10 @@ class Runtime:
         #: Collected payloads of TEs without outgoing dataflows.
         self.results: dict[str, list[Any]] = {}
         self.total_steps = 0
-        self._rr: dict[Any, int] = {}
         #: Per-entry global injection counter (see TEInstance.out_seq for
-        #: why timestamps are per-stream, not per-channel).
+        #: why timestamps are per-stream, not per-channel). It also names
+        #: an injected broadcast's request id and picks an unkeyed
+        #: entry's round-robin slot, so replay re-derives both.
         self._input_seq: dict[str, int] = {}
         #: Entry TE -> (spec, entry key function, injected-items cell);
         #: filled by deploy, so before it every ``inject`` is refused.
@@ -123,7 +125,7 @@ class Runtime:
         #: channels into every slot; per merge slot, request id ->
         #: (channel, ts) of the response that completed it.
         self._result_stamps: dict[ChannelId, StreamStamps] = {}
-        self._result_requests: dict[tuple[str, int], dict[int, tuple]] = {}
+        self._result_requests: dict[tuple[str, int], dict[RequestId, tuple]] = {}
         self._step_hooks: list = []
         self._crash_handlers: list = []
         self._deployed = False
@@ -378,12 +380,11 @@ class Runtime:
         if key_fn is not None:
             index = self.topology.routers[entry].partition(key_fn(payload))
         elif spec.access is AccessMode.GLOBAL:
-            request_id = self.dispatcher.next_request_id()
+            request_id = (INPUT_EDGE, entry, 0,
+                          self._input_seq.get(entry, 0) + 1)
             expected, index = self.te_slot_count(entry), 0
         else:
-            rr = self._rr.get(("input", entry), 0)
-            self._rr[("input", entry)] = rr + 1
-            index = rr % self.te_slot_count(entry)
+            index = self._input_seq.get(entry, 0) % self.te_slot_count(entry)
         # Once, or once per slot of a broadcast; no iterable is allocated.
         while True:
             route = self._input_routes.get((entry, index))

@@ -66,6 +66,11 @@ class ChannelId(NamedTuple):
 #: edge_index used for external input injected into entry TEs.
 INPUT_EDGE = -1
 
+#: A global-access round trip's id: the fan-out's stream and first stamp,
+#: ``(edge_index, src_te, src_instance, ts)``; for an injected broadcast
+#: ``(INPUT_EDGE, entry, 0, first input seq)``. Replay regenerates it.
+RequestId = tuple[int, str, int, int]
+
 
 class Envelope(NamedTuple):
     """One data item in flight on a specific channel."""
@@ -74,8 +79,9 @@ class Envelope(NamedTuple):
     #: Producer-side sequence number on this channel; strictly increasing.
     ts: int
     channel: ChannelId
-    #: Correlates a broadcast request with its gathered responses.
-    request_id: int | None = None
+    #: Correlates a broadcast request with its gathered responses; named
+    #: by the broadcast's first stamp, so replay regenerates it.
+    request_id: RequestId | None = None
     #: Number of responses the gather barrier must collect.
     expected_responses: int | None = None
     #: Causal trace id (``RuntimeConfig(trace=True)``); rides the

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.core.elements import StateElementSpec, TaskContext, TaskElementSpec
-from repro.runtime.envelope import ChannelId, Envelope
+from repro.runtime.envelope import ChannelId, Envelope, RequestId
 from repro.state.base import StateElement
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -138,7 +138,7 @@ class TEInstance:
         #: Handed to every invocation; the engine refreshes it per item.
         self.context = TaskContext(instance_id=index)
         #: Merge-TE barrier state per in-flight request id.
-        self.pending_gathers: dict[int, GatherState] = {}
+        self.pending_gathers: dict[RequestId, GatherState] = {}
         self.processed_count = 0
         #: Chaos flag: when set, the next item this instance processes
         #: raises out of the task code (crash-mid-item fault injection).
@@ -183,9 +183,6 @@ class TEInstance:
             buffer.popleft()
             dropped += 1
         return dropped
-
-    def buffered_output_count(self) -> int:
-        return sum(len(b) for b in self.output_buffers.values())
 
     def __repr__(self) -> str:
         return (

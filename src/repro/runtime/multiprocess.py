@@ -98,7 +98,6 @@ exactly once).
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import select
@@ -341,11 +340,6 @@ class MultiprocessSubstrate:
         """
         self.runtime = runtime
         self.placement = runtime.topology.plan_workers(self.workers)
-        # Coordinator and workers each mint request ids in a disjoint
-        # residue class mod (workers + 1): two workers broadcasting
-        # concurrently must never collide at a merge barrier.
-        stride = self.workers + 1
-        runtime.dispatcher._request_ids = itertools.count(stride, stride)
         self._bind_obs()
         self._fork_fleet()
 
@@ -910,10 +904,6 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
 
     runtime.transport.enable_worker_routing(placement, worker_id,
                                             remote_send)
-    # Disjoint request-id residue class (see bind()).
-    runtime.dispatcher._request_ids = itertools.count(
-        worker_id + 1, placement.n_workers + 1
-    )
 
     os.set_blocking(recv_fd, False)
     buffer = FrameBuffer()

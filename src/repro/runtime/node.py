@@ -53,13 +53,6 @@ class PhysicalNode:
         """Kill the node: all hosted runtime state becomes unreachable."""
         self.alive = False
 
-    def state_size_bytes(self) -> int:
-        """Modelled memory footprint of all SE instances on this node."""
-        return sum(
-            se.element.estimated_size_bytes()
-            for se in self.se_instances.values()
-        )
-
     def __repr__(self) -> str:
         status = "up" if self.alive else "DOWN"
         return (

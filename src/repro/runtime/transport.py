@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.metrics import NULL_REGISTRY
-from repro.runtime.envelope import ChannelId, Envelope, make_envelope
+from repro.runtime.envelope import ChannelId, Envelope, RequestId, make_envelope
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.trace import Tracer
@@ -176,7 +176,7 @@ class Transport:
         return True
 
     def send(self, src: "TEInstance", edge_index: int, dst_te: str,
-             dst_index: int, payload: Any, request_id: int | None,
+             dst_index: int, payload: Any, request_id: RequestId | None,
              expected: int | None, trace_id: int | None = None) -> bool:
         """Stamp, buffer and deliver one item from ``src``.
 

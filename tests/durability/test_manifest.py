@@ -39,7 +39,7 @@ def make_manifest(n_epochs=2):
     for k in range(1, n_epochs + 1):
         manifest.epochs.append(EpochRecord(
             epoch=k, position=k * 10, state_hash=100 + k,
-            input_seq={"serve": k * 10}, input_rr={"serve": k},
+            input_seq={"serve": k * 10},
             total_steps=k * 50, checkpoints={0: k, 1: k},
             events_seq=k * 3, events_offset=k * 200,
             pending_faults=[fault_to_dict(
@@ -81,6 +81,13 @@ class TestManifestRoundTrip:
         assert manifest.record_for(1).epoch == 1
         with pytest.raises(DurabilityError):
             manifest.record_for(5)
+
+    def test_record_with_round_robin_cursors_still_loads(self):
+        # Older manifests also stored each unkeyed entry's round-robin
+        # cursor; the input seq now places those items, so it is ignored.
+        record = make_manifest(n_epochs=1).epochs[0].to_dict()
+        old = dict(record, input_rr={"serve": 1})
+        assert EpochRecord.from_dict(old).to_dict() == record
 
     def test_empty_manifest_has_epoch_zero(self):
         manifest = RunManifest(run_id="t", program={}, spec={})

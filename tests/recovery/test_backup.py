@@ -25,7 +25,7 @@ class TestBackupStore:
         checkpoint = make_checkpoint()
         store.save(checkpoint)
         assert store.latest(0) is checkpoint
-        assert store.has_checkpoint(0)
+        assert store.latest(0) is not None
 
     def test_latest_of_unknown_node_is_none(self):
         assert BackupStore().latest(99) is None

@@ -30,7 +30,7 @@ class TestSynchronousPath:
         runtime.run_until_idle()
         checkpoint = manager.checkpoint(node_of_partition(runtime))
         assert checkpoint.state_entries() == 20
-        assert store.has_checkpoint(checkpoint.node_id)
+        assert store.latest(checkpoint.node_id) is not None
 
     def test_checkpoint_captures_te_bookkeeping(self):
         runtime, _store, manager = deploy_with_manager()
@@ -96,7 +96,7 @@ class TestAsynchronousPath:
         element = runtime.se_instance("table", 0).element
         assert not element.checkpoint_active
         assert element.get("during") == 1
-        assert not store.has_checkpoint(node)
+        assert store.latest(node) is None
 
     def test_begin_on_dead_node_rejected(self):
         runtime, _store, manager = deploy_with_manager()
@@ -111,7 +111,7 @@ class TestAsynchronousPath:
         pending = manager.begin(node)
         runtime.fail_node(node)
         assert manager.complete(pending) is None
-        assert not store.has_checkpoint(node)
+        assert store.latest(node) is None
 
 
 class TestBufferTrimming:

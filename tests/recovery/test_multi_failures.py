@@ -173,6 +173,42 @@ class TestStatelessNodeFailure:
         assert len(results) == 2
         assert results[1][1].to_list() == baseline
 
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_re_executed_broadcast_completes_its_gather(self, steps):
+        """A broadcast replayed after its producer's node fails carries
+        the request id its surviving replica already answered, so the
+        gather completes once."""
+
+        def replies(fail):
+            runtime = Runtime(
+                build_cf_sdg(),
+                RuntimeConfig(se_instances={"userItem": 1, "coOcc": 2}),
+            ).deploy()
+            store = BackupStore()
+            ckpt = CheckpointManager(runtime, store)
+            rec = RecoveryManager(runtime, store)
+            for rating in [(0, 0, 5), (0, 1, 3), (1, 0, 4)]:
+                runtime.inject("updateUserItem", rating)
+            runtime.run_until_idle()
+            ckpt.checkpoint_all()
+            runtime.inject("getUserVec", 0)
+            for _ in range(steps):
+                runtime.step()
+            if fail:
+                nodes = [runtime.te_instances("getUserVec")[0].node_id,
+                         runtime.te_instances("getRecVec")[1].node_id]
+                for node in nodes:
+                    runtime.fail_node(node)
+                for node in nodes:
+                    rec.recover_node(node)
+            runtime.run_until_idle()
+            return [(user, vector.to_list())
+                    for user, vector in runtime.results["mergeRec"]]
+
+        expected = replies(fail=False)
+        assert len(expected) == 1
+        assert replies(fail=True) == expected
+
 
 class TestDiskBackedRecovery:
     def test_end_to_end_via_disk_store(self, tmp_path):

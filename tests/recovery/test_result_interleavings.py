@@ -58,7 +58,7 @@ class Controller:
     """Applies control actions to one deployment, as a supervisor would."""
 
     def __init__(self, sdg, se_instances, *, full_every, trim_input_log,
-                 max_fan_out, spare=()):
+                 max_fan_out):
         self.runtime = Runtime(
             sdg, RuntimeConfig(se_instances=se_instances)).deploy()
         store = BackupStore(m_targets=2)
@@ -67,8 +67,6 @@ class Controller:
             policy=CheckpointPolicy(full_every=full_every))
         self.rec = RecoveryManager(self.runtime, store)
         self.max_fan_out = max_fan_out
-        #: TEs whose nodes are never failed.
-        self.spare = spare
         self.pending = {}
         self.dead = []
 
@@ -90,11 +88,7 @@ class Controller:
         elif kind == "complete":
             self.complete()
         elif kind == "fail":
-            node = self._pick([
-                node for node in alive
-                if not any(te in self.spare
-                           for te, _ in runtime.nodes[node].te_instances)
-            ], action[1])
+            node = self._pick(alive, action[1])
             if node is not None:
                 runtime.fail_node(node)
                 self.dead.append(node)
@@ -229,20 +223,24 @@ def test_kv_replies_survive_any_interleaving(ops, full_every,
 # complete is not covered by it: the trim must keep its request id.
 @example(ops=[("rate", 0, 1, 3), ("rate", 0, 2, 4), ("rec", 0),
               ("begin", 3), ("step", 8), ("step", 8), ("complete",),
-              ("fail", 2), ("recover", 1, False)],
+              ("fail", 3), ("recover", 1, False)],
          full_every=1, trim_input_log=True)
+# A broadcast re-executed after the broadcaster's node fails regenerates
+# the request id the surviving replica already answered.
+@example(ops=[("rate", 0, 0, 5), ("rate", 0, 1, 3), ("rate", 1, 0, 4),
+              ("step", 8), ("begin", 0), ("begin", 2), ("complete",),
+              ("rec", 0), ("step", 1), ("fail", 0), ("fail", 1),
+              ("recover", 1, False)],
+         full_every=1, trim_input_log=False)
 def test_cf_replies_survive_any_interleaving(ops, full_every,
                                              trim_input_log):
     # 1-to-1 only: a 1-to-n restore of ``userItem`` re-sends replayed
-    # outputs on the new partitions' fresh streams. And the broadcaster
-    # ``getUserVec`` never fails: re-executed, a broadcast takes a fresh
-    # request id, and a replica that already answered the first one
-    # drops it, so neither gather completes (both ROADMAP item 6). No
-    # scale-ups: a repartition re-sends a chaos-duplicated ``getUserVec``
-    # under a fresh stamp, so it runs twice (ROADMAP item 6 too).
+    # outputs on the new partitions' fresh streams (ROADMAP item 2(c)).
+    # No scale-ups: a repartition re-sends a chaos-duplicated
+    # ``getUserVec`` under a fresh stamp, so it runs twice (item 2(b)).
     controller = Controller(
         build_cf_sdg(), {"userItem": 1, "coOcc": 2}, full_every=full_every,
-        trim_input_log=trim_input_log, max_fan_out=1, spare=("getUserVec",))
+        trim_input_log=trim_input_log, max_fan_out=1)
     assert cf_replies(ops, controller) == cf_replies(ops)
 
 

@@ -35,7 +35,7 @@ class TestScheduling:
         scheduler.flush()
         assert scheduler.completed_count >= 5
         node = runtime.se_instance("table", 0).node_id
-        assert store.has_checkpoint(node)
+        assert store.latest(node) is not None
 
     def test_checkpoint_window_stays_open_asynchronously(self):
         """Between begin and complete a checkpoint really is open: the
@@ -109,6 +109,6 @@ class TestScheduling:
         scheduler.flush()
         checkpointed_nodes = [
             inst.node_id for inst in runtime.se_instances("table")
-            if store.has_checkpoint(inst.node_id)
+            if store.latest(inst.node_id) is not None
         ]
         assert len(checkpointed_nodes) == 3

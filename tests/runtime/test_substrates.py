@@ -15,10 +15,13 @@ configuration gates.
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.apps import CollaborativeFiltering
 from repro.apps.wordcount import build_wordcount_sdg
 from repro.core import SDG
@@ -155,6 +158,32 @@ class TestCrossSubstrateDifferential:
         assert run("inprocess") == reference
         assert run("multiprocess", workers=2) == reference
 
+    def test_concurrent_broadcasts_from_two_workers_all_complete(self):
+        """Both workers broadcast at once: each request id names its
+        producer instance, so no two collide at the merge barrier."""
+        ops = list(RatingsWorkload(n_users=12, n_items=15, skew=0.8,
+                                   read_fraction=0.0, seed=5).ops(200))
+
+        def run(substrate, workers=None):
+            app = CollaborativeFiltering.launch(
+                RuntimeConfig(substrate=substrate, workers=workers),
+                user_item=2, co_occ=2)
+            try:
+                for op in ops:
+                    app.add_rating(op.user, op.item, op.rating)
+                app.run()
+                for user in range(12):
+                    app.get_rec(user)
+                app.run()
+                return sorted(rec.to_list()
+                              for rec in app.results("get_rec"))
+            finally:
+                app.runtime.close()
+
+        reference = run("inprocess")
+        assert len(reference) == 12
+        assert run("multiprocess", workers=2) == reference
+
     def test_more_workers_than_nodes(self):
         # Extra workers simply own nothing; correctness is unchanged.
         inproc = run_kv("inprocess", partitions=2)
@@ -283,6 +312,49 @@ class TestMultiprocessLifecycle:
         assert time.monotonic() - started < 5.0
         assert set(multiprocessing.active_children()) <= others
         assert len(os.listdir("/proc/self/fd")) == fds_before
+
+    @pytest.mark.parametrize("undrained", [0, 20_000])
+    def test_sigkilled_coordinator_leaves_no_workers(self, undrained):
+        """Workers notice their coordinator's death and exit, idle or
+        with input still queued. An orphan waits as a zombie until its
+        new parent reaps it, so a zombie counts as gone."""
+        script = (
+            "import sys, time\n"
+            "from repro.runtime import Runtime, RuntimeConfig\n"
+            "from repro.testing import build_kv_sdg\n"
+            "config = RuntimeConfig(se_instances={'table': 2},\n"
+            "                       substrate='multiprocess', workers=2)\n"
+            "runtime = Runtime(build_kv_sdg(), config).deploy()\n"
+            f"for i in range({undrained}):\n"
+            "    runtime.inject('serve', ('put', i, i))\n"
+            "print(*(link.process.pid for link in runtime.substrate._links),"
+            " flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__))))
+        child = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                 stdout=subprocess.PIPE)
+        try:
+            pids = [int(pid) for pid in child.stdout.readline().split()]
+            assert len(pids) == 2
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+
+        def gone(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    # The state follows the parenthesised command name.
+                    return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+            except FileNotFoundError:
+                return True
+
+        deadline = time.monotonic() + 10.0
+        while not all(map(gone, pids)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert all(map(gone, pids))
 
     def test_merged_metrics_match_inprocess_totals(self):
         def processed_series(substrate, workers=None):

@@ -190,7 +190,7 @@ class TestEmitRoutesAcrossRecovery:
         for _ in range(80):  # mid-ingest: some lines split, some queued
             runtime.step()
         victim = runtime.te_instance("split", 0)
-        assert victim.inbox and victim.buffered_output_count() > 0
+        assert victim.inbox and any(victim.output_buffers.values())
         runtime.fail_node(victim.node_id)
         recovery.recover_node(victim.node_id)
         restored = runtime.te_instance("split", 0)
@@ -217,7 +217,7 @@ class TestEmitRoutesAcrossRecovery:
             assert buffer is restored.output_buffers[channel]
         assert merged_table(runtime, "counts") == dict(oracle)
         checkpoints.checkpoint_all()  # the consumers' trim their producers
-        assert restored.buffered_output_count() == 0
+        assert sum(len(b) for b in restored.output_buffers.values()) == 0
         assert sum(len(b) for _c, b in restored.emit_routes.values()) == 0
 
 

@@ -58,20 +58,6 @@ class TestSizeAccounting:
         kv.delete("a")
         assert kv.entry_count() == 1 and len(cut.items) == 1
 
-    def test_node_state_size(self):
-        runtime = Runtime(build_kv_sdg(),
-                          RuntimeConfig(se_instances={"table": 1}))
-        runtime.deploy()
-        for i in range(25):
-            runtime.inject("serve", ("put", i, i))
-        runtime.run_until_idle()
-        node = runtime.nodes[
-            runtime.se_instance("table", 0).node_id
-        ]
-        assert node.state_size_bytes() == (
-            25 * KeyValueMap.BYTES_PER_ENTRY
-        )
-
 
 class TestAbortCheckpoint:
     def test_abort_preserves_dirty_writes(self):
