@@ -10,12 +10,14 @@ an :class:`~repro.runtime.envelope.Envelope` serialised through the
 :mod:`repro.runtime.wire` codec, which is exactly the paper's
 location-independence discipline (§4.1) made physical.
 
-Process topology is a **star**: the coordinator (the process that
-called ``deploy()``) holds two pipes per worker and relays every
-cross-worker envelope. Workers are **forked**, not spawned: SDG task
-functions are closures and generated code that pickle cannot ship, but
-a forked child inherits the fully deployed runtime for free — only
-envelopes and control messages ever cross the wire.
+Process topology: the coordinator (the process that called
+``deploy()``) holds two pipes per worker, and each ordered pair of
+workers has one pipe of its own, so a cross-worker envelope goes from
+worker to worker and the coordinator stays off the data path. Workers
+are **forked**, not spawned: SDG task functions are closures and
+generated code that pickle cannot ship, but a forked child inherits the
+fully deployed runtime for free — only envelopes and control messages
+ever cross the wire.
 
 Envelopes cross in **runs**: ``deliver()`` appends an input's wire row
 (the coordinator builds no envelope) to a per-worker pending list that
@@ -23,44 +25,49 @@ becomes one ``MSG_DELIVER`` frame at ``WIRE_RUN`` rows, at the top of
 every pump round (so ``run_until_idle``, ``poll`` and a state pull all
 flush) and ahead of any control frame to that worker, which keeps each
 link FIFO. A worker groups what it sends other workers by destination
-(the transport resolves the owning worker once per route) and ships
-each group as ``MSG_OUT`` wrapping the destination's ready-made
-``MSG_DELIVER`` frame; the coordinator counts it, flushes that
-destination's pending run and queues the bytes behind it, without
-decoding a single envelope. Injecting less than one run and never
-pumping leaves those rows in the coordinator until the next drain,
-poll or state read. A worker empties its pipe into the inboxes, then
-takes up to ``WIRE_RUN`` local steps before it looks at the pipe again.
+(the transport resolves the owning worker once per route) and writes
+each group as one ``MSG_DELIVER`` into that worker's pipe: at
+``WIRE_RUN`` envelopes, before every report, and — once per wake from
+a blocking wait — right after the first step that sent any, so the
+peer starts on it while this worker goes on. Injecting less than one
+run and never pumping leaves those rows in the coordinator until the
+next drain, poll or state read. A worker empties its pipes into the
+inboxes, then takes up to ``WIRE_RUN`` local steps before it looks at
+them again.
 
 Deadlock freedom by construction:
 
-* the coordinator never blocks on a write — outbound frames queue in
-  per-worker byte queues and drain through a ``select`` loop that
-  always also reads;
-* a worker only blocks on its control pipe when it is locally idle
-  *after* reporting so (``MSG_IDLE``), and a report first flushes the
-  worker's outgoing list — nothing is buffered while a worker waits.
+* neither the coordinator nor a worker writing a peer ever blocks on
+  a write: frames the pipe does not take wait in an outbox, drained by
+  a ``select`` that always also reads;
+* a worker blocks only on a write to the coordinator, which always
+  reads, and on its ``select`` once locally idle *after* reporting so
+  (``MSG_IDLE``); a report first frames the worker's outgoing lists.
 
-Quiescence *is* the barrier: each ``MSG_IDLE`` carries cumulative
-(consumed, emitted, processed) counters plus the terminal results
-produced since the previous report (shipped once; the worker then
-empties its lists). The counters are in **envelopes** (one per control
-frame), and ``sent`` includes envelopes still pending in the
-coordinator. Pipes are FIFO, so every ``MSG_OUT`` and result a
-counter accounts for arrives no later than the counter; the system is
-quiet exactly when every worker has consumed everything the
-coordinator routed, the coordinator has read everything every worker
-emitted, and no outbound bytes are queued. ``run_until_idle`` then
-appends the buffered results to ``runtime.results`` in worker order
-and returns: no further frame, and with nothing injected no pipe is
-touched.
+Quiescence *is* the barrier: a worker reports only when locally idle,
+with cumulative counters in **envelopes** (one per control frame) —
+consumed from the coordinator, processed, sent to and consumed from
+each peer — and the terminal results produced since its previous
+report (shipped once). The fleet is quiet when no outbound bytes are
+queued, every worker consumed all the coordinator sent it (pending rows
+included), and every ordered pair's sent and consumed counts match.
+This is exact: links are FIFO, each report is one atomic snapshot of a
+worker with no work left, and all work traces back to an input the
+coordinator counted itself. Take the earliest consumption after its
+consumer's latest report: from the coordinator, it breaks that link's
+count; from a peer, it was sent before the peer's latest report (the
+pair's counts differ) or after it, which needs an earlier such
+consumption at the peer. ``run_until_idle`` then appends the buffered
+results to ``runtime.results`` in worker order and returns: no further
+frame, and with nothing injected no pipe is touched.
 
 State stays in the workers: a barrier that processed items marks the
 coordinator's SE elements stale, and a **state pull**
-(``MSG_SNAPSHOT``/``MSG_STATE``) refreshes them only when someone
-reads them — ``Runtime.se_instances()``/``se_instance()``
-(fingerprints, ``Program.state_of``, reports), ``CheckpointManager``
-and ``close()`` — so state inspection stays substrate-agnostic.
+(``MSG_SNAPSHOT``, answered by the worker's next report as
+``MSG_STATE``) refreshes them only when someone reads them —
+``Runtime.se_instances()``/``se_instance()`` (fingerprints,
+``Program.state_of``, reports), ``CheckpointManager`` and ``close()``
+— so state inspection stays substrate-agnostic.
 
 Observability rides the same pipes (no side channels):
 
@@ -118,7 +125,6 @@ from repro.runtime.wire import (
     MSG_DELIVER,
     MSG_HELLO,
     MSG_IDLE,
-    MSG_OUT,
     MSG_SHUTDOWN,
     MSG_SNAPSHOT,
     MSG_STATE,
@@ -147,8 +153,8 @@ WORKER_DRAIN_LIMIT = 10_000_000
 _READ_CHUNK = 1 << 16
 
 #: Envelopes per data frame: a pending list becomes one ``MSG_DELIVER``
-#: / ``MSG_OUT`` frame when it reaches this length (or earlier, at the
-#: flush points), and a worker takes at most this many local steps
+#: frame when it reaches this length (or earlier, at the flush points),
+#: and a worker takes at most this many local steps
 #: between two looks at its pipe. The fastest of 64..512 on both
 #: 2-worker benchmarks (KV and wordcount, 2 cores); not ``RUN_MAX``.
 WIRE_RUN = 256
@@ -162,10 +168,10 @@ def _wire_meters(metrics, role: str) -> tuple:
     bytes sent / received, and serialize seconds."""
     frames = metrics.counter(
         "wire_frames_total",
-        "frames crossing the pipe star, by direction and role")
+        "frames crossing the pipes, by direction and role")
     nbytes = metrics.counter(
         "wire_bytes_total",
-        "bytes crossing the pipe star, by direction and role")
+        "bytes crossing the pipes, by direction and role")
     return (frames.labels(direction="send", role=role),
             frames.labels(direction="recv", role=role),
             nbytes.labels(direction="send", role=role),
@@ -211,13 +217,13 @@ class _Link:
 
     __slots__ = (
         "worker_id", "process", "send_fd", "recv_fd", "buffer", "outbox",
-        "pending", "sent", "consumed", "emitted", "received_out", "processed",
-        "results", "state_reply", "schema", "shard", "fenced_shard",
-        "fenced_processed",
+        "pending", "sent", "consumed", "processed", "peer_sent",
+        "peer_consumed", "results", "state_reply", "schema", "shard",
+        "fenced_shard", "fenced_processed",
     )
 
     def __init__(self, worker_id: int, process, send_fd: int,
-                 recv_fd: int) -> None:
+                 recv_fd: int, workers: int) -> None:
         self.worker_id = worker_id
         self.process = process
         self.send_fd = send_fd
@@ -231,13 +237,12 @@ class _Link:
         #: Routed towards this worker: items (framed or still pending)
         #: plus one per control frame.
         self.sent = 0
-        #: Worker's cumulative consumed/emitted/processed, as of its
-        #: latest MSG_IDLE / MSG_STATE report.
+        #: Worker's cumulative consumed/processed, and envelopes sent to
+        #: and consumed from each worker by id, as of its latest
+        #: MSG_IDLE / MSG_STATE report.
         self.consumed = 0
-        self.emitted = 0
         self.processed = 0
-        #: Envelopes read *from* this worker (in MSG_OUT frames).
-        self.received_out = 0
+        self.peer_sent = self.peer_consumed = (0,) * workers
         #: Terminal results reported since the last barrier, by TE;
         #: the barrier appends them to ``runtime.results``.
         self.results: dict[str, list] = {}
@@ -311,7 +316,6 @@ class MultiprocessSubstrate:
         #: Whether the workers' SE elements are ahead of the coordinator's
         #: (a barrier processed items since the last state pull).
         self._stale = False
-        self._routed = 0
         self._processed_base = 0
         self._finalizer = None
         self._restarts_left = self.restarts
@@ -362,11 +366,14 @@ class MultiprocessSubstrate:
         }
 
     def _fork_fleet(self) -> None:
-        """Fork one worker per placement group and open its pipes.
+        """Fork one worker per placement group and open its pipes: two
+        to the coordinator, and one per ordered pair of workers.
 
         Called at bind time and again on every fleet restart — the
         children inherit the coordinator's SE mirror, which a restart
-        finds as of the last barrier (see :meth:`_sync`).
+        finds as of the last barrier (see :meth:`_sync`). Each child
+        keeps only its own ends, and the coordinator none of a peer
+        pipe's.
         """
         runtime = self.runtime
         try:
@@ -376,32 +383,41 @@ class MultiprocessSubstrate:
                 "the multiprocess substrate requires the fork start "
                 "method (POSIX); this platform does not support it"
             ) from exc
-        pipes = []  # (c2w_read, c2w_write, w2c_read, w2c_write)
-        for _ in range(self.workers):
-            c2w_r, c2w_w = os.pipe()
-            w2c_r, w2c_w = os.pipe()
-            pipes.append((c2w_r, c2w_w, w2c_r, w2c_w))
-        all_fds = [fd for quad in pipes for fd in quad]
+        n = self.workers
+        c2w = [os.pipe() for _ in range(n)]
+        w2c = [os.pipe() for _ in range(n)]
+        # (src, dst) -> the (read, write) pipe src writes dst through.
+        peer = {(src, dst): os.pipe() for src in range(n)
+                for dst in range(n) if src != dst}
+        all_fds = [fd for pair in c2w + w2c + [*peer.values()] for fd in pair]
         index_digest = runtime.dispatcher.export_index()
-        for wid, (c2w_r, c2w_w, w2c_r, w2c_w) in enumerate(pipes):
-            keep = {c2w_r, w2c_w}
-            close_fds = [fd for fd in all_fds if fd not in keep]
+        for wid in range(n):
+            # Read ends by source, write ends by destination.
+            peer_in = {src: r for (src, dst), (r, _) in peer.items()
+                       if dst == wid}
+            peer_out = {dst: w for (src, dst), (_, w) in peer.items()
+                        if src == wid}
+            keep = {c2w[wid][0], w2c[wid][1], *peer_in.values(),
+                    *peer_out.values()}
             process = ctx.Process(
                 target=_worker_main,
-                args=(runtime, wid, self.placement, c2w_r, w2c_w,
-                      close_fds),
+                args=(runtime, wid, self.placement, c2w[wid][0],
+                      w2c[wid][1], peer_in, peer_out,
+                      [fd for fd in all_fds if fd not in keep]),
                 daemon=True,
                 name=f"repro-worker-{wid}",
             )
             process.start()
-            link = _Link(wid, process, c2w_w, w2c_r)
+            link = _Link(wid, process, c2w[wid][1], w2c[wid][0], n)
             self._links.append(link)
-            self._readers[w2c_r] = link
-        for c2w_r, c2w_w, w2c_r, w2c_w in pipes:
-            os.close(c2w_r)
-            os.close(w2c_w)
-            os.set_blocking(c2w_w, False)
-            os.set_blocking(w2c_r, False)
+            self._readers[link.recv_fd] = link
+        ours = {fd for link in self._links
+                for fd in (link.send_fd, link.recv_fd)}
+        for fd in all_fds:
+            if fd in ours:
+                os.set_blocking(fd, False)
+            else:
+                os.close(fd)
         # Idempotent teardown: explicit close(), GC and interpreter
         # exit all funnel into one _release of this exact fleet.
         self._finalizer = weakref.finalize(self, _release, self._links)
@@ -424,7 +440,6 @@ class MultiprocessSubstrate:
             owner = self._owners[channel] = self.placement.owner_of(
                 channel.dst_te, channel.dst_instance)
         link = self._links[owner]
-        self._routed += 1
         if self.restarts:
             # Log first: if the flush trips over a dead worker, the
             # restart's replay re-delivers this row too, so the
@@ -448,12 +463,11 @@ class MultiprocessSubstrate:
         )
 
     def run_until_idle(self, max_steps: int) -> int:
-        """Pump the star until quiescent; that point is the barrier."""
-        routed_start = self._routed
+        """Pump the fleet until quiescent; that point is the barrier."""
         while True:
             try:
                 while not self._quiet():
-                    if self._routed - routed_start > max_steps:
+                    if self._processed() - self._processed_base > max_steps:
                         raise RuntimeExecutionError(
                             f"pipeline did not become idle within "
                             f"{max_steps} steps"
@@ -467,8 +481,8 @@ class MultiprocessSubstrate:
         """Service the wire once without waiting for quiescence.
 
         Drains whatever worker frames are ready — idle reports carrying
-        live metric shards, trace shards, relayed envelopes —
-        and flushes pending writes. This is what keeps
+        live metric shards, and trace shards — and flushes pending
+        writes. This is what keeps
         :meth:`Runtime.merged_metrics` fresh *between* barriers
         (``repro top --watch`` drives it); the coordinator otherwise
         only touches the pipes inside :meth:`run_until_idle`.
@@ -485,8 +499,8 @@ class MultiprocessSubstrate:
 
         The hook behind ``Runtime.se_instances()``: a no-op unless a
         barrier processed items since the last pull. A read between
-        ``inject`` and the drain sees each worker's state as of the
-        moment the pull reached it.
+        ``inject`` and the drain sees each worker's state once it has
+        served what reached it before the pull.
         """
         if self._stale:
             try:
@@ -550,15 +564,12 @@ class MultiprocessSubstrate:
             self._frame(link, (MSG_DELIVER, run))
 
     def _frame(self, link: _Link, message: Any) -> None:
+        """Encode and count one outbound frame; write what the pipe takes."""
         t0 = time.perf_counter()
         data = encode_frame(message)
         elapsed = time.perf_counter() - t0
         self._m_serialize.inc(elapsed)
         self._p_serialize.add(elapsed)
-        self._queue(link, data)
-
-    def _queue(self, link: _Link, data: bytes) -> None:
-        """Count one outbound frame and write what the pipe takes."""
         self._m_frames_send.inc()
         self._m_bytes_send.inc(len(data))
         link.outbox.append(data)
@@ -615,21 +626,12 @@ class MultiprocessSubstrate:
 
     def _handle(self, link: _Link, message: tuple) -> None:
         tag = message[0]
-        if tag == MSG_OUT:
-            # Relayed as bytes: routed to the destination in full, and
-            # queued behind the envelopes already routed there.
-            _, dst, count, frame = message
-            link.received_out += count
-            target = self._links[dst]
-            target.sent += count
-            self._routed += count
-            self._flush_run(target)
-            self._queue(target, frame)
-        elif tag == MSG_IDLE or tag == MSG_STATE:
-            link.consumed, link.emitted, link.processed = message[1:4]
-            self._absorb_obs(link, message[4])
+        if tag == MSG_IDLE or tag == MSG_STATE:
+            (link.consumed, link.processed, link.peer_sent,
+             link.peer_consumed) = message[1:5]
+            self._absorb_obs(link, message[5])
             if tag == MSG_STATE:
-                link.state_reply = message[5]
+                link.state_reply = message[6]
         elif tag == MSG_TRACE:
             # Only a tracing fleet ships shards.
             self.runtime.tracer.merge_shard(message[1])
@@ -656,29 +658,46 @@ class MultiprocessSubstrate:
             link.results.setdefault(te, []).extend(items)
 
     def _quiet(self) -> bool:
-        """Nothing queued, nothing unconsumed, nothing unread."""
+        """Nothing queued, nothing unconsumed on any link: each worker
+        consumed all the coordinator sent it, and each ordered pair of
+        workers agrees on the envelopes sent and consumed between them."""
+        links = self._links
         return all(
             not link.outbox
             and link.consumed == link.sent
-            and link.received_out == link.emitted
-            for link in self._links
+            and link.peer_sent == tuple(
+                peer.peer_consumed[link.worker_id] for peer in links)
+            for link in links
         )
+
+    def _processed(self) -> int:
+        """Items processed by every fleet so far, as last reported."""
+        return self._retired_processed + sum(
+            link.processed for link in self._links)
 
     def _worker_died(self, link: _Link) -> None:
         # A crashing worker writes why before it exits, and a write that
-        # found its pipe closed can be the first to notice: read it.
-        try:
-            while data := os.read(link.recv_fd, _READ_CHUNK):
-                for message in link.buffer.feed(data):
-                    if message[0] == MSG_CRASH:
-                        self._handle(link, message)
-        except (OSError, WireError):
-            pass
-        raise _WorkerFailure(
-            link,
-            f"worker {link.worker_id} exited unexpectedly "
-            f"(exitcode {link.process.exitcode})",
-        )
+        # found its pipe closed can be the first to notice: read it. A
+        # worker exits cleanly only once a pipe into it closed, so when
+        # this one did, a peer that died before it is the one to blame
+        # (once one worker dies every other exits soon: wait for each).
+        link.process.join(timeout=1.0)
+        peers = [peer for peer in self._links if peer is not link]
+        for suspect in (peers if link.process.exitcode == 0 else []) + [link]:
+            suspect.process.join(timeout=1.0)
+            try:
+                while data := os.read(suspect.recv_fd, _READ_CHUNK):
+                    for message in suspect.buffer.feed(data):
+                        if message[0] == MSG_CRASH:
+                            self._handle(suspect, message)
+            except (OSError, WireError):
+                pass
+            if suspect is link or suspect.process.exitcode not in (None, 0):
+                raise _WorkerFailure(
+                    suspect,
+                    f"worker {suspect.worker_id} exited unexpectedly "
+                    f"(exitcode {suspect.process.exitcode})",
+                )
 
     # ------------------------------------------------------------------
     # Fleet restart
@@ -748,8 +767,7 @@ class MultiprocessSubstrate:
         the previous barrier.
         """
         results = self.runtime.results
-        processed_total = self._retired_processed + sum(
-            link.processed for link in self._links)
+        processed_total = self._processed()
         delta = processed_total - self._processed_base
         if delta:
             self._stale = True
@@ -804,7 +822,8 @@ class _WorkerSubstrate(InProcessSubstrate):
 
 
 def _worker_main(runtime: "Runtime", worker_id: int, placement,
-                 recv_fd: int, send_fd: int,
+                 recv_fd: int, send_fd: int, peer_in: dict,
+                 peer_out: dict,
                  close_fds: list) -> None:  # pragma: no cover - subprocess
     """Entry point of a forked worker process."""
     for fd in close_fds:
@@ -813,9 +832,10 @@ def _worker_main(runtime: "Runtime", worker_id: int, placement,
         except OSError:
             pass
     try:
-        _serve(runtime, worker_id, placement, recv_fd, send_fd)
+        _serve(runtime, worker_id, placement, recv_fd, send_fd, peer_in,
+               peer_out)
     except (EOFError, BrokenPipeError):
-        # Coordinator went away: nothing left to serve.
+        # The coordinator or a peer went away: the fleet is over.
         pass
     except BaseException:
         extra = {"worker": worker_id, "steps": runtime.total_steps,
@@ -829,8 +849,9 @@ def _worker_main(runtime: "Runtime", worker_id: int, placement,
 
 
 def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
-           send_fd: int) -> None:  # pragma: no cover - subprocess
-    """The worker loop: drain local work, relay wire traffic, report."""
+           send_fd: int, peer_in: dict,
+           peer_out: dict) -> None:  # pragma: no cover - subprocess
+    """The worker loop: drain local work, write peers, report."""
     # The forked copy of the coordinator's substrate must never run its
     # teardown in this process (its Process handles belong to the
     # parent); detach the inherited finalizer before replacing it.
@@ -839,7 +860,11 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         if inherited._finalizer is not None:
             inherited._finalizer.detach()
         inherited._links = []
-    counters = {"consumed": 0, "emitted": 0, "processed": 0}
+    # Envelopes consumed from the coordinator, items processed, and
+    # envelopes sent to / consumed from each worker, by its id.
+    consumed = processed = 0
+    n_workers = placement.n_workers
+    peer_sent, peer_consumed = [0] * n_workers, [0] * n_workers
 
     substrate = _WorkerSubstrate()
     substrate.bind(runtime)
@@ -873,22 +898,37 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         elapsed = time.perf_counter() - t0
         w_serialize.inc(elapsed)
         p_serialize.add(elapsed)
+        w_frames_send.inc()
+        w_bytes_send.inc(len(data))
         return data
 
     def ship(message: Any) -> None:
-        data = encode(message)
-        write_bytes(send_fd, data)
-        w_frames_send.inc()
-        w_bytes_send.inc(len(data))
+        write_bytes(send_fd, encode(message))
 
-    # Envelopes for each other worker, by its id, not yet framed.
-    outgoing: list[list] = [[] for _ in range(placement.n_workers)]
+    # Envelopes for each other worker, by its id, not yet framed; and
+    # framed bytes its pipe has not taken yet (a peer write never
+    # blocks: two workers writing each other full pipes would deadlock).
+    outgoing: list[list] = [[] for _ in range(n_workers)]
+    outboxes = {fd: deque() for fd in peer_out.values()}
+
+    def write_peer(fd: int) -> None:
+        box = outboxes[fd]
+        while box:
+            try:
+                box[0] = box[0][os.write(fd, box[0]):]
+            except BlockingIOError:
+                return
+            if box[0]:
+                return
+            box.popleft()
 
     def flush_to(dst: int) -> None:
         run = outgoing[dst]
-        ship((MSG_OUT, dst, len(run),
-              encode((MSG_DELIVER, encode_run(run)))))
+        peer_sent[dst] += len(run)
+        outboxes[peer_out[dst]].append(encode((MSG_DELIVER,
+                                               encode_run(run))))
         run.clear()
+        write_peer(peer_out[dst])
 
     def flush_out() -> None:
         for dst, run in enumerate(outgoing):
@@ -898,59 +938,85 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
     def remote_send(envelope: "Envelope", dst: int) -> None:
         run = outgoing[dst]
         run.append(envelope)
-        counters["emitted"] += 1
         if len(run) >= WIRE_RUN:
             flush_to(dst)
 
     runtime.transport.enable_worker_routing(placement, worker_id,
                                             remote_send)
 
-    os.set_blocking(recv_fd, False)
-    buffer = FrameBuffer()
+    # Source of each readable pipe: None for the coordinator.
+    readers = {fd: (src, FrameBuffer())
+               for src, fd in [(None, recv_fd), *peer_in.items()]}
+    for fd in [*readers, *peer_out.values()]:
+        os.set_blocking(fd, False)
     pending: deque = deque()
 
     def poll(block: bool) -> None:
-        """Move available frames into ``pending``; optionally wait."""
+        """Move what the pipes hold into ``pending`` as ``(source,
+        message)`` and write what the peers take; with ``block``, wait
+        until a frame is in."""
         while True:
-            try:
-                data = os.read(recv_fd, _READ_CHUNK)
-            except BlockingIOError:
-                data = None
-            if data == b"":
-                raise EOFError("coordinator closed the control pipe")
-            if data:
+            waiting = [fd for fd, box in outboxes.items() if box]
+            wait = block and not pending
+            t0 = time.perf_counter()
+            readable, writable, _ = select.select(
+                readers, waiting, [], None if wait else 0)
+            if wait:
+                p_wire_wait.add(time.perf_counter() - t0)
+            for fd in writable:
+                write_peer(fd)
+            for fd in readable:
+                data = os.read(fd, _READ_CHUNK)
+                if not data:
+                    raise EOFError("a pipe into this worker closed")
                 w_bytes_recv.inc(len(data))
+                src, buffer = readers[fd]
                 for message in buffer.feed(data):
                     w_frames_recv.inc()
-                    pending.append(message)
-                continue
+                    pending.append((src, message))
             if pending or not block:
                 return
-            t0 = time.perf_counter()
-            select.select([recv_fd], [], [])
-            p_wire_wait.add(time.perf_counter() - t0)
+
+    # Nothing on a fleet replays a producer's output buffers (a restart
+    # re-forks from the coordinator's copy), so each report empties
+    # them in place (the deques are the send routes' own), and the
+    # gauge reads how many it found.
+    g_buffered = runtime.metrics.gauge(
+        "engine_output_buffered_envelopes", "envelopes a worker's "
+        "output buffers held at its latest report").labels()
+    owned = [instance for instance in runtime.topology.all_te_instances()
+             if placement.owner_of(instance.name, instance.index)
+             == worker_id]
+
+    def progress() -> tuple:
+        return consumed, processed, tuple(peer_sent), tuple(peer_consumed)
 
     def report(tag: str, *extra: Any) -> tuple:
         """Ship the counters with everything new since the last report."""
-        progress = (counters["consumed"], counters["emitted"],
-                    counters["processed"])
-        # Emitted envelopes first, then trace hops (FIFO pipe: the
-        # coordinator has read and merged both before it can observe
-        # this progress report), then the counters with telemetry
-        # shards and fresh results piggybacked.
+        # Peer runs first (counted as sent once framed), then trace hops
+        # (FIFO pipe: the coordinator has merged them before it can
+        # observe this progress report), then the counters with
+        # telemetry shards and fresh results piggybacked.
         flush_out()
         shard = probe.drain_shard()
         if shard:
             ship((MSG_TRACE, shard))
+        cleared = 0
+        for instance in owned:
+            for buffer in instance.output_buffers.values():
+                cleared += len(buffer)
+                buffer.clear()
+        g_buffered.set(cleared)
         obs: dict = {"metrics": runtime.metrics.shard(shard_cache)}
         fresh = {te: items for te, items in results.items() if items}
         if fresh:
             obs["results"] = fresh
-        ship((tag,) + progress + (obs,) + extra)
+        reported = progress()
+        ship((tag,) + reported + (obs,) + extra)
         # Shipped once: the coordinator owns them from here.
         for items in fresh.values():
             items.clear()
-        return progress
+        return reported
 
     # The result filter sees only this worker's slots, and a stream
     # reaches it in order: once idle, its gaps are other workers' stamps.
@@ -964,29 +1030,33 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
     # The first report answers the hello: a report of no progress could
     # never make the fleet quiet, and whether it went out would depend
     # on whether the hello beat this loop's first look at the pipe.
-    reported = (0, 0, 0)
+    reported = progress()
     drained = 0
+    # A state pull is answered by the next report, once locally idle:
+    # like any report, its counters may then close a quiescence check.
+    snapshot = False
+    idle = False
     while True:
-        # Everything the pipe holds goes into the inboxes first, then
-        # up to one run of local steps before the pipe is looked at
-        # again.
-        poll(block=False)
+        # Everything the pipes hold goes into the inboxes first (once
+        # idle, after waiting for it), then up to one run of local steps
+        # before they are looked at again.
+        poll(block=idle)
+        woke, idle = idle, False
         while pending:
-            message = pending.popleft()
+            src, message = pending.popleft()
             tag = message[0]
             if tag == MSG_DELIVER:
                 run = decode_run(message[1])
-                counters["consumed"] += len(run)
+                if src is None:
+                    consumed += len(run)
+                else:
+                    peer_consumed[src] += len(run)
                 for envelope in run:
                     deliver(envelope)
                 continue
-            counters["consumed"] += 1
+            consumed += 1
             if tag == MSG_SNAPSHOT:
-                # A state pull: a full report with the elements
-                # attached, so consuming this frame triggers no idle
-                # report after it.
-                reported = report(MSG_STATE, _owned_elements(
-                    runtime, worker_id, placement))
+                snapshot = True
             elif tag == MSG_HELLO:
                 _check_hello(runtime, message, worker_id, placement)
             elif tag == MSG_SHUTDOWN:
@@ -996,9 +1066,18 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
                     f"worker {worker_id}: unexpected frame tag {tag!r}"
                 )
         steps = 0
+        if woke:
+            # Woken from a wait, the first step that sends to a peer
+            # ships at once: the peer starts on it while this worker
+            # goes on. Later steps batch up to WIRE_RUN or idleness.
+            while steps < WIRE_RUN and step():
+                steps += 1
+                if any(outgoing):
+                    flush_out()
+                    break
         while steps < WIRE_RUN and step():
             steps += 1
-        counters["processed"] += steps
+        processed += steps
         if steps == WIRE_RUN:
             drained += steps
             if drained > WORKER_DRAIN_LIMIT:
@@ -1008,14 +1087,16 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
                 )
             continue
         drained = 0
-        if reported != (counters["consumed"], counters["emitted"],
-                        counters["processed"]):
-            reported = report(MSG_IDLE)
+        if snapshot or reported != progress():
+            reported = (report(MSG_STATE, _owned_elements(
+                runtime, worker_id, placement)) if snapshot
+                else report(MSG_IDLE))
+            snapshot = False
             stamps = runtime._result_stamps.values()
             for held in stamps:
                 held.settle()
             g_filter.set(sum(1 + len(held.ahead) for held in stamps))
-        poll(block=True)
+        idle = True
 
 
 def _check_hello(runtime: "Runtime", message: tuple, worker_id: int,

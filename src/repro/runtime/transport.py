@@ -107,8 +107,8 @@ class Transport:
         Called once inside each worker process after the fork:
         ``placement`` maps instance keys to workers, and
         ``remote_send(envelope, worker)`` queues one envelope for the
-        owning worker (through the coordinator). Local hops keep the exact
-        in-process delivery path.
+        owning worker's pipe. Local hops keep the exact in-process
+        delivery path.
         """
         self._placement = placement
         self._local_worker = local_worker

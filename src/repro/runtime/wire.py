@@ -1,8 +1,8 @@
 """The wire layer: length-prefixed pickle frames over OS pipes.
 
 The :class:`~repro.runtime.multiprocess.MultiprocessSubstrate` connects
-shared-nothing worker processes to the coordinating process with plain
-``os.pipe()`` descriptors. Everything that crosses a process boundary —
+shared-nothing worker processes to the coordinating process, and each
+worker to every other, with plain ``os.pipe()`` descriptors. Everything that crosses a process boundary —
 envelopes, control-plane messages, state snapshots, metrics shards —
 travels as a *frame*: a 4-byte big-endian length prefix followed by a
 pickle of the message object.
@@ -19,9 +19,9 @@ the multiprocess path.
 Both roles read the same way: a :class:`FrameBuffer` is fed whatever
 bytes a non-blocking ``os.read`` returned and yields each completed
 frame, so a ``select``-driven loop never blocks on a half-read message.
-Workers write blocking (:func:`write_bytes` / :func:`write_frame`); the
-coordinator queues encoded frames and writes them as the pipe takes
-them.
+Workers write the coordinator blocking (:func:`write_bytes` /
+:func:`write_frame`); the coordinator, and a worker writing a peer,
+queue encoded frames and write them as the pipe takes them.
 
 Data frames carry **runs**: a ``MSG_DELIVER`` holds a list of up to
 ``multiprocess.WIRE_RUN`` envelopes, so one pickle, one header and one
@@ -30,12 +30,11 @@ Data frames carry **runs**: a ``MSG_DELIVER`` holds a list of up to
 trace_id)`` (an ``Envelope`` would cost pickle one Python-level
 ``__getnewargs__`` call each), and a route's interned ``ChannelId`` is
 written once per frame by pickle's memo. A worker turns its envelopes
-into rows with :func:`encode_run`; the coordinator never holds an
-injected envelope, it queues each input as that row already. Every
-receiver rebuilds the envelopes with :func:`decode_run`. A worker's
-``MSG_OUT`` wraps the destination's ready-made ``MSG_DELIVER`` frame,
-which the coordinator forwards as bytes. The receiver still serves
-every envelope one at a time.
+into rows with :func:`encode_run` and writes the run to the owning
+worker's pipe; the coordinator never holds an injected envelope, it
+queues each input as that row already. Every receiver rebuilds the
+envelopes with :func:`decode_run`, and still serves them one at a
+time.
 """
 
 from __future__ import annotations
@@ -154,7 +153,9 @@ def write_frame(fd: int, message: Any) -> None:
 #
 # Every frame is a tuple whose first element is one of these tags. The
 # coordinator speaks MSG_HELLO/MSG_DELIVER/MSG_SNAPSHOT/MSG_SHUTDOWN;
-# workers answer with MSG_OUT/MSG_IDLE/MSG_TRACE/MSG_STATE/MSG_CRASH.
+# workers answer with MSG_IDLE/MSG_TRACE/MSG_STATE/MSG_CRASH, and write
+# each other MSG_DELIVER only (the relay tag that once carried their
+# runs through the coordinator is retired).
 # Structural actions (scale-out, repartition, checkpoint) are
 # control-plane messages by design: MSG_SNAPSHOT is the first of them,
 # and the tags reserve the vocabulary for the follow-ups.
@@ -170,34 +171,30 @@ def write_frame(fd: int, message: Any) -> None:
 #: index digest, capability flags); the worker verifies it against its
 #: own forked view before serving traffic.
 MSG_HELLO = "hello"
-#: coordinator -> worker: ``(tag, rows)`` — a run of envelopes as rows,
-#: to enqueue locally, in order. Built by the coordinator for the inputs
-#: it routes, and by a worker (``encode_run``) for what it sends another
-#: worker.
+#: coordinator or peer -> worker: ``(tag, rows)`` — a run of envelopes
+#: as rows, to enqueue locally, in order. Built by the coordinator for
+#: the inputs it routes, and by a worker (``encode_run``) for what it
+#: sends another worker down their pipe.
 MSG_DELIVER = "deliver"
 #: coordinator -> worker: state pull — ship back the SE elements you own.
 MSG_SNAPSHOT = "snapshot"
 #: coordinator -> worker: exit the worker loop.
 MSG_SHUTDOWN = "shutdown"
 
-#: worker -> coordinator: ``(tag, dst_worker, count, frame)`` — ``count``
-#: envelopes for worker ``dst_worker``, in emission order, as ``frame``:
-#: that worker's complete ``MSG_DELIVER`` frame (header included). The
-#: coordinator appends the bytes to the destination's outbox undecoded.
-MSG_OUT = "out"
-#: worker -> coordinator: progress report — ``(tag, consumed, emitted,
-#: processed, obs)`` where the cumulative counters double as the
-#: quiescence signal and ``obs`` is a dict of the cumulative metrics
-#: shard (``"metrics"``: ``MetricsRegistry.shard``'s ``(schema | None,
-#: values)``, the schema only when the registry's shape changed since
-#: the worker's previous report) plus ``"results"``: the terminal
-#: outputs produced since the previous report, by TE, each shipped
-#: exactly once.
+#: worker -> coordinator: progress report, sent when locally idle —
+#: ``(tag, consumed, processed, peer_sent, peer_consumed, obs)`` where
+#: the cumulative counters (``peer_*``: envelopes sent to and consumed
+#: from each worker, by id) double as the quiescence signal and ``obs``
+#: is a dict of the cumulative metrics shard (``"metrics"``:
+#: ``MetricsRegistry.shard``'s ``(schema | None, values)``, the schema
+#: only when the registry's shape changed since the worker's previous
+#: report) plus ``"results"``: the terminal outputs produced since the
+#: previous report, by TE, each shipped exactly once.
 MSG_IDLE = "idle"
 #: worker -> coordinator: ``(tag, [(trace_id, Hop), ...])`` — causal
 #: trace hops recorded since the last drain. Pure telemetry: never
-#: counted in the consumed/emitted quiescence arithmetic (which counts
-#: envelopes for the two data frames and one per control frame).
+#: counted in the quiescence arithmetic (which counts envelopes for
+#: data frames and one per control frame).
 MSG_TRACE = "trace"
 #: worker -> coordinator: state-pull reply — an idle report (the same
 #: compact metrics shard included) with one more field, the worker's SE

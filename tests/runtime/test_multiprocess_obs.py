@@ -33,12 +33,10 @@ from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.multiprocess import WIRE_RUN
 from repro.runtime.wire import (
     FRAME_HEADER,
-    MSG_DELIVER,
+    MSG_CRASH,
     MSG_IDLE,
-    MSG_OUT,
     MSG_STATE,
-    FrameBuffer,
-    decode_run,
+    MSG_TRACE,
     encode_frame,
 )
 from repro.state import KeyValueMap
@@ -59,27 +57,27 @@ def hop_view(runtime):
     }
 
 
-def spy_relays(runtime):
-    """Record each ``MSG_OUT`` the coordinator relays as ``(src_worker,
-    dst_worker)``. The frame is decoded here, by the test, and must be a
-    run from another worker for the worker owning every envelope in it."""
+def spy_peers(runtime):
+    """Record what each worker's latest report says it wrote its peers:
+    ``{worker: (envelopes to worker 0, to worker 1, ...)}``, cumulative
+    for the live fleet (a re-fork starts again at zero). Every frame the
+    coordinator handles must be a report, a trace shard or a crash:
+    envelopes go from worker to worker, never through the coordinator."""
     substrate = runtime.substrate
-    handle, relays = substrate._handle, []
+    handle, sent = substrate._handle, {}
 
     def spy(link, message):
-        if message[0] == MSG_OUT:
-            _, dst, count, frame = message
-            ((tag, rows),) = FrameBuffer().feed(frame)
-            assert tag == MSG_DELIVER and len(rows) == count
-            owner = substrate.placement.owner_of
-            assert dst != link.worker_id
-            assert {owner(e.channel.dst_te, e.channel.dst_instance)
-                    for e in decode_run(rows)} == {dst}
-            relays.append((link.worker_id, dst))
+        tag = message[0]
+        assert tag in (MSG_IDLE, MSG_STATE, MSG_TRACE, MSG_CRASH), tag
+        if tag in (MSG_IDLE, MSG_STATE):
+            peer_sent = message[3]
+            assert len(peer_sent) == substrate.workers
+            assert peer_sent[link.worker_id] == 0
+            sent[link.worker_id] = peer_sent
         return handle(link, message)
 
     substrate._handle = spy
-    return relays
+    return sent
 
 
 def traced_kv(substrate, workers=None):
@@ -229,13 +227,13 @@ class TestLiveMetricStreaming:
 
         closed_loop_kv(200, spy)
         schemas = Counter(worker for worker, message in reports
-                          if message[4]["metrics"][0] is not None)
+                          if message[5]["metrics"][0] is not None)
         assert schemas == {0: 1, 1: 1}
         # Counters, not a registry: an idle frame with no fresh results
         # is the progress counters plus one flat tuple of cell values.
         sizes = [len(encode_frame(message)) for _worker, message in reports
-                 if message[0] == MSG_IDLE and "results" not in message[4]
-                 and message[4]["metrics"][0] is None]
+                 if message[0] == MSG_IDLE and "results" not in message[5]
+                 and message[5]["metrics"][0] is None]
         assert len(sizes) > 50
         assert max(sizes) < 400
 
@@ -599,11 +597,11 @@ class TestCrashRestartAccounting:
                 RuntimeConfig(te_instances={"split": 2},
                               se_instances={"counts": 4},
                               substrate=substrate, **config)).deploy()
-            relays = (spy_relays(runtime) if substrate == "multiprocess"
-                      else [])
+            peers = (spy_peers(runtime) if substrate == "multiprocess"
+                     else {})
             try:
                 for start in range(0, 90, 30):
-                    relayed = len(relays)
+                    written = sum(map(sum, peers.values()))
                     for line in lines[start:start + 30]:
                         runtime.inject("split", line)
                     runtime.run_until_idle()
@@ -614,7 +612,7 @@ class TestCrashRestartAccounting:
                 return (counts, state_fingerprint(runtime),
                         metrics["engine_items_processed_total"]["children"],
                         runtime.events.events(kind=KIND.WORKER_RESTART),
-                        len(relays) - relayed)
+                        sum(map(sum, peers.values())) - written)
             finally:
                 runtime.close()
 
@@ -624,8 +622,7 @@ class TestCrashRestartAccounting:
         open(oracle_flag, "w").close()
         clean = run(oracle_flag, "inprocess")
         assert crashed[:3] == clean[:3]
-        # The re-forked fleet relayed the whole last drain, each run to
-        # the worker owning its envelopes (spy_relays checks that).
+        # The re-forked fleet's workers wrote each other in the last drain.
         assert crashed[4] > 0
         assert sum(clean[0].values()) == 90 * 6 + 1
         assert os.path.exists(flag), "the crash never happened"

@@ -41,7 +41,7 @@ from repro.runtime.multiprocess import WIRE_RUN, MultiprocessSubstrate
 from repro.state import KeyValueMap, Matrix, Vector
 from repro.testing import build_iterative_sdg, build_kv_sdg
 from repro.workloads import RatingsWorkload
-from tests.runtime.test_multiprocess_obs import build_crash_once_kv, spy_relays
+from tests.runtime.test_multiprocess_obs import build_crash_once_kv, spy_peers
 
 WORDCOUNT_TEXT = ["the quick brown fox", "jumps over the lazy dog",
                   "the fox", "dog days of state"]
@@ -98,7 +98,7 @@ class TestCrossSubstrateDifferential:
 
     def test_iterative_loop_crosses_workers(self):
         # stepA -> stepB -> stepA keyed ping-pong: with one partition
-        # per worker every hop crosses the wire through the coordinator.
+        # per worker a hop often crosses from worker to worker.
         def run(substrate, workers=None):
             config = RuntimeConfig(
                 se_instances={"modelA": 2, "modelB": 2},
@@ -479,6 +479,24 @@ class TestStateStaysInWorkers:
         assert per_key(bucket) == per_key(oracle.results["serve"])
         assert runtime.results["serve"] is bucket
 
+    def test_a_read_before_the_drain_sees_what_reached_the_workers(self):
+        # A worker answers a state pull with its next report, once idle:
+        # the read includes every put routed before it, and the report
+        # it rides on is a quiescence report like any other, so the
+        # drain after it still counts those puts.
+        runtime = self.deploy()
+        try:
+            for i in range(20):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            assert runtime.run_until_idle() == 20
+            for i in range(20, 220):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            assert sum(len(dict(instance.element.items())) for instance
+                       in runtime.se_instances("table")) == 220
+            assert runtime.run_until_idle() == 200
+        finally:
+            runtime.close()
+
     def test_checkpoint_pulls_before_it_freezes(self):
         # CheckpointManager walks node.se_instances itself, past the
         # Runtime accessors: begin() is a pull point of its own.
@@ -518,6 +536,22 @@ def send_frames(runtime, role):
         "wire_frames_total", direction="send", role=role)
 
 
+def peer_frames(runtime):
+    """Frames the workers wrote each other, exact at a barrier: what
+    they sent less what the coordinator read, and what they read less
+    what the coordinator sent."""
+    metrics = runtime.merged_metrics()
+
+    def frames(direction, role):
+        return metrics.value("wire_frames_total", direction=direction,
+                             role=role)
+
+    written = frames("send", "worker") - frames("recv", "coordinator")
+    assert written == frames("recv", "worker") - frames(
+        "send", "coordinator")
+    return written
+
+
 class TestEnvelopeRuns:
     """Envelopes cross the wire in lists: one frame per flush per link.
 
@@ -539,7 +573,9 @@ class TestEnvelopeRuns:
         finally:
             runtime.close()
 
-    def test_wordcount_relay_frames_are_a_tenth_of_forwards(self):
+    def test_wordcount_peer_frames_are_a_tenth_of_forwards(self):
+        # The first peer run after a wake ships early; the rest still
+        # batch, so the frames stay a tenth of the envelopes they carry.
         config = RuntimeConfig(se_instances={"counts": 4},
                                substrate="multiprocess", workers=2)
         runtime = Runtime(build_wordcount_sdg(), config).deploy()
@@ -550,13 +586,35 @@ class TestEnvelopeRuns:
             forwards = runtime.merged_metrics().total(
                 "transport_wire_forwards_total")
             assert forwards > 1000
-            assert send_frames(runtime, "worker") * 10 <= forwards
+            assert 0 < peer_frames(runtime) * 10 <= forwards
+        finally:
+            runtime.close()
+
+    def test_a_woken_worker_ships_its_first_peer_run_at_once(self):
+        # One split instance wakes on a frame of three lines. The first
+        # split ships its peer run before the next step; the other two
+        # batch until the worker is idle: two peer frames, where a
+        # worker that flushed only when idle would write one, and one
+        # that flushed after every step three.
+        config = RuntimeConfig(te_instances={"split": 1},
+                               se_instances={"counts": 4},
+                               substrate="multiprocess", workers=2)
+        runtime = Runtime(build_wordcount_sdg(), config).deploy()
+        try:
+            runtime.run_until_idle()  # the hellos
+            words = " ".join(f"w{i}" for i in range(12))
+            for i in range(3):
+                runtime.inject("split", (i, words))
+            runtime.run_until_idle()
+            assert runtime.merged_metrics().total(
+                "transport_wire_forwards_total") >= 3
+            assert peer_frames(runtime) == 2
         finally:
             runtime.close()
 
     def test_the_coordinator_never_decodes_a_forward(self):
-        # Forwards travel as the destination's ready-made frame: the
-        # coordinator routes what was injected and nothing else.
+        # Forwards go from worker to worker: the coordinator routes what
+        # was injected, and reads only reports, trace shards and crashes.
         config = RuntimeConfig(se_instances={"counts": 4},
                                substrate="multiprocess", workers=2)
         runtime = Runtime(build_wordcount_sdg(), config).deploy()
@@ -567,18 +625,40 @@ class TestEnvelopeRuns:
             return deliver(log, row)
 
         runtime.substrate.deliver = spy
+        written = spy_peers(runtime)
         try:
             for i in range(3000):
                 runtime.inject("split", (i, WORDCOUNT_TEXT[i % 4]))
             runtime.run_until_idle()
             metrics = runtime.merged_metrics()
-            assert metrics.total("transport_wire_forwards_total") > 1000
+            forwards = metrics.total("transport_wire_forwards_total")
+            assert forwards > 1000
+            assert sum(map(sum, written.values())) == forwards
             assert len(routed) == metrics.total(
                 "engine_items_injected_total") == 3000
         finally:
             runtime.close()
 
-    def test_three_workers_relay_to_both_peers(self):
+    def test_workers_keep_no_output_buffers(self):
+        # Nothing on a fleet replays a producer's output buffers, so each
+        # report empties them: after a drain, the state pull's report
+        # finds none on either worker (every split send would be there
+        # if they were kept).
+        config = RuntimeConfig(se_instances={"counts": 4},
+                               substrate="multiprocess", workers=2)
+        runtime = Runtime(build_wordcount_sdg(), config).deploy()
+        try:
+            for i in range(3000):
+                runtime.inject("split", (i, WORDCOUNT_TEXT[i % 4]))
+            runtime.run_until_idle()
+            state_fingerprint(runtime)
+            held = [shard["engine_output_buffered_envelopes"]["children"]
+                    for shard in runtime.substrate.metric_shards]
+            assert held == [{(): 0.0}, {(): 0.0}]
+        finally:
+            runtime.close()
+
+    def test_three_workers_write_to_both_peers(self):
         def run(substrate, workers=None):
             runtime = Runtime(
                 build_wordcount_sdg(),
@@ -586,15 +666,18 @@ class TestEnvelopeRuns:
                               se_instances={"counts": 6},
                               substrate=substrate, workers=workers),
             ).deploy()
-            relays = (spy_relays(runtime) if substrate == "multiprocess"
-                      else [])
+            written = (spy_peers(runtime) if substrate == "multiprocess"
+                       else {})
             try:
                 for i in range(300):
                     runtime.inject("split", (i, WORDCOUNT_TEXT[i % 4]))
                 runtime.run_until_idle()
-                peers = {}
-                for src, dst in relays:
-                    peers.setdefault(src, set()).add(dst)
+                # Then read the counts back across a second barrier.
+                for word in ("the", "fox", "state", "absent"):
+                    runtime.inject("query", (0, word))
+                runtime.run_until_idle()
+                peers = {src: {dst for dst, n in enumerate(sent) if n}
+                         for src, sent in written.items()}
                 results = {te: sorted(map(repr, items))
                            for te, items in runtime.results.items()}
                 return peers, results, state_fingerprint(runtime)
@@ -626,9 +709,9 @@ class TestEnvelopeRuns:
 
     def test_round_trips_do_not_wait_for_a_list_to_fill(self):
         # Every hop of the loop, and the broadcast and replies of a CF
-        # read, cross workers through the coordinator — in total fewer
-        # envelopes than one run, so a flush that waited for a full
-        # list would never let these drains return.
+        # read, cross from worker to worker — in total fewer envelopes
+        # than one run, so a flush that waited for a full list would
+        # never let these drains return.
         def forwards(runtime):
             return runtime.merged_metrics().total(
                 "transport_wire_forwards_total")
@@ -661,8 +744,8 @@ class TestEnvelopeRuns:
             finally:
                 app.runtime.close()
 
-        rec, relayed = recommend("multiprocess", workers=2)
-        assert 0 < relayed < WIRE_RUN
+        rec, forwarded = recommend("multiprocess", workers=2)
+        assert 0 < forwarded < WIRE_RUN
         assert (rec, 0) == recommend("inprocess")
 
     def test_restart_replays_flushed_and_pending_lists(self, tmp_path):

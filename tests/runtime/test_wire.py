@@ -30,7 +30,6 @@ from repro.runtime.wire import (
     MAX_FRAME_BYTES,
     MSG_DELIVER,
     MSG_IDLE,
-    MSG_OUT,
     MSG_STATE,
     FrameBuffer,
     WireError,
@@ -101,13 +100,10 @@ class TestFrameCodec:
         r, w = os.pipe()
         try:
             write_frame(w, ("idle", 3, 4, 5))
-            inner = encode_frame((MSG_DELIVER, encode_run([make_envelope()])))
-            write_frame(w, (MSG_OUT, 1, 1, inner))
-            idle, (tag, dst, count, frame) = read_frames(r, FrameBuffer())
+            write_frame(w, (MSG_DELIVER, encode_run([make_envelope()])))
+            idle, (tag, rows) = read_frames(r, FrameBuffer())
             assert idle == ("idle", 3, 4, 5)
-            assert (tag, dst, count, frame) == (MSG_OUT, 1, 1, inner)
-            # The relayed bytes are a whole frame for the destination.
-            ((_, rows),) = FrameBuffer().feed(frame)
+            assert tag == MSG_DELIVER
             assert decode_run(rows) == [make_envelope()]
         finally:
             os.close(r)
@@ -250,10 +246,9 @@ MESSAGES = st.one_of(
             [Envelope(payload, ts, ROUTE, None, None, None)
              for payload, ts in rows]))),
     st.tuples(st.sampled_from([MSG_IDLE, MSG_STATE]), st.integers(0, 99),
-              st.integers(0, 99), st.integers(0, 99),
+              st.integers(0, 99), st.tuples(st.integers(0, 99)),
+              st.tuples(st.integers(0, 99)),
               st.fixed_dictionaries({"metrics": st.just((None, (1.0,)))})),
-    st.tuples(st.just(MSG_OUT), st.integers(0, 3), st.integers(0, 64),
-              st.binary(max_size=20)),
     st.builds(lambda items, deleted: DeltaChunk(
         index=0, total=1, items=tuple(items), deleted=tuple(deleted),
         version=2, base_version=1),
