@@ -545,6 +545,12 @@ class Runtime:
         if self.substrate is not None:
             self.substrate.shutdown()
 
+    def __enter__(self) -> "Runtime":
+        return self
+
+    def __exit__(self, *exc_info) -> None:  # closes on a raise too
+        self.close()
+
     def merged_metrics(self):
         """The runtime's metrics with all substrate shards folded in.
 

@@ -9,6 +9,7 @@ request id plus the expected response count for the gather barrier.
 
 from __future__ import annotations
 
+import copyreg
 from functools import partial
 from typing import Any, NamedTuple
 
@@ -47,9 +48,12 @@ class ChannelId(NamedTuple):
 
     A tuple, like :class:`Envelope`: one of each is built, hashed and
     compared per item, so both get C-level construction, ``__hash__``
-    and ``__eq__`` (and pickle as tuples on the wire). Either compares
-    equal to a plain tuple of its fields; nothing may tell an envelope
-    from a payload with ``isinstance(x, tuple)``.
+    and ``__eq__``. Either compares equal to a plain tuple of its
+    fields; nothing may tell an envelope from a payload with
+    ``isinstance(x, tuple)``. It crosses a pickle boundary as its fields
+    and :func:`intern_channel`, not through the named tuple's
+    ``__getnewargs__`` and ``__new__``, so a receiver holds one object
+    per route.
     """
 
     edge_index: int
@@ -61,6 +65,24 @@ class ChannelId(NamedTuple):
     def reroute(self, dst_instance: int) -> "ChannelId":
         return ChannelId(self.edge_index, self.src_te, self.src_instance,
                          self.dst_te, dst_instance)
+
+    def __reduce__(self):
+        return intern_channel, tuple(self)
+
+
+#: Every channel this process unpickled, by its fields.
+_INTERNED: dict[tuple, ChannelId] = {}
+
+
+def intern_channel(*fields: Any) -> ChannelId:
+    """The one :class:`ChannelId` of ``fields`` unpickling hands out in
+    this process, so a dict keyed by a route's channel hits by identity."""
+    return _INTERNED.setdefault(fields, tuple.__new__(ChannelId, fields))
+
+
+# Pickles name it by a private-use extension code, not a module path:
+# an unpickler finds it in copyreg's cache instead of importing it.
+copyreg.add_extension(__name__, "intern_channel", 240)
 
 
 #: edge_index used for external input injected into entry TEs.

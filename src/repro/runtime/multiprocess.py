@@ -24,16 +24,17 @@ Envelopes cross in **runs**: ``deliver()`` appends an input's wire row
 becomes one ``MSG_DELIVER`` frame at ``WIRE_RUN`` rows, at the top of
 every pump round (so ``run_until_idle``, ``poll`` and a state pull all
 flush) and ahead of any control frame to that worker, which keeps each
-link FIFO. A worker groups what it sends other workers by destination
-(the transport resolves the owning worker once per route) and writes
-each group as one ``MSG_DELIVER`` into that worker's pipe: at
-``WIRE_RUN`` envelopes, before every report, and — once per wake from
-a blocking wait — right after the first step that sent any, so the
-peer starts on it while this worker goes on. Injecting less than one
-run and never pumping leaves those rows in the coordinator until the
-next drain, poll or state read. A worker empties its pipes into the
-inboxes, then takes up to ``WIRE_RUN`` local steps before it looks at
-them again.
+link FIFO. The first input after a barrier — to a worker that has
+reported consuming all it was sent — ships from ``deliver()`` at once,
+so the worker wakes while the caller goes on to its drain; the rows
+after it batch as above. A worker groups what it sends other workers by
+destination (the transport resolves the owning worker once per route)
+and writes each group as one ``MSG_DELIVER`` into that worker's pipe:
+at ``WIRE_RUN`` envelopes, before every report, and — once per wake
+from a blocking wait — right after the first step that sent any, so
+the peer starts on it while this worker goes on. A worker empties its
+pipes into the inboxes, then takes up to ``WIRE_RUN`` local steps
+before it looks at them again.
 
 Deadlock freedom by construction:
 
@@ -219,7 +220,7 @@ class _Link:
         "worker_id", "process", "send_fd", "recv_fd", "buffer", "outbox",
         "pending", "sent", "consumed", "processed", "peer_sent",
         "peer_consumed", "results", "state_reply", "schema", "shard",
-        "fenced_shard", "fenced_processed",
+        "fenced_shard", "fenced_processed", "exitcode",
     )
 
     def __init__(self, worker_id: int, process, send_fd: int,
@@ -260,6 +261,8 @@ class _Link:
         #: worker's fleet is restarted.
         self.fenced_shard: tuple | None = None
         self.fenced_processed = 0
+        #: The worker's exit code, recorded once the fleet is released.
+        self.exitcode: int | None = None
 
 
 def _release(links: list) -> None:
@@ -279,10 +282,16 @@ def _release(links: list) -> None:
         except OSError:
             pass
     for link in links:
-        link.process.join(timeout=2.0)
-        if link.process.is_alive():  # pragma: no cover - hung worker
-            link.process.terminate()
-            link.process.join(timeout=1.0)
+        process = link.process
+        process.join(timeout=2.0)
+        if process.is_alive():  # pragma: no cover - hung worker
+            process.terminate()
+            process.join(timeout=1.0)
+        link.exitcode = process.exitcode
+        if link.exitcode is not None:
+            # Its popen pipes too: else they wait for the garbage
+            # collector while an error's traceback holds the fleet.
+            process.close()
         try:
             os.close(link.recv_fd)
         except OSError:
@@ -445,9 +454,13 @@ class MultiprocessSubstrate:
             # restart's replay re-delivers this row too, so the
             # handler below must not retry it itself.
             self._replay_log.append(row)
+        # A worker that consumed all it was sent may be waiting for this
+        # row: it goes at once, and the worker wakes while the caller
+        # goes on. Later rows batch up to a run or a pump.
+        caught_up = link.consumed == link.sent and not link.pending
         link.pending.append(row)
         link.sent += 1
-        if len(link.pending) >= WIRE_RUN:
+        if caught_up or len(link.pending) >= WIRE_RUN:
             try:
                 self._flush_run(link)
             except _WorkerFailure as failure:
@@ -568,10 +581,10 @@ class MultiprocessSubstrate:
         t0 = time.perf_counter()
         data = encode_frame(message)
         elapsed = time.perf_counter() - t0
-        self._m_serialize.inc(elapsed)
+        self._m_serialize.value += elapsed
         self._p_serialize.add(elapsed)
-        self._m_frames_send.inc()
-        self._m_bytes_send.inc(len(data))
+        self._m_frames_send.value += 1
+        self._m_bytes_send.value += len(data)
         link.outbox.append(data)
         self._flush(link)
 
@@ -614,10 +627,10 @@ class MultiprocessSubstrate:
                 continue
             if not data:
                 self._worker_died(link)
-            self._m_bytes_recv.inc(len(data))
+            self._m_bytes_recv.value += len(data)
             try:
                 for message in link.buffer.feed(data):
-                    self._m_frames_recv.inc()
+                    self._m_frames_recv.value += 1
                     self._handle(link, message)
             except WireError as exc:  # as fatal as EOF on its pipe
                 raise _WorkerFailure(
@@ -662,13 +675,12 @@ class MultiprocessSubstrate:
         consumed all the coordinator sent it, and each ordered pair of
         workers agrees on the envelopes sent and consumed between them."""
         links = self._links
-        return all(
-            not link.outbox
-            and link.consumed == link.sent
-            and link.peer_sent == tuple(
-                peer.peer_consumed[link.worker_id] for peer in links)
-            for link in links
-        )
+        for link in links:
+            if link.outbox or link.consumed != link.sent:
+                return False
+        # Worker i's sent counts against column i of the consumed ones.
+        return ([link.peer_sent for link in links]
+                == list(zip(*[link.peer_consumed for link in links])))
 
     def _processed(self) -> int:
         """Items processed by every fleet so far, as last reported."""
@@ -896,10 +908,10 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         t0 = time.perf_counter()
         data = encode_frame(message)
         elapsed = time.perf_counter() - t0
-        w_serialize.inc(elapsed)
+        w_serialize.value += elapsed
         p_serialize.add(elapsed)
-        w_frames_send.inc()
-        w_bytes_send.inc(len(data))
+        w_frames_send.value += 1
+        w_bytes_send.value += len(data)
         return data
 
     def ship(message: Any) -> None:
@@ -969,10 +981,10 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
                 data = os.read(fd, _READ_CHUNK)
                 if not data:
                     raise EOFError("a pipe into this worker closed")
-                w_bytes_recv.inc(len(data))
+                w_bytes_recv.value += len(data)
                 src, buffer = readers[fd]
                 for message in buffer.feed(data):
-                    w_frames_recv.inc()
+                    w_frames_recv.value += 1
                     pending.append((src, message))
             if pending or not block:
                 return
@@ -1065,18 +1077,15 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
                 raise RuntimeExecutionError(
                     f"worker {worker_id}: unexpected frame tag {tag!r}"
                 )
+        # Woken from a wait, the first step that sends to a peer ships
+        # at once: the peer starts on it while this worker goes on.
+        # Later steps batch up to WIRE_RUN or idleness.
         steps = 0
-        if woke:
-            # Woken from a wait, the first step that sends to a peer
-            # ships at once: the peer starts on it while this worker
-            # goes on. Later steps batch up to WIRE_RUN or idleness.
-            while steps < WIRE_RUN and step():
-                steps += 1
-                if any(outgoing):
-                    flush_out()
-                    break
         while steps < WIRE_RUN and step():
             steps += 1
+            if woke and any(outgoing):
+                flush_out()
+                woke = False
         processed += steps
         if steps == WIRE_RUN:
             drained += steps

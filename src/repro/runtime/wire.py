@@ -19,6 +19,8 @@ the multiprocess path.
 Both roles read the same way: a :class:`FrameBuffer` is fed whatever
 bytes a non-blocking ``os.read`` returned and yields each completed
 frame, so a ``select``-driven loop never blocks on a half-read message.
+Frames parse in place: each whole frame is unpickled straight from the
+bytes the read returned, and only a trailing partial frame is copied.
 Workers write the coordinator blocking (:func:`write_bytes` /
 :func:`write_frame`); the coordinator, and a worker writing a peer,
 queue encoded frames and write them as the pipe takes them.
@@ -28,13 +30,14 @@ Data frames carry **runs**: a ``MSG_DELIVER`` holds a list of up to
 ``os.write`` are shared by the run. On the wire an envelope is a plain
 6-tuple row, ``(payload, seq, channel, request_id, expected,
 trace_id)`` (an ``Envelope`` would cost pickle one Python-level
-``__getnewargs__`` call each), and a route's interned ``ChannelId`` is
-written once per frame by pickle's memo. A worker turns its envelopes
-into rows with :func:`encode_run` and writes the run to the owning
-worker's pipe; the coordinator never holds an injected envelope, it
-queues each input as that row already. Every receiver rebuilds the
-envelopes with :func:`decode_run`, and still serves them one at a
-time.
+``__getnewargs__`` call each), and a route's ``ChannelId`` is written
+once per frame by pickle's memo and crosses interned
+(:func:`~repro.runtime.envelope.intern_channel`). A worker turns its
+envelopes into rows with :func:`encode_run` and writes the run to the
+owning worker's pipe; the coordinator never holds an injected
+envelope, it queues each input as that row already. Every receiver
+rebuilds the envelopes with :func:`decode_run`, and still serves them
+one at a time.
 """
 
 from __future__ import annotations
@@ -70,11 +73,6 @@ def encode_frame(message: Any) -> bytes:
     return FRAME_HEADER.pack(len(payload)) + payload
 
 
-def decode_frame(payload: bytes) -> Any:
-    """Deserialise the payload bytes of one frame (prefix stripped)."""
-    return pickle.loads(payload)
-
-
 def encode_run(run: list[Envelope]) -> list[tuple]:
     """A run of envelopes as the plain tuples a data frame carries."""
     return list(map(tuple, run))
@@ -88,41 +86,50 @@ def decode_run(rows: list[tuple]) -> list[Envelope]:
 class FrameBuffer:
     """Incremental frame parser for non-blocking reads.
 
-    Feed it whatever ``os.read`` produced; it accumulates bytes and
-    yields each message whose frame has completely arrived. Partial
-    frames stay buffered until the next feed.
+    Feed it whatever ``os.read`` produced; it yields each message whose
+    frame has completely arrived, unpickled in place from the bytes it
+    was fed, and copies only the head of a frame still incomplete.
     """
 
     def __init__(self) -> None:
+        #: The head of a frame not yet complete.
         self._buffer = bytearray()
+        #: Buffered bytes at which its oldest frame, or header, is whole.
+        self._need = FRAME_HEADER.size
         #: Bytes of the frame last yielded, its header included.
         self.frame_bytes = 0
 
     def feed(self, data: bytes) -> Iterator[Any]:
         """Absorb ``data``; yield every now-complete message (a payload
         that does not unpickle is a :class:`WireError`, and consumed)."""
-        self._buffer.extend(data)
-        while True:
-            if len(self._buffer) < FRAME_HEADER.size:
+        if self._buffer:
+            self._buffer += data
+            if len(self._buffer) < self._need:  # a big frame: copied once
                 return
-            (length,) = FRAME_HEADER.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise WireError(
-                    f"frame header announces {length} bytes, over the "
-                    f"{MAX_FRAME_BYTES}-byte bound (corrupt stream?)"
-                )
-            end = FRAME_HEADER.size + length
-            if len(self._buffer) < end:
-                return
-            payload = bytes(self._buffer[FRAME_HEADER.size:end])
-            del self._buffer[:end]
-            self.frame_bytes = end
-            try:
-                message = decode_frame(payload)
-            except Exception as exc:  # bad bytes raise many types
-                raise WireError(
-                    f"malformed {length}-byte frame: {exc!r}") from exc
-            yield message
+            data, self._buffer = self._buffer, bytearray()
+        view, start, self._need = memoryview(data), 0, FRAME_HEADER.size
+        try:
+            while len(data) - start >= FRAME_HEADER.size:
+                (length,) = FRAME_HEADER.unpack_from(data, start)
+                if length > MAX_FRAME_BYTES:
+                    raise WireError(
+                        f"frame header announces {length} bytes, over the "
+                        f"{MAX_FRAME_BYTES}-byte bound (corrupt stream?)"
+                    )
+                end = start + FRAME_HEADER.size + length
+                if len(data) < end:
+                    self._need = end - start
+                    break
+                self.frame_bytes, start = end - start, end
+                try:
+                    message = pickle.loads(view[end - length:end])
+                except Exception as exc:  # bad bytes raise many types
+                    raise WireError(
+                        f"malformed {length}-byte frame: {exc!r}") from exc
+                yield message
+        finally:  # the last frame, a raise, or a consumer that stopped
+            if start < len(data):
+                self._buffer = bytearray(view[start:])
 
     def pending_bytes(self) -> int:
         """Bytes buffered towards a not-yet-complete frame."""

@@ -28,7 +28,7 @@ def python_calls(fn) -> int:
     """Python-level "call" events while ``fn()`` runs.
 
     The collector is off meanwhile: a collection would run the
-    finalizers of whatever earlier tests left behind inside the count.
+    finalizers of whatever garbage is pending inside the count.
     """
     calls = 0
 
@@ -37,7 +37,6 @@ def python_calls(fn) -> int:
         if event == "call":
             calls += 1
 
-    gc.collect()
     gc.disable()
     sys.setprofile(profile)
     try:

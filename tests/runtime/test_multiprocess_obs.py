@@ -271,8 +271,7 @@ def run_kv_with_fault(substrate, workers=None, restarts=0, fault=None):
     config = RuntimeConfig(se_instances={"table": 2},
                            substrate=substrate, workers=workers,
                            worker_restarts=restarts)
-    runtime = Runtime(build_kv_sdg(), config).deploy()
-    try:
+    with Runtime(build_kv_sdg(), config).deploy() as runtime:
         for i in range(20):
             runtime.inject("serve", ("put", f"k{i}", i))
         runtime.run_until_idle()
@@ -290,8 +289,6 @@ def run_kv_with_fault(substrate, workers=None, restarts=0, fault=None):
         processed = runtime.merged_metrics().snapshot()[
             "engine_items_processed_total"]["children"]
         return results, processed, state_fingerprint(runtime)
-    finally:
-        runtime.close()
 
 
 class TestInjectAfterWorkerDeath:
@@ -435,18 +432,18 @@ class TestMalformedFrame:
     the coordinator fails the worker that sent it."""
 
     def test_a_worker_that_reads_one_reports_a_crash(self):
-        processes = []
+        links = []
 
         def fault(runtime, worker_id):
-            processes.append(runtime.substrate._links[worker_id].process)
+            links.append(runtime.substrate._links[worker_id])
             send_empty_frame(runtime, worker_id)
 
         with pytest.raises(RuntimeExecutionError, match=(
                 "(?s)worker 0 crashed.*WireError: malformed 0-byte frame")):
             run_kv_with_fault("multiprocess", workers=2, fault=fault)
-        (process,) = processes
-        process.join(timeout=10)
-        assert process.exitcode == 1
+        # Recorded when close() joined and released the worker.
+        (link,) = links
+        assert link.exitcode == 1
 
     def test_the_coordinator_fails_the_worker_that_sent_one(self):
         with pytest.raises(RuntimeExecutionError, match=(
@@ -704,15 +701,12 @@ class TestCrashFlightRecorder:
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2,
                                flight_recorder=32)
-        runtime = Runtime(sdg, config).deploy()
-        try:
+        with Runtime(sdg, config).deploy() as runtime:
             for i in range(10):
                 runtime.inject("serve", ("put", "steady", i))
             runtime.inject("serve", ("put", "boom", 1))
             with pytest.raises(RuntimeExecutionError) as err:
                 runtime.run_until_idle()
-        finally:
-            runtime.close()
         text = str(err.value)
         assert "flight recorder" in text
         # The ring shows the fatal envelope itself as its last entry.

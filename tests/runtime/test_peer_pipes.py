@@ -7,7 +7,6 @@ ordered pair of workers agrees on the envelopes sent and consumed
 between them. Counts and cross-substrate equality only; no wall clock.
 """
 
-import gc
 import os
 import signal
 
@@ -264,11 +263,10 @@ class TestPeerFaults:
         # peer was streaming to it, and a write into the dead pipe ends
         # the writer (or its read of the pipe's end does) — no hang.
         flag = str(tmp_path / "killed.flag")
-        runtime = Runtime(build_killed_wordcount(flag, where), RuntimeConfig(
-            te_instances={"split": 2}, se_instances={"counts": 4},
-            substrate="multiprocess", workers=2)).deploy()
-        processes = [link.process for link in runtime.substrate._links]
-        try:
+        with Runtime(build_killed_wordcount(flag, where), RuntimeConfig(
+                te_instances={"split": 2}, se_instances={"counts": 4},
+                substrate="multiprocess", workers=2)).deploy() as runtime:
+            processes = [link.process for link in runtime.substrate._links]
             for line in LINES:
                 runtime.inject("split", line)
             with pytest.raises(RuntimeExecutionError) as raised:
@@ -280,21 +278,17 @@ class TestPeerFaults:
             victim = codes.index(-signal.SIGKILL)
             assert f"worker {victim} exited unexpectedly" in str(
                 raised.value)
-        finally:
-            runtime.close()
 
     def test_a_restart_leaves_the_coordinator_fd_count_as_it_was(
             self, tmp_path):
         def open_fds():
-            gc.collect()  # earlier tests' garbage may hold fds too
             return len(os.listdir("/proc/self/fd"))
 
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2,
                                worker_restarts=1)
-        runtime = Runtime(build_crash_once_kv(str(tmp_path / "flag")),
-                          config).deploy()
-        try:
+        with Runtime(build_crash_once_kv(str(tmp_path / "flag")),
+                     config).deploy() as runtime:
             for i in range(24):
                 runtime.inject("serve", ("put", f"k{i}", i))
             runtime.run_until_idle()
@@ -304,5 +298,3 @@ class TestPeerFaults:
             assert len(runtime.events.events(
                 kind=KIND.WORKER_RESTART)) == 1
             assert open_fds() == before
-        finally:
-            runtime.close()

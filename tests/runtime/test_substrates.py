@@ -236,13 +236,13 @@ class TestWireBackpressure:
             runtime.close()
 
     def test_pending_envelope_is_in_flight(self):
-        # Less than one run injected, nothing pumped: the envelopes sit
-        # in the coordinator's pending lists, and the counters already
-        # say so — not quiet, yet no frame written.
+        # Less than one run injected, nothing pumped: each worker's
+        # first row after the barrier went at once, one frame each, and
+        # the rest sit in the coordinator's pending lists; the counters
+        # already say all 40 are in flight — not quiet.
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
             substrate = runtime.substrate
             runtime.run_until_idle()  # consume the hello handshake
             assert substrate._quiet()
@@ -250,16 +250,87 @@ class TestWireBackpressure:
             for i in range(40):
                 runtime.inject("serve", ("put", f"k{i}", i))
             pending = [len(link.pending) for link in substrate._links]
-            assert sum(pending) == 40 and max(pending) < WIRE_RUN
-            assert wire_totals(runtime)[0] == frames
+            assert sum(pending) == 40 - 2 and max(pending) < WIRE_RUN
+            assert wire_totals(runtime)[0] == frames + 2
+            assert sum(link.sent - link.consumed
+                       for link in substrate._links) == 40
             assert not substrate._quiet()
             assert runtime.run_until_idle() == 40
             assert substrate._quiet()
-        finally:
-            runtime.close()
+
+
+class TestFirstInputShipsAtInject:
+    """After a barrier, a worker's first input is written by ``inject``.
+
+    Frame counts the program makes itself; no wall clock.
+    """
+
+    def test_one_frame_at_inject_then_a_run_or_a_pump(self):
+        with deploy_kv() as runtime:
+            substrate = runtime.substrate
+            runtime.run_until_idle()  # the hellos
+            index = runtime.topology.routers["serve"].partition
+            keys = [f"k{i}" for i in range(8 * WIRE_RUN)
+                    if index(f"k{i}") == index("k0")][:WIRE_RUN + 1]
+            link = substrate._links[substrate.placement.owner_of(
+                "serve", index("k0"))]
+            frames = send_frames(runtime, "coordinator")
+            runtime.inject("serve", ("put", keys[0], 0))
+            assert send_frames(runtime, "coordinator") == frames + 1
+            assert (link.pending, link.sent - link.consumed) == ([], 1)
+            # Not caught up any more: the next rows wait for a run.
+            for i, key in enumerate(keys[1:WIRE_RUN], 1):
+                runtime.inject("serve", ("put", key, i))
+            assert send_frames(runtime, "coordinator") == frames + 1
+            assert len(link.pending) == WIRE_RUN - 1
+            runtime.inject("serve", ("put", keys[WIRE_RUN], WIRE_RUN))
+            assert send_frames(runtime, "coordinator") == frames + 2
+            assert link.pending == []
+            assert runtime.run_until_idle() == WIRE_RUN + 1
+
+    def test_a_burst_after_a_barrier_pumps_the_rest(self):
+        with deploy_kv() as runtime:
+            runtime.run_until_idle()
+            frames = send_frames(runtime, "coordinator")
+            for i in range(40):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            # One frame per worker the burst touched, then one per
+            # worker at the drain's first pump for the rest.
+            assert send_frames(runtime, "coordinator") == frames + 2
+            assert runtime.run_until_idle() == 40
+            assert send_frames(runtime, "coordinator") == frames + 4
+
+    def test_a_closed_loop_get_moves_two_frames(self):
+        def frames_sent(runtime):
+            return (send_frames(runtime, "coordinator")
+                    + send_frames(runtime, "worker"))
+
+        with deploy_kv() as runtime:
+            for i in range(20):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            runtime.run_until_idle()
+            before = frames_sent(runtime)
+            for round_ in range(1, 11):
+                runtime.inject("serve", ("get", f"k{round_}", None))
+                assert runtime.run_until_idle() == 1
+                # The input, and the worker's idle report.
+                assert frames_sent(runtime) == before + 2 * round_
+            assert len(runtime.results["serve"]) == 10
 
 
 class TestMultiprocessLifecycle:
+    def test_runtime_is_a_context_manager_that_closes_on_a_raise(self):
+        config = RuntimeConfig(se_instances={"table": 2},
+                               substrate="multiprocess", workers=2)
+        with pytest.raises(KeyError):
+            with Runtime(build_kv_sdg(), config).deploy() as runtime:
+                links = list(runtime.substrate._links)
+                runtime.inject("serve", ("put", "a", 1))
+                runtime.run_until_idle()
+                raise KeyError("mid-run")
+        assert runtime.substrate._links == []
+        assert [link.exitcode for link in links] == [0, 0]
+
     def test_worker_crash_propagates_with_traceback(self):
         sdg = SDG("crashy")
         sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED)
@@ -296,7 +367,8 @@ class TestMultiprocessLifecycle:
         runtime.close()
         assert substrate._links == []
         for link in links:
-            assert not link.process.is_alive()
+            # Reaped: the exit code recorded when its Process was closed.
+            assert link.exitcode is not None
 
     def test_close_with_undrained_input_is_prompt_and_leaks_no_fd(self):
         fds_before = len(os.listdir("/proc/self/fd"))
@@ -595,13 +667,14 @@ class TestEnvelopeRuns:
         # split ships its peer run before the next step; the other two
         # batch until the worker is idle: two peer frames, where a
         # worker that flushed only when idle would write one, and one
-        # that flushed after every step three.
+        # that flushed after every step three. (The first input after
+        # the barrier goes alone, at inject: an empty line, no words.)
         config = RuntimeConfig(te_instances={"split": 1},
                                se_instances={"counts": 4},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(build_wordcount_sdg(), config).deploy()
-        try:
+        with Runtime(build_wordcount_sdg(), config).deploy() as runtime:
             runtime.run_until_idle()  # the hellos
+            runtime.inject("split", (0, ""))
             words = " ".join(f"w{i}" for i in range(12))
             for i in range(3):
                 runtime.inject("split", (i, words))
@@ -609,8 +682,6 @@ class TestEnvelopeRuns:
             assert runtime.merged_metrics().total(
                 "transport_wire_forwards_total") >= 3
             assert peer_frames(runtime) == 2
-        finally:
-            runtime.close()
 
     def test_the_coordinator_never_decodes_a_forward(self):
         # Forwards go from worker to worker: the coordinator routes what
@@ -750,15 +821,15 @@ class TestEnvelopeRuns:
 
     def test_restart_replays_flushed_and_pending_lists(self, tmp_path):
         def run(flag, substrate, restarts=0):
-            runtime = deploy_kv(substrate, build_crash_once_kv(flag),
-                                     worker_restarts=restarts)
-            try:
+            with deploy_kv(substrate, build_crash_once_kv(flag),
+                           worker_restarts=restarts) as runtime:
                 if substrate == "multiprocess":
                     runtime.run_until_idle()  # hello consumed
                 # All on the crashing worker's link: WIRE_RUN + 5 puts,
                 # the key that kills its worker once, 30 more puts. No
-                # pump in between, so the link holds one flushed list
-                # (WIRE_RUN) and one pending (36) when the drain starts.
+                # pump in between, so the link holds the first put (sent
+                # at once, after the barrier), one flushed list
+                # (WIRE_RUN) and one pending (35) when the drain starts.
                 index = runtime.topology.routers["serve"].partition
                 keys = [f"k{i}" for i in range(8 * WIRE_RUN)
                         if index(f"k{i}") == index("boom")]
@@ -769,14 +840,12 @@ class TestEnvelopeRuns:
                     runtime.inject("serve", ("put", key, i))
                 if substrate == "multiprocess":
                     assert sorted(len(link.pending) for link
-                                  in runtime.substrate._links) == [0, 36]
+                                  in runtime.substrate._links) == [0, 35]
                 assert runtime.run_until_idle() == WIRE_RUN + 36
                 series = runtime.merged_metrics().snapshot()[
                     "engine_items_processed_total"]["children"]
                 restarts = runtime.events.events(kind=KIND.WORKER_RESTART)
                 return series, state_fingerprint(runtime), len(restarts)
-            finally:
-                runtime.close()
 
         flag = str(tmp_path / "crashed.flag")
         crashed = run(flag, "multiprocess", restarts=1)

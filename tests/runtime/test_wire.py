@@ -33,7 +33,6 @@ from repro.runtime.wire import (
     MSG_STATE,
     FrameBuffer,
     WireError,
-    decode_frame,
     decode_run,
     encode_frame,
     encode_run,
@@ -87,7 +86,7 @@ class TestFrameCodec:
         frame = encode_frame(message)
         (length,) = FRAME_HEADER.unpack(frame[:FRAME_HEADER.size])
         assert length == len(frame) - FRAME_HEADER.size
-        assert decode_frame(frame[FRAME_HEADER.size:]) == message
+        assert pickle.loads(frame[FRAME_HEADER.size:]) == message
 
     def test_oversized_message_refused(self, monkeypatch):
         import repro.runtime.wire as wire
@@ -298,6 +297,136 @@ class TestTornAndGarbageFrames:
         assert buffer.pending_bytes() == cut
         assert list(buffer.feed(following[cut:])) == [after]
         assert buffer.pending_bytes() == 0
+
+
+#: The bytes of a frame whose payload does not unpickle.
+BAD_FRAME = FRAME_HEADER.pack(3) + b"\xffab"
+
+
+def read_all(buffer, chunks):
+    """Feed ``chunks`` in turn: every message, and ``"WireError"`` in
+    the place of each bad frame, reading on past it as a reader that
+    skipped the frame would."""
+    out = []
+    for chunk in chunks:
+        feed = buffer.feed(chunk)
+        while True:
+            try:
+                out.extend(feed)
+                break
+            except WireError:
+                out.append("WireError")
+                feed = buffer.feed(b"")
+    return out
+
+
+class TestFramesParseInPlace:
+    """One parse path, however the stream is cut into reads."""
+
+    MESSAGES = [
+        (MSG_DELIVER, encode_run([make_envelope(ts=i) for i in range(3)])),
+        ("idle", 3, 4, 5, {"results": {"serve": [("k", 1)]}}),
+        (MSG_DELIVER, encode_run([make_envelope(
+            payload=NO_RESPONSE, request_id=9, expected=2)])),
+        ("snapshot",),
+    ]
+
+    def stream(self):
+        frames = [encode_frame(message) for message in self.MESSAGES]
+        return b"".join(frames[:2] + [BAD_FRAME] + frames[2:])
+
+    def expected(self):
+        return self.MESSAGES[:2] + ["WireError"] + self.MESSAGES[2:]
+
+    def test_whole_stream_in_one_read(self):
+        buffer = FrameBuffer()
+        assert read_all(buffer, [self.stream()]) == self.expected()
+        assert buffer.pending_bytes() == 0
+
+    def test_split_at_every_byte(self):
+        stream = self.stream()
+        for cut in range(len(stream) + 1):
+            buffer = FrameBuffer()
+            received = read_all(buffer, [stream[:cut], stream[cut:]])
+            assert received == self.expected(), cut
+            assert buffer.pending_bytes() == 0
+
+    def test_one_byte_per_read(self):
+        stream = self.stream()
+        buffer, received = FrameBuffer(), []
+        for i in range(len(stream)):
+            received.extend(read_all(buffer, [stream[i:i + 1]]))
+            assert buffer.pending_bytes() <= len(stream)
+        assert received == self.expected()
+        assert buffer.pending_bytes() == 0
+
+    def test_frame_bytes_is_each_frame_with_its_header(self):
+        stream = self.stream()
+        sizes = [len(encode_frame(message)) for message in self.MESSAGES]
+        for step in (1, 5, len(stream)):
+            buffer, seen = FrameBuffer(), []
+            chunks = [stream[i:i + step] for i in range(0, len(stream), step)]
+            for chunk in chunks:
+                feed = buffer.feed(chunk)
+                while True:
+                    try:
+                        for _ in feed:
+                            seen.append(buffer.frame_bytes)
+                        break
+                    except WireError:
+                        feed = buffer.feed(b"")
+            assert seen == sizes, step
+
+    def test_a_large_frame_arrives_in_many_reads(self):
+        # A state reply spans many pipe reads: each read below the
+        # frame's end only adds to the buffered head, and the frame
+        # decodes once, on the read that completes it.
+        message = ("state", b"x" * (1 << 20))
+        frame, chunk = encode_frame(message), 1 << 16
+        buffer, received = FrameBuffer(), []
+        for start in range(0, len(frame), chunk):
+            received.extend(buffer.feed(frame[start:start + chunk]))
+            if not received:
+                assert buffer.pending_bytes() == start + chunk
+        assert received == [message]
+        assert (buffer.pending_bytes(), buffer.frame_bytes) == (0, len(frame))
+
+    def test_a_reader_that_stops_keeps_the_rest(self):
+        # A consumer that stops after the first message (a crash report
+        # raises out of the coordinator's loop) leaves the rest buffered.
+        stream = self.stream()
+        buffer = FrameBuffer()
+        feed = buffer.feed(stream)
+        assert next(feed) == self.MESSAGES[0]
+        feed.close()
+        first = len(encode_frame(self.MESSAGES[0]))
+        assert buffer.pending_bytes() == len(stream) - first
+        assert read_all(buffer, [b""]) == self.expected()[1:]
+
+
+class TestChannelsCrossInterned:
+    def test_two_frames_naming_one_route_share_one_channel(self):
+        route = ChannelId(3, "split", 1, "count", 2)
+        first, second = (
+            encode_frame((MSG_DELIVER, encode_run(
+                [make_envelope(ts=ts)._replace(channel=route)])))
+            for ts in (1, 2))
+        (a,), (b,) = (decode_run(message[1])
+                      for message in FrameBuffer().feed(first + second))
+        assert a.channel is b.channel
+        assert a.channel == route and type(a.channel) is ChannelId
+        assert hash(a.channel) == hash(route)
+
+    def test_a_channel_pickles_as_its_fields_and_an_extension_code(self):
+        # The interning constructor travels as a copyreg extension code,
+        # not as a module path an unpickler would import.
+        route = ChannelId(INPUT_EDGE, "__input__", 0, "serve", 7)
+        payload = pickle.dumps(route, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"repro" not in payload
+        assert pickle.loads(payload) is pickle.loads(payload)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(route, protocol=protocol))
+            assert clone == route and type(clone) is ChannelId
 
 
 class TestEnvelopeSerialisation:
