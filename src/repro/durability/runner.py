@@ -253,7 +253,8 @@ class DurableRunner:
                     )
                 RecoveryManager._apply_meta(instance, te_meta)
         self.runtime.total_steps = latest.total_steps
-        self.runtime._input_seq = dict(latest.input_seq)
+        for entry, inputs in self.runtime._entries.items():
+            inputs.seq = latest.input_seq.get(entry, 0)
         restored = state_fingerprint(self.runtime)
         if restored != latest.state_hash:
             raise DurabilityError(
@@ -328,7 +329,8 @@ class DurableRunner:
             epoch=epoch,
             position=start + spec.items_per_epoch,
             state_hash=state_fingerprint(self.runtime),
-            input_seq=dict(self.runtime._input_seq),
+            input_seq={entry: inputs.seq for entry, inputs
+                       in self.runtime._entries.items() if inputs.seq},
             total_steps=self.runtime.total_steps,
             checkpoints=checkpoints,
             clean_topology=self._clean_topology(),

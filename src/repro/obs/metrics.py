@@ -124,6 +124,8 @@ class _Metric:
 
     kind = "untyped"
     _child_cls: type = _CounterChild
+    #: The registry whose shape a new cell grows (``None``: standalone).
+    _registry: "MetricsRegistry | None" = None
 
     def __init__(self, name: str, help: str = "") -> None:
         self.name = name
@@ -143,6 +145,8 @@ class _Metric:
         child = self._children.get(key)
         if child is None:
             child = self._children[key] = self._new_child()
+            if self._registry is not None:
+                self._registry.shape += 1
         return child
 
     def value(self, **labels: str) -> float:
@@ -200,15 +204,13 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 class ShardCache:
     """What one shard stream remembers between two
-    :meth:`MetricsRegistry.shard` calls: the shape it last described
-    (a count of metrics and cells), each metric's children table, and
-    the cells in registry order, histograms flagged."""
+    :meth:`MetricsRegistry.shard` calls: the registry shape it last
+    described, and the cells in registry order, histograms flagged."""
 
-    __slots__ = ("stamp", "tables", "cells")
+    __slots__ = ("stamp", "cells")
 
     def __init__(self) -> None:
         self.stamp = -1
-        self.tables: list[dict] = []
         self.cells: list[tuple[object, bool]] = []
 
 
@@ -217,11 +219,16 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
+        #: Metrics and cells created so far. Both are only ever added
+        #: (:meth:`reset` zeroes in place), so the count is the shape.
+        self.shape = 0
 
     def _get(self, name: str, kind: str, **kwargs) -> _Metric:
         metric = self._metrics.get(name)
         if metric is None:
             metric = self._metrics[name] = _KINDS[kind](name, **kwargs)
+            metric._registry = self
+            self.shape += 1
         elif metric.kind != kind:
             raise MetricError(
                 f"metric {name!r} already registered as {metric.kind}, not {kind}"
@@ -316,23 +323,21 @@ class MetricsRegistry:
         of a counter or gauge cell, ``(counts, sum, count)`` of a
         histogram cell. ``schema`` describes those cells, one ``(name,
         kind, help, buckets, label keys)`` per metric, and is ``None``
-        when ``cache`` saw the same shape on the previous call. Metrics
-        and cells are only ever added (:meth:`reset` zeroes in place),
-        so their count is the shape. :meth:`expand` turns a pair back
-        into the snapshot.
+        when ``cache`` saw the same :attr:`shape` on the previous call:
+        then no children table is read. :meth:`expand` turns a pair
+        back into the snapshot.
         """
         metrics = self._metrics
         schema = None
-        if len(metrics) + sum(map(len, cache.tables)) != cache.stamp:
+        if self.shape != cache.stamp:
             schema = tuple(
                 (name, metric.kind, metric.help,
                  getattr(metric, "buckets", None), tuple(metric._children))
                 for name, metric in metrics.items())
-            cache.tables = [metric._children for metric in metrics.values()]
             cache.cells = [(child, metric.kind == "histogram")
                            for metric in metrics.values()
                            for child in metric._children.values()]
-            cache.stamp = len(metrics) + len(cache.cells)
+            cache.stamp = self.shape
         return schema, tuple([
             (tuple(cell.counts), cell.sum, cell.count) if histogram
             else cell.value

@@ -68,6 +68,35 @@ from repro.state import Partitioner
 RUN_MAX = 64
 
 
+class InputRoute:
+    """One entry slot's input route: its channel, the client-side input
+    log (envelopes no checkpoint has trimmed; a fleet leaves it empty)
+    and ``sink``, what the substrate resolved for the route on first use
+    (on a fleet: the owning worker and the rows not yet framed)."""
+
+    __slots__ = ("channel", "log", "sink")
+
+    def __init__(self, channel: ChannelId) -> None:
+        self.channel, self.log, self.sink = channel, [], None
+
+
+class EntryInputs:
+    """What ``inject`` reads of one entry TE: spec, key function,
+    injected-items cell, routes by slot, and the input seq. The seq is
+    per entry (see TEInstance.out_seq for why timestamps are per-stream,
+    not per-channel); it also names an injected broadcast's request id
+    and picks an unkeyed entry's round-robin slot, so replay re-derives
+    both."""
+
+    __slots__ = ("spec", "key_fn", "injected", "routes", "seq")
+
+    def __init__(self, spec: Any, injected: Any) -> None:
+        self.spec, self.key_fn, self.injected = (spec, spec.entry_key_fn,
+                                                 injected)
+        self.routes: list[InputRoute] = []
+        self.seq = 0
+
+
 class Runtime:
     """Deploys and executes one SDG in-process (the layer facade)."""
 
@@ -104,20 +133,9 @@ class Runtime:
         #: Collected payloads of TEs without outgoing dataflows.
         self.results: dict[str, list[Any]] = {}
         self.total_steps = 0
-        #: Per-entry global injection counter (see TEInstance.out_seq for
-        #: why timestamps are per-stream, not per-channel). It also names
-        #: an injected broadcast's request id and picks an unkeyed
-        #: entry's round-robin slot, so replay re-derives both.
-        self._input_seq: dict[str, int] = {}
-        #: Entry TE -> (spec, entry key function, injected-items cell);
-        #: filled by deploy, so before it every ``inject`` is refused.
-        self._entries: dict[str, tuple] = {}
-        #: The client-side input log: ``(entry, index)`` -> the interned
-        #: input ``ChannelId`` and the envelopes injected on it that no
-        #: checkpoint has trimmed yet; filled by the in-process substrate
-        #: (a fleet's coordinator leaves it empty).
-        self._input_routes: dict[tuple[str, int],
-                                 tuple[ChannelId, list[Envelope]]] = {}
+        #: Entry TE -> its :class:`EntryInputs`; filled by deploy, so
+        #: before it every ``inject`` is refused.
+        self._entries: dict[str, EntryInputs] = {}
         #: TEs without outgoing dataflows; their outputs are results.
         self._terminal_tes: frozenset[str] = frozenset()
         #: Result replay filter (§5), client-side like ``results``: stamps
@@ -284,8 +302,7 @@ class Runtime:
             "engine_items_processed_total", "items processed, by TE")
         instances_g = m.gauge(
             "runtime_te_instances", "live instances per TE")
-        self._entries = {te: (spec, spec.entry_key_fn,
-                              injected.labels(te=te))
+        self._entries = {te: EntryInputs(spec, injected.labels(te=te))
                          for te, spec in self.sdg.tasks.items()
                          if spec.is_entry}
         self._c_processed = {te: processed.labels(te=te)
@@ -360,43 +377,53 @@ class Runtime:
         """Feed one external item to entry TE ``entry`` (§3.1 dataflows).
 
         The item goes to ``substrate.deliver`` as a plain row with its
-        route's client-side input log. In-process the envelope is kept in
-        that log, so a failed entry TE can be replayed from "upstream"
-        (§5); a fleet's coordinator builds no envelope and keeps the row
-        only while a restart may replay it.
+        :class:`InputRoute`, found by slot index. In-process the
+        envelope is kept in the route's input log, so a failed entry TE
+        can be replayed from "upstream" (§5); a fleet's coordinator
+        builds no envelope and keeps the row only while a restart may
+        replay it.
         """
-        bound = self._entries.get(entry)
-        if bound is None:
+        inputs = self._entries.get(entry)
+        if inputs is None:
             self._require_deployed()
             self.sdg.task(entry)  # KeyError: no such TE
             raise RuntimeExecutionError(f"TE {entry!r} is not an entry point")
-        spec, key_fn, injected = bound
-        injected.value += 1
+        inputs.injected.value += 1
         # One trace per logical injection: a GLOBAL-access broadcast is
         # one item fanned out, so every slot shares the trace id.
         trace_id = (self.tracer.new_trace(self.total_steps)
                     if self.tracer is not None else None)
         request_id = expected = None
+        key_fn = inputs.key_fn
         if key_fn is not None:
             index = self.topology.routers[entry].partition(key_fn(payload))
-        elif spec.access is AccessMode.GLOBAL:
-            request_id = (INPUT_EDGE, entry, 0,
-                          self._input_seq.get(entry, 0) + 1)
+        elif inputs.spec.access is AccessMode.GLOBAL:
+            request_id = (INPUT_EDGE, entry, 0, inputs.seq + 1)
             expected, index = self.te_slot_count(entry), 0
         else:
-            index = self._input_seq.get(entry, 0) % self.te_slot_count(entry)
+            index = inputs.seq % self.te_slot_count(entry)
+        routes = inputs.routes
         # Once, or once per slot of a broadcast; no iterable is allocated.
         while True:
-            route = self._input_routes.get((entry, index))
-            if route is None:
-                channel = ChannelId(INPUT_EDGE, "__input__", 0, entry, index)
-                route = self._input_routes[entry, index] = (channel, [])
-            seq = self._input_seq[entry] = self._input_seq.get(entry, 0) + 1
-            self.substrate.deliver(route[1], (payload, seq, route[0],
-                                              request_id, expected, trace_id))
+            try:
+                route = routes[index]
+            except IndexError:
+                route = self._input_route(entry, index)
+            seq = inputs.seq = inputs.seq + 1
+            self.substrate.deliver(route, (payload, seq, route.channel,
+                                           request_id, expected, trace_id))
             index += 1
             if expected is None or index == expected:
                 return
+
+    def _input_route(self, entry: str, index: int) -> InputRoute:
+        """Slot ``index``'s route into ``entry``, opened (with any lower
+        slot's) on first use."""
+        routes = self._entries[entry].routes
+        while len(routes) <= index:
+            routes.append(InputRoute(ChannelId(
+                INPUT_EDGE, "__input__", 0, entry, len(routes))))
+        return routes[index]
 
     # ------------------------------------------------------------------
     # Processing
@@ -420,10 +447,14 @@ class Runtime:
         """
         if not self._deployed:
             self._require_deployed()
-        candidates = self.topology.candidates()
+        # ``Topology.candidates()``, written out while its cache is good.
+        topology = self.topology
+        candidates = topology._candidates
+        if candidates is None or candidates.version != topology.version:
+            candidates = topology.candidates()
         if not candidates.ready:
             return False
-        nodes = self.topology.nodes
+        nodes = topology.nodes
         instance, throttled = self.scheduler.select(candidates, nodes)
         if instance is None:
             if throttled:
@@ -674,7 +705,8 @@ class Runtime:
                 f"TE {instance.name!r}[{instance.index}] failed on "
                 f"{payload!r}: {exc}"
             ) from exc
-        outputs = ctx.drain()
+        # ``ctx.drain()``, written out: one call less per item.
+        outputs, ctx._outputs = ctx._outputs, []
         if returned is not None:
             outputs.append(returned)
         return outputs
@@ -795,9 +827,9 @@ class Runtime:
         """
         count = 0
         streams: list[Envelope] = []
-        for channel, buffered in self._input_routes.values():
-            if channel.dst_te == dst_te:
-                streams.extend(buffered)
+        inputs = self._entries.get(dst_te)
+        for route in inputs.routes if inputs is not None else ():
+            streams.extend(route.log)
         for producer in self.all_te_instances():
             if not self.nodes[producer.node_id].alive:
                 continue
@@ -838,11 +870,11 @@ class Runtime:
         """Trim a producer's output buffer after a downstream checkpoint."""
         edge_index, src_te, src_index = stream
         if edge_index == INPUT_EDGE:
-            route = self._input_routes.get((dst_te, dst_index))
-            if route is None:
+            inputs = self._entries.get(dst_te)
+            if inputs is None or dst_index >= len(inputs.routes):
                 return 0
             # In place: the inject path holds this very list.
-            buffered = route[1]
+            buffered = inputs.routes[dst_index].log
             keep = [e for e in buffered if e.ts > up_to_ts]
             dropped = len(buffered) - len(keep)
             buffered[:] = keep
@@ -852,9 +884,6 @@ class Runtime:
         if producer is None:
             return 0
         return producer.trim_output_buffer(channel, up_to_ts)
-
-    def input_buffers_snapshot(self) -> dict[ChannelId, list[Envelope]]:
-        return {c: list(b) for c, b in self._input_routes.values()}
 
     # ------------------------------------------------------------------
     # Runtime parallelism (§3.3)
@@ -945,15 +974,14 @@ class Runtime:
         channel = envelope.channel
         index = self._current_index(envelope)
         if channel.edge_index == INPUT_EDGE:
-            entry, routes = channel.dst_te, self._input_routes
-            _, buffered = routes.get((entry, channel.dst_instance), (None, ()))
+            entry, inputs = channel.dst_te, self._entries[channel.dst_te]
+            buffered = self._input_route(entry, channel.dst_instance).log
             if envelope in buffered:
                 buffered.remove(envelope)
-            route = routes.setdefault((entry, index),
-                                      (channel.reroute(index), []))
-            ts = self._input_seq[entry] = self._input_seq[entry] + 1
-            self.substrate.deliver(route[1], (envelope.payload, ts, route[0])
-                                   + envelope[3:])
+            route = self._input_route(entry, index)
+            ts = inputs.seq = inputs.seq + 1
+            self.substrate.deliver(route, (envelope.payload, ts,
+                                           route.channel) + envelope[3:])
         else:
             producer = self.te_instance(channel.src_te, channel.src_instance)
             if producer is None:

@@ -19,22 +19,23 @@ generated code that pickle cannot ship, but a forked child inherits the
 fully deployed runtime for free — only envelopes and control messages
 ever cross the wire.
 
-Envelopes cross in **runs**: ``deliver()`` appends an input's wire row
-(the coordinator builds no envelope) to a per-worker pending list that
-becomes one ``MSG_DELIVER`` frame at ``WIRE_RUN`` rows, at the top of
-every pump round (so ``run_until_idle``, ``poll`` and a state pull all
-flush) and ahead of any control frame to that worker, which keeps each
-link FIFO. The first input after a barrier — to a worker that has
-reported consuming all it was sent — ships from ``deliver()`` at once,
-so the worker wakes while the caller goes on to its drain; the rows
-after it batch as above. A worker groups what it sends other workers by
-destination (the transport resolves the owning worker once per route)
-and writes each group as one ``MSG_DELIVER`` into that worker's pipe:
-at ``WIRE_RUN`` envelopes, before every report, and — once per wake
-from a blocking wait — right after the first step that sent any, so
-the peer starts on it while this worker goes on. A worker empties its
-pipes into the inboxes, then takes up to ``WIRE_RUN`` local steps
-before it looks at them again.
+Envelopes cross in **runs**, one per channel: ``deliver()`` appends an
+input's wire row (the coordinator builds no envelope) to its route's
+pending rows, and a link's routes become one ``MSG_DELIVER`` frame at
+``WIRE_RUN`` rows, at the top of every pump round (so
+``run_until_idle``, ``poll`` and a state pull all flush) and ahead of
+any control frame to that worker, which keeps each link FIFO. The first
+input after a barrier — to a worker that has reported consuming all it
+was sent — ships from ``deliver()`` at once, so the worker wakes while
+the caller goes on to its drain. A worker queues what it sends other
+workers by destination (the transport resolves the owning worker once
+per route) and channel, and writes each destination's runs as one
+``MSG_DELIVER`` into its pipe: at ``WIRE_RUN`` envelopes, before every
+report, and — once per wake from a blocking wait — right after the
+first step that sent any, so the peer starts on it while this worker
+goes on. A worker lands each run it reads with one
+``Transport.deliver_run`` call, then takes up to ``WIRE_RUN`` local
+steps before it looks at its pipes again.
 
 Deadlock freedom by construction:
 
@@ -119,7 +120,7 @@ from repro.errors import RuntimeExecutionError
 from repro.obs.events import KIND
 from repro.obs.flight import render_dump
 from repro.obs.metrics import MetricsRegistry, ShardCache
-from repro.runtime.envelope import ChannelId, Envelope
+from repro.runtime.envelope import Envelope
 from repro.runtime.substrate import InProcessSubstrate
 from repro.runtime.wire import (
     MSG_CRASH,
@@ -132,7 +133,6 @@ from repro.runtime.wire import (
     MSG_TRACE,
     FrameBuffer,
     WireError,
-    decode_run,
     encode_frame,
     encode_run,
     write_bytes,
@@ -141,7 +141,7 @@ from repro.runtime.wire import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.deployment import WorkerPlacement
-    from repro.runtime.engine import Runtime
+    from repro.runtime.engine import InputRoute, Runtime
     from repro.runtime.instances import TEInstance
 
 #: Upper bound on consecutive local steps a worker takes without
@@ -153,9 +153,9 @@ WORKER_DRAIN_LIMIT = 10_000_000
 #: Read size for both sides of the pipe.
 _READ_CHUNK = 1 << 16
 
-#: Envelopes per data frame: a pending list becomes one ``MSG_DELIVER``
-#: frame when it reaches this length (or earlier, at the flush points),
-#: and a worker takes at most this many local steps
+#: Envelopes per data frame: the runs pending for one worker become one
+#: ``MSG_DELIVER`` frame at this many rows in all (or earlier, at the
+#: flush points), and a worker takes at most this many local steps
 #: between two looks at its pipe. The fastest of 64..512 on both
 #: 2-worker benchmarks (KV and wordcount, 2 cores); not ``RUN_MAX``.
 WIRE_RUN = 256
@@ -218,7 +218,7 @@ class _Link:
 
     __slots__ = (
         "worker_id", "process", "send_fd", "recv_fd", "buffer", "outbox",
-        "pending", "sent", "consumed", "processed", "peer_sent",
+        "runs", "queued", "sent", "consumed", "processed", "peer_sent",
         "peer_consumed", "results", "state_reply", "schema", "shard",
         "fenced_shard", "fenced_processed", "exitcode",
     )
@@ -232,9 +232,10 @@ class _Link:
         self.buffer = FrameBuffer()
         #: Encoded frames waiting for pipe capacity (never block a write).
         self.outbox: deque = deque()
-        #: Input rows routed to this worker and not yet framed: already
-        #: what a ``MSG_DELIVER`` carries.
-        self.pending: list[tuple] = []
+        #: Input routes with rows for this worker not yet framed (one
+        #: run each in the next ``MSG_DELIVER``), and their row count.
+        self.runs: list[_Run] = []
+        self.queued = 0
         #: Routed towards this worker: items (framed or still pending)
         #: plus one per control frame.
         self.sent = 0
@@ -263,6 +264,21 @@ class _Link:
         self.fenced_processed = 0
         #: The worker's exit code, recorded once the fleet is released.
         self.exitcode: int | None = None
+
+    @property
+    def pending(self) -> list[tuple]:
+        """The rows routed here and not yet framed, in frame order."""
+        return [row for run in self.runs for row in run.rows]
+
+
+class _Run:
+    """An input route's sink on a fleet: the owning worker's id and the
+    route's rows not yet framed."""
+
+    __slots__ = ("owner", "rows")
+
+    def __init__(self, owner: int) -> None:
+        self.owner, self.rows = owner, []
 
 
 def _release(links: list) -> None:
@@ -336,9 +352,6 @@ class MultiprocessSubstrate:
         #: source for a fleet restart. Only kept when restarts are
         #: budgeted; the coordinator keeps no other per-input store.
         self._replay_log: list[tuple] = []
-        #: Input channel -> owning worker, asked once per route: the
-        #: placement outlives every fleet restart.
-        self._owners: dict[ChannelId, int] = {}
 
     # ------------------------------------------------------------------
     # Deploy: fork the fleet
@@ -438,29 +451,36 @@ class MultiprocessSubstrate:
     # Substrate protocol
     # ------------------------------------------------------------------
 
-    def deliver(self, log: list, row: tuple) -> bool:
-        """Queue one input row, as it goes on the wire, on the worker
-        owning its destination. ``log`` stays empty: a fleet restart
-        replays :attr:`_replay_log`, kept only while restarts are left.
+    def deliver(self, route: "InputRoute", row: tuple) -> bool:
+        """Queue one input row, as it goes on the wire, in its route's
+        run for the owning worker (asked once per route: the placement
+        outlives every fleet restart). The route's log stays empty: a
+        fleet restart replays :attr:`_replay_log`, kept only while
+        restarts are left.
         """
-        channel = row[2]
-        owner = self._owners.get(channel)
-        if owner is None:
-            owner = self._owners[channel] = self.placement.owner_of(
-                channel.dst_te, channel.dst_instance)
-        link = self._links[owner]
+        run = route.sink
+        if run is None:
+            channel = route.channel
+            run = route.sink = _Run(self.placement.owner_of(
+                channel.dst_te, channel.dst_instance))
+        link = self._links[run.owner]
         if self.restarts:
             # Log first: if the flush trips over a dead worker, the
             # restart's replay re-delivers this row too, so the
             # handler below must not retry it itself.
             self._replay_log.append(row)
-        # A worker that consumed all it was sent may be waiting for this
-        # row: it goes at once, and the worker wakes while the caller
-        # goes on. Later rows batch up to a run or a pump.
-        caught_up = link.consumed == link.sent and not link.pending
-        link.pending.append(row)
+        # A worker that consumed all it was sent (pending rows included)
+        # may be waiting for this row: it goes at once, and the worker
+        # wakes while the caller goes on. Later rows batch up to a run
+        # or a pump.
+        caught_up = link.consumed == link.sent
+        rows = run.rows
+        if not rows:
+            link.runs.append(run)
+        rows.append(row)
         link.sent += 1
-        if caught_up or len(link.pending) >= WIRE_RUN:
+        link.queued += 1
+        if caught_up or link.queued >= WIRE_RUN:
             try:
                 self._flush_run(link)
             except _WorkerFailure as failure:
@@ -539,6 +559,9 @@ class MultiprocessSubstrate:
     def _drop_fleet(self) -> None:
         """Release the fleet; nothing is ahead of the mirror any more."""
         links, self._links, self._readers = self._links, [], {}
+        for link in links:
+            for run in link.runs:
+                run.rows = []
         self._stale = False
         if self._finalizer is not None:
             self._finalizer.detach()
@@ -571,10 +594,14 @@ class MultiprocessSubstrate:
         self._frame(link, message)
 
     def _flush_run(self, link: _Link) -> None:
-        """Turn the link's pending rows into one ``MSG_DELIVER``."""
-        if link.pending:
-            run, link.pending = link.pending, []
-            self._frame(link, (MSG_DELIVER, run))
+        """Turn the link's pending runs into one ``MSG_DELIVER``."""
+        runs = link.runs
+        if runs:
+            link.runs, link.queued = [], 0
+            frame = [run.rows for run in runs]
+            for run in runs:
+                run.rows = []
+            self._frame(link, (MSG_DELIVER, frame))
 
     def _frame(self, link: _Link, message: Any) -> None:
         """Encode and count one outbound frame; write what the pipe takes."""
@@ -759,8 +786,10 @@ class MultiprocessSubstrate:
         self._drop_fleet()
         self._fork_fleet()
         log, self._replay_log = self._replay_log, []
-        for row in log:
-            self.deliver(None, row)  # routed, and logged, again
+        for row in log:  # routed, and logged, again
+            channel = row[2]
+            self.deliver(runtime._input_route(channel.dst_te,
+                                              channel.dst_instance), row)
 
     # ------------------------------------------------------------------
     # Barrier and state pull
@@ -872,11 +901,12 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         if inherited._finalizer is not None:
             inherited._finalizer.detach()
         inherited._links = []
-    # Envelopes consumed from the coordinator, items processed, and
-    # envelopes sent to / consumed from each worker, by its id.
-    consumed = processed = 0
+    # Envelopes consumed from each worker by its id and from the
+    # coordinator (at ``n_workers``), items processed, and envelopes
+    # sent to each worker.
     n_workers = placement.n_workers
-    peer_sent, peer_consumed = [0] * n_workers, [0] * n_workers
+    consumed, processed = [0] * (n_workers + 1), 0
+    peer_sent = [0] * n_workers
 
     substrate = _WorkerSubstrate()
     substrate.bind(runtime)
@@ -917,10 +947,12 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
     def ship(message: Any) -> None:
         write_bytes(send_fd, encode(message))
 
-    # Envelopes for each other worker, by its id, not yet framed; and
-    # framed bytes its pipe has not taken yet (a peer write never
-    # blocks: two workers writing each other full pipes would deadlock).
-    outgoing: list[list] = [[] for _ in range(n_workers)]
+    # Envelopes for each other worker, by its id, not yet framed (a run
+    # per channel) and their count; and framed bytes its pipe has not
+    # taken yet (a peer write never blocks: two workers writing each
+    # other full pipes would deadlock).
+    outgoing: list[dict] = [{} for _ in range(n_workers)]
+    queued = [0] * n_workers
     outboxes = {fd: deque() for fd in peer_out.values()}
 
     def write_peer(fd: int) -> None:
@@ -935,30 +967,36 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
             box.popleft()
 
     def flush_to(dst: int) -> None:
-        run = outgoing[dst]
-        peer_sent[dst] += len(run)
-        outboxes[peer_out[dst]].append(encode((MSG_DELIVER,
-                                               encode_run(run))))
-        run.clear()
+        runs = outgoing[dst]
+        peer_sent[dst] += queued[dst]
+        queued[dst] = 0
+        frame = [encode_run(run) for run in runs.values()]
+        runs.clear()
+        outboxes[peer_out[dst]].append(encode((MSG_DELIVER, frame)))
         write_peer(peer_out[dst])
 
     def flush_out() -> None:
-        for dst, run in enumerate(outgoing):
-            if run:
+        for dst, count in enumerate(queued):
+            if count:
                 flush_to(dst)
 
     def remote_send(envelope: "Envelope", dst: int) -> None:
-        run = outgoing[dst]
-        run.append(envelope)
-        if len(run) >= WIRE_RUN:
+        runs = outgoing[dst]
+        run = runs.get(envelope.channel)
+        if run is None:
+            runs[envelope.channel] = [envelope]
+        else:
+            run.append(envelope)
+        queued[dst] += 1
+        if queued[dst] >= WIRE_RUN:
             flush_to(dst)
 
     runtime.transport.enable_worker_routing(placement, worker_id,
                                             remote_send)
 
-    # Source of each readable pipe: None for the coordinator.
+    # Source of each readable pipe: n_workers for the coordinator.
     readers = {fd: (src, FrameBuffer())
-               for src, fd in [(None, recv_fd), *peer_in.items()]}
+               for src, fd in [(n_workers, recv_fd), *peer_in.items()]}
     for fd in [*readers, *peer_out.values()]:
         os.set_blocking(fd, False)
     pending: deque = deque()
@@ -1001,7 +1039,8 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
              == worker_id]
 
     def progress() -> tuple:
-        return consumed, processed, tuple(peer_sent), tuple(peer_consumed)
+        return (consumed[n_workers], processed, tuple(peer_sent),
+                tuple(consumed[:n_workers]))
 
     def report(tag: str, *extra: Any) -> tuple:
         """Ship the counters with everything new since the last report."""
@@ -1037,7 +1076,7 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         "engine_result_filter_entries", "result-filter channels and "
         "stamps past a gap a worker held when it last went idle").labels()
 
-    deliver = runtime.transport.deliver
+    deliver_run = runtime.transport.deliver_run
     step = runtime.step
     # The first report answers the hello: a report of no progress could
     # never make the fleet quiet, and whether it went out would depend
@@ -1058,15 +1097,11 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
             src, message = pending.popleft()
             tag = message[0]
             if tag == MSG_DELIVER:
-                run = decode_run(message[1])
-                if src is None:
-                    consumed += len(run)
-                else:
-                    peer_consumed[src] += len(run)
-                for envelope in run:
-                    deliver(envelope)
+                for rows in message[1]:
+                    consumed[src] += len(rows)
+                    deliver_run(rows)
                 continue
-            consumed += 1
+            consumed[src] += 1  # control: from the coordinator only
             if tag == MSG_SNAPSHOT:
                 snapshot = True
             elif tag == MSG_HELLO:
@@ -1083,7 +1118,7 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         steps = 0
         while steps < WIRE_RUN and step():
             steps += 1
-            if woke and any(outgoing):
+            if woke and any(queued):
                 flush_out()
                 woke = False
         processed += steps

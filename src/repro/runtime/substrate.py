@@ -34,7 +34,7 @@ from repro.errors import RuntimeExecutionError
 from repro.runtime.envelope import make_envelope
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.runtime.engine import Runtime
+    from repro.runtime.engine import InputRoute, Runtime
     from repro.runtime.envelope import Envelope
     from repro.runtime.instances import TEInstance
 
@@ -66,13 +66,14 @@ class ExecutionSubstrate(Protocol):
         """Attach to a deployed runtime (spawn workers, open pipes...)."""
         ...  # pragma: no cover - protocol
 
-    def deliver(self, log: list, row: tuple) -> bool:
+    def deliver(self, route: "InputRoute", row: tuple) -> bool:
         """Hand one injected item to the execution layer.
 
         ``row`` is the envelope's six fields as a plain tuple, ``(payload,
-        seq, channel, request_id, expected, trace_id)``; ``log`` is its
-        route's client-side input log, which a substrate appends the
-        envelope to when node recovery may replay it from there.
+        seq, channel, request_id, expected, trace_id)``; ``route`` is its
+        input route, whose ``log`` a substrate appends the envelope to
+        when node recovery may replay it from there, and whose ``sink``
+        keeps what the substrate resolved for the route on first use.
         """
         ...  # pragma: no cover - protocol
 
@@ -111,9 +112,9 @@ class InProcessSubstrate:
 
     # -- execution -------------------------------------------------------
 
-    def deliver(self, log: list, row: tuple) -> bool:
+    def deliver(self, route: "InputRoute", row: tuple) -> bool:
         envelope = make_envelope(row)
-        log.append(envelope)
+        route.log.append(envelope)
         return self.runtime.transport.deliver(envelope)
 
     def process(self, instance: "TEInstance",

@@ -148,13 +148,7 @@ class Transport:
             channel = self.channel(channel_id)
         topology = self._topology
         if channel.version != topology.version:
-            channel.instance = topology.te_instance(
-                channel_id.dst_te, channel_id.dst_instance)
-            placement = self._placement
-            owner = None if placement is None else placement.owner_of(
-                channel_id.dst_te, channel_id.dst_instance)
-            channel.remote = None if owner == self._local_worker else owner
-            channel.version = topology.version
+            self._resolve(channel)
         if channel.remote is not None:
             # Not ours: ship it to the owning worker via the wire, which
             # performs the actual inbox append on its side.
@@ -174,6 +168,36 @@ class Transport:
         if self.tracer is not None:
             self.tracer.on_deliver(envelope, self._clock())
         return True
+
+    def deliver_run(self, rows: list[tuple]) -> None:
+        """Land a run of wire rows of one channel with one call: the
+        route resolved once, the inbox extended, one ready-set add at
+        most. A remote, dead or traced route takes :meth:`deliver` per
+        envelope, which keeps refusals and ``on_deliver`` exact."""
+        channel, topology = self.channel(rows[0][2]), self._topology
+        if channel.version != topology.version:
+            self._resolve(channel)
+        instance = channel.instance
+        if (channel.remote is not None or instance is None
+                or self.tracer is not None
+                or not topology.nodes[instance.node_id].alive):
+            for row in rows:
+                self.deliver(make_envelope(row))
+            return
+        if not instance.inbox:
+            topology.candidates().add(instance)
+        instance.inbox.extend(map(make_envelope, rows))
+        self._c_delivered.value += len(rows)
+        channel.inbox_depth.value += len(rows)
+
+    def _resolve(self, channel: Channel) -> None:
+        """Resolve a route under the current ``Topology.version``."""
+        dst, topology = channel.channel_id[3:], self._topology
+        channel.instance = topology.te_instance(*dst)
+        placement = self._placement
+        owner = None if placement is None else placement.owner_of(*dst)
+        channel.remote = None if owner == self._local_worker else owner
+        channel.version = topology.version
 
     def send(self, src: "TEInstance", edge_index: int, dst_te: str,
              dst_index: int, payload: Any, request_id: RequestId | None,

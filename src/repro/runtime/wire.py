@@ -25,19 +25,19 @@ Workers write the coordinator blocking (:func:`write_bytes` /
 :func:`write_frame`); the coordinator, and a worker writing a peer,
 queue encoded frames and write them as the pipe takes them.
 
-Data frames carry **runs**: a ``MSG_DELIVER`` holds a list of up to
-``multiprocess.WIRE_RUN`` envelopes, so one pickle, one header and one
-``os.write`` are shared by the run. On the wire an envelope is a plain
-6-tuple row, ``(payload, seq, channel, request_id, expected,
-trace_id)`` (an ``Envelope`` would cost pickle one Python-level
-``__getnewargs__`` call each), and a route's ``ChannelId`` is written
-once per frame by pickle's memo and crosses interned
-(:func:`~repro.runtime.envelope.intern_channel`). A worker turns its
-envelopes into rows with :func:`encode_run` and writes the run to the
-owning worker's pipe; the coordinator never holds an injected
-envelope, it queues each input as that row already. Every receiver
-rebuilds the envelopes with :func:`decode_run`, and still serves them
-one at a time.
+Data frames carry **runs**: a ``MSG_DELIVER`` holds one list of rows
+per channel, up to ``multiprocess.WIRE_RUN`` rows in all, so one
+pickle, one header and one ``os.write`` are shared by the frame. On the
+wire an envelope is a plain 6-tuple row, ``(payload, seq, channel,
+request_id, expected, trace_id)`` (an ``Envelope`` would cost pickle
+one Python-level ``__getnewargs__`` call each), and a route's
+``ChannelId`` is written once per frame by pickle's memo and crosses
+interned (:func:`~repro.runtime.envelope.intern_channel`). The
+coordinator queues each input as that row already, under its route; a
+worker queues what it sends another worker under its channel and turns
+each run into rows with :func:`encode_run`. Every receiver lands each
+run with one ``Transport.deliver_run`` call, which rebuilds the
+envelopes as it extends the inbox.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import struct
 from typing import Any, Iterator
 
 from repro.errors import RuntimeExecutionError
-from repro.runtime.envelope import Envelope, make_envelope
+from repro.runtime.envelope import Envelope
 
 #: Frame header: payload length as a 4-byte big-endian unsigned int.
 FRAME_HEADER = struct.Struct(">I")
@@ -76,11 +76,6 @@ def encode_frame(message: Any) -> bytes:
 def encode_run(run: list[Envelope]) -> list[tuple]:
     """A run of envelopes as the plain tuples a data frame carries."""
     return list(map(tuple, run))
-
-
-def decode_run(rows: list[tuple]) -> list[Envelope]:
-    """The envelopes of a decoded data frame's rows, typed again."""
-    return list(map(make_envelope, rows))
 
 
 class FrameBuffer:
@@ -178,10 +173,11 @@ def write_frame(fd: int, message: Any) -> None:
 #: index digest, capability flags); the worker verifies it against its
 #: own forked view before serving traffic.
 MSG_HELLO = "hello"
-#: coordinator or peer -> worker: ``(tag, rows)`` — a run of envelopes
-#: as rows, to enqueue locally, in order. Built by the coordinator for
-#: the inputs it routes, and by a worker (``encode_run``) for what it
-#: sends another worker down their pipe.
+#: coordinator or peer -> worker: ``(tag, [rows of channel a, rows of
+#: channel b, ...])`` — one run of envelopes as rows per channel, each
+#: in order, to enqueue locally. Built by the coordinator for the inputs
+#: it routes, and by a worker (``encode_run``) for what it sends another
+#: worker down their pipe.
 MSG_DELIVER = "deliver"
 #: coordinator -> worker: state pull — ship back the SE elements you own.
 MSG_SNAPSHOT = "snapshot"

@@ -12,3 +12,11 @@ from repro.testing import (  # noqa: F401
     noop,
     reference_cf,
 )
+
+
+def input_logs(runtime):
+    """Each opened input route's channel -> a copy of its client-side
+    input log (the envelopes no checkpoint has trimmed yet)."""
+    return {route.channel: list(route.log)
+            for inputs in runtime._entries.values()
+            for route in inputs.routes}

@@ -139,3 +139,67 @@ class TestShardCodec:
         registry.shard(cache)
         steady = len(pickle.dumps(registry.shard(cache)))
         assert steady * 4 < len(pickle.dumps(registry.snapshot()))
+
+
+class ReadCountingTable(dict):
+    """A metric's children table that counts every read of its cells."""
+
+    reads = 0
+
+    def _read(self):
+        ReadCountingTable.reads += 1
+
+    def __len__(self):
+        self._read()
+        return super().__len__()
+
+    def __iter__(self):
+        self._read()
+        return super().__iter__()
+
+    def values(self):
+        self._read()
+        return super().values()
+
+    def items(self):
+        self._read()
+        return super().items()
+
+    def keys(self):
+        self._read()
+        return super().keys()
+
+
+class TestShapeCheckIsConstant:
+    """The shape a shard compares is one counter: counted, no clock."""
+
+    def test_a_steady_shard_reads_no_children_table(self):
+        registry = MetricsRegistry()
+        for i in range(20):
+            registry.counter(f"c{i}").labels(te="serve").inc(i)
+        registry.histogram("h", buckets=(1, 10)).labels(te="a").observe(3)
+        cache = ShardCache()
+        assert registry.shard(cache)[0] is not None
+        for metric in registry._metrics.values():
+            metric._children = ReadCountingTable(metric._children)
+        ReadCountingTable.reads = 0
+        registry.counter("c3").labels(te="serve").inc()  # a known cell
+        first, second = registry.shard(cache), registry.shard(cache)
+        assert first[0] is None and second[0] is None
+        assert ReadCountingTable.reads == 0
+        assert first[1][3] == 4.0
+        # A new label child: the next shard describes the registry again.
+        registry.counter("c3").labels(te="new").inc()
+        schema, values = registry.shard(cache)
+        assert schema is not None and len(values) == 22
+        assert registry.shard(cache)[0] is None
+
+    def test_the_shape_counts_metrics_and_cells(self):
+        registry = MetricsRegistry()
+        registry.counter("a")
+        registry.counter("a").labels(te="x").inc()
+        registry.counter("a").labels(te="x").inc()
+        registry.gauge("g").set(1)
+        assert registry.shape == 4
+        registry.reset()
+        assert registry.shape == 4

@@ -6,7 +6,7 @@ from repro.errors import RecoveryError
 from repro.recovery import BackupStore, CheckpointManager
 from repro.runtime import Runtime, RuntimeConfig
 
-from tests.helpers import build_kv_sdg
+from tests.helpers import build_kv_sdg, input_logs
 
 
 def deploy_with_manager(n_partitions=1, m_targets=2):
@@ -121,12 +121,12 @@ class TestBufferTrimming:
             runtime.inject("serve", ("put", i, i))
         runtime.run_until_idle()
         buffered_before = sum(
-            len(b) for b in runtime.input_buffers_snapshot().values()
+            len(b) for b in input_logs(runtime).values()
         )
         assert buffered_before == 15
         manager.checkpoint(node_of_partition(runtime))
         buffered_after = sum(
-            len(b) for b in runtime.input_buffers_snapshot().values()
+            len(b) for b in input_logs(runtime).values()
         )
         assert buffered_after == 0
 
@@ -141,7 +141,7 @@ class TestBufferTrimming:
             runtime.inject("serve", ("put", i, i))
         manager.checkpoint(node_of_partition(runtime))
         buffered = sum(
-            len(b) for b in runtime.input_buffers_snapshot().values()
+            len(b) for b in input_logs(runtime).values()
         )
         assert buffered == 4
 
@@ -162,8 +162,7 @@ class TestMultiprocessMidCheckpoint:
         complete, holding exactly its partition's pre-begin keys."""
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
             manager = CheckpointManager(runtime, BackupStore(m_targets=2))
             for i in range(20):
                 runtime.inject("serve", ("put", f"pre{i}", i))
@@ -182,5 +181,3 @@ class TestMultiprocessMidCheckpoint:
                     for key, _value in chunk.items}
             assert keys == before
             assert runtime.metrics.total("recovery_checkpoints_total") == 1
-        finally:
-            runtime.close()

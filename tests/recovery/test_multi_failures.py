@@ -10,7 +10,7 @@ from repro.recovery import (
 )
 from repro.runtime import Runtime, RuntimeConfig
 
-from tests.helpers import build_cf_sdg, build_kv_sdg
+from tests.helpers import build_cf_sdg, build_kv_sdg, input_logs
 
 
 def kv_cluster(n_partitions=3, store=None):
@@ -136,7 +136,7 @@ class TestSequentialFailures:
         node = runtime.se_instance("table", 0).node_id
         ckpt.checkpoint(node)
         buffered = sum(
-            len(b) for b in runtime.input_buffers_snapshot().values()
+            len(b) for b in input_logs(runtime).values()
         )
         assert buffered == 0  # everything trimmed
         runtime.fail_node(node)

@@ -10,7 +10,7 @@ from repro.recovery import (
 )
 from repro.runtime import Runtime, RuntimeConfig
 
-from tests.helpers import build_kv_sdg
+from tests.helpers import build_kv_sdg, input_logs
 
 
 def deploy(every_items=50, complete_after=10, n_partitions=1):
@@ -82,7 +82,7 @@ class TestScheduling:
         runtime.run_until_idle()
         scheduler.flush()
         buffered = sum(
-            len(b) for b in runtime.input_buffers_snapshot().values()
+            len(b) for b in input_logs(runtime).values()
         )
         assert buffered < 100
 

@@ -19,6 +19,7 @@ from repro.apps.wordcount import build_wordcount_sdg
 from repro.errors import RuntimeExecutionError
 from repro.runtime import Runtime, RuntimeConfig
 from repro.testing import build_kv_sdg
+from tests.helpers import input_logs
 
 WORDCOUNT_TEXT = ["the quick brown fox", "jumps over the lazy dog",
                   "the fox", "dog days of state"]
@@ -69,18 +70,38 @@ class TestCountedHotPath:
         inject = python_calls(inject_all) / len(ops)
         drain = python_calls(runtime.run_until_idle) / len(ops)
         assert len(runtime.results["serve"]) == 500
-        # Entry spec, key function and cell come from one table lookup;
-        # inject hands a plain row to the substrate's deliver, which
-        # builds the envelope by a C-level call in its own frame; cells
-        # are bumped in place. What is left of inject: itself, the key
-        # function, the partition (one frame for a str key) and the two
-        # deliver seams (and, per batch, one ready-set add per
-        # partition whose inbox was empty). Of the drain: step,
-        # candidates, select, process, _serve, _invoke, the task, its
-        # one KeyValueMap op, drain of its emits, _collect_result and
-        # its stamp, and the three no-op NULL_PROBE calls.
-        assert inject < 5.02, inject
-        assert inject + drain <= 20, (inject, drain)
+        # Entry spec, key function, cell, seq and routes come from one
+        # table lookup, the route by list index; inject hands a plain
+        # row to the substrate's deliver, which builds the envelope by a
+        # C-level call in its own frame; cells are bumped in place. What
+        # is left of inject: itself, the key function, the partition
+        # (one frame for a str key) and the two deliver seams (and, per
+        # batch, one ready-set add per partition whose inbox was
+        # empty). Of the drain: step, select, process, _serve, _invoke,
+        # the task, its one KeyValueMap op, _collect_result and its
+        # stamp, and the three no-op NULL_PROBE calls (the cached
+        # candidates and the task's emits are read without a call).
+        assert inject <= 5.01, inject
+        assert inject + drain <= 18, (inject, drain)
+
+    def test_a_coordinator_inject_costs_at_most_4_python_calls(self):
+        # On a fleet the coordinator builds no envelope: inject, the key
+        # function, the partition and the substrate's deliver, which
+        # finds the owning worker and the route's pending rows on the
+        # route itself; framing is paid per run of 256, not per item.
+        config = RuntimeConfig(se_instances={"table": 4},
+                               substrate="multiprocess", workers=2)
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
+            runtime.run_until_idle()
+            ops = kv_ops(2000)
+
+            def inject_all():
+                for op in ops:
+                    runtime.inject("serve", op)
+
+            inject = python_calls(inject_all) / len(ops)
+            assert runtime.run_until_idle() == len(ops)
+        assert inject <= 4.05, inject
 
     def test_a_keyed_send_costs_at_most_4_python_calls_per_item(self):
         runtime = Runtime(build_wordcount_sdg(),
@@ -89,7 +110,7 @@ class TestCountedHotPath:
         runtime.run_until_idle()
         (split,) = runtime.te_instances("split")
         ((edge_index, edge),) = runtime.dispatcher.successors("split")
-        cause = runtime._input_routes["split", 0][1][0]
+        ((_channel, (cause,)),) = input_logs(runtime).items()
         outputs = [(0, word) for line in WORDCOUNT_TEXT * 16
                    for word in line.split()]
 
@@ -127,7 +148,7 @@ class TestCountedHotPath:
                 return placement.owner_of(te_name, index)
 
         substrate.placement = counting = Counting()
-        try:
+        with runtime:
             for i in range(1000):
                 runtime.inject("serve", ("put", f"k{i}", i))
             assert runtime.run_until_idle() == 1000
@@ -139,8 +160,6 @@ class TestCountedHotPath:
             assert counting.asked <= 4
             assert sorted(runtime.results["serve"]) == sorted(
                 (f"k{i}", i) for i in range(1000))
-        finally:
-            runtime.close()
 
 
 class TestEntryTable:

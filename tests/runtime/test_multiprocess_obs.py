@@ -41,6 +41,7 @@ from repro.runtime.wire import (
 )
 from repro.state import KeyValueMap
 from repro.testing import build_kv_sdg
+from tests.helpers import input_logs
 
 
 def hop_view(runtime):
@@ -83,31 +84,25 @@ def spy_peers(runtime):
 def traced_kv(substrate, workers=None):
     config = RuntimeConfig(se_instances={"table": 4}, trace=True,
                            substrate=substrate, workers=workers)
-    runtime = Runtime(build_kv_sdg(), config).deploy()
-    try:
+    with Runtime(build_kv_sdg(), config).deploy() as runtime:
         for i in range(60):
             runtime.inject("serve", ("put", f"k{i % 11}", i))
         for i in range(7):
             runtime.inject("serve", ("get", f"k{i}", None))
         runtime.run_until_idle()
         return hop_view(runtime)
-    finally:
-        runtime.close()
 
 
 def traced_wordcount(substrate, workers=None):
     config = RuntimeConfig(se_instances={"counts": 4}, trace=True,
                            substrate=substrate, workers=workers)
-    runtime = Runtime(build_wordcount_sdg(), config).deploy()
-    try:
+    with Runtime(build_wordcount_sdg(), config).deploy() as runtime:
         text = ["the quick brown fox", "jumps over the lazy dog",
                 "the fox", "dog days of state"]
         for i in range(40):
             runtime.inject("split", (i, text[i % len(text)]))
         runtime.run_until_idle()
         return hop_view(runtime)
-    finally:
-        runtime.close()
 
 
 def closed_loop_kv(n, spy=None):
@@ -116,16 +111,15 @@ def closed_loop_kv(n, spy=None):
     ``spy(link, message)`` sees every frame the coordinator handles."""
     config = RuntimeConfig(se_instances={"table": 2},
                            substrate="multiprocess", workers=2)
-    runtime = Runtime(build_kv_sdg(), config).deploy()
-    if spy is not None:
-        handle = runtime.substrate._handle
+    with Runtime(build_kv_sdg(), config).deploy() as runtime:
+        if spy is not None:
+            handle = runtime.substrate._handle
 
-        def spying(link, message):
-            spy(link, message)
-            return handle(link, message)
+            def spying(link, message):
+                spy(link, message)
+                return handle(link, message)
 
-        runtime.substrate._handle = spying
-    try:
+            runtime.substrate._handle = spying
         # Each worker's report on its hello lands here, so the frame
         # counts below do not depend on how fast the fork came up.
         runtime.run_until_idle()
@@ -134,8 +128,6 @@ def closed_loop_kv(n, spy=None):
             runtime.inject("serve", (op, f"k{i % 37}", i))
             runtime.run_until_idle()
         return runtime.merged_metrics().snapshot()
-    finally:
-        runtime.close()
 
 
 class TestDistributedTracing:
@@ -154,15 +146,12 @@ class TestDistributedTracing:
     def test_hops_carry_worker_ids(self):
         config = RuntimeConfig(se_instances={"table": 2}, trace=True,
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
             for i in range(20):
                 runtime.inject("serve", ("put", f"k{i}", i))
             runtime.run_until_idle()
             workers = {hop.worker for trace in runtime.tracer.traces()
                        for hop in trace.hops}
-        finally:
-            runtime.close()
         # Every hop was served by a real worker, never the coordinator.
         assert workers and None not in workers
         assert workers <= {0, 1}
@@ -174,8 +163,7 @@ class TestLiveMetricStreaming:
     def test_poll_telemetry_streams_before_the_barrier(self):
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
             n = 50
             for i in range(n):
                 runtime.inject("serve", ("put", f"k{i}", i))
@@ -195,14 +183,11 @@ class TestLiveMetricStreaming:
             runtime.run_until_idle()
             assert runtime.merged_metrics().total(
                 "engine_items_processed_total") == n
-        finally:
-            runtime.close()
 
     def test_wire_metrics_account_both_directions(self):
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
             for i in range(30):
                 runtime.inject("serve", ("put", f"k{i}", i))
             runtime.run_until_idle()
@@ -215,8 +200,6 @@ class TestLiveMetricStreaming:
             assert frames > 0 and sent > 0 and recv > 0
             assert metrics.total("wire_bytes_total") > 0
             assert metrics.total("wire_serialize_seconds_total") > 0
-        finally:
-            runtime.close()
 
     def test_reports_ship_the_schema_once_and_stay_small(self):
         reports = []
@@ -299,8 +282,7 @@ class TestInjectAfterWorkerDeath:
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2,
                                worker_restarts=0)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
             runtime.inject("serve", ("put", "k", 1))
             runtime.run_until_idle()
             kill_worker(runtime, 0)
@@ -309,8 +291,6 @@ class TestInjectAfterWorkerDeath:
             with pytest.raises(RuntimeExecutionError, match="worker 0"):
                 for i in range(8 * WIRE_RUN):
                     runtime.inject("serve", ("put", f"j{i}", i))
-        finally:
-            runtime.close()
 
     def test_with_budget_the_same_sequence_matches_in_process(self):
         crashed = run_kv_with_fault("multiprocess", workers=2, restarts=1,
@@ -318,6 +298,42 @@ class TestInjectAfterWorkerDeath:
         clean = run_kv_with_fault("inprocess")
         assert crashed == clean
         assert len(crashed[0]["serve"]) == 20
+
+
+    def test_rows_pending_for_a_survivor_are_replayed_once(self):
+        # Rows wait in the survivor's route runs when inject finds the
+        # dead worker: the restart drops them with the fleet, and the
+        # replay queues each once, on the new fleet's links.
+        config = RuntimeConfig(se_instances={"table": 2},
+                               substrate="multiprocess", workers=2,
+                               worker_restarts=1)
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
+            substrate = runtime.substrate
+            runtime.run_until_idle()  # the hellos
+            partition = runtime.topology.routers["serve"].partition
+            keys = {worker: [key for key in map("k{}".format, range(99))
+                             if substrate.placement.owner_of(
+                                 "serve", partition(key)) == worker]
+                    for worker in (0, 1)}
+            for i, key in enumerate(keys[1][:10]):
+                runtime.inject("serve", ("put", key, i))
+            assert substrate._links[1].queued == 9  # the first went
+            kill_worker(runtime, 0)
+            runtime.inject("serve", ("put", keys[0][0], 99))
+            assert len(runtime.events.events(kind=KIND.WORKER_RESTART)) == 1
+            sinks = [route.sink for inputs in runtime._entries.values()
+                     for route in inputs.routes]
+            for sink in sinks:
+                assert (bool(sink.rows)
+                        == (sink in substrate._links[sink.owner].runs))
+            assert sum(len(sink.rows) for sink in sinks) == sum(
+                link.queued for link in substrate._links) == 11
+            assert runtime.run_until_idle() == 11
+            merged = {}
+            for inst in runtime.se_instances("table"):
+                merged.update(inst.element.items())
+        assert merged == {**{key: i for i, key in enumerate(keys[1][:10])},
+                          keys[0][0]: 99}
 
 
 class TestCoordinatorInputStore:
@@ -342,25 +358,22 @@ class TestCoordinatorInputStore:
 
     def test_without_restarts_no_input_is_kept(self):
         runtime, queued = self.deploy(restarts=0)
-        try:
+        with runtime:
             for i in range(2000):
                 runtime.inject("serve", ("put", f"k{i}", i))
             runtime.run_until_idle()
             assert len(queued) == 2000
             assert {type(row) for row in queued} == {tuple}
-            logs = [log for _channel, log
-                    in runtime._input_routes.values()]
+            logs = list(input_logs(runtime).values())
             assert len(logs) == 4
             assert sum(map(len, logs)) == 0
             assert runtime.substrate._replay_log == []
             assert sum(len(inst.element.items()) for inst
                        in runtime.se_instances("table")) == 2000
-        finally:
-            runtime.close()
 
     def test_with_restarts_rows_are_kept_until_the_barrier(self):
         runtime, queued = self.deploy(restarts=1)
-        try:
+        with runtime:
             for i in range(200):
                 runtime.inject("serve", ("put", f"k{i}", i))
             runtime.run_until_idle()
@@ -374,10 +387,7 @@ class TestCoordinatorInputStore:
             assert runtime.run_until_idle() == 300
             assert replay_log == []
             assert {type(row) for row in queued} == {tuple}
-            assert sum(len(log) for _channel, log
-                       in runtime._input_routes.values()) == 0
-        finally:
-            runtime.close()
+            assert sum(map(len, input_logs(runtime).values())) == 0
 
 
 class TestNodeRecoveryRefused:
@@ -388,8 +398,7 @@ class TestNodeRecoveryRefused:
         def run(substrate, workers=None):
             config = RuntimeConfig(se_instances={"table": 2},
                                    substrate=substrate, workers=workers)
-            runtime = Runtime(build_kv_sdg(), config).deploy()
-            try:
+            with Runtime(build_kv_sdg(), config).deploy() as runtime:
                 for i in range(30):
                     runtime.inject("serve", ("put", f"k{i}", i))
                 runtime.run_until_idle()
@@ -406,8 +415,6 @@ class TestNodeRecoveryRefused:
                 assert runtime.run_until_idle() == 30
                 assert runtime.is_idle()
                 return state_fingerprint(runtime)
-            finally:
-                runtime.close()
 
         assert run("multiprocess", workers=2) == run("inprocess")
 
@@ -520,8 +527,7 @@ class TestCrashRestartAccounting:
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate=substrate, workers=workers,
                                worker_restarts=restarts)
-        runtime = Runtime(sdg, config).deploy()
-        try:
+        with Runtime(sdg, config).deploy() as runtime:
             for requests in rounds:
                 for request in requests:
                     runtime.inject("serve", request)
@@ -532,8 +538,6 @@ class TestCrashRestartAccounting:
                        for te, items in runtime.results.items()}
             events = runtime.events.events(kind=KIND.WORKER_RESTART)
             return (series, results, state_fingerprint(runtime), events)
-        finally:
-            runtime.close()
 
     def test_merged_metrics_survive_a_restart(self, tmp_path):
         flag = str(tmp_path / "crashed.flag")
@@ -596,7 +600,7 @@ class TestCrashRestartAccounting:
                               substrate=substrate, **config)).deploy()
             peers = (spy_peers(runtime) if substrate == "multiprocess"
                      else {})
-            try:
+            with runtime:
                 for start in range(0, 90, 30):
                     written = sum(map(sum, peers.values()))
                     for line in lines[start:start + 30]:
@@ -610,8 +614,6 @@ class TestCrashRestartAccounting:
                         metrics["engine_items_processed_total"]["children"],
                         runtime.events.events(kind=KIND.WORKER_RESTART),
                         sum(map(sum, peers.values())) - written)
-            finally:
-                runtime.close()
 
         flag = str(tmp_path / "crashed.flag")
         crashed = run(flag, "multiprocess", workers=2, worker_restarts=1)
@@ -643,13 +645,10 @@ class TestCrashRestartAccounting:
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2,
                                worker_restarts=1)
-        runtime = Runtime(sdg, config).deploy()
-        try:
+        with Runtime(sdg, config).deploy() as runtime:
             runtime.inject("serve", ("put", "boom", 1))
             with pytest.raises(RuntimeExecutionError, match="crashed"):
                 runtime.run_until_idle()
-        finally:
-            runtime.close()
 
 
 class TestFleetRestartHygiene:
@@ -665,15 +664,13 @@ class TestFleetRestartHygiene:
                           config).deploy()
         # Pids only: a held ``Process`` would keep its sentinel fd open.
         pids = [link.process.pid for link in runtime.substrate._links]
-        try:
+        with runtime:
             for i in range(24):
                 runtime.inject("serve", ("put", f"k{i}", i))
             runtime.inject("serve", ("put", "boom", 99))
             assert runtime.run_until_idle() == 25
             pids += [link.process.pid for link in runtime.substrate._links]
             restarts = runtime.events.events(kind=KIND.WORKER_RESTART)
-        finally:
-            runtime.close()
         assert len(restarts) == 1
         assert len(set(pids)) == 4
         # Reaped, not merely exited: a zombie still has a /proc entry.
@@ -721,8 +718,7 @@ class TestMergedProfile:
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2,
                                profile=True)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
             for i in range(30):
                 runtime.inject("serve", ("put", f"k{i}", i))
             runtime.run_until_idle()
@@ -738,8 +734,6 @@ class TestMergedProfile:
             # fleet-wide.
             assert profile.count("process") == 30
             assert profile.count("dispatch") == 30
-        finally:
-            runtime.close()
 
     def test_restart_retires_phases_with_the_metric_shards(self, tmp_path):
         # Phases are metric series: a restarted fleet's barrier-fenced
@@ -754,7 +748,7 @@ class TestMergedProfile:
                   [("put", f"j{i}", i) for i in range(12)]
                   + [("put", "boom", 99)])
         counts = []
-        try:
+        with runtime:
             for requests in rounds:
                 for request in requests:
                     runtime.inject("serve", request)
@@ -763,8 +757,6 @@ class TestMergedProfile:
             processed = runtime.merged_metrics().total(
                 "engine_items_processed_total")
             restarts = runtime.events.events(kind=KIND.WORKER_RESTART)
-        finally:
-            runtime.close()
         assert len(restarts) == 1
         assert counts == [24, 37]
         assert processed == 37
@@ -772,10 +764,7 @@ class TestMergedProfile:
     def test_profile_off_means_none(self):
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
             runtime.inject("serve", ("put", "a", 1))
             runtime.run_until_idle()
             assert runtime.merged_profile() is None
-        finally:
-            runtime.close()

@@ -38,6 +38,8 @@ from repro.runtime import (
     resolve_substrate,
 )
 from repro.runtime.multiprocess import WIRE_RUN, MultiprocessSubstrate
+from repro.runtime.transport import Transport
+from repro.runtime.wire import MSG_DELIVER
 from repro.state import KeyValueMap, Matrix, Vector
 from repro.testing import build_iterative_sdg, build_kv_sdg
 from repro.workloads import RatingsWorkload
@@ -52,8 +54,7 @@ def run_kv(substrate, workers=None, puts=120, gets=13, partitions=4,
     """A fixed KV workload; returns (processed, fingerprint, results)."""
     config = RuntimeConfig(se_instances={"table": partitions},
                            substrate=substrate, workers=workers, **knobs)
-    runtime = Runtime(build_kv_sdg(), config).deploy()
-    try:
+    with Runtime(build_kv_sdg(), config).deploy() as runtime:
         for i in range(puts):
             runtime.inject("serve", ("put", f"k{i % 17}", i))
         for i in range(gets):
@@ -62,24 +63,19 @@ def run_kv(substrate, workers=None, puts=120, gets=13, partitions=4,
         fingerprint = state_fingerprint(runtime)
         results = {te: sorted(map(repr, items))
                    for te, items in runtime.results.items()}
-    finally:
-        runtime.close()
     return processed, fingerprint, results
 
 
 def run_wordcount(substrate, workers=None, lines=80, partitions=4):
     config = RuntimeConfig(se_instances={"counts": partitions},
                            substrate=substrate, workers=workers)
-    runtime = Runtime(build_wordcount_sdg(), config).deploy()
-    try:
+    with Runtime(build_wordcount_sdg(), config).deploy() as runtime:
         for i in range(lines):
             runtime.inject("split", (i, WORDCOUNT_TEXT[i % 4]))
         processed = runtime.run_until_idle()
         fingerprint = state_fingerprint(runtime)
         results = {te: sorted(map(repr, items))
                    for te, items in runtime.results.items()}
-    finally:
-        runtime.close()
     return processed, fingerprint, results
 
 
@@ -104,14 +100,11 @@ class TestCrossSubstrateDifferential:
                 se_instances={"modelA": 2, "modelB": 2},
                 substrate=substrate, workers=workers,
             )
-            runtime = Runtime(build_iterative_sdg(), config).deploy()
-            try:
+            with Runtime(build_iterative_sdg(), config).deploy() as runtime:
                 for n in (5, 8, 3):
                     runtime.inject("stepA", n)
                 processed = runtime.run_until_idle()
                 fingerprint = state_fingerprint(runtime)
-            finally:
-                runtime.close()
             return processed, fingerprint
 
         assert run("multiprocess", workers=2) == run("inprocess")
@@ -133,7 +126,7 @@ class TestCrossSubstrateDifferential:
             app = CollaborativeFiltering.launch(
                 RuntimeConfig(substrate=substrate, workers=workers),
                 user_item=2, co_occ=2)
-            try:
+            with app.runtime:
                 for op in ops:
                     if op.kind == "add_rating":
                         app.add_rating(op.user, op.item, op.rating)
@@ -146,8 +139,6 @@ class TestCrossSubstrateDifferential:
                 app.run()
                 replies = [rec.to_list() for rec in app.results("get_rec")]
                 return replies, state_fingerprint(app.runtime)
-            finally:
-                app.runtime.close()
 
         with monkeypatch.context() as patched:
             patched.setattr(Matrix, "multiply", full_scan_multiply)
@@ -168,7 +159,7 @@ class TestCrossSubstrateDifferential:
             app = CollaborativeFiltering.launch(
                 RuntimeConfig(substrate=substrate, workers=workers),
                 user_item=2, co_occ=2)
-            try:
+            with app.runtime:
                 for op in ops:
                     app.add_rating(op.user, op.item, op.rating)
                 app.run()
@@ -177,8 +168,6 @@ class TestCrossSubstrateDifferential:
                 app.run()
                 return sorted(rec.to_list()
                               for rec in app.results("get_rec"))
-            finally:
-                app.runtime.close()
 
         reference = run("inprocess")
         assert len(reference) == 12
@@ -193,8 +182,7 @@ class TestCrossSubstrateDifferential:
     def test_repeated_runs_accumulate_consistently(self):
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
             runtime.inject("serve", ("put", "a", 1))
             first = runtime.run_until_idle()
             runtime.inject("serve", ("put", "b", 2))
@@ -203,8 +191,6 @@ class TestCrossSubstrateDifferential:
             merged = {}
             for inst in runtime.se_instances("table"):
                 merged.update(dict(inst.element.items()))
-        finally:
-            runtime.close()
         assert (first, second) == (1, 2)
         assert merged == {"a": 1, "b": 2}
         assert ("a", 1) in runtime.results["serve"]
@@ -216,8 +202,7 @@ class TestWireBackpressure:
     def test_burst_drains_without_loss(self):
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
             # The coordinator never pumps during injection, so the whole
             # burst is in flight when the drain starts. Delivery never
             # drops: the drain completes (no deadlock), every envelope is
@@ -232,14 +217,13 @@ class TestWireBackpressure:
             for inst in runtime.se_instances("table"):
                 merged.update(dict(inst.element.items()))
             assert merged == {f"k{i}": i for i in range(n)}
-        finally:
-            runtime.close()
 
     def test_pending_envelope_is_in_flight(self):
         # Less than one run injected, nothing pumped: each worker's
         # first row after the barrier went at once, one frame each, and
-        # the rest sit in the coordinator's pending lists; the counters
-        # already say all 40 are in flight — not quiet.
+        # the rest sit in the coordinator's pending runs, one per route
+        # of that worker's; the counters already say all 40 are in
+        # flight — not quiet.
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2)
         with Runtime(build_kv_sdg(), config).deploy() as runtime:
@@ -249,8 +233,15 @@ class TestWireBackpressure:
             frames = wire_totals(runtime)[0]
             for i in range(40):
                 runtime.inject("serve", ("put", f"k{i}", i))
-            pending = [len(link.pending) for link in substrate._links]
+            pending = [link.queued for link in substrate._links]
             assert sum(pending) == 40 - 2 and max(pending) < WIRE_RUN
+            for link in substrate._links:
+                assert sum(len(run.rows) for run in link.runs) == link.queued
+                for run in link.runs:
+                    (channel,) = {row[2] for row in run.rows}
+                    assert substrate.placement.owner_of(
+                        channel.dst_te, channel.dst_instance) == run.owner
+                    assert run.owner == link.worker_id
             assert wire_totals(runtime)[0] == frames + 2
             assert sum(link.sent - link.consumed
                        for link in substrate._links) == 40
@@ -346,14 +337,11 @@ class TestMultiprocessLifecycle:
                      entry_key_fn=lambda r: r[1], entry_key_name="key")
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(sdg, config).deploy()
-        try:
+        with Runtime(sdg, config).deploy() as runtime:
             runtime.inject("serve", ("put", "ok", 1))
             runtime.inject("serve", ("put", "boom", 2))
             with pytest.raises(RuntimeExecutionError, match="crashed"):
                 runtime.run_until_idle()
-        finally:
-            runtime.close()
 
     def test_close_is_idempotent_and_reaps_workers(self):
         config = RuntimeConfig(se_instances={"table": 2},
@@ -432,14 +420,11 @@ class TestMultiprocessLifecycle:
         def processed_series(substrate, workers=None):
             config = RuntimeConfig(se_instances={"table": 2},
                                    substrate=substrate, workers=workers)
-            runtime = Runtime(build_kv_sdg(), config).deploy()
-            try:
+            with Runtime(build_kv_sdg(), config).deploy() as runtime:
                 for i in range(40):
                     runtime.inject("serve", ("put", f"k{i}", i))
                 runtime.run_until_idle()
                 snap = runtime.merged_metrics().snapshot()
-            finally:
-                runtime.close()
             return snap["engine_items_processed_total"]["children"]
 
         assert processed_series("multiprocess", workers=2) \
@@ -484,8 +469,7 @@ class TestStateStaysInWorkers:
     deploy = staticmethod(deploy_kv)
 
     def test_empty_drain_touches_no_pipe(self):
-        runtime = self.deploy()
-        try:
+        with self.deploy() as runtime:
             for i in range(20):
                 runtime.inject("serve", ("put", f"k{i}", i))
             assert runtime.run_until_idle() == 20
@@ -496,13 +480,10 @@ class TestStateStaysInWorkers:
                 before = wire_totals(runtime)
                 assert runtime.run_until_idle() == 0
                 assert wire_totals(runtime) == before
-        finally:
-            runtime.close()
 
     def test_request_bytes_do_not_grow_with_state(self):
         def get_round_bytes(distinct_keys):
-            runtime = self.deploy()
-            try:
+            with self.deploy() as runtime:
                 # Same operations, same values, same counters on both
                 # sides: only the number of entries held differs.
                 for i in range(5000):
@@ -519,8 +500,6 @@ class TestStateStaysInWorkers:
                                    after[1] - before[1]))
                 assert runtime.results["serve"] == [("k7", "v")] * 2
                 return deltas
-            finally:
-                runtime.close()
 
         assert get_round_bytes(100) == get_round_bytes(5000)
 
@@ -537,15 +516,12 @@ class TestStateStaysInWorkers:
 
         oracle = self.deploy("inprocess")
         oracle_seen = rounds(oracle)
-        runtime = self.deploy()
-        try:
+        with self.deploy() as runtime:
             results, bucket = runtime.results, runtime.results["serve"]
             assert rounds(runtime) == oracle_seen
             # The driver may hold a reference across requests.
             assert runtime.results is results
             assert runtime.results["serve"] is bucket
-        finally:
-            runtime.close()
         # Each key lives in one partition, so its replies keep their
         # order; across keys only the worker-order merge is fixed.
         assert per_key(bucket) == per_key(oracle.results["serve"])
@@ -556,8 +532,7 @@ class TestStateStaysInWorkers:
         # the read includes every put routed before it, and the report
         # it rides on is a quiescence report like any other, so the
         # drain after it still counts those puts.
-        runtime = self.deploy()
-        try:
+        with self.deploy() as runtime:
             for i in range(20):
                 runtime.inject("serve", ("put", f"k{i}", i))
             assert runtime.run_until_idle() == 20
@@ -566,21 +541,16 @@ class TestStateStaysInWorkers:
             assert sum(len(dict(instance.element.items())) for instance
                        in runtime.se_instances("table")) == 220
             assert runtime.run_until_idle() == 200
-        finally:
-            runtime.close()
 
     def test_checkpoint_pulls_before_it_freezes(self):
         # CheckpointManager walks node.se_instances itself, past the
         # Runtime accessors: begin() is a pull point of its own.
-        runtime = self.deploy()
-        try:
+        with self.deploy() as runtime:
             for i in range(40):
                 runtime.inject("serve", ("put", f"k{i}", i))
             runtime.run_until_idle()
             manager = CheckpointManager(runtime, BackupStore(m_targets=2))
             checkpoints = manager.checkpoint_all()
-        finally:
-            runtime.close()
         assert sum(c.state_entries() for c in checkpoints) == 40
 
     def test_state_read_after_close_is_the_last_barrier(self):
@@ -592,11 +562,8 @@ class TestStateStaysInWorkers:
             return runtime
 
         expected = state_fingerprint(drained("inprocess"))
-        read_first = drained("multiprocess")
-        try:
+        with drained("multiprocess") as read_first:
             before = state_fingerprint(read_first)
-        finally:
-            read_first.close()
         assert before == state_fingerprint(read_first) == expected
         never_read = drained("multiprocess")
         never_read.close()
@@ -632,8 +599,7 @@ class TestEnvelopeRuns:
     """
 
     def test_kv_ingest_frames_are_per_run_not_per_envelope(self):
-        runtime = deploy_kv()
-        try:
+        with deploy_kv() as runtime:
             runtime.run_until_idle()
             before = send_frames(runtime, "coordinator")
             n = 5000
@@ -642,16 +608,13 @@ class TestEnvelopeRuns:
             assert runtime.run_until_idle() == n
             sent = send_frames(runtime, "coordinator") - before
             assert 0 < sent <= math.ceil(n / WIRE_RUN) + 2
-        finally:
-            runtime.close()
 
     def test_wordcount_peer_frames_are_a_tenth_of_forwards(self):
         # The first peer run after a wake ships early; the rest still
         # batch, so the frames stay a tenth of the envelopes they carry.
         config = RuntimeConfig(se_instances={"counts": 4},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(build_wordcount_sdg(), config).deploy()
-        try:
+        with Runtime(build_wordcount_sdg(), config).deploy() as runtime:
             for i in range(3000):
                 runtime.inject("split", (i, WORDCOUNT_TEXT[i % 4]))
             runtime.run_until_idle()
@@ -659,8 +622,6 @@ class TestEnvelopeRuns:
                 "transport_wire_forwards_total")
             assert forwards > 1000
             assert 0 < peer_frames(runtime) * 10 <= forwards
-        finally:
-            runtime.close()
 
     def test_a_woken_worker_ships_its_first_peer_run_at_once(self):
         # One split instance wakes on a frame of three lines. The first
@@ -691,13 +652,13 @@ class TestEnvelopeRuns:
         runtime = Runtime(build_wordcount_sdg(), config).deploy()
         deliver, routed = runtime.substrate.deliver, []
 
-        def spy(log, row):
+        def spy(route, row):
             routed.append(row)
-            return deliver(log, row)
+            return deliver(route, row)
 
         runtime.substrate.deliver = spy
         written = spy_peers(runtime)
-        try:
+        with runtime:
             for i in range(3000):
                 runtime.inject("split", (i, WORDCOUNT_TEXT[i % 4]))
             runtime.run_until_idle()
@@ -707,8 +668,6 @@ class TestEnvelopeRuns:
             assert sum(map(sum, written.values())) == forwards
             assert len(routed) == metrics.total(
                 "engine_items_injected_total") == 3000
-        finally:
-            runtime.close()
 
     def test_workers_keep_no_output_buffers(self):
         # Nothing on a fleet replays a producer's output buffers, so each
@@ -717,8 +676,7 @@ class TestEnvelopeRuns:
         # if they were kept).
         config = RuntimeConfig(se_instances={"counts": 4},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(build_wordcount_sdg(), config).deploy()
-        try:
+        with Runtime(build_wordcount_sdg(), config).deploy() as runtime:
             for i in range(3000):
                 runtime.inject("split", (i, WORDCOUNT_TEXT[i % 4]))
             runtime.run_until_idle()
@@ -726,8 +684,6 @@ class TestEnvelopeRuns:
             held = [shard["engine_output_buffered_envelopes"]["children"]
                     for shard in runtime.substrate.metric_shards]
             assert held == [{(): 0.0}, {(): 0.0}]
-        finally:
-            runtime.close()
 
     def test_three_workers_write_to_both_peers(self):
         def run(substrate, workers=None):
@@ -739,7 +695,7 @@ class TestEnvelopeRuns:
             ).deploy()
             written = (spy_peers(runtime) if substrate == "multiprocess"
                        else {})
-            try:
+            with runtime:
                 for i in range(300):
                     runtime.inject("split", (i, WORDCOUNT_TEXT[i % 4]))
                 runtime.run_until_idle()
@@ -752,8 +708,6 @@ class TestEnvelopeRuns:
                 results = {te: sorted(map(repr, items))
                            for te, items in runtime.results.items()}
                 return peers, results, state_fingerprint(runtime)
-            finally:
-                runtime.close()
 
         peers, *outcome = run("multiprocess", workers=3)
         assert peers == {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
@@ -764,8 +718,7 @@ class TestEnvelopeRuns:
         # Few keys, so every key's puts and gets straddle the frames;
         # a key lives in one partition and its replies keep their order.
         def run(substrate):
-            runtime = deploy_kv(substrate)
-            try:
+            with deploy_kv(substrate) as runtime:
                 for i in range(items):
                     key = f"k{i % 3}"
                     runtime.inject("serve", ("put", key, i))
@@ -773,8 +726,6 @@ class TestEnvelopeRuns:
                 assert runtime.run_until_idle() == 2 * items
                 return (per_key(runtime.results["serve"]),
                         state_fingerprint(runtime))
-            finally:
-                runtime.close()
 
         assert run("multiprocess") == run("inprocess")
 
@@ -789,20 +740,17 @@ class TestEnvelopeRuns:
 
         config = RuntimeConfig(se_instances={"modelA": 2, "modelB": 2},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(build_iterative_sdg(), config).deploy()
-        try:
+        with Runtime(build_iterative_sdg(), config).deploy() as runtime:
             for n in (5, 8, 3):
                 runtime.inject("stepA", n)
             assert runtime.run_until_idle() > 3
             assert 0 < forwards(runtime) < WIRE_RUN
-        finally:
-            runtime.close()
 
         def recommend(substrate, workers=None):
             app = CollaborativeFiltering.launch(
                 RuntimeConfig(substrate=substrate, workers=workers),
                 user_item=2, co_occ=2)
-            try:
+            with app.runtime:
                 for user in range(3):
                     for item in range(3):
                         app.add_rating(user, (user + item) % 4, 1 + item)
@@ -812,8 +760,6 @@ class TestEnvelopeRuns:
                 app.run()
                 return (app.results("get_rec")[0].to_list(),
                         forwards(app.runtime) - before)
-            finally:
-                app.runtime.close()
 
         rec, forwarded = recommend("multiprocess", workers=2)
         assert 0 < forwarded < WIRE_RUN
@@ -855,6 +801,72 @@ class TestEnvelopeRuns:
         assert crashed == run(preset, "inprocess")[:2] + (1,)
 
 
+class TestRunsPerChannel:
+    """A ``MSG_DELIVER`` holds one run per channel, from the coordinator
+    and from a peer alike. Counts the program makes itself; no clock."""
+
+    def test_every_input_run_is_one_channel_its_receiver_owns(self):
+        with deploy_kv() as runtime:
+            substrate = runtime.substrate
+            runtime.run_until_idle()  # the hellos
+            frames, frame = [], substrate._frame
+
+            def spy(link, message):
+                if message[0] == MSG_DELIVER:
+                    frames.append((link.worker_id, message[1]))
+                return frame(link, message)
+
+            substrate._frame = spy
+            for i in range(2000):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            assert runtime.run_until_idle() == 2000
+        owner = substrate.placement.owner_of
+        runs = [(worker, rows) for worker, runs in frames for rows in runs]
+        assert sum(len(rows) for _worker, rows in runs) == 2000
+        for worker, rows in runs:
+            (channel,) = {row[2] for row in rows}
+            assert owner(channel.dst_te, channel.dst_instance) == worker
+        # Each worker owns two of the four routes, and a frame holds at
+        # most WIRE_RUN rows.
+        assert {len(runs) for _worker, runs in frames} == {1, 2}
+        assert max(sum(map(len, runs)) for _worker, runs in frames) \
+            <= WIRE_RUN
+
+    def test_every_peer_run_is_one_channel_and_the_barrier_closes(
+            self, tmp_path, monkeypatch):
+        # Patched on the class before deploy, so forked workers inherit
+        # it; a file, because the runs land in the worker processes.
+        landed = tmp_path / "runs.txt"
+        deliver_run = Transport.deliver_run
+
+        def spy(transport, rows):
+            with open(landed, "a") as out:
+                out.write(f"{rows[0][2].edge_index} "
+                          f"{len({row[2] for row in rows})} {len(rows)}\n")
+            return deliver_run(transport, rows)
+
+        monkeypatch.setattr(Transport, "deliver_run", spy)
+        lines = 400
+        config = RuntimeConfig(se_instances={"counts": 4},
+                               substrate="multiprocess", workers=2)
+        with Runtime(build_wordcount_sdg(), config).deploy() as runtime:
+            for i in range(lines):
+                runtime.inject("split", (i, WORDCOUNT_TEXT[i % 4]))
+            processed = runtime.run_until_idle()
+            forwards = runtime.merged_metrics().total(
+                "transport_wire_forwards_total")
+            fingerprint = state_fingerprint(runtime)
+        runs = [tuple(map(int, line.split()))
+                for line in landed.read_text().splitlines()]
+        assert {channels for _edge, channels, _rows in runs} == {1}
+        peer = [rows for edge, _channels, rows in runs if edge != -1]
+        assert len(peer) > 1 and sum(peer) == forwards
+        assert sum(rows for edge, _channels, rows in runs
+                   if edge == -1) == lines
+        assert (processed, fingerprint) == run_wordcount(
+            "inprocess", lines=lines)[:2]
+
+
 class TestPayloadIsolation:
     """The serialisation boundary is the isolation."""
 
@@ -875,14 +887,11 @@ class TestPayloadIsolation:
                      entry_key_name="key")
         config = RuntimeConfig(se_instances={"seen": 2},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(sdg, config).deploy()
-        try:
+        with Runtime(sdg, config).deploy() as runtime:
             original = ["pristine"]
             runtime.inject("absorb", ("k", original))
             runtime.run_until_idle()
             assert original == ["pristine"]
-        finally:
-            runtime.close()
 
 
 class TestResolutionAndGates:
@@ -951,8 +960,7 @@ class TestResolutionAndGates:
                        RuntimeConfig(se_instances={"table": 2})).deploy()
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
             drive(runtime, 0)
             drive(twin, 0)
             before = shape(runtime)
@@ -963,21 +971,16 @@ class TestResolutionAndGates:
             drive(runtime, 30)
             drive(twin, 30)
             assert state_fingerprint(runtime) == state_fingerprint(twin)
-        finally:
-            runtime.close()
 
     def test_trace_deploys_on_multiprocess(self):
         # The trace gate is gone: workers record hops locally and the
         # coordinator merges their shards (see test_multiprocess_obs).
         config = RuntimeConfig(substrate="multiprocess", workers=2,
                                trace=True)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
-        try:
+        with Runtime(build_kv_sdg(), config).deploy() as runtime:
             runtime.inject("serve", ("put", "k", 1))
             runtime.run_until_idle()
             assert runtime.tracer is not None
-        finally:
-            runtime.close()
 
     def test_worker_restarts_require_multiprocess(self):
         config = RuntimeConfig(worker_restarts=1)
@@ -1018,14 +1021,11 @@ class TestParallelOverlapSmoke:
         config = RuntimeConfig(se_instances={"table": 4},
                                substrate="multiprocess",
                                workers=workers)
-        runtime = Runtime(self.build_slow_kv(delay), config).deploy()
-        try:
+        with Runtime(self.build_slow_kv(delay), config).deploy() as runtime:
             for i in range(items):
                 runtime.inject("serve", ("put", f"k{i}", i))
             runtime.run_until_idle()
             return state_fingerprint(runtime)
-        finally:
-            runtime.close()
 
     def test_four_workers_overlap_service_latency(self):
         assert self.run(1) == self.run(4)

@@ -11,9 +11,10 @@ from collections import Counter
 from repro.apps.wordcount import build_wordcount_sdg
 from repro.recovery import BackupStore, CheckpointManager, RecoveryManager
 from repro.runtime import BottleneckDetector, Runtime, RuntimeConfig
-from repro.runtime.envelope import INPUT_EDGE, ChannelId
+from repro.runtime.envelope import INPUT_EDGE, ChannelId, Envelope
 from repro.runtime.instances import SEInstance, TEInstance
 from repro.testing import build_kv_sdg
+from tests.helpers import input_logs
 
 
 def deploy_kv(**config):
@@ -49,7 +50,7 @@ class TestDelivery:
         assert runtime.metrics.total("transport_refused_total") == 1
         assert runtime.metrics.total("transport_delivered_total") == 1
         # The refused envelope survives in the client-side input log.
-        assert len(runtime.input_buffers_snapshot()[channel_id]) == 2
+        assert len(input_logs(runtime)[channel_id]) == 2
 
 
 def input_channel(index):
@@ -75,6 +76,61 @@ def install_empty_replacement(runtime, index, last_seen=None):
     runtime.install_replacement(
         [instance], [SEInstance(runtime.sdg.state("table"), index)])
     return instance
+
+
+def run_rows(channel, count, start=1):
+    """``count`` wire rows of puts on ``channel``, as a frame holds them."""
+    return [(("put", f"r{channel.dst_instance}-{i}", i), ts, channel,
+             None, None, None)
+            for i, ts in enumerate(range(start, start + count))]
+
+
+class TestDeliverRun:
+    """A run of one channel lands with one call: counted, no clock."""
+
+    def test_a_frame_over_two_routes_is_two_calls_and_two_adds(self):
+        runtime = deploy_kv(se_instances={"table": 4})
+        transport, topology = runtime.transport, runtime.topology
+        candidates = topology.candidates()
+        adds = []
+        add = candidates.add
+        candidates.add = lambda instance: (adds.append(instance),
+                                           add(instance))
+        frame = [run_rows(input_channel(0), 100),
+                 run_rows(input_channel(2), 156)]
+        for rows in frame:
+            transport.deliver_run(rows)
+        metrics = runtime.metrics
+        assert metrics.total("transport_delivered_total") == 256
+        assert metrics.value("runtime_inbox_depth", te="serve") == 256
+        assert [inst.index for inst in adds] == [0, 2]
+        inbox = runtime.te_instance("serve", 0).inbox
+        assert len(inbox) == 100 and type(inbox[0]) is Envelope
+        assert inbox[-1] == frame[0][-1]
+        assert runtime.run_until_idle() == 256
+        assert metrics.value("runtime_inbox_depth", te="serve") == 0
+        assert len(merged_table(runtime)) == 256
+
+    def test_a_run_to_a_dead_node_refuses_each_row(self):
+        runtime = deploy_kv(se_instances={"table": 2})
+        runtime.fail_node(runtime.te_instance("serve", 1).node_id)
+        runtime.transport.deliver_run(run_rows(input_channel(1), 40))
+        runtime.transport.deliver_run(run_rows(input_channel(0), 3))
+        metrics = runtime.metrics
+        assert metrics.total("transport_refused_total") == 40
+        assert metrics.total("transport_delivered_total") == 3
+        assert metrics.value("runtime_inbox_depth", te="serve") == 3
+
+    def test_a_traced_runtime_sees_every_envelope_delivered(self):
+        runtime = deploy_kv(se_instances={"table": 2}, trace=True)
+        seen = []
+        on_deliver = runtime.tracer.on_deliver
+        runtime.tracer.on_deliver = lambda envelope, step: (
+            seen.append(envelope.ts), on_deliver(envelope, step))
+        runtime.transport.deliver_run(run_rows(input_channel(1), 30))
+        assert seen == list(range(1, 31))
+        assert runtime.metrics.total("transport_delivered_total") == 30
+        assert runtime.run_until_idle() == 30
 
 
 class TestRouteCache:
@@ -142,7 +198,7 @@ class TestInputLogTrim:
         runtime.run_until_idle()
         victim = runtime.te_instance("serve", 1)
         manager.checkpoint(victim.node_id)  # trims the input log
-        assert runtime.input_buffers_snapshot()[input_channel(1)] == []
+        assert input_logs(runtime)[input_channel(1)] == []
         after = keys_of_partition(runtime, 1, 7, start=before[-1] + 1)
         for key in after:
             runtime.inject("serve", ("put", key, "new"))

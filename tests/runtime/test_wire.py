@@ -25,6 +25,7 @@ from repro.runtime.envelope import (
     ChannelId,
     Envelope,
 )
+from repro.runtime.envelope import make_envelope as rebuild
 from repro.runtime.wire import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
@@ -33,7 +34,6 @@ from repro.runtime.wire import (
     MSG_STATE,
     FrameBuffer,
     WireError,
-    decode_run,
     encode_frame,
     encode_run,
     write_frame,
@@ -71,6 +71,12 @@ def assert_same_envelopes(clones, run):
             assert getattr(clone, name) == getattr(envelope, name)
 
 
+def land(runs):
+    """A decoded ``MSG_DELIVER``'s runs as the envelopes
+    ``Transport.deliver_run`` rebuilds from them, in frame order."""
+    return [rebuild(row) for rows in runs for row in rows]
+
+
 def read_frames(fd, buffer):
     """The live read path of both roles: one ``os.read`` fed to a
     :class:`FrameBuffer`. Returns ``None`` at end of file."""
@@ -99,11 +105,11 @@ class TestFrameCodec:
         r, w = os.pipe()
         try:
             write_frame(w, ("idle", 3, 4, 5))
-            write_frame(w, (MSG_DELIVER, encode_run([make_envelope()])))
-            idle, (tag, rows) = read_frames(r, FrameBuffer())
+            write_frame(w, (MSG_DELIVER, [encode_run([make_envelope()])]))
+            idle, (tag, runs) = read_frames(r, FrameBuffer())
             assert idle == ("idle", 3, 4, 5)
             assert tag == MSG_DELIVER
-            assert decode_run(rows) == [make_envelope()]
+            assert land(runs) == [make_envelope()]
         finally:
             os.close(r)
             os.close(w)
@@ -135,9 +141,9 @@ class TestFrameCodec:
             os.close(w)
 
     def test_envelope_run_round_trip(self):
-        # What a MSG_DELIVER carries: a run through the run codec. Every
-        # field survives inside the list, and the identity-compared
-        # gather sentinel is still the singleton.
+        # What a MSG_DELIVER carries: one run per channel, each through
+        # the run codec. Every field survives inside the list, and the
+        # identity-compared gather sentinel is still the singleton.
         run = [
             make_envelope(payload=("put", "k1", {"v": 2}), ts=1),
             make_envelope(payload=("get", "k1", None), ts=2,
@@ -146,11 +152,12 @@ class TestFrameCodec:
                           expected=3, trace_id=11),
         ]
         (message,) = FrameBuffer().feed(
-            encode_frame((MSG_DELIVER, encode_run(run))))
-        tag, rows = message
+            encode_frame((MSG_DELIVER, [encode_run(run)])))
+        tag, runs = message
         assert tag == MSG_DELIVER
+        (rows,) = runs
         assert [type(row) for row in rows] == [tuple] * 3
-        clones = decode_run(rows)
+        clones = land(runs)
         assert clones == run
         assert clones[2].payload is NO_RESPONSE
         assert_same_envelopes(clones, run)
@@ -164,13 +171,18 @@ class TestFrameCodec:
         # Three interned routes, as a producer's emit routes hold them.
         routes = [ChannelId(edge, "split", edge, "count", 3 - edge)
                   for edge in range(3)]
-        run = [Envelope(payload, ts, routes[route], request_id, expected,
-                        trace_id)
-               for payload, ts, route, request_id, expected, trace_id
-               in rows]
-        (message,) = FrameBuffer().feed(
-            encode_frame((MSG_DELIVER, encode_run(run))))
-        clones = decode_run(message[1])
+        sent = [Envelope(payload, ts, routes[route], request_id, expected,
+                         trace_id)
+                for payload, ts, route, request_id, expected, trace_id
+                in rows]
+        # One run per channel, as both senders queue them.
+        runs = [[e for e in sent if e.channel is route] for route in routes]
+        run = [envelope for one in runs for envelope in one]
+        (message,) = FrameBuffer().feed(encode_frame(
+            (MSG_DELIVER, [encode_run(one) for one in runs if one])))
+        assert all(len({row[2] for row in rows}) == 1
+                   for rows in message[1])
+        clones = land(message[1])
         assert_same_envelopes(clones, run)
         for clone, envelope in zip(clones, run):
             assert ((clone.payload is NO_RESPONSE)
@@ -241,9 +253,9 @@ ROUTE = ChannelId(1, "split", 0, "count", 2)
 #: What crosses a pipe: data runs, control tuples, a delta chunk.
 MESSAGES = st.one_of(
     st.lists(st.tuples(PAYLOADS, st.integers(0, 2**40)), max_size=5).map(
-        lambda rows: (MSG_DELIVER, encode_run(
+        lambda rows: (MSG_DELIVER, [encode_run(
             [Envelope(payload, ts, ROUTE, None, None, None)
-             for payload, ts in rows]))),
+             for payload, ts in rows])])),
     st.tuples(st.sampled_from([MSG_IDLE, MSG_STATE]), st.integers(0, 99),
               st.integers(0, 99), st.tuples(st.integers(0, 99)),
               st.tuples(st.integers(0, 99)),
@@ -324,10 +336,10 @@ class TestFramesParseInPlace:
     """One parse path, however the stream is cut into reads."""
 
     MESSAGES = [
-        (MSG_DELIVER, encode_run([make_envelope(ts=i) for i in range(3)])),
+        (MSG_DELIVER, [encode_run([make_envelope(ts=i) for i in range(3)])]),
         ("idle", 3, 4, 5, {"results": {"serve": [("k", 1)]}}),
-        (MSG_DELIVER, encode_run([make_envelope(
-            payload=NO_RESPONSE, request_id=9, expected=2)])),
+        (MSG_DELIVER, [encode_run([make_envelope(
+            payload=NO_RESPONSE, request_id=9, expected=2)])]),
         ("snapshot",),
     ]
 
@@ -408,10 +420,10 @@ class TestChannelsCrossInterned:
     def test_two_frames_naming_one_route_share_one_channel(self):
         route = ChannelId(3, "split", 1, "count", 2)
         first, second = (
-            encode_frame((MSG_DELIVER, encode_run(
-                [make_envelope(ts=ts)._replace(channel=route)])))
+            encode_frame((MSG_DELIVER, [encode_run(
+                [make_envelope(ts=ts)._replace(channel=route)])]))
             for ts in (1, 2))
-        (a,), (b,) = (decode_run(message[1])
+        (a,), (b,) = (land(message[1])
                       for message in FrameBuffer().feed(first + second))
         assert a.channel is b.channel
         assert a.channel == route and type(a.channel) is ChannelId
