@@ -239,7 +239,6 @@ class FaultInjector:
                       f"no queued envelope on TE {fault.te!r}")
             return
         envelope = instance.inbox.pop()
-        self.runtime.transport.inbox_gauge(instance.name).dec()
         self.runtime.fail_node(instance.node_id)
         self._log(fault, "fired",
                   f"dropped ts={envelope.ts} bound for "
@@ -254,7 +253,6 @@ class FaultInjector:
             return
         envelope = instance.inbox[0]
         instance.inbox.append(envelope)
-        self.runtime.transport.inbox_gauge(instance.name).inc()
         self._log(fault, "fired",
                   f"redelivered ts={envelope.ts} to "
                   f"{fault.te}[{instance.index}]")

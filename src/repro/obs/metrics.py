@@ -90,6 +90,20 @@ class _GaugeChild:
         self.value -= amount
 
 
+class _ComputedGauge:
+    """A gauge cell whose value is computed when it is read: a level
+    that no write site has to keep, because nothing writes it."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read) -> None:
+        self.read = read
+
+    @property
+    def value(self) -> float:
+        return self.read()
+
+
 class _HistogramChild:
     """Fixed-bucket distribution bound to one label set."""
 
@@ -178,6 +192,12 @@ class Gauge(_Metric):
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:
         self.labels(**labels).dec(amount)
+
+    def computed(self, read, **labels: str) -> None:
+        """Make the cell for ``labels`` read ``read()`` when it is read."""
+        self._children[_label_key(labels)] = _ComputedGauge(read)
+        if self._registry is not None:
+            self._registry.shape += 1
 
 
 class Histogram(_Metric):
@@ -279,7 +299,8 @@ class MetricsRegistry:
         their shard then holds only work performed *in* the worker, and
         the barrier merge never double-counts the coordinator's
         deploy-time series. Pre-bound label children stay usable (the
-        cells are mutated, not replaced).
+        cells are mutated, not replaced); a computed gauge keeps no
+        value to zero.
         """
         for metric in self._metrics.values():
             for child in metric._children.values():
@@ -287,7 +308,7 @@ class MetricsRegistry:
                     child.counts = [0] * len(child.counts)
                     child.sum = 0.0
                     child.count = 0
-                else:
+                elif type(child) is not _ComputedGauge:
                     child.value = 0.0
 
     def snapshot(self) -> dict:
@@ -519,6 +540,9 @@ class _NullMetric:
         pass
 
     def set(self, value: float, **labels: str) -> None:
+        pass
+
+    def computed(self, read, **labels: str) -> None:
         pass
 
     def observe(self, value: float, **labels: str) -> None:

@@ -309,8 +309,13 @@ class Runtime:
                              for te in self.sdg.tasks}
         self._g_instances = {te: instances_g.labels(te=te)
                              for te in self.sdg.tasks}
-        self._g_inbox = {te: self.transport.inbox_gauge(te)
-                         for te in self.sdg.tasks}
+        # Counted when read, so no per-item site keeps it.
+        depth = m.gauge("runtime_inbox_depth",
+                        "queued envelopes per destination TE")
+        for te in self.sdg.tasks:
+            depth.computed(lambda te=te: sum(
+                len(inst.inbox) for inst in self.topology.te_instances(te)),
+                te=te)
 
     def _refresh_instance_gauges(self) -> None:
         """Re-read live instance counts after a structural change."""
@@ -432,102 +437,123 @@ class Runtime:
     def step(self) -> bool:
         """Serve one run of envelopes on one TE instance; False when idle.
 
+        One turn of :meth:`_drain`, which says what a step is.
+        """
+        return self._drain(1) == 1
+
+    def _drain(self, limit: int, stop=None) -> int:
+        """Take up to ``limit`` steps; returns how many were taken.
+
+        Fewer means idle, or that ``stop()``, asked after each step when
+        given, said so. The seams (``scheduler.select``,
+        ``substrate.process``, the probe) and the cells are read once
+        per drain, and again after any step hook or crash handler ran,
+        so a wrapper installed between calls, or by a hook, sees every
+        later step.
+
         Instance selection is the scheduler's call; straggler-credit
         throttling (nodes with ``speed < 1``) lives there too. When
         every pending item sits on a throttled node the step still
         counts (a *stall tick*): logical time passes and hooks run,
         which is what lets the failure detector observe a stalled node.
 
-        A *run* is the head envelope plus, when its channel is
-        certified ``COALESCIBLE_DISPATCH`` and it carries no request
-        id, the envelopes queued directly behind it on the same
-        channel (untagged, at most :data:`RUN_MAX` in all). Every
-        envelope of a run takes the same :meth:`_serve` path; a run of
-        one is the uncertified case.
+        A step serves a *run*: the head envelope plus, when its channel
+        is certified ``COALESCIBLE_DISPATCH`` and it carries no request
+        id, the envelopes queued directly behind it on the same channel
+        (untagged, at most :data:`RUN_MAX` in all). Every envelope of a
+        run takes the same :meth:`_serve` path; a run of one is the
+        uncertified case.
         """
         if not self._deployed:
             self._require_deployed()
-        # ``Topology.candidates()``, written out while its cache is good.
-        topology = self.topology
-        candidates = topology._candidates
-        if candidates is None or candidates.version != topology.version:
-            candidates = topology.candidates()
-        if not candidates.ready:
-            return False
-        nodes = topology.nodes
-        instance, throttled = self.scheduler.select(candidates, nodes)
-        if instance is None:
-            if throttled:
+        steps = 0
+        hooks = self._step_hooks
+        stale = True
+        while steps < limit:
+            if stale:
+                topology = self.topology
+                nodes = topology.nodes
+                select = self.scheduler.select
+                process = self.substrate.process
+                probe = self.probe
+                run_channels = self._run_channels
+                c_steps, c_picks = self._c_steps, self._c_picks
+                stale = False
+            # ``Topology.candidates()``, written out while its cache is
+            # good.
+            candidates = topology._candidates
+            if candidates is None or candidates.version != topology.version:
+                candidates = topology.candidates()
+            if not candidates.ready:
+                return steps
+            instance, throttled = select(candidates, nodes)
+            if instance is None:
+                if not throttled:
+                    return steps
                 self._c_stalls.value += 1
-                self._tick()
-                return True
-            return False
-        self._c_picks.value += 1
-        inbox = instance.inbox
-        envelope = inbox.popleft()
-        channel = envelope.channel
-        limit = RUN_MAX if (
-            self._run_channels
-            and envelope.request_id is None
-            and (channel.edge_index, channel.dst_te) in self._run_channels
-        ) else 1
-        probe = self.probe
-        run = 0
-        try:
-            while True:
-                run += 1
-                try:
-                    self.substrate.process(instance, envelope)
-                except RuntimeExecutionError as exc:
-                    if not self._crash_handlers:
-                        raise
-                    # Supervised mode: a task crash kills its host node
-                    # (this envelope and the rest of the inbox survive
-                    # upstream and are replayed during recovery) and
-                    # the handlers are told, instead of the whole
-                    # pipeline aborting.
-                    if nodes[instance.node_id].alive:
-                        self.fail_node(instance.node_id)
-                    for handler in list(self._crash_handlers):
-                        handler(self, instance, envelope, exc)
-                    break
-                finally:
-                    probe.served()
-                if run == limit or not inbox:
-                    break
-                head = inbox[0]
-                if head.channel != channel or head.request_id is not None:
-                    break
+            else:
+                c_picks.value += 1
+                inbox = instance.inbox
                 envelope = inbox.popleft()
-        finally:
-            self._g_inbox[instance.name].value -= run
-            if not inbox:
-                # The other half of ready-set upkeep (appends are the
-                # transport's). After a mid-run crash ``candidates`` is
-                # already stale and this edits a list nobody reads.
-                candidates.discard(instance)
-        if run > 1:
-            self._c_coalesced.value += run - 1
-            # The scheduler admitted one item; charge the straggler
-            # credit for the rest so a run cannot smuggle work past a
-            # throttled node.
-            if self._charge is not None:
-                self._charge(nodes[instance.node_id], run - 1)
-        # ``_tick()``, written out: without hooks a step pays no call.
-        self.total_steps += 1
-        self._c_steps.value += 1
-        if self._step_hooks:
-            for hook in list(self._step_hooks):
-                hook(self)
-        return True
-
-    def _tick(self) -> None:
-        """Advance logical time by one step and run the step hooks."""
-        self.total_steps += 1
-        self._c_steps.value += 1
-        if self._step_hooks:
-            for hook in list(self._step_hooks):
-                hook(self)
+                channel = envelope.channel
+                most = RUN_MAX if (
+                    run_channels
+                    and envelope.request_id is None
+                    and (channel.edge_index, channel.dst_te) in run_channels
+                ) else 1
+                run = 0
+                try:
+                    while True:
+                        run += 1
+                        try:
+                            process(instance, envelope)
+                        except RuntimeExecutionError as exc:
+                            if not self._crash_handlers:
+                                raise
+                            # Supervised mode: a task crash kills its host
+                            # node (this envelope and the rest of the inbox
+                            # survive upstream and are replayed during
+                            # recovery) and the handlers are told, instead
+                            # of the whole pipeline aborting.
+                            if nodes[instance.node_id].alive:
+                                self.fail_node(instance.node_id)
+                            for handler in list(self._crash_handlers):
+                                handler(self, instance, envelope, exc)
+                            stale = True
+                            break
+                        finally:
+                            probe.served()
+                        if run == most or not inbox:
+                            break
+                        head = inbox[0]
+                        if (head.channel != channel
+                                or head.request_id is not None):
+                            break
+                        envelope = inbox.popleft()
+                finally:
+                    if not inbox:
+                        # The other half of ready-set upkeep (appends are
+                        # the transport's). After a mid-run crash
+                        # ``candidates`` is already stale and this edits a
+                        # list nobody reads.
+                        candidates.discard(instance)
+                if run > 1:
+                    self._c_coalesced.value += run - 1
+                    # The scheduler admitted one item; charge the
+                    # straggler credit for the rest so a run cannot
+                    # smuggle work past a throttled node.
+                    if self._charge is not None:
+                        self._charge(nodes[instance.node_id], run - 1)
+            steps += 1
+            self.total_steps += 1
+            c_steps.value += 1
+            if hooks:
+                for hook in list(hooks):
+                    hook(self)
+                stale = True
+            if stop is not None and stop():
+                return steps
+        return steps
 
     def add_step_hook(self, hook) -> None:
         """Register ``hook(runtime)`` to run after every processed item.
@@ -632,35 +658,73 @@ class Runtime:
             poll(timeout)
 
     def _serve(self, instance: TEInstance, envelope: Envelope) -> None:
-        """The one per-envelope path (every substrate, every run length).
+        """The one per-envelope path (every substrate, every run length),
+        bound as the in-process ``substrate.process``.
 
-        Replay dedup, probe, gather-or-invoke, ``last_seen`` mark,
-        dispatch, count — in that order, for a lone envelope and for
-        each envelope of a run alike. :meth:`step` closes the probe's
-        spans once this returns or raises.
+        Replay dedup, probe, gather, invoke, ``last_seen`` mark,
+        dispatch or collect, count — in that order, for a lone envelope
+        and for each envelope of a run alike. :meth:`_drain` closes the
+        probe's spans once this returns or raises.
         """
         # The ``StreamKey``, sliced once for the replay dedup and the mark.
         stream = envelope.channel[:3]
-        nodes = self.topology.nodes
+        topology = self.topology
         if envelope.ts <= instance.last_seen.get(stream, 0):
-            nodes[instance.node_id].duplicates_dropped += 1
+            topology.nodes[instance.node_id].duplicates_dropped += 1
             return
         probe = self.probe
         probe.serve(self.total_steps, instance, envelope)
-        if instance.spec.is_merge and envelope.request_id is not None:
-            gathered = self._gather(instance, envelope)
-            if gathered is None:
+        spec = instance.spec
+        gathered = spec.is_merge and envelope.request_id is not None
+        if gathered:
+            payload = self._gather(instance, envelope)
+            if payload is None:
                 return
-            outputs = self._invoke(instance, gathered)
         else:
-            outputs = self._invoke(instance, envelope.payload)
+            payload = envelope.payload
+        se_instance = instance.se_instance
+        # Stored per item: a restored element or a scale-up shows at once.
+        ctx = instance.context
+        ctx.state = se_instance.element if se_instance is not None else None
+        ctx.n_instances = len(topology.te_slots[instance.name])
+        if instance.crash_next:
+            instance.crash_next = False
+            raise RuntimeExecutionError(
+                f"TE {instance.name!r}[{instance.index}] crashed "
+                f"mid-item on {payload!r} (injected fault)"
+            )
+        try:
+            returned = spec.fn(ctx, payload)
+        except Exception as exc:
+            ctx.drain()  # what it emitted before failing dies with it
+            raise RuntimeExecutionError(
+                f"TE {instance.name!r}[{instance.index}] failed on "
+                f"{payload!r}: {exc}"
+            ) from exc
+        # ``ctx.drain()``, written out: one call less per item.
+        outputs, ctx._outputs = ctx._outputs, []
+        if returned is not None:
+            outputs.append(returned)
+        if not gathered:
             instance.last_seen[stream] = envelope.ts
         probe.dispatch()
-        if instance.name in self._terminal_tes:
-            self._collect_result(instance, outputs, envelope)
-        else:
+        if instance.name not in self._terminal_tes:
             self.dispatcher.dispatch(instance, outputs, envelope)
-        nodes[instance.node_id].items_processed += 1
+        # A terminal TE's outputs are results. The result consumer is the
+        # most-downstream party: it too discards duplicates regenerated
+        # by deterministic replay. A stamp names one item of its stream
+        # into this TE whichever slot serves it, so rescaling and 1-to-n
+        # restores need no special case; a gathered reply is caused by
+        # whichever response completed it, so it goes by request id.
+        elif gathered:
+            done = self._result_requests.setdefault(instance.key, {})
+            if envelope.request_id not in done:
+                done[envelope.request_id] = (envelope.channel, envelope.ts)
+                self.results[instance.name].extend(outputs)
+        elif (self._result_stamps.get(envelope.channel)
+              or self._result_stream(envelope.channel)).add(envelope.ts):
+            self.results[instance.name].extend(outputs)
+        topology.nodes[instance.node_id].items_processed += 1
         instance.processed_count += 1
         self._c_processed[instance.name].value += 1
 
@@ -685,57 +749,9 @@ class Runtime:
         del instance.pending_gathers[request_id]
         return gather.payloads
 
-    def _invoke(self, instance: TEInstance, payload: Any) -> list[Any]:
-        se_instance = instance.se_instance
-        # Stored per item: a restored element or a scale-up shows at once.
-        ctx = instance.context
-        ctx.state = se_instance.element if se_instance is not None else None
-        ctx.n_instances = len(self.topology.te_slots[instance.name])
-        if instance.crash_next:
-            instance.crash_next = False
-            raise RuntimeExecutionError(
-                f"TE {instance.name!r}[{instance.index}] crashed "
-                f"mid-item on {payload!r} (injected fault)"
-            )
-        try:
-            returned = instance.spec.fn(ctx, payload)
-        except Exception as exc:
-            ctx.drain()  # what it emitted before failing dies with it
-            raise RuntimeExecutionError(
-                f"TE {instance.name!r}[{instance.index}] failed on "
-                f"{payload!r}: {exc}"
-            ) from exc
-        # ``ctx.drain()``, written out: one call less per item.
-        outputs, ctx._outputs = ctx._outputs, []
-        if returned is not None:
-            outputs.append(returned)
-        return outputs
-
     # ------------------------------------------------------------------
     # Results (a terminal TE's outputs; the rest go to the dispatcher)
     # ------------------------------------------------------------------
-
-    def _collect_result(self, instance: TEInstance, outputs: list[Any],
-                        cause: Envelope) -> None:
-        """Terminal TE: collect outputs, discarding replay duplicates.
-
-        The result consumer is the most-downstream party: it too
-        discards duplicates regenerated by deterministic replay. A stamp
-        names one item of its stream into this TE whichever slot serves
-        it, so rescaling and 1-to-n restores need no special case; a
-        gathered reply is caused by whichever response completed it, so
-        it goes by request id.
-        """
-        channel = cause.channel
-        if cause.request_id is not None and instance.spec.is_merge:
-            done = self._result_requests.setdefault(instance.key, {})
-            if cause.request_id in done:
-                return
-            done[cause.request_id] = (channel, cause.ts)
-        elif not (self._result_stamps.get(channel)
-                  or self._result_stream(channel)).add(cause.ts):
-            return
-        self.results[instance.name].extend(outputs)
 
     def _result_stream(self, channel: ChannelId) -> StreamStamps:
         """The stamps of ``channel``'s stream into its TE, any slot."""
@@ -765,13 +781,8 @@ class Runtime:
         self._refuse_on_workers(f"fail_node({node_id})")
         node = self.topology.nodes[node_id]
         was_alive = node.alive
-        lost = 0
-        if was_alive:
-            for inst in node.te_instances.values():
-                depth = len(inst.inbox)
-                if depth:
-                    lost += depth
-                    self.transport.inbox_gauge(inst.name).dec(depth)
+        lost = sum(len(inst.inbox) for inst in node.te_instances.values()
+                   ) if was_alive else 0
         self.topology.fail_node(node_id)
         if was_alive:
             self._c_node_failures.inc()
@@ -932,8 +943,6 @@ class Runtime:
                 # partitioner so keyed items still meet their partition.
                 pending = self.topology.repartition(spec.state, current + 1)
                 for envelope in pending:
-                    self.transport.inbox_gauge(
-                        envelope.channel.dst_te).dec()
                     self._resend_after_reroute(envelope)
                 self.events.publish(
                     "engine", KIND.REPARTITION, self.total_steps,

@@ -34,8 +34,9 @@ per route) and channel, and writes each destination's runs as one
 report, and — once per wake from a blocking wait — right after the
 first step that sent any, so the peer starts on it while this worker
 goes on. A worker lands each run it reads with one
-``Transport.deliver_run`` call, then takes up to ``WIRE_RUN`` local
-steps before it looks at its pipes again.
+``Transport.deliver_run`` call, then drains up to ``WIRE_RUN`` local
+steps (one ``Runtime._drain`` call, two when a woken worker stops after
+its first peer send to ship it) before it looks at its pipes again.
 
 Deadlock freedom by construction:
 
@@ -114,6 +115,7 @@ import time
 import traceback
 import weakref
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import RuntimeExecutionError
@@ -264,11 +266,6 @@ class _Link:
         self.fenced_processed = 0
         #: The worker's exit code, recorded once the fleet is released.
         self.exitcode: int | None = None
-
-    @property
-    def pending(self) -> list[tuple]:
-        """The rows routed here and not yet framed, in frame order."""
-        return [row for run in self.runs for row in run.rows]
 
 
 class _Run:
@@ -1077,7 +1074,9 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
         "stamps past a gap a worker held when it last went idle").labels()
 
     deliver_run = runtime.transport.deliver_run
-    step = runtime.step
+    drain = runtime._drain
+    # Asked after each step of a woken drain, with no frame of its own.
+    sent_to_peer = partial(any, queued)
     # The first report answers the hello: a report of no progress could
     # never make the fleet quiet, and whether it went out would depend
     # on whether the hello beat this loop's first look at the pipe.
@@ -1114,13 +1113,12 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
                 )
         # Woken from a wait, the first step that sends to a peer ships
         # at once: the peer starts on it while this worker goes on.
-        # Later steps batch up to WIRE_RUN or idleness.
-        steps = 0
-        while steps < WIRE_RUN and step():
-            steps += 1
-            if woke and any(queued):
-                flush_out()
-                woke = False
+        # Later steps batch up to WIRE_RUN or idleness. A worker whose
+        # steps send nothing takes its run in one drain.
+        steps = drain(WIRE_RUN, sent_to_peer if woke else None)
+        if woke and any(queued):
+            flush_out()
+            steps += drain(WIRE_RUN - steps)
         processed += steps
         if steps == WIRE_RUN:
             drained += steps

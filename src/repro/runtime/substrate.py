@@ -109,6 +109,8 @@ class InProcessSubstrate:
 
     def bind(self, runtime: "Runtime") -> None:
         self.runtime = runtime
+        # The per-item semantics, with no frame of this substrate's own.
+        self.process = runtime._serve
 
     # -- execution -------------------------------------------------------
 
@@ -119,22 +121,23 @@ class InProcessSubstrate:
 
     def process(self, instance: "TEInstance",
                 envelope: "Envelope") -> None:
+        """Shadowed at :meth:`bind` by ``runtime._serve`` itself."""
         self.runtime._serve(instance, envelope)
 
     def run_until_idle(self, max_steps: int) -> int:
-        """The seed drain loop: auto-scale checks between steps."""
-        runtime = self.runtime
+        """The seed drain loop: one drain, or with auto-scale one per
+        ``scale_check_every`` steps with a scale check between them."""
+        runtime, config = self.runtime, self.runtime.config
+        every = config.scale_check_every if config.auto_scale else max_steps
         steps = 0
         while steps < max_steps:
-            if (
-                runtime.config.auto_scale
-                and steps
-                and steps % runtime.config.scale_check_every == 0
-            ):
+            if steps:  # only with auto-scale: else one drain takes all
                 runtime._maybe_scale()
-            if not runtime.step():
+            most = min(every, max_steps - steps)
+            taken = runtime._drain(most)
+            steps += taken
+            if taken < most:
                 return steps
-            steps += 1
         raise RuntimeExecutionError(
             f"pipeline did not become idle within {max_steps} steps"
         )

@@ -39,12 +39,11 @@ class Channel:
     #: per envelope: the destination instance (``None`` for an empty
     #: slot) as of ``Topology.version == version``, the id of the worker
     #: that owns it when that is another worker (only ever set inside a
-    #: worker; ``None`` means local), and the destination TE's
-    #: inbox-depth gauge child. A stale stamp means "resolve again".
+    #: worker; ``None`` means local). A stale stamp means "resolve
+    #: again".
     instance: "TEInstance | None" = None
     remote: int | None = None
     version: int = -1
-    inbox_depth: Any = None
 
 
 class Transport:
@@ -80,21 +79,6 @@ class Transport:
             "transport_wire_forwards_total",
             "envelopes forwarded to another worker over the wire"
         ).labels()
-        self._g_inbox = registry.gauge(
-            "runtime_inbox_depth", "queued envelopes per destination TE")
-        self._inbox_children: dict[str, Any] = {}
-
-    def inbox_gauge(self, dst_te: str) -> Any:
-        """The (cached) inbox-depth gauge child for a destination TE.
-
-        The engine and chaos injector share these cells with delivery so
-        every inbox mutation — append, pop, drain, loss — is accounted.
-        """
-        child = self._inbox_children.get(dst_te)
-        if child is None:
-            child = self._inbox_children[dst_te] = self._g_inbox.labels(
-                te=dst_te)
-        return child
 
     # ------------------------------------------------------------------
     # Worker-side wire routing (multiprocess substrate)
@@ -125,8 +109,7 @@ class Transport:
         """The :class:`Channel` for ``channel_id`` (created on first use)."""
         channel = self._channels.get(channel_id)
         if channel is None:
-            channel = self._channels[channel_id] = Channel(
-                channel_id, inbox_depth=self.inbox_gauge(channel_id.dst_te))
+            channel = self._channels[channel_id] = Channel(channel_id)
         return channel
 
     def channels(self) -> list[Channel]:
@@ -164,7 +147,6 @@ class Transport:
         if len(inbox) == 1:
             topology.candidates().add(instance)
         self._c_delivered.value += 1
-        channel.inbox_depth.value += 1
         if self.tracer is not None:
             self.tracer.on_deliver(envelope, self._clock())
         return True
@@ -188,7 +170,6 @@ class Transport:
             topology.candidates().add(instance)
         instance.inbox.extend(map(make_envelope, rows))
         self._c_delivered.value += len(rows)
-        channel.inbox_depth.value += len(rows)
 
     def _resolve(self, channel: Channel) -> None:
         """Resolve a route under the current ``Topology.version``."""

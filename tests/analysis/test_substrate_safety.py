@@ -198,11 +198,9 @@ class TestDeployGate:
         with pytest.warns(RuntimeWarning, match="SDG403"):
             app = shared_global.SharedGlobal.launch(config=config,
                                                     table=2)
-        try:
+        with app.runtime:
             app.record("k", 1)
             app.run()
-        finally:
-            app.runtime.close()
 
     def test_off_mode_is_silent(self):
         config = multiprocess_config(substrate_check="off")
@@ -216,11 +214,9 @@ class TestDeployGate:
         # lambda is a perfectly good value.
         config = RuntimeConfig(substrate_check="enforce")
         app = lambda_state.LambdaState.launch(config=config, table=2)
-        try:
+        with app.runtime:
             app.plan("k", 21)
             app.run()
-        finally:
-            app.runtime.close()
 
     def test_bad_mode_is_rejected_at_validation(self):
         from repro.apps import KeyValueStore
@@ -235,14 +231,12 @@ class TestDeployGate:
 
         config = multiprocess_config(substrate_check="enforce")
         app = KeyValueStore.launch(config=config, table=2)
-        try:
+        with app.runtime:
             app.put("k", 7)
             app.run()
             app.get("k")
             app.run()
             assert app.results("get") == [("k", 7)]
-        finally:
-            app.runtime.close()
 
 
 # ---------------------------------------------------------------------------

@@ -74,14 +74,11 @@ class TestComposedObservers:
         def run(**substrate):
             config = RuntimeConfig(se_instances={"table": 2},
                                    **substrate, **ALL_ON)
-            runtime = Runtime(build_kv_sdg(), config).deploy()
-            try:
+            with Runtime(build_kv_sdg(), config).deploy() as runtime:
                 for i in range(20):
                     runtime.inject("serve", ("put", f"k{i}", i))
                 runtime.run_until_idle()
                 return observed(runtime)
-            finally:
-                runtime.close()
 
         inprocess = run()
         fleet = run(substrate="multiprocess", workers=2)

@@ -111,7 +111,6 @@ class Controller:
             instance = self._pick(queued, action[1])
             if instance is not None:
                 instance.inbox.append(instance.inbox[0])
-                runtime.transport.inbox_gauge(instance.name).inc()
 
     def complete(self):
         for pending in self.pending.values():

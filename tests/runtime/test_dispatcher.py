@@ -110,14 +110,14 @@ class TestOneToAll:
             RuntimeConfig(te_instances={"dst": 2}),
         ).deploy()
         seen = []
-        original = runtime._serve
+        original = runtime.substrate.process
 
         def record(instance, envelope):
             if instance.name == "dst":
                 seen.append(envelope.request_id)
             original(instance, envelope)
 
-        runtime._serve = record
+        runtime.substrate.process = record
         runtime.inject("src", "a")
         runtime.inject("src", "b")
         runtime.run_until_idle()

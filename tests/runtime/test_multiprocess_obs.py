@@ -350,7 +350,7 @@ class TestCoordinatorInputStore:
         flush_run = substrate._flush_run
 
         def spy(link):
-            queued.extend(link.pending)
+            queued.extend(row for run in link.runs for row in run.rows)
             return flush_run(link)
 
         substrate._flush_run = spy

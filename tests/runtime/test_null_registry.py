@@ -33,8 +33,7 @@ def drive(sdg, se_instances, inputs, substrate, workers, metrics):
     """Inject ``(entry, payload)`` pairs, drain; results and state."""
     config = RuntimeConfig(se_instances=se_instances, substrate=substrate,
                            workers=workers, metrics=metrics)
-    runtime = Runtime(sdg, config).deploy()
-    try:
+    with Runtime(sdg, config).deploy() as runtime:
         for entry, payload in inputs:
             runtime.inject(entry, payload)
         processed = runtime.run_until_idle()
@@ -44,8 +43,6 @@ def drive(sdg, se_instances, inputs, substrate, workers, metrics):
         results = {te: sorted(map(repr, items))
                    for te, items in runtime.results.items()}
         return processed, results, state_fingerprint(runtime)
-    finally:
-        runtime.close()
 
 
 def drive_cf(substrate, workers, metrics):
@@ -53,7 +50,7 @@ def drive_cf(substrate, workers, metrics):
         RuntimeConfig(substrate=substrate, workers=workers,
                       metrics=metrics),
         user_item=2, co_occ=2)
-    try:
+    with app.runtime:
         for user in range(6):
             for item in range(5):
                 if (user + item) % 3:
@@ -65,8 +62,6 @@ def drive_cf(substrate, workers, metrics):
         # Each reply's order across merge slots is the workers' race.
         replies = sorted(rec.to_list() for rec in app.results("get_rec"))
         return replies, state_fingerprint(app.runtime)
-    finally:
-        app.runtime.close()
 
 
 @pytest.mark.parametrize("substrate, workers", SUBSTRATES,

@@ -15,6 +15,7 @@ them. The gather barrier is not a relaxed path: with the flag on or
 off, on either substrate, a merge receives the list of replica values.
 """
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -32,6 +33,7 @@ from repro.recovery import (
     RecoverySupervisor,
 )
 from repro.runtime import FailureDetector, Runtime, RuntimeConfig
+from repro.runtime.deployment import Topology
 from repro.runtime.engine import RUN_MAX
 from repro.testing import build_iterative_sdg, build_kv_sdg
 
@@ -190,8 +192,7 @@ def run_once(app, substrate, optimize, items=120, drive=drive_plain,
     config = RuntimeConfig(se_instances=se_instances, substrate=substrate,
                            workers=2 if substrate == "multiprocess" else None,
                            optimize=optimize, **knobs)
-    runtime = Runtime(builder(), config).deploy()
-    try:
+    with Runtime(builder(), config).deploy() as runtime:
         extra = drive(runtime, app, items)
         fingerprint = state_fingerprint(runtime)
         metrics = runtime.merged_metrics()
@@ -200,8 +201,6 @@ def run_once(app, substrate, optimize, items=120, drive=drive_plain,
             for name in ("dispatch_coalesced_total",
                          "engine_items_processed_total")
         }
-    finally:
-        runtime.close()
     return fingerprint, counters, extra
 
 
@@ -356,25 +355,34 @@ class TestOneGatherPath:
     @pytest.mark.parametrize("substrate", ["inprocess", "multiprocess"])
     def test_merge_receives_every_replica_value(self, substrate, tmp_path,
                                                 monkeypatch):
-        # Patched on the class before launch, so forked workers inherit
-        # it; a file, because there the merge TE runs in another process.
+        # The merge TE's function, wrapped on its instances as they are
+        # materialised (after certification reads the SDG, before a
+        # fleet forks); a file, because there the merge TE runs in
+        # another process.
         spy_file = tmp_path / "gathered.jsonl"
-        invoke = Runtime._invoke
+        materialise = Topology.materialise
 
-        def spy(runtime, instance, payload):
-            if instance.name == CF_MERGE_TE:
+        def spied(merge):
+            def spy(ctx, payload):
                 assert type(payload) is list
                 with open(spy_file, "a") as out:
                     out.write(json.dumps([v.to_list() for v in payload])
                               + "\n")
-            return invoke(runtime, instance, payload)
+                return merge(ctx, payload)
+            return spy
 
-        monkeypatch.setattr(Runtime, "_invoke", spy)
+        def materialise_spied(topology):
+            materialise(topology)
+            for instance in topology.te_instances(CF_MERGE_TE):
+                instance.spec = dataclasses.replace(
+                    instance.spec, fn=spied(instance.spec.fn))
+
+        monkeypatch.setattr(Topology, "materialise", materialise_spied)
 
         def run(optimize):
             spy_file.write_text("")
             app = launch_cf(optimize, substrate)
-            try:
+            with app.runtime:
                 app.get_rec(0)
                 app.run()
                 user_row = max(
@@ -384,8 +392,6 @@ class TestOneGatherPath:
                 partials = [element.multiply(user_row).to_list()
                             for element in app.state_of("co_occ")]
                 (reply,) = app.results("get_rec")
-            finally:
-                app.runtime.close()
             (gathered,) = map(json.loads,
                               spy_file.read_text().splitlines())
             # One raw partial vector per live replica, not a pre-reduced

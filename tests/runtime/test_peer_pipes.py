@@ -118,15 +118,13 @@ class TestQuiescence:
             runtime = Runtime(build_iterative_sdg(), config).deploy()
             written = (spy_peers(runtime) if substrate == "multiprocess"
                        else {})
-            try:
+            with runtime:
                 runtime.inject("stepA", 400)
                 processed = runtime.run_until_idle()
                 results = {te: sorted(map(repr, items))
                            for te, items in runtime.results.items()}
                 return (processed, results, state_fingerprint(runtime),
                         sum(map(sum, written.values())))
-            finally:
-                runtime.close()
 
         (processed, *outcome, hops), clean = run_pair(run)
         # stepA serves 400..0 and stepB 399..0, one item at a time.
@@ -142,7 +140,7 @@ class TestQuiescence:
             app = CollaborativeFiltering.launch(
                 RuntimeConfig(substrate=substrate, workers=workers),
                 user_item=3, co_occ=3)
-            try:
+            with app.runtime:
                 for op in ops:
                     if op.kind == "add_rating":
                         app.add_rating(op.user, op.item, op.rating)
@@ -153,8 +151,6 @@ class TestQuiescence:
                 app.run()
                 replies = [rec.to_list() for rec in app.results("get_rec")]
                 return replies, state_fingerprint(app.runtime)
-            finally:
-                app.runtime.close()
 
         replies, fingerprint = run("multiprocess", 3)
         assert replies
@@ -176,13 +172,10 @@ class TestQuiescence:
                         key_fn=lambda x: x, key_name="k")
         config = RuntimeConfig(se_instances={"modelA": 2, "modelB": 2},
                                substrate="multiprocess", workers=2)
-        runtime = Runtime(sdg, config).deploy()
-        try:
+        with Runtime(sdg, config).deploy() as runtime:
             runtime.inject("stepA", 0)
             with pytest.raises(RuntimeExecutionError, match="idle"):
                 runtime.run_until_idle(max_steps=200)
-        finally:
-            runtime.close()
 
 
 def build_killed_wordcount(flag_path, where):
@@ -227,7 +220,7 @@ def drain_killed(flag, where, substrate, **config):
     runtime = Runtime(build_killed_wordcount(flag, where), RuntimeConfig(
         te_instances={"split": 2}, se_instances={"counts": 4},
         substrate=substrate, **config)).deploy()
-    try:
+    with runtime:
         for line in LINES:
             runtime.inject("split", line)
         runtime.run_until_idle()
@@ -236,8 +229,6 @@ def drain_killed(flag, where, substrate, **config):
             counts.update(instance.element.items())
         return (counts, state_fingerprint(runtime),
                 len(runtime.events.events(kind=KIND.WORKER_RESTART)))
-    finally:
-        runtime.close()
 
 
 class TestPeerFaults:

@@ -44,7 +44,7 @@ def test_a_worker_filter_is_bounded_by_its_slots():
     runtime = Runtime(build_kv_sdg(), RuntimeConfig(
         se_instances={"table": 4}, substrate="multiprocess",
         workers=2)).deploy()
-    try:
+    with runtime:
         oracle = {}
         expected = []
         for i in range(20_000):
@@ -64,8 +64,6 @@ def test_a_worker_filter_is_bounded_by_its_slots():
         # the stream (slot 0's); no stamp is held past a gap.
         assert 0 < sum(entries.values()) <= 2 * 4, entries
         assert Counter(runtime.results["serve"]) == Counter(expected)
-    finally:
-        runtime.close()
 
 
 def test_full_checkpoint_empties_the_request_sets():

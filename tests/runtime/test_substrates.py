@@ -268,15 +268,15 @@ class TestFirstInputShipsAtInject:
             frames = send_frames(runtime, "coordinator")
             runtime.inject("serve", ("put", keys[0], 0))
             assert send_frames(runtime, "coordinator") == frames + 1
-            assert (link.pending, link.sent - link.consumed) == ([], 1)
+            assert (link.runs, link.sent - link.consumed) == ([], 1)
             # Not caught up any more: the next rows wait for a run.
             for i, key in enumerate(keys[1:WIRE_RUN], 1):
                 runtime.inject("serve", ("put", key, i))
             assert send_frames(runtime, "coordinator") == frames + 1
-            assert len(link.pending) == WIRE_RUN - 1
+            assert [len(run.rows) for run in link.runs] == [WIRE_RUN - 1]
             runtime.inject("serve", ("put", keys[WIRE_RUN], WIRE_RUN))
             assert send_frames(runtime, "coordinator") == frames + 2
-            assert link.pending == []
+            assert link.runs == []
             assert runtime.run_until_idle() == WIRE_RUN + 1
 
     def test_a_burst_after_a_barrier_pumps_the_rest(self):
@@ -785,8 +785,9 @@ class TestEnvelopeRuns:
                 for i, key in enumerate(keys):
                     runtime.inject("serve", ("put", key, i))
                 if substrate == "multiprocess":
-                    assert sorted(len(link.pending) for link
-                                  in runtime.substrate._links) == [0, 35]
+                    assert sorted(
+                        sum(len(run.rows) for run in link.runs)
+                        for link in runtime.substrate._links) == [0, 35]
                 assert runtime.run_until_idle() == WIRE_RUN + 36
                 series = runtime.merged_metrics().snapshot()[
                     "engine_items_processed_total"]["children"]
