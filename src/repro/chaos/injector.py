@@ -238,6 +238,7 @@ class FaultInjector:
             self._log(fault, "skipped",
                       f"no queued envelope on TE {fault.te!r}")
             return
+        self.runtime.start_result_filter()
         envelope = instance.inbox.pop()
         self.runtime.fail_node(instance.node_id)
         self._log(fault, "fired",
@@ -251,6 +252,7 @@ class FaultInjector:
             self._log(fault, "skipped",
                       f"no queued envelope on TE {fault.te!r}")
             return
+        self.runtime.start_result_filter()
         envelope = instance.inbox[0]
         instance.inbox.append(envelope)
         self._log(fault, "fired",

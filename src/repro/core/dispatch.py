@@ -28,19 +28,3 @@ class Dispatch(enum.Enum):
     ONE_TO_ANY = "one_to_any"
     ONE_TO_ALL = "one_to_all"
     ALL_TO_ONE = "all_to_one"
-
-    @property
-    def is_broadcast(self) -> bool:
-        """Whether one input item fans out to every downstream instance."""
-        return self is Dispatch.ONE_TO_ALL
-
-    @property
-    def needs_barrier(self) -> bool:
-        """Whether the downstream TE must gather from all upstream
-        instances before it can run (paper: "synchronisation barrier")."""
-        return self is Dispatch.ALL_TO_ONE
-
-    @property
-    def needs_key(self) -> bool:
-        """Whether the edge must carry a partitioning-key extractor."""
-        return self is Dispatch.KEY_PARTITIONED

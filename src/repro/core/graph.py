@@ -155,11 +155,6 @@ class SDG:
         """All TEs with an access edge to state element ``se``."""
         return [t for t in self._tasks.values() if t.state == se]
 
-    def se_of(self, te: str) -> StateElementSpec | None:
-        """The state element accessed by TE ``te`` (None if stateless)."""
-        state = self._tasks[te].state
-        return self._states[state] if state is not None else None
-
     # ------------------------------------------------------------------
     # Cycle detection (for iteration support and allocation step 1)
     # ------------------------------------------------------------------

@@ -138,11 +138,10 @@ class Runtime:
         self._entries: dict[str, EntryInputs] = {}
         #: TEs without outgoing dataflows; their outputs are results.
         self._terminal_tes: frozenset[str] = frozenset()
-        #: Result replay filter (§5), client-side like ``results``: stamps
-        #: collected per (terminal TE, stream), shared by the stream's
-        #: channels into every slot; per merge slot, request id ->
-        #: (channel, ts) of the response that completed it.
-        self._result_stamps: dict[ChannelId, StreamStamps] = {}
+        #: Result replay filter (§5), client-side, ``None`` until something
+        #: can replay: stamps per (terminal TE, stream), shared by its
+        #: channels into every slot; per merge slot, request id -> cause.
+        self._result_stamps: dict[ChannelId, StreamStamps] | None = None
         self._result_requests: dict[tuple[str, int], dict[RequestId, tuple]] = {}
         self._step_hooks: list = []
         self._crash_handlers: list = []
@@ -316,6 +315,10 @@ class Runtime:
             depth.computed(lambda te=te: sum(
                 len(inst.inbox) for inst in self.topology.te_instances(te)),
                 te=te)
+        m.gauge("engine_result_filter_entries", "result-filter records "
+                "and their stamps past a gap").computed(lambda: sum(
+                    1 + len(held.ahead)
+                    for held in set((self._result_stamps or {}).values())))
 
     def _refresh_instance_gauges(self) -> None:
         """Re-read live instance counts after a structural change."""
@@ -721,6 +724,9 @@ class Runtime:
             if envelope.request_id not in done:
                 done[envelope.request_id] = (envelope.channel, envelope.ts)
                 self.results[instance.name].extend(outputs)
+        elif self._result_stamps is None:
+            if outputs:
+                self.results[instance.name].extend(outputs)
         elif (self._result_stamps.get(envelope.channel)
               or self._result_stream(envelope.channel)).add(envelope.ts):
             self.results[instance.name].extend(outputs)
@@ -753,8 +759,42 @@ class Runtime:
     # Results (a terminal TE's outputs; the rest go to the dispatcher)
     # ------------------------------------------------------------------
 
+    def start_result_filter(self) -> None:
+        """Build the result filter, once; each path that can re-deliver,
+        re-route or roll back an item calls this first.
+
+        Exact: until then each stamp reaches one slot, once; slots serve
+        their channels FIFO; a served terminal item is collected (a
+        gathered one by request id); trims cut only at or below a
+        checkpointed ``last_seen``. So collected stamps are those at or
+        below their slot's ``last_seen``; the rest are *open*, in an input
+        log or output buffer, as is the envelope a supervised crash popped.
+        Per terminal stream, with ``top`` its highest stamp: ``low =
+        min(open) - 1`` (or ``top``) and ``ahead = (low, top] - open``.
+        """
+        if self._result_stamps is not None:
+            return
+        self._result_stamps = records = {}
+        for te in self._terminal_tes:
+            inputs, slots = self._entries.get(te), self.topology.te_slots[te]
+            streams = [([(r.channel, r.log) for r in inputs.routes],
+                        inputs.seq)] if inputs else []
+            streams += [([(c, b) for c, b in p.output_buffers.items()
+                          if c.edge_index == e], p.out_seq.get(e, 0))
+                        for e, edge in enumerate(self.sdg.dataflows)
+                        if edge.dst == te for p in self.te_instances(edge.src)]
+            for kept, top in streams:
+                if kept:
+                    open_ = {env.ts for channel, log in kept for env in log
+                             if env.ts > slots[channel.dst_instance]
+                             .last_seen.get(channel[:3], 0)}
+                    low = min(open_, default=top + 1) - 1
+                    records[kept[0][0].reroute(0)] = StreamStamps(
+                        low, set(range(low + 1, top + 1)) - open_)
+
     def _result_stream(self, channel: ChannelId) -> StreamStamps:
         """The stamps of ``channel``'s stream into its TE, any slot."""
+        self.start_result_filter()
         stamps = self._result_stamps.setdefault(channel.reroute(0),
                                                 StreamStamps())
         self._result_stamps[channel] = stamps
@@ -779,6 +819,7 @@ class Runtime:
         no process would serve or replay a replacement installed here.
         """
         self._refuse_on_workers(f"fail_node({node_id})")
+        self.start_result_filter()
         node = self.topology.nodes[node_id]
         was_alive = node.alive
         lost = sum(len(inst.inbox) for inst in node.te_instances.values()
@@ -804,6 +845,7 @@ class Runtime:
         Slot lists grow on demand so that m-to-n recovery can restore a
         single failed instance as several new partitioned instances.
         """
+        self.start_result_filter()
         node = self.topology.install_replacement(te_replacements,
                                                  se_replacements)
         self._refresh_instance_gauges()
@@ -813,6 +855,7 @@ class Runtime:
                         partitioner: Partitioner) -> None:
         """Route a partitioned SE by ``partitioner`` from a new epoch on
         (a 1-to-n restore), and publish the repartition."""
+        self.start_result_filter()
         self.topology.set_partitioner(se_name, partitioner)
         self.events.publish(
             "engine", KIND.REPARTITION, self.total_steps,
@@ -836,6 +879,7 @@ class Runtime:
         are skipped (their instance never failed). Returns the number of
         envelopes re-delivered.
         """
+        self.start_result_filter()
         count = 0
         streams: list[Envelope] = []
         inputs = self._entries.get(dst_te)
@@ -869,6 +913,7 @@ class Runtime:
 
     def replay_from(self, instance: TEInstance) -> int:
         """Re-send a recovered instance's own output buffers downstream."""
+        self.start_result_filter()
         count = 0
         for buffered in instance.output_buffers.values():
             for envelope in buffered:
@@ -925,6 +970,7 @@ class Runtime:
         control-plane action there.
         """
         self._refuse_on_workers(f"scale_up({te_name!r})")
+        self.start_result_filter()
         spec = self.sdg.task(te_name)
         if spec.is_merge:
             return False

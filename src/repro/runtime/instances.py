@@ -54,9 +54,8 @@ class StreamStamps:
 
     __slots__ = ("low", "ahead")
 
-    def __init__(self) -> None:
-        self.low = 0
-        self.ahead: set[int] = set()
+    def __init__(self, low: int = 0, ahead: set[int] | None = None) -> None:
+        self.low, self.ahead = low, ahead if ahead is not None else set()
 
     def add(self, ts: int) -> bool:
         """Record ``ts``; False if it was recorded before."""
@@ -71,11 +70,6 @@ class StreamStamps:
             ahead.remove(ts)
         self.low = ts
         return True
-
-    def settle(self) -> None:
-        """Close every gap: only where no stamp in one is still to come."""
-        self.low = max(self.ahead, default=self.low)
-        self.ahead.clear()
 
 
 class SEInstance:

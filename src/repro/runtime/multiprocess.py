@@ -1066,13 +1066,7 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
             items.clear()
         return reported
 
-    # The result filter sees only this worker's slots, and a stream
-    # reaches it in order: once idle, its gaps are other workers' stamps.
-    # It settles them after each idle report, off the reply's path.
-    g_filter = runtime.metrics.gauge(
-        "engine_result_filter_entries", "result-filter channels and "
-        "stamps past a gap a worker held when it last went idle").labels()
-
+    # No worker builds the result filter: a restart drops what it replays.
     deliver_run = runtime.transport.deliver_run
     drain = runtime._drain
     # Asked after each step of a woken drain, with no frame of its own.
@@ -1134,10 +1128,6 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
                 runtime, worker_id, placement)) if snapshot
                 else report(MSG_IDLE))
             snapshot = False
-            stamps = runtime._result_stamps.values()
-            for held in stamps:
-                held.settle()
-            g_filter.set(sum(1 + len(held.ahead) for held in stamps))
         idle = True
 
 

@@ -74,11 +74,6 @@ class TestQueries:
         names = {t.name for t in sdg.tasks_accessing("coOcc")}
         assert names == {"updateCoOcc", "getRecVec"}
 
-    def test_se_of(self):
-        sdg = build_cf_sdg()
-        assert sdg.se_of("updateUserItem").name == "userItem"
-        assert sdg.se_of("mergeRec") is None
-
     def test_reachability(self):
         sdg = build_cf_sdg()
         assert sdg.reachable_from_entries() == set(sdg.tasks)
@@ -119,16 +114,3 @@ class TestRendering:
     def test_repr(self):
         assert "tasks=5" in repr(build_cf_sdg())
 
-
-class TestDispatchProperties:
-    def test_broadcast_flag(self):
-        assert Dispatch.ONE_TO_ALL.is_broadcast
-        assert not Dispatch.ONE_TO_ANY.is_broadcast
-
-    def test_barrier_flag(self):
-        assert Dispatch.ALL_TO_ONE.needs_barrier
-        assert not Dispatch.ONE_TO_ALL.needs_barrier
-
-    def test_key_flag(self):
-        assert Dispatch.KEY_PARTITIONED.needs_key
-        assert not Dispatch.ALL_TO_ONE.needs_key

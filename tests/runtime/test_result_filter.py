@@ -1,68 +1,86 @@
-"""The result consumer's replay filter stays bounded in steady state.
+"""The result consumer's replay filter costs nothing until it is needed.
 
-Counted, not clocked: the stamps of a (TE, stream) shrink to a
-watermark once its slots have served every item, whatever the run
-length (on a multiprocess worker, which serves only some of the slots,
-once it goes idle), and a full checkpoint empties the request-id sets
-of the gathers it covers.
+Counted, not clocked: nothing keeps a result stamp until something can
+replay (in-process, the first failure, reroute or chaos fault; a
+multiprocess worker never), and then the stamps of a (TE, stream)
+shrink to a watermark once its slots have served every item. A full
+checkpoint empties the request-id sets of the gathers it covers.
 """
 
 from collections import Counter
 
 from repro.apps import CollaborativeFiltering
-from repro.recovery import BackupStore, CheckpointManager
+from repro.recovery import BackupStore, CheckpointManager, RecoveryManager
 from repro.runtime import Runtime, RuntimeConfig
 
 from tests.helpers import build_kv_sdg
 
 
+def filter_entries(registry) -> list[float]:
+    """Each ``engine_result_filter_entries`` cell the registry holds."""
+    return list(registry.snapshot()["engine_result_filter_entries"][
+        "children"].values())
+
+
+def kv_op(i):
+    return ("get" if i % 3 == 0 else "put", i % 500, i)
+
+
 def test_stream_stamps_shrink_to_a_watermark():
     runtime = Runtime(build_kv_sdg(),
                       RuntimeConfig(se_instances={"table": 4})).deploy()
-    stamps = runtime._result_stamps
     for i in range(20_000):
-        op = "get" if i % 3 == 0 else "put"
-        runtime.inject("serve", (op, i % 500, i))
+        runtime.inject("serve", kv_op(i))
         if i % 1000 == 999:
             runtime.run_until_idle()
-            assert not any(s.ahead for s in stamps.values())
     runtime.run_until_idle()
     assert len(runtime.results["serve"]) == 6667
-    # Four partitions, each fed by the one input stream, share its stamps.
-    assert len(stamps) == 4
-    (shared,) = {id(s): s for s in stamps.values()}.values()
+    # Nothing could replay: no stamp was kept, and the gauge says so.
+    assert runtime._result_stamps is None
+    assert filter_entries(runtime.metrics) == [0]
+    # A failure builds the filter; the log replay that recovers the
+    # partition collects nothing twice.
+    victim = runtime.te_instances("serve")[1].node_id
+    runtime.fail_node(victim)
+    RecoveryManager(runtime, BackupStore()).recover_node(victim)
+    runtime.run_until_idle()
+    assert len(runtime.results["serve"]) == 6667
+    # One record for the one input stream, shared by every slot's
+    # channel, at a watermark with nothing held past a gap.
+    (shared,) = set(runtime._result_stamps.values())
     assert shared.low == 20_000
     assert not shared.ahead
+    assert filter_entries(runtime.metrics) == [1]
     assert not any(runtime._result_requests.values())
 
 
 def test_a_worker_filter_is_bounded_by_its_slots():
-    """A worker serves only some slots, so its stamps never close up on
-    their own: they would grow by one per item it serves. A worker's
-    gauge carries its filter's size (channels plus stamps past a gap)
-    as it settled after its previous idle report."""
+    """A worker serves only some slots of a stream whose stamps are
+    global, so a filter there would hold nearly every stamp past a gap.
+    Nothing on a fleet replays a result into it, so no worker builds
+    one: after every barrier each worker's gauge, and the merged one,
+    read 0."""
     runtime = Runtime(build_kv_sdg(), RuntimeConfig(
         se_instances={"table": 4}, substrate="multiprocess",
         workers=2)).deploy()
     with runtime:
         oracle = {}
         expected = []
-        for i in range(20_000):
-            op = "get" if i % 3 == 0 else "put"
-            key = i % 500
-            runtime.inject("serve", (op, key, i))
-            if op == "put":
-                oracle[key] = i
-            else:
-                expected.append((key, oracle.get(key)))
-            if i % 1000 == 999:
-                runtime.run_until_idle()
-        runtime.run_until_idle()
-        entries = runtime.merged_metrics().snapshot()[
-            "engine_result_filter_entries"]["children"]
-        # Per worker: its slots' input channels and the shared key of
-        # the stream (slot 0's); no stamp is held past a gap.
-        assert 0 < sum(entries.values()) <= 2 * 4, entries
+        for barrier in range(4):
+            for i in range(barrier * 5000, (barrier + 1) * 5000):
+                op, key, value = request = kv_op(i)
+                runtime.inject("serve", request)
+                if op == "put":
+                    oracle[key] = value
+                else:
+                    expected.append((key, oracle.get(key)))
+            runtime.run_until_idle()
+            shards = runtime.substrate.metric_shards
+            assert len(shards) == 2
+            for shard in shards:
+                assert list(shard["engine_result_filter_entries"][
+                    "children"].values()) == [0]
+            assert filter_entries(runtime.merged_metrics()) == [0]
         assert Counter(runtime.results["serve"]) == Counter(expected)
 
 
