@@ -5,17 +5,20 @@ Two enforced properties, mirroring ``test_obs_overhead.py``:
 * **Profiling off is free.** A runtime with the profiler *and* flight
   recorder disabled (the default) must process items within 3% of the
   :data:`~repro.obs.NULL_REGISTRY` baseline — i.e. the new hooks add
-  nothing beyond the already-enforced metrics bar. Off-path cost is the
-  shared no-op probe (:data:`repro.obs.probe.NULL_PROBE`): at most three
-  empty calls per item.
+  nothing beyond the already-enforced metrics bar. Off the path there
+  is nothing: with the shared no-op probe
+  (:data:`repro.obs.probe.NULL_PROBE`) the drain serves through
+  ``substrate.process`` itself, and an item makes no probe call.
 * **Profiling on accounts the run.** With ``profile=True`` every item
-  lands in the ``process`` and ``dispatch`` phases. The multiprocess
+  lands in the ``process`` phase and every ``dispatcher.dispatch`` call
+  (one per wordcount line) in the ``dispatch`` phase. The multiprocess
   merge of worker and coordinator phases is checked by
   ``tests/runtime/test_multiprocess_obs.py::TestMergedProfile``.
 """
 
 import time
 
+from repro.apps.wordcount import build_wordcount_sdg
 from repro.obs import NULL_REGISTRY
 from repro.runtime import Runtime, RuntimeConfig
 from repro.testing import build_kv_sdg
@@ -74,10 +77,13 @@ def test_profile_off_overhead_under_3_percent():
 
 
 def test_profile_on_accounts_every_item():
-    runtime = _deploy(profile=True)
-    _run_batch(runtime, 0, items=300)
+    config = RuntimeConfig(se_instances={"counts": 2}, profile=True)
+    runtime = Runtime(build_wordcount_sdg(), config).deploy()
+    for i in range(300):
+        runtime.inject("split", (i, f"w{i % 64} w{i % 5}"))
+    runtime.run_until_idle()
     profile = runtime.merged_profile()
-    assert profile.count("process") == 300
+    assert profile.count("process") == 300 * 3
     assert profile.count("dispatch") == 300
     # Dispatch nests inside the process span, so it can never exceed it.
     assert profile.seconds("dispatch") <= profile.seconds("process")

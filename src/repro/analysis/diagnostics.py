@@ -273,9 +273,6 @@ class Report:
     def by_code(self, code: str) -> list[Diagnostic]:
         return [d for d in self.diagnostics if d.code == code]
 
-    def codes(self) -> set[str]:
-        return {d.code for d in self.diagnostics}
-
     def sorted(self) -> list[Diagnostic]:
         return sorted(
             self.diagnostics,

@@ -83,11 +83,6 @@ _COLUMNS = [
 ]
 
 
-def sdg_row() -> FrameworkRow:
-    """The SDG row — the claimed combination of properties."""
-    return next(row for row in TABLE_1 if row.system == "SDG")
-
-
 def frameworks_with(**criteria: str) -> list[FrameworkRow]:
     """Filter the table by column values (e.g. ``large_state=YES``)."""
     rows = TABLE_1

@@ -244,7 +244,7 @@ class DurableRunner:
                     raise DurabilityError(
                         f"fresh deployment has no SE instance {se_key}"
                     )
-                instance.element = element
+                self.runtime.topology.set_element(instance, element)
             for te_key, te_meta in meta.te_meta.items():
                 instance = self.runtime.te_instance(*te_key)
                 if instance is None:
@@ -252,7 +252,7 @@ class DurableRunner:
                         f"fresh deployment has no TE instance {te_key}"
                     )
                 RecoveryManager._apply_meta(instance, te_meta)
-        self.runtime.total_steps = latest.total_steps
+        self.runtime.count_steps_from(latest.total_steps)
         for entry, inputs in self.runtime._entries.items():
             inputs.seq = latest.input_seq.get(entry, 0)
         restored = state_fingerprint(self.runtime)

@@ -29,8 +29,8 @@ existing step-hook/facade seams:
 * :mod:`repro.obs.flight` — a bounded per-process ring buffer of
   recent envelope digests, shipped in crash frames and persisted next
   to durable-run manifests for SIGKILL post-mortems.
-* :mod:`repro.obs.probe` — the serve path's one view of the three
-  recorders above (the shared no-op ``NULL_PROBE`` when all are off).
+* :mod:`repro.obs.probe` — the three recorders above as one wrapper
+  of the serve seam (the shared no-op ``NULL_PROBE`` when all are off).
 * :mod:`repro.obs.events` — a typed, structured :class:`EventBus` that
   the engine, checkpoint manager, recovery supervisor, failure
   detector and chaos injector publish to — the one log of what the

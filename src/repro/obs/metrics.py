@@ -28,6 +28,7 @@ tests never see each other's counts.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import attrgetter
 
 from repro.errors import SDGError
 
@@ -52,6 +53,9 @@ class MetricError(SDGError):
 #: Default histogram buckets, in logical steps.  Chosen to resolve both
 #: sub-checkpoint-interval latencies and long replay spans.
 DEFAULT_STEP_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000)
+
+
+_VALUE = attrgetter("value")
 
 
 def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
@@ -90,9 +94,9 @@ class _GaugeChild:
         self.value -= amount
 
 
-class _ComputedGauge:
-    """A gauge cell whose value is computed when it is read: a level
-    that no write site has to keep, because nothing writes it."""
+class _Computed:
+    """A cell whose value is computed when it is read: a level or a
+    total that no write site has to keep, because nothing writes it."""
 
     __slots__ = ("read",)
 
@@ -179,6 +183,15 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         self.labels(**labels).inc(amount)
 
+    def computed(self, read, **labels: str) -> None:
+        """As :meth:`Gauge.computed`, plus what the cell read before: a
+        total, so two runtimes sharing a registry report their sum."""
+        cell = self._children.get(_label_key(labels))
+        if type(cell) is not _Computed:
+            return Gauge.computed(self, read, **labels)
+        before = cell.read
+        cell.read = lambda: before() + read()
+
 
 class Gauge(_Metric):
     kind = "gauge"
@@ -195,7 +208,7 @@ class Gauge(_Metric):
 
     def computed(self, read, **labels: str) -> None:
         """Make the cell for ``labels`` read ``read()`` when it is read."""
-        self._children[_label_key(labels)] = _ComputedGauge(read)
+        self._children[_label_key(labels)] = _Computed(read)
         if self._registry is not None:
             self._registry.shape += 1
 
@@ -225,13 +238,13 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 class ShardCache:
     """What one shard stream remembers between two
     :meth:`MetricsRegistry.shard` calls: the registry shape it last
-    described, and the cells in registry order, histograms flagged."""
+    described, and its cells in registry order, a histogram's computed."""
 
     __slots__ = ("stamp", "cells")
 
     def __init__(self) -> None:
         self.stamp = -1
-        self.cells: list[tuple[object, bool]] = []
+        self.cells: list = []
 
 
 class MetricsRegistry:
@@ -299,7 +312,7 @@ class MetricsRegistry:
         their shard then holds only work performed *in* the worker, and
         the barrier merge never double-counts the coordinator's
         deploy-time series. Pre-bound label children stay usable (the
-        cells are mutated, not replaced); a computed gauge keeps no
+        cells are mutated, not replaced); a computed cell keeps no
         value to zero.
         """
         for metric in self._metrics.values():
@@ -308,7 +321,7 @@ class MetricsRegistry:
                     child.counts = [0] * len(child.counts)
                     child.sum = 0.0
                     child.count = 0
-                elif type(child) is not _ComputedGauge:
+                elif type(child) is not _Computed:
                     child.value = 0.0
 
     def snapshot(self) -> dict:
@@ -355,14 +368,14 @@ class MetricsRegistry:
                 (name, metric.kind, metric.help,
                  getattr(metric, "buckets", None), tuple(metric._children))
                 for name, metric in metrics.items())
-            cache.cells = [(child, metric.kind == "histogram")
-                           for metric in metrics.values()
-                           for child in metric._children.values()]
+            cache.cells = [
+                _Computed(lambda c=child: (tuple(c.counts), c.sum, c.count))
+                if metric.kind == "histogram" else child
+                for metric in metrics.values()
+                for child in metric._children.values()]
             cache.stamp = self.shape
-        return schema, tuple([
-            (tuple(cell.counts), cell.sum, cell.count) if histogram
-            else cell.value
-            for cell, histogram in cache.cells])
+        # Plain cells are read in C: a worker pays this at every report.
+        return schema, tuple(map(_VALUE, cache.cells))
 
     @staticmethod
     def expand(schema: tuple, values: tuple) -> dict:

@@ -1,11 +1,12 @@
 """The probe: the runtime's one view of tracer, profiler and flight.
 
 All three observe one event (an instance serves an envelope at logical
-step *s*), so the engine calls one :class:`Probe` at three points per
-envelope: :meth:`~Probe.serve` after replay dedup, :meth:`~Probe.dispatch`
-before routing, :meth:`~Probe.served` once ``process`` returned or
-raised. With every recorder off the runtime holds :data:`NULL_PROBE`:
-its calls do nothing and :meth:`~Probe.phase` hands out null timers.
+step *s*), so they sit at one seam: the drain loop serves through
+:meth:`~Probe.around` ``substrate.process``, which times each call and
+records each served envelope after it returned or raised. The serve
+path itself makes no probe call. With every recorder off the runtime
+holds :data:`NULL_PROBE`: its ``around`` hands ``process`` back as it
+is and :meth:`~Probe.phase` hands out null timers.
 """
 
 from __future__ import annotations
@@ -21,40 +22,47 @@ __all__ = ["NULL_PROBE", "Probe"]
 
 
 class Probe:
-    """Whichever of tracer, profiler and flight recorder are enabled."""
+    """Whichever of tracer, profiler and flight are on, and the step."""
 
-    #: Start of the open ``process`` / ``dispatch`` spans.
-    _t_serve = _t_dispatch = None
-
-    def __init__(self, tracer=None, profiler=None, flight=None) -> None:
+    def __init__(self, tracer=None, profiler=None, flight=None,
+                 clock=lambda: 0) -> None:
         self.tracer = tracer
         self.flight = flight
-        self._timed = profiler is not None
+        self.clock = clock
         self.phase = (profiler or ProfileRegistry(NULL_REGISTRY)).phase
-        self._process = self.phase("process")
-        self._dispatch = self.phase("dispatch")
 
-    def serve(self, step: int, instance, envelope) -> None:
-        if self.tracer is not None:
-            self.tracer.begin_hop(envelope, instance.name,
-                                  str(instance.index), step)
-        if self.flight is not None:
-            self.flight.record_envelope(step, instance, envelope)
-        if self._timed:
-            self._t_serve = time.perf_counter()
+    def around(self, process):
+        """``process`` timed into the ``process`` phase, each envelope
+        it serves a trace hop and a flight entry of the step it began
+        at: one whose task raised too, a dropped replay duplicate
+        (``process`` returned False) not."""
+        tracer, flight, clock = self.tracer, self.flight, self.clock
+        timed = self.timed("process", process)
 
-    def dispatch(self) -> None:
-        if self._timed:
-            self._t_dispatch = time.perf_counter()
+        def serve(instance, envelope):
+            step, served = clock(), None
+            try:
+                served = timed(instance, envelope)
+                return served
+            finally:
+                if served is not False and tracer is not None:
+                    tracer.begin_hop(envelope, instance.name,
+                                     str(instance.index), step)
+                if served is not False and flight is not None:
+                    flight.record_envelope(step, instance, envelope)
+        return serve
 
-    def served(self) -> None:
-        if not self._timed:
-            return
-        now = time.perf_counter()
-        self._process.add(now - (self._t_serve or now))
-        if self._t_dispatch is not None:
-            self._dispatch.add(now - self._t_dispatch)
-        self._t_serve = self._t_dispatch = None
+    def timed(self, phase: str, fn):
+        """``fn`` with each call timed into ``phase``."""
+        add = self.phase(phase).add
+
+        def call(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                add(time.perf_counter() - t0)
+        return call
 
     @contextmanager
     def span(self, phase: str) -> Iterator[None]:
@@ -86,16 +94,10 @@ class Probe:
 
 
 class _NullProbe(Probe):
-    """No recorder on: the serve-path calls do nothing (no ``*args``:
-    a tuple packed per call would cost more than the old guards)."""
+    """No recorder on: nothing wraps the serve seam."""
 
-    def serve(self, step: int, instance, envelope) -> None:
-        pass
-
-    def dispatch(self) -> None:
-        pass
-
-    served = dispatch
+    def around(self, process):
+        return process
 
 
 #: Stateless, so one instance serves every runtime.

@@ -30,8 +30,8 @@ __all__ = ["PHASES", "ProfileRegistry"]
 #: The canonical phase vocabulary. ``phase()`` accepts any name — these
 #: are the ones the runtime itself populates:
 #:
-#: * ``process``    — task invocation + per-item bookkeeping (engine);
-#: * ``dispatch``   — routing outputs through the dispatch layer;
+#: * ``process``    — each call of the serve seam, duplicates included;
+#: * ``dispatch``   — each ``dispatcher.dispatch`` call (none terminal);
 #: * ``serialize``  — pickling outbound wire frames (multiprocess);
 #: * ``wire_wait``  — blocked in ``select`` on pipe readiness;
 #: * ``checkpoint`` — begin/complete spans of checkpoint cycles;

@@ -178,9 +178,6 @@ class BackupStore:
         else:
             self._offline.discard(target)
 
-    def offline_targets(self) -> list[int]:
-        return sorted(self._offline)
-
     def _chunk_candidates(self, node_id: int | None,
                           kind: str | None) -> list[tuple[tuple, int]]:
         """Stored chunk keys matching the chaos filters, sorted."""

@@ -44,11 +44,6 @@ class CheckpointPolicy:
                 f"full_every must be an int >= 0, got {self.full_every!r}"
             )
 
-    @property
-    def is_incremental(self) -> bool:
-        """Whether this policy ever emits delta checkpoints."""
-        return self.full_every != 1
-
     def wants_full(self, cycle: int) -> bool:
         """Whether checkpoint cycle ``cycle`` (0-based) should be full."""
         if cycle == 0 or self.full_every == 1:

@@ -73,6 +73,8 @@ class Topology:
         #: TE name -> slot list (``None``: failed). Changed in place,
         #: never replaced: its length is always the TE's slot count.
         self.te_slots: dict[str, list[TEInstance | None]] = {}
+        #: TE name -> every instance it ever had (what its count sums).
+        self.te_history = {te: [] for te in sdg.tasks}
         self._se_instances: dict[str, list[SEInstance | None]] = {}
         self._partitioners: dict[str, Partitioner] = {}
         #: Per-SE repartition counter. A checkpoint records the epoch it
@@ -110,34 +112,29 @@ class Topology:
             if se.kind is StateKind.PARTITIONED:
                 self._partitioners[se.name] = custom or HashPartitioner(n)
 
+        # A stateful TE instance binds the same-index SE instance.
         for te in self.sdg.tasks.values():
-            if te.state is not None:
-                n = len(self._se_instances[te.state])
-            else:
-                n = max(1, self.config.te_instances.get(te.name, 1))
-            self.te_slots[te.name] = [
-                TEInstance(te, i, se_instance=None) for i in range(n)
-            ]
+            bound = self._se_instances.get(te.state) or [None] * max(
+                1, self.config.te_instances.get(te.name, 1))
+            self.te_slots[te.name] = [TEInstance(te, i, se_instance=se_inst)
+                                      for i, se_inst in enumerate(bound)]
 
-        # Bind stateful TE instances to the same-index SE instance and
-        # group everything onto nodes following the base allocation.
+        # Group everything onto nodes following the base allocation.
         for se_name, instances in self._se_instances.items():
             for se_inst in instances:
                 node = self.node_for(base.node_of[se_name], se_inst.index)
                 node.host_se(se_inst)
         for te_name, instances in self.te_slots.items():
-            spec = self.sdg.task(te_name)
             for te_inst in instances:
-                if spec.state is not None:
-                    se_inst = self._se_instances[spec.state][te_inst.index]
-                    te_inst.se_instance = se_inst
-                    node = self.nodes[se_inst.node_id]
+                if te_inst.se_instance is not None:
+                    node = self.nodes[te_inst.se_instance.node_id]
                 else:
                     node = self.node_for(
                         base.node_of[te_name], te_inst.index
                     )
-                node.host_te(te_inst)
+                self._host_te(node, te_inst)
         self._reroute(self.te_slots)
+        self._stamp_slots(self.te_slots)
 
     def node_for(self, base_node: int, replica: int) -> PhysicalNode:
         """The node hosting replica ``replica`` of allocation slot
@@ -149,6 +146,27 @@ class Topology:
             self._node_key_map[key] = node_id
             self.nodes[node_id] = PhysicalNode(node_id)
         return self.nodes[self._node_key_map[key]]
+
+    def _host_te(self, node: PhysicalNode, instance: TEInstance) -> None:
+        """Host ``instance`` on ``node``, for good in its TE's history."""
+        node.host_te(instance)
+        self.te_history[instance.name].append(instance)
+
+    def _stamp_slots(self, te_names) -> None:
+        """Stamp each live instance of ``te_names`` with its slot count."""
+        for name in te_names:
+            for instance in filter(None, self.te_slots[name]):
+                instance.context.n_instances = len(self.te_slots[name])
+
+    def set_element(self, se_instance: SEInstance,
+                    element: StateElement) -> None:
+        """Swap ``se_instance``'s element and restamp its readers'
+        contexts (a repartition, a state pull, a durable resume)."""
+        se_instance.element = element
+        for te in self.sdg.tasks_accessing(se_instance.name):
+            reader = self.te_slots[te.name][se_instance.index]
+            if reader is not None and reader.se_instance is se_instance:
+                reader.context.state = element
 
     def fresh_node(self) -> PhysicalNode:
         """A brand-new empty node (scale-up and recovery targets)."""
@@ -298,14 +316,15 @@ class Topology:
         for te_inst in te_replacements:
             spec = te_inst.spec
             if spec.state is not None:
-                te_inst.se_instance = self._se_instances[spec.state][
-                    te_inst.index
-                ]
+                se_inst = te_inst.se_instance = self._se_instances[
+                    spec.state][te_inst.index]
+                te_inst.context.state = se_inst.element
             slots = self.te_slots[te_inst.name]
             while len(slots) <= te_inst.index:
                 slots.append(None)
             slots[te_inst.index] = te_inst
-            node.host_te(te_inst)
+            self._host_te(node, te_inst)
+        self._stamp_slots(te_inst.name for te_inst in te_replacements)
         return node
 
     # ------------------------------------------------------------------
@@ -318,8 +337,9 @@ class Topology:
         spec = self.sdg.task(te_name)
         instance = TEInstance(spec, self.te_slot_count(te_name))
         self.te_slots[te_name].append(instance)
-        self.fresh_node().host_te(instance)
+        self._host_te(self.fresh_node(), instance)
         self._reroute((te_name,))
+        self._stamp_slots((te_name,))
         return instance
 
     def add_partial_instance(self, se_name: str) -> None:
@@ -334,8 +354,9 @@ class Topology:
         for te in self.sdg.tasks_accessing(se_name):
             te_inst = TEInstance(te, index, se_instance=se_inst)
             self.te_slots[te.name].append(te_inst)
-            node.host_te(te_inst)
+            self._host_te(node, te_inst)
             self._reroute((te.name,))
+            self._stamp_slots((te.name,))
 
     def repartition(self, se_name: str, n_new: int) -> list[Envelope]:
         """Re-split a partitioned SE over ``n_new`` instances.
@@ -376,8 +397,7 @@ class Topology:
             part = merged.extract_partition(partitioner, index,
                                           spec.route_key)
             if index < len(self._se_instances[se_name]):
-                se_inst = self._se_instances[se_name][index]
-                se_inst.element = part
+                self.set_element(self._se_instances[se_name][index], part)
             else:
                 se_inst = SEInstance(spec, index, element=part)
                 self._se_instances[se_name].append(se_inst)
@@ -386,5 +406,6 @@ class Topology:
                 for te in accessing:
                     te_inst = TEInstance(te, index, se_instance=se_inst)
                     self.te_slots[te.name].append(te_inst)
-                    node.host_te(te_inst)
+                    self._host_te(node, te_inst)
+        self._stamp_slots(te.name for te in accessing)
         return pending

@@ -26,6 +26,7 @@ the same contract by processing instances in a fixed rotor order.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Iterator
 
 from repro.core.elements import AccessMode, StateKind
@@ -54,7 +55,7 @@ from repro.runtime.instances import (
     StreamStamps,
     TEInstance,
 )
-from repro.runtime.node import PhysicalNode
+from repro.runtime.node import PhysicalNode, queued, served
 from repro.runtime.scaling import BottleneckDetector
 from repro.runtime.scheduler import Scheduler, resolve_scheduler
 from repro.runtime.substrate import (
@@ -133,6 +134,7 @@ class Runtime:
         #: Collected payloads of TEs without outgoing dataflows.
         self.results: dict[str, list[Any]] = {}
         self.total_steps = 0
+        self._steps_base = 0  # engine_steps_total counts from here
         #: Entry TE -> its :class:`EntryInputs`; filled by deploy, so
         #: before it every ``inject`` is refused.
         self._entries: dict[str, EntryInputs] = {}
@@ -179,6 +181,10 @@ class Runtime:
         )
         self.dispatcher = Dispatcher(self.sdg, self.topology, self.transport,
                                      metrics=self.metrics)
+        if self.profiler is not None:
+            # The dispatch phase is the time spent in this seam.
+            self.dispatcher.dispatch = self.probe.timed(
+                "dispatch", self.dispatcher.dispatch)
         self.scheduler = resolve_scheduler(self.config.scheduler)
         # An optional policy hook, resolved once. ``select`` is looked
         # up per step: tools rebind it on the deployed scheduler.
@@ -274,16 +280,21 @@ class Runtime:
     def _bind_metrics(self) -> None:
         """Pre-bind metric children so hot-path updates skip label lookup."""
         m = self.metrics
-        self._c_steps = m.counter(
-            "engine_steps_total", "logical steps (ticks)").labels()
-        self._c_stalls = m.counter(
+        self._c_stalls = stalls = m.counter(
             "engine_stall_ticks_total",
             "steps where all pending work sat on throttled nodes").labels()
-        self._c_picks = m.counter(
-            "scheduler_picks_total",
-            "instance selections, by scheduling policy").labels(
-                policy=getattr(self.scheduler, "name",
-                               type(self.scheduler).__name__))
+        # Counted when read, so no per-step or per-item site keeps them.
+        m.counter("engine_steps_total", "logical steps (ticks)").computed(
+            lambda: self.total_steps - self._steps_base)
+        m.counter("scheduler_picks_total",
+                  "instance selections, by scheduling policy").computed(
+            lambda: self.total_steps - self._steps_base - stalls.value,
+            policy=getattr(self.scheduler, "name",
+                           type(self.scheduler).__name__))
+        processed = m.counter(
+            "engine_items_processed_total", "items processed, by TE")
+        for te, history in self.topology.te_history.items():
+            processed.computed(partial(served, history), te=te)
         self._c_node_failures = m.counter(
             "engine_node_failures_total", "nodes killed (fault or crash)"
         ).labels()
@@ -297,28 +308,22 @@ class Runtime:
         injected = m.counter(
             "engine_items_injected_total",
             "external items injected, by entry TE")
-        processed = m.counter(
-            "engine_items_processed_total", "items processed, by TE")
         instances_g = m.gauge(
             "runtime_te_instances", "live instances per TE")
         self._entries = {te: EntryInputs(spec, injected.labels(te=te))
                          for te, spec in self.sdg.tasks.items()
                          if spec.is_entry}
-        self._c_processed = {te: processed.labels(te=te)
-                             for te in self.sdg.tasks}
         self._g_instances = {te: instances_g.labels(te=te)
                              for te in self.sdg.tasks}
-        # Counted when read, so no per-item site keeps it.
         depth = m.gauge("runtime_inbox_depth",
                         "queued envelopes per destination TE")
-        for te in self.sdg.tasks:
-            depth.computed(lambda te=te: sum(
-                len(inst.inbox) for inst in self.topology.te_instances(te)),
-                te=te)
+        for te, slots in self.topology.te_slots.items():
+            depth.computed(partial(queued, slots), te=te)
         m.gauge("engine_result_filter_entries", "result-filter records "
-                "and their stamps past a gap").computed(lambda: sum(
-                    1 + len(held.ahead)
-                    for held in set((self._result_stamps or {}).values())))
+                "and their stamps past a gap").computed(
+            lambda: self._result_stamps and sum(
+                1 + len(held.ahead)
+                for held in set(self._result_stamps.values())) or 0)
 
     def _refresh_instance_gauges(self) -> None:
         """Re-read live instance counts after a structural change."""
@@ -448,11 +453,11 @@ class Runtime:
         """Take up to ``limit`` steps; returns how many were taken.
 
         Fewer means idle, or that ``stop()``, asked after each step when
-        given, said so. The seams (``scheduler.select``,
-        ``substrate.process``, the probe) and the cells are read once
+        given, said so. The seams (``scheduler.select``, and
+        ``substrate.process`` with the probe around it) are read once
         per drain, and again after any step hook or crash handler ran,
-        so a wrapper installed between calls, or by a hook, sees every
-        later step.
+        so a wrapper or recorder installed between calls, or by a hook,
+        sees every later step.
 
         Instance selection is the scheduler's call; straggler-credit
         throttling (nodes with ``speed < 1``) lives there too. When
@@ -477,10 +482,8 @@ class Runtime:
                 topology = self.topology
                 nodes = topology.nodes
                 select = self.scheduler.select
-                process = self.substrate.process
-                probe = self.probe
+                process = self.probe.around(self.substrate.process)
                 run_channels = self._run_channels
-                c_steps, c_picks = self._c_steps, self._c_picks
                 stale = False
             # ``Topology.candidates()``, written out while its cache is
             # good.
@@ -495,7 +498,6 @@ class Runtime:
                     return steps
                 self._c_stalls.value += 1
             else:
-                c_picks.value += 1
                 inbox = instance.inbox
                 envelope = inbox.popleft()
                 channel = envelope.channel
@@ -524,8 +526,6 @@ class Runtime:
                                 handler(self, instance, envelope, exc)
                             stale = True
                             break
-                        finally:
-                            probe.served()
                         if run == most or not inbox:
                             break
                         head = inbox[0]
@@ -549,7 +549,6 @@ class Runtime:
                         self._charge(nodes[instance.node_id], run - 1)
             steps += 1
             self.total_steps += 1
-            c_steps.value += 1
             if hooks:
                 for hook in list(hooks):
                     hook(self)
@@ -638,12 +637,16 @@ class Runtime:
         return ProfileRegistry(self.merged_metrics())
 
     def attach_flight(self, flight: FlightRecorder | None) -> None:
-        """Record into ``flight`` from the next serve on and rebuild
+        """Record into ``flight`` from the next drain on: rebuild the
         :attr:`probe` (forked workers keep the probe of their deploy)."""
         self.flight = flight
         recorders = (self.tracer, self.profiler, flight)
         self.probe = (NULL_PROBE if all(r is None for r in recorders)
-                      else Probe(*recorders))
+                      else Probe(*recorders, clock=lambda: self.total_steps))
+
+    def count_steps_from(self, step: int) -> None:
+        """Set the clock to ``step``, and count steps from 0 there."""
+        self.total_steps = self._steps_base = step
 
     def poll_telemetry(self, timeout: float = 0.0) -> None:
         """Service substrate telemetry without waiting for a barrier.
@@ -660,23 +663,21 @@ class Runtime:
         if poll is not None:
             poll(timeout)
 
-    def _serve(self, instance: TEInstance, envelope: Envelope) -> None:
+    def _serve(self, instance: TEInstance,
+               envelope: Envelope) -> bool | None:
         """The one per-envelope path (every substrate, every run length),
         bound as the in-process ``substrate.process``.
 
-        Replay dedup, probe, gather, invoke, ``last_seen`` mark,
-        dispatch or collect, count — in that order, for a lone envelope
-        and for each envelope of a run alike. :meth:`_drain` closes the
-        probe's spans once this returns or raises.
+        Replay dedup, gather, invoke, ``last_seen`` mark, dispatch or
+        collect, count — in that order, for a lone envelope and for
+        each envelope of a run alike. Returns False if it dropped a
+        replay duplicate (then the probe records nothing).
         """
         # The ``StreamKey``, sliced once for the replay dedup and the mark.
         stream = envelope.channel[:3]
-        topology = self.topology
         if envelope.ts <= instance.last_seen.get(stream, 0):
-            topology.nodes[instance.node_id].duplicates_dropped += 1
-            return
-        probe = self.probe
-        probe.serve(self.total_steps, instance, envelope)
+            self.topology.nodes[instance.node_id].duplicates_dropped += 1
+            return False
         spec = instance.spec
         gathered = spec.is_merge and envelope.request_id is not None
         if gathered:
@@ -685,11 +686,7 @@ class Runtime:
                 return
         else:
             payload = envelope.payload
-        se_instance = instance.se_instance
-        # Stored per item: a restored element or a scale-up shows at once.
         ctx = instance.context
-        ctx.state = se_instance.element if se_instance is not None else None
-        ctx.n_instances = len(topology.te_slots[instance.name])
         if instance.crash_next:
             instance.crash_next = False
             raise RuntimeExecutionError(
@@ -710,7 +707,6 @@ class Runtime:
             outputs.append(returned)
         if not gathered:
             instance.last_seen[stream] = envelope.ts
-        probe.dispatch()
         if instance.name not in self._terminal_tes:
             self.dispatcher.dispatch(instance, outputs, envelope)
         # A terminal TE's outputs are results. The result consumer is the
@@ -730,9 +726,7 @@ class Runtime:
         elif (self._result_stamps.get(envelope.channel)
               or self._result_stream(envelope.channel)).add(envelope.ts):
             self.results[instance.name].extend(outputs)
-        topology.nodes[instance.node_id].items_processed += 1
-        instance.processed_count += 1
-        self._c_processed[instance.name].value += 1
+        instance.served += 1
 
     def _gather(self, instance: TEInstance,
                 envelope: Envelope) -> list[Any] | None:
@@ -822,8 +816,7 @@ class Runtime:
         self.start_result_filter()
         node = self.topology.nodes[node_id]
         was_alive = node.alive
-        lost = sum(len(inst.inbox) for inst in node.te_instances.values()
-                   ) if was_alive else 0
+        lost = queued(node.te_instances.values()) if was_alive else 0
         self.topology.fail_node(node_id)
         if was_alive:
             self._c_node_failures.inc()

@@ -129,11 +129,14 @@ class TEInstance:
         #: resolved by the transport once. Replace the buffers, drop these.
         self.emit_routes: dict[tuple[int, int],
                                tuple[ChannelId, deque[Envelope]]] = {}
-        #: Handed to every invocation; the engine refreshes it per item.
-        self.context = TaskContext(instance_id=index)
+        #: Handed to every invocation; stamped when its state or slots change.
+        self.context = TaskContext(
+            se_instance.element if se_instance is not None else None, index)
         #: Merge-TE barrier state per in-flight request id.
         self.pending_gathers: dict[RequestId, GatherState] = {}
-        self.processed_count = 0
+        #: Items served here: the one count an item bumps.
+        self.served = 0
+        self._processed_base = 0
         #: Chaos flag: when set, the next item this instance processes
         #: raises out of the task code (crash-mid-item fault injection).
         #: Deliberately not part of checkpointed bookkeeping.
@@ -142,6 +145,11 @@ class TEInstance:
     @property
     def key(self) -> tuple[str, int]:
         return (self.spec.name, self.index)
+
+    @property
+    def processed_count(self) -> int:
+        """The checkpointed base plus what this instance served since."""
+        return self._processed_base + self.served
 
     # -- consumer side ---------------------------------------------------
 
@@ -161,7 +169,7 @@ class TEInstance:
             for channel, buffer in meta.output_buffers.items()
         }
         self.pending_gathers = copy.deepcopy(meta.pending_gathers)
-        self.processed_count = meta.processed_count
+        self._processed_base = meta.processed_count - self.served
         self.emit_routes.clear()
 
     def trim_output_buffer(self, channel: ChannelId, up_to_ts: int) -> int:

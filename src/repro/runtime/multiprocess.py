@@ -837,7 +837,8 @@ class MultiprocessSubstrate:
             for (se_name, index), element in link.state_reply.items():
                 inst = topology.se_instance(se_name, index)
                 if inst is not None:
-                    inst.element = element
+                    # A restart forks from this copy: its readers' too.
+                    topology.set_element(inst, element)
         self._stale = False
 
 
@@ -914,6 +915,7 @@ def _serve(runtime: "Runtime", worker_id: int, placement, recv_fd: int,
     # values (profile phases included); zero it so this worker's shard
     # is purely its own work and the barrier merge never double-counts.
     runtime.metrics.reset()
+    runtime.count_steps_from(runtime.total_steps)
     # A fresh cache: the first report describes the registry in full.
     shard_cache = ShardCache()
     # The inherited results hold whatever the coordinator collected up

@@ -78,8 +78,9 @@ class ExecutionSubstrate(Protocol):
         ...  # pragma: no cover - protocol
 
     def process(self, instance: "TEInstance",
-                envelope: "Envelope") -> None:
-        """Serve one envelope on one instance (the per-item semantics)."""
+                envelope: "Envelope") -> bool | None:
+        """Serve one envelope on one instance (the per-item semantics);
+        False when it was a replay duplicate, dropped unserved."""
         ...  # pragma: no cover - protocol
 
     def run_until_idle(self, max_steps: int) -> int:
@@ -120,9 +121,9 @@ class InProcessSubstrate:
         return self.runtime.transport.deliver(envelope)
 
     def process(self, instance: "TEInstance",
-                envelope: "Envelope") -> None:
+                envelope: "Envelope") -> bool | None:
         """Shadowed at :meth:`bind` by ``runtime._serve`` itself."""
-        self.runtime._serve(instance, envelope)
+        return self.runtime._serve(instance, envelope)
 
     def run_until_idle(self, max_steps: int) -> int:
         """The seed drain loop: one drain, or with auto-scale one per

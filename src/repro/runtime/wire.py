@@ -126,10 +126,6 @@ class FrameBuffer:
             if start < len(data):
                 self._buffer = bytearray(view[start:])
 
-    def pending_bytes(self) -> int:
-        """Bytes buffered towards a not-yet-complete frame."""
-        return len(self._buffer)
-
 
 def write_bytes(fd: int, data: bytes) -> None:
     """Blockingly write pre-encoded frame bytes (handles short writes).

@@ -80,7 +80,7 @@ class TestReport:
     def test_by_code_and_codes(self):
         report = self._report()
         assert {d.code for d in report.by_code("SDG302")} == {"SDG302"}
-        assert report.codes() == {"SDG301", "SDG302", "SDG305"}
+        assert {d.code for d in report.diagnostics} == {"SDG301", "SDG302", "SDG305"}
 
     def test_render_text_mentions_every_code(self):
         text = self._report().render_text()

@@ -85,7 +85,7 @@ class TestFixtureCorpus:
         self, module, program, code, needle
     ):
         report = analysis.run(program)
-        assert report.codes() == {code}
+        assert {d.code for d in report.diagnostics} == {code}
         diagnostic = report.by_code(code)[0]
         assert diagnostic.span.file == module.__file__
         assert diagnostic.span.line == line_of(module, needle)
@@ -113,7 +113,7 @@ class TestFixtureCorpus:
     @pytest.mark.parametrize("code", sorted(graphs.BROKEN_BUILDERS))
     def test_broken_graph_reports_its_code(self, code):
         report = analysis.run(graphs.BROKEN_BUILDERS[code])
-        assert code in report.codes(), report.render_text()
+        assert code in {d.code for d in report.diagnostics}, report.render_text()
 
     def test_error_severity_split(self):
         assert not analysis.run(partial_race.PartialRace).ok

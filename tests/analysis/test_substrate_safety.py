@@ -49,7 +49,7 @@ class TestPasses:
     ], ids=["unpicklable", "nondeterminism", "shared-global"])
     def test_each_hazard_is_found(self, program, code):
         report = analysis.run(program, substrate_safety=True)
-        assert report.codes() == {code}, report.render_text()
+        assert {d.code for d in report.diagnostics} == {code}, report.render_text()
 
     @pytest.mark.parametrize("program", [
         lambda_state.LambdaState,

@@ -10,6 +10,7 @@ from repro.obs import (
     Probe,
     ProfileRegistry,
 )
+from repro.apps.wordcount import build_wordcount_sdg
 from repro.runtime import Runtime, RuntimeConfig
 from repro.testing import build_kv_sdg
 
@@ -123,14 +124,20 @@ class TestEngineIntegration:
         assert runtime.merged_profile() is None
 
     def test_inprocess_run_populates_engine_phases(self):
-        config = RuntimeConfig(se_instances={"table": 2}, profile=True)
-        runtime = Runtime(build_kv_sdg(), config).deploy()
+        # ``process`` times every served item; ``dispatch`` every
+        # ``dispatcher.dispatch`` call: one per line the splitter
+        # served, none for the terminal count's words.
+        config = RuntimeConfig(se_instances={"counts": 2}, profile=True)
+        runtime = Runtime(build_wordcount_sdg(), config).deploy()
         for i in range(25):
-            runtime.inject("serve", ("put", f"k{i}", i))
+            runtime.inject("split", (i, f"w{i % 7} w{i % 3} shared"))
         runtime.run_until_idle()
         profile = runtime.merged_profile()
-        assert profile.count("process") == 25
+        assert profile.count("process") == 25 + 3 * 25
+        assert profile.count("process") == runtime.metrics.total(
+            "engine_items_processed_total")
         assert profile.count("dispatch") == 25
+        # Dispatch nests inside the serve it is called from.
         assert profile.seconds("process") >= profile.seconds("dispatch")
 
     def test_checkpoint_and_recovery_spans(self):

@@ -47,7 +47,7 @@ def merged_table(runtime):
 class TestPolicy:
     def test_defaults_to_full_every_cycle(self):
         policy = CheckpointPolicy()
-        assert not policy.is_incremental
+        assert policy.full_every == 1
         assert all(policy.wants_full(c) for c in range(5))
 
     def test_full_every_k(self):

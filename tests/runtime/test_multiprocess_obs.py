@@ -429,7 +429,7 @@ def garble_next_frame(runtime, worker_id):
     """Put a garbage frame ahead of what the coordinator next reads from
     the worker, as if the worker had written it."""
     buffer = runtime.substrate._links[worker_id].buffer
-    assert buffer.pending_bytes() == 0
+    assert len(buffer._buffer) == 0
     buffer._buffer.extend(FRAME_HEADER.pack(3) + b"\xffab")
 
 
@@ -715,25 +715,29 @@ class TestMergedProfile:
     """Tentpole: worker phase shards fold into one profile view."""
 
     def test_profile_merges_worker_and_coordinator_phases(self):
-        config = RuntimeConfig(se_instances={"table": 2},
-                               substrate="multiprocess", workers=2,
-                               profile=True)
-        with Runtime(build_kv_sdg(), config).deploy() as runtime:
-            for i in range(30):
-                runtime.inject("serve", ("put", f"k{i}", i))
-            runtime.run_until_idle()
-            profile = runtime.merged_profile()
-            assert profile is not None
-            names = set(profile.names())
-            # Worker-side phases...
-            assert {"process", "dispatch"} <= names
-            # ...and wire phases, timed on both ends, in one registry.
-            assert profile.count("serialize") > 0
-            assert profile.count("wire_wait") > 0
-            # Every item was served and dispatched exactly once,
-            # fleet-wide.
-            assert profile.count("process") == 30
-            assert profile.count("dispatch") == 30
+        def run(**substrate):
+            config = RuntimeConfig(se_instances={"counts": 2},
+                                   profile=True, **substrate)
+            with Runtime(build_wordcount_sdg(), config).deploy() as runtime:
+                for i in range(30):
+                    runtime.inject("split", (i, f"w{i % 5} w{i % 4}"))
+                runtime.run_until_idle()
+                profile = runtime.merged_profile()
+                return profile, (profile.count("process"),
+                                 profile.count("dispatch"))
+
+        profile, counts = run(substrate="multiprocess", workers=2)
+        names = set(profile.names())
+        # Worker-side phases...
+        assert {"process", "dispatch"} <= names
+        # ...and wire phases, timed on both ends, in one registry.
+        assert profile.count("serialize") > 0
+        assert profile.count("wire_wait") > 0
+        # Every line and word was served once fleet-wide, and each
+        # line's words went through one ``dispatcher.dispatch`` call,
+        # as in-process.
+        assert counts == (30 + 2 * 30, 30)
+        assert run()[1] == counts
 
     def test_restart_retires_phases_with_the_metric_shards(self, tmp_path):
         # Phases are metric series: a restarted fleet's barrier-fenced

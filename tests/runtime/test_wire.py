@@ -125,7 +125,7 @@ class TestFrameCodec:
         try:
             buffer = FrameBuffer()
             assert read_frames(r, buffer) == []
-            assert buffer.pending_bytes() == len(frame) - 2
+            assert len(buffer._buffer) == len(frame) - 2
             assert read_frames(r, buffer) is None
         finally:
             os.close(r)
@@ -207,7 +207,7 @@ class TestFrameBuffer:
                     buffer.feed(stream[start:start + chunk_size])
                 )
             assert received == messages
-            assert buffer.pending_bytes() == 0
+            assert len(buffer._buffer) == 0
 
     def test_stream_split_at_every_byte(self):
         # Three frames of different kinds, cut in two at every offset
@@ -226,13 +226,13 @@ class TestFrameBuffer:
             received.extend(buffer.feed(stream[cut:]))
             assert received == messages, cut
             assert received[2][1][0].payload is NO_RESPONSE
-            assert buffer.pending_bytes() == 0
+            assert len(buffer._buffer) == 0
 
     def test_partial_frame_stays_buffered(self):
         frame = encode_frame(("deliver", "payload"))
         buffer = FrameBuffer()
         assert list(buffer.feed(frame[:-1])) == []
-        assert buffer.pending_bytes() == len(frame) - 1
+        assert len(buffer._buffer) == len(frame) - 1
         assert list(buffer.feed(frame[-1:])) == [("deliver", "payload")]
 
     def test_corrupt_header_raises(self):
@@ -292,7 +292,7 @@ class TestTornAndGarbageFrames:
         for start, end in zip([0] + bounds, bounds + [len(stream)]):
             received.extend(buffer.feed(stream[start:end]))
         assert received == messages
-        assert buffer.pending_bytes() == 0
+        assert len(buffer._buffer) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(bad=BAD_PAYLOADS, after=MESSAGES, cut=st.integers(0, 2**20))
@@ -306,9 +306,9 @@ class TestTornAndGarbageFrames:
         with pytest.raises(WireError,
                            match=f"malformed {len(bad)}-byte frame"):
             list(buffer.feed(frame + following[:cut]))
-        assert buffer.pending_bytes() == cut
+        assert len(buffer._buffer) == cut
         assert list(buffer.feed(following[cut:])) == [after]
-        assert buffer.pending_bytes() == 0
+        assert len(buffer._buffer) == 0
 
 
 #: The bytes of a frame whose payload does not unpickle.
@@ -353,7 +353,7 @@ class TestFramesParseInPlace:
     def test_whole_stream_in_one_read(self):
         buffer = FrameBuffer()
         assert read_all(buffer, [self.stream()]) == self.expected()
-        assert buffer.pending_bytes() == 0
+        assert len(buffer._buffer) == 0
 
     def test_split_at_every_byte(self):
         stream = self.stream()
@@ -361,16 +361,16 @@ class TestFramesParseInPlace:
             buffer = FrameBuffer()
             received = read_all(buffer, [stream[:cut], stream[cut:]])
             assert received == self.expected(), cut
-            assert buffer.pending_bytes() == 0
+            assert len(buffer._buffer) == 0
 
     def test_one_byte_per_read(self):
         stream = self.stream()
         buffer, received = FrameBuffer(), []
         for i in range(len(stream)):
             received.extend(read_all(buffer, [stream[i:i + 1]]))
-            assert buffer.pending_bytes() <= len(stream)
+            assert len(buffer._buffer) <= len(stream)
         assert received == self.expected()
-        assert buffer.pending_bytes() == 0
+        assert len(buffer._buffer) == 0
 
     def test_frame_bytes_is_each_frame_with_its_header(self):
         stream = self.stream()
@@ -399,9 +399,9 @@ class TestFramesParseInPlace:
         for start in range(0, len(frame), chunk):
             received.extend(buffer.feed(frame[start:start + chunk]))
             if not received:
-                assert buffer.pending_bytes() == start + chunk
+                assert len(buffer._buffer) == start + chunk
         assert received == [message]
-        assert (buffer.pending_bytes(), buffer.frame_bytes) == (0, len(frame))
+        assert (len(buffer._buffer), buffer.frame_bytes) == (0, len(frame))
 
     def test_a_reader_that_stops_keeps_the_rest(self):
         # A consumer that stops after the first message (a crash report
@@ -412,7 +412,7 @@ class TestFramesParseInPlace:
         assert next(feed) == self.MESSAGES[0]
         feed.close()
         first = len(encode_frame(self.MESSAGES[0]))
-        assert buffer.pending_bytes() == len(stream) - first
+        assert len(buffer._buffer) == len(stream) - first
         assert read_all(buffer, [b""]) == self.expected()[1:]
 
 

@@ -148,9 +148,9 @@ class TestLabelledPoints:
 
 class TestDesignSpace:
     def test_sdg_row_claims(self):
-        from repro.designspace import sdg_row
+        from repro.designspace import TABLE_1
 
-        row = sdg_row()
+        row = next(row for row in TABLE_1 if row.system == "SDG")
         assert row.programming_model == "imperative"
         assert row.state_representation == "explicit"
         assert row.execution == "pipelined"
