@@ -10,7 +10,7 @@ checkpoint in the backup store:
   as ``n_new`` partitions on ``n_new`` fresh nodes, re-splitting the
   checkpointed state under a new partitioner — the paper's parallel
   state-reconstruction strategy;
-* in both cases, upstream output buffers (and the client input log) are
+* in both cases, upstream output buffers (and the entry input log) are
   replayed into the recovered instances, which discard items already
   covered by the checkpoint via their restored ``last_seen`` vectors,
   and the recovered instances re-send their own buffered outputs
@@ -45,8 +45,10 @@ class RecoveryManager:
     def __init__(self, runtime: "Runtime", store: "BackupStore") -> None:
         self.runtime = runtime
         self.store = store
-        #: Replacement node -> the node whose checkpoint rebuilt it.
-        self._restored_from: dict[int, int] = {}
+        #: Replacement node -> the node whose checkpoint rebuilt it and,
+        #: for a 1-to-n partition, ``(SE, epoch after the split)``: while
+        #: that holds, it is rebuilt by splitting that checkpoint again.
+        self._restored_from: dict[int, tuple[int, tuple[str, int] | None]] = {}
         metrics = runtime.metrics
         self._c_restores = metrics.counter(
             "recovery_restores_total",
@@ -98,19 +100,24 @@ class RecoveryManager:
         if failed.alive:
             raise RecoveryError(f"node {node_id} has not failed")
         checkpoint = None
+        source, split = self._restored_from.get(node_id, (node_id, None))
         if use_checkpoint:
             pick = self.store.latest if use_deltas else self.store.base
-            checkpoint = (pick(node_id)
-                          or pick(self._restored_from.get(node_id, node_id)))
-        if checkpoint is not None:
+            checkpoint = pick(node_id) or pick(source)
+        if (checkpoint is None or checkpoint.node_id == node_id or split
+                and self.runtime.se_epoch(split[0]) != split[1]):
+            split = None  # off the split's lineage: the epochs must hold
+        if checkpoint is not None and split is None:
             self._check_epochs(checkpoint)
         if n_new < 1:
             raise RecoveryError(f"n_new must be >= 1, got {n_new}")
         if n_new == 1:
-            node, replayed = self._recover_one_to_one(failed, checkpoint)
-            nodes = [node]
-            if checkpoint is not None:
-                self._restored_from[node.node_id] = checkpoint.node_id
+            nodes = [self._install(failed.se_instances, failed.te_instances,
+                                   checkpoint, split)]
+            replayed = sum(
+                self.runtime.replay_rerouted(instance.name, {instance.index})
+                + self.runtime.replay_from(instance)
+                for instance in nodes[0].te_instances.values())
         else:
             nodes, replayed = self._recover_one_to_n(failed, checkpoint,
                                                      n_new)
@@ -126,30 +133,6 @@ class RecoveryManager:
                                 if checkpoint is not None else None),
         )
         return nodes
-
-    def migrate_node(self, node_id: int, n_new: int = 1,
-                     checkpoint_manager=None) -> list[PhysicalNode]:
-        """Planned migration: checkpoint, retire, restore elsewhere.
-
-        §6.3: "a straggling node could even be removed and the job
-        resumed from a checkpoint with new nodes". Unlike a failure, a
-        migration first takes a fresh checkpoint, so no replay beyond
-        the migration point is needed; the node is then failed and
-        recovered through the normal path (optionally fanning out to
-        ``n_new`` nodes, which doubles as straggler-relief-by-resharding).
-        """
-        from repro.recovery.checkpoint import CheckpointManager
-
-        manager = checkpoint_manager or CheckpointManager(
-            self.runtime, self.store
-        )
-        if manager.checkpoint(node_id) is None:
-            raise RecoveryError(
-                f"node {node_id} died while its migration checkpoint "
-                f"was being taken"
-            )
-        self.runtime.fail_node(node_id)
-        return self.recover_node(node_id, n_new=n_new)
 
     def _check_epochs(self, checkpoint: NodeCheckpoint) -> None:
         """Refuse checkpoints taken under a different partitioning.
@@ -225,41 +208,54 @@ class RecoveryManager:
         return element
 
     @staticmethod
-    def _apply_meta(instance: TEInstance, meta: TEMeta | None) -> None:
+    def _apply_meta(instance: TEInstance, meta: TEMeta | None,
+                    producer: bool = True) -> None:
+        """Restore ``instance``'s input positions from ``meta`` and, when
+        ``producer``, its producer-side buffers and counters."""
         if meta is None:
             return
         instance.last_seen = dict(meta.last_seen)
-        instance.restore_producer_state(meta)
+        if producer:
+            instance.restore_producer_state(meta)
 
-    def _recover_one_to_one(
-        self, failed: PhysicalNode, checkpoint: NodeCheckpoint | None
-    ) -> tuple[PhysicalNode, int]:
+    def _install(self, se_keys, te_keys, checkpoint: NodeCheckpoint | None,
+                 split: tuple[str, int] | None = None,
+                 merged: StateElement | None = None) -> PhysicalNode:
+        """Rebuild ``se_keys`` and ``te_keys`` from ``checkpoint`` on one
+        fresh node, recording its lineage. Under ``split`` each SE part
+        is extracted from ``merged`` (else the split's source), and its
+        TEs read the source slot's meta: an item at or below its
+        ``last_seen`` is in the part that owns its key. Only partition 0
+        inherits the producer buffers and counters."""
         se_replacements: list[SEInstance] = []
-        for (se_name, index) in failed.se_instances:
+        for (se_name, index) in se_keys:
             spec = self.runtime.sdg.state(se_name)
-            element = self._restore_element(spec, (se_name, index),
-                                            checkpoint)
+            if split is None:
+                element = self._restore_element(spec, (se_name, index),
+                                                checkpoint)
+            else:
+                if merged is None:
+                    merged = self._restore_element(spec, (se_name, 0),
+                                                   checkpoint)
+                element = merged.extract_partition(
+                    self.runtime.topology.partitioner(se_name), index,
+                    spec.route_key)
             se_replacements.append(SEInstance(spec, index, element=element))
-
         te_replacements: list[TEInstance] = []
-        for (te_name, index) in failed.te_instances:
+        for (te_name, index) in te_keys:
             spec = self.runtime.sdg.task(te_name)
             instance = TEInstance(spec, index)
-            meta = (
-                checkpoint.te_meta.get((te_name, index))
-                if checkpoint is not None else None
-            )
-            self._apply_meta(instance, meta)
+            source = (0 if split is not None and spec.state == split[0]
+                      else index)
+            self._apply_meta(instance, checkpoint.te_meta.get(
+                (te_name, source)) if checkpoint is not None else None,
+                producer=source == index)
             te_replacements.append(instance)
-
         node = self.runtime.install_replacement(te_replacements,
                                                 se_replacements)
-        replayed = 0
-        for instance in te_replacements:
-            replayed += self.runtime.replay_rerouted(instance.name,
-                                                     {instance.index})
-            replayed += self.runtime.replay_from(instance)
-        return node, replayed
+        if checkpoint is not None:
+            self._restored_from[node.node_id] = (checkpoint.node_id, split)
+        return node
 
     def _recover_one_to_n(
         self, failed: PhysicalNode, checkpoint: NodeCheckpoint | None,
@@ -303,41 +299,14 @@ class RecoveryManager:
             if self.runtime.sdg.task(key[0]).state != se_name
         ]
 
-        nodes: list[PhysicalNode] = []
-        for part_index in range(n_new):
-            part = merged.extract_partition(partitioner, part_index,
-                                            spec.route_key)
-            se_inst = SEInstance(spec, part_index, element=part)
-            te_replacements = []
-            for te_name in accessing:
-                te_spec = self.runtime.sdg.task(te_name)
-                instance = TEInstance(te_spec, part_index)
-                meta = (
-                    checkpoint.te_meta.get((te_name, 0))
-                    if checkpoint is not None else None
-                )
-                if meta is not None:
-                    # All partitions inherit the old instance's input
-                    # positions (every item <= last_seen is reflected in
-                    # the partition that owns its key); only partition 0
-                    # inherits the producer-side buffers and counters.
-                    instance.last_seen = dict(meta.last_seen)
-                    if part_index == 0:
-                        instance.restore_producer_state(meta)
-                te_replacements.append(instance)
-            if part_index == 0:
-                for (te_name, index) in stateless_keys:
-                    te_spec = self.runtime.sdg.task(te_name)
-                    instance = TEInstance(te_spec, index)
-                    meta = (
-                        checkpoint.te_meta.get((te_name, index))
-                        if checkpoint is not None else None
-                    )
-                    self._apply_meta(instance, meta)
-                    te_replacements.append(instance)
-            nodes.append(
-                self.runtime.install_replacement(te_replacements, [se_inst])
-            )
+        split = (se_name, self.runtime.se_epoch(se_name))
+        nodes = [
+            self._install([(se_name, part)],
+                          [(te_name, part) for te_name in accessing]
+                          + (stateless_keys if part == 0 else []),
+                          checkpoint, split, merged)
+            for part in range(n_new)
+        ]
 
         recovered_indices = set(range(n_new))
         replayed = 0

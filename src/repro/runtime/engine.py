@@ -70,32 +70,39 @@ RUN_MAX = 64
 
 
 class InputRoute:
-    """One entry slot's input route: its channel, the client-side input
-    log (envelopes no checkpoint has trimmed; a fleet leaves it empty)
-    and ``sink``, what the substrate resolved for the route on first use
-    (on a fleet: the owning worker and the rows not yet framed)."""
+    """One entry slot's input route: its channel, its entry's input log
+    and the ``append`` a substrate logs an input with, and ``sink``, what
+    the substrate resolved for the route on first use (on a fleet: the
+    owning worker and the rows not yet framed)."""
 
-    __slots__ = ("channel", "log", "sink")
+    __slots__ = ("channel", "log", "append", "sink")
 
-    def __init__(self, channel: ChannelId) -> None:
-        self.channel, self.log, self.sink = channel, [], None
+    def __init__(self, channel: ChannelId, log: list) -> None:
+        self.channel, self.log, self.sink = channel, log, None
+        self.append = log.append
 
 
 class EntryInputs:
     """What ``inject`` reads of one entry TE: spec, key function,
-    injected-items cell, routes by slot, and the input seq. The seq is
-    per entry (see TEInstance.out_seq for why timestamps are per-stream,
-    not per-channel); it also names an injected broadcast's request id
-    and picks an unkeyed entry's round-robin slot, so replay re-derives
-    both."""
+    injected-items cell, routes by slot, input log and input seq. The
+    seq is per entry (see TEInstance.out_seq for why timestamps are
+    per-stream, not per-channel); it also names an injected broadcast's
+    request id and picks an unkeyed entry's round-robin slot, so replay
+    re-derives both. The log, in seq order, is the upstream backup (§5)
+    every route shares: what no checkpoint or barrier has trimmed."""
 
-    __slots__ = ("spec", "key_fn", "injected", "routes", "seq")
+    __slots__ = ("spec", "key_fn", "injected", "routes", "log", "seq",
+                 "router", "rerouted")
 
-    def __init__(self, spec: Any, injected: Any) -> None:
+    def __init__(self, spec: Any, injected: Any, router: Any) -> None:
         self.spec, self.key_fn, self.injected = (spec, spec.entry_key_fn,
                                                  injected)
         self.routes: list[InputRoute] = []
+        self.log: list = []
         self.seq = 0
+        #: The router a trim last saw, and the seq it saw it at: inputs
+        #: past that seq were delivered under it.
+        self.router, self.rerouted = router, 0
 
 
 class Runtime:
@@ -310,7 +317,8 @@ class Runtime:
             "external items injected, by entry TE")
         instances_g = m.gauge(
             "runtime_te_instances", "live instances per TE")
-        self._entries = {te: EntryInputs(spec, injected.labels(te=te))
+        self._entries = {te: EntryInputs(spec, injected.labels(te=te),
+                                         self.topology.routers.get(te))
                          for te, spec in self.sdg.tasks.items()
                          if spec.is_entry}
         self._g_instances = {te: instances_g.labels(te=te)
@@ -391,9 +399,9 @@ class Runtime:
 
         The item goes to ``substrate.deliver`` as a plain row with its
         :class:`InputRoute`, found by slot index. In-process the
-        envelope is kept in the route's input log, so a failed entry TE
+        envelope is kept in the entry's input log, so a failed entry TE
         can be replayed from "upstream" (§5); a fleet's coordinator
-        builds no envelope and keeps the row only while a restart may
+        builds no envelope and logs the row only while a restart may
         replay it.
         """
         inputs = self._entries.get(entry)
@@ -432,10 +440,11 @@ class Runtime:
     def _input_route(self, entry: str, index: int) -> InputRoute:
         """Slot ``index``'s route into ``entry``, opened (with any lower
         slot's) on first use."""
-        routes = self._entries[entry].routes
+        inputs = self._entries[entry]
+        routes = inputs.routes
         while len(routes) <= index:
             routes.append(InputRoute(ChannelId(
-                INPUT_EDGE, "__input__", 0, entry, len(routes))))
+                INPUT_EDGE, "__input__", 0, entry, len(routes)), inputs.log))
         return routes[index]
 
     # ------------------------------------------------------------------
@@ -771,7 +780,7 @@ class Runtime:
         self._result_stamps = records = {}
         for te in self._terminal_tes:
             inputs, slots = self._entries.get(te), self.topology.te_slots[te]
-            streams = [([(r.channel, r.log) for r in inputs.routes],
+            streams = [([(r.channel, inputs.log) for r in inputs.routes[:1]],
                         inputs.seq)] if inputs else []
             streams += [([(c, b) for c, b in p.output_buffers.items()
                           if c.edge_index == e], p.out_seq.get(e, 0))
@@ -779,9 +788,9 @@ class Runtime:
                         if edge.dst == te for p in self.te_instances(edge.src)]
             for kept, top in streams:
                 if kept:
-                    open_ = {env.ts for channel, log in kept for env in log
-                             if env.ts > slots[channel.dst_instance]
-                             .last_seen.get(channel[:3], 0)}
+                    open_ = {env.ts for _, log in kept for env in log
+                             if env.ts > slots[env.channel.dst_instance]
+                             .last_seen.get(env.channel[:3], 0)}
                     low = min(open_, default=top + 1) - 1
                     records[kept[0][0].reroute(0)] = StreamStamps(
                         low, set(range(low + 1, top + 1)) - open_)
@@ -874,10 +883,8 @@ class Runtime:
         """
         self.start_result_filter()
         count = 0
-        streams: list[Envelope] = []
         inputs = self._entries.get(dst_te)
-        for route in inputs.routes if inputs is not None else ():
-            streams.extend(route.log)
+        streams: list[Envelope] = list(inputs.log) if inputs else []
         for producer in self.all_te_instances():
             if not self.nodes[producer.node_id].alive:
                 continue
@@ -915,24 +922,28 @@ class Runtime:
         return count
 
     def trim_stream(self, stream: StreamKey, dst_te: str, dst_index: int,
-                    up_to_ts: int) -> int:
+                    up_to_ts: int) -> None:
         """Trim a producer's output buffer after a downstream checkpoint."""
         edge_index, src_te, src_index = stream
         if edge_index == INPUT_EDGE:
-            inputs = self._entries.get(dst_te)
-            if inputs is None or dst_index >= len(inputs.routes):
-                return 0
-            # In place: the inject path holds this very list.
-            buffered = inputs.routes[dst_index].log
-            keep = [e for e in buffered if e.ts > up_to_ts]
-            dropped = len(buffered) - len(keep)
-            buffered[:] = keep
-            return dropped
-        channel = ChannelId(edge_index, src_te, src_index, dst_te, dst_index)
+            inputs = self._entries[dst_te]
+            # In place: every route holds this very list. An input goes
+            # once the slot it routes to *now* checkpointed it, so a
+            # split's partitions keep theirs when partition 0 checkpoints.
+            # One delivered under the current router routes where it went.
+            router = self.topology.routers.get(dst_te)
+            if router is not inputs.router:
+                inputs.router, inputs.rerouted = router, inputs.seq
+            rerouted = inputs.rerouted
+            inputs.log[:] = [e for e in inputs.log if e.ts > up_to_ts
+                             or dst_index != (e[2].dst_instance
+                                              if e.ts > rerouted
+                                              else self._current_index(e))]
+            return
         producer = self.te_instance(src_te, src_index)
-        if producer is None:
-            return 0
-        return producer.trim_output_buffer(channel, up_to_ts)
+        if producer is not None:
+            producer.trim_output_buffer(ChannelId(
+                edge_index, src_te, src_index, dst_te, dst_index), up_to_ts)
 
     # ------------------------------------------------------------------
     # Runtime parallelism (§3.3)
@@ -1022,11 +1033,10 @@ class Runtime:
         channel = envelope.channel
         index = self._current_index(envelope)
         if channel.edge_index == INPUT_EDGE:
-            entry, inputs = channel.dst_te, self._entries[channel.dst_te]
-            buffered = self._input_route(entry, channel.dst_instance).log
-            if envelope in buffered:
-                buffered.remove(envelope)
-            route = self._input_route(entry, index)
+            inputs = self._entries[channel.dst_te]
+            if envelope in inputs.log:
+                inputs.log.remove(envelope)
+            route = self._input_route(channel.dst_te, index)
             ts = inputs.seq = inputs.seq + 1
             self.substrate.deliver(route, (envelope.payload, ts,
                                            route.channel) + envelope[3:])

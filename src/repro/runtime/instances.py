@@ -172,19 +172,11 @@ class TEInstance:
         self._processed_base = meta.processed_count - self.served
         self.emit_routes.clear()
 
-    def trim_output_buffer(self, channel: ChannelId, up_to_ts: int) -> int:
-        """Drop buffered envelopes with ``ts <= up_to_ts`` (§5 trimming).
-
-        Returns the number of envelopes dropped.
-        """
+    def trim_output_buffer(self, channel: ChannelId, up_to_ts: int) -> None:
+        """Drop buffered envelopes with ``ts <= up_to_ts`` (§5 trimming)."""
         buffer = self.output_buffers.get(channel)
-        if not buffer:
-            return 0
-        dropped = 0
         while buffer and buffer[0].ts <= up_to_ts:
             buffer.popleft()
-            dropped += 1
-        return dropped
 
     def __repr__(self) -> str:
         return (

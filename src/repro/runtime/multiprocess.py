@@ -95,11 +95,12 @@ normally aborts the run. With restarts budgeted, the coordinator
 instead retires the dead fleet's barrier-fenced telemetry, tears every
 worker down, re-forks a fresh fleet from its own state, and routes again
 the input rows delivered since the last barrier — deterministic tasks
-then reproduce exactly the lost work. Those rows are the coordinator's
-only copy of its inputs (``fail_node`` is refused, so nothing replays
-the client-side input log, and it stays empty). The fork source must be
-barrier-consistent, so while restart budget remains the state pull
-runs at every barrier that processed items.
+then reproduce exactly the lost work. Those rows are each entry's
+input log, which node recovery replays in-process and each barrier
+clears here; they go again entry by entry, as the fleet never ordered
+rows of different entries. The fork source must be barrier-consistent,
+so while restart budget remains the state pull runs at every barrier
+that processed items.
 Metric shards fenced at the last barrier are retired so the merged
 totals never double-count a crashed worker's replayed items; post-
 barrier live shards are discarded (the replay re-counts that work
@@ -345,10 +346,6 @@ class MultiprocessSubstrate:
         #: of fleets that were restarted.
         self._retired_shards: list[tuple] = []
         self._retired_processed = 0
-        #: Input rows delivered since the last barrier — the replay
-        #: source for a fleet restart. Only kept when restarts are
-        #: budgeted; the coordinator keeps no other per-input store.
-        self._replay_log: list[tuple] = []
 
     # ------------------------------------------------------------------
     # Deploy: fork the fleet
@@ -451,9 +448,9 @@ class MultiprocessSubstrate:
     def deliver(self, route: "InputRoute", row: tuple) -> bool:
         """Queue one input row, as it goes on the wire, in its route's
         run for the owning worker (asked once per route: the placement
-        outlives every fleet restart). The route's log stays empty: a
-        fleet restart replays :attr:`_replay_log`, kept only while
-        restarts are left.
+        outlives every fleet restart), and log it in the entry's input
+        log for a fleet restart to replay, only while restarts are
+        budgeted.
         """
         run = route.sink
         if run is None:
@@ -465,7 +462,7 @@ class MultiprocessSubstrate:
             # Log first: if the flush trips over a dead worker, the
             # restart's replay re-delivers this row too, so the
             # handler below must not retry it itself.
-            self._replay_log.append(row)
+            route.append(row)
         # A worker that consumed all it was sent (pending rows included)
         # may be waiting for this row: it goes at once, and the worker
         # wakes while the caller goes on. Later rows batch up to a run
@@ -769,11 +766,15 @@ class MultiprocessSubstrate:
             if link.fenced_shard is not None:
                 self._retired_shards.append(link.fenced_shard)
             self._retired_processed += link.fenced_processed
+        replay = [(inputs.routes[row[2].dst_instance], row)  # entry by entry
+                  for inputs in runtime._entries.values() for row in inputs.log]
+        for inputs in runtime._entries.values():
+            inputs.log.clear()
         runtime.events.publish(
             "substrate", KIND.WORKER_RESTART, runtime.total_steps,
             worker=failure.link.worker_id,
             restarts_left=self._restarts_left,
-            replayed=len(self._replay_log),
+            replayed=len(replay),
         )
         runtime.probe.note(
             runtime.total_steps, "worker_restart",
@@ -782,11 +783,8 @@ class MultiprocessSubstrate:
         )
         self._drop_fleet()
         self._fork_fleet()
-        log, self._replay_log = self._replay_log, []
-        for row in log:  # routed, and logged, again
-            channel = row[2]
-            self.deliver(runtime._input_route(channel.dst_te,
-                                              channel.dst_instance), row)
+        for route, row in replay:  # routed, and logged, again
+            self.deliver(route, row)
 
     # ------------------------------------------------------------------
     # Barrier and state pull
@@ -819,7 +817,8 @@ class MultiprocessSubstrate:
             link.results = {}
             link.fenced_shard = link.shard
             link.fenced_processed = link.processed
-        self._replay_log.clear()
+        for inputs in self.runtime._entries.values():
+            inputs.log.clear()
         self._processed_base = processed_total
         return delta
 

@@ -71,9 +71,9 @@ class ExecutionSubstrate(Protocol):
 
         ``row`` is the envelope's six fields as a plain tuple, ``(payload,
         seq, channel, request_id, expected, trace_id)``; ``route`` is its
-        input route, whose ``log`` a substrate appends the envelope to
-        when node recovery may replay it from there, and whose ``sink``
-        keeps what the substrate resolved for the route on first use.
+        input route: ``route.append`` logs what a replay may need in its
+        entry's one input log, and ``route.sink`` keeps what the
+        substrate resolved for the route on first use.
         """
         ...  # pragma: no cover - protocol
 
@@ -117,7 +117,7 @@ class InProcessSubstrate:
 
     def deliver(self, route: "InputRoute", row: tuple) -> bool:
         envelope = make_envelope(row)
-        route.log.append(envelope)
+        route.append(envelope)
         return self.runtime.transport.deliver(envelope)
 
     def process(self, instance: "TEInstance",

@@ -15,8 +15,9 @@ from repro.testing import (  # noqa: F401
 
 
 def input_logs(runtime):
-    """Each opened input route's channel -> a copy of its client-side
-    input log (the envelopes no checkpoint has trimmed yet)."""
-    return {route.channel: list(route.log)
+    """Each opened input route's channel -> what its entry's one input
+    log holds for that channel (in-process, the envelopes no checkpoint
+    has trimmed yet)."""
+    return {route.channel: [e for e in inputs.log if e[2] == route.channel]
             for inputs in runtime._entries.values()
             for route in inputs.routes}

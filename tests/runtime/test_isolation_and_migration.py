@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import SDG
 from repro.errors import RecoveryError
-from repro.recovery import BackupStore, RecoveryManager
+from repro.recovery import BackupStore, CheckpointManager, RecoveryManager
 from repro.runtime import Runtime, RuntimeConfig
 
 from tests.helpers import build_kv_sdg
@@ -42,20 +42,32 @@ class TestPayloadIsolation:
 
 
 class TestPlannedMigration:
+    """§6.3: "a straggling node could even be removed and the job
+    resumed from a checkpoint with new nodes". A migration is a fresh
+    checkpoint, a retirement and a restore, so no replay beyond the
+    migration point is needed."""
+
     def deploy(self, n=1):
         runtime = Runtime(build_kv_sdg(),
                           RuntimeConfig(se_instances={"table": n}))
         runtime.deploy()
         store = BackupStore(m_targets=2)
-        return runtime, RecoveryManager(runtime, store)
+        rec = RecoveryManager(runtime, store)
+
+        def migrate(node_id, n_new=1):
+            CheckpointManager(runtime, store).checkpoint(node_id)
+            runtime.fail_node(node_id)
+            return rec.recover_node(node_id, n_new=n_new)
+
+        return runtime, migrate
 
     def test_migration_moves_state_without_loss(self):
-        runtime, rec = self.deploy()
+        runtime, migrate = self.deploy()
         for i in range(40):
             runtime.inject("serve", ("put", i, i))
         runtime.run_until_idle()
         old_node = runtime.se_instance("table", 0).node_id
-        new_nodes = rec.migrate_node(old_node)
+        new_nodes = migrate(old_node)
         runtime.run_until_idle()
         assert not runtime.nodes[old_node].alive
         assert new_nodes[0].node_id != old_node
@@ -64,13 +76,13 @@ class TestPlannedMigration:
 
     def test_migration_with_fanout_reshards(self):
         """Migrating onto two nodes doubles as straggler resharding."""
-        runtime, rec = self.deploy()
+        runtime, migrate = self.deploy()
         for i in range(30):
             runtime.inject("serve", ("put", i, i))
         runtime.run_until_idle()
         old_node = runtime.se_instance("table", 0).node_id
         runtime.nodes[old_node].speed = 0.3  # the straggler
-        new_nodes = rec.migrate_node(old_node, n_new=2)
+        new_nodes = migrate(old_node, n_new=2)
         runtime.run_until_idle()
         assert len(new_nodes) == 2
         assert len(runtime.se_instances("table")) == 2
@@ -80,11 +92,11 @@ class TestPlannedMigration:
         assert merged == {i: i for i in range(30)}
 
     def test_service_continues_after_migration(self):
-        runtime, rec = self.deploy()
+        runtime, migrate = self.deploy()
         for i in range(10):
             runtime.inject("serve", ("put", i, i))
         runtime.run_until_idle()
-        rec.migrate_node(runtime.se_instance("table", 0).node_id)
+        migrate(runtime.se_instance("table", 0).node_id)
         runtime.run_until_idle()
         for i in range(10):
             runtime.inject("serve", ("get", i, None))
@@ -94,8 +106,8 @@ class TestPlannedMigration:
         ]
 
     def test_migrating_dead_node_rejected(self):
-        runtime, rec = self.deploy()
+        runtime, migrate = self.deploy()
         node = runtime.se_instance("table", 0).node_id
         runtime.fail_node(node)
         with pytest.raises(RecoveryError):
-            rec.migrate_node(node)
+            migrate(node)

@@ -367,7 +367,7 @@ class TestCoordinatorInputStore:
             logs = list(input_logs(runtime).values())
             assert len(logs) == 4
             assert sum(map(len, logs)) == 0
-            assert runtime.substrate._replay_log == []
+            assert runtime._entries["serve"].log == []
             assert sum(len(inst.element.items()) for inst
                        in runtime.se_instances("table")) == 2000
 
@@ -377,7 +377,7 @@ class TestCoordinatorInputStore:
             for i in range(200):
                 runtime.inject("serve", ("put", f"k{i}", i))
             runtime.run_until_idle()
-            replay_log = runtime.substrate._replay_log
+            replay_log = runtime._entries["serve"].log
             assert replay_log == []
             for i in range(200, 500):
                 runtime.inject("serve", ("put", f"k{i}", i))
@@ -514,6 +514,34 @@ def build_crash_once_wordcount(flag_path):
     return sdg
 
 
+def build_crash_once_two_entries(flag_path):
+    """Two entry TEs, each on its own partitioned SE: ``put`` dies
+    hard, once, on the key ``boom`` (the same flag-file trick);
+    ``count`` increments its key, so a row served twice shows."""
+    sdg = SDG("crashonce-two")
+    sdg.add_state("table", KeyValueMap, kind=StateKind.PARTITIONED)
+    sdg.add_state("tally", KeyValueMap, kind=StateKind.PARTITIONED)
+
+    def put(ctx, request):
+        key, value = request
+        if key == "boom" and not os.path.exists(flag_path):
+            with open(flag_path, "w") as fh:
+                fh.write("crashed")
+            os._exit(13)
+        ctx.state.put(key, value)
+
+    def count(ctx, key):
+        ctx.state.increment(key)
+
+    sdg.add_task("put", put, state="table",
+                 access=AccessMode.PARTITIONED, is_entry=True,
+                 entry_key_fn=lambda r: r[0], entry_key_name="key")
+    sdg.add_task("count", count, state="tally",
+                 access=AccessMode.PARTITIONED, is_entry=True,
+                 entry_key_fn=lambda key: key, entry_key_name="key")
+    return sdg
+
+
 class TestCrashRestartAccounting:
     """Satellite: restart telemetry neither loses nor double-counts."""
 
@@ -626,6 +654,45 @@ class TestCrashRestartAccounting:
         assert sum(clean[0].values()) == 90 * 6 + 1
         assert os.path.exists(flag), "the crash never happened"
         assert len(crashed[3]) == 1, "expected one worker-restart event"
+
+    def test_restart_replays_two_entries_logged_in_one_barrier(
+            self, tmp_path):
+        # Rows of both entries interleave within one barrier, and the
+        # crash lands mid-drain: the restart replays each entry's log
+        # in seq order, entry by entry, and every row is served once.
+        def run(flag, substrate, **config):
+            runtime = Runtime(
+                build_crash_once_two_entries(flag),
+                RuntimeConfig(se_instances={"table": 2, "tally": 2},
+                              substrate=substrate, **config)).deploy()
+            with runtime:
+                for i in range(40):
+                    runtime.inject("put", (f"k{i}", i))
+                    runtime.inject("count", f"c{i % 5}")
+                    if i == 20:
+                        runtime.inject("put", ("boom", 99))
+                runtime.run_until_idle()
+                tally = {}
+                for instance in runtime.se_instances("tally"):
+                    tally.update(instance.element.items())
+                metrics = runtime.merged_metrics().snapshot()
+                return (tally, state_fingerprint(runtime),
+                        metrics["engine_items_processed_total"]["children"],
+                        runtime.events.events(kind=KIND.WORKER_RESTART),
+                        [len(inputs.log) for inputs
+                         in runtime._entries.values()])
+
+        flag = str(tmp_path / "crashed.flag")
+        crashed = run(flag, "multiprocess", workers=2, worker_restarts=1)
+        oracle_flag = str(tmp_path / "preset.flag")
+        open(oracle_flag, "w").close()
+        clean = run(oracle_flag, "inprocess")
+        assert crashed[0] == {f"c{j}": 8 for j in range(5)}
+        assert crashed[:3] == clean[:3]
+        assert os.path.exists(flag), "the crash never happened"
+        (restart,) = crashed[3]
+        assert restart.attrs["replayed"] == 81
+        assert crashed[4] == [0, 0]  # the barrier cleared both logs
 
     def test_restart_budget_exhaustion_still_fails(self, tmp_path):
         # Two crash sites, one restart: the second death propagates.

@@ -217,6 +217,21 @@ class TestInputLogTrim:
             key: "new" for key in after}
 
 
+    def test_one_slot_checkpoint_empties_the_log_it_alone_fed(self):
+        # One log per entry: a checkpoint trims what routes to its own
+        # slot, and here every key routes to partition 2.
+        runtime = deploy_kv(se_instances={"table": 4})
+        manager = CheckpointManager(runtime, BackupStore(m_targets=2))
+        for key in keys_of_partition(runtime, 2, 12):
+            runtime.inject("serve", ("put", key, key))
+        runtime.run_until_idle()
+        (log,) = {id(r.log): r.log
+                  for r in runtime._entries["serve"].routes}.values()
+        assert len(log) == 12
+        manager.checkpoint(runtime.te_instance("serve", 2).node_id)
+        assert log == []
+
+
 class TestEmitRoutesAcrossRecovery:
     def test_a_restored_producer_sends_into_its_restored_buffers(self):
         # An emit route holds *the* deque of its channel. A producer
