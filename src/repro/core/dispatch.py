@@ -4,7 +4,7 @@ Items flowing along a dataflow edge are routed to the downstream TE's
 instances by one of four strategies, chosen by the translator from the
 type of state access (step 4 of Fig. 3):
 
-* ``KEY_PARTITIONED`` — hash/range partitioning on an access key, used
+* ``KEY_PARTITIONED`` — hash partitioning on an access key, used
   when the downstream TE accesses a partitioned SE so that each instance
   accesses its co-located partition;
 * ``ONE_TO_ANY``      — any single instance (round-robin load balancing),

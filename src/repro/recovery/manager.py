@@ -26,12 +26,12 @@ from repro.errors import (
     BackupIntegrityError,
     RecoveryError,
     StaleCheckpointError,
-    StateError,
 )
 from repro.obs.events import KIND
 from repro.recovery.checkpoint import NodeCheckpoint, TEMeta
 from repro.runtime.instances import SEInstance, TEInstance
 from repro.runtime.node import PhysicalNode
+from repro.state import HashPartitioner
 from repro.state.base import StateElement
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -281,15 +281,8 @@ class RecoveryManager:
                 "whole failed SE onto n new partitions)"
             )
 
-        try:  # as scale-up does; a refusal leaves the node failed
-            partitioner = self.runtime.topology.partitioner(
-                se_name).rescaled(n_new)
-        except StateError as exc:
-            raise RecoveryError(
-                f"cannot restore SE {se_name!r} onto {n_new} partitions: "
-                f"{exc}") from exc
         merged = self._restore_element(spec, (se_name, se_index), checkpoint)
-        self.runtime.set_partitioner(se_name, partitioner)
+        self.runtime.set_partitioner(se_name, HashPartitioner(n_new))
 
         accessing = [
             te.name for te in self.runtime.sdg.tasks_accessing(se_name)

@@ -11,8 +11,8 @@ This package executes SDGs for real, as five layers behind the
 
 * **deployment** (:class:`Topology`) — instance materialisation, node
   placement, partitioners and repartition epochs;
-* **scheduling** (:class:`Scheduler` policies) — which instance serves
-  the next item, plus straggler-credit throttling;
+* **scheduling** (:class:`RoundRobinScheduler`) — which instance
+  serves the next item, plus straggler-credit throttling;
 * **transport** (:class:`Transport`) — channels and inbox delivery;
 * **dispatch** (:class:`Dispatcher`) — the paper's four routing
   semantics over a deploy-time successor index;
@@ -33,12 +33,7 @@ from repro.runtime.dispatcher import Dispatcher
 from repro.runtime.engine import Runtime
 from repro.runtime.envelope import Envelope, NO_RESPONSE
 from repro.runtime.scaling import BottleneckDetector
-from repro.runtime.scheduler import (
-    LongestQueueScheduler,
-    RoundRobinScheduler,
-    SCHEDULERS,
-    Scheduler,
-)
+from repro.runtime.scheduler import RoundRobinScheduler
 from repro.runtime.substrate import (
     ExecutionSubstrate,
     InProcessSubstrate,
@@ -55,14 +50,11 @@ __all__ = [
     "ExecutionSubstrate",
     "FailureDetector",
     "InProcessSubstrate",
-    "LongestQueueScheduler",
     "NO_RESPONSE",
     "RoundRobinScheduler",
     "Runtime",
     "RuntimeConfig",
-    "SCHEDULERS",
     "SUBSTRATES",
-    "Scheduler",
     "Topology",
     "Transport",
     "WorkerPlacement",

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.core.elements import StateKind
-from repro.errors import RuntimeExecutionError, StateError
-from repro.runtime.scheduler import Scheduler, resolve_scheduler
+from repro.errors import RuntimeExecutionError
 from repro.runtime.substrate import ExecutionSubstrate, resolve_substrate
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,10 +45,6 @@ class RuntimeConfig:
 
     #: Initial instance count per SE (partition or replica count).
     se_instances: dict[str, int] = field(default_factory=dict)
-    #: Custom routing partitioner per partitioned SE (e.g. a
-    #: RangePartitioner); defaults to hash partitioning. The
-    #: partitioner's fan-out fixes the SE's instance count.
-    partitioners: dict[str, Any] = field(default_factory=dict)
     #: Initial instance count per *stateless* TE.
     te_instances: dict[str, int] = field(default_factory=dict)
     #: Enable the reactive bottleneck detector (§3.3).
@@ -61,12 +55,6 @@ class RuntimeConfig:
     max_instances: int = 8
     #: Steps between bottleneck checks when auto-scaling.
     scale_check_every: int = 256
-    #: Instance-selection policy: a name from
-    #: :data:`repro.runtime.scheduler.SCHEDULERS` (``"round_robin"``,
-    #: ``"longest_queue"``) or a custom
-    #: :class:`~repro.runtime.scheduler.Scheduler` object. The default
-    #: preserves the seed engine's deterministic replay order.
-    scheduler: str | Scheduler = "round_robin"
     #: Metrics sink: anything registry-shaped (``counter``/``gauge``/
     #: ``histogram`` factories — see :mod:`repro.obs.metrics`). ``None``
     #: gives each runtime a fresh private
@@ -151,8 +139,6 @@ class RuntimeConfig:
                     f"RuntimeConfig.{knob} must be {expected}, "
                     f"got {value!r}"
                 )
-        # Raises on unknown policy names / non-scheduler objects.
-        resolve_scheduler(self.scheduler)
         if self.worker_restarts and self.substrate != "multiprocess":
             raise RuntimeExecutionError(
                 "RuntimeConfig.worker_restarts requires "
@@ -196,7 +182,6 @@ class RuntimeConfig:
                 )
         for mapping, what, elements, known in (
             (self.se_instances, "se_instances", "SEs", sdg.states),
-            (self.partitioners, "partitioners", "SEs", sdg.states),
             (self.te_instances, "te_instances", "TEs", sdg.tasks),
         ):
             unknown = sorted(set(mapping) - set(known))
@@ -205,28 +190,9 @@ class RuntimeConfig:
                     f"{what} names unknown {elements} {unknown}; this "
                     f"SDG declares {sorted(known)}"
                 )
-        for mapping, what in ((self.se_instances, "se_instances"),
-                              (self.te_instances, "te_instances")):
             for name, count in mapping.items():
                 if not _int_at_least(count, 1):
                     raise RuntimeExecutionError(
                         f"{what}[{name!r}] must be an integer >= 1, "
                         f"got {count!r}"
                     )
-        for name, partitioner in self.partitioners.items():
-            kind, n = sdg.state(name).kind, partitioner.n_partitions
-            if kind is not StateKind.PARTITIONED:
-                raise RuntimeExecutionError(
-                    f"SE {name!r} is {kind.value}; only partitioned SEs "
-                    f"take a custom partitioner")
-            if self.se_instances.get(name, n) != n:
-                raise RuntimeExecutionError(
-                    f"SE {name!r}: se_instances={self.se_instances[name]} "
-                    f"conflicts with the partitioner's {n} partitions")
-            try:
-                if self.auto_scale:  # it would rescale the partitioner
-                    partitioner.rescaled(n + 1)
-            except StateError as exc:  # e.g. a RangePartitioner
-                raise RuntimeExecutionError(
-                    f"auto_scale cannot rescale partitioners[{name!r}]: "
-                    f"{exc}") from exc

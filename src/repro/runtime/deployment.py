@@ -27,7 +27,7 @@ from repro.errors import RuntimeExecutionError
 from repro.runtime.envelope import Envelope
 from repro.runtime.instances import Candidates, SEInstance, TEInstance
 from repro.runtime.node import PhysicalNode
-from repro.state import HashPartitioner, Partitioner
+from repro.state import HashPartitioner
 from repro.state.base import StateElement
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,7 +76,7 @@ class Topology:
         #: TE name -> every instance it ever had (what its count sums).
         self.te_history = {te: [] for te in sdg.tasks}
         self._se_instances: dict[str, list[SEInstance | None]] = {}
-        self._partitioners: dict[str, Partitioner] = {}
+        self._partitioners: dict[str, HashPartitioner] = {}
         #: Per-SE repartition counter. A checkpoint records the epoch it
         #: was taken under; restoring it under a different partitioning
         #: would resurrect keys the instance no longer owns, so recovery
@@ -86,7 +86,7 @@ class Topology:
         self._next_node_id = 0
         #: TE name -> the partitioner keyed dispatch into it routes by:
         #: its partitioned SE's current one, else a hash over its slots.
-        self.routers: dict[str, Partitioner] = {}
+        self.routers: dict[str, HashPartitioner] = {}
         #: Bumped by every method that assigns into ``te_slots`` or
         #: kills a node; :meth:`candidates` rebuilds when it has moved.
         self.version = 0
@@ -102,15 +102,12 @@ class Topology:
         base = allocate(self.sdg)
 
         for se in self.sdg.states.values():
-            # ``RuntimeConfig.validate`` checked a custom partitioner.
-            custom = self.config.partitioners.get(se.name)
-            n = (custom.n_partitions if custom is not None
-                 else max(1, self.config.se_instances.get(se.name, 1)))
+            n = self.config.se_instances.get(se.name, 1)
             self._se_instances[se.name] = [
                 SEInstance(se, i) for i in range(n)
             ]
             if se.kind is StateKind.PARTITIONED:
-                self._partitioners[se.name] = custom or HashPartitioner(n)
+                self._partitioners[se.name] = HashPartitioner(n)
 
         # A stateful TE instance binds the same-index SE instance.
         for te in self.sdg.tasks.values():
@@ -257,7 +254,7 @@ class Topology:
     # Routing
     # ------------------------------------------------------------------
 
-    def partitioner(self, se_name: str) -> Partitioner:
+    def partitioner(self, se_name: str) -> HashPartitioner:
         return self._partitioners[se_name]
 
     def _reroute(self, te_names) -> None:
@@ -268,7 +265,7 @@ class Topology:
                 or HashPartitioner(len(self.te_slots[name])))
 
     def set_partitioner(self, se_name: str,
-                        partitioner: Partitioner) -> None:
+                        partitioner: HashPartitioner) -> None:
         """Route a partitioned SE by ``partitioner`` from a new epoch on
         (a repartition or a 1-to-n restore changed its fan-out)."""
         self._partitioners[se_name] = partitioner
@@ -380,9 +377,7 @@ class Topology:
         merged: StateElement = type(old_instances[0].element).merge_partitions(
             [inst.element for inst in old_instances]
         )
-        # Rescale the *existing* strategy; a RangePartitioner refuses
-        # (its boundaries are semantic) and the scale-up fails loudly.
-        partitioner = self._partitioners[se_name].rescaled(n_new)
+        partitioner = HashPartitioner(n_new)
         self.set_partitioner(se_name, partitioner)
 
         self.version += 1

@@ -9,8 +9,8 @@ plug in:
 
 * :mod:`repro.runtime.deployment` — the :class:`~repro.runtime
   .deployment.Topology` owns instances, nodes, partitioners, epochs;
-* :mod:`repro.runtime.scheduler` — pluggable instance-selection
-  policies plus the straggler-credit accounting;
+* :mod:`repro.runtime.scheduler` — the round-robin instance selection
+  plus the straggler-credit accounting;
 * :mod:`repro.runtime.transport` — channels and inbox delivery;
 * :mod:`repro.runtime.dispatcher` — the four dispatch semantics over a
   deploy-time successor index.
@@ -20,7 +20,7 @@ The facade keeps the public API of the original monolithic engine:
 
 Determinism note: the paper requires translated programs to be
 deterministic so that recovery can re-execute computation (§4.1); the
-default :class:`~repro.runtime.scheduler.RoundRobinScheduler` honours
+scheduler, :class:`~repro.runtime.scheduler.RoundRobinScheduler`, honours
 the same contract by processing instances in a fixed rotor order.
 """
 
@@ -57,13 +57,13 @@ from repro.runtime.instances import (
 )
 from repro.runtime.node import PhysicalNode, queued, served
 from repro.runtime.scaling import BottleneckDetector
-from repro.runtime.scheduler import Scheduler, resolve_scheduler
+from repro.runtime.scheduler import RoundRobinScheduler
 from repro.runtime.substrate import (
     ExecutionSubstrate,
     resolve_substrate,
 )
 from repro.runtime.transport import Transport
-from repro.state import Partitioner
+from repro.state import HashPartitioner
 
 #: Most envelopes one scheduling step serves on a certified channel.
 RUN_MAX = 64
@@ -117,8 +117,10 @@ class Runtime:
         self.transport: Transport | None = None
         #: The dispatch layer; built at deploy.
         self.dispatcher: Dispatcher | None = None
-        #: The scheduling policy; resolved from the config at deploy.
-        self.scheduler: Scheduler | None = None
+        #: The scheduler; built at deploy. A test may assign a reference
+        #: policy before a drain: ``select``, and ``charge`` where a
+        #: certified channel serves runs.
+        self.scheduler: RoundRobinScheduler | None = None
         #: The execution substrate; resolved from the config at deploy.
         self.substrate: ExecutionSubstrate | None = None
         #: Metrics registry: fresh per runtime unless injected via the
@@ -192,10 +194,7 @@ class Runtime:
             # The dispatch phase is the time spent in this seam.
             self.dispatcher.dispatch = self.probe.timed(
                 "dispatch", self.dispatcher.dispatch)
-        self.scheduler = resolve_scheduler(self.config.scheduler)
-        # An optional policy hook, resolved once. ``select`` is looked
-        # up per step: tools rebind it on the deployed scheduler.
-        self._charge = getattr(self.scheduler, "charge", None)
+        self.scheduler = RoundRobinScheduler()
         self._bind_metrics()
         # One detector for the runtime's lifetime, built from the
         # validated config (not per scale check).
@@ -296,8 +295,7 @@ class Runtime:
         m.counter("scheduler_picks_total",
                   "instance selections, by scheduling policy").computed(
             lambda: self.total_steps - self._steps_base - stalls.value,
-            policy=getattr(self.scheduler, "name",
-                           type(self.scheduler).__name__))
+            policy=RoundRobinScheduler.name)
         processed = m.counter(
             "engine_items_processed_total", "items processed, by TE")
         for te, history in self.topology.te_history.items():
@@ -554,8 +552,7 @@ class Runtime:
                     # The scheduler admitted one item; charge the
                     # straggler credit for the rest so a run cannot
                     # smuggle work past a throttled node.
-                    if self._charge is not None:
-                        self._charge(nodes[instance.node_id], run - 1)
+                    self.scheduler.charge(nodes[instance.node_id], run - 1)
             steps += 1
             self.total_steps += 1
             if hooks:
@@ -854,7 +851,7 @@ class Runtime:
         return node
 
     def set_partitioner(self, se_name: str,
-                        partitioner: Partitioner) -> None:
+                        partitioner: HashPartitioner) -> None:
         """Route a partitioned SE by ``partitioner`` from a new epoch on
         (a 1-to-n restore), and publish the repartition."""
         self.start_result_filter()
@@ -992,8 +989,7 @@ class Runtime:
                 # the topology and are re-routed under the new
                 # partitioner so keyed items still meet their partition.
                 pending = self.topology.repartition(spec.state, current + 1)
-                for envelope in pending:
-                    self._resend_after_reroute(envelope)
+                self._resend_after_reroute(pending)
                 self.events.publish(
                     "engine", KIND.REPARTITION, self.total_steps,
                     se=spec.state,
@@ -1018,50 +1014,69 @@ class Runtime:
                 f"not a control-plane action"
             )
 
-    def _resend_after_reroute(self, envelope: Envelope) -> None:
-        """Re-address a queued envelope after a repartition.
+    def _resend_after_reroute(self, pending: list[Envelope]) -> None:
+        """Re-address the envelopes a repartition drained.
 
-        The envelope is re-*sent* (fresh sequence number on the new
-        channel) rather than re-delivered with its old stamp: per-stream
-        timestamps are only monotonic towards a fixed destination, so an
-        old stamp arriving at a new destination could be mistaken for a
-        duplicate. The stale copy is removed from the producer-side
-        replay buffer to keep recovery consistent. A result consumer
-        will never see the old stamp again: it counts as collected, and
-        if it already was (a replayed or duplicated copy), so is the new.
+        An envelope its old slot would have dropped at serve time (a
+        stamp at or below the slot's ``last_seen``, or a second copy of
+        one ``(dst TE, stream, stamp)``) is dropped here, and counted as
+        that node's ``duplicates_dropped``. Every other one is re-*sent*
+        (fresh sequence number on the new channel) rather than
+        re-delivered with its old stamp: per-stream timestamps are only
+        monotonic towards a fixed destination, so an old stamp arriving
+        at a new destination could be mistaken for a duplicate. The
+        stale copy leaves the producer-side replay buffer, or the entry's
+        input log, to keep recovery consistent; each log is walked once,
+        by stamp, since a fresh stamp is above every logged one. A result
+        consumer will never see the old stamp again: it counts as
+        collected, and if it already was (a replayed copy), so is the new.
         """
-        channel = envelope.channel
-        index = self._current_index(envelope)
-        if channel.edge_index == INPUT_EDGE:
-            inputs = self._entries[channel.dst_te]
-            if envelope in inputs.log:
-                inputs.log.remove(envelope)
-            route = self._input_route(channel.dst_te, index)
-            ts = inputs.seq = inputs.seq + 1
-            self.substrate.deliver(route, (envelope.payload, ts,
-                                           route.channel) + envelope[3:])
-        else:
-            producer = self.te_instance(channel.src_te, channel.src_instance)
-            if producer is None:
-                # Producer lost to a failure: deliver with the old stamp
-                # so downstream dedup against a future replay still works.
-                self.transport.deliver(
-                    envelope.with_channel(channel.reroute(index), envelope.ts)
-                )
-                return
-            buffer = producer.output_buffers.get(channel)
-            if buffer is not None and envelope in buffer:
-                buffer.remove(envelope)
-            self.transport.send(producer, channel.edge_index,
-                                channel.dst_te, index, envelope.payload,
-                                envelope.request_id,
-                                envelope.expected_responses,
-                                trace_id=envelope.trace_id)
-            ts = producer.out_seq[channel.edge_index]
-        if channel.dst_te in self._terminal_tes:
-            stamps = self._result_stream(channel)
-            if not stamps.add(envelope.ts):
-                stamps.add(ts)
+        slots, nodes = self.topology.te_slots, self.topology.nodes
+        seen: set[tuple[str, StreamKey, int]] = set()
+        resent: dict[str, set[int]] = {}
+        for envelope in pending:
+            channel = envelope.channel
+            stream, ts = channel[:3], envelope.ts
+            old = slots[channel.dst_te][channel.dst_instance]
+            copy = (channel.dst_te, stream, ts)
+            if copy in seen or ts <= old.last_seen.get(stream, 0):
+                nodes[old.node_id].duplicates_dropped += 1
+                continue
+            seen.add(copy)
+            index = self._current_index(envelope)
+            if channel.edge_index == INPUT_EDGE:
+                resent.setdefault(channel.dst_te, set()).add(ts)
+                inputs = self._entries[channel.dst_te]
+                route = self._input_route(channel.dst_te, index)
+                fresh = inputs.seq = inputs.seq + 1
+                self.substrate.deliver(route, (envelope.payload, fresh,
+                                               route.channel) + envelope[3:])
+            else:
+                producer = self.te_instance(channel.src_te,
+                                            channel.src_instance)
+                if producer is None:
+                    # Producer lost to a failure: deliver with the old
+                    # stamp so downstream dedup against a future replay
+                    # still works.
+                    self.transport.deliver(envelope.with_channel(
+                        channel.reroute(index), ts))
+                    continue
+                buffer = producer.output_buffers.get(channel)
+                if buffer is not None and envelope in buffer:
+                    buffer.remove(envelope)
+                self.transport.send(producer, channel.edge_index,
+                                    channel.dst_te, index, envelope.payload,
+                                    envelope.request_id,
+                                    envelope.expected_responses,
+                                    trace_id=envelope.trace_id)
+                fresh = producer.out_seq[channel.edge_index]
+            if channel.dst_te in self._terminal_tes:
+                stamps = self._result_stream(channel)
+                if not stamps.add(ts):
+                    stamps.add(fresh)
+        for te, stale in resent.items():
+            log = self._entries[te].log
+            log[:] = [e for e in log if e.ts not in stale]
 
     def _current_index(self, envelope: Envelope) -> int:
         """Where ``envelope`` belongs under the *current* partitioner."""

@@ -188,7 +188,7 @@ class TEInstance:
 class Candidates(list):
     """The live TE instances in deployment order, and which have input.
 
-    This is what a scheduling policy selects from: a list a policy may
+    This is what the scheduler selects from: a list a policy may
     scan like the seed loop did, plus ``ready`` — the sorted positions
     in that list whose inbox is non-empty. ``ready`` is kept exact at
     the two places an inbox changes between structural events (the

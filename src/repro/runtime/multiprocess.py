@@ -24,19 +24,17 @@ input's wire row (the coordinator builds no envelope) to its route's
 pending rows, and a link's routes become one ``MSG_DELIVER`` frame at
 ``WIRE_RUN`` rows, at the top of every pump round (so
 ``run_until_idle``, ``poll`` and a state pull all flush) and ahead of
-any control frame to that worker, which keeps each link FIFO. The first
-input after a barrier — to a worker that has reported consuming all it
-was sent — ships from ``deliver()`` at once, so the worker wakes while
-the caller goes on to its drain. A worker queues what it sends other
-workers by destination (the transport resolves the owning worker once
-per route) and channel, and writes each destination's runs as one
-``MSG_DELIVER`` into its pipe: at ``WIRE_RUN`` envelopes, before every
-report, and — once per wake from a blocking wait — right after the
-first step that sent any, so the peer starts on it while this worker
-goes on. A worker lands each run it reads with one
-``Transport.deliver_run`` call, then drains up to ``WIRE_RUN`` local
-steps (one ``Runtime._drain`` call, two when a woken worker stops after
-its first peer send to ship it) before it looks at its pipes again.
+any control frame to that worker, which keeps each link FIFO. A worker
+queues what it sends other workers by destination (the transport
+resolves the owning worker once per route) and channel, and writes each
+destination's runs as one ``MSG_DELIVER`` into its pipe: at
+``WIRE_RUN`` envelopes, before every report, and — once per wake from a
+blocking wait — right after the first step that sent any, so the peer
+starts on it while this worker goes on. A worker lands each run it
+reads with one ``Transport.deliver_run`` call, then drains up to
+``WIRE_RUN`` local steps (one ``Runtime._drain`` call, two when a woken
+worker stops after its first peer send to ship it) before it looks at
+its pipes again.
 
 Deadlock freedom by construction:
 
@@ -463,18 +461,13 @@ class MultiprocessSubstrate:
             # restart's replay re-delivers this row too, so the
             # handler below must not retry it itself.
             route.append(row)
-        # A worker that consumed all it was sent (pending rows included)
-        # may be waiting for this row: it goes at once, and the worker
-        # wakes while the caller goes on. Later rows batch up to a run
-        # or a pump.
-        caught_up = link.consumed == link.sent
         rows = run.rows
         if not rows:
             link.runs.append(run)
         rows.append(row)
         link.sent += 1
         link.queued += 1
-        if caught_up or link.queued >= WIRE_RUN:
+        if link.queued >= WIRE_RUN:
             try:
                 self._flush_run(link)
             except _WorkerFailure as failure:

@@ -22,8 +22,8 @@ Two substrates ship:
 
 A substrate is chosen per deployment via
 ``RuntimeConfig(substrate="inprocess" | "multiprocess" | <object>)``;
-custom substrates plug in like custom schedulers do, by passing any
-object implementing the protocol.
+a custom substrate plugs in by passing any object implementing the
+protocol.
 """
 
 from __future__ import annotations

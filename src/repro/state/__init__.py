@@ -31,11 +31,7 @@ from repro.state.backend import (
 from repro.state.base import DeltaChunk, StateChunk, StateCut, StateElement
 from repro.state.keyvalue import KeyValueMap
 from repro.state.matrix import DenseMatrix, Matrix
-from repro.state.partitioner import (
-    HashPartitioner,
-    Partitioner,
-    RangePartitioner,
-)
+from repro.state.partitioner import HashPartitioner
 from repro.state.vector import Vector
 
 __all__ = [
@@ -48,8 +44,6 @@ __all__ = [
     "ListBackend",
     "Matrix",
     "MutationJournal",
-    "Partitioner",
-    "RangePartitioner",
     "SparseMatrixBackend",
     "StateBackend",
     "StateChunk",

@@ -39,7 +39,7 @@ from repro.errors import StateError
 from repro.state.backend import DictBackend, MutationJournal, StateBackend
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.state.partitioner import Partitioner
+    from repro.state.partitioner import HashPartitioner
 
 #: Sentinel distinguishing "no default supplied" from ``default=None``.
 _MISSING = object()
@@ -263,7 +263,7 @@ class StateElement(abc.ABC):
         storage key itself, which suits vectors and maps."""
         return key
 
-    def extract_partition(self, partitioner: "Partitioner",
+    def extract_partition(self, partitioner: "HashPartitioner",
                           index: int,
                           route_key: Callable[[Hashable], Hashable]
                           ) -> "StateElement":

@@ -13,7 +13,7 @@ from repro.state.base import StateElement
 
 
 class KeyValueMap(StateElement):
-    """A dictionary SE supporting hash or range partitioning.
+    """A dictionary SE supporting hash partitioning.
 
     Physical storage is the default
     :class:`~repro.state.backend.DictBackend`; this class is purely the

@@ -14,6 +14,7 @@ keyed producer.
 
 from collections import defaultdict
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -235,8 +236,11 @@ def test_cf_replies_survive_any_interleaving(ops, full_every,
                                              trim_input_log):
     # 1-to-1 only: a 1-to-n restore of ``userItem`` re-sends replayed
     # outputs on the new partitions' fresh streams (ROADMAP item 2(c)).
-    # No scale-ups: a repartition re-sends a chaos-duplicated
-    # ``getUserVec`` under a fresh stamp, so it runs twice (item 2(b)).
+    # No scale-ups, for two reasons. A repartition still re-sends a
+    # queued input under a fresh stamp, so a copy whose twin was served
+    # elsewhere runs twice (item 2(b)). And a producer log-replayed after
+    # a repartition re-mints request ids its predecessor used, so a
+    # reply is filtered (item 2(e); the strict xfail below).
     controller = Controller(
         build_cf_sdg(), {"userItem": 1, "coOcc": 2}, full_every=full_every,
         trim_input_log=trim_input_log, max_fan_out=1)
@@ -350,3 +354,55 @@ def test_scale_up_under_a_dead_producer_collects_each_reply_once():
     RecoveryManager(runtime, BackupStore()).recover_node(node)
     runtime.run_until_idle()
     assert sorted(runtime.results["sink"]) == [(0, 0), (1, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("served", [False, True])
+def test_scale_up_reroutes_a_duplicated_input_once(served):
+    """A copy of an input queued at a repartition is one item with its
+    original, whether the original is queued beside it (a chaos
+    duplicate) or was already served (a replayed copy): the
+    repartition drops the copy, as its old slot would have at serve
+    time, and re-sends only an original still queued."""
+    runtime = Runtime(build_cf_sdg(), RuntimeConfig(
+        se_instances={"userItem": 1, "coOcc": 2})).deploy()
+    for user, item, rating in [(0, 1, 3), (0, 2, 4), (1, 1, 5), (1, 3, 2),
+                               (2, 0, 1)]:
+        runtime.inject("updateUserItem", (user, item, rating))
+    runtime.inject("getUserVec", 0)
+    instance = runtime.te_instance("getUserVec", 0)
+    copy = instance.inbox[0]
+    if served:
+        while instance.inbox:
+            runtime.step()
+    instance.inbox.append(copy)
+    node = runtime.nodes[instance.node_id]
+    runtime.scale_up("updateUserItem")
+    runtime.run_until_idle()
+    assert len(runtime.results["mergeRec"]) == 1
+    assert node.duplicates_dropped == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2(e): a producer log-replayed after a repartition "
+    "replays nothing and re-mints a request id its predecessor used"))
+def test_log_replay_after_a_repartition_keeps_every_reply():
+    """``getUserVec[0]`` broadcasts for user 1, then user 1 moves to
+    slot 1 and slot 0 fails with no checkpoint. Its log replay finds
+    nothing to serve, so its next broadcast re-mints the request id the
+    merge already completed, and that reply is filtered."""
+    runtime = Runtime(build_cf_sdg(), RuntimeConfig(
+        se_instances={"userItem": 1, "coOcc": 2})).deploy()
+    store = BackupStore()
+    CheckpointManager(runtime, store, trim_input_log=False)
+    runtime.inject("getUserVec", 1)
+    runtime.step()
+    runtime.scale_up("updateUserItem")
+    node = runtime.te_instance("getUserVec", 0).node_id
+    runtime.fail_node(node)
+    RecoveryManager(runtime, store).recover_node(node)  # log replay
+    runtime.run_until_idle()
+    count = len(runtime.results["mergeRec"])
+    for user in USERS:
+        runtime.inject("getUserVec", user)
+    runtime.run_until_idle()
+    assert len(runtime.results["mergeRec"]) - count == len(USERS)

@@ -10,6 +10,7 @@ from repro.recovery import (
 )
 from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.node import PhysicalNode
+from repro.state import HashPartitioner
 
 from tests.helpers import build_kv_sdg, input_logs
 
@@ -208,8 +209,7 @@ class TestWalkCost:
         runtime.run_until_idle()
         # Same fan-out, new epoch; the topology's version stays put.
         version = runtime.topology.version
-        runtime.set_partitioner(
-            "table", runtime.topology.partitioner("table").rescaled(2))
+        runtime.set_partitioner("table", HashPartitioner(2))
         assert runtime.topology.version == version
         runtime.inject("serve", ("put", 20, 20))
         runtime.run_until_idle()

@@ -12,7 +12,6 @@ import pytest
 from repro.errors import RuntimeExecutionError
 from repro.runtime import Runtime, RuntimeConfig
 from repro.runtime.config import SCALAR_KNOBS
-from repro.state import HashPartitioner
 from repro.testing import build_kv_sdg
 
 
@@ -41,11 +40,6 @@ class TestInstanceMaps:
     def test_unknown_se_name_rejected(self):
         config = RuntimeConfig(se_instances={"tabel": 2})  # typo
         with pytest.raises(RuntimeExecutionError, match="tabel"):
-            deploy(config)
-
-    def test_unknown_partitioner_se_rejected(self):
-        config = RuntimeConfig(partitioners={"nope": HashPartitioner(2)})
-        with pytest.raises(RuntimeExecutionError, match="nope"):
             deploy(config)
 
     def test_unknown_te_name_rejected(self):
@@ -77,9 +71,7 @@ class TestConfigStaysClosed:
 
     FREE_FORM = {
         "se_instances": "names and counts checked against the SDG",
-        "partitioners": "names checked against the SDG",
         "te_instances": "names and counts checked against the SDG",
-        "scheduler": "resolve_scheduler",
         "metrics": "registry shape checked",
         "substrate": "resolve_substrate",
         "substrate_check": "one of three names",
@@ -97,7 +89,7 @@ class TestConfigStaysClosed:
     def test_every_field_is_accounted_for(self):
         fields = {f.name for f in dataclasses.fields(RuntimeConfig)}
         tabled = {knob for knob, _kind, _minimum in SCALAR_KNOBS}
-        assert len(fields) == 18
+        assert len(fields) == 16
         assert not tabled & set(self.FREE_FORM)
         assert fields == tabled | set(self.FREE_FORM)
 

@@ -12,6 +12,7 @@ from repro.core import SDG
 from repro.errors import RuntimeExecutionError
 from repro.runtime import Runtime, RuntimeConfig, Topology
 from repro.runtime.instances import SEInstance, TEInstance
+from repro.state import HashPartitioner
 from repro.testing import build_kv_sdg, noop
 
 
@@ -63,11 +64,11 @@ class TestEpochs:
     def test_set_partitioner_bumps_epoch(self):
         topology = make_topology()
         topology.set_partitioner(
-            "table", topology.partitioner("table").rescaled(3)
+            "table", HashPartitioner(3)
         )
         assert topology.se_epoch("table") == 1
         topology.set_partitioner(
-            "table", topology.partitioner("table").rescaled(4)
+            "table", HashPartitioner(4)
         )
         assert topology.se_epoch("table") == 2
 

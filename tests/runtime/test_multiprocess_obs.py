@@ -301,9 +301,10 @@ class TestInjectAfterWorkerDeath:
 
 
     def test_rows_pending_for_a_survivor_are_replayed_once(self):
-        # Rows wait in the survivor's route runs when inject finds the
-        # dead worker: the restart drops them with the fleet, and the
-        # replay queues each once, on the new fleet's links.
+        # Rows wait in the survivor's route runs when a full run finds
+        # the dead worker: the restart drops them with the fleet, and
+        # the replay queues each once, on the new fleet's links (the
+        # dead worker's run fills again and goes at once).
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2,
                                worker_restarts=1)
@@ -311,15 +312,17 @@ class TestInjectAfterWorkerDeath:
             substrate = runtime.substrate
             runtime.run_until_idle()  # the hellos
             partition = runtime.topology.routers["serve"].partition
-            keys = {worker: [key for key in map("k{}".format, range(99))
+            keys = {worker: [key for key in map("k{}".format,
+                                                range(8 * WIRE_RUN))
                              if substrate.placement.owner_of(
                                  "serve", partition(key)) == worker]
                     for worker in (0, 1)}
             for i, key in enumerate(keys[1][:10]):
                 runtime.inject("serve", ("put", key, i))
-            assert substrate._links[1].queued == 9  # the first went
+            assert substrate._links[1].queued == 10  # nothing went
             kill_worker(runtime, 0)
-            runtime.inject("serve", ("put", keys[0][0], 99))
+            for i, key in enumerate(keys[0][:WIRE_RUN]):
+                runtime.inject("serve", ("put", key, i))
             assert len(runtime.events.events(kind=KIND.WORKER_RESTART)) == 1
             sinks = [route.sink for inputs in runtime._entries.values()
                      for route in inputs.routes]
@@ -327,13 +330,14 @@ class TestInjectAfterWorkerDeath:
                 assert (bool(sink.rows)
                         == (sink in substrate._links[sink.owner].runs))
             assert sum(len(sink.rows) for sink in sinks) == sum(
-                link.queued for link in substrate._links) == 11
-            assert runtime.run_until_idle() == 11
+                link.queued for link in substrate._links) == 10
+            assert runtime.run_until_idle() == 10 + WIRE_RUN
             merged = {}
             for inst in runtime.se_instances("table"):
                 merged.update(inst.element.items())
         assert merged == {**{key: i for i, key in enumerate(keys[1][:10])},
-                          keys[0][0]: 99}
+                          **{key: i for i, key in
+                             enumerate(keys[0][:WIRE_RUN])}}
 
 
 class TestCoordinatorInputStore:

@@ -1,30 +1,25 @@
 """Unit tests for the scheduling layer.
 
-Covers policy order (round-robin rotor vs longest-queue), straggler
-credit, policy resolution from the config knob, and — critically — a
-determinism proof that :class:`RoundRobinScheduler` selects in exactly
-the order of the seed engine's inlined step loop, so recovery replay
-order is unchanged by the layered refactor.
+Covers the round-robin rotor order, straggler credit and — critically —
+a determinism proof that :class:`RoundRobinScheduler` selects in
+exactly the order of the seed engine's inlined step loop, so recovery
+replay order is unchanged by the layered refactor. A reference policy
+is installed by assignment after ``deploy()``: the drain loop reads
+``scheduler.select`` once per drain.
 """
-
-import pytest
 
 from repro.chaos import FaultInjector
 from repro.chaos.plan import DuplicateEnvelope, FaultPlan
 from repro.core import SDG, AccessMode, Dispatch, StateKind
-from repro.errors import RuntimeExecutionError
 from repro.recovery import BackupStore, CheckpointManager, RecoveryManager
 from repro.runtime import (
     InProcessSubstrate,
-    LongestQueueScheduler,
     RoundRobinScheduler,
     Runtime,
     RuntimeConfig,
-    SCHEDULERS,
 )
 from repro.runtime.instances import Candidates, TEInstance
 from repro.runtime.node import PhysicalNode
-from repro.runtime.scheduler import resolve_scheduler
 from repro.state import KeyValueMap
 from repro.testing import build_kv_sdg, noop
 
@@ -83,28 +78,6 @@ class TestRoundRobin:
         assert scheduler.select(instances, nodes) == (None, False)
 
 
-class TestLongestQueue:
-    def test_drains_deepest_inbox_first(self):
-        instances, nodes = make_instances(3, [1, 4, 2])
-        order = drain_order(LongestQueueScheduler(), instances, nodes)
-        # Depths after each pick: (1,4,2) -> 1; (1,3,2) -> 1; (1,2,2)
-        # tie breaks to 1; (1,1,2) -> 2; then all tied, key order.
-        assert order == [1, 1, 1, 2, 0, 1, 2]
-
-    def test_tie_breaks_on_instance_key(self):
-        instances, nodes = make_instances(2, [3, 3])
-        scheduler = LongestQueueScheduler()
-        instance, throttled = scheduler.select(instances, nodes)
-        assert (instance.index, throttled) == (0, False)
-
-    def test_deterministic_across_runs(self):
-        def once():
-            instances, nodes = make_instances(4, [3, 5, 5, 1])
-            return drain_order(LongestQueueScheduler(), instances, nodes)
-
-        assert once() == once()
-
-
 class TestStragglerCredit:
     def test_throttled_node_serves_at_its_speed(self):
         instances, nodes = make_instances(1, [2])
@@ -123,38 +96,14 @@ class TestStragglerCredit:
         assert instance is instances[0]
         assert nodes[0].credit == 0.0
 
-    def test_longest_queue_also_honours_credit(self):
+    def test_a_straggler_yields_to_a_healthy_instance(self):
         instances, nodes = make_instances(2, [5, 1])
-        nodes[0].speed = 0.25  # the deep inbox sits on a straggler
-        scheduler = LongestQueueScheduler()
+        nodes[0].speed = 0.25  # the rotor's first pick is a straggler
+        scheduler = RoundRobinScheduler()
         instance, throttled = scheduler.select(instances, nodes)
-        # The straggler is held back; the shallow healthy instance runs.
+        # The straggler is held back; the healthy instance runs.
         assert instance is instances[1]
         assert throttled
-
-
-class TestResolution:
-    def test_known_names_resolve(self):
-        assert isinstance(resolve_scheduler("round_robin"),
-                          RoundRobinScheduler)
-        assert isinstance(resolve_scheduler("longest_queue"),
-                          LongestQueueScheduler)
-
-    def test_registry_names_match_classes(self):
-        for name, cls in SCHEDULERS.items():
-            assert cls.name == name
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(RuntimeExecutionError, match="unknown scheduler"):
-            resolve_scheduler("fifo")
-
-    def test_custom_policy_object_passthrough(self):
-        policy = RoundRobinScheduler()
-        assert resolve_scheduler(policy) is policy
-
-    def test_non_scheduler_rejected(self):
-        with pytest.raises(RuntimeExecutionError, match="select"):
-            resolve_scheduler(42)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +168,8 @@ def record_processing(runtime):
 def traced_run(scheduler, straggle=False):
     """Run a fixed KV workload; return the processing trace + results."""
     runtime = Runtime(
-        build_kv_sdg(),
-        RuntimeConfig(se_instances={"table": 3}, scheduler=scheduler),
-    ).deploy()
+        build_kv_sdg(), RuntimeConfig(se_instances={"table": 3})).deploy()
+    runtime.scheduler = scheduler
     trace = record_processing(runtime)
     if straggle:
         slow = runtime.te_instances("serve")[1]
@@ -231,32 +179,6 @@ def traced_run(scheduler, straggle=False):
         runtime.inject("serve", ("get", f"k{i}", None))
     runtime.run_until_idle()
     return trace, runtime.results["serve"]
-
-
-class FullScanLongestQueue:
-    """``LongestQueueScheduler`` as it was before the ready set.
-
-    Transcribed verbatim (credit accounting inlined): it filters every
-    live instance per step, which is what the shipped policy must stay
-    indistinguishable from.
-    """
-
-    name = "full_scan_reference"
-
-    def select(self, instances, nodes):
-        ready = [inst for inst in instances if inst.inbox]
-        ready.sort(key=lambda inst: (-len(inst.inbox), inst.key))
-        throttled = False
-        for instance in ready:
-            node = nodes[instance.node_id]
-            if node.speed < 1.0:
-                node.credit += max(node.speed, 0.0)
-                if node.credit < 1.0:
-                    throttled = True
-                    continue
-                node.credit -= 1.0
-            return instance, throttled
-        return None, throttled
 
 
 def build_pipeline_sdg():
@@ -295,9 +217,9 @@ def structural_run(scheduler):
     """
     runtime = Runtime(
         build_pipeline_sdg(),
-        RuntimeConfig(te_instances={"route": 2}, se_instances={"table": 3},
-                      scheduler=scheduler),
+        RuntimeConfig(te_instances={"route": 2}, se_instances={"table": 3}),
     ).deploy()
+    runtime.scheduler = scheduler
     trace = record_processing(runtime)
     store = BackupStore(m_targets=2)
     checkpoints = CheckpointManager(runtime, store)
@@ -352,11 +274,6 @@ class TestSeedDeterminism:
         assert {te for te, *_ in new[0]} == {"route", "serve"}
         assert set(new[2]) == {f"k{i}" for i in range(23)}
 
-    def test_longest_queue_matches_full_scan_across_structural_changes(self):
-        reference = structural_run(FullScanLongestQueue())
-        new = structural_run(LongestQueueScheduler())
-        assert new == reference
-
     def test_round_robin_matches_seed_loop_order(self):
         seed_trace, seed_results = traced_run(SeedLoopScheduler())
         new_trace, new_results = traced_run(RoundRobinScheduler())
@@ -378,24 +295,3 @@ class TestConfigKnob:
     def test_default_policy_is_round_robin(self):
         runtime = Runtime(build_kv_sdg()).deploy()
         assert isinstance(runtime.scheduler, RoundRobinScheduler)
-
-    def test_longest_queue_selected_by_name(self):
-        runtime = Runtime(
-            build_kv_sdg(),
-            RuntimeConfig(se_instances={"table": 2},
-                          scheduler="longest_queue"),
-        ).deploy()
-        assert isinstance(runtime.scheduler, LongestQueueScheduler)
-        for i in range(30):
-            runtime.inject("serve", ("put", i, i))
-        runtime.run_until_idle()
-        merged = {}
-        for inst in runtime.se_instances("table"):
-            merged.update(dict(inst.element.items()))
-        assert merged == {i: i for i in range(30)}
-
-    def test_unknown_policy_fails_at_deploy(self):
-        runtime = Runtime(build_kv_sdg(),
-                          RuntimeConfig(scheduler="fastest_first"))
-        with pytest.raises(RuntimeExecutionError, match="unknown scheduler"):
-            runtime.deploy()

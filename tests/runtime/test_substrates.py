@@ -219,11 +219,10 @@ class TestWireBackpressure:
             assert merged == {f"k{i}": i for i in range(n)}
 
     def test_pending_envelope_is_in_flight(self):
-        # Less than one run injected, nothing pumped: each worker's
-        # first row after the barrier went at once, one frame each, and
-        # the rest sit in the coordinator's pending runs, one per route
-        # of that worker's; the counters already say all 40 are in
-        # flight — not quiet.
+        # Less than one run injected, nothing pumped: no frame went, and
+        # all 40 rows sit in the coordinator's pending runs, one per
+        # route of each worker's; the counters already say all 40 are
+        # in flight — not quiet.
         config = RuntimeConfig(se_instances={"table": 2},
                                substrate="multiprocess", workers=2)
         with Runtime(build_kv_sdg(), config).deploy() as runtime:
@@ -234,7 +233,7 @@ class TestWireBackpressure:
             for i in range(40):
                 runtime.inject("serve", ("put", f"k{i}", i))
             pending = [link.queued for link in substrate._links]
-            assert sum(pending) == 40 - 2 and max(pending) < WIRE_RUN
+            assert sum(pending) == 40 and max(pending) < WIRE_RUN
             for link in substrate._links:
                 assert sum(len(run.rows) for run in link.runs) == link.queued
                 for run in link.runs:
@@ -242,71 +241,12 @@ class TestWireBackpressure:
                     assert substrate.placement.owner_of(
                         channel.dst_te, channel.dst_instance) == run.owner
                     assert run.owner == link.worker_id
-            assert wire_totals(runtime)[0] == frames + 2
+            assert wire_totals(runtime)[0] == frames
             assert sum(link.sent - link.consumed
                        for link in substrate._links) == 40
             assert not substrate._quiet()
             assert runtime.run_until_idle() == 40
             assert substrate._quiet()
-
-
-class TestFirstInputShipsAtInject:
-    """After a barrier, a worker's first input is written by ``inject``.
-
-    Frame counts the program makes itself; no wall clock.
-    """
-
-    def test_one_frame_at_inject_then_a_run_or_a_pump(self):
-        with deploy_kv() as runtime:
-            substrate = runtime.substrate
-            runtime.run_until_idle()  # the hellos
-            index = runtime.topology.routers["serve"].partition
-            keys = [f"k{i}" for i in range(8 * WIRE_RUN)
-                    if index(f"k{i}") == index("k0")][:WIRE_RUN + 1]
-            link = substrate._links[substrate.placement.owner_of(
-                "serve", index("k0"))]
-            frames = send_frames(runtime, "coordinator")
-            runtime.inject("serve", ("put", keys[0], 0))
-            assert send_frames(runtime, "coordinator") == frames + 1
-            assert (link.runs, link.sent - link.consumed) == ([], 1)
-            # Not caught up any more: the next rows wait for a run.
-            for i, key in enumerate(keys[1:WIRE_RUN], 1):
-                runtime.inject("serve", ("put", key, i))
-            assert send_frames(runtime, "coordinator") == frames + 1
-            assert [len(run.rows) for run in link.runs] == [WIRE_RUN - 1]
-            runtime.inject("serve", ("put", keys[WIRE_RUN], WIRE_RUN))
-            assert send_frames(runtime, "coordinator") == frames + 2
-            assert link.runs == []
-            assert runtime.run_until_idle() == WIRE_RUN + 1
-
-    def test_a_burst_after_a_barrier_pumps_the_rest(self):
-        with deploy_kv() as runtime:
-            runtime.run_until_idle()
-            frames = send_frames(runtime, "coordinator")
-            for i in range(40):
-                runtime.inject("serve", ("put", f"k{i}", i))
-            # One frame per worker the burst touched, then one per
-            # worker at the drain's first pump for the rest.
-            assert send_frames(runtime, "coordinator") == frames + 2
-            assert runtime.run_until_idle() == 40
-            assert send_frames(runtime, "coordinator") == frames + 4
-
-    def test_a_closed_loop_get_moves_two_frames(self):
-        def frames_sent(runtime):
-            return (send_frames(runtime, "coordinator")
-                    + send_frames(runtime, "worker"))
-
-        with deploy_kv() as runtime:
-            for i in range(20):
-                runtime.inject("serve", ("put", f"k{i}", i))
-            runtime.run_until_idle()
-            before = frames_sent(runtime)
-            for round_ in range(1, 11):
-                runtime.inject("serve", ("get", f"k{round_}", None))
-                assert runtime.run_until_idle() == 1
-                # The input, and the worker's idle report.
-                assert frames_sent(runtime) == before + 2 * round_
-            assert len(runtime.results["serve"]) == 10
 
 
 class TestMultiprocessLifecycle:
@@ -609,6 +549,25 @@ class TestEnvelopeRuns:
             sent = send_frames(runtime, "coordinator") - before
             assert 0 < sent <= math.ceil(n / WIRE_RUN) + 2
 
+    def test_a_closed_loop_get_moves_two_frames(self):
+        def frames_sent(runtime):
+            return (send_frames(runtime, "coordinator")
+                    + send_frames(runtime, "worker"))
+
+        with deploy_kv() as runtime:
+            for i in range(20):
+                runtime.inject("serve", ("put", f"k{i}", i))
+            runtime.run_until_idle()
+            before = frames_sent(runtime)
+            for round_ in range(1, 11):
+                runtime.inject("serve", ("get", f"k{round_}", None))
+                assert frames_sent(runtime) == before + 2 * round_ - 2
+                assert runtime.run_until_idle() == 1
+                # The input, framed at the drain's first pump, and the
+                # worker's idle report.
+                assert frames_sent(runtime) == before + 2 * round_
+            assert len(runtime.results["serve"]) == 10
+
     def test_wordcount_peer_frames_are_a_tenth_of_forwards(self):
         # The first peer run after a wake ships early; the rest still
         # batch, so the frames stay a tenth of the envelopes they carry.
@@ -624,12 +583,13 @@ class TestEnvelopeRuns:
             assert 0 < peer_frames(runtime) * 10 <= forwards
 
     def test_a_woken_worker_ships_its_first_peer_run_at_once(self):
-        # One split instance wakes on a frame of three lines. The first
+        # One split instance wakes on a frame of four lines. The first
         # split ships its peer run before the next step; the other two
         # batch until the worker is idle: two peer frames, where a
         # worker that flushed only when idle would write one, and one
-        # that flushed after every step three. (The first input after
-        # the barrier goes alone, at inject: an empty line, no words.)
+        # that flushed after every step three. (An empty line goes
+        # first in the same frame: its step sends nothing, so the ship
+        # waits for the first step that does.)
         config = RuntimeConfig(te_instances={"split": 1},
                                se_instances={"counts": 4},
                                substrate="multiprocess", workers=2)
@@ -773,9 +733,8 @@ class TestEnvelopeRuns:
                     runtime.run_until_idle()  # hello consumed
                 # All on the crashing worker's link: WIRE_RUN + 5 puts,
                 # the key that kills its worker once, 30 more puts. No
-                # pump in between, so the link holds the first put (sent
-                # at once, after the barrier), one flushed list
-                # (WIRE_RUN) and one pending (35) when the drain starts.
+                # pump in between, so the link holds one flushed list
+                # (WIRE_RUN) and one pending (36) when the drain starts.
                 index = runtime.topology.routers["serve"].partition
                 keys = [f"k{i}" for i in range(8 * WIRE_RUN)
                         if index(f"k{i}") == index("boom")]
@@ -787,7 +746,7 @@ class TestEnvelopeRuns:
                 if substrate == "multiprocess":
                     assert sorted(
                         sum(len(run.rows) for run in link.runs)
-                        for link in runtime.substrate._links) == [0, 35]
+                        for link in runtime.substrate._links) == [0, 36]
                 assert runtime.run_until_idle() == WIRE_RUN + 36
                 series = runtime.merged_metrics().snapshot()[
                     "engine_items_processed_total"]["children"]
@@ -827,9 +786,10 @@ class TestRunsPerChannel:
         for worker, rows in runs:
             (channel,) = {row[2] for row in rows}
             assert owner(channel.dst_te, channel.dst_instance) == worker
-        # Each worker owns two of the four routes, and a frame holds at
-        # most WIRE_RUN rows.
-        assert {len(runs) for _worker, runs in frames} == {1, 2}
+        # Each worker owns two of the four routes, both in every frame
+        # of this interleaved stream, and a frame holds at most WIRE_RUN
+        # rows.
+        assert {len(runs) for _worker, runs in frames} == {2}
         assert max(sum(map(len, runs)) for _worker, runs in frames) \
             <= WIRE_RUN
 

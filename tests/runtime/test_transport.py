@@ -231,6 +231,39 @@ class TestInputLogTrim:
         manager.checkpoint(runtime.te_instance("serve", 2).node_id)
         assert log == []
 
+    def test_a_scale_up_walks_the_log_once(self):
+        # Every queued input a scale-up re-sends leaves the entry's log
+        # by its old stamp, all of them in one pass: counted on a log
+        # that tallies each walk (iteration, ``in``, ``remove``).
+        class CountingLog(list):
+            walks = 0
+
+            def __iter__(self):
+                self.walks += 1
+                return super().__iter__()
+
+            def __contains__(self, item):
+                self.walks += 1
+                return super().__contains__(item)
+
+            def remove(self, item):
+                self.walks += 1
+                super().remove(item)
+
+        runtime = deploy_kv(se_instances={"table": 2})
+        for key in range(40):
+            runtime.inject("serve", ("put", key, key))
+        runtime.start_result_filter()  # its seed reads the log once
+        inputs = runtime._entries["serve"]
+        log = inputs.log = CountingLog(inputs.log)
+        for route in inputs.routes:
+            route.log, route.append = log, log.append
+        assert runtime.scale_up("serve")
+        assert log.walks == 1
+        assert [e.ts for e in list.__iter__(log)] == list(range(41, 81))
+        runtime.run_until_idle()
+        assert merged_table(runtime) == {key: key for key in range(40)}
+
 
 class TestEmitRoutesAcrossRecovery:
     def test_a_restored_producer_sends_into_its_restored_buffers(self):

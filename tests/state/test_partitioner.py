@@ -1,4 +1,4 @@
-"""Unit tests for partitioning strategies and chunked serialisation."""
+"""Unit tests for hash partitioning and chunked serialisation."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.state import (
     HashPartitioner,
     KeyValueMap,
     Matrix,
-    RangePartitioner,
     Vector,
 )
 from repro.state.base import stable_hash
@@ -42,10 +41,6 @@ class TestHashPartitioner:
         p = HashPartitioner(8)
         assert p.partition("key") == p.partition("key")
 
-    def test_rescaled(self):
-        p = HashPartitioner(2).rescaled(5)
-        assert p.n_partitions == 5
-
     def test_zero_partitions_rejected(self):
         with pytest.raises(StateError):
             HashPartitioner(0)
@@ -53,26 +48,6 @@ class TestHashPartitioner:
     def test_equality(self):
         assert HashPartitioner(3) == HashPartitioner(3)
         assert HashPartitioner(3) != HashPartitioner(4)
-
-
-class TestRangePartitioner:
-    def test_boundaries_split_the_keyspace(self):
-        p = RangePartitioner([10, 20])
-        assert p.partition(5) == 0
-        assert p.partition(10) == 1
-        assert p.partition(19) == 1
-        assert p.partition(20) == 2
-
-    def test_partition_count(self):
-        assert RangePartitioner([1, 2, 3]).n_partitions == 4
-
-    def test_unsorted_boundaries_rejected(self):
-        with pytest.raises(StateError):
-            RangePartitioner([5, 1])
-
-    def test_rescale_is_explicitly_unsupported(self):
-        with pytest.raises(StateError):
-            RangePartitioner([5]).rescaled(3)
 
 
 class TestStatePartitioning:
