@@ -5,8 +5,9 @@ step *s*), so they sit at one seam: the drain loop serves through
 :meth:`~Probe.around` ``substrate.process``, which times each call and
 records each served envelope after it returned or raised. The serve
 path itself makes no probe call. With every recorder off the runtime
-holds :data:`NULL_PROBE`: its ``around`` hands ``process`` back as it
-is and :meth:`~Probe.phase` hands out null timers.
+holds :data:`NULL_PROBE`, which the drain does not ask: it serves
+through ``substrate.process`` itself. Its :meth:`~Probe.phase` hands
+out null timers.
 """
 
 from __future__ import annotations
@@ -93,12 +94,5 @@ class Probe:
         return self.tracer.drain_shard() if self.tracer is not None else []
 
 
-class _NullProbe(Probe):
-    """No recorder on: nothing wraps the serve seam."""
-
-    def around(self, process):
-        return process
-
-
-#: Stateless, so one instance serves every runtime.
-NULL_PROBE = _NullProbe()
+#: No recorder on. Stateless, so one instance serves every runtime.
+NULL_PROBE = Probe()

@@ -90,7 +90,7 @@ class Topology:
         #: Bumped by every method that assigns into ``te_slots`` or
         #: kills a node; :meth:`candidates` rebuilds when it has moved.
         self.version = 0
-        self._candidates: Candidates | None = None
+        self._candidates = Candidates((), -1)  # stale until the first build
 
     # ------------------------------------------------------------------
     # Materialisation
@@ -211,7 +211,7 @@ class Topology:
         item costs the same at 4 partitions and at 256.
         """
         cached = self._candidates
-        if cached is None or cached.version != self.version:
+        if cached.version != self.version:
             cached = self._candidates = Candidates(
                 (inst for inst in self.all_te_instances()
                  if self.nodes[inst.node_id].alive), self.version)

@@ -89,20 +89,80 @@ class EntryInputs:
     per-stream, not per-channel); it also names an injected broadcast's
     request id and picks an unkeyed entry's round-robin slot, so replay
     re-derives both. The log, in seq order, is the upstream backup (§5)
-    every route shares: what no checkpoint or barrier has trimmed."""
+    every route shares: what no checkpoint or barrier has trimmed.
 
-    __slots__ = ("spec", "key_fn", "injected", "routes", "log", "seq",
-                 "router", "rerouted")
+    A checkpoint's trim only leaves a mark (:meth:`mark`); the log
+    drops what the marks cover in one pass (:meth:`compact`) once every
+    route's slot has marked, once it has doubled since the last pass,
+    and whenever it is read: a checkpoint round over n slots walks it
+    at most twice, not n times."""
+
+    __slots__ = ("spec", "key_fn", "injected", "routes", "_log", "seq",
+                 "router", "rerouted", "marks", "marked", "kept")
 
     def __init__(self, spec: Any, injected: Any, router: Any) -> None:
         self.spec, self.key_fn, self.injected = (spec, spec.entry_key_fn,
                                                  injected)
         self.routes: list[InputRoute] = []
-        self.log: list = []
+        self._log: list = []
         self.seq = 0
         #: The router a trim last saw, and the seq it saw it at: inputs
         #: past that seq were delivered under it.
         self.router, self.rerouted = router, 0
+        #: Slot -> the highest stamp it checkpointed that the log may
+        #: still hold; the slots marked since the last full round; and
+        #: the log's length after the last pass.
+        self.marks: dict[int, int] = {}
+        self.marked: set[int] = set()
+        self.kept = 0
+
+    @property
+    def log(self) -> list:
+        """The log, with every pending mark applied first. Routes hold
+        the list itself; they only append to it."""
+        if self.marks:
+            self.compact()
+        return self._log
+
+    @log.setter
+    def log(self, log: list) -> None:
+        self._log = log
+
+    def mark(self, index: int, up_to_ts: int, router: Any) -> None:
+        """Slot ``index`` checkpointed the inputs it served up to
+        ``up_to_ts``, under ``router`` (the entry's router now)."""
+        if router is not self.router:
+            # Apply the marks under the router they were made under.
+            self.compact()
+            self.router, self.rerouted = router, self.seq
+        marks, marked = self.marks, self.marked
+        if up_to_ts > marks.get(index, 0):
+            marks[index] = up_to_ts
+        marked.add(index)
+        if len(marked) >= len(self.routes):  # a full round
+            marked.clear()
+            self.compact()
+        elif len(self._log) > 2 * self.kept:
+            self.compact()
+
+    def compact(self) -> None:
+        """Drop, in place and in one pass, each input the slot it routes
+        to now has checkpointed: where it went if delivered under the
+        current router (or unkeyed: slots only grow), else where the
+        router sends its key. Marks apply to what is logged when they
+        are made; later inputs carry higher stamps, so none of them
+        is covered."""
+        marks, log = self.marks, self._log
+        if marks:
+            top, key_fn, rerouted = max(marks.values()), self.key_fn, self.rerouted
+            partition = self.router.partition
+            log[:] = [
+                row for row in log
+                if row[1] > top or row[1] > marks.get(
+                    row[2].dst_instance if key_fn is None or row[1] > rerouted
+                    else partition(key_fn(row[0])), 0)]
+            marks.clear()
+        self.kept = len(log)
 
 
 class Runtime:
@@ -442,7 +502,7 @@ class Runtime:
         routes = inputs.routes
         while len(routes) <= index:
             routes.append(InputRoute(ChannelId(
-                INPUT_EDGE, "__input__", 0, entry, len(routes)), inputs.log))
+                INPUT_EDGE, "__input__", 0, entry, len(routes)), inputs._log))
         return routes[index]
 
     # ------------------------------------------------------------------
@@ -461,10 +521,10 @@ class Runtime:
 
         Fewer means idle, or that ``stop()``, asked after each step when
         given, said so. The seams (``scheduler.select``, and
-        ``substrate.process`` with the probe around it) are read once
-        per drain, and again after any step hook or crash handler ran,
-        so a wrapper or recorder installed between calls, or by a hook,
-        sees every later step.
+        ``substrate.process`` with the probe around it when a recorder
+        is on) are read once per drain, and again after any step hook or
+        crash handler ran, so a wrapper or recorder installed between
+        calls, or by a hook, sees every later step.
 
         Instance selection is the scheduler's call; straggler-credit
         throttling (nodes with ``speed < 1``) lives there too. When
@@ -489,13 +549,14 @@ class Runtime:
                 topology = self.topology
                 nodes = topology.nodes
                 select = self.scheduler.select
-                process = self.probe.around(self.substrate.process)
+                process = (self.substrate.process if self.probe is NULL_PROBE
+                           else self.probe.around(self.substrate.process))
                 run_channels = self._run_channels
                 stale = False
             # ``Topology.candidates()``, written out while its cache is
             # good.
             candidates = topology._candidates
-            if candidates is None or candidates.version != topology.version:
+            if candidates.version != topology.version:
                 candidates = topology.candidates()
             if not candidates.ready:
                 return steps
@@ -544,9 +605,9 @@ class Runtime:
                     if not inbox:
                         # The other half of ready-set upkeep (appends are
                         # the transport's). After a mid-run crash
-                        # ``candidates`` is already stale and this edits a
-                        # list nobody reads.
-                        candidates.discard(instance)
+                        # ``candidates`` is already stale and this clears
+                        # a bit nobody reads.
+                        candidates.ready &= ~instance.ready_bit
                 if run > 1:
                     self._c_coalesced.value += run - 1
                     # The scheduler admitted one item; charge the
@@ -596,7 +657,8 @@ class Runtime:
         until every worker reports quiescence (the barrier), then
         appends the results the workers reported; state stays there.
         """
-        self._require_deployed()
+        if not self._deployed:
+            self._require_deployed()
         return self.substrate.run_until_idle(max_steps)
 
     def close(self) -> None:
@@ -923,19 +985,11 @@ class Runtime:
         """Trim a producer's output buffer after a downstream checkpoint."""
         edge_index, src_te, src_index = stream
         if edge_index == INPUT_EDGE:
-            inputs = self._entries[dst_te]
-            # In place: every route holds this very list. An input goes
-            # once the slot it routes to *now* checkpointed it, so a
-            # split's partitions keep theirs when partition 0 checkpoints.
-            # One delivered under the current router routes where it went.
-            router = self.topology.routers.get(dst_te)
-            if router is not inputs.router:
-                inputs.router, inputs.rerouted = router, inputs.seq
-            rerouted = inputs.rerouted
-            inputs.log[:] = [e for e in inputs.log if e.ts > up_to_ts
-                             or dst_index != (e[2].dst_instance
-                                              if e.ts > rerouted
-                                              else self._current_index(e))]
+            # An input goes once the slot it routes to *now* checkpointed
+            # it, so a split's partitions keep theirs when partition 0
+            # checkpoints.
+            self._entries[dst_te].mark(dst_index, up_to_ts,
+                                       self.topology.routers.get(dst_te))
             return
         producer = self.te_instance(src_te, src_index)
         if producer is not None:

@@ -11,7 +11,6 @@ buffers for replay (§5).
 from __future__ import annotations
 
 import copy
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -134,6 +133,8 @@ class TEInstance:
             se_instance.element if se_instance is not None else None, index)
         #: Merge-TE barrier state per in-flight request id.
         self.pending_gathers: dict[RequestId, GatherState] = {}
+        #: Its bit of the ready set, stamped by each ``Candidates`` build.
+        self.ready_bit = 0
         #: Items served here: the one count an item bumps.
         self.served = 0
         self._processed_base = 0
@@ -188,33 +189,23 @@ class TEInstance:
 class Candidates(list):
     """The live TE instances in deployment order, and which have input.
 
-    This is what the scheduler selects from: a list a policy may
-    scan like the seed loop did, plus ``ready`` — the sorted positions
-    in that list whose inbox is non-empty. ``ready`` is kept exact at
-    the two places an inbox changes between structural events (the
-    transport's empty -> non-empty append, the engine's pop loop). A
-    structural change never patches it: it bumps ``Topology.version``,
-    and the next reader rebuilds, re-deriving ``ready`` from the
-    inboxes.
+    This is what the scheduler selects from: a list a policy may scan
+    like the seed loop did, plus ``ready``, one int with bit ``1 <<
+    position`` set where that inbox is non-empty (the build stamps each
+    instance's ``ready_bit``). It is kept exact with one ``|=`` at the
+    transport's empty -> non-empty append and one ``&=`` in the
+    engine's pop loop. A structural change bumps ``Topology.version``
+    and the next reader rebuilds from the inboxes; a bit set or cleared
+    on a stale list lands where nothing reads it.
     """
 
     def __init__(self, instances, version: int = 0) -> None:
         super().__init__(instances)
         #: The ``Topology.version`` this order was built under.
         self.version = version
-        self._position = {inst: at for at, inst in enumerate(self)}
-        self.ready = [at for at, inst in enumerate(self) if inst.inbox]
-
-    def add(self, instance: TEInstance) -> None:
-        """``instance``'s inbox holds input (idempotent)."""
-        position = self._position[instance]
-        at = bisect_left(self.ready, position)
-        if at == len(self.ready) or self.ready[at] != position:
-            self.ready.insert(at, position)
-
-    def discard(self, instance: TEInstance) -> None:
-        """``instance``'s inbox is empty (idempotent)."""
-        position = self._position[instance]
-        at = bisect_left(self.ready, position)
-        if at < len(self.ready) and self.ready[at] == position:
-            del self.ready[at]
+        ready = 0
+        for at, inst in enumerate(self):
+            inst.ready_bit = bit = 1 << at
+            if inst.inbox:
+                ready |= bit
+        self.ready = ready

@@ -121,9 +121,9 @@ class Transport:
 
         Refused envelopes are not lost: they stay in the producer-side
         output buffer and are replayed during recovery. An inbox that
-        goes empty -> non-empty joins the scheduler's ready set here, so
-        every caller (and anything wrapped around this method) keeps it
-        exact.
+        goes empty -> non-empty sets its bit of the scheduler's ready
+        set here, so every caller (and anything wrapped around this
+        method) keeps it exact.
         """
         channel_id = envelope.channel
         channel = self._channels.get(channel_id)
@@ -145,7 +145,7 @@ class Transport:
         inbox = instance.inbox
         inbox.append(envelope)
         if len(inbox) == 1:
-            topology.candidates().add(instance)
+            topology._candidates.ready |= instance.ready_bit
         self._c_delivered.value += 1
         if self.tracer is not None:
             self.tracer.on_deliver(envelope, self._clock())
@@ -153,10 +153,11 @@ class Transport:
 
     def deliver_run(self, rows: list[tuple]) -> None:
         """Land a run of wire rows of one channel with one call: the
-        route resolved once, the inbox extended, one ready-set add at
-        most. A remote, dead or traced route takes :meth:`deliver` per
-        envelope, which keeps refusals and ``on_deliver`` exact."""
-        channel, topology = self.channel(rows[0][2]), self._topology
+        route resolved once, the inbox extended, its ready bit set at
+        most once. A remote, dead or traced route takes :meth:`deliver`
+        per envelope, which keeps refusals and ``on_deliver`` exact."""
+        channel_id, topology = rows[0][2], self._topology
+        channel = self._channels.get(channel_id) or self.channel(channel_id)
         if channel.version != topology.version:
             self._resolve(channel)
         instance = channel.instance
@@ -167,7 +168,7 @@ class Transport:
                 self.deliver(make_envelope(row))
             return
         if not instance.inbox:
-            topology.candidates().add(instance)
+            topology._candidates.ready |= instance.ready_bit
         instance.inbox.extend(map(make_envelope, rows))
         self._c_delivered.value += len(rows)
 

@@ -81,3 +81,8 @@ class TestDeployGuards:
         runtime = Runtime(build_kv_sdg())
         with pytest.raises(RuntimeExecutionError, match="not deployed"):
             runtime.step()
+
+    def test_run_until_idle_before_deploy_rejected(self):
+        runtime = Runtime(build_kv_sdg())
+        with pytest.raises(RuntimeExecutionError, match="not deployed"):
+            runtime.run_until_idle()

@@ -1,12 +1,13 @@
 """The scheduler's ready set stays exact, and cheap.
 
 ``Topology.candidates()`` caches the live instances in deployment order
-plus the sorted positions whose inbox is non-empty. Two things are
-pinned here: a Hypothesis property that no interleaving of inject,
-step, scale-up, failure, recovery and chaos duplicate/drop can make
-that set disagree with the inboxes (or with ``runtime_inbox_depth`` and
-``is_idle()``), and a complexity guard — counted, no wall clock — that
-the order is rebuilt per structural change, not per step.
+plus one int whose set bits are the positions whose inbox is non-empty.
+Two things are pinned here: a Hypothesis property that no interleaving
+of inject, step, scale-up, failure, recovery and chaos duplicate/drop
+can make that set disagree with the inboxes (or with
+``runtime_inbox_depth`` and ``is_idle()``), and a complexity guard —
+counted, no wall clock — that the order is rebuilt per structural
+change, not per step.
 
 The transport's per-channel route cache (the destination instance kept
 on each ``Channel`` record, stamped with ``Topology.version``) is held
@@ -44,18 +45,25 @@ from repro.testing import build_kv_sdg
 from tests.runtime.test_scheduler import build_pipeline_sdg
 
 
+def positions(ready):
+    """The set bits of a ready int, ascending."""
+    return [at for at in range(ready.bit_length()) if ready >> at & 1]
+
+
 def assert_ready_set_exact(runtime):
     topology = runtime.topology
     live = [inst for inst in topology.all_te_instances()
             if topology.nodes[inst.node_id].alive]
     waiting = [inst for inst in live if inst.inbox]
     cached = topology._candidates
-    if cached is not None and cached.version == topology.version:
+    if cached.version == topology.version:
         # Incremental upkeep, checked before anything can rebuild it.
-        assert [cached[at] for at in cached.ready] == waiting
+        assert [cached[at] for at in positions(cached.ready)] == waiting
     candidates = topology.candidates()
     assert list(candidates) == live
-    assert [candidates[at] for at in candidates.ready] == waiting
+    assert [candidates[at] for at in positions(candidates.ready)] == waiting
+    assert [inst.ready_bit for inst in candidates] == [
+        1 << at for at in range(len(candidates))]
     depth = sum(len(inst.inbox) for inst in live)
     assert runtime.metrics.total("runtime_inbox_depth") == depth
     assert runtime.is_idle() == (depth == 0)

@@ -5,8 +5,15 @@ a determinism proof that :class:`RoundRobinScheduler` selects in
 exactly the order of the seed engine's inlined step loop, so recovery
 replay order is unchanged by the layered refactor. A reference policy
 is installed by assignment after ``deploy()``: the drain loop reads
-``scheduler.select`` once per drain.
+``scheduler.select`` once per drain. The walk over the ready int's set
+bits is held to the bisect walk over a sorted list of positions it
+replaced, by a Hypothesis property.
 """
+
+from bisect import bisect_left
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import FaultInjector
 from repro.chaos.plan import DuplicateEnvelope, FaultPlan
@@ -28,7 +35,8 @@ def make_instances(n, items_per_instance):
     """``n`` instances of one stateless TE, each hosted on its own node.
 
     Returned as the :class:`Candidates` sequence the engine hands a
-    policy: the instances plus the positions that have input.
+    policy: the instances plus the ready int, bit ``1 << position`` set
+    for each position that has input.
     """
     sdg = SDG("sched")
     spec = sdg.add_task("work", noop, is_entry=True)
@@ -56,7 +64,7 @@ def drain_order(scheduler, instances, nodes, limit=100):
             continue
         instance.inbox.popleft()
         if not instance.inbox:
-            instances.discard(instance)
+            instances.ready &= ~instance.ready_bit
         order.append(instance.index)
     raise AssertionError("scheduler did not drain")
 
@@ -104,6 +112,91 @@ class TestStragglerCredit:
         # The straggler is held back; the healthy instance runs.
         assert instance is instances[1]
         assert throttled
+
+
+# ---------------------------------------------------------------------------
+# The bit walk against the sorted-list walk it replaced
+# ---------------------------------------------------------------------------
+
+
+class BisectScheduler(RoundRobinScheduler):
+    """``RoundRobinScheduler.select`` as it was over a sorted list of
+    ready positions, kept verbatim as the reference for the bit walk."""
+
+    def select(self, instances, nodes):
+        ready = instances.ready
+        if not ready:
+            return None, False
+        n = len(instances)
+        at = bisect_left(ready, self._rotor % n)
+        throttled = False
+        for _ in range(len(ready)):
+            if at == len(ready):
+                at = 0
+            position = ready[at]
+            at += 1
+            instance = instances[position]
+            node = nodes[instance.node_id]
+            # A full-speed node is admitted without a call.
+            if node.speed < 1.0 and not self._admit(node):
+                throttled = True
+                continue
+            self._rotor = (position + 1) % n
+            return instance, throttled
+        return None, throttled
+
+
+class SortedReady(list):
+    """The instances with ``ready`` as a sorted list of positions."""
+
+    def __init__(self, instances, positions):
+        super().__init__(instances)
+        self.ready = sorted(positions)
+
+
+#: Built once: ``make_instances`` of 300 costs more than an example.
+POOL = make_instances(300, [0] * 300)
+
+
+@st.composite
+def selections(draw):
+    """A live order of 1..300 instances (the int crosses 64 and 256
+    bits), a ready subset, node speeds (some below 1, so throttled),
+    starting credits, a rotor (past the end too, as after a shrink) and
+    how many selects to make in a row."""
+    n = draw(st.integers(1, 300))
+    ready = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    slow = draw(st.dictionaries(
+        st.integers(0, n - 1),
+        st.tuples(st.sampled_from([0.0, 0.25, 0.4, 0.5, 0.9]),
+                  st.sampled_from([0.0, 0.3, 0.75, 0.95])),
+        max_size=n))
+    rotor = draw(st.integers(0, 2 * n))
+    return n, ready, slow, rotor, draw(st.integers(1, 8))
+
+
+class TestBitWalkMatchesSortedWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(selections())
+    def test_same_instance_throttle_rotor_and_credit(self, case):
+        n, ready, slow, rotor, rounds = case
+        instances, nodes = POOL
+        live = Candidates(instances[:n])
+        live.ready = sum(1 << at for at in ready)
+        reference = SortedReady(instances[:n], ready)
+        new, old = RoundRobinScheduler(), BisectScheduler()
+        new._rotor = old._rotor = rotor
+
+        def run(scheduler, candidates):
+            for at, node in nodes.items():
+                node.speed, node.credit = slow.get(at, (1.0, 0.0))
+            picks = []
+            for _ in range(rounds):
+                instance, throttled = scheduler.select(candidates, nodes)
+                picks.append((instance, throttled, scheduler._rotor))
+            return picks, [nodes[at].credit for at in range(n)]
+
+        assert run(new, live) == run(old, reference)
 
 
 # ---------------------------------------------------------------------------
